@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "catalog/segment.h"
+#include "linalg/blas.h"
 #include "linalg/gemm.h"
 #include "topk/merge.h"
 #include "topk/topk_heap.h"
@@ -20,6 +21,23 @@ std::vector<TopKEntry> SentinelRows(Index num_rows, Index k) {
   return std::vector<TopKEntry>(
       static_cast<std::size_t>(num_rows) * static_cast<std::size_t>(k),
       kSentinel);
+}
+
+/// InvalidArgument unless `vector` has `f` finite components: the check
+/// Insert and Update run before taking any lock, so a refused vector
+/// consumes no id and buffers nothing.
+Status ValidateItemVector(std::span<const Real> vector, Index f) {
+  if (static_cast<Index>(vector.size()) != f) {
+    return Status::InvalidArgument(
+        "vector has " + std::to_string(vector.size()) + " factors, want " +
+        std::to_string(f));
+  }
+  const int64_t bad = FirstNonFinite(vector.data(), vector.size());
+  if (bad >= 0) {
+    return Status::InvalidArgument(
+        "vector has a non-finite component at factor " + std::to_string(bad));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -148,11 +166,7 @@ void LiveCatalog::AppendRow(WriteBuffer* buffer, Index id, const Real* row,
 
 StatusOr<Index> LiveCatalog::Insert(std::span<const Real> vector) {
   const Index f = num_factors();
-  if (static_cast<Index>(vector.size()) != f) {
-    return Status::InvalidArgument(
-        "vector has " + std::to_string(vector.size()) + " factors, want " +
-        std::to_string(f));
-  }
+  MIPS_RETURN_IF_ERROR(ValidateItemVector(vector, f));
   Index id = -1;
   bool should_rebuild = false;
   {
@@ -170,11 +184,7 @@ StatusOr<Index> LiveCatalog::Insert(std::span<const Real> vector) {
 
 Status LiveCatalog::Update(Index id, std::span<const Real> vector) {
   const Index f = num_factors();
-  if (static_cast<Index>(vector.size()) != f) {
-    return Status::InvalidArgument(
-        "vector has " + std::to_string(vector.size()) + " factors, want " +
-        std::to_string(f));
-  }
+  MIPS_RETURN_IF_ERROR(ValidateItemVector(vector, f));
   bool should_rebuild = false;
   {
     WriterMutexLock lock(state_mu_);
@@ -282,28 +292,32 @@ Status LiveCatalog::Query(Index k, std::span<const Index> user_ids,
           ? ScanBuffer(*sealed, &active_dead, vectors, num_rows, f, k)
           : SentinelRows(num_rows, k);
 
-  // Base rows are masked by every newer layer.  Over-query by the dead
+  // Base rows are masked by every newer layer.  Over-fetch by the dead
   // count: at most |dead_union| base rows can be filtered out, so the
-  // top-(k + D) base row still contains the top-k live base entries.
+  // top-(k + D) base row still contains the top-k live base entries.  D
+  // goes in as the engines' `extra`, not into k: the strategy stays the
+  // one decided for the caller's k, so a changing dead count never
+  // creates a decision key (and never runs OPTIMUS inline).
   std::unordered_set<Index> dead_union = std::move(active_dead);
   if (sealed != nullptr) {
     dead_union.insert(sealed->dead.begin(), sealed->dead.end());
   }
   std::vector<TopKEntry> base_rows = SentinelRows(num_rows, k);
   if (epoch->has_engine()) {
-    const Index k_base = k + static_cast<Index>(dead_union.size());
+    const Index extra = static_cast<Index>(dead_union.size());
+    const Index k_base = k + extra;
     TopKResult raw;
     Status status;
     if (!user_ids.empty()) {
       status = epoch->engine != nullptr
-                   ? epoch->engine->TopK(k_base, user_ids, &raw)
-                   : epoch->sharded->TopK(k_base, user_ids, &raw);
+                   ? epoch->engine->TopK(k, user_ids, &raw, extra)
+                   : epoch->sharded->TopK(k, user_ids, &raw, extra);
     } else {
       status = epoch->engine != nullptr
-                   ? epoch->engine->TopKNewUsers(vectors, num_rows, k_base,
-                                                 &raw)
-                   : epoch->sharded->TopKNewUsers(vectors, num_rows, k_base,
-                                                  &raw);
+                   ? epoch->engine->TopKNewUsers(vectors, num_rows, k, &raw,
+                                                 extra)
+                   : epoch->sharded->TopKNewUsers(vectors, num_rows, k, &raw,
+                                                  extra);
     }
     MIPS_RETURN_IF_ERROR(status);
     for (Index q = 0; q < num_rows; ++q) {
@@ -336,10 +350,7 @@ Status LiveCatalog::Query(Index k, std::span<const Index> user_ids,
 
 Status LiveCatalog::TopK(Index k, std::span<const Index> user_ids,
                          TopKResult* out) {
-  if (k <= 0) {
-    return Status::InvalidArgument("k must be positive, got " +
-                                   std::to_string(k));
-  }
+  MIPS_RETURN_IF_ERROR(ValidateTopKWidth(k, 0));
   for (const Index id : user_ids) {
     if (id < 0 || id >= users_.rows()) {
       return Status::OutOfRange(
@@ -380,17 +391,10 @@ Status LiveCatalog::TopKNewUser(const Real* user_vector, Index k,
 
 Status LiveCatalog::TopKNewUsers(const Real* user_vectors, Index num_rows,
                                  Index k, TopKResult* out) {
-  if (k <= 0) {
-    return Status::InvalidArgument("k must be positive, got " +
-                                   std::to_string(k));
-  }
-  if (user_vectors == nullptr) {
-    return Status::InvalidArgument("user_vectors must not be null");
-  }
-  if (num_rows <= 0) {
-    return Status::InvalidArgument("num_rows must be positive, got " +
-                                   std::to_string(num_rows));
-  }
+  MIPS_RETURN_IF_ERROR(ValidateTopKWidth(k, 0));
+  // Checked here, before the side scans score anything.
+  MIPS_RETURN_IF_ERROR(
+      ValidateNewUserBatch(user_vectors, num_rows, num_factors()));
   return Query(k, {}, user_vectors, num_rows, out);
 }
 
@@ -605,8 +609,10 @@ LiveCatalog::Stats LiveCatalog::stats() const {
   snapshot.epochs_drained = epochs_drained_->load(std::memory_order_relaxed);
   snapshot.decisions_retired =
       decisions_retired_.load(std::memory_order_relaxed);
+  std::shared_ptr<const Epoch> epoch;
   {
     ReaderMutexLock lock(state_mu_);
+    epoch = epoch_;
     snapshot.live_items = live_items_;
     snapshot.base_items = epoch_->items.rows();
     snapshot.buffered_rows =
@@ -617,13 +623,17 @@ LiveCatalog::Stats LiveCatalog::stats() const {
       dead_union.insert(sealed_->dead.begin(), sealed_->dead.end());
     }
     snapshot.dead_masked = static_cast<Index>(dead_union.size());
-    if (epoch_->engine != nullptr) {
-      snapshot.base_strategy = epoch_->engine->strategy();
-    } else if (epoch_->sharded != nullptr) {
-      for (int s = 0; s < epoch_->sharded->num_shards(); ++s) {
-        if (!snapshot.base_strategy.empty()) snapshot.base_strategy += ",";
-        snapshot.base_strategy += epoch_->sharded->shard_strategy(s);
-      }
+  }
+  // Outside the state lock: strategy() takes each engine's decision lock,
+  // which an inline re-decision holds exclusively for its whole sampling
+  // run.  Waiting on it under state_mu_ would queue every mutation behind
+  // that decision.
+  if (epoch->engine != nullptr) {
+    snapshot.base_strategy = epoch->engine->strategy();
+  } else if (epoch->sharded != nullptr) {
+    for (int s = 0; s < epoch->sharded->num_shards(); ++s) {
+      if (!snapshot.base_strategy.empty()) snapshot.base_strategy += ",";
+      snapshot.base_strategy += epoch->sharded->shard_strategy(s);
     }
   }
   {

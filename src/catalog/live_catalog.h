@@ -21,8 +21,10 @@
 //     fold is independent of the surrounding batch), merged into the
 //     base engine's row through the library-wide BetterEntry k-way
 //     merge.  Buffered versions mask their base predecessors through
-//     per-layer dead-id sets; the base engine is over-queried by the
-//     dead count so masking can never starve the merge.
+//     per-layer dead-id sets; the base engine is over-fetched by the
+//     dead count (the engines' `extra`) so masking can never starve the
+//     merge, while its strategy stays the one decided for the caller's
+//     k: dead ids never create decision keys.
 //   * Background rebuild — once the buffer passes rebuild_threshold
 //     mutations (or on an explicit Rebuild() call) a dedicated thread
 //     folds the sealed buffer into a replacement snapshot, opens a fresh
@@ -94,9 +96,11 @@ struct LiveCatalogOptions {
   /// Item shards per epoch (1 = plain MipsEngine; > 1 = per-epoch
   /// ShardedMipsEngine with one decision per shard).
   int num_shards = 1;
-  /// Placement policy for sharded epochs.  kGrowth pins a block size so
-  /// appends land in the newest shard and prefix shards keep their rows
-  /// across append-only rebuilds (shard/partition.h).
+  /// Placement policy for sharded epochs.  kGrowth places items in id
+  /// order in fixed-size blocks, so appends land in the newest shard and,
+  /// with a pinned growth_block, prefix shards hold the same rows across
+  /// append-only rebuilds (shard/partition.h).  Each rebuild still copies
+  /// every row and re-prepares and re-decides every shard.
   ShardingStrategy sharding = ShardingStrategy::kContiguous;
   /// Pinned kGrowth block size (0 = derive from the epoch's item count).
   Index growth_block = 0;
@@ -129,9 +133,12 @@ class LiveCatalog {
   /// Adds a new item; returns its permanent id.  Ids are assigned
   /// monotonically and never reused (a removed id stays dead forever) —
   /// the invariant the exactness proof's tie-order argument rests on.
+  /// InvalidArgument for a wrong-sized vector or a NaN/+-Inf component;
+  /// a rejected insert consumes no id and buffers nothing.
   StatusOr<Index> Insert(std::span<const Real> vector)
       EXCLUDES(state_mu_, rebuild_mu_);
-  /// Replaces the vector of a live item.  NotFound for dead/unknown ids.
+  /// Replaces the vector of a live item.  NotFound for dead/unknown ids;
+  /// InvalidArgument (nothing buffered) for the vectors Insert rejects.
   Status Update(Index id, std::span<const Real> vector)
       EXCLUDES(state_mu_, rebuild_mu_);
   /// Removes a live item.  NotFound for dead/unknown ids.
@@ -150,7 +157,9 @@ class LiveCatalog {
       EXCLUDES(state_mu_);
   /// Exact top-K for `num_rows` new-user vectors (row-major).  Row r
   /// depends only on input row r, so a serving layer may coalesce
-  /// batches across epoch swaps without changing any answer.
+  /// batches across epoch swaps without changing any answer.  Rows with
+  /// a NaN or +-Inf component are rejected (InvalidArgument) before any
+  /// scoring.
   Status TopKNewUsers(const Real* user_vectors, Index num_rows, Index k,
                       TopKResult* out) EXCLUDES(state_mu_);
 

@@ -9,12 +9,48 @@
 #include "common/timer.h"
 #include "core/dynamic_maximus.h"
 #include "core/maximus.h"
+#include "linalg/blas.h"
 #include "linalg/gemm.h"
 #include "linalg/simd_dispatch.h"
 #include "solvers/registry.h"
 #include "topk/topk_block.h"
 
 namespace mips {
+
+Status ValidateTopKWidth(Index k, Index extra) {
+  if (k <= 0) {
+    return Status::InvalidArgument("k must be positive, got " +
+                                   std::to_string(k));
+  }
+  const Index max_extra = std::numeric_limits<Index>::max() - k;
+  if (extra < 0 || extra > max_extra) {
+    return Status::InvalidArgument("extra must be in [0, " +
+                                   std::to_string(max_extra) + "], got " +
+                                   std::to_string(extra));
+  }
+  return Status::OK();
+}
+
+Status ValidateNewUserBatch(const Real* user_vectors, Index num_rows,
+                            Index num_factors) {
+  if (user_vectors == nullptr) {
+    return Status::InvalidArgument("user_vectors must not be null");
+  }
+  if (num_rows <= 0) {
+    return Status::InvalidArgument("num_rows must be positive, got " +
+                                   std::to_string(num_rows));
+  }
+  const int64_t bad = FirstNonFinite(
+      user_vectors, static_cast<std::size_t>(num_rows) *
+                        static_cast<std::size_t>(num_factors));
+  if (bad >= 0) {
+    return Status::InvalidArgument(
+        "user vector row " + std::to_string(bad / num_factors) +
+        " has a non-finite component at factor " +
+        std::to_string(bad % num_factors));
+  }
+  return Status::OK();
+}
 
 StatusOr<std::unique_ptr<MipsEngine>> MipsEngine::Open(
     const ConstRowBlock& users, const ConstRowBlock& items,
@@ -333,11 +369,8 @@ StatusOr<std::size_t> MipsEngine::StrategyFor(Index k, Index batch_rows) {
 }
 
 Status MipsEngine::TopK(Index k, std::span<const Index> user_ids,
-                        TopKResult* out) {
-  if (k <= 0) {
-    return Status::InvalidArgument("k must be positive, got " +
-                                   std::to_string(k));
-  }
+                        TopKResult* out, Index extra) {
+  MIPS_RETURN_IF_ERROR(ValidateTopKWidth(k, extra));
   for (const Index id : user_ids) {
     if (id < 0 || id >= users_.rows()) {
       return Status::OutOfRange(
@@ -345,10 +378,12 @@ Status MipsEngine::TopK(Index k, std::span<const Index> user_ids,
           std::to_string(users_.rows()) + " users)");
     }
   }
+  // The decision is keyed on the caller's k; only the fetch widens.
   auto strategy = StrategyFor(k, static_cast<Index>(user_ids.size()));
   MIPS_RETURN_IF_ERROR(strategy.status());
   WallTimer timer;
-  MIPS_RETURN_IF_ERROR(solvers_[*strategy]->TopKForUsers(k, user_ids, out));
+  MIPS_RETURN_IF_ERROR(
+      solvers_[*strategy]->TopKForUsers(k + extra, user_ids, out));
   stats_.serve_seconds.fetch_add(timer.Seconds(), std::memory_order_relaxed);
   stats_.batches_served.fetch_add(1, std::memory_order_relaxed);
   stats_.users_served.fetch_add(static_cast<int64_t>(user_ids.size()),
@@ -376,7 +411,7 @@ Status MipsEngine::TopKNewUser(const Real* user_vector, Index k,
 }
 
 Status MipsEngine::DenseScoreNewUsers(const Real* user_vectors,
-                                      Index num_rows, Index k,
+                                      Index num_rows, Index width,
                                       TopKResult* out) {
   // Mirrors BmmSolver's small-batch regime: one blocked GEMM per
   // score-block chunk (macro-panels fan out across the pool), then a
@@ -397,7 +432,7 @@ Status MipsEngine::DenseScoreNewUsers(const Real* user_vectors,
     ParallelFor(pool(), m, [&](int64_t begin, int64_t end, int /*chunk_i*/) {
       TopKFromScoreBlock(
           scores.data() + static_cast<std::size_t>(begin) * scores.cols(),
-          static_cast<Index>(end - begin), n, scores.cols(), k,
+          static_cast<Index>(end - begin), n, scores.cols(), width,
           /*item_offset=*/0, /*item_ids=*/nullptr, out,
           b + static_cast<Index>(begin));
     });
@@ -406,41 +441,36 @@ Status MipsEngine::DenseScoreNewUsers(const Real* user_vectors,
 }
 
 Status MipsEngine::TopKNewUsers(const Real* user_vectors, Index num_rows,
-                                Index k, TopKResult* out) {
-  if (k <= 0) {
-    return Status::InvalidArgument("k must be positive, got " +
-                                   std::to_string(k));
-  }
-  if (user_vectors == nullptr) {
-    return Status::InvalidArgument("user_vectors must not be null");
-  }
-  if (num_rows <= 0) {
-    return Status::InvalidArgument("num_rows must be positive, got " +
-                                   std::to_string(num_rows));
-  }
+                                Index k, TopKResult* out, Index extra) {
+  MIPS_RETURN_IF_ERROR(ValidateTopKWidth(k, extra));
+  const Index f = items_.cols();
+  MIPS_RETURN_IF_ERROR(ValidateNewUserBatch(user_vectors, num_rows, f));
   auto strategy = StrategyFor(k, num_rows);
   MIPS_RETURN_IF_ERROR(strategy.status());
   MipsSolver* solver = solvers_[*strategy].get();
   WallTimer timer;
-  *out = TopKResult(num_rows, k);
-  const Index f = items_.cols();
+  const Index width = k + extra;
+  *out = TopKResult(num_rows, width);
   if (auto* maximus = dynamic_cast<MaximusSolver*>(solver)) {
     // Exact dynamic-user walk (Section III-E), one probe per row: the
     // decision said index probes beat a GEMM at this batch shape.
     for (Index r = 0; r < num_rows; ++r) {
       MIPS_RETURN_IF_ERROR(maximus->QueryDynamicUser(
-          user_vectors + static_cast<std::size_t>(r) * f, k, out->Row(r)));
+          user_vectors + static_cast<std::size_t>(r) * f, width,
+          out->Row(r)));
     }
   } else if (auto* dynamic = dynamic_cast<DynamicMaximusSolver*>(solver)) {
     for (Index r = 0; r < num_rows; ++r) {
       MIPS_RETURN_IF_ERROR(dynamic->QueryNewUser(
-          user_vectors + static_cast<std::size_t>(r) * f, k, out->Row(r)));
+          user_vectors + static_cast<std::size_t>(r) * f, width,
+          out->Row(r)));
     }
   } else {
     // Every other strategy scores new users densely (their index
     // structures are keyed to the prepared user matrix): one blocked
     // GEMM over the whole coalesced batch — the batching win.
-    MIPS_RETURN_IF_ERROR(DenseScoreNewUsers(user_vectors, num_rows, k, out));
+    MIPS_RETURN_IF_ERROR(
+        DenseScoreNewUsers(user_vectors, num_rows, width, out));
   }
   stats_.serve_seconds.fetch_add(timer.Seconds(), std::memory_order_relaxed);
   stats_.new_users_served.fetch_add(num_rows, std::memory_order_relaxed);

@@ -12,6 +12,8 @@
 //     engine re-runs the (cheap, sampling-based) decision for the new k
 //     and caches the winner — or falls back to the opening winner when
 //     re-deciding is disabled.  Either way every answer stays exact.
+//     A trailing `extra` widens each row to k + extra entries without
+//     touching the decision, which stays keyed on k (see TopK).
 //   * TopKAll(k)          — every prepared user.
 //   * TopKNewUser(...)    — a vector outside the prepared user matrix
 //     (Section III-E): MAXIMUS's dynamic walk when a MAXIMUS-family
@@ -60,6 +62,19 @@
 #include "solvers/solver.h"
 
 namespace mips {
+
+/// Argument checks shared by the serving facades (MipsEngine,
+/// ShardedMipsEngine, LiveCatalog), so each rejects the same inputs with
+/// the same message before any scoring runs.
+///
+/// A result width: k > 0, and 0 <= extra with k + extra representable.
+Status ValidateTopKWidth(Index k, Index extra);
+/// A new-user batch of num_rows x num_factors row-major components:
+/// non-null, num_rows > 0, and every component finite (a NaN or +-Inf
+/// component makes the row's scores NaN or infinite, which the
+/// BetterEntry order cannot rank).
+Status ValidateNewUserBatch(const Real* user_vectors, Index num_rows,
+                            Index num_factors);
 
 /// Configuration for MipsEngine::Open.
 struct EngineOptions {
@@ -154,7 +169,16 @@ class MipsEngine {
   /// Exact top-K for a mini-batch of known users (ids into the engine's
   /// user matrix), served by the strategy decided for this k.  Safe for
   /// concurrent callers.
-  Status TopK(Index k, std::span<const Index> user_ids, TopKResult* out);
+  ///
+  /// `extra` over-fetches without moving the decision: the strategy is
+  /// looked up for (k, batch shape) exactly as with extra = 0 — decided
+  /// inline only on a real miss — and each row of *out then holds the
+  /// exact top-(k + extra) entries.  A caller that filters rows
+  /// afterwards (LiveCatalog masks up to `extra` dead ids per row) thus
+  /// never creates a decision key per filter width.  InvalidArgument for
+  /// a negative `extra` or one that overflows k + extra.
+  Status TopK(Index k, std::span<const Index> user_ids, TopKResult* out,
+              Index extra = 0);
 
   /// Exact top-K for every prepared user.
   Status TopKAll(Index k, TopKResult* out);
@@ -177,8 +201,11 @@ class MipsEngine {
   /// factor axis in a fixed order independent of the batch's row count),
   /// so results are bit-for-bit identical whether a vector is served
   /// alone or coalesced into any batch.  Safe for concurrent callers.
+  /// `extra` widens each row to k + extra entries with the decision kept
+  /// on k, as in TopK.  Rows holding a NaN or +-Inf component are
+  /// rejected (InvalidArgument) before any scoring.
   Status TopKNewUsers(const Real* user_vectors, Index num_rows, Index k,
-                      TopKResult* out);
+                      TopKResult* out, Index extra = 0);
 
   /// Logically drops every cached per-(k, shape) decision by bumping the
   /// engine's decision generation — the same lazily-checked idiom as the
@@ -288,11 +315,11 @@ class MipsEngine {
       REQUIRES_SHARED(decision_mu_);
 
   /// Dense-scoring fallback for new-user batches: one blocked GEMM over
-  /// the items per score-block chunk + per-row top-K.  Used for every
-  /// non-MAXIMUS-family strategy (a new user has no row in any prepared
-  /// index's user-side structures).
+  /// the items per score-block chunk + per-row top-`width`.  Used for
+  /// every non-MAXIMUS-family strategy (a new user has no row in any
+  /// prepared index's user-side structures).
   Status DenseScoreNewUsers(const Real* user_vectors, Index num_rows,
-                            Index k, TopKResult* out);
+                            Index width, TopKResult* out);
 
   /// The pool serving this engine: the shared external pool when one was
   /// injected, else the engine-owned pool (null = single-threaded).

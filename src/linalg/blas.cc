@@ -47,4 +47,11 @@ Real CosineSimilarity(const Real* x, const Real* y, Index n) {
   return std::clamp(cos, Real{-1}, Real{1});
 }
 
+int64_t FirstNonFinite(const Real* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(x[i])) return static_cast<int64_t>(i);
+  }
+  return -1;
+}
+
 }  // namespace mips

@@ -12,6 +12,7 @@
 #define MIPS_LINALG_BLAS_H_
 
 #include <cstddef>
+#include <cstdint>
 
 #include "common/types.h"
 
@@ -48,6 +49,11 @@ void RowNorms(const Real* data, Index rows, Index cols, Real* out);
 /// Cosine of the angle between x and y; 0 if either vector is zero.
 /// The result is clamped to [-1, 1] so acos() is always safe.
 Real CosineSimilarity(const Real* x, const Real* y, Index n);
+
+/// Position of the first NaN or +-Inf among x[0..n), or -1 when every
+/// element is finite.  The guard the public vector boundaries (catalog
+/// mutations, new-user queries) run before a value can reach a score.
+int64_t FirstNonFinite(const Real* x, std::size_t n);
 
 }  // namespace mips
 

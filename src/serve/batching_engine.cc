@@ -131,10 +131,10 @@ std::future<Status> BatchingEngine::SubmitNewUser(const Real* user_vector,
                                                   Index k,
                                                   TopKEntry* out_row,
                                                   double deadline_ms) {
-  if (user_vector == nullptr) {
-    return ResolvedFuture(
-        Status::InvalidArgument("user_vector must not be null"));
-  }
+  // Rejected here, alone: at the backend a non-finite row would fail the
+  // whole coalesced batch it landed in.
+  Status vector_status = ValidateNewUserBatch(user_vector, 1, num_factors_);
+  if (!vector_status.ok()) return ResolvedFuture(std::move(vector_status));
   if (out_row == nullptr) {
     return ResolvedFuture(Status::InvalidArgument("out_row must not be null"));
   }

@@ -134,7 +134,9 @@ class BatchingEngine {
   /// Admits one new-user query.  The vector is copied before returning;
   /// `out_row` (k entries) must stay alive until the future resolves.
   /// The future carries OK after out_row is filled, or the admission /
-  /// deadline / backend error.  `deadline_ms` <= 0 uses
+  /// deadline / backend error.  A null vector or one with a NaN/+-Inf
+  /// component is refused at admission (InvalidArgument), so it never
+  /// fails the batch it would have joined.  `deadline_ms` <= 0 uses
   /// options.default_deadline_ms.
   std::future<Status> SubmitNewUser(const Real* user_vector, Index k,
                                     TopKEntry* out_row,

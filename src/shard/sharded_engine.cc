@@ -69,22 +69,22 @@ StatusOr<std::unique_ptr<ShardedMipsEngine>> ShardedMipsEngine::Open(
   return engine;
 }
 
-Status ShardedMipsEngine::ScatterGather(Index k,
-                                        std::span<const Index> user_ids,
+template <typename ShardQuery>
+Status ShardedMipsEngine::ScatterGather(Index width, const ShardQuery& query,
                                         TopKResult* out) {
-  // Scatter: each shard answers exact top-k over its own items with
+  // Scatter: each shard answers exact top-`width` over its own items with
   // local ids...
   std::vector<TopKResult> partials(active_shards_.size());
   for (std::size_t i = 0; i < active_shards_.size(); ++i) {
     const int s = active_shards_[i];
-    MIPS_RETURN_IF_ERROR(engines_[static_cast<std::size_t>(s)]->TopK(
-        k, user_ids, &partials[i]));
+    MIPS_RETURN_IF_ERROR(
+        query(*engines_[static_cast<std::size_t>(s)], &partials[i]));
     // ...gather: remap to global ids through the partition...
     const ItemShard& shard = partition_.shard(s);
     TopKResult& partial = partials[i];
     for (Index q = 0; q < partial.num_queries(); ++q) {
       TopKEntry* row = partial.Row(q);
-      for (Index e = 0; e < k; ++e) {
+      for (Index e = 0; e < width; ++e) {
         if (row[e].item >= 0) row[e].item = shard.ToGlobal(row[e].item);
       }
     }
@@ -94,16 +94,13 @@ Status ShardedMipsEngine::ScatterGather(Index k,
   std::vector<const TopKResult*> results;
   results.reserve(partials.size());
   for (const TopKResult& partial : partials) results.push_back(&partial);
-  MergeTopKResults(results, k, out);
+  MergeTopKResults(results, width, out);
   return Status::OK();
 }
 
 Status ShardedMipsEngine::TopK(Index k, std::span<const Index> user_ids,
-                               TopKResult* out) {
-  if (k <= 0) {
-    return Status::InvalidArgument("k must be positive, got " +
-                                   std::to_string(k));
-  }
+                               TopKResult* out, Index extra) {
+  MIPS_RETURN_IF_ERROR(ValidateTopKWidth(k, extra));
   for (const Index id : user_ids) {
     if (id < 0 || id >= users_.rows()) {
       return Status::OutOfRange(
@@ -112,7 +109,13 @@ Status ShardedMipsEngine::TopK(Index k, std::span<const Index> user_ids,
     }
   }
   WallTimer timer;
-  MIPS_RETURN_IF_ERROR(ScatterGather(k, user_ids, out));
+  // Every shard decides at the caller's k; only the fetch widens.
+  MIPS_RETURN_IF_ERROR(ScatterGather(
+      k + extra,
+      [&](MipsEngine& engine, TopKResult* partial) {
+        return engine.TopK(k, user_ids, partial, extra);
+      },
+      out));
   {
     MutexLock lock(stats_mu_);
     counters_.serve_seconds += timer.Seconds();
@@ -139,40 +142,20 @@ Status ShardedMipsEngine::TopKNewUser(const Real* user_vector, Index k,
 
 Status ShardedMipsEngine::TopKNewUsers(const Real* user_vectors,
                                        Index num_rows, Index k,
-                                       TopKResult* out) {
-  if (k <= 0) {
-    return Status::InvalidArgument("k must be positive, got " +
-                                   std::to_string(k));
-  }
-  if (user_vectors == nullptr) {
-    return Status::InvalidArgument("user_vectors must not be null");
-  }
-  if (num_rows <= 0) {
-    return Status::InvalidArgument("num_rows must be positive, got " +
-                                   std::to_string(num_rows));
-  }
+                                       TopKResult* out, Index extra) {
+  MIPS_RETURN_IF_ERROR(ValidateTopKWidth(k, extra));
+  MIPS_RETURN_IF_ERROR(
+      ValidateNewUserBatch(user_vectors, num_rows, num_factors()));
   WallTimer timer;
   // Scatter the whole batch: each shard answers all rows at once (its own
   // strategy decision is keyed on this batch shape), then remap and merge
   // exactly as the known-user path does.
-  std::vector<TopKResult> partials(active_shards_.size());
-  for (std::size_t i = 0; i < active_shards_.size(); ++i) {
-    const int s = active_shards_[i];
-    MIPS_RETURN_IF_ERROR(engines_[static_cast<std::size_t>(s)]->TopKNewUsers(
-        user_vectors, num_rows, k, &partials[i]));
-    const ItemShard& shard = partition_.shard(s);
-    TopKResult& partial = partials[i];
-    for (Index q = 0; q < partial.num_queries(); ++q) {
-      TopKEntry* row = partial.Row(q);
-      for (Index e = 0; e < k; ++e) {
-        if (row[e].item >= 0) row[e].item = shard.ToGlobal(row[e].item);
-      }
-    }
-  }
-  std::vector<const TopKResult*> results;
-  results.reserve(partials.size());
-  for (const TopKResult& partial : partials) results.push_back(&partial);
-  MergeTopKResults(results, k, out);
+  MIPS_RETURN_IF_ERROR(ScatterGather(
+      k + extra,
+      [&](MipsEngine& engine, TopKResult* partial) {
+        return engine.TopKNewUsers(user_vectors, num_rows, k, partial, extra);
+      },
+      out));
   {
     MutexLock lock(stats_mu_);
     counters_.serve_seconds += timer.Seconds();

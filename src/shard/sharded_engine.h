@@ -93,9 +93,12 @@ class ShardedMipsEngine {
   /// Exact global top-K for a mini-batch of known users: scatter to every
   /// shard, gather + merge.  Identical to the unsharded MipsEngine result
   /// (ids remapped to global; BetterEntry order).  Safe for concurrent
-  /// callers.
-  Status TopK(Index k, std::span<const Index> user_ids, TopKResult* out)
-      EXCLUDES(stats_mu_);
+  /// callers.  `extra` is MipsEngine::TopK's: every shard keeps its
+  /// decision keyed on k while the scatter, remap and merge run at
+  /// k + extra entries per row, so the answer is the exact global
+  /// top-(k + extra) and no shard re-decides for the wider fetch.
+  Status TopK(Index k, std::span<const Index> user_ids, TopKResult* out,
+              Index extra = 0) EXCLUDES(stats_mu_);
 
   /// Exact global top-K for every prepared user.
   Status TopKAll(Index k, TopKResult* out);
@@ -112,9 +115,12 @@ class ShardedMipsEngine {
   /// *out is bit-for-bit what TopKNewUser returns for that vector alone —
   /// the per-shard GEMM computes each (row, item) score independently of
   /// the other batch rows — which is what lets a serving layer coalesce
-  /// singleton traffic without changing any answer.
+  /// singleton traffic without changing any answer.  `extra` widens each
+  /// row to k + extra entries with every shard's decision kept on k, as
+  /// in TopK; rows with a NaN or +-Inf component are rejected
+  /// (InvalidArgument) before any shard scores.
   Status TopKNewUsers(const Real* user_vectors, Index num_rows, Index k,
-                      TopKResult* out) EXCLUDES(stats_mu_);
+                      TopKResult* out, Index extra = 0) EXCLUDES(stats_mu_);
 
   /// Forces every shard onto the candidate named by solver name or exact
   /// opening spec.  All shards share the same candidate list, so this
@@ -195,8 +201,11 @@ class ShardedMipsEngine {
  private:
   ShardedMipsEngine() = default;
 
-  /// Scatter a batch, remap ids to global, merge into *out.
-  Status ScatterGather(Index k, std::span<const Index> user_ids,
+  /// Scatter `query(shard engine, &partial)` to every non-empty shard,
+  /// remap each partial's `width`-entry rows to global ids, and merge
+  /// them into *out (`width` entries per row).
+  template <typename ShardQuery>
+  Status ScatterGather(Index width, const ShardQuery& query,
                        TopKResult* out);
 
   ConstRowBlock users_;

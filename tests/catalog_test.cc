@@ -11,11 +11,13 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -43,6 +45,13 @@ LiveCatalogOptions SmallOptions(
   if (num_shards > 1) options.sharding = ShardingStrategy::kGrowth;
   return options;
 }
+
+/// Two BMM variants: OPTIMUS still decides at Open and per k, but either
+/// winner scores through the GEMM fold the side scan uses, so bit-exact
+/// comparisons with a cold open hold whichever variant the timing picks.
+/// With {"bmm", "maximus"} a loaded host sometimes lets MAXIMUS win, and
+/// its scores then differ from the cold open's in the last ulp.
+const std::vector<std::string> kBmmVariants = {"bmm", "bmm:batch_rows=16"};
 
 std::string TempPath(const std::string& stem) {
   return ::testing::TempDir() + stem + "." + std::to_string(::getpid());
@@ -290,7 +299,7 @@ TEST(LiveCatalogTest, EmptyStartServesFromBufferThenRebuilds) {
   const MFModel model = MakeTestModel(10, 8, 6, 3);
   MFModel empty;  // users only: the catalog starts engine-less
   empty.users = RandomMatrix(10, 6, 3, 0.5);
-  ShadowedCatalog catalog(empty, SmallOptions());
+  ShadowedCatalog catalog(empty, SmallOptions(kBmmVariants));
   const Matrix new_users = RandomMatrix(2, 6, 9, 0.5);
 
   // All sentinels while truly empty.
@@ -312,7 +321,7 @@ TEST(LiveCatalogTest, EmptyStartServesFromBufferThenRebuilds) {
 
 TEST(LiveCatalogTest, RemoveEverythingThenRepopulate) {
   const MFModel model = MakeTestModel(8, 6, 4, 5);
-  ShadowedCatalog catalog(model, SmallOptions());
+  ShadowedCatalog catalog(model, SmallOptions(kBmmVariants));
   for (Index i = 0; i < 6; ++i) catalog.Remove(i);
   EXPECT_EQ(catalog.live().num_items(), 0);
 
@@ -343,6 +352,35 @@ TEST(LiveCatalogTest, MutationValidation) {
   EXPECT_TRUE(live.Update(99, std::vector<Real>(4)).code() == StatusCode::kNotFound);
   EXPECT_TRUE(live.Remove(99).code() == StatusCode::kNotFound);
 
+  // NaN and +-Inf never enter the catalog: a refused Insert consumes no
+  // id, a refused Update buffers nothing, and a non-finite query row is
+  // refused before the side scans or the base engine score it.
+  for (const Real bad : {std::numeric_limits<Real>::quiet_NaN(),
+                         std::numeric_limits<Real>::infinity(),
+                         -std::numeric_limits<Real>::infinity()}) {
+    std::vector<Real> vector = RowVector(model.items, 0);
+    vector[2] = bad;
+    const auto inserted = live.Insert(vector);
+    EXPECT_EQ(inserted.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(inserted.status().message().find("factor 2"),
+              std::string::npos)
+        << inserted.status().ToString();
+    EXPECT_EQ(live.Update(1, vector).code(), StatusCode::kInvalidArgument)
+        << bad;
+    Matrix probes = RandomMatrix(2, 4, 23, 0.5);
+    probes.Row(1)[3] = bad;
+    TopKResult out;
+    EXPECT_EQ(live.TopKNewUsers(probes.data(), 2, 3, &out).code(),
+              StatusCode::kInvalidArgument);
+    std::vector<TopKEntry> row(3);
+    EXPECT_EQ(live.TopKNewUser(probes.Row(1), 3, row.data()).code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(live.stats().buffered_rows, 0);
+  const auto id = live.Insert(RowVector(model.items, 0));
+  ASSERT_TRUE(id.ok());
+  EXPECT_EQ(*id, 10);  // the first unused id
+
   ASSERT_TRUE(live.Remove(4).ok());
   EXPECT_TRUE(live.Remove(4).code() == StatusCode::kNotFound);  // already dead
   EXPECT_TRUE(live.Update(4, std::vector<Real>(4)).code() == StatusCode::kNotFound);
@@ -357,6 +395,39 @@ TEST(LiveCatalogTest, MutationValidation) {
   EXPECT_TRUE(live.TopKNewUsers(nullptr, 1, 3, &out).code() == StatusCode::kInvalidArgument);
   ASSERT_TRUE(live.TopK(3, {}, &out).ok());  // empty batch is fine
   EXPECT_EQ(out.num_queries(), 0);
+}
+
+TEST(LiveCatalogTest, DeadIdsNeverCreateDecisionKeys) {
+  // The base engine is over-fetched by the dead count, but its strategy
+  // stays keyed on the caller's k: queries at the opening k leave exactly
+  // the opening decision cached however the dead count moves, so the
+  // swap retires one decision per serving engine.  A query at another k
+  // still decides (and caches) its own key.
+  for (const int num_shards : {1, 2}) {
+    const MFModel model = MakeTestModel(8, 24, 4, 27);
+    ShadowedCatalog catalog(model, SmallOptions(kBmmVariants, num_shards));
+    LiveCatalog& live = catalog.live();
+    const Matrix probes = RandomMatrix(2, 4, 29, 0.5);
+    TopKResult out;
+    for (Index id = 0; id < 6; ++id) {
+      catalog.Remove(id);
+      catalog.Update(23 - id, RowVector(model.items, id));
+      ASSERT_TRUE(live.TopKAll(5, &out).ok());
+      ASSERT_TRUE(live.TopKNewUsers(probes.data(), 2, 5, &out).ok());
+    }
+    EXPECT_EQ(live.stats().dead_masked, 12);
+    catalog.ExpectMatchesColdOpen({5}, probes);
+    ASSERT_TRUE(live.Rebuild().ok());
+    EXPECT_EQ(live.stats().decisions_retired, num_shards)
+        << num_shards << " shards";
+
+    catalog.Remove(6);
+    ASSERT_TRUE(live.TopKAll(5, &out).ok());
+    ASSERT_TRUE(live.TopKAll(3, &out).ok());  // a new key per shard
+    ASSERT_TRUE(live.Rebuild().ok());
+    EXPECT_EQ(live.stats().decisions_retired, num_shards + 2 * num_shards)
+        << num_shards << " shards";
+  }
 }
 
 TEST(LiveCatalogTest, StatsCountersTrackLifecycle) {
@@ -424,10 +495,12 @@ TEST(LiveCatalogTest, ThresholdTriggersBackgroundRebuild) {
 // Queries are checked for internal consistency (sorted rows, no
 // duplicate ids, no sentinel followed by a real entry) — bit-exactness
 // against a racing shadow is meaningless mid-race and is covered by the
-// deterministic suites above.
-TEST(LiveCatalogConcurrencyTest, ConcurrentMutatorsAndQueriers) {
+// deterministic suites above.  Two candidates, so the queriers' fresh ks
+// re-decide inline on each epoch's engines while a stats() poller reads
+// their strategies.
+void HammerLiveCatalog(int num_shards) {
   const MFModel model = MakeTestModel(12, 30, 6, 41);
-  LiveCatalogOptions options = SmallOptions({"bmm"});
+  LiveCatalogOptions options = SmallOptions(kBmmVariants, num_shards);
   options.rebuild_threshold = 8;
   auto opened = LiveCatalog::Open(ConstRowBlock(model.users),
                                   ConstRowBlock(model.items), options);
@@ -437,8 +510,9 @@ TEST(LiveCatalogConcurrencyTest, ConcurrentMutatorsAndQueriers) {
   constexpr int kMutators = 2;
   constexpr int kQueriers = 3;
   constexpr int kOpsPerThread = 60;
+  std::atomic<int> queriers_left{kQueriers};
   std::vector<std::thread> threads;
-  threads.reserve(kMutators + kQueriers + 1);
+  threads.reserve(kMutators + kQueriers + 2);
   for (int t = 0; t < kMutators; ++t) {
     threads.emplace_back([&live, &model, t] {
       const Matrix fresh =
@@ -463,11 +537,18 @@ TEST(LiveCatalogConcurrencyTest, ConcurrentMutatorsAndQueriers) {
     });
   }
   for (int t = 0; t < kQueriers; ++t) {
-    threads.emplace_back([&live, &model, t] {
+    threads.emplace_back([&live, &model, &queriers_left, t] {
+      // Counts this querier out on every exit, failed ASSERTs included,
+      // so the poller below always stops.
+      struct Done {
+        std::atomic<int>* left;
+        ~Done() { left->fetch_sub(1); }
+      } done{&queriers_left};
       const Matrix probes = RandomMatrix(2, model.num_factors(),
                                          2000 + static_cast<uint64_t>(t), 0.5);
       for (int i = 0; i < kOpsPerThread; ++i) {
-        const Index k = 1 + (i % 7);
+        // Fresh ks: most are new decision keys on the serving epoch.
+        const Index k = 1 + ((i * kQueriers + t) % 13);
         TopKResult out;
         if (i % 2 == 0) {
           ASSERT_TRUE(live.TopKAll(k, &out).ok());
@@ -498,6 +579,15 @@ TEST(LiveCatalogConcurrencyTest, ConcurrentMutatorsAndQueriers) {
       }
     });
   }
+  // stats() poller: reads every shard engine's strategy while queries
+  // re-decide and mutations land.
+  threads.emplace_back([&live, &queriers_left] {
+    while (queriers_left.load() > 0) {
+      const LiveCatalog::Stats stats = live.stats();
+      ASSERT_FALSE(stats.base_strategy.empty());
+      ASSERT_GE(stats.live_items, 0);
+    }
+  });
   threads.emplace_back([&live] {
     for (int i = 0; i < 5; ++i) {
       ASSERT_TRUE(live.Rebuild().ok());
@@ -510,6 +600,11 @@ TEST(LiveCatalogConcurrencyTest, ConcurrentMutatorsAndQueriers) {
   const LiveCatalog::Stats stats = live.stats();
   EXPECT_EQ(stats.live_items, live.num_items());
   EXPECT_EQ(stats.buffered_rows, 0);
+}
+
+TEST(LiveCatalogConcurrencyTest, ConcurrentMutatorsAndQueriers) {
+  HammerLiveCatalog(/*num_shards=*/1);
+  HammerLiveCatalog(/*num_shards=*/2);
 }
 
 // ------------------------------------------------------- CatalogSegment
@@ -594,7 +689,7 @@ TEST(CatalogSegmentTest, TornAndCorruptFilesFailCleanly) {
 
 TEST(CatalogSegmentTest, LiveCatalogSaveReopensBitExact) {
   const MFModel model = MakeTestModel(10, 20, 6, 83);
-  ShadowedCatalog catalog(model, SmallOptions());
+  ShadowedCatalog catalog(model, SmallOptions(kBmmVariants));
   ApplyMutationScript(&catalog, model.num_factors(), 91);
 
   const std::string path = TempPath("segment_catalog");
@@ -614,7 +709,8 @@ TEST(CatalogSegmentTest, LiveCatalogSaveReopensBitExact) {
   // A catalog reopened directly over the mapped pages answers bit-for-bit
   // like the mutated original (modulo the id compaction the save applied).
   auto reopened = LiveCatalog::Open(ConstRowBlock(model.users),
-                                    segment->items(), SmallOptions());
+                                    segment->items(),
+                                    SmallOptions(kBmmVariants));
   ASSERT_TRUE(reopened.ok());
   TopKResult got, want;
   ASSERT_TRUE(catalog.live().TopKAll(5, &got).ok());

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <thread>
 #include <vector>
@@ -24,6 +25,7 @@ namespace mips {
 namespace {
 
 using ::mips::testing::AllUsers;
+using ::mips::testing::ExpectBitIdenticalTopK;
 using ::mips::testing::ExpectSameTopKScores;
 using ::mips::testing::MakeTestModel;
 
@@ -138,6 +140,57 @@ TEST(EngineTest, PerCallKFallbackWhenRedecideDisabled) {
   ASSERT_TRUE(reference.TopKForUsers(12, batch, &expected).ok());
   ExpectSameTopKScores(got, expected, 1e-7);
   EXPECT_EQ((*engine)->stats().redecisions, 0);
+}
+
+TEST(EngineTest, ExtraWidensRowsWithoutRedeciding) {
+  // An over-fetch (`extra`) widens every row but keeps the decision keyed
+  // on the caller's k: at the opening k neither path misses the cache or
+  // re-decides, however wide the fetch.  Both candidates are BMM
+  // variants, so whichever wins scores through the GEMM fold BmmSolver
+  // reports and the comparison is bit-for-bit.
+  const MFModel model = MakeTestModel(200, 90, 8, 51, /*norm_sigma=*/0.6);
+  const MFModel fresh = MakeTestModel(6, 90, 8, 52, 0.6, 1.1);
+  const ConstRowBlock users(model.users);
+  const ConstRowBlock items(model.items);
+  EngineOptions options = SmallEngineOptions(5);
+  options.solvers = {"bmm", "bmm:batch_rows=16"};
+  auto engine = MipsEngine::Open(users, items, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  constexpr Index kK = 5;
+  constexpr Index kExtra = 7;
+
+  BmmSolver known_reference;
+  ASSERT_TRUE(known_reference.Prepare(users, items).ok());
+  BmmSolver new_reference;
+  ASSERT_TRUE(
+      new_reference.Prepare(ConstRowBlock(fresh.users), items).ok());
+
+  const std::vector<Index> batch = {0, 17, 199, 3};
+  TopKResult got;
+  TopKResult want;
+  ASSERT_TRUE((*engine)->TopK(kK, batch, &got, kExtra).ok());
+  ASSERT_TRUE(known_reference.TopKForUsers(kK + kExtra, batch, &want).ok());
+  EXPECT_EQ(got.k(), kK + kExtra);
+  ExpectBitIdenticalTopK(got, want);
+
+  ASSERT_TRUE((*engine)
+                  ->TopKNewUsers(fresh.users.data(), fresh.users.rows(), kK,
+                                 &got, kExtra)
+                  .ok());
+  ASSERT_TRUE(new_reference.TopKAll(kK + kExtra, &want).ok());
+  EXPECT_EQ(got.k(), kK + kExtra);
+  ExpectBitIdenticalTopK(got, want);
+
+  MipsEngine::Stats stats = (*engine)->stats();
+  EXPECT_EQ(stats.redecisions, 0);
+  EXPECT_EQ(stats.decision_cache_misses, 0);
+  EXPECT_EQ(stats.decision_cache_size, 1);
+
+  // The same width asked for as k is a new decision key.
+  ASSERT_TRUE((*engine)->TopK(kK + kExtra, batch, &got).ok());
+  stats = (*engine)->stats();
+  EXPECT_EQ(stats.redecisions, 1);
+  EXPECT_EQ(stats.decision_cache_misses, 1);
 }
 
 TEST(EngineTest, SingleCandidateSkipsDecision) {
@@ -281,9 +334,38 @@ TEST(EngineTest, ValidatesQueryArguments) {
   EXPECT_EQ((*engine)->TopKNewUser(nullptr, 5, row.data()).code(),
             StatusCode::kInvalidArgument);
 
+  // A negative or overflowing over-fetch width is rejected.
+  EXPECT_EQ((*engine)->TopK(5, ok, &out, /*extra=*/-1).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*engine)->TopK(5, ok, &out, std::numeric_limits<Index>::max())
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      (*engine)->TopKNewUsers(model.users.Row(0), 1, 5, &out, -3).code(),
+      StatusCode::kInvalidArgument);
+
+  // A NaN or +-Inf component is refused before the strategy lookup or
+  // any scoring, naming the offending row and factor.
+  for (const Real bad : {std::numeric_limits<Real>::quiet_NaN(),
+                         std::numeric_limits<Real>::infinity(),
+                         -std::numeric_limits<Real>::infinity()}) {
+    Matrix batch = ::mips::testing::RandomMatrix(3, 4, 54, 0.5);
+    batch.Row(1)[2] = bad;
+    status = (*engine)->TopKNewUsers(batch.data(), 3, 5, &out);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(status.message().find("row 1"), std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find("factor 2"), std::string::npos)
+        << status.ToString();
+    EXPECT_EQ((*engine)->TopKNewUser(batch.Row(1), 5, row.data()).code(),
+              StatusCode::kInvalidArgument);
+  }
+
   // Failed validations must not pollute the serving counters.
-  EXPECT_EQ((*engine)->stats().batches_served, 0);
-  EXPECT_EQ((*engine)->stats().new_users_served, 0);
+  const MipsEngine::Stats stats = (*engine)->stats();
+  EXPECT_EQ(stats.batches_served, 0);
+  EXPECT_EQ(stats.new_users_served, 0);
+  EXPECT_EQ(stats.decision_cache_hits + stats.decision_cache_misses, 0);
 }
 
 TEST(EngineTest, StatsAccumulate) {

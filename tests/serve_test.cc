@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -533,6 +534,12 @@ TEST(BatchingEngineTest, RejectsInvalidArgumentsAndOptions) {
   EXPECT_FALSE((*engine)->SubmitNewUser(nullptr, 2, row).get().ok());
   EXPECT_FALSE((*engine)->SubmitNewUser(vec, 0, row).get().ok());
   EXPECT_FALSE((*engine)->SubmitNewUser(vec, 2, nullptr).get().ok());
+  // A non-finite vector is refused at admission, alone, instead of
+  // failing the batch it would have joined.
+  vec[1] = std::numeric_limits<Real>::quiet_NaN();
+  EXPECT_EQ((*engine)->SubmitNewUser(vec, 2, row).get().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*engine)->stats().submitted, 0);
 }
 
 TEST(BatchingEngineTest, ParsesOverloadPolicies) {

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <set>
 #include <thread>
@@ -27,6 +28,7 @@ namespace mips {
 namespace {
 
 using ::mips::testing::AllUsers;
+using ::mips::testing::ExpectBitIdenticalTopK;
 using ::mips::testing::MakeTestModel;
 
 using ::mips::testing::kSanitizerSkewsWallClock;
@@ -413,6 +415,57 @@ TEST(ShardedEngineTest, NewUsersMatchUnsharded) {
   EXPECT_EQ((*sharded)->stats().new_users_served, 12);
 }
 
+TEST(ShardedEngineTest, ExtraWidensGrowthShardsWithoutRedeciding) {
+  // LiveCatalog's over-fetch path: 4 growth shards asked for k with
+  // `extra` return the exact global top-(k + extra), bit-for-bit the
+  // unsharded answer (both candidates are BMM variants, so every shard
+  // scores through the same GEMM fold), and no shard re-decides.
+  const MFModel model = MakeTestModel(160, 220, 8, 61, /*norm_sigma=*/0.8);
+  const MFModel fresh = MakeTestModel(5, 220, 8, 62, 0.8, 1.1);
+  const ConstRowBlock users(model.users);
+  const ConstRowBlock items(model.items);
+  ShardedEngineOptions options =
+      SmallShardedOptions(4, 5, ShardingStrategy::kGrowth);
+  options.engine.solvers = {"bmm", "bmm:batch_rows=16"};
+  auto sharded = ShardedMipsEngine::Open(users, items, options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  auto unsharded = MipsEngine::Open(users, items, options.engine);
+  ASSERT_TRUE(unsharded.ok());
+  constexpr Index kK = 5;
+  constexpr Index kExtra = 9;
+
+  const std::vector<Index> batch = {0, 17, 159, 3, 86};
+  TopKResult got;
+  TopKResult want;
+  ASSERT_TRUE((*sharded)->TopK(kK, batch, &got, kExtra).ok());
+  ASSERT_TRUE((*unsharded)->TopK(kK, batch, &want, kExtra).ok());
+  EXPECT_EQ(got.k(), kK + kExtra);
+  ExpectBitIdenticalTopK(got, want);
+
+  ASSERT_TRUE((*sharded)
+                  ->TopKNewUsers(fresh.users.data(), fresh.users.rows(), kK,
+                                 &got, kExtra)
+                  .ok());
+  ASSERT_TRUE((*unsharded)
+                  ->TopKNewUsers(fresh.users.data(), fresh.users.rows(), kK,
+                                 &want, kExtra)
+                  .ok());
+  EXPECT_EQ(got.k(), kK + kExtra);
+  ExpectBitIdenticalTopK(got, want);
+
+  const ShardedMipsEngine::Stats stats = (*sharded)->stats();
+  EXPECT_EQ(stats.redecisions, 0);
+  EXPECT_EQ(stats.decision_cache_misses, 0);
+  int serving_shards = 0;
+  for (const auto& shard : stats.shards) {
+    if (shard.num_items == 0) continue;
+    ++serving_shards;
+    EXPECT_EQ(shard.stats.redecisions, 0);
+    EXPECT_EQ(shard.stats.decision_cache_size, 1);
+  }
+  EXPECT_EQ(serving_shards, 4);
+}
+
 TEST(ShardedEngineTest, DegenerateShardsStayExact) {
   // More shards than items: empty shards get no engine, k larger than
   // every shard pads per shard, and the merged result is still the
@@ -460,10 +513,23 @@ TEST(ShardedEngineTest, ValidatesArguments) {
   const std::vector<Index> ok_ids = {0, 29};
   EXPECT_EQ((*engine)->TopK(0, ok_ids, &out).code(),
             StatusCode::kInvalidArgument);
+  EXPECT_EQ((*engine)->TopK(5, ok_ids, &out, /*extra=*/-2).code(),
+            StatusCode::kInvalidArgument);
   std::vector<TopKEntry> row(5);
   EXPECT_EQ((*engine)->TopKNewUser(nullptr, 5, row.data()).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ((*engine)->stats().batches_served, 0);
+  // A NaN or +-Inf component is refused before any shard scores.
+  Matrix batch = ::mips::testing::RandomMatrix(2, 4, 64, 0.5);
+  batch.Row(1)[2] = std::numeric_limits<Real>::quiet_NaN();
+  EXPECT_EQ((*engine)->TopKNewUsers(batch.data(), 2, 5, &out).code(),
+            StatusCode::kInvalidArgument);
+  batch.Row(1)[2] = -std::numeric_limits<Real>::infinity();
+  EXPECT_EQ((*engine)->TopKNewUser(batch.Row(1), 5, row.data()).code(),
+            StatusCode::kInvalidArgument);
+  const ShardedMipsEngine::Stats stats = (*engine)->stats();
+  EXPECT_EQ(stats.batches_served, 0);
+  EXPECT_EQ(stats.new_users_served, 0);
+  EXPECT_EQ(stats.decision_cache_hits + stats.decision_cache_misses, 0);
 }
 
 // ------------------------------------------------------ strategy forcing

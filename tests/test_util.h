@@ -86,6 +86,22 @@ inline void ExpectSameTopKScores(const TopKResult& a, const TopKResult& b,
   }
 }
 
+/// Verifies that two top-K results are bit-for-bit equal: the same item
+/// and the exact same score at every position (sentinels included).
+inline void ExpectBitIdenticalTopK(const TopKResult& got,
+                                   const TopKResult& want) {
+  ASSERT_EQ(got.num_queries(), want.num_queries());
+  ASSERT_EQ(got.k(), want.k());
+  for (Index q = 0; q < got.num_queries(); ++q) {
+    for (Index e = 0; e < got.k(); ++e) {
+      EXPECT_EQ(got.Row(q)[e].item, want.Row(q)[e].item)
+          << "row " << q << " entry " << e;
+      EXPECT_EQ(got.Row(q)[e].score, want.Row(q)[e].score)
+          << "row " << q << " entry " << e;
+    }
+  }
+}
+
 /// Verifies internal consistency of a result against the model: every
 /// reported score equals the true inner product of (user, item), rows are
 /// sorted by descending score, and items within a row are distinct.
