@@ -195,7 +195,12 @@ OpenLoopRow RunOpenLoop(const std::string& mode, MipsEngine* engine,
                         const MFModel& model, double offered_qps,
                         double window_seconds, Index k,
                         const BatchingOptions& batching, uint64_t seed) {
-  auto created = BatchingEngine::Create(engine, batching);
+  auto created = BatchingEngine::Create(
+      [engine](const Real* vectors, Index rows, Index batch_k,
+               TopKResult* out) {
+        return engine->TopKNewUsers(vectors, rows, batch_k, out);
+      },
+      engine->num_factors(), batching);
   created.status().CheckOK();
   BatchingEngine* batcher = created->get();
 
@@ -479,7 +484,6 @@ int main(int argc, char** argv) {
     // coalesced batches each get the winner for *their* shape.
     EngineOptions open_options = options;
     open_options.k = open_k;
-    open_options.redecide_on_new_k = true;
     open_options.batch_shape_decisions = true;
     auto open_engine = MipsEngine::Open(ConstRowBlock(model.users),
                                         ConstRowBlock(model.items),

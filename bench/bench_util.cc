@@ -58,7 +58,7 @@ std::vector<ModelPreset> SelectPresets(const BenchConfig& config) {
 }
 
 std::unique_ptr<MipsSolver> MakeSolver(const std::string& spec) {
-  auto solver = CreateSolver(spec);
+  auto solver = CreateSolverFromSpec(spec);
   solver.status().CheckOK();
   return std::move(solver).value();
 }

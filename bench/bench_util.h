@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "common/flags.h"
-#include "core/registry.h"
 #include "data/datasets.h"
+#include "solvers/registry.h"
 #include "solvers/solver.h"
 
 namespace mips {

@@ -1,7 +1,8 @@
 // mips_cli: command-line exact MIPS over matrix files.
 //
 // Load user/item factor matrices (MIPSMAT1 binary or CSV), serve top-K
-// through the MipsEngine facade, and write the results as CSV
+// through a ShardedMipsEngine (one item shard unless --shards says
+// otherwise), and write the results as CSV
 // (user_id,rank,item_id,score).  The on-ramp for using this library
 // without writing C++:
 //
@@ -37,7 +38,6 @@
 #include "catalog/segment.h"
 #include "common/flags.h"
 #include "common/timer.h"
-#include "core/engine.h"
 #include "data/datasets.h"
 #include "data/io.h"
 #include "data/synthetic.h"
@@ -169,8 +169,7 @@ int main(int argc, char** argv) {
   flags.Int32("k", &k, "top-K size");
   flags.Int32("threads", &threads, "worker threads (0 = single-threaded)");
   flags.Int32("shards", &shards,
-              "item shards (>1 serves via ShardedMipsEngine with one "
-              "OPTIMUS decision per shard)");
+              "item shards, each with its own OPTIMUS decision");
   flags.String("shard_strategy", &shard_strategy,
                "item placement for --shards>1: contiguous or hash");
   flags.Bool("list_solvers", &list_solvers,
@@ -298,15 +297,18 @@ int main(int argc, char** argv) {
   std::printf("model: %d users x %d items, f=%d; k=%d\n", users->rows(),
               item_view.rows(), users->cols(), k);
 
-  EngineOptions options;
-  options.k = k;
+  auto strategy = ParseShardingStrategy(shard_strategy);
+  strategy.status().CheckOK();
+  ShardedEngineOptions options;
+  options.num_shards = shards;
+  options.sharding = *strategy;
   options.threads = threads;
+  options.engine.k = k;
   // The batching tier serves realized mini-batch shapes, so let the
   // optimizer key its decisions on them.
-  options.redecide_on_new_k = batching;
-  options.batch_shape_decisions = batching;
+  options.engine.batch_shape_decisions = batching;
   const bool use_optimus = solver_spec == "optimus";
-  options.solvers =
+  options.engine.solvers =
       use_optimus ? SplitCandidates(candidates)
                   : std::vector<std::string>{solver_spec};
 
@@ -322,73 +324,47 @@ int main(int argc, char** argv) {
   }
 
   WallTimer timer;
-  TopKResult result;
-  double elapsed = 0;
-  if (shards > 1) {
-    // Sharded serving: one engine (and one OPTIMUS decision) per item
-    // shard, exact scatter/gather answers.
-    auto strategy = ParseShardingStrategy(shard_strategy);
-    strategy.status().CheckOK();
-    ShardedEngineOptions sharded_options;
-    sharded_options.num_shards = shards;
-    sharded_options.sharding = *strategy;
-    sharded_options.engine = options;
-    sharded_options.threads = threads;
-    auto engine = ShardedMipsEngine::Open(ConstRowBlock(*users), item_view,
-                                          sharded_options);
-    if (!engine.ok()) {
-      std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
-      return 2;
-    }
-    for (int s = 0; s < (*engine)->num_shards(); ++s) {
-      const MipsEngine* shard = (*engine)->shard_engine(s);
-      if (shard == nullptr) {
-        std::printf("shard %d: empty\n", s);
-        continue;
-      }
-      std::printf("shard %d: %d items, %s %s\n", s, shard->num_items(),
-                  use_optimus ? "OPTIMUS chose" : "serving with",
-                  (*engine)->shard_strategy(s).c_str());
-    }
-    if (batching) {
-      auto batcher = BatchingEngine::Create(engine->get(), batching_options);
-      batcher.status().CheckOK();
-      ServeViaBatching(batcher->get(), &*users, k, batch_clients, &result);
-      elapsed = timer.Seconds();
-      PrintBatchingStats(**batcher);
-    } else {
-      (*engine)->TopKAll(k, &result).CheckOK();
-      elapsed = timer.Seconds();
-    }
-  } else {
-    auto engine =
-        MipsEngine::Open(ConstRowBlock(*users), item_view, options);
-    if (!engine.ok()) {
-      std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
-      return 2;
-    }
-    if (use_optimus) {
-      const OptimusReport& report = (*engine)->decision_report();
-      std::printf("OPTIMUS chose %s (representation: %s, gemm kernel: %s); "
-                  "estimates:",
-                  report.chosen.c_str(), report.representation.c_str(),
-                  report.gemm_kernel.c_str());
-      for (const auto& est : report.estimates) {
-        std::printf(" %s=%.3fs", est.name.c_str(), est.est_total_seconds);
-      }
-      std::printf("\n");
-    }
-    if (batching) {
-      auto batcher = BatchingEngine::Create(engine->get(), batching_options);
-      batcher.status().CheckOK();
-      ServeViaBatching(batcher->get(), &*users, k, batch_clients, &result);
-      elapsed = timer.Seconds();
-      PrintBatchingStats(**batcher);
-    } else {
-      (*engine)->TopKAll(k, &result).CheckOK();
-      elapsed = timer.Seconds();
-    }
+  auto engine = ShardedMipsEngine::Open(ConstRowBlock(*users), item_view,
+                                        options);
+  if (!engine.ok()) {
+    std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
+    return 2;
   }
+  for (int s = 0; s < (*engine)->num_shards(); ++s) {
+    const MipsEngine* shard = (*engine)->shard_engine(s);
+    if (shard == nullptr) {
+      std::printf("shard %d: empty\n", s);
+      continue;
+    }
+    const OptimusReport& report = shard->decision_report();
+    std::printf("shard %d: %d items, %s %s (representation: %s, gemm "
+                "kernel: %s)",
+                s, shard->num_items(),
+                use_optimus ? "OPTIMUS chose" : "serving with",
+                report.chosen.c_str(), report.representation.c_str(),
+                report.gemm_kernel.c_str());
+    if (!report.estimates.empty()) std::printf("; estimates:");
+    for (const auto& est : report.estimates) {
+      std::printf(" %s=%.3fs", est.name.c_str(), est.est_total_seconds);
+    }
+    std::printf("\n");
+  }
+  TopKResult result;
+  if (batching) {
+    ShardedMipsEngine* backend = engine->get();
+    auto batcher = BatchingEngine::Create(
+        [backend](const Real* vectors, Index rows, Index batch_k,
+                  TopKResult* out) {
+          return backend->TopKNewUsers(vectors, rows, batch_k, out);
+        },
+        backend->num_factors(), batching_options);
+    batcher.status().CheckOK();
+    ServeViaBatching(batcher->get(), &*users, k, batch_clients, &result);
+    PrintBatchingStats(**batcher);
+  } else {
+    (*engine)->TopKAll(k, &result).CheckOK();
+  }
+  const double elapsed = timer.Seconds();
   WriteTopKCsv(result, out_path).CheckOK();
   std::printf("served %d users in %.3f s (%.1f us/user); results -> %s\n",
               result.num_queries(), elapsed,

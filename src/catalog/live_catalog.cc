@@ -52,12 +52,6 @@ bool LiveCatalog::Epoch::Contains(Index id) const {
   return std::binary_search(ids.begin(), ids.end(), id);
 }
 
-int64_t LiveCatalog::Epoch::InvalidateDecisions() const {
-  if (engine != nullptr) return engine->InvalidateDecisions();
-  if (sharded != nullptr) return sharded->InvalidateDecisions();
-  return 0;
-}
-
 StatusOr<std::unique_ptr<LiveCatalog>> LiveCatalog::Open(
     const ConstRowBlock& users, const ConstRowBlock& items,
     const LiveCatalogOptions& options) {
@@ -88,9 +82,6 @@ StatusOr<std::unique_ptr<LiveCatalog>> LiveCatalog::Open(
   std::unique_ptr<LiveCatalog> catalog(new LiveCatalog());
   catalog->users_ = users;
   catalog->options_ = options;
-  if (options.threads > 0 && options.num_shards <= 1) {
-    catalog->pool_ = std::make_unique<ThreadPool>(options.threads);
-  }
 
   auto epoch = std::make_shared<Epoch>();
   epoch->items = items;
@@ -118,15 +109,6 @@ LiveCatalog::~LiveCatalog() {
 }
 
 Status LiveCatalog::OpenEpochEngine(Epoch* epoch) {
-  if (options_.num_shards <= 1) {
-    EngineOptions engine_options = options_.engine;
-    engine_options.threads = 0;
-    engine_options.shared_pool = pool_.get();
-    auto engine = MipsEngine::Open(users_, epoch->items, engine_options);
-    MIPS_RETURN_IF_ERROR(engine.status());
-    epoch->engine = std::move(*engine);
-    return Status::OK();
-  }
   ShardedEngineOptions sharded_options;
   sharded_options.num_shards = options_.num_shards;
   sharded_options.sharding = options_.sharding;
@@ -136,7 +118,7 @@ Status LiveCatalog::OpenEpochEngine(Epoch* epoch) {
   auto engine = ShardedMipsEngine::Open(users_, epoch->items,
                                         sharded_options);
   MIPS_RETURN_IF_ERROR(engine.status());
-  epoch->sharded = std::move(*engine);
+  epoch->engine = std::move(*engine);
   return Status::OK();
 }
 
@@ -303,23 +285,14 @@ Status LiveCatalog::Query(Index k, std::span<const Index> user_ids,
     dead_union.insert(sealed->dead.begin(), sealed->dead.end());
   }
   std::vector<TopKEntry> base_rows = SentinelRows(num_rows, k);
-  if (epoch->has_engine()) {
+  if (epoch->engine != nullptr) {
     const Index extra = static_cast<Index>(dead_union.size());
     const Index k_base = k + extra;
     TopKResult raw;
-    Status status;
-    if (!user_ids.empty()) {
-      status = epoch->engine != nullptr
-                   ? epoch->engine->TopK(k, user_ids, &raw, extra)
-                   : epoch->sharded->TopK(k, user_ids, &raw, extra);
-    } else {
-      status = epoch->engine != nullptr
-                   ? epoch->engine->TopKNewUsers(vectors, num_rows, k, &raw,
-                                                 extra)
-                   : epoch->sharded->TopKNewUsers(vectors, num_rows, k, &raw,
-                                                  extra);
-    }
-    MIPS_RETURN_IF_ERROR(status);
+    MIPS_RETURN_IF_ERROR(
+        user_ids.empty()
+            ? epoch->engine->TopKNewUsers(vectors, num_rows, k, &raw, extra)
+            : epoch->engine->TopK(k, user_ids, &raw, extra));
     for (Index q = 0; q < num_rows; ++q) {
       const TopKEntry* in = raw.Row(q);
       TopKEntry* dst = &base_rows[static_cast<std::size_t>(q) *
@@ -351,13 +324,7 @@ Status LiveCatalog::Query(Index k, std::span<const Index> user_ids,
 Status LiveCatalog::TopK(Index k, std::span<const Index> user_ids,
                          TopKResult* out) {
   MIPS_RETURN_IF_ERROR(ValidateTopKWidth(k, 0));
-  for (const Index id : user_ids) {
-    if (id < 0 || id >= users_.rows()) {
-      return Status::OutOfRange(
-          "user id out of range: " + std::to_string(id) + " (catalog has " +
-          std::to_string(users_.rows()) + " users)");
-    }
-  }
+  MIPS_RETURN_IF_ERROR(ValidateUserIds(user_ids, users_.rows()));
   const Index num_rows = static_cast<Index>(user_ids.size());
   if (num_rows == 0) {
     *out = TopKResult(0, k);
@@ -526,12 +493,12 @@ void LiveCatalog::InstallEpoch(std::shared_ptr<Epoch> next) {
   }
   catalog_epoch_.fetch_add(1, std::memory_order_relaxed);
   swaps_.fetch_add(1, std::memory_order_relaxed);
-  if (old != nullptr) {
+  if (old != nullptr && old->engine != nullptr) {
     // Generation-bump the retiring engine's decision cache (kernel
     // install epoch idiom): any query still draining on the old epoch
     // re-decides rather than serving a winner measured on dead
     // statistics.
-    decisions_retired_.fetch_add(old->InvalidateDecisions(),
+    decisions_retired_.fetch_add(old->engine->InvalidateDecisions(),
                                  std::memory_order_relaxed);
   }
   // `old` drops here; whichever thread holds the last in-flight
@@ -629,11 +596,9 @@ LiveCatalog::Stats LiveCatalog::stats() const {
   // run.  Waiting on it under state_mu_ would queue every mutation behind
   // that decision.
   if (epoch->engine != nullptr) {
-    snapshot.base_strategy = epoch->engine->strategy();
-  } else if (epoch->sharded != nullptr) {
-    for (int s = 0; s < epoch->sharded->num_shards(); ++s) {
+    for (int s = 0; s < epoch->engine->num_shards(); ++s) {
       if (!snapshot.base_strategy.empty()) snapshot.base_strategy += ",";
-      snapshot.base_strategy += epoch->sharded->shard_strategy(s);
+      snapshot.base_strategy += epoch->engine->shard_strategy(s);
     }
   }
   {

@@ -10,9 +10,9 @@
 // engines with an epoch design:
 //
 //   * Base epoch — an immutable snapshot of the catalog (rows sorted by
-//     ascending item id) served by a normal MipsEngine (or
-//     ShardedMipsEngine when num_shards > 1) that made its own OPTIMUS
-//     decision over exactly that snapshot.
+//     ascending item id) served by a ShardedMipsEngine (num_shards = 1
+//     when unsharded) whose shards made their own OPTIMUS decisions over
+//     exactly that snapshot.
 //   * Write buffer — Insert/Update/Remove land in a small in-memory
 //     buffer (an "active" layer, plus a "sealed" layer while a rebuild
 //     is in flight).  Queries serve buffered rows exactly via a
@@ -79,7 +79,6 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "core/engine.h"
 #include "shard/partition.h"
 #include "shard/sharded_engine.h"
@@ -93,8 +92,8 @@ struct LiveCatalogOptions {
   /// optimus knobs, decision-cache policy).  Every rebuilt epoch reruns
   /// the OPTIMUS decision under these options over the folded catalog.
   EngineOptions engine;
-  /// Item shards per epoch (1 = plain MipsEngine; > 1 = per-epoch
-  /// ShardedMipsEngine with one decision per shard).
+  /// Item shards per epoch engine, each with its own decision (1 = one
+  /// engine over every item).
   int num_shards = 1;
   /// Placement policy for sharded epochs.  kGrowth places items in id
   /// order in fixed-size blocks, so appends land in the newest shard and,
@@ -104,9 +103,9 @@ struct LiveCatalogOptions {
   ShardingStrategy sharding = ShardingStrategy::kContiguous;
   /// Pinned kGrowth block size (0 = derive from the epoch's item count).
   Index growth_block = 0;
-  /// Worker threads for epoch engines (0 = single-threaded).  Unsharded
-  /// epochs share one catalog-owned pool across swaps; sharded epochs
-  /// own a pool per epoch (the sharded engine's contract).
+  /// Worker threads in each epoch engine's own pool (0 =
+  /// single-threaded); a rebuilt epoch's engine opens a fresh pool and
+  /// the retired one's pool dies with it.
   int threads = 0;
   /// Buffered mutations that trigger a background rebuild (0 = rebuild
   /// only on explicit Rebuild() calls).
@@ -213,8 +212,8 @@ class LiveCatalog {
     Index buffered_rows = 0;
     /// Ids currently masked out of older layers (dead-set union size).
     Index dead_masked = 0;
-    /// Strategy serving the current base epoch ("" while engine-less;
-    /// per-shard strategies joined with "," for sharded epochs).
+    /// Per-shard strategies serving the current base epoch, joined with
+    /// "," ("" while engine-less).
     std::string base_strategy;
   };
   Stats stats() const EXCLUDES(state_mu_, rebuild_mu_);
@@ -248,20 +247,14 @@ class LiveCatalog {
     /// Row -> catalog id, strictly ascending (so local-row tie order is
     /// id tie order).
     std::vector<Index> ids;
-    std::unique_ptr<MipsEngine> engine;
-    std::unique_ptr<ShardedMipsEngine> sharded;
+    /// Null while the snapshot is empty.
+    std::unique_ptr<ShardedMipsEngine> engine;
     /// Bumped by ~Epoch so the catalog's stats() can report drains after
     /// the epoch object itself is gone.
     std::shared_ptr<std::atomic<int64_t>> drain_counter;
 
     ~Epoch();
-    bool has_engine() const {
-      return engine != nullptr || sharded != nullptr;
-    }
     bool Contains(Index id) const;  // binary search over ids
-    /// Invalidate the serving engine's cached decisions (swap-time
-    /// retirement); returns how many were cached.
-    int64_t InvalidateDecisions() const;
   };
 
   LiveCatalog() = default;
@@ -301,7 +294,7 @@ class LiveCatalog {
   /// decision) over the merged snapshot.
   StatusOr<std::shared_ptr<Epoch>> BuildEpoch(const Epoch& base,
                                               const WriteBuffer& sealed);
-  /// Opens the engine (sharded or not) for a snapshot epoch in place.
+  /// Opens the engine for a snapshot epoch in place.
   Status OpenEpochEngine(Epoch* epoch);
   /// Swaps `next` in as the serving epoch and retires the old one.
   void InstallEpoch(std::shared_ptr<Epoch> next) EXCLUDES(state_mu_);
@@ -311,9 +304,6 @@ class LiveCatalog {
 
   ConstRowBlock users_;
   LiveCatalogOptions options_;
-  /// Pool shared by unsharded epoch engines across swaps (null when
-  /// threads == 0 or epochs are sharded).
-  std::unique_ptr<ThreadPool> pool_;
 
   /// Guards the serving state.  Shared: queries (epoch/sealed pointer
   /// grab + active-buffer side scan) and read-only snapshots.  Exclusive:

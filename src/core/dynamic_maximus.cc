@@ -164,12 +164,14 @@ Status DynamicMaximusSolver::TopKForUsers(Index k,
   return dynamic_.TopKForUsers(k, user_ids, out);
 }
 
-Status DynamicMaximusSolver::QueryNewUser(const Real* user, Index k,
-                                          TopKEntry* out_row) const {
+Status DynamicMaximusSolver::TopKNewUsers(const ConstRowBlock& items,
+                                          const Real* user_vectors,
+                                          Index num_rows, Index k,
+                                          TopKResult* out) const {
   if (prepared_users_ == 0) {
     return Status::FailedPrecondition("Prepare was not called");
   }
-  return dynamic_.index().QueryDynamicUser(user, k, out_row);
+  return dynamic_.index().TopKNewUsers(items, user_vectors, num_rows, k, out);
 }
 
 namespace {

@@ -106,9 +106,11 @@ class DynamicMaximusSolver : public MipsSolver {
   Status TopKForUsers(Index k, std::span<const Index> user_ids,
                       TopKResult* out) override;
 
-  /// Exact top-K for a vector outside the indexed population
+  /// Exact top-K for vectors outside the indexed population
   /// (Section III-E dynamic walk on the inner index).
-  Status QueryNewUser(const Real* user, Index k, TopKEntry* out_row) const;
+  Status TopKNewUsers(const ConstRowBlock& items, const Real* user_vectors,
+                      Index num_rows, Index k,
+                      TopKResult* out) const override;
 
   DynamicMaximus& dynamic() { return dynamic_; }
   const DynamicMaximus& dynamic() const { return dynamic_; }

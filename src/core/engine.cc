@@ -7,13 +7,9 @@
 
 #include "common/mutex.h"
 #include "common/timer.h"
-#include "core/dynamic_maximus.h"
-#include "core/maximus.h"
 #include "linalg/blas.h"
-#include "linalg/gemm.h"
 #include "linalg/simd_dispatch.h"
 #include "solvers/registry.h"
-#include "topk/topk_block.h"
 
 namespace mips {
 
@@ -31,23 +27,13 @@ Status ValidateTopKWidth(Index k, Index extra) {
   return Status::OK();
 }
 
-Status ValidateNewUserBatch(const Real* user_vectors, Index num_rows,
-                            Index num_factors) {
-  if (user_vectors == nullptr) {
-    return Status::InvalidArgument("user_vectors must not be null");
-  }
-  if (num_rows <= 0) {
-    return Status::InvalidArgument("num_rows must be positive, got " +
-                                   std::to_string(num_rows));
-  }
-  const int64_t bad = FirstNonFinite(
-      user_vectors, static_cast<std::size_t>(num_rows) *
-                        static_cast<std::size_t>(num_factors));
-  if (bad >= 0) {
-    return Status::InvalidArgument(
-        "user vector row " + std::to_string(bad / num_factors) +
-        " has a non-finite component at factor " +
-        std::to_string(bad % num_factors));
+Status ValidateUserIds(std::span<const Index> ids, Index num_users) {
+  for (const Index id : ids) {
+    if (id < 0 || id >= num_users) {
+      return Status::OutOfRange("user id out of range: " +
+                                std::to_string(id) + " (have " +
+                                std::to_string(num_users) + " users)");
+    }
   }
   return Status::OK();
 }
@@ -248,7 +234,7 @@ void MipsEngine::InsertDecision(DecisionKey key, std::size_t winner) {
   if (capacity == 0) return;  // unbounded
   while (winner_by_k_.size() > capacity) {
     // Evict the least-recently-used key.  The opening decision is
-    // pinned: the redecide-disabled fallback and strategy() rely on it
+    // pinned: the single-candidate fallback and strategy() rely on it
     // being present.
     auto lru = winner_by_k_.end();
     uint64_t lru_stamp = std::numeric_limits<uint64_t>::max();
@@ -269,10 +255,9 @@ void MipsEngine::InsertDecision(DecisionKey key, std::size_t winner) {
 
 bool MipsEngine::DecisionExpired(const CachedDecision& entry) const {
   decision_mu_.AssertReaderHeld();
-  // Staleness only matters when a fresh decision is possible; with
-  // re-deciding disabled (or one candidate) the opening winner serves
-  // forever.
-  if (!options_.redecide_on_new_k || solvers_.size() < 2) return false;
+  // Staleness only matters when a fresh decision is possible; with one
+  // candidate the opening winner serves forever.
+  if (solvers_.size() < 2) return false;
   // A kernel re-install changes the throughput regime every wall-clock
   // estimate in this entry was measured under — stale immediately, no
   // TTL required.
@@ -308,11 +293,10 @@ StatusOr<std::size_t> MipsEngine::StrategyFor(Index k, Index batch_rows) {
     }
     // Unknown key, or a cached winner gone stale: both are misses.
     stats_.decision_cache_misses.fetch_add(1, std::memory_order_relaxed);
-    if (!options_.redecide_on_new_k || solvers_.size() < 2) {
-      // Fall back to the opening decision: still exact, possibly not the
-      // fastest strategy for this k/shape.  (Entries never expire in
-      // this mode — see DecisionExpired — so this is always an unknown
-      // key.)
+    if (solvers_.size() < 2) {
+      // One candidate: nothing to decide between, so the opening winner
+      // serves every k/shape.  (Entries never expire in this mode — see
+      // DecisionExpired — so this is always an unknown key.)
       return winner_by_k_.at(OpeningKey()).winner;
     }
   }
@@ -371,13 +355,7 @@ StatusOr<std::size_t> MipsEngine::StrategyFor(Index k, Index batch_rows) {
 Status MipsEngine::TopK(Index k, std::span<const Index> user_ids,
                         TopKResult* out, Index extra) {
   MIPS_RETURN_IF_ERROR(ValidateTopKWidth(k, extra));
-  for (const Index id : user_ids) {
-    if (id < 0 || id >= users_.rows()) {
-      return Status::OutOfRange(
-          "user id out of range: " + std::to_string(id) + " (engine has " +
-          std::to_string(users_.rows()) + " users)");
-    }
-  }
+  MIPS_RETURN_IF_ERROR(ValidateUserIds(user_ids, users_.rows()));
   // The decision is keyed on the caller's k; only the fetch widens.
   auto strategy = StrategyFor(k, static_cast<Index>(user_ids.size()));
   MIPS_RETURN_IF_ERROR(strategy.status());
@@ -410,68 +388,16 @@ Status MipsEngine::TopKNewUser(const Real* user_vector, Index k,
   return Status::OK();
 }
 
-Status MipsEngine::DenseScoreNewUsers(const Real* user_vectors,
-                                      Index num_rows, Index width,
-                                      TopKResult* out) {
-  // Mirrors BmmSolver's small-batch regime: one blocked GEMM per
-  // score-block chunk (macro-panels fan out across the pool), then a
-  // parallel per-row top-K reduction.  Chunking bounds the score block
-  // to ~16 MB however wide the catalog is.
-  const Index n = items_.rows();
-  const Index f = items_.cols();
-  const std::size_t row_bytes = static_cast<std::size_t>(n) * sizeof(Real);
-  const Index chunk = static_cast<Index>(std::clamp<std::size_t>(
-      (16ull << 20) / std::max<std::size_t>(1, row_bytes), 1,
-      static_cast<std::size_t>(num_rows)));
-  Matrix scores(chunk, n);
-  for (Index b = 0; b < num_rows; b += chunk) {
-    const Index m = std::min<Index>(chunk, num_rows - b);
-    GemmNT(user_vectors + static_cast<std::size_t>(b) * f, m, items_.data(),
-           n, f, /*alpha=*/1, /*beta=*/0, scores.data(), scores.cols(),
-           pool());
-    ParallelFor(pool(), m, [&](int64_t begin, int64_t end, int /*chunk_i*/) {
-      TopKFromScoreBlock(
-          scores.data() + static_cast<std::size_t>(begin) * scores.cols(),
-          static_cast<Index>(end - begin), n, scores.cols(), width,
-          /*item_offset=*/0, /*item_ids=*/nullptr, out,
-          b + static_cast<Index>(begin));
-    });
-  }
-  return Status::OK();
-}
-
 Status MipsEngine::TopKNewUsers(const Real* user_vectors, Index num_rows,
                                 Index k, TopKResult* out, Index extra) {
   MIPS_RETURN_IF_ERROR(ValidateTopKWidth(k, extra));
-  const Index f = items_.cols();
-  MIPS_RETURN_IF_ERROR(ValidateNewUserBatch(user_vectors, num_rows, f));
+  MIPS_RETURN_IF_ERROR(
+      ValidateNewUserBatch(user_vectors, num_rows, items_.cols()));
   auto strategy = StrategyFor(k, num_rows);
   MIPS_RETURN_IF_ERROR(strategy.status());
-  MipsSolver* solver = solvers_[*strategy].get();
   WallTimer timer;
-  const Index width = k + extra;
-  *out = TopKResult(num_rows, width);
-  if (auto* maximus = dynamic_cast<MaximusSolver*>(solver)) {
-    // Exact dynamic-user walk (Section III-E), one probe per row: the
-    // decision said index probes beat a GEMM at this batch shape.
-    for (Index r = 0; r < num_rows; ++r) {
-      MIPS_RETURN_IF_ERROR(maximus->QueryDynamicUser(
-          user_vectors + static_cast<std::size_t>(r) * f, width,
-          out->Row(r)));
-    }
-  } else if (auto* dynamic = dynamic_cast<DynamicMaximusSolver*>(solver)) {
-    for (Index r = 0; r < num_rows; ++r) {
-      MIPS_RETURN_IF_ERROR(dynamic->QueryNewUser(
-          user_vectors + static_cast<std::size_t>(r) * f, width,
-          out->Row(r)));
-    }
-  } else {
-    // Every other strategy scores new users densely (their index
-    // structures are keyed to the prepared user matrix): one blocked
-    // GEMM over the whole coalesced batch — the batching win.
-    MIPS_RETURN_IF_ERROR(
-        DenseScoreNewUsers(user_vectors, num_rows, width, out));
-  }
+  MIPS_RETURN_IF_ERROR(solvers_[*strategy]->TopKNewUsers(
+      items_, user_vectors, num_rows, k + extra, out));
   stats_.serve_seconds.fetch_add(timer.Seconds(), std::memory_order_relaxed);
   stats_.new_users_served.fetch_add(num_rows, std::memory_order_relaxed);
   return Status::OK();

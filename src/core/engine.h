@@ -10,19 +10,22 @@
 //   * TopK(k, user_ids)   — mini-batches of known users at any k.  When
 //     a call's k diverges from the k the decision was made at, the
 //     engine re-runs the (cheap, sampling-based) decision for the new k
-//     and caches the winner — or falls back to the opening winner when
-//     re-deciding is disabled.  Either way every answer stays exact.
+//     and caches the winner — or, with a single candidate, serves it.
+//     Either way every answer stays exact.
 //     A trailing `extra` widens each row to k + extra entries without
 //     touching the decision, which stays keyed on k (see TopK).
 //   * TopKAll(k)          — every prepared user.
 //   * TopKNewUser(...)    — a vector outside the prepared user matrix
-//     (Section III-E): MAXIMUS's dynamic walk when a MAXIMUS-family
-//     strategy is chosen, a dense scoring row otherwise.
+//     (Section III-E), served by the chosen solver's TopKNewUsers:
+//     MAXIMUS's dynamic walk for the MAXIMUS family, a dense scoring row
+//     otherwise.
 //
 // ForceStrategy() overrides the optimizer by candidate name (benches,
 // lesion studies, operator escape hatch); stats() snapshots cumulative
-// serving counters.  ServingSession (serving.h) is a thin compatibility
-// wrapper over this class.
+// serving counters.  ShardedMipsEngine (shard/sharded_engine.h) holds
+// one MipsEngine per item shard, and the serving composites above it
+// (LiveCatalog) hold a ShardedMipsEngine — num_shards = 1 when unsharded
+// — so none of them branches on "sharded or not".
 //
 // Thread safety (the contract the multi-client server relies on):
 //
@@ -51,6 +54,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -65,21 +69,18 @@ namespace mips {
 
 /// Argument checks shared by the serving facades (MipsEngine,
 /// ShardedMipsEngine, LiveCatalog), so each rejects the same inputs with
-/// the same message before any scoring runs.
+/// the same message before any scoring runs.  The new-user vector check,
+/// ValidateNewUserBatch, is in linalg/blas.h.
 ///
 /// A result width: k > 0, and 0 <= extra with k + extra representable.
 Status ValidateTopKWidth(Index k, Index extra);
-/// A new-user batch of num_rows x num_factors row-major components:
-/// non-null, num_rows > 0, and every component finite (a NaN or +-Inf
-/// component makes the row's scores NaN or infinite, which the
-/// BetterEntry order cannot rank).
-Status ValidateNewUserBatch(const Real* user_vectors, Index num_rows,
-                            Index num_factors);
+/// Known-user ids: each in [0, num_users) (OutOfRange naming the id).
+Status ValidateUserIds(std::span<const Index> ids, Index num_users);
 
 /// Configuration for MipsEngine::Open.
 struct EngineOptions {
   /// The k the opening OPTIMUS decision is made at (queries may use any
-  /// k; see redecide_on_new_k).
+  /// k; a new k is decided and cached at its first query).
   Index k = 10;
   /// Candidate strategies as registry specs.  One candidate skips the
   /// decision; two or more run OPTIMUS.
@@ -98,10 +99,6 @@ struct EngineOptions {
   /// the candidate builds, and ThreadPool::Wait from inside a task
   /// deadlocks.
   ThreadPool* shared_pool = nullptr;
-  /// When a query's k has no cached decision: true re-runs the OPTIMUS
-  /// decision at that k (and caches it), false reuses the opening
-  /// winner.  Exactness is unaffected either way.
-  bool redecide_on_new_k = true;
   /// Upper bound on cached per-k decisions (the opening k is pinned and
   /// counts toward the bound; it is never evicted).  When a new k's
   /// decision would exceed the bound, the least-recently-used cached k is
@@ -113,9 +110,9 @@ struct EngineOptions {
   /// winner measured under one load profile (or one installed GEMM
   /// kernel) expires, and the next query at that k re-runs the sampling
   /// decision — including the pinned opening k.  Expirations are counted
-  /// in Stats::decision_cache_expirations.  Ignored when re-deciding is
-  /// impossible (redecide_on_new_k = false, or a single candidate):
-  /// expiring an entry that cannot be re-measured would serve nothing.
+  /// in Stats::decision_cache_expirations.  Ignored with a single
+  /// candidate: expiring an entry that cannot be re-measured would serve
+  /// nothing.
   double decision_ttl_seconds = 0;
   /// When true, per-k decisions additionally key on the REALIZED BATCH
   /// SHAPE: a query's row count is bucketed to the next power of two
@@ -192,15 +189,15 @@ class MipsEngine {
 
   /// Exact top-K for a mini-batch of `num_rows` new-user vectors, stored
   /// contiguously row-major (num_rows x num_factors) at `user_vectors`.
-  /// This is the serve-side coalescing path (serve/batching_engine.h):
-  /// when the serving strategy is MAXIMUS-family each row runs the exact
-  /// dynamic-user walk; otherwise the whole batch is scored with one
-  /// blocked GEMM against the item matrix — the batching win the paper's
+  /// This is the serve-side coalescing path (serve/batching_engine.h),
+  /// served by the decided solver's MipsSolver::TopKNewUsers: a
+  /// MAXIMUS-family strategy runs the exact dynamic-user walk per row;
+  /// every other strategy scores the whole batch with one blocked GEMM
+  /// against the item matrix — the batching win the paper's
   /// Clipper-style setting exists to exploit.  Row r of *out depends only
-  /// on row r of the input (the GEMM accumulates each score over the
-  /// factor axis in a fixed order independent of the batch's row count),
-  /// so results are bit-for-bit identical whether a vector is served
-  /// alone or coalesced into any batch.  Safe for concurrent callers.
+  /// on row r of the input, so results are bit-for-bit identical whether
+  /// a vector is served alone or coalesced into any batch.  Safe for
+  /// concurrent callers.
   /// `extra` widens each row to k + extra entries with the decision kept
   /// on k, as in TopK.  Rows holding a NaN or +-Inf component are
   /// rejected (InvalidArgument) before any scoring.
@@ -215,8 +212,7 @@ class MipsEngine {
   /// For an embedding catalog layer this is the "statistics changed"
   /// hook: after an item-set swap, winners measured on the old catalog
   /// no longer describe reality.  Returns the number of decisions cached
-  /// at the bump (how many were retired).  When re-deciding is
-  /// impossible (single candidate, or redecide_on_new_k = false) the
+  /// at the bump (how many were retired).  With a single candidate the
   /// bump is a no-op on serving — the opening winner keeps serving, and
   /// exactness is unaffected either way.  Safe to call concurrently with
   /// queries.
@@ -258,8 +254,8 @@ class MipsEngine {
     double serve_seconds = 0;
     double redecision_seconds = 0;
     /// Decision-cache accounting: a hit is a query whose k already has a
-    /// cached winner; a miss triggers either a re-decision or the
-    /// opening-winner fallback (redecide_on_new_k = false).  Evictions
+    /// cached winner; a miss triggers either a re-decision or, with a
+    /// single candidate, the opening-winner fallback.  Evictions
     /// count cached ks dropped to keep the cache within
     /// decision_cache_capacity; size is the current entry count.
     int64_t decision_cache_hits = 0;
@@ -308,18 +304,11 @@ class MipsEngine {
 
   struct CachedDecision;
   /// Whether `entry` outlived decision_ttl_seconds or was measured under
-  /// a GEMM kernel that has since been re-installed (always false when
-  /// re-deciding is impossible).  `entry` points into winner_by_k_, so
+  /// a GEMM kernel that has since been re-installed (always false with a
+  /// single candidate).  `entry` points into winner_by_k_, so
   /// the caller must hold decision_mu_ at least shared.
   bool DecisionExpired(const CachedDecision& entry) const
       REQUIRES_SHARED(decision_mu_);
-
-  /// Dense-scoring fallback for new-user batches: one blocked GEMM over
-  /// the items per score-block chunk + per-row top-`width`.  Used for
-  /// every non-MAXIMUS-family strategy (a new user has no row in any
-  /// prepared index's user-side structures).
-  Status DenseScoreNewUsers(const Real* user_vectors, Index num_rows,
-                            Index width, TopKResult* out);
 
   /// The pool serving this engine: the shared external pool when one was
   /// injected, else the engine-owned pool (null = single-threaded).

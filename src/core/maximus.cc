@@ -284,6 +284,18 @@ Index MaximusSolver::AssignNewUser(const Real* user) const {
   return AssignToNearest(user, clustering_.centroids);
 }
 
+Status MaximusSolver::TopKNewUsers(const ConstRowBlock& items,
+                                   const Real* user_vectors, Index num_rows,
+                                   Index k, TopKResult* out) const {
+  *out = TopKResult(num_rows, k);
+  for (Index r = 0; r < num_rows; ++r) {
+    MIPS_RETURN_IF_ERROR(QueryDynamicUser(
+        user_vectors + static_cast<std::size_t>(r) * items.cols(), k,
+        out->Row(r)));
+  }
+  return Status::OK();
+}
+
 Status MaximusSolver::QueryDynamicUser(const Real* user, Index k,
                                        TopKEntry* out_row) const {
   if (k <= 0) return Status::InvalidArgument("k must be positive");

@@ -95,6 +95,12 @@ class MaximusSolver : public MipsSolver {
   /// Equation-2 bound (theta_uc in place of theta_b when larger).
   Status QueryDynamicUser(const Real* user, Index k, TopKEntry* out_row) const;
 
+  /// One QueryDynamicUser walk per row: the serving decision said index
+  /// probes beat a GEMM at this batch shape.
+  Status TopKNewUsers(const ConstRowBlock& items, const Real* user_vectors,
+                      Index num_rows, Index k,
+                      TopKResult* out) const override;
+
  private:
   struct ClusterList {
     std::vector<Index> item_ids;   // items sorted by descending bound

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "linalg/dot_kernel.h"
 
@@ -52,6 +53,27 @@ int64_t FirstNonFinite(const Real* x, std::size_t n) {
     if (!std::isfinite(x[i])) return static_cast<int64_t>(i);
   }
   return -1;
+}
+
+Status ValidateNewUserBatch(const Real* user_vectors, Index num_rows,
+                            Index num_factors) {
+  if (user_vectors == nullptr) {
+    return Status::InvalidArgument("user_vectors must not be null");
+  }
+  if (num_rows <= 0) {
+    return Status::InvalidArgument("num_rows must be positive, got " +
+                                   std::to_string(num_rows));
+  }
+  const int64_t bad = FirstNonFinite(
+      user_vectors, static_cast<std::size_t>(num_rows) *
+                        static_cast<std::size_t>(num_factors));
+  if (bad >= 0) {
+    return Status::InvalidArgument(
+        "user vector row " + std::to_string(bad / num_factors) +
+        " has a non-finite component at factor " +
+        std::to_string(bad % num_factors));
+  }
+  return Status::OK();
 }
 
 }  // namespace mips

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/status.h"
 #include "common/types.h"
 
 namespace mips {
@@ -54,6 +55,15 @@ Real CosineSimilarity(const Real* x, const Real* y, Index n);
 /// element is finite.  The guard the public vector boundaries (catalog
 /// mutations, new-user queries) run before a value can reach a score.
 int64_t FirstNonFinite(const Real* x, std::size_t n);
+
+/// The new-user boundary check: a batch of num_rows x num_factors
+/// row-major components must be non-null, have num_rows > 0, and hold
+/// only finite components (a NaN or +-Inf component makes the row's
+/// scores NaN or infinite, which the BetterEntry order cannot rank).
+/// Every serving facade runs it before scoring, and BatchingEngine runs
+/// it at admission.
+Status ValidateNewUserBatch(const Real* user_vectors, Index num_rows,
+                            Index num_factors);
 
 }  // namespace mips
 

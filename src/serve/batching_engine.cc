@@ -6,8 +6,7 @@
 
 #include "common/dcheck.h"
 #include "common/timer.h"
-#include "core/engine.h"
-#include "shard/sharded_engine.h"
+#include "linalg/blas.h"
 
 namespace mips {
 namespace {
@@ -86,30 +85,6 @@ StatusOr<std::unique_ptr<BatchingEngine>> BatchingEngine::Create(
   }
   return std::unique_ptr<BatchingEngine>(
       new BatchingEngine(std::move(backend), num_factors, options));
-}
-
-StatusOr<std::unique_ptr<BatchingEngine>> BatchingEngine::Create(
-    MipsEngine* engine, const BatchingOptions& options) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("engine must not be null");
-  }
-  return Create(
-      [engine](const Real* vectors, Index rows, Index k, TopKResult* out) {
-        return engine->TopKNewUsers(vectors, rows, k, out);
-      },
-      engine->num_factors(), options);
-}
-
-StatusOr<std::unique_ptr<BatchingEngine>> BatchingEngine::Create(
-    ShardedMipsEngine* engine, const BatchingOptions& options) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("engine must not be null");
-  }
-  return Create(
-      [engine](const Real* vectors, Index rows, Index k, TopKResult* out) {
-        return engine->TopKNewUsers(vectors, rows, k, out);
-      },
-      engine->num_factors(), options);
 }
 
 BatchingEngine::~BatchingEngine() {

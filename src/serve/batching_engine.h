@@ -17,15 +17,16 @@
 //   - when the oldest pending request has waited `max_wait` ("timeout
 //     flush"), whichever comes first.
 //
-// Each batch runs through the backend's batched new-user path
-// (MipsEngine::TopKNewUsers / ShardedMipsEngine::TopKNewUsers), where
-// the engine's shape-keyed decision cache re-runs OPTIMUS for the
-// realized batch size (EngineOptions::batch_shape_decisions) — so a
-// 64-row coalesced batch can pick BMM while singleton stragglers keep
-// their index winner.  Every answer is bit-for-bit identical to the
-// singleton TopKNewUser answer for the same vector: the GEMM computes
-// each (row, item) score with a fixed per-element operation sequence
-// that does not depend on how many other rows share the batch.
+// Each batch runs through the backend, typically a one-line lambda
+// around an engine's batched new-user path (MipsEngine::TopKNewUsers /
+// ShardedMipsEngine::TopKNewUsers), where the engine's shape-keyed
+// decision cache re-runs OPTIMUS for the realized batch size
+// (EngineOptions::batch_shape_decisions) — so a 64-row coalesced batch
+// can pick BMM while singleton stragglers keep their index winner.
+// Every answer is bit-for-bit identical to the singleton TopKNewUser
+// answer for the same vector: the GEMM computes each (row, item) score
+// with a fixed per-element operation sequence that does not depend on
+// how many other rows share the batch.
 //
 // Overload behavior is explicit, not emergent.  Admission counts
 // *outstanding* rows (pending + assembled + executing); when it would
@@ -74,9 +75,6 @@
 
 namespace mips {
 
-class MipsEngine;
-class ShardedMipsEngine;
-
 /// What admission does when outstanding rows would exceed the bound.
 enum class OverloadPolicy { kBlock, kShed, kDropExpired };
 
@@ -115,17 +113,12 @@ class BatchingEngine {
   using Backend =
       std::function<Status(const Real*, Index, Index, TopKResult*)>;
 
-  /// Fronts an arbitrary backend (tests inject counting fakes here).
-  /// `num_factors` is the width of every submitted user vector.
+  /// Fronts `backend`: in serving, a lambda calling an engine's
+  /// TopKNewUsers (the engine must outlive the batching engine); in
+  /// tests, a counting fake.  `num_factors` is the width of every
+  /// submitted user vector.
   static StatusOr<std::unique_ptr<BatchingEngine>> Create(
       Backend backend, Index num_factors, const BatchingOptions& options);
-  /// Fronts `engine`'s batched new-user path.  The engine must outlive
-  /// the batching engine.
-  static StatusOr<std::unique_ptr<BatchingEngine>> Create(
-      MipsEngine* engine, const BatchingOptions& options);
-  /// Fronts `engine`'s sharded batched new-user path.
-  static StatusOr<std::unique_ptr<BatchingEngine>> Create(
-      ShardedMipsEngine* engine, const BatchingOptions& options);
 
   /// Drains: every admitted request is served (or resolved with its
   /// deadline/shutdown status) before destruction returns.

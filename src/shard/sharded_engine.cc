@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "common/timer.h"
+#include "linalg/blas.h"
 #include "topk/merge.h"
 
 namespace mips {
@@ -101,13 +102,7 @@ Status ShardedMipsEngine::ScatterGather(Index width, const ShardQuery& query,
 Status ShardedMipsEngine::TopK(Index k, std::span<const Index> user_ids,
                                TopKResult* out, Index extra) {
   MIPS_RETURN_IF_ERROR(ValidateTopKWidth(k, extra));
-  for (const Index id : user_ids) {
-    if (id < 0 || id >= users_.rows()) {
-      return Status::OutOfRange(
-          "user id out of range: " + std::to_string(id) + " (engine has " +
-          std::to_string(users_.rows()) + " users)");
-    }
-  }
+  MIPS_RETURN_IF_ERROR(ValidateUserIds(user_ids, users_.rows()));
   WallTimer timer;
   // Every shard decides at the caller's k; only the fetch widens.
   MIPS_RETURN_IF_ERROR(ScatterGather(
@@ -207,11 +202,6 @@ int64_t ShardedMipsEngine::InvalidateDecisions() {
 std::string ShardedMipsEngine::shard_strategy(int s) const {
   const MipsEngine* engine = shard_engine(s);
   return engine == nullptr ? std::string() : engine->strategy();
-}
-
-ShardedMipsEngine::Counters ShardedMipsEngine::counters() const {
-  MutexLock lock(stats_mu_);
-  return counters_;
 }
 
 ShardedMipsEngine::Stats ShardedMipsEngine::stats() const {

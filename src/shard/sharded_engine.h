@@ -44,6 +44,11 @@
 // Thread safety mirrors MipsEngine: after Open, TopK / TopKAll /
 // TopKNewUser / stats() / ForceStrategy* may be called from any number
 // of threads concurrently.
+//
+// This is the one engine type the serving composites hold (LiveCatalog's
+// epochs): with num_shards = 1 it is the unsharded engine — one
+// MipsEngine over every item, whose answers the single-input merge
+// passes through unchanged — so no caller forks on "sharded or not".
 
 #ifndef MIPS_SHARD_SHARDED_ENGINE_H_
 #define MIPS_SHARD_SHARDED_ENGINE_H_
@@ -63,8 +68,8 @@ namespace mips {
 
 /// Configuration for ShardedMipsEngine::Open.
 struct ShardedEngineOptions {
-  /// Number of item shards (>= 1; 1 degenerates to an unsharded engine
-  /// behind the sharded interface).
+  /// Number of item shards (>= 1; 1 is the unsharded engine behind the
+  /// sharded interface, the form unsharded composites hold).
   int num_shards = 2;
   /// Item placement policy (see shard/partition.h).
   ShardingStrategy sharding = ShardingStrategy::kContiguous;
@@ -184,20 +189,6 @@ class ShardedMipsEngine {
   };
   Stats stats() const EXCLUDES(stats_mu_);
 
-  /// Just the sharded-engine-level counters above — one lock, four
-  /// copies, no per-shard snapshot.  For per-request hot paths
-  /// (ServingSession) where stats()'s vector + string + per-shard-lock
-  /// cost is too much.  The snapshot is cross-field consistent: a
-  /// scatter/gather publishes all of its counter updates under one lock,
-  /// so a reader never sees batches_served without its serve_seconds.
-  struct Counters {
-    int64_t batches_served = 0;
-    int64_t users_served = 0;
-    int64_t new_users_served = 0;
-    double serve_seconds = 0;
-  };
-  Counters counters() const EXCLUDES(stats_mu_);
-
  private:
   ShardedMipsEngine() = default;
 
@@ -218,9 +209,15 @@ class ShardedMipsEngine {
   std::vector<int> active_shards_;
 
   /// Engine-level serve counters.  A mutex (not per-field atomics) so
-  /// each scatter/gather's updates publish together and counters() hands
-  /// back a cross-field-consistent snapshot; the lock is taken once per
+  /// each scatter/gather's updates publish together and stats() reads a
+  /// cross-field-consistent snapshot of them; the lock is taken once per
   /// batch, far off any per-item path.
+  struct Counters {
+    int64_t batches_served = 0;
+    int64_t users_served = 0;
+    int64_t new_users_served = 0;
+    double serve_seconds = 0;
+  };
   mutable Mutex stats_mu_;
   Counters counters_ GUARDED_BY(stats_mu_);
 };

@@ -69,6 +69,22 @@ class MipsSolver {
   virtual Status TopKForUsers(Index k, std::span<const Index> user_ids,
                               TopKResult* out) = 0;
 
+  /// Exact top-K for `num_rows` vectors outside the prepared user matrix,
+  /// stored contiguously row-major (num_rows x items.cols()), where
+  /// `items` is the item matrix the solver was prepared with.  *out is
+  /// resized to (num_rows, k).  Row r depends only on input row r, so a
+  /// vector's row is bit-for-bit the same whether it is served alone or
+  /// in any batch.  The default scores densely — a new user has no row in
+  /// any user-side index structure: one blocked GEMM against `items` per
+  /// ~16 MB score-block chunk (the GEMM folds each score over the factor
+  /// axis in an order independent of the batch's row count), then a
+  /// per-row top-k, both on the solver's pool.  MAXIMUS-family solvers
+  /// override it with their per-row dynamic walk (Section III-E).  Safe
+  /// for concurrent callers once Prepare() has returned.
+  virtual Status TopKNewUsers(const ConstRowBlock& items,
+                              const Real* user_vectors, Index num_rows,
+                              Index k, TopKResult* out) const;
+
   /// Convenience: top-K for every prepared user.
   Status TopKAll(Index k, TopKResult* out);
 

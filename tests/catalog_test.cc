@@ -1,7 +1,8 @@
 // Tests for src/catalog: LiveCatalog's exactness contract (every answer
 // after a mutation sequence is bit-for-bit a cold Open() over the
-// equivalent catalog — across solver specs, k, sharded/unsharded epochs,
-// exact duplicate-score ties, and removals that vacate heap entries),
+// equivalent catalog — across solver specs, k, sharded/unsharded and
+// pooled/single-threaded epochs, exact duplicate-score ties, and
+// removals that vacate heap entries),
 // the rebuild/swap/drain lifecycle and its stats counters, concurrent
 // mutators + queriers (the TSan target), and CatalogSegment persistence:
 // byte-exact round trips through the atomic-rename protocol and clean
@@ -36,13 +37,14 @@ using ::mips::testing::RandomMatrix;
 
 LiveCatalogOptions SmallOptions(
     std::vector<std::string> solvers = {"bmm", "maximus"},
-    int num_shards = 1) {
+    int num_shards = 1, int threads = 0) {
   LiveCatalogOptions options;
   options.engine.k = 5;
   options.engine.solvers = std::move(solvers);
   options.engine.optimus.l2_cache_bytes = 16 * 1024;
   options.num_shards = num_shards;
   if (num_shards > 1) options.sharding = ShardingStrategy::kGrowth;
+  options.threads = threads;
   return options;
 }
 
@@ -251,7 +253,7 @@ void ApplyMutationScript(ShadowedCatalog* catalog, Index f, uint64_t seed,
 }
 
 class LiveCatalogExactness
-    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int, int>> {};
 
 // The core contract: after each phase of a mutation sequence — buffered
 // only, post-rebuild, buffered-on-rebuilt — every answer matches a cold
@@ -263,13 +265,13 @@ class LiveCatalogExactness
 // fold legitimately differs from the canonical fold in the last ulp
 // (and OPTIMUS may pick either winner depending on measured timings).
 TEST_P(LiveCatalogExactness, MutateThenQueryMatchesColdOpen) {
-  const auto& [solver, num_shards] = GetParam();
+  const auto& [solver, num_shards, threads] = GetParam();
   const MFModel model = MakeTestModel(24, 40, 8, 11);
   std::vector<std::string> solvers =
       solver == "optimus" ? std::vector<std::string>{"bmm", "maximus"}
                           : std::vector<std::string>{solver};
   const bool bit_exact = solver == "bmm";
-  ShadowedCatalog catalog(model, SmallOptions(solvers, num_shards));
+  ShadowedCatalog catalog(model, SmallOptions(solvers, num_shards, threads));
   const Matrix new_users = RandomMatrix(3, model.num_factors(), 42, 0.7);
 
   // Phase 1: mutations buffered, base epoch untouched.
@@ -289,10 +291,11 @@ TEST_P(LiveCatalogExactness, MutateThenQueryMatchesColdOpen) {
 INSTANTIATE_TEST_SUITE_P(
     Solvers, LiveCatalogExactness,
     ::testing::Combine(::testing::Values("bmm", "maximus", "optimus"),
-                       ::testing::Values(1, 3)),
+                       ::testing::Values(1, 3), ::testing::Values(0, 2)),
     [](const auto& info) {
       return std::get<0>(info.param) + "_shards" +
-             std::to_string(std::get<1>(info.param));
+             std::to_string(std::get<1>(info.param)) + "_threads" +
+             std::to_string(std::get<2>(info.param));
     });
 
 TEST(LiveCatalogTest, EmptyStartServesFromBufferThenRebuilds) {

@@ -1,5 +1,5 @@
 // Randomized differential testing: many seeded random workload
-// configurations, every solver (and OPTIMUS, and the serving session)
+// configurations, every solver (and OPTIMUS, and the serving engine)
 // must produce identical exact top-K score sequences.  This is the
 // library's fuzz harness — any divergence between two exact solvers is a
 // bug by definition, whatever the input distribution.
@@ -12,12 +12,12 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/engine.h"
 #include "core/maximus.h"
 #include "core/optimus.h"
-#include "core/registry.h"
-#include "core/serving.h"
 #include "linalg/simd_dispatch.h"
 #include "solvers/bmm.h"
+#include "solvers/registry.h"
 #include "test_util.h"
 
 namespace mips {
@@ -73,8 +73,8 @@ TEST_P(DifferentialTest, AllSolversAgreeOnRandomWorkload) {
   TopKResult expected;
   ASSERT_TRUE(reference.TopKAll(workload.k, &expected).ok());
 
-  for (const std::string& name : AvailableSolvers()) {
-    auto solver = CreateSolver(name);
+  for (const std::string& name : RegisteredSolverNames()) {
+    auto solver = CreateSolverFromSpec(name);
     ASSERT_TRUE(solver.ok());
     ASSERT_TRUE((*solver)->Prepare(ConstRowBlock(model.users),
                                    ConstRowBlock(model.items)).ok())
@@ -115,7 +115,7 @@ TEST_F(DifferentialKernelTest, TopKBitForBitAcrossForcedKernels) {
   // in different orders — nondeterminism that has nothing to do with the
   // GEMM kernel, so it is pinned to one algorithm (INCR) here.
   std::vector<std::string> specs;
-  for (const std::string& name : AvailableSolvers()) {
+  for (const std::string& name : RegisteredSolverNames()) {
     specs.push_back(name == "lemp" ? "lemp:forced_algorithm=2" : name);
   }
   for (int seed = 200; seed < 206; ++seed) {
@@ -126,7 +126,7 @@ TEST_F(DifferentialKernelTest, TopKBitForBitAcrossForcedKernels) {
     std::map<std::string, TopKResult> expected;
     ASSERT_TRUE(ForceGemmKernel(GemmKernel::kPortable).ok());
     for (const std::string& name : specs) {
-      auto solver = CreateSolver(name);
+      auto solver = CreateSolverFromSpec(name);
       ASSERT_TRUE(solver.ok());
       ASSERT_TRUE((*solver)->Prepare(ConstRowBlock(model.users),
                                      ConstRowBlock(model.items)).ok());
@@ -135,7 +135,7 @@ TEST_F(DifferentialKernelTest, TopKBitForBitAcrossForcedKernels) {
     for (const GemmKernel kernel : kernels) {
       ASSERT_TRUE(ForceGemmKernel(kernel).ok());
       for (const std::string& name : specs) {
-        auto solver = CreateSolver(name);
+        auto solver = CreateSolverFromSpec(name);
         ASSERT_TRUE(solver.ok());
         ASSERT_TRUE((*solver)->Prepare(ConstRowBlock(model.users),
                                        ConstRowBlock(model.items)).ok());
@@ -190,18 +190,18 @@ TEST(DifferentialOptimusTest, OptimusExactOnRandomWorkloads) {
   }
 }
 
-TEST(DifferentialServingTest, SessionsExactOnRandomBatches) {
+TEST(DifferentialServingTest, EngineExactOnRandomBatches) {
   for (int seed = 200; seed < 205; ++seed) {
     const RandomWorkload workload = DrawWorkload(static_cast<uint64_t>(seed));
     const MFModel& model = workload.model;
     SCOPED_TRACE(::testing::Message() << "seed=" << seed);
 
-    ServingOptions options;
+    EngineOptions options;
     options.k = workload.k;
     options.optimus.l2_cache_bytes = 4 * 1024;
-    auto session = ServingSession::Open(ConstRowBlock(model.users),
-                                        ConstRowBlock(model.items), options);
-    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    auto engine = MipsEngine::Open(ConstRowBlock(model.users),
+                                   ConstRowBlock(model.items), options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
     BmmSolver reference;
     ASSERT_TRUE(reference.Prepare(ConstRowBlock(model.users),
@@ -217,7 +217,7 @@ TEST(DifferentialServingTest, SessionsExactOnRandomBatches) {
       }
       TopKResult got;
       TopKResult expected;
-      ASSERT_TRUE((*session)->ServeBatch(ids, &got).ok());
+      ASSERT_TRUE((*engine)->TopK(workload.k, ids, &got).ok());
       ASSERT_TRUE(reference.TopKForUsers(workload.k, ids, &expected).ok());
       ExpectSameTopKScores(got, expected,
                            1e-7 * (1 + std::abs(expected.Row(0)[0].score)));

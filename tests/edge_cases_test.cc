@@ -9,10 +9,10 @@
 
 #include "core/maximus.h"
 #include "core/optimus.h"
-#include "core/registry.h"
 #include "linalg/gemm.h"
 #include "mips.h"
 #include "solvers/bmm.h"
+#include "solvers/registry.h"
 #include "test_util.h"
 
 namespace mips {
@@ -30,8 +30,8 @@ void ExpectAllSolversExact(const MFModel& model, Index k, Real tol = 1e-7) {
                                 ConstRowBlock(model.items)).ok());
   TopKResult expected;
   ASSERT_TRUE(reference.TopKAll(k, &expected).ok());
-  for (const std::string& name : AvailableSolvers()) {
-    auto solver = CreateSolver(name);
+  for (const std::string& name : RegisteredSolverNames()) {
+    auto solver = CreateSolverFromSpec(name);
     ASSERT_TRUE(solver.ok());
     ASSERT_TRUE((*solver)->Prepare(ConstRowBlock(model.users),
                                    ConstRowBlock(model.items)).ok())
@@ -221,7 +221,7 @@ TEST(EdgeCasesTest, OptimusWithDuplicateStrategyTypes) {
 TEST(EdgeCasesTest, UmbrellaHeaderCompilesAndWorks) {
   // mips.h pulls in the whole public API; spot-check a cross-module flow.
   const MFModel model = MakeTestModel(50, 30, 4, 13);
-  auto solver = CreateSolver("maximus");
+  auto solver = CreateSolverFromSpec("maximus");
   ASSERT_TRUE(solver.ok());
   ASSERT_TRUE((*solver)->Prepare(ConstRowBlock(model.users),
                                  ConstRowBlock(model.items)).ok());

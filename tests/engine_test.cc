@@ -122,26 +122,6 @@ TEST(EngineTest, PerCallKRedecidesAndStaysExact) {
   EXPECT_EQ((*engine)->stats().redecisions, 1);
 }
 
-TEST(EngineTest, PerCallKFallbackWhenRedecideDisabled) {
-  const MFModel model = MakeTestModel(200, 90, 8, 9);
-  const ConstRowBlock users(model.users);
-  const ConstRowBlock items(model.items);
-  EngineOptions options = SmallEngineOptions(5);
-  options.redecide_on_new_k = false;
-  auto engine = MipsEngine::Open(users, items, options);
-  ASSERT_TRUE(engine.ok());
-
-  BmmSolver reference;
-  ASSERT_TRUE(reference.Prepare(users, items).ok());
-  TopKResult got;
-  TopKResult expected;
-  const std::vector<Index> batch = {1, 2, 3};
-  ASSERT_TRUE((*engine)->TopK(12, batch, &got).ok());
-  ASSERT_TRUE(reference.TopKForUsers(12, batch, &expected).ok());
-  ExpectSameTopKScores(got, expected, 1e-7);
-  EXPECT_EQ((*engine)->stats().redecisions, 0);
-}
-
 TEST(EngineTest, ExtraWidensRowsWithoutRedeciding) {
   // An over-fetch (`extra`) widens every row but keeps the decision keyed
   // on the caller's k: at the opening k neither path misses the cache or
@@ -596,30 +576,23 @@ TEST(EngineTest, InvalidateDecisionsRetiresCachedWinners) {
 }
 
 TEST(EngineTest, DecisionTtlIgnoredWhenRedecideImpossible) {
-  // With re-deciding disabled (or a single candidate) there is nothing
-  // to refresh a stale winner with, so the TTL must be inert: no
-  // expirations, no redecisions, the opening winner serves forever.
+  // With a single candidate there is nothing to refresh a stale winner
+  // with, so the TTL must be inert: no expirations, no redecisions, the
+  // opening winner serves forever.
   const MFModel model = MakeTestModel(100, 50, 6, 31);
-  for (const bool single_candidate : {false, true}) {
-    EngineOptions options = SmallEngineOptions(5);
-    options.decision_ttl_seconds = 0.005;
-    if (single_candidate) {
-      options.solvers = {"bmm"};
-    } else {
-      options.solvers = {"bmm", "naive"};
-      options.redecide_on_new_k = false;
-    }
-    auto engine = MipsEngine::Open(ConstRowBlock(model.users),
-                                   ConstRowBlock(model.items), options);
-    ASSERT_TRUE(engine.ok());
-    TopKResult out;
-    const std::vector<Index> batch = {0, 1};
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    ASSERT_TRUE((*engine)->TopK(5, batch, &out).ok());
-    const MipsEngine::Stats stats = (*engine)->stats();
-    EXPECT_EQ(stats.decision_cache_expirations, 0);
-    EXPECT_EQ(stats.redecisions, 0);
-  }
+  EngineOptions options = SmallEngineOptions(5);
+  options.decision_ttl_seconds = 0.005;
+  options.solvers = {"bmm"};
+  auto engine = MipsEngine::Open(ConstRowBlock(model.users),
+                                 ConstRowBlock(model.items), options);
+  ASSERT_TRUE(engine.ok());
+  TopKResult out;
+  const std::vector<Index> batch = {0, 1};
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_TRUE((*engine)->TopK(5, batch, &out).ok());
+  const MipsEngine::Stats stats = (*engine)->stats();
+  EXPECT_EQ(stats.decision_cache_expirations, 0);
+  EXPECT_EQ(stats.redecisions, 0);
 }
 
 TEST(EngineOpenTest, ValidatesTtlAndKernelOptions) {

@@ -12,11 +12,11 @@
 
 #include "core/maximus.h"
 #include "core/optimus.h"
-#include "core/registry.h"
 #include "solvers/bmm.h"
 #include "solvers/fexipro/fexipro.h"
 #include "solvers/lemp/lemp.h"
 #include "solvers/naive.h"
+#include "solvers/registry.h"
 #include "test_util.h"
 
 namespace mips {
@@ -376,12 +376,12 @@ TEST(OptimusTest, ThreeWayOptimization) {
 }
 
 TEST(RegistryTest, CreatesEverySolver) {
-  for (const std::string& name : AvailableSolvers()) {
-    auto solver = CreateSolver(name);
+  for (const std::string& name : RegisteredSolverNames()) {
+    auto solver = CreateSolverFromSpec(name);
     ASSERT_TRUE(solver.ok()) << name;
     EXPECT_EQ((*solver)->name(), name);
   }
-  EXPECT_FALSE(CreateSolver("does-not-exist").ok());
+  EXPECT_FALSE(CreateSolverFromSpec("does-not-exist").ok());
 }
 
 TEST(RegistryTest, RegistrySolversAreExact) {
@@ -391,8 +391,8 @@ TEST(RegistryTest, RegistrySolversAreExact) {
                                 ConstRowBlock(model.items)).ok());
   TopKResult expected;
   ASSERT_TRUE(reference.TopKAll(4, &expected).ok());
-  for (const std::string& name : AvailableSolvers()) {
-    auto solver = CreateSolver(name);
+  for (const std::string& name : RegisteredSolverNames()) {
+    auto solver = CreateSolverFromSpec(name);
     ASSERT_TRUE(solver.ok());
     ASSERT_TRUE((*solver)->Prepare(ConstRowBlock(model.users),
                                    ConstRowBlock(model.items)).ok());

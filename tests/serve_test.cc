@@ -20,7 +20,6 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "core/engine.h"
-#include "core/serving.h"
 #include "serve/batching_engine.h"
 #include "shard/sharded_engine.h"
 #include "test_util.h"
@@ -30,6 +29,17 @@ namespace {
 
 using testing::MakeTestModel;
 using testing::RandomMatrix;
+
+/// A BatchingEngine whose backend is `engine`'s batched new-user path.
+template <typename Engine>
+StatusOr<std::unique_ptr<BatchingEngine>> BatchingOver(
+    Engine* engine, const BatchingOptions& options) {
+  return BatchingEngine::Create(
+      [engine](const Real* vectors, Index rows, Index k, TopKResult* out) {
+        return engine->TopKNewUsers(vectors, rows, k, out);
+      },
+      engine->num_factors(), options);
+}
 
 // ---------------------------------------------------------------------
 // Bit-for-bit exactness of the batched new-user paths.
@@ -143,7 +153,6 @@ TEST(BatchShapeDecisionsTest, EachShapeBucketDecidesOnce) {
   options.k = 5;
   options.solvers = {"bmm", "lemp"};
   options.batch_shape_decisions = true;
-  options.redecide_on_new_k = true;
   auto engine = MipsEngine::Open(ConstRowBlock(model.users), ConstRowBlock(model.items),
                                  options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
@@ -581,7 +590,7 @@ TEST(BatchingEngineTest, ConcurrentCallersGetSingletonAnswers) {
   options.max_batch_rows = 16;
   options.max_wait_ms = 1;
   options.executor_threads = 2;
-  auto batching = BatchingEngine::Create(engine->get(), options);
+  auto batching = BatchingOver(engine->get(), options);
   ASSERT_TRUE(batching.ok()) << batching.status().ToString();
 
   std::vector<std::thread> threads;
@@ -618,24 +627,25 @@ TEST(BatchingEngineTest, ConcurrentCallersGetSingletonAnswers) {
   EXPECT_LT(stats.batches_dispatched, stats.served);
 }
 
-TEST(ServingSessionBatchingTest, BatchingSessionMatchesPlainSession) {
+TEST(BatchingFrontTest, MatchesPlainEngine) {
   const auto model = MakeTestModel(250, 400, 12);
-  ServingOptions plain;
+  EngineOptions plain;
   plain.k = 5;
-  plain.strategies = {"bmm", "lemp"};
-  auto reference_session =
-      ServingSession::Open(ConstRowBlock(model.users), ConstRowBlock(model.items), plain);
-  ASSERT_TRUE(reference_session.ok());
-  EXPECT_EQ((*reference_session)->batching_engine(), nullptr);
+  plain.solvers = {"bmm", "lemp"};
+  auto reference = MipsEngine::Open(ConstRowBlock(model.users),
+                                    ConstRowBlock(model.items), plain);
+  ASSERT_TRUE(reference.ok());
 
-  ServingOptions batched = plain;
-  batched.batching = true;
-  batched.batching_options.max_batch_rows = 8;
-  batched.batching_options.max_wait_ms = 1;
-  auto session =
-      ServingSession::Open(ConstRowBlock(model.users), ConstRowBlock(model.items), batched);
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-  ASSERT_NE((*session)->batching_engine(), nullptr);
+  EngineOptions shaped = plain;
+  shaped.batch_shape_decisions = true;
+  auto engine = MipsEngine::Open(ConstRowBlock(model.users),
+                                 ConstRowBlock(model.items), shaped);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  BatchingOptions options;
+  options.max_batch_rows = 8;
+  options.max_wait_ms = 1;
+  auto batching = BatchingOver(engine->get(), options);
+  ASSERT_TRUE(batching.ok()) << batching.status().ToString();
 
   const Index kQueries = 40;
   const Matrix queries = RandomMatrix(kQueries, model.num_factors(), 77);
@@ -646,10 +656,8 @@ TEST(ServingSessionBatchingTest, BatchingSessionMatchesPlainSession) {
       std::vector<TopKEntry> row(5);
       std::vector<TopKEntry> want(5);
       for (Index q = t; q < kQueries; q += 4) {
-        if (!(*session)->ServeNewUser(queries.Row(q), row.data()).ok() ||
-            !(*reference_session)
-                 ->ServeNewUser(queries.Row(q), want.data())
-                 .ok()) {
+        if (!(*batching)->TopKNewUser(queries.Row(q), 5, row.data()).ok() ||
+            !(*reference)->TopKNewUser(queries.Row(q), 5, want.data()).ok()) {
           ++failures;
           continue;
         }
@@ -667,44 +675,38 @@ TEST(ServingSessionBatchingTest, BatchingSessionMatchesPlainSession) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ((*session)->stats().new_users_served, kQueries);
+  EXPECT_EQ((*engine)->stats().new_users_served, kQueries);
 
   // Async admission with a deadline resolves too.
   std::vector<TopKEntry> row(5);
-  auto future = (*session)->SubmitNewUser(queries.Row(0), row.data(),
-                                          /*deadline_ms=*/1000);
+  auto future = (*batching)->SubmitNewUser(queries.Row(0), 5, row.data(),
+                                           /*deadline_ms=*/1000);
   EXPECT_TRUE(future.get().ok());
-
-  // Non-batching sessions refuse async admission.
-  auto refused = (*reference_session)->SubmitNewUser(queries.Row(0),
-                                                     row.data());
-  EXPECT_EQ(refused.get().code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(ServingSessionBatchingTest, ShardedBatchingSessionServes) {
+TEST(BatchingFrontTest, ShardedEngineBackendServes) {
   const auto model = MakeTestModel(200, 300, 12);
-  ServingOptions options;
-  options.k = 4;
-  options.strategies = {"bmm", "lemp"};
-  options.num_shards = 3;
-  options.batching = true;
-  options.batching_options.max_batch_rows = 4;
-  options.batching_options.max_wait_ms = 1;
-  auto session =
-      ServingSession::Open(ConstRowBlock(model.users), ConstRowBlock(model.items), options);
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-  ASSERT_NE((*session)->batching_engine(), nullptr);
-  ASSERT_NE((*session)->sharded_engine(), nullptr);
+  ShardedEngineOptions sharded_options;
+  sharded_options.num_shards = 3;
+  sharded_options.engine.k = 4;
+  sharded_options.engine.solvers = {"bmm", "lemp"};
+  sharded_options.engine.batch_shape_decisions = true;
+  auto engine = ShardedMipsEngine::Open(ConstRowBlock(model.users),
+                                        ConstRowBlock(model.items),
+                                        sharded_options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  BatchingOptions options;
+  options.max_batch_rows = 4;
+  options.max_wait_ms = 1;
+  auto batching = BatchingOver(engine->get(), options);
+  ASSERT_TRUE(batching.ok()) << batching.status().ToString();
 
   const Matrix queries = RandomMatrix(10, model.num_factors(), 13);
   std::vector<TopKEntry> row(4);
   std::vector<TopKEntry> want(4);
   for (Index q = 0; q < 10; ++q) {
-    ASSERT_TRUE((*session)->ServeNewUser(queries.Row(q), row.data()).ok());
-    ASSERT_TRUE((*session)
-                    ->sharded_engine()
-                    ->TopKNewUser(queries.Row(q), 4, want.data())
-                    .ok());
+    ASSERT_TRUE((*batching)->TopKNewUser(queries.Row(q), 4, row.data()).ok());
+    ASSERT_TRUE((*engine)->TopKNewUser(queries.Row(q), 4, want.data()).ok());
     ExpectBitIdenticalRow(row.data(), want.data(), 4,
                           "sharded row " + std::to_string(q));
   }

@@ -1,5 +1,7 @@
-// Tests for the serving-session facade (Clipper-style mini-batches +
-// dynamic users) and the Section IV-A analytical BMM cost model.
+// Tests for the serving path: mini-batches and new users served through
+// MipsEngine's OPTIMUS decision (overlapping, out-of-order batches with
+// repeated ids; new users under a non-MAXIMUS index), Decide agreeing
+// with Run, and the Section IV-A analytical BMM cost model.
 
 #include <gtest/gtest.h>
 
@@ -7,8 +9,10 @@
 
 #include "common/timer.h"
 #include "core/cost_model.h"
+#include "core/engine.h"
 #include "core/maximus.h"
-#include "core/serving.h"
+#include "core/optimus.h"
+#include "linalg/blas.h"
 #include "linalg/gemm.h"
 #include "solvers/bmm.h"
 #include "test_util.h"
@@ -20,8 +24,8 @@ namespace {
 using ::mips::testing::ExpectSameTopKScores;
 using ::mips::testing::MakeTestModel;
 
-ServingOptions SmallServingOptions(Index k = 5) {
-  ServingOptions options;
+EngineOptions SmallServingOptions(Index k = 5) {
+  EngineOptions options;
   options.k = k;
   options.optimus.l2_cache_bytes = 16 * 1024;
   return options;
@@ -29,32 +33,14 @@ ServingOptions SmallServingOptions(Index k = 5) {
 
 // ------------------------------------------------------------- Serving
 
-TEST(ServingSessionTest, OpenValidatesOptions) {
-  const MFModel model = MakeTestModel(100, 50, 8, 1);
-  ServingOptions bad_k = SmallServingOptions(0);
-  EXPECT_FALSE(ServingSession::Open(ConstRowBlock(model.users),
-                                    ConstRowBlock(model.items), bad_k)
-                   .ok());
-  ServingOptions one_strategy = SmallServingOptions();
-  one_strategy.strategies = {"bmm"};
-  EXPECT_FALSE(ServingSession::Open(ConstRowBlock(model.users),
-                                    ConstRowBlock(model.items), one_strategy)
-                   .ok());
-  ServingOptions unknown = SmallServingOptions();
-  unknown.strategies = {"bmm", "no-such-solver"};
-  EXPECT_FALSE(ServingSession::Open(ConstRowBlock(model.users),
-                                    ConstRowBlock(model.items), unknown)
-                   .ok());
-}
-
-TEST(ServingSessionTest, BatchesAreExact) {
+TEST(ServingTest, BatchesAreExact) {
   const MFModel model = MakeTestModel(300, 200, 10, 3, /*norm_sigma=*/0.6);
-  auto session =
-      ServingSession::Open(ConstRowBlock(model.users),
-                           ConstRowBlock(model.items), SmallServingOptions());
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-  EXPECT_TRUE((*session)->strategy() == "bmm" ||
-              (*session)->strategy() == "maximus");
+  auto engine =
+      MipsEngine::Open(ConstRowBlock(model.users),
+                       ConstRowBlock(model.items), SmallServingOptions());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_TRUE((*engine)->strategy() == "bmm" ||
+              (*engine)->strategy() == "maximus");
 
   BmmSolver reference;
   ASSERT_TRUE(reference.Prepare(ConstRowBlock(model.users),
@@ -65,27 +51,28 @@ TEST(ServingSessionTest, BatchesAreExact) {
   for (const auto& batch : batches) {
     TopKResult got;
     TopKResult expected;
-    ASSERT_TRUE((*session)->ServeBatch(batch, &got).ok());
+    ASSERT_TRUE((*engine)->TopK(5, batch, &got).ok());
     ASSERT_TRUE(reference.TopKForUsers(5, batch, &expected).ok());
     ExpectSameTopKScores(got, expected, 1e-7);
   }
-  EXPECT_EQ((*session)->stats().batches_served, 4);
-  EXPECT_EQ((*session)->stats().users_served, 12);
-  EXPECT_GT((*session)->stats().serve_seconds, 0.0);
+  EXPECT_EQ((*engine)->stats().batches_served, 4);
+  EXPECT_EQ((*engine)->stats().users_served, 12);
+  EXPECT_GT((*engine)->stats().serve_seconds, 0.0);
 }
 
-TEST(ServingSessionTest, NewUsersAreExact) {
+TEST(ServingTest, NewUsersAreExact) {
   const MFModel model = MakeTestModel(400, 150, 8, 5, 0.5, 0.3);
   const MFModel extra = MakeTestModel(20, 150, 8, 6, 0.5, 1.2);
   for (const char* index : {"maximus", "lemp"}) {
-    ServingOptions options = SmallServingOptions();
-    options.strategies = {"bmm", index};
-    auto session = ServingSession::Open(ConstRowBlock(model.users),
-                                        ConstRowBlock(model.items), options);
-    ASSERT_TRUE(session.ok());
+    EngineOptions options = SmallServingOptions();
+    options.solvers = {"bmm", index};
+    auto engine = MipsEngine::Open(ConstRowBlock(model.users),
+                                   ConstRowBlock(model.items), options);
+    ASSERT_TRUE(engine.ok());
     std::vector<TopKEntry> row(5);
     for (Index u = 0; u < 20; ++u) {
-      ASSERT_TRUE((*session)->ServeNewUser(extra.users.Row(u), row.data()).ok());
+      ASSERT_TRUE(
+          (*engine)->TopKNewUser(extra.users.Row(u), 5, row.data()).ok());
       // Reference by direct scan.
       TopKHeap heap(5);
       for (Index i = 0; i < 150; ++i) {
@@ -99,21 +86,22 @@ TEST(ServingSessionTest, NewUsersAreExact) {
             << index << " user " << u << " entry " << e;
       }
     }
-    EXPECT_EQ((*session)->stats().new_users_served, 20);
+    EXPECT_EQ((*engine)->stats().new_users_served, 20);
   }
 }
 
-TEST(ServingSessionTest, DecisionReportPopulated) {
+TEST(ServingTest, DecisionReportPopulated) {
   const MFModel model = MakeTestModel(300, 100, 8, 7);
-  auto session =
-      ServingSession::Open(ConstRowBlock(model.users),
-                           ConstRowBlock(model.items), SmallServingOptions());
-  ASSERT_TRUE(session.ok());
-  const OptimusReport& report = (*session)->decision_report();
+  auto engine =
+      MipsEngine::Open(ConstRowBlock(model.users),
+                       ConstRowBlock(model.items), SmallServingOptions());
+  ASSERT_TRUE(engine.ok());
+  const OptimusReport& report = (*engine)->decision_report();
   EXPECT_EQ(report.estimates.size(), 2u);
-  EXPECT_EQ(report.chosen, (*session)->strategy());
+  EXPECT_EQ(report.chosen, (*engine)->strategy());
   EXPECT_GT(report.sample_size, 0);
-  // Decide() must not have served the whole user set.
+  // Opening decides on a sample; it must not have served the whole
+  // user set.
   EXPECT_EQ(report.serve_seconds, 0.0);
 }
 

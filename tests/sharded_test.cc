@@ -3,8 +3,8 @@
 // against the unsharded engine (bit-for-bit ids, matching scores) across
 // solver specs / mixed k / new users / degenerate shards, per-shard
 // OPTIMUS heterogeneity on a norm-skewed fixture, strategy forcing
-// (global and per-shard), the sharded ServingSession, and a
-// ConcurrentShardedTopK suite mirroring engine_test's harness.
+// (global and per-shard), and a ConcurrentShardedTopK suite mirroring
+// engine_test's harness.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/serving.h"
 #include "linalg/blas.h"
 #include "shard/partition.h"
 #include "shard/sharded_engine.h"
@@ -280,7 +279,7 @@ TEST_P(ShardedExactness, MatchesUnshardedAcrossSpecsAndK) {
 
 INSTANTIATE_TEST_SUITE_P(
     ShardLayouts, ShardedExactness,
-    ::testing::Combine(::testing::Values(2, 3, 5),
+    ::testing::Combine(::testing::Values(1, 2, 3, 5),
                        ::testing::Values(ShardingStrategy::kContiguous,
                                          ShardingStrategy::kHash,
                                          ShardingStrategy::kGrowth)),
@@ -652,48 +651,6 @@ TEST(ShardedDecisionTest, NormSkewedShardsChooseDifferentWinners) {
       << "flat-norm shard should fall back to BMM";
   EXPECT_EQ(skew_choice, "maximus")
       << "norm-skewed shard should prune with the index";
-}
-
-// ------------------------------------------------------- ServingSession
-
-TEST(ShardedServingTest, SessionServesThroughShards) {
-  const MFModel model = MakeTestModel(150, 120, 8, 43, 0.7);
-  const ConstRowBlock users(model.users);
-  const ConstRowBlock items(model.items);
-  ServingOptions options;
-  options.k = 6;
-  options.strategies = {"bmm", "lemp"};
-  options.optimus.l2_cache_bytes = 16 * 1024;
-  options.num_shards = 3;
-  auto session = ServingSession::Open(users, items, options);
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-  ASSERT_NE((*session)->sharded_engine(), nullptr);
-  EXPECT_EQ((*session)->engine(), nullptr);
-  // The strategy summary joins the per-shard winners in shard order.
-  EXPECT_EQ((*session)->strategy(),
-            (*session)->sharded_engine()->shard_strategy(0) + "|" +
-                (*session)->sharded_engine()->shard_strategy(1) + "|" +
-                (*session)->sharded_engine()->shard_strategy(2));
-
-  BmmSolver reference;
-  ASSERT_TRUE(reference.Prepare(users, items).ok());
-  const std::vector<Index> batch = {0, 5, 149};
-  TopKResult got;
-  TopKResult want;
-  ASSERT_TRUE((*session)->ServeBatch(batch, &got).ok());
-  ASSERT_TRUE(reference.TopKForUsers(6, batch, &want).ok());
-  ExpectIdenticalTopK(got, want);
-  EXPECT_EQ((*session)->stats().batches_served, 1);
-  EXPECT_EQ((*session)->stats().users_served, 3);
-
-  std::vector<TopKEntry> row(6);
-  ASSERT_TRUE((*session)->ServeNewUser(model.users.Row(0), row.data()).ok());
-  ASSERT_TRUE(
-      reference.TopKForUsers(6, std::vector<Index>{0}, &want).ok());
-  for (Index e = 0; e < 6; ++e) {
-    EXPECT_EQ(row[static_cast<std::size_t>(e)].item, want.Row(0)[e].item);
-  }
-  EXPECT_EQ((*session)->stats().new_users_served, 1);
 }
 
 // --------------------------------------------------------- concurrency
