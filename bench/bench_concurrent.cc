@@ -25,8 +25,8 @@
 // percentiles over served requests, shed/expired counts (overload
 // behavior under --batch_policy), and the realized mean batch size.
 //
-//   bench_concurrent --rates=100,200,400 --open_seconds=2 \
-//       --batch_rows=64 --batch_wait_ms=2 --batch_policy=shed
+//   bench_concurrent --rates=100,200,400 --open_seconds=2
+//                    --batch_rows=64 --batch_wait_ms=2 --batch_policy=shed
 //
 // --threads sizes the engine's internal pool (parallelism inside one
 // batch); --clients scales the number of concurrent callers.  On a

@@ -24,8 +24,8 @@
 // the table shows what the swap machinery costs while it is active,
 // not just averaged away.
 //
-//   bench_live --seconds=2 --rate=400 --mutation_rate=200 \
-//       --mix=60:25:15 --rebuild_threshold=64 --shards=4
+//   bench_live --seconds=2 --rate=400 --mutation_rate=200
+//              --mix=60:25:15 --rebuild_threshold=64 --shards=4
 //
 // --json_out writes every phase row for checked-in snapshots.
 

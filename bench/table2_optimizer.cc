@@ -14,7 +14,7 @@
 // shared across configurations.  Default: all models x K in {1, 10} at
 // 3x the usual bench scale — index construction must be small relative
 // to serving for the paper's overhead accounting to be meaningful, and
-// that ratio improves with scale (see EXPERIMENTS.md).  Pass
+// that ratio improves with scale.  Pass
 // --k=1,5,10,50 for the paper's full 92-combination grid.
 
 #include <cstdio>

@@ -420,63 +420,60 @@ void LiveCatalog::RebuildAndInstall(
   rebuild_done_.NotifyAll();
 }
 
+void LiveCatalog::FoldLive(const Epoch& base,
+                           std::initializer_list<const WriteBuffer*> layers,
+                           Index f, Matrix* rows, std::vector<Index>* ids) {
+  // A row survives unless a newer layer's dead set names its id (layers
+  // are oldest first; null ones are skipped).
+  const auto masked_after = [&layers](Index id, std::size_t layer) {
+    for (std::size_t j = layer; j < layers.size(); ++j) {
+      const WriteBuffer* newer = layers.begin()[j];
+      if (newer != nullptr && newer->dead.count(id) > 0) return true;
+    }
+    return false;
+  };
+  std::vector<std::pair<Index, const Real*>> live;  // (id, row)
+  for (std::size_t r = 0; r < base.ids.size(); ++r) {
+    if (masked_after(base.ids[r], 0)) continue;
+    live.emplace_back(base.ids[r], base.items.Row(static_cast<Index>(r)));
+  }
+  const std::ptrdiff_t num_base = static_cast<std::ptrdiff_t>(live.size());
+  for (std::size_t layer = 0; layer < layers.size(); ++layer) {
+    const WriteBuffer* buffer = layers.begin()[layer];
+    if (buffer == nullptr) continue;
+    for (Index r = 0; r < buffer->num_rows(); ++r) {
+      const Index id = buffer->ids[static_cast<std::size_t>(r)];
+      if (id < 0) continue;  // tombstoned in place
+      if (masked_after(id, layer + 1)) continue;
+      live.emplace_back(id, &buffer->data[static_cast<std::size_t>(r) *
+                                          static_cast<std::size_t>(f)]);
+    }
+  }
+  // Base rows are already in ascending id order; buffered rows are in
+  // append order, which is NOT id order once updates interleave with
+  // inserts.  Survivors of different layers never share an id (an update
+  // always dead-marks its predecessor), so the result is strictly
+  // increasing — the invariant the tie-order remap depends on.
+  const auto by_id = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  std::sort(live.begin() + num_base, live.end(), by_id);
+  std::inplace_merge(live.begin(), live.begin() + num_base, live.end(), by_id);
+  rows->Resize(static_cast<Index>(live.size()), f);
+  ids->resize(live.size());
+  for (std::size_t r = 0; r < live.size(); ++r) {
+    (*ids)[r] = live[r].first;
+    std::memcpy(rows->Row(static_cast<Index>(r)), live[r].second,
+                sizeof(Real) * static_cast<std::size_t>(f));
+  }
+}
+
 StatusOr<std::shared_ptr<LiveCatalog::Epoch>> LiveCatalog::BuildEpoch(
     const Epoch& base, const WriteBuffer& sealed) {
-  const Index f = num_factors();
-
-  // Sealed survivors, ascending id (append order is NOT id order once
-  // updates interleave with inserts).
-  std::vector<std::pair<Index, Index>> sealed_live;  // (id, buffer row)
-  for (Index r = 0; r < sealed.num_rows(); ++r) {
-    const Index id = sealed.ids[static_cast<std::size_t>(r)];
-    if (id >= 0) sealed_live.emplace_back(id, r);
-  }
-  std::sort(sealed_live.begin(), sealed_live.end());
-
-  Index base_live = 0;
-  for (const Index id : base.ids) {
-    if (sealed.dead.find(id) == sealed.dead.end()) ++base_live;
-  }
-
   auto next = std::make_shared<Epoch>();
-  const Index n = base_live + static_cast<Index>(sealed_live.size());
-  next->owned.Resize(n, f);
-  next->ids.reserve(static_cast<std::size_t>(n));
-  // Two-pointer merge by id.  Surviving base ids and sealed ids are
-  // disjoint (an update always dead-marks its predecessor), so the
-  // merged id sequence is strictly increasing — the invariant the
-  // tie-order remap depends on.
-  std::size_t bi = 0;
-  std::size_t si = 0;
-  Index row = 0;
-  const std::size_t row_bytes = sizeof(Real) * static_cast<std::size_t>(f);
-  while (bi < base.ids.size() || si < sealed_live.size()) {
-    if (bi < base.ids.size() &&
-        sealed.dead.find(base.ids[bi]) != sealed.dead.end()) {
-      ++bi;  // superseded or removed
-      continue;
-    }
-    const bool take_base =
-        bi < base.ids.size() &&
-        (si >= sealed_live.size() || base.ids[bi] < sealed_live[si].first);
-    if (take_base) {
-      next->ids.push_back(base.ids[bi]);
-      std::memcpy(next->owned.Row(row), base.items.Row(static_cast<Index>(bi)),
-                  row_bytes);
-      ++bi;
-    } else {
-      next->ids.push_back(sealed_live[si].first);
-      std::memcpy(next->owned.Row(row),
-                  &sealed.data[static_cast<std::size_t>(sealed_live[si].second) *
-                               static_cast<std::size_t>(f)],
-                  row_bytes);
-      ++si;
-    }
-    ++row;
-  }
-
+  FoldLive(base, {&sealed}, num_factors(), &next->owned, &next->ids);
   next->items = ConstRowBlock(next->owned);
-  if (n > 0) {
+  if (next->items.rows() > 0) {
     MIPS_RETURN_IF_ERROR(OpenEpochEngine(next.get()));
   }
   next->drain_counter = epochs_drained_;
@@ -494,11 +491,10 @@ void LiveCatalog::InstallEpoch(std::shared_ptr<Epoch> next) {
   catalog_epoch_.fetch_add(1, std::memory_order_relaxed);
   swaps_.fetch_add(1, std::memory_order_relaxed);
   if (old != nullptr && old->engine != nullptr) {
-    // Generation-bump the retiring engine's decision cache (kernel
-    // install epoch idiom): any query still draining on the old epoch
-    // re-decides rather than serving a winner measured on dead
-    // statistics.
-    decisions_retired_.fetch_add(old->engine->InvalidateDecisions(),
+    // The retiring engine's cached decisions die with it.  A query still
+    // draining on the old epoch keeps using them: they were measured on
+    // exactly the snapshot that query reads.
+    decisions_retired_.fetch_add(old->engine->stats().decision_cache_size,
                                  std::memory_order_relaxed);
   }
   // `old` drops here; whichever thread holds the last in-flight
@@ -515,43 +511,12 @@ Status LiveCatalog::Rebuild() {
 }
 
 Status LiveCatalog::SaveSegment(const std::string& path) const {
-  const Index f = num_factors();
   Matrix snapshot;
+  std::vector<Index> ids;  // reopening compacts ids to 0..n-1
   {
     ReaderMutexLock lock(state_mu_);
-    std::vector<std::pair<Index, const Real*>> rows;
-    const std::size_t base_rows = epoch_->ids.size();
-    for (std::size_t r = 0; r < base_rows; ++r) {
-      const Index id = epoch_->ids[r];
-      if (active_.dead.find(id) != active_.dead.end()) continue;
-      if (sealed_ != nullptr &&
-          sealed_->dead.find(id) != sealed_->dead.end()) {
-        continue;
-      }
-      rows.emplace_back(id, epoch_->items.Row(static_cast<Index>(r)));
-    }
-    if (sealed_ != nullptr) {
-      for (Index r = 0; r < sealed_->num_rows(); ++r) {
-        const Index id = sealed_->ids[static_cast<std::size_t>(r)];
-        if (id < 0) continue;
-        if (active_.dead.find(id) != active_.dead.end()) continue;
-        rows.emplace_back(id, &sealed_->data[static_cast<std::size_t>(r) *
-                                             static_cast<std::size_t>(f)]);
-      }
-    }
-    for (Index r = 0; r < active_.num_rows(); ++r) {
-      const Index id = active_.ids[static_cast<std::size_t>(r)];
-      if (id < 0) continue;
-      rows.emplace_back(id, &active_.data[static_cast<std::size_t>(r) *
-                                          static_cast<std::size_t>(f)]);
-    }
-    std::sort(rows.begin(), rows.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    snapshot.Resize(static_cast<Index>(rows.size()), f);
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      std::memcpy(snapshot.Row(static_cast<Index>(r)), rows[r].second,
-                  sizeof(Real) * static_cast<std::size_t>(f));
-    }
+    FoldLive(*epoch_, {sealed_.get(), &active_}, num_factors(), &snapshot,
+             &ids);
   }
   if (snapshot.rows() == 0) {
     return Status::InvalidArgument("cannot save an empty catalog");

@@ -68,6 +68,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <string>
@@ -89,8 +90,9 @@ namespace mips {
 /// Configuration for LiveCatalog::Open.
 struct LiveCatalogOptions {
   /// Per-epoch engine configuration (decision k, candidate solver specs,
-  /// optimus knobs, decision-cache policy).  Every rebuilt epoch reruns
-  /// the OPTIMUS decision under these options over the folded catalog.
+  /// optimus knobs, shape-keyed decisions).  Every rebuilt epoch reruns
+  /// the OPTIMUS decision under these options over the folded catalog,
+  /// into a fresh decision cache.
   EngineOptions engine;
   /// Item shards per epoch engine, each with its own decision (1 = one
   /// engine over every item).
@@ -188,10 +190,8 @@ class LiveCatalog {
   /// individually consistent; fields may be mutually skewed by in-flight
   /// requests.
   struct Stats {
-    /// Swap generation: bumped once per installed epoch.  The per-epoch
-    /// engines' decision caches die with their epoch, and the retiring
-    /// engine's surviving decisions are additionally invalidated through
-    /// MipsEngine::InvalidateDecisions (counted in decisions_retired).
+    /// Swap generation: bumped once per installed epoch.  Each epoch's
+    /// engine holds its own decision cache, which dies with the epoch.
     int64_t catalog_epoch = 0;
     int64_t inserts = 0;
     int64_t updates = 0;
@@ -201,7 +201,10 @@ class LiveCatalog {
     int64_t swaps = 0;
     /// Retired epochs fully drained (last in-flight reference dropped).
     int64_t epochs_drained = 0;
-    /// Cached per-k decisions retired with their epochs at swap time.
+    /// Cached per-(k, shape) decisions retired with their epochs: the
+    /// retiring engine's cache size at swap time, summed over swaps.
+    /// Queries still draining on a retired epoch keep serving from its
+    /// cache, which describes exactly the snapshot they read.
     int64_t decisions_retired = 0;
     bool rebuild_running = false;
     Index live_items = 0;
@@ -290,6 +293,13 @@ class LiveCatalog {
   void RebuildAndInstall(std::shared_ptr<Epoch> base,
                          std::shared_ptr<const WriteBuffer> sealed)
       EXCLUDES(rebuild_mu_, state_mu_);
+  /// Writes the live rows of `base` under the buffer `layers` (oldest
+  /// first; null entries skipped) to *rows in ascending-id order, with
+  /// their ids in *ids.  A row survives unless a newer layer's dead set
+  /// names its id.
+  static void FoldLive(const Epoch& base,
+                       std::initializer_list<const WriteBuffer*> layers,
+                       Index f, Matrix* rows, std::vector<Index>* ids);
   /// Folds `sealed` into `base` and opens a fresh engine (fresh OPTIMUS
   /// decision) over the merged snapshot.
   StatusOr<std::shared_ptr<Epoch>> BuildEpoch(const Epoch& base,

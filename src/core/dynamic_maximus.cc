@@ -5,8 +5,6 @@
 #include <memory>
 #include <numeric>
 
-#include "solvers/registry.h"
-
 namespace mips {
 
 Status DynamicMaximus::Initialize(const ConstRowBlock& initial_users,
@@ -150,52 +148,5 @@ Status DynamicMaximus::Recluster() {
   }
   return Rebuild();
 }
-
-Status DynamicMaximusSolver::Prepare(const ConstRowBlock& users,
-                                     const ConstRowBlock& items) {
-  MIPS_RETURN_IF_ERROR(dynamic_.Initialize(users, items));
-  prepared_users_ = users.rows();
-  return Status::OK();
-}
-
-Status DynamicMaximusSolver::TopKForUsers(Index k,
-                                          std::span<const Index> user_ids,
-                                          TopKResult* out) {
-  return dynamic_.TopKForUsers(k, user_ids, out);
-}
-
-Status DynamicMaximusSolver::TopKNewUsers(const ConstRowBlock& items,
-                                          const Real* user_vectors,
-                                          Index num_rows, Index k,
-                                          TopKResult* out) const {
-  if (prepared_users_ == 0) {
-    return Status::FailedPrecondition("Prepare was not called");
-  }
-  return dynamic_.index().TopKNewUsers(items, user_vectors, num_rows, k, out);
-}
-
-namespace {
-
-const SolverRegistrar kDynamicMaximusRegistrar(
-    [] {
-      SolverSchema schema("dynamic-maximus",
-                          "MAXIMUS with user churn and automatic "
-                          "re-clustering (Section III-E)");
-      AddMaximusSchemaParams(&schema);
-      schema.Real("recluster_churn_fraction",
-                  DynamicMaximusOptions{}.recluster_churn_fraction,
-                  "rebuild when pending users exceed this fraction of the "
-                  "indexed population (<= 0 disables)");
-      return schema;
-    }(),
-    [](const ParamMap& params) -> StatusOr<std::unique_ptr<MipsSolver>> {
-      DynamicMaximusOptions options;
-      MIPS_RETURN_IF_ERROR(ParseMaximusOptions(params, &options.base));
-      options.recluster_churn_fraction =
-          params.GetReal("recluster_churn_fraction");
-      return std::unique_ptr<MipsSolver>(new DynamicMaximusSolver(options));
-    });
-
-}  // namespace
 
 }  // namespace mips

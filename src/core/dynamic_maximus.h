@@ -87,38 +87,6 @@ class DynamicMaximus {
   std::unique_ptr<MaximusSolver> index_;
 };
 
-/// Adapts DynamicMaximus to the MipsSolver interface so the registry,
-/// OPTIMUS, and MipsEngine can drive a churn-capable MAXIMUS like any
-/// other strategy.  Prepare() (re)initializes the index over the given
-/// users; the churn APIs (AddUser, Recluster, ...) remain reachable
-/// through dynamic().  The MipsSolver surface addresses the Prepare-time
-/// population — users appended later are served via dynamic().
-class DynamicMaximusSolver : public MipsSolver {
- public:
-  explicit DynamicMaximusSolver(const DynamicMaximusOptions& options = {})
-      : dynamic_(options) {}
-
-  std::string name() const override { return "dynamic-maximus"; }
-  bool batches_users() const override { return true; }
-
-  Status Prepare(const ConstRowBlock& users,
-                 const ConstRowBlock& items) override;
-  Status TopKForUsers(Index k, std::span<const Index> user_ids,
-                      TopKResult* out) override;
-
-  /// Exact top-K for vectors outside the indexed population
-  /// (Section III-E dynamic walk on the inner index).
-  Status TopKNewUsers(const ConstRowBlock& items, const Real* user_vectors,
-                      Index num_rows, Index k,
-                      TopKResult* out) const override;
-
-  DynamicMaximus& dynamic() { return dynamic_; }
-  const DynamicMaximus& dynamic() const { return dynamic_; }
-
- private:
-  DynamicMaximus dynamic_;
-};
-
 }  // namespace mips
 
 #endif  // MIPS_CORE_DYNAMIC_MAXIMUS_H_

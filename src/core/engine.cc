@@ -59,21 +59,6 @@ StatusOr<std::unique_ptr<MipsEngine>> MipsEngine::Open(
     return Status::InvalidArgument("threads must be >= 0, got " +
                                    std::to_string(options.threads));
   }
-  if (options.decision_cache_capacity < 0) {
-    return Status::InvalidArgument(
-        "decision_cache_capacity must be >= 0, got " +
-        std::to_string(options.decision_cache_capacity));
-  }
-  if (!(options.decision_ttl_seconds >= 0)) {  // rejects negatives and NaN
-    return Status::InvalidArgument(
-        "decision_ttl_seconds must be >= 0, got " +
-        std::to_string(options.decision_ttl_seconds));
-  }
-  if (options.batch_shape_decisions && options.batch_shape_max_bucket < 1) {
-    return Status::InvalidArgument(
-        "batch_shape_max_bucket must be >= 1, got " +
-        std::to_string(options.batch_shape_max_bucket));
-  }
   for (const Index rows : options.warm_batch_shapes) {
     if (rows <= 0) {
       return Status::InvalidArgument(
@@ -85,14 +70,9 @@ StatusOr<std::unique_ptr<MipsEngine>> MipsEngine::Open(
   // Resolve the GEMM kernel before anything measures throughput: index
   // construction and the opening OPTIMUS decision below must run under
   // the kernel that will serve queries, or the decision is attributed to
-  // the wrong hardware regime.
-  if (options.gemm_kernel != "auto") {
-    auto kernel = ParseGemmKernel(options.gemm_kernel);
-    MIPS_RETURN_IF_ERROR(kernel.status());
-    MIPS_RETURN_IF_ERROR(ForceGemmKernel(*kernel));
-  } else {
-    ActiveGemmKernel();  // first-use install: env override, else probe
-  }
+  // the wrong hardware regime.  First use installs MIPS_GEMM_KERNEL's
+  // choice, else the probe's; ForceGemmKernel() beforehand overrides.
+  ActiveGemmKernel();
 
   std::unique_ptr<MipsEngine> engine(new MipsEngine());
   engine->users_ = users;
@@ -213,26 +193,19 @@ StatusOr<std::unique_ptr<MipsEngine>> MipsEngine::Open(
 
 Index MipsEngine::ShapeBucket(Index rows) const {
   if (!options_.batch_shape_decisions) return 0;
-  const Index capped =
-      std::clamp<Index>(rows, 1, options_.batch_shape_max_bucket);
+  const Index capped = std::clamp<Index>(rows, 1, kMaxShapeBucket);
   return static_cast<Index>(std::bit_ceil(static_cast<uint32_t>(capped)));
 }
 
 void MipsEngine::InsertDecision(DecisionKey key, std::size_t winner) {
   decision_mu_.AssertHeld();
-  winner_by_k_.erase(key);  // re-insert after an expiry refreshes the entry
-  winner_by_k_.emplace(
-      std::piecewise_construct, std::forward_as_tuple(key),
-      std::forward_as_tuple(
-          winner, std::chrono::steady_clock::now(), GemmKernelEpoch(),
-          decision_generation_.load(std::memory_order_relaxed)));
+  winner_by_k_.erase(key);  // re-insert after an invalidation refreshes it
+  winner_by_k_.emplace(std::piecewise_construct, std::forward_as_tuple(key),
+                       std::forward_as_tuple(winner, GemmKernelEpoch()));
   winner_by_k_.at(key).last_used.store(
       decision_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
       std::memory_order_relaxed);
-  const std::size_t capacity =
-      static_cast<std::size_t>(options_.decision_cache_capacity);
-  if (capacity == 0) return;  // unbounded
-  while (winner_by_k_.size() > capacity) {
+  while (winner_by_k_.size() > kDecisionCacheCapacity) {
     // Evict the least-recently-used key.  The opening decision is
     // pinned: the single-candidate fallback and strategy() rely on it
     // being present.
@@ -256,21 +229,12 @@ void MipsEngine::InsertDecision(DecisionKey key, std::size_t winner) {
 bool MipsEngine::DecisionExpired(const CachedDecision& entry) const {
   decision_mu_.AssertReaderHeld();
   // Staleness only matters when a fresh decision is possible; with one
-  // candidate the opening winner serves forever.
-  if (solvers_.size() < 2) return false;
-  // A kernel re-install changes the throughput regime every wall-clock
-  // estimate in this entry was measured under — stale immediately, no
-  // TTL required.
-  if (entry.kernel_epoch != GemmKernelEpoch()) return true;
-  // Same idiom for InvalidateDecisions: the caller declared the data
-  // regime the entry was measured under gone (e.g. a catalog swap).
-  if (entry.generation !=
-      decision_generation_.load(std::memory_order_relaxed)) {
-    return true;
-  }
-  if (options_.decision_ttl_seconds <= 0) return false;
-  return std::chrono::steady_clock::now() - entry.created >
-         std::chrono::duration<double>(options_.decision_ttl_seconds);
+  // candidate the opening winner serves forever.  Otherwise a kernel
+  // re-install changes the throughput regime every wall-clock estimate in
+  // this entry was measured under, so the entry is stale at once.  Data
+  // never goes stale under an engine: its model views are fixed at Open,
+  // and a catalog swap opens a fresh engine.
+  return solvers_.size() >= 2 && entry.kernel_epoch != GemmKernelEpoch();
 }
 
 StatusOr<std::size_t> MipsEngine::StrategyFor(Index k, Index batch_rows) {
@@ -295,23 +259,23 @@ StatusOr<std::size_t> MipsEngine::StrategyFor(Index k, Index batch_rows) {
     stats_.decision_cache_misses.fetch_add(1, std::memory_order_relaxed);
     if (solvers_.size() < 2) {
       // One candidate: nothing to decide between, so the opening winner
-      // serves every k/shape.  (Entries never expire in this mode — see
+      // serves every k/shape.  (Entries never go stale in this mode — see
       // DecisionExpired — so this is always an unknown key.)
       return winner_by_k_.at(OpeningKey()).winner;
     }
   }
   // The opening shape and the query's (k, batch shape) diverged, or the
-  // cached winner went stale: re-run the sampling decision for this key
-  // and cache the winner.  The candidates were all Prepared at Open
-  // (indexes are k-independent), so only the sampling measurement is
-  // repeated.  For a shape bucket > 0 the sample is exactly bucket-many
-  // users, so batching strategies are timed on a batch of the realized
-  // size — a 64-row coalesced batch may flip the winner to BMM where
-  // singletons picked an index.  The exclusive lock serializes
-  // concurrent first-queries of the same new key: one caller measures,
-  // the rest (re-checking under the lock) reuse its cached winner.
+  // kernel was re-installed since the cached winner was measured: re-run
+  // the sampling decision for this key and cache the winner.  The
+  // candidates were all Prepared at Open (indexes are k-independent), so
+  // only the sampling measurement is repeated.  For a shape bucket > 0
+  // the sample is exactly bucket-many users, so batching strategies are
+  // timed on a batch of the realized size — a 64-row coalesced batch may
+  // flip the winner to BMM where singletons picked an index.  The
+  // exclusive lock serializes concurrent first-queries of the same new
+  // key: one caller measures, the rest (re-checking under the lock)
+  // reuse its cached winner.
   WriterMutexLock lock(decision_mu_);
-  bool expired = false;
   bool invalidated = false;
   {
     auto it = winner_by_k_.find(key);
@@ -320,13 +284,7 @@ StatusOr<std::size_t> MipsEngine::StrategyFor(Index k, Index batch_rows) {
       // The stale entry stays in place until the fresh decision below
       // succeeds (InsertDecision replaces it), so a decision failure
       // never leaves the pinned opening decision missing.
-      if (it->second.kernel_epoch != GemmKernelEpoch() ||
-          it->second.generation !=
-              decision_generation_.load(std::memory_order_relaxed)) {
-        invalidated = true;
-      } else {
-        expired = true;
-      }
+      invalidated = true;
     }
   }
   std::vector<MipsSolver*> raw;
@@ -339,9 +297,6 @@ StatusOr<std::size_t> MipsEngine::StrategyFor(Index k, Index batch_rows) {
   MIPS_RETURN_IF_ERROR(
       optimus.DecidePrepared(users_, items_, k, raw, &winner, &report));
   InsertDecision(key, winner);
-  if (expired) {
-    stats_.decision_cache_expirations.fetch_add(1, std::memory_order_relaxed);
-  }
   if (invalidated) {
     stats_.decision_cache_invalidations.fetch_add(1,
                                                   std::memory_order_relaxed);
@@ -403,15 +358,6 @@ Status MipsEngine::TopKNewUsers(const Real* user_vectors, Index num_rows,
   return Status::OK();
 }
 
-int64_t MipsEngine::InvalidateDecisions() {
-  // Shared lock suffices: the generation is an atomic the bump publishes
-  // to every later DecisionExpired check, and the size read only feeds
-  // the retirement count.
-  ReaderMutexLock lock(decision_mu_);
-  decision_generation_.fetch_add(1, std::memory_order_relaxed);
-  return static_cast<int64_t>(winner_by_k_.size());
-}
-
 Status MipsEngine::ForceStrategy(const std::string& name_or_spec) {
   // Solver name first; the exact opening spec disambiguates when two
   // candidates are tuned variants of the same solver.
@@ -463,8 +409,6 @@ MipsEngine::Stats MipsEngine::stats() const {
       stats_.decision_cache_misses.load(std::memory_order_relaxed);
   snapshot.decision_cache_evictions =
       stats_.decision_cache_evictions.load(std::memory_order_relaxed);
-  snapshot.decision_cache_expirations =
-      stats_.decision_cache_expirations.load(std::memory_order_relaxed);
   snapshot.decision_cache_invalidations =
       stats_.decision_cache_invalidations.load(std::memory_order_relaxed);
   snapshot.gemm_kernel = ToString(ActiveGemmKernel());

@@ -50,7 +50,6 @@
 #define MIPS_CORE_ENGINE_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -99,38 +98,21 @@ struct EngineOptions {
   /// the candidate builds, and ThreadPool::Wait from inside a task
   /// deadlocks.
   ThreadPool* shared_pool = nullptr;
-  /// Upper bound on cached per-k decisions (the opening k is pinned and
-  /// counts toward the bound; it is never evicted).  When a new k's
-  /// decision would exceed the bound, the least-recently-used cached k is
-  /// evicted — a later query at that k re-decides.  Bounds the memory an
-  /// adversarial stream of distinct ks can pin.  0 = unbounded.
-  int decision_cache_capacity = 64;
-  /// Time-to-live for cached per-k winners, in seconds (0 = never
-  /// expire).  Eviction only bounds memory; a TTL bounds STALENESS: a
-  /// winner measured under one load profile (or one installed GEMM
-  /// kernel) expires, and the next query at that k re-runs the sampling
-  /// decision — including the pinned opening k.  Expirations are counted
-  /// in Stats::decision_cache_expirations.  Ignored with a single
-  /// candidate: expiring an entry that cannot be re-measured would serve
-  /// nothing.
-  double decision_ttl_seconds = 0;
   /// When true, per-k decisions additionally key on the REALIZED BATCH
   /// SHAPE: a query's row count is bucketed to the next power of two
-  /// (capped at batch_shape_max_bucket) and each (k, bucket) pair gets
-  /// its own sampling decision, measured on a bucket-sized batch
+  /// (capped at 128: larger batches share the cap bucket's decision,
+  /// since amortization has saturated by then) and each (k, bucket) pair
+  /// gets its own sampling decision, measured on a bucket-sized batch
   /// (OptimusOptions::fixed_sample_users).  This is the paper's central
   /// trade-off surfacing at serve time: a 64-row coalesced batch
   /// amortizes the GEMM's item-panel sweep and may pick BMM where each
   /// singleton picked an index probe.  Off by default — the population-
   /// scale per-k decision (bucket 0) then serves every shape, preserving
-  /// the pre-existing behavior.  Decisions share the LRU/TTL cache
-  /// machinery either way.  BatchingEngine (serve/batching_engine.h)
-  /// turns this on for its backend.
+  /// the pre-existing behavior.  Shape-keyed decisions share the one LRU
+  /// cache (kDecisionCacheCapacity) with the per-k ones.
+  /// BatchingEngine (serve/batching_engine.h) turns this on for its
+  /// backend.
   bool batch_shape_decisions = false;
-  /// Largest shape bucket when batch_shape_decisions is set; batches
-  /// beyond it share the cap bucket's decision (amortization has
-  /// saturated by then).
-  Index batch_shape_max_bucket = 128;
   /// Expected batch row counts to PRE-decide at Open(), so the first
   /// request at each shape finds a cached winner instead of paying the
   /// sampling decision inline.  Each entry is bucketed exactly like a
@@ -140,14 +122,6 @@ struct EngineOptions {
   /// otherwise every shape already shares the opening decision and the
   /// list warms nothing.
   std::vector<Index> warm_batch_shapes;
-  /// Which GEMM micro-kernel the engine's BMM/index GEMMs dispatch to
-  /// (linalg/simd_dispatch.h).  "auto" keeps the process-wide choice
-  /// (MIPS_GEMM_KERNEL env override, else the startup micro-probe);
-  /// "avx512" / "avx2" / "portable" force-install that kernel
-  /// process-wide before the opening decision (Open fails if it is not
-  /// supported on this machine).  The installed kernel is recorded in
-  /// stats() and in the OPTIMUS decision report.
-  std::string gemm_kernel = "auto";
 };
 
 /// A long-lived exact-MIPS serving engine over one (users, items) model.
@@ -155,6 +129,13 @@ struct EngineOptions {
 /// thread-safety contract.
 class MipsEngine {
  public:
+  /// Upper bound on cached per-(k, shape) decisions, the pinned opening
+  /// decision included (it is never evicted).  When a new key's decision
+  /// would exceed it, the least-recently-used key is evicted and a later
+  /// query there re-decides, so an adversarial stream of distinct ks
+  /// pins bounded memory.
+  static constexpr std::size_t kDecisionCacheCapacity = 64;
+
   /// Builds the candidates from their specs, prepares them (in parallel
   /// on the engine pool when threads > 0), and runs the opening OPTIMUS
   /// decision.  Spec errors (unknown solver, unknown or ill-typed
@@ -204,20 +185,6 @@ class MipsEngine {
   Status TopKNewUsers(const Real* user_vectors, Index num_rows, Index k,
                       TopKResult* out, Index extra = 0);
 
-  /// Logically drops every cached per-(k, shape) decision by bumping the
-  /// engine's decision generation — the same lazily-checked idiom as the
-  /// GEMM kernel install epoch: entries created under an older
-  /// generation report expired at their next lookup and the query
-  /// re-runs the sampling decision (counted as a cache invalidation).
-  /// For an embedding catalog layer this is the "statistics changed"
-  /// hook: after an item-set swap, winners measured on the old catalog
-  /// no longer describe reality.  Returns the number of decisions cached
-  /// at the bump (how many were retired).  With a single candidate the
-  /// bump is a no-op on serving — the opening winner keeps serving, and
-  /// exactness is unaffected either way.  Safe to call concurrently with
-  /// queries.
-  int64_t InvalidateDecisions() EXCLUDES(decision_mu_);
-
   /// Overrides the optimizer: every subsequent query uses the candidate
   /// whose solver name — or, for tuned variants of the same solver,
   /// whose exact opening spec — matches `name_or_spec`.  NotFound if no
@@ -253,23 +220,20 @@ class MipsEngine {
     int64_t redecisions = 0;
     double serve_seconds = 0;
     double redecision_seconds = 0;
-    /// Decision-cache accounting: a hit is a query whose k already has a
-    /// cached winner; a miss triggers either a re-decision or, with a
-    /// single candidate, the opening-winner fallback.  Evictions
-    /// count cached ks dropped to keep the cache within
-    /// decision_cache_capacity; size is the current entry count.
+    /// Decision-cache accounting: a hit is a query whose (k, shape)
+    /// already has a current cached winner; a miss triggers either a
+    /// re-decision or, with a single candidate, the opening-winner
+    /// fallback.  A cached winner is retired in exactly two ways: LRU
+    /// eviction (keys dropped to keep the cache within
+    /// kDecisionCacheCapacity) and invalidation (below).  Size is the
+    /// current entry count.
     int64_t decision_cache_hits = 0;
     int64_t decision_cache_misses = 0;
     int64_t decision_cache_evictions = 0;
-    /// Cached winners dropped because they outlived decision_ttl_seconds
-    /// (each one also counts as a miss for the query that found it
-    /// stale).
-    int64_t decision_cache_expirations = 0;
-    /// Cached winners dropped because the GEMM kernel was re-installed
+    /// Cached winners re-decided because the GEMM kernel was re-installed
     /// after they were measured (ForceGemmKernel mid-flight): the
-    /// throughput regime they were decided under no longer exists, so
-    /// the next query re-decides immediately instead of waiting out the
-    /// TTL.  Each one also counts as a miss.
+    /// throughput regime they were decided under no longer exists.  Each
+    /// one also counts as a miss.
     int64_t decision_cache_invalidations = 0;
     int64_t decision_cache_size = 0;
     /// The GEMM micro-kernel installed at snapshot time ("portable",
@@ -295,18 +259,21 @@ class MipsEngine {
   /// Shape bucket for a batch of `rows` (0 when shape-keying is off).
   Index ShapeBucket(Index rows) const;
 
+  /// Largest shape bucket when batch_shape_decisions is set.
+  static constexpr Index kMaxShapeBucket = 128;
+
   /// Index into solvers_ of the strategy serving a k/batch-shape pair
   /// (decides and caches on a miss).  Lock-free-ish hot path: shared
   /// lock on a cache hit, exclusive lock (serializing the decision) on a
-  /// miss, a TTL-expired winner, or a kernel-epoch-invalidated winner.
+  /// miss or a winner measured under a since-replaced GEMM kernel.
   StatusOr<std::size_t> StrategyFor(Index k, Index batch_rows)
       EXCLUDES(decision_mu_);
 
   struct CachedDecision;
-  /// Whether `entry` outlived decision_ttl_seconds or was measured under
-  /// a GEMM kernel that has since been re-installed (always false with a
-  /// single candidate).  `entry` points into winner_by_k_, so
-  /// the caller must hold decision_mu_ at least shared.
+  /// Whether `entry` was measured under a GEMM kernel that has since been
+  /// re-installed (always false with a single candidate) — the one
+  /// staleness rule.  `entry` points into winner_by_k_, so the caller
+  /// must hold decision_mu_ at least shared.
   bool DecisionExpired(const CachedDecision& entry) const
       REQUIRES_SHARED(decision_mu_);
 
@@ -327,22 +294,16 @@ class MipsEngine {
 
   /// One cached per-(k, shape) decision.  `last_used` is a recency stamp
   /// from decision_clock_, bumped with a relaxed store on every
-  /// (shared-locked) hit; eviction drops the smallest stamp.  `created`
-  /// is the TTL anchor and `kernel_epoch` the GEMM-kernel install count
-  /// the decision was measured under: both written once at insertion
-  /// (under the exclusive lock, so they are safely published to
-  /// shared-lock readers).  Stored in a node-based map so the atomic
-  /// member never needs to move.
+  /// (shared-locked) hit; eviction drops the smallest stamp.
+  /// `kernel_epoch` is the GEMM-kernel install count the decision was
+  /// measured under, written once at insertion (under the exclusive
+  /// lock, so it is safely published to shared-lock readers).  Stored in
+  /// a node-based map so the atomic member never needs to move.
   struct CachedDecision {
-    CachedDecision(std::size_t w, std::chrono::steady_clock::time_point t,
-                   uint64_t epoch, uint64_t gen)
-        : winner(w), created(t), kernel_epoch(epoch), generation(gen) {}
+    CachedDecision(std::size_t w, uint64_t epoch)
+        : winner(w), kernel_epoch(epoch) {}
     std::size_t winner;
-    std::chrono::steady_clock::time_point created;
     uint64_t kernel_epoch;
-    /// decision_generation_ at insertion; a mismatch at lookup means
-    /// InvalidateDecisions ran since and the entry is stale.
-    uint64_t generation;
     mutable std::atomic<uint64_t> last_used{0};
   };
 
@@ -353,8 +314,6 @@ class MipsEngine {
   std::map<DecisionKey, CachedDecision> winner_by_k_
       GUARDED_BY(decision_mu_);
   std::atomic<uint64_t> decision_clock_{0};
-  /// Bumped by InvalidateDecisions; stamped into every cached decision.
-  std::atomic<uint64_t> decision_generation_{0};
 
   /// Caches `winner` for `key`, evicting the least-recently-used
   /// non-pinned entries while the cache exceeds capacity.
@@ -374,7 +333,6 @@ class MipsEngine {
     std::atomic<int64_t> decision_cache_hits{0};
     std::atomic<int64_t> decision_cache_misses{0};
     std::atomic<int64_t> decision_cache_evictions{0};
-    std::atomic<int64_t> decision_cache_expirations{0};
     std::atomic<int64_t> decision_cache_invalidations{0};
   };
   AtomicStats stats_;

@@ -348,57 +348,43 @@ Status MaximusSolver::QueryDynamicUser(const Real* user, Index k,
   return Status::OK();
 }
 
-void AddMaximusSchemaParams(SolverSchema* schema) {
-  schema
-      ->Int("clusters", MaximusOptions{}.num_clusters,
-            "number of k-means user clusters |C|")
-      .Int("iterations", MaximusOptions{}.kmeans_iterations,
-           "k-means refinement iterations")
-      .Int("block_size", MaximusOptions{}.block_size,
-           "items covered by the shared per-cluster GEMM "
-           "(-1 = auto, 0 = no blocking)")
-      .Bool("spherical", MaximusOptions{}.spherical_clustering,
-            "use spherical k-means for the user clustering")
-      .Int("seed", static_cast<int64_t>(MaximusOptions{}.seed),
-           "clustering RNG seed");
-}
-
-Status ParseMaximusOptions(const ParamMap& params, MaximusOptions* options) {
-  auto clusters = params.GetIndexChecked("clusters");
-  MIPS_RETURN_IF_ERROR(clusters.status());
-  auto iterations = params.GetIndexChecked("iterations");
-  MIPS_RETURN_IF_ERROR(iterations.status());
-  auto block_size = params.GetIndexChecked("block_size");
-  MIPS_RETURN_IF_ERROR(block_size.status());
-  if (*clusters <= 0) {
-    return Status::InvalidArgument("clusters must be positive");
-  }
-  if (*iterations < 0) {
-    return Status::InvalidArgument("iterations must be >= 0");
-  }
-  if (*block_size < -1) {
-    return Status::InvalidArgument("block_size must be >= -1");
-  }
-  options->num_clusters = *clusters;
-  options->kmeans_iterations = static_cast<int>(*iterations);
-  options->block_size = *block_size;
-  options->spherical_clustering = params.GetBool("spherical");
-  options->seed = static_cast<uint64_t>(params.GetInt("seed"));
-  return Status::OK();
-}
-
 namespace {
 
 const SolverRegistrar kMaximusRegistrar(
-    [] {
-      SolverSchema schema("maximus",
-                          "MAXIMUS clustered exact MIPS index (Section III)");
-      AddMaximusSchemaParams(&schema);
-      return schema;
-    }(),
+    SolverSchema("maximus", "MAXIMUS clustered exact MIPS index (Section III)")
+        .Int("clusters", MaximusOptions{}.num_clusters,
+             "number of k-means user clusters |C|")
+        .Int("iterations", MaximusOptions{}.kmeans_iterations,
+             "k-means refinement iterations")
+        .Int("block_size", MaximusOptions{}.block_size,
+             "items covered by the shared per-cluster GEMM "
+             "(-1 = auto, 0 = no blocking)")
+        .Bool("spherical", MaximusOptions{}.spherical_clustering,
+              "use spherical k-means for the user clustering")
+        .Int("seed", static_cast<int64_t>(MaximusOptions{}.seed),
+             "clustering RNG seed"),
     [](const ParamMap& params) -> StatusOr<std::unique_ptr<MipsSolver>> {
+      auto clusters = params.GetIndexChecked("clusters");
+      MIPS_RETURN_IF_ERROR(clusters.status());
+      auto iterations = params.GetIndexChecked("iterations");
+      MIPS_RETURN_IF_ERROR(iterations.status());
+      auto block_size = params.GetIndexChecked("block_size");
+      MIPS_RETURN_IF_ERROR(block_size.status());
+      if (*clusters <= 0) {
+        return Status::InvalidArgument("clusters must be positive");
+      }
+      if (*iterations < 0) {
+        return Status::InvalidArgument("iterations must be >= 0");
+      }
+      if (*block_size < -1) {
+        return Status::InvalidArgument("block_size must be >= -1");
+      }
       MaximusOptions options;
-      MIPS_RETURN_IF_ERROR(ParseMaximusOptions(params, &options));
+      options.num_clusters = *clusters;
+      options.kmeans_iterations = static_cast<int>(*iterations);
+      options.block_size = *block_size;
+      options.spherical_clustering = params.GetBool("spherical");
+      options.seed = static_cast<uint64_t>(params.GetInt("seed"));
       return std::unique_ptr<MipsSolver>(new MaximusSolver(options));
     });
 

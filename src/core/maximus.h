@@ -45,17 +45,6 @@ struct MaximusOptions {
   uint64_t seed = 42;
 };
 
-class SolverSchema;
-class ParamMap;
-
-/// Declares the MAXIMUS schema parameters (clusters, iterations,
-/// block_size, spherical, seed) on `schema` — shared by the maximus and
-/// dynamic-maximus registrars so their accepted specs cannot drift.
-void AddMaximusSchemaParams(SolverSchema* schema);
-
-/// Parses and range-checks the shared parameters into `options`.
-Status ParseMaximusOptions(const ParamMap& params, MaximusOptions* options);
-
 /// The MAXIMUS exact MIPS index.
 class MaximusSolver : public MipsSolver {
  public:

@@ -18,8 +18,9 @@
 //      packed-panel workload (a few ms, once per process) and installs
 //      the fastest.
 //
-// ForceGemmKernel() (EngineOptions::gemm_kernel goes through it)
-// overrides both.  The installed kernel is process-global and published
+// ForceGemmKernel() overrides both; it is the only in-process override,
+// and a caller that wants a kernel for an engine calls it before
+// MipsEngine::Open.  The installed kernel is process-global and published
 // through an atomic function pointer, so installation may happen
 // concurrently with running GEMMs; because every variant computes each C
 // element with the identical IEEE operation sequence (gemm_kernel.h),
@@ -49,9 +50,8 @@ inline constexpr int kNumGemmKernels = 3;
 /// "portable", "avx2", "avx512".
 const char* ToString(GemmKernel kernel);
 
-/// Parses a kernel name as accepted by MIPS_GEMM_KERNEL and
-/// EngineOptions::gemm_kernel ("auto" is handled by the callers, not
-/// here).  InvalidArgument on unknown names.
+/// Parses a kernel name as accepted by MIPS_GEMM_KERNEL ("auto" is
+/// handled by the caller, not here).  InvalidArgument on unknown names.
 StatusOr<GemmKernel> ParseGemmKernel(std::string_view name);
 
 /// Whether `kernel` can run here: its real body was compiled in AND the
@@ -105,8 +105,8 @@ GemmKernelProbe ActiveGemmKernelProbe();
 /// first install.  Consumers that cache wall-clock measurements (the
 /// engine's per-k decision cache) snapshot this at measurement time and
 /// treat a later mismatch as "measured under a different throughput
-/// regime": a mid-flight ForceGemmKernel then proactively invalidates
-/// those decisions instead of waiting out their TTL.
+/// regime": a mid-flight ForceGemmKernel then invalidates those
+/// decisions, and the next query re-measures.
 uint64_t GemmKernelEpoch();
 
 /// Testing hook: uninstalls the active kernel so the next use re-runs the

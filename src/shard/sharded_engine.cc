@@ -191,14 +191,6 @@ void ShardedMipsEngine::ClearForcedStrategy() {
   }
 }
 
-int64_t ShardedMipsEngine::InvalidateDecisions() {
-  int64_t retired = 0;
-  for (const int s : active_shards_) {
-    retired += engines_[static_cast<std::size_t>(s)]->InvalidateDecisions();
-  }
-  return retired;
-}
-
 std::string ShardedMipsEngine::shard_strategy(int s) const {
   const MipsEngine* engine = shard_engine(s);
   return engine == nullptr ? std::string() : engine->strategy();
@@ -226,10 +218,9 @@ ShardedMipsEngine::Stats ShardedMipsEngine::stats() const {
     snapshot.decision_cache_hits += shard.stats.decision_cache_hits;
     snapshot.decision_cache_misses += shard.stats.decision_cache_misses;
     snapshot.decision_cache_evictions += shard.stats.decision_cache_evictions;
-    snapshot.decision_cache_expirations +=
-        shard.stats.decision_cache_expirations;
     snapshot.decision_cache_invalidations +=
         shard.stats.decision_cache_invalidations;
+    snapshot.decision_cache_size += shard.stats.decision_cache_size;
     snapshot.gemm_kernel = shard.stats.gemm_kernel;  // process-global
   }
   return snapshot;

@@ -77,7 +77,7 @@ struct ShardedEngineOptions {
   /// count at Open); ignored by the other strategies.
   Index growth_block = 0;
   /// Per-shard engine configuration (decision k, candidate specs,
-  /// optimus knobs, redecide/cache policy).  `threads` and `shared_pool`
+  /// optimus knobs, shape-keyed decisions).  `threads` and `shared_pool`
   /// are overridden: every shard runs on the sharded engine's own pool.
   EngineOptions engine;
   /// Worker threads in the pool shared by all shard engines
@@ -138,11 +138,6 @@ class ShardedMipsEngine {
   /// Returns every shard to decision-driven selection.
   void ClearForcedStrategy();
 
-  /// MipsEngine::InvalidateDecisions over every non-empty shard (the
-  /// catalog layer's swap-time retirement hook); returns the total
-  /// number of cached decisions retired.
-  int64_t InvalidateDecisions();
-
   int num_shards() const { return partition_.num_shards(); }
   const ItemPartition& partition() const { return partition_; }
   /// The engine serving shard s, or null for an empty shard.
@@ -180,8 +175,10 @@ class ShardedMipsEngine {
     int64_t decision_cache_hits = 0;
     int64_t decision_cache_misses = 0;
     int64_t decision_cache_evictions = 0;
-    int64_t decision_cache_expirations = 0;
     int64_t decision_cache_invalidations = 0;
+    /// Cached decisions across shards right now (LiveCatalog counts a
+    /// retiring epoch's as decisions_retired).
+    int64_t decision_cache_size = 0;
     /// The process-global GEMM micro-kernel every shard's GEMMs dispatch
     /// to ("" when every shard is empty).
     std::string gemm_kernel;

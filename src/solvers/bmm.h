@@ -26,8 +26,8 @@ struct BmmOptions {
   Index batch_rows = 0;
   /// Budget for one batch's score block when batch_rows == 0.  The paper
   /// sizes batches to available memory; empirically a last-level-cache-
-  /// sized block is faster here because the top-K pass re-reads it (see
-  /// EXPERIMENTS.md), so the default targets ~16 MB.
+  /// sized block is faster here because the top-K pass re-reads it, so
+  /// the default targets ~16 MB.
   std::size_t score_block_bytes = 16ull << 20;
 };
 

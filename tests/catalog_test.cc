@@ -494,13 +494,15 @@ TEST(LiveCatalogTest, ThresholdTriggersBackgroundRebuild) {
   catalog.ExpectMatchesColdOpen({4}, RandomMatrix(2, 4, 55, 0.5));
 }
 
-// The TSan target: mutators, queriers, and explicit rebuilds racing.
-// Queries are checked for internal consistency (sorted rows, no
-// duplicate ids, no sentinel followed by a real entry) — bit-exactness
-// against a racing shadow is meaningless mid-race and is covered by the
-// deterministic suites above.  Two candidates, so the queriers' fresh ks
-// re-decide inline on each epoch's engines while a stats() poller reads
-// their strategies.
+// The TSan target: mutators, queriers, explicit rebuilds and segment
+// saves racing.  Queries are checked for internal consistency (sorted
+// rows, no duplicate ids, no sentinel followed by a real entry) —
+// bit-exactness against a racing shadow is meaningless mid-race and is
+// covered by the deterministic suites above.  Two candidates, so the
+// queriers' fresh ks re-decide inline on each epoch's engines while a
+// stats() poller reads their strategies.  The saver folds whatever
+// layers are in play (a sealed one while a rebuild is in flight), and
+// every file it writes must reopen.
 void HammerLiveCatalog(int num_shards) {
   const MFModel model = MakeTestModel(12, 30, 6, 41);
   LiveCatalogOptions options = SmallOptions(kBmmVariants, num_shards);
@@ -515,7 +517,7 @@ void HammerLiveCatalog(int num_shards) {
   constexpr int kOpsPerThread = 60;
   std::atomic<int> queriers_left{kQueriers};
   std::vector<std::thread> threads;
-  threads.reserve(kMutators + kQueriers + 2);
+  threads.reserve(kMutators + kQueriers + 3);
   for (int t = 0; t < kMutators; ++t) {
     threads.emplace_back([&live, &model, t] {
       const Matrix fresh =
@@ -597,7 +599,21 @@ void HammerLiveCatalog(int num_shards) {
       (void)live.stats();
     }
   });
+  const std::string path =
+      TempPath("segment_hammer" + std::to_string(num_shards));
+  threads.emplace_back([&live, &queriers_left, &path] {
+    do {
+      ASSERT_TRUE(live.SaveSegment(path).ok());
+      ASSERT_TRUE(CatalogSegment::Open(path).ok());
+    } while (queriers_left.load() > 0);
+  });
   for (auto& thread : threads) thread.join();
+
+  ASSERT_TRUE(live.SaveSegment(path).ok());
+  auto saved = CatalogSegment::Open(path);
+  ASSERT_TRUE(saved.ok());
+  EXPECT_EQ(saved->rows(), live.num_items());
+  std::remove(path.c_str());
 
   ASSERT_TRUE(live.Rebuild().ok());
   const LiveCatalog::Stats stats = live.stats();
@@ -731,8 +747,10 @@ TEST(CatalogSegmentTest, LiveCatalogSaveReopensBitExact) {
     }
   }
 
-  // SaveSegment with a sealed + active layer in play (mid-lifecycle) is
-  // exercised by saving right after buffering fresh mutations.
+  // SaveSegment with buffered mutations in the active layer is exercised
+  // by saving right after an insert.  No rebuild is in flight here, so
+  // there is no sealed layer; HammerLiveCatalog saves while rebuilds
+  // seal one.
   catalog.Insert(RowVector(model.items, 7));
   ASSERT_TRUE(catalog.live().SaveSegment(path).ok());
   auto again = CatalogSegment::Open(path);

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -246,9 +245,9 @@ TEST(EngineTest, TunedVariantsAreAddressableBySpec) {
 TEST(EngineTest, NewUsersAreExactUnderEveryStrategy) {
   const MFModel model = MakeTestModel(400, 150, 8, 5, 0.5, 0.3);
   const MFModel extra = MakeTestModel(20, 150, 8, 6, 0.5, 1.2);
-  for (const char* forced : {"bmm", "maximus", "dynamic-maximus"}) {
+  for (const char* forced : {"bmm", "maximus"}) {
     EngineOptions options = SmallEngineOptions();
-    options.solvers = {"bmm", "maximus", "dynamic-maximus"};
+    options.solvers = {"bmm", "maximus"};
     auto engine = MipsEngine::Open(ConstRowBlock(model.users),
                                    ConstRowBlock(model.items), options);
     ASSERT_TRUE(engine.ok());
@@ -437,60 +436,12 @@ TEST(EngineOpenTest, ValidatesWarmBatchShapes) {
                    .ok());
 }
 
-TEST(EngineTest, DecisionTtlExpiresCachedWinners) {
-  // Every cached winner (the pinned opening k included) goes stale
-  // between the sleep-separated queries, so the query after the sleep
-  // re-runs the sampling decision and counts an expiration.  Sleeping
-  // strictly longer than the TTL guarantees staleness; the TTL itself is
-  // generous (250 ms) so the pre-sleep queries — including Open's own
-  // decision and the first TopK — comfortably fit inside it even on a
-  // loaded machine (the only soft timing assumption this test makes).
-  const MFModel model = MakeTestModel(120, 60, 6, 29);
-  EngineOptions options = SmallEngineOptions(5);
-  options.solvers = {"bmm", "naive"};
-  options.decision_ttl_seconds = 0.25;
-  auto engine = MipsEngine::Open(ConstRowBlock(model.users),
-                                 ConstRowBlock(model.items), options);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-
-  TopKResult out;
-  const std::vector<Index> batch = {0, 1};
-  // Well inside the TTL the opening decision serves as a plain hit.
-  ASSERT_TRUE((*engine)->TopK(5, batch, &out).ok());
-  MipsEngine::Stats stats = (*engine)->stats();
-  EXPECT_EQ(stats.decision_cache_expirations, 0);
-  EXPECT_EQ(stats.redecisions, 0);
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  ASSERT_TRUE((*engine)->TopK(5, batch, &out).ok());
-  stats = (*engine)->stats();
-  EXPECT_EQ(stats.decision_cache_expirations, 1);
-  EXPECT_EQ(stats.redecisions, 1);
-  EXPECT_EQ(stats.decision_cache_size, 1);  // refreshed in place
-
-  // The refreshed winner is fresh again: an immediate re-query hits.
-  const int64_t hits_before = stats.decision_cache_hits;
-  ASSERT_TRUE((*engine)->TopK(5, batch, &out).ok());
-  stats = (*engine)->stats();
-  EXPECT_EQ(stats.decision_cache_expirations, 1);
-  EXPECT_EQ(stats.decision_cache_hits, hits_before + 1);
-
-  // Results stay exact across expirations.
-  BmmSolver reference;
-  ASSERT_TRUE(reference.Prepare(ConstRowBlock(model.users),
-                                ConstRowBlock(model.items)).ok());
-  TopKResult expected;
-  ASSERT_TRUE(reference.TopKForUsers(5, batch, &expected).ok());
-  ExpectSameTopKScores(out, expected, 1e-9);
-}
-
 TEST(EngineTest, KernelReinstallInvalidatesCachedDecisions) {
   // A mid-flight ForceGemmKernel re-install — even of the kernel that is
   // already active — means every cached winner was measured under a
   // throughput regime that no longer provably exists.  The engine must
-  // drop them proactively (counted as invalidations, not TTL
-  // expirations) and re-decide on the next query instead of serving a
-  // possibly-wrong winner until a TTL runs out.
+  // drop them (counted as invalidations) and re-decide on the next query
+  // instead of serving a possibly-wrong winner.
   const MFModel model = MakeTestModel(120, 60, 6, 41);
   EngineOptions options = SmallEngineOptions(5);
   options.solvers = {"bmm", "naive"};
@@ -509,7 +460,6 @@ TEST(EngineTest, KernelReinstallInvalidatesCachedDecisions) {
   ASSERT_TRUE((*engine)->TopK(5, batch, &out).ok());
   stats = (*engine)->stats();
   EXPECT_EQ(stats.decision_cache_invalidations, 1);
-  EXPECT_EQ(stats.decision_cache_expirations, 0);
   EXPECT_EQ(stats.redecisions, 1);
 
   // The refreshed winner carries the new epoch: an immediate re-query
@@ -530,95 +480,15 @@ TEST(EngineTest, KernelReinstallInvalidatesCachedDecisions) {
   ResetGemmKernelForTest();
 }
 
-TEST(EngineTest, InvalidateDecisionsRetiresCachedWinners) {
-  // The catalog-swap hook (catalog/live_catalog.h): an explicit
-  // InvalidateDecisions() bumps the decision generation, so every cached
-  // winner — measured against catalog statistics that no longer serve —
-  // lazily expires on its next lookup exactly like a kernel re-install.
-  const MFModel model = MakeTestModel(120, 60, 6, 43);
-  EngineOptions options = SmallEngineOptions(5);
-  options.solvers = {"bmm", "naive"};
-  auto engine = MipsEngine::Open(ConstRowBlock(model.users),
-                                 ConstRowBlock(model.items), options);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-
-  TopKResult out;
-  const std::vector<Index> batch = {0, 1};
-  ASSERT_TRUE((*engine)->TopK(5, batch, &out).ok());
-  ASSERT_TRUE((*engine)->TopK(7, batch, &out).ok());  // re-decision #1
-  EXPECT_EQ((*engine)->stats().decision_cache_size, 2);
-  EXPECT_EQ((*engine)->stats().redecisions, 1);
-
-  // Returns the number of entries it marked stale (both cached ks).
-  EXPECT_EQ((*engine)->InvalidateDecisions(), 2);
-  MipsEngine::Stats stats = (*engine)->stats();
-  EXPECT_EQ(stats.decision_cache_invalidations, 0);  // lazy: none looked up
-
-  // The next query at each k finds its winner stale, re-decides, and
-  // caches a fresh one under the new generation.
-  ASSERT_TRUE((*engine)->TopK(5, batch, &out).ok());
-  stats = (*engine)->stats();
-  EXPECT_EQ(stats.decision_cache_invalidations, 1);
-  EXPECT_EQ(stats.redecisions, 2);
-  const int64_t hits_before = stats.decision_cache_hits;
-  ASSERT_TRUE((*engine)->TopK(5, batch, &out).ok());
-  stats = (*engine)->stats();
-  EXPECT_EQ(stats.decision_cache_invalidations, 1);
-  EXPECT_EQ(stats.decision_cache_hits, hits_before + 1);
-
-  // Results stay exact across the invalidation.
-  BmmSolver reference;
-  ASSERT_TRUE(reference.Prepare(ConstRowBlock(model.users),
-                                ConstRowBlock(model.items)).ok());
-  TopKResult expected;
-  ASSERT_TRUE(reference.TopKForUsers(5, batch, &expected).ok());
-  ExpectSameTopKScores(out, expected, 1e-9);
-}
-
-TEST(EngineTest, DecisionTtlIgnoredWhenRedecideImpossible) {
-  // With a single candidate there is nothing to refresh a stale winner
-  // with, so the TTL must be inert: no expirations, no redecisions, the
-  // opening winner serves forever.
-  const MFModel model = MakeTestModel(100, 50, 6, 31);
-  EngineOptions options = SmallEngineOptions(5);
-  options.decision_ttl_seconds = 0.005;
-  options.solvers = {"bmm"};
-  auto engine = MipsEngine::Open(ConstRowBlock(model.users),
-                                 ConstRowBlock(model.items), options);
-  ASSERT_TRUE(engine.ok());
-  TopKResult out;
-  const std::vector<Index> batch = {0, 1};
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  ASSERT_TRUE((*engine)->TopK(5, batch, &out).ok());
-  const MipsEngine::Stats stats = (*engine)->stats();
-  EXPECT_EQ(stats.decision_cache_expirations, 0);
-  EXPECT_EQ(stats.redecisions, 0);
-}
-
-TEST(EngineOpenTest, ValidatesTtlAndKernelOptions) {
-  const MFModel model = MakeTestModel(60, 40, 6, 33);
-  const ConstRowBlock users(model.users);
-  const ConstRowBlock items(model.items);
-
-  EngineOptions bad_ttl = SmallEngineOptions();
-  bad_ttl.decision_ttl_seconds = -1;
-  EXPECT_FALSE(MipsEngine::Open(users, items, bad_ttl).ok());
-
-  EngineOptions bad_kernel = SmallEngineOptions();
-  bad_kernel.gemm_kernel = "avx1024";
-  EXPECT_FALSE(MipsEngine::Open(users, items, bad_kernel).ok());
-}
-
 TEST(EngineTest, GemmKernelSurfacedInStatsAndReport) {
   const MFModel model = MakeTestModel(100, 50, 6, 35);
   const ConstRowBlock users(model.users);
   const ConstRowBlock items(model.items);
 
-  // Forced via EngineOptions: installed process-wide, recorded in both
-  // the stats snapshot and the opening decision report.
-  EngineOptions options = SmallEngineOptions();
-  options.gemm_kernel = "portable";
-  auto engine = MipsEngine::Open(users, items, options);
+  // Forced before Open: installed process-wide, recorded in both the
+  // stats snapshot and the opening decision report.
+  ASSERT_TRUE(ForceGemmKernel(GemmKernel::kPortable).ok());
+  auto engine = MipsEngine::Open(users, items, SmallEngineOptions());
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_EQ((*engine)->stats().gemm_kernel, "portable");
   EXPECT_EQ((*engine)->decision_report().gemm_kernel, "portable");
@@ -627,12 +497,11 @@ TEST(EngineTest, GemmKernelSurfacedInStatsAndReport) {
   // Single-candidate engines skip the decision but still attribute it.
   EngineOptions single = SmallEngineOptions();
   single.solvers = {"bmm"};
-  single.gemm_kernel = "portable";
   auto single_engine = MipsEngine::Open(users, items, single);
   ASSERT_TRUE(single_engine.ok());
   EXPECT_EQ((*single_engine)->decision_report().gemm_kernel, "portable");
 
-  // "auto" records whatever the process-wide dispatch resolved to.
+  // Unforced, it records whatever the process-wide dispatch resolved to.
   ResetGemmKernelForTest();
   auto auto_engine = MipsEngine::Open(users, items, SmallEngineOptions());
   ASSERT_TRUE(auto_engine.ok());
@@ -643,40 +512,44 @@ TEST(EngineTest, GemmKernelSurfacedInStatsAndReport) {
 
 TEST(EngineTest, DecisionCacheEvictsLeastRecentlyUsedK) {
   // Flood the engine with distinct ks: the per-k winner cache must stay
-  // within decision_cache_capacity, evicting LRU entries (never the
+  // within kDecisionCacheCapacity, evicting LRU entries (never the
   // pinned opening k), and an evicted k must re-decide when it returns.
-  const MFModel model = MakeTestModel(100, 50, 6, 27);
+  const MFModel model = MakeTestModel(100, 100, 6, 27);
   EngineOptions options = SmallEngineOptions(5);
   options.solvers = {"bmm", "naive"};
-  options.decision_cache_capacity = 4;
   auto engine = MipsEngine::Open(ConstRowBlock(model.users),
                                  ConstRowBlock(model.items), options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
+  constexpr int64_t kCapacity =
+      static_cast<int64_t>(MipsEngine::kDecisionCacheCapacity);
+  constexpr int64_t kInserted = kCapacity + 8;
   TopKResult out;
   const std::vector<Index> batch = {0, 1, 2};
-  for (Index k = 1; k <= 12; ++k) {
-    if (k == 5) continue;  // the opening k is already cached
-    ASSERT_TRUE((*engine)->TopK(k, batch, &out).ok());
+  Index last_k = 0;
+  for (int64_t inserted = 0; inserted < kInserted;) {
+    if (++last_k == 5) continue;  // the opening k is already cached
+    ASSERT_TRUE((*engine)->TopK(last_k, batch, &out).ok());
+    ++inserted;
   }
   MipsEngine::Stats stats = (*engine)->stats();
-  EXPECT_EQ(stats.decision_cache_misses, 11);
-  EXPECT_EQ(stats.redecisions, 11);
-  EXPECT_LE(stats.decision_cache_size, 4);
-  // 1 pinned + 11 inserted - 4 kept = 8 dropped.
-  EXPECT_EQ(stats.decision_cache_evictions, 8);
+  EXPECT_EQ(stats.decision_cache_misses, kInserted);
+  EXPECT_EQ(stats.redecisions, kInserted);
+  EXPECT_EQ(stats.decision_cache_size, kCapacity);
+  // 1 pinned + kInserted inserted - kCapacity kept.
+  EXPECT_EQ(stats.decision_cache_evictions, 1 + kInserted - kCapacity);
 
   // The pinned opening k never re-decides, no matter how much was
   // evicted around it.
   ASSERT_TRUE((*engine)->TopK(5, batch, &out).ok());
-  EXPECT_EQ((*engine)->stats().redecisions, 11);
+  EXPECT_EQ((*engine)->stats().redecisions, kInserted);
 
   // An evicted k (k=1 is long gone) pays a fresh re-decision; a resident
-  // one (k=12, just used) does not.
-  ASSERT_TRUE((*engine)->TopK(12, batch, &out).ok());
-  EXPECT_EQ((*engine)->stats().redecisions, 11);
+  // one (the last k, just used) does not.
+  ASSERT_TRUE((*engine)->TopK(last_k, batch, &out).ok());
+  EXPECT_EQ((*engine)->stats().redecisions, kInserted);
   ASSERT_TRUE((*engine)->TopK(1, batch, &out).ok());
-  EXPECT_EQ((*engine)->stats().redecisions, 12);
+  EXPECT_EQ((*engine)->stats().redecisions, kInserted + 1);
 
   // Every answer stayed exact throughout the churn.
   BmmSolver reference;

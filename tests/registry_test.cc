@@ -6,13 +6,10 @@
 
 #include <algorithm>
 
-#include "core/dynamic_maximus.h"
 #include "core/maximus.h"
-#include "linalg/blas.h"
 #include "solvers/registry.h"
 #include "solvers/spec.h"
 #include "test_util.h"
-#include "topk/topk_heap.h"
 
 namespace mips {
 namespace {
@@ -80,9 +77,8 @@ TEST(RegistrySchemaTest, RegistersExpectedSolvers) {
   // The canonical solver families must all be present — this also guards
   // against the linker dropping a static registrar.
   const std::vector<std::string> expected = {
-      "bmm",     "dynamic-maximus", "fexipro-si", "fexipro-sir",
-      "hybrid",  "lemp",            "maximus",    "naive",
-      "sindi"};
+      "bmm",  "fexipro-si", "fexipro-sir", "hybrid",
+      "lemp", "maximus",    "naive",       "sindi"};
   EXPECT_EQ(RegisteredSolverNames(), expected);
   EXPECT_EQ(RegisteredSolverNames(), expected);
 }
@@ -208,38 +204,6 @@ TEST(RegistryOptionsTest, OverridesReachTheSolver) {
   ASSERT_NE(maximus, nullptr);
   EXPECT_EQ(maximus->clustering().centroids.rows(), 2);
   EXPECT_EQ(maximus->theta_b().size(), 2u);
-}
-
-TEST(RegistryOptionsTest, DynamicMaximusServesChurn) {
-  // The registered adapter must expose the churn lifecycle and stay
-  // exact for users added after Prepare.
-  const MFModel model = MakeTestModel(80, 50, 8, 5);
-  const MFModel extra = MakeTestModel(4, 50, 8, 6);
-  auto solver =
-      CreateSolverFromSpec("dynamic-maximus:recluster_churn_fraction=0.5");
-  ASSERT_TRUE(solver.ok());
-  ASSERT_TRUE((*solver)
-                  ->Prepare(ConstRowBlock(model.users),
-                            ConstRowBlock(model.items))
-                  .ok());
-  auto* adapter = dynamic_cast<DynamicMaximusSolver*>(solver->get());
-  ASSERT_NE(adapter, nullptr);
-  auto id = adapter->dynamic().AddUser(extra.users.Row(0));
-  ASSERT_TRUE(id.ok());
-  EXPECT_EQ(*id, 80);
-  std::vector<TopKEntry> row(5);
-  ASSERT_TRUE(adapter->dynamic().TopKForUser(*id, 5, row.data()).ok());
-  // Reference by dense scan.
-  TopKHeap heap(5);
-  for (Index i = 0; i < 50; ++i) {
-    heap.Push(i, Dot(extra.users.Row(0), model.items.Row(i), 8));
-  }
-  std::vector<TopKEntry> expected(5);
-  heap.ExtractDescending(expected.data());
-  for (Index e = 0; e < 5; ++e) {
-    EXPECT_NEAR(row[static_cast<std::size_t>(e)].score,
-                expected[static_cast<std::size_t>(e)].score, 1e-9);
-  }
 }
 
 }  // namespace

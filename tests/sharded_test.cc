@@ -116,7 +116,9 @@ TEST(ItemPartitionTest, HashCoversEveryItemOnce) {
     // Hash shards gather rows in increasing global-id order.
     for (Index local = 0; local < shard.num_items(); ++local) {
       const Index global = shard.ToGlobal(local);
-      if (local > 0) EXPECT_LT(shard.ToGlobal(local - 1), global);
+      if (local > 0) {
+        EXPECT_LT(shard.ToGlobal(local - 1), global);
+      }
       EXPECT_TRUE(seen.insert(global).second);
       EXPECT_EQ(partition->ShardOfItem(global), s);
       EXPECT_EQ(HashShardOfItem(global, 3), s);
@@ -463,6 +465,7 @@ TEST(ShardedEngineTest, ExtraWidensGrowthShardsWithoutRedeciding) {
     EXPECT_EQ(shard.stats.decision_cache_size, 1);
   }
   EXPECT_EQ(serving_shards, 4);
+  EXPECT_EQ(stats.decision_cache_size, serving_shards);
 }
 
 TEST(ShardedEngineTest, DegenerateShardsStayExact) {
