@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
+#include <limits>
+#include <memory>
 
 #include "common/dcheck.h"
 #include "common/thread_pool.h"
@@ -26,6 +27,10 @@ constexpr Index kNR = kGemmNR;
 constexpr Index kKC = kGemmKPanel;
 constexpr Index kMC = 128;
 constexpr Index kNC = 2048;
+
+constexpr Index RoundUpToTile(Index extent, Index tile) {
+  return (extent + tile - 1) / tile * tile;
+}
 
 // Packs rows [i0, i0+mb) x cols [p0, p0+kb) of row-major `a` (lda = k)
 // into MR-tall panels: dst[panel][kk][mr].  Rows beyond mb are zero-padded
@@ -133,26 +138,42 @@ void GemmNT(const Real* a, Index m, const Real* b, Index n, Index k,
   // One dispatch load per call (first use runs the env/probe install).
   const GemmMicroKernelFn full_tile = ActiveGemmMicroKernel();
 
-  std::vector<Real> apack(static_cast<std::size_t>(kMC + kMR) * kKC);
-  std::vector<Real> bpack(static_cast<std::size_t>(kNC + kNR) * kKC);
+  // Pack workspace sized to this call: the tallest A block and the widest
+  // B block it packs, rounded up to whole register tiles, at the deepest K
+  // panel.  Left uninitialised: PackA/PackB write every lane the
+  // micro-kernel reads, zero padding included.
+  const Index kc = std::min(k, kKC);
+  const std::size_t apack_size =
+      static_cast<std::size_t>(RoundUpToTile(std::min(m, kMC), kMR)) * kc;
+  const std::size_t bpack_size =
+      static_cast<std::size_t>(RoundUpToTile(std::min(n, kNC), kNR)) * kc;
+  const auto apack = std::make_unique_for_overwrite<Real[]>(apack_size);
+  const auto bpack = std::make_unique_for_overwrite<Real[]>(bpack_size);
+#ifdef MIPS_ENABLE_DCHECKS
+  // A lane the packers missed then reaches C as NaN, not as whatever the
+  // allocator left there.
+  constexpr Real kPoison = std::numeric_limits<Real>::quiet_NaN();
+  std::fill_n(apack.get(), apack_size, kPoison);
+  std::fill_n(bpack.get(), bpack_size, kPoison);
+#endif
 
   for (Index j0 = 0; j0 < n; j0 += kNC) {
     const Index nb = std::min(kNC, n - j0);
     for (Index p0 = 0; p0 < k; p0 += kKC) {
       const Index kb = std::min(kKC, k - p0);
-      PackB(b, k, j0, nb, p0, kb, bpack.data());
+      PackB(b, k, j0, nb, p0, kb, bpack.get());
       for (Index i0 = 0; i0 < m; i0 += kMC) {
         const Index mb = std::min(kMC, m - i0);
-        PackA(a, k, i0, mb, p0, kb, apack.data());
+        PackA(a, k, i0, mb, p0, kb, apack.get());
         // Macro kernel: sweep the packed panels.
         for (Index jp = 0; jp < nb; jp += kNR) {
           const Index nr = std::min(kNR, nb - jp);
           const Real* bp =
-              bpack.data() + static_cast<std::size_t>(jp / kNR) * kb * kNR;
+              bpack.get() + static_cast<std::size_t>(jp / kNR) * kb * kNR;
           for (Index ip = 0; ip < mb; ip += kMR) {
             const Index mr = std::min(kMR, mb - ip);
             const Real* ap =
-                apack.data() + static_cast<std::size_t>(ip / kMR) * kb * kMR;
+                apack.get() + static_cast<std::size_t>(ip / kMR) * kb * kMR;
             Real* ctile = c + static_cast<std::size_t>(i0 + ip) * ldc +
                           (j0 + jp);
             MicroKernel(full_tile, ap, bp, kb, alpha, ctile, ldc, mr, nr);

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <cstdlib>
+#include <new>
 #include <tuple>
 #include <vector>
 
@@ -19,6 +22,44 @@
 #include "linalg/matrix.h"
 #include "linalg/sym_eigen.h"
 #include "test_util.h"
+
+// Replacement global allocation functions that count the bytes requested
+// while g_count_new_bytes is set (GemmTest.SmallCallWorkspaceIsSizedToShape).
+// Every non-aligned form is replaced, all on malloc/free, because the
+// sanitizer runtimes supply each form separately and would otherwise pair a
+// counted allocation with their own deallocation.
+namespace {
+std::atomic<bool> g_count_new_bytes{false};
+std::atomic<std::size_t> g_new_bytes{0};
+
+void* CountedMalloc(std::size_t size) noexcept {
+  if (g_count_new_bytes.load(std::memory_order_relaxed)) {
+    g_new_bytes.fetch_add(size, std::memory_order_relaxed);
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+}  // namespace
+
+void* operator new(std::size_t size) {
+  void* p = CountedMalloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedMalloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedMalloc(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace mips {
 namespace {
@@ -213,12 +254,20 @@ INSTANTIATE_TEST_SUITE_P(
         // Micro-kernel edges (MR=4, NR=16).
         std::make_tuple(4, 16, 8), std::make_tuple(5, 17, 8),
         std::make_tuple(3, 15, 7), std::make_tuple(8, 32, 16),
-        // Cache-block edges (MC=64, KC=256, NC=4096).
+        // Cache-block edges (MC=128, KC=256, NC=2048).
         std::make_tuple(64, 64, 64), std::make_tuple(65, 63, 100),
         std::make_tuple(128, 100, 256), std::make_tuple(70, 130, 257),
         std::make_tuple(200, 300, 31),
         // Latent-factor-like shapes.
         std::make_tuple(100, 500, 50), std::make_tuple(37, 211, 10)));
+
+// Every combination of one below, at and one above each cache-block edge.
+// The pack workspace is sized to the call, so an over-read or over-write
+// of a packed panel at any of these edges lands outside its allocation.
+INSTANTIATE_TEST_SUITE_P(BlockEdges, GemmShapeTest,
+                         ::testing::Combine(::testing::Values(127, 128, 129),
+                                            ::testing::Values(2047, 2048, 2049),
+                                            ::testing::Values(256, 257)));
 
 // The threaded overload promises bit-for-bit identity with the serial
 // kernel (each slab runs the same K-panel/micro-kernel order), so this
@@ -232,7 +281,9 @@ TEST(GemmTest, ThreadedMatchesSerialBitForBit) {
            {500, 7, 33},    // tall M: row-slab partition
            {129, 131, 70},  // both dims straddle tile edges
            {256, 512, 96},  // tile-aligned
-           {2, 4096, 8}}) { // more column tiles than workers
+           {2, 4096, 8},    // more column tiles than workers
+           // Tall: every row slab straddles the NC edge.
+           {2050, 2049, 8}}) {
     const Matrix a = RandomMatrix(m, k, 1000 + m);
     const Matrix b = RandomMatrix(n, k, 2000 + n);
     Matrix c_serial(m, n);
@@ -307,6 +358,22 @@ TEST(GemmTest, LeadingDimensionLargerThanN) {
       EXPECT_DOUBLE_EQ(c(r, col), 7.0);  // padding untouched
     }
   }
+}
+
+// A one-user query against a small shard must not pay for a pack
+// workspace sized to the largest possible call: 1 x 16 x 50 packs one A
+// tile and one B tile, 8,000 bytes in all.  Counts bytes, not time.
+TEST(GemmTest, SmallCallWorkspaceIsSizedToShape) {
+  const Matrix a = RandomMatrix(1, 50, 121);
+  const Matrix b = RandomMatrix(16, 50, 122);
+  Matrix c(1, 16);
+  // The first call installs the micro-kernel; its probe allocates.
+  GemmNT(a.data(), 1, b.data(), 16, 50, 1.0, 0.0, c.data(), 16);
+  g_new_bytes.store(0);
+  g_count_new_bytes.store(true);
+  GemmNT(a.data(), 1, b.data(), 16, 50, 1.0, 0.0, c.data(), 16);
+  g_count_new_bytes.store(false);
+  EXPECT_LT(g_new_bytes.load(), std::size_t{64} << 10);
 }
 
 TEST(GemmTest, MatrixOverloadResizesOutput) {
