@@ -2,13 +2,15 @@
 // in Section II-B: blocked GEMM vs repeated-sdot vs the naive triple loop
 // ("substantial empirical speedups over naive inner products (40x) or
 // even matrix-vector multiply (20x)"), plus the top-K heap pass, the
-// k-means assignment GEMM, and the level-1 dot kernels.
+// k-means assignment GEMM, the level-1 dot kernels, and the top-k
+// selection scan per kernel variant.
 //
 // The binary first prints the runtime SIMD dispatch report — per-variant
 // packed-panel GFLOP/s from KernelProbe and the kernel it installs — and
-// registers one BM_GemmBlocked run per *supported* kernel variant, so a
-// machine with pathological AVX-512 (the ~4x-slower emulated case that
-// motivated runtime dispatch) is visible directly in the output.
+// registers one BM_GemmBlocked and one BM_SelectIntoHeap run per
+// *supported* kernel variant, so a machine with pathological AVX-512 (the
+// ~4x-slower emulated case that motivated runtime dispatch) is visible
+// directly in the output.
 
 #include <benchmark/benchmark.h>
 
@@ -163,6 +165,24 @@ void BM_GemmBlockedKernel(benchmark::State& state, GemmKernel kernel) {
   ReportGemmRates(state, m, n, k);
 }
 
+// Top-k selection per kernel variant (registered in main like the GEMM
+// above): one 3,554-wide score row, batch-flat's catalog width, folded
+// into a k = 10 heap by SelectIntoHeap.  Reported as time per score.
+void BM_SelectIntoHeapKernel(benchmark::State& state, GemmKernel kernel) {
+  ForceGemmKernel(kernel).CheckOK();
+  const Index n = 3554;
+  const Matrix scores = RandomMatrix(1, n, 8);
+  TopKHeap heap(10);
+  for (auto _ : state) {
+    SelectIntoHeap(scores.Row(0), n, /*bounds=*/nullptr, 0, nullptr, &heap);
+    benchmark::DoNotOptimize(heap.MinScore());
+    heap.Clear();
+  }
+  state.counters["time/score"] = benchmark::Counter(
+      static_cast<double>(n) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
 void PrintKernelProbeReport() {
   // Install first (env override, else probe) — exactly as any serving
   // binary's first GEMM would — then report the measurements that
@@ -207,6 +227,12 @@ void RegisterPerKernelBenchmarks() {
     benchmark::RegisterBenchmark(
         name.c_str(), [kernel](benchmark::State& state) {
           BM_GemmBlockedKernel(state, kernel);
+        });
+    const std::string select_name =
+        std::string("BM_SelectIntoHeap/kernel:") + ToString(kernel);
+    benchmark::RegisterBenchmark(
+        select_name.c_str(), [kernel](benchmark::State& state) {
+          BM_SelectIntoHeapKernel(state, kernel);
         });
   }
 }

@@ -12,6 +12,7 @@
 #include "linalg/blas.h"
 #include "linalg/gemm.h"
 #include "solvers/registry.h"
+#include "topk/score_select.h"
 #include "topk/topk_heap.h"
 
 namespace mips {
@@ -49,8 +50,9 @@ Status MaximusSolver::Prepare(const ConstRowBlock& users,
   const Index f = items.cols();
   const Index num_clusters = clustering_.centroids.rows();
 
-  item_norms_.resize(static_cast<std::size_t>(n));
-  RowNorms(items.data(), n, f, item_norms_.data());
+  std::vector<Real> item_norms(static_cast<std::size_t>(n));
+  RowNorms(items.data(), n, f, item_norms.data());
+  max_item_norm_ = *std::max_element(item_norms.begin(), item_norms.end());
 
   // theta_b per cluster: the widest member angle (Algorithm 1).
   theta_b_.assign(static_cast<std::size_t>(num_clusters), 0);
@@ -81,7 +83,7 @@ Status MaximusSolver::Prepare(const ConstRowBlock& users,
 
     std::vector<Real> bound(static_cast<std::size_t>(n));
     for (Index i = 0; i < n; ++i) {
-      const Real norm = item_norms_[static_cast<std::size_t>(i)];
+      const Real norm = item_norms[static_cast<std::size_t>(i)];
       const Real denom = norm * c_norm;
       const Real cos_ic =
           denom > 0 ? centroid_scores(i, j) / denom : Real{0};
@@ -151,7 +153,6 @@ Status MaximusSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
 
     int64_t visited_acc = 0;
     Matrix normalized;
-    Matrix scores;
     Matrix segment;
     for (Index j = 0; j < num_clusters; ++j) {
       const auto& rows = by_cluster[static_cast<std::size_t>(j)];
@@ -202,7 +203,12 @@ Status MaximusSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
         // segment's item block is pre-gathered at construction time.
         std::vector<Index> active(static_cast<std::size_t>(m));
         std::iota(active.begin(), active.end(), 0);
-        Matrix active_users = normalized;  // first segment: everyone
+        // The normalized rows of the users still walking: all of them
+        // until one stops, then a compacted copy.
+        const Real* active_users = normalized.data();
+        Matrix compacted;
+        std::vector<TopKHeap*> active_heaps;
+        std::vector<Index> walked;
 
         for (Index pos0 = 0; pos0 < n && !active.empty(); pos0 += block) {
           const Index len = std::min<Index>(block, n - pos0);
@@ -219,40 +225,35 @@ Status MaximusSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
             }
             items_block = &segment;
           }
-          GemmNT(ConstRowBlock(active_users.data(),
-                               static_cast<Index>(active.size()), f),
-                 ConstRowBlock(items_block->data(), len, f), &scores);
+          active_heaps.clear();
+          for (const Index r : active) {
+            active_heaps.push_back(&heaps[static_cast<std::size_t>(r)]);
+          }
+          walked.resize(active.size());
+          ScoreIntoHeaps(active_users, static_cast<Index>(active.size()),
+                         items_block->data(), len, f, /*item_offset=*/0,
+                         list.item_ids.data() + pos0,
+                         list.bounds.data() + pos0, active_heaps,
+                         walked.data());
 
+          // A row that walked the whole segment goes on to the next one.
           std::vector<Index> still_active;
           still_active.reserve(active.size());
           for (std::size_t a = 0; a < active.size(); ++a) {
             const Index r = active[a];
-            TopKHeap& heap = heaps[static_cast<std::size_t>(r)];
-            const Real* srow = scores.Row(static_cast<Index>(a));
-            bool done = false;
-            for (Index p = 0; p < len; ++p) {
-              if (heap.full() &&
-                  list.bounds[static_cast<std::size_t>(pos0 + p)] <
-                      heap.MinScore()) {
-                done = true;
-                break;
-              }
-              heap.Push(list.item_ids[static_cast<std::size_t>(pos0 + p)],
-                        srow[p]);
-              ++visited[static_cast<std::size_t>(r)];
-            }
-            if (!done && pos0 + len < n) still_active.push_back(r);
+            visited[static_cast<std::size_t>(r)] += walked[a];
+            if (walked[a] == len && pos0 + len < n) still_active.push_back(r);
           }
 
           if (still_active.size() != active.size()) {
             // Compact the active user rows for the next segment's GEMM.
-            Matrix next(static_cast<Index>(still_active.size()), f);
+            compacted.Resize(static_cast<Index>(still_active.size()), f);
             for (std::size_t a = 0; a < still_active.size(); ++a) {
-              std::memcpy(next.Row(static_cast<Index>(a)),
+              std::memcpy(compacted.Row(static_cast<Index>(a)),
                           normalized.Row(still_active[a]),
                           static_cast<std::size_t>(f) * sizeof(Real));
             }
-            active_users = std::move(next);
+            active_users = compacted.data();
           }
           active = std::move(still_active);
         }
@@ -315,11 +316,7 @@ Status MaximusSolver::QueryDynamicUser(const Real* user, Index k,
   const Real theta_uc = AngleFromCosine(cos_uc);
   const Real delta =
       std::max(Real{0}, theta_uc - theta_b_[static_cast<std::size_t>(j)]);
-  const Real max_norm =
-      item_norms_.empty()
-          ? Real{0}
-          : *std::max_element(item_norms_.begin(), item_norms_.end());
-  const Real slack = max_norm * delta;
+  const Real slack = max_item_norm_ * delta;
 
   const Real user_norm = Nrm2(user, f);
   std::vector<Real> nu(static_cast<std::size_t>(f), 0);

@@ -13,10 +13,12 @@
 // so they are directly comparable to the scale-free bound; final results
 // are rescaled by ||u|| (ordering is scale-invariant).
 //
-// Hardware-efficient item blocking (Section III-D): the first B items of
-// each cluster list are scored for all queried cluster members with one
-// blocked GEMM, sharing work across users; the walk only falls back to
-// scalar dots past position B.
+// Hardware-efficient item blocking (Section III-D): each cluster list is
+// scored in B-item segments for all of the cluster's still-walking
+// queried users with one blocked GEMM per segment, sharing work across
+// users.  ScoreIntoHeaps (topk/score_select.h) runs each segment's GEMM in
+// L2-sized panels and walks every panel row with the SIMD selection scan,
+// which stops at the same list position as the scalar bound check.
 
 #ifndef MIPS_CORE_MAXIMUS_H_
 #define MIPS_CORE_MAXIMUS_H_
@@ -104,7 +106,9 @@ class MaximusSolver : public MipsSolver {
   Clustering clustering_;
   std::vector<Real> theta_b_;
   std::vector<ClusterList> lists_;
-  std::vector<Real> item_norms_;
+  /// The largest item norm: the slack rate of a dynamic user's widened
+  /// cone (QueryDynamicUser).
+  Real max_item_norm_ = 0;
 
   mutable std::atomic<double> mean_items_visited_{0};
 };

@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <memory>
 
-#include "linalg/gemm.h"
 #include "solvers/registry.h"
-#include "topk/topk_block.h"
+#include "topk/score_select.h"
 
 namespace mips {
 namespace {
 
 // Below this many queried users per pool worker, user partitioning leaves
-// workers starved and the GEMM macro-panels are parallelized instead.
+// workers starved and the item range is split across them instead.
 constexpr Index kMinUsersPerThread = 128;
 
 }  // namespace
@@ -28,19 +27,8 @@ Status BmmSolver::Prepare(const ConstRowBlock& users,
   items_ = items;
   prepared_users_ = users.rows();
 
-  if (options_.batch_rows > 0) {
-    resolved_batch_rows_ = options_.batch_rows;
-  } else {
-    const std::size_t row_bytes =
-        static_cast<std::size_t>(items.rows()) * sizeof(Real);
-    const std::size_t rows = options_.score_block_bytes / std::max<std::size_t>(
-                                                              1, row_bytes);
-    // Lower clamp 128: the GEMM needs enough rows per batch to amortize
-    // packing the full item panel even when one score row is very wide
-    // (GloVe-scale catalogs).
-    resolved_batch_rows_ = static_cast<Index>(
-        std::clamp<std::size_t>(rows, 128, 8192));
-  }
+  resolved_batch_rows_ =
+      options_.batch_rows > 0 ? options_.batch_rows : kScorePanelRows;
   return Status::OK();
 }
 
@@ -58,49 +46,33 @@ Status BmmSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
 
   // Two parallel regimes (both exact, both bit-identical to the serial
   // path).  With enough users per worker, the paper's Figure 6 strategy —
-  // static user partitioning, serial GEMM per chunk — amortizes best.
-  // Below that, a small mini-batch against a wide item set would leave
-  // all but one worker idle, so instead the GEMM itself fans its macro-
-  // panels out across the pool and the top-K pass partitions the rows.
+  // static user partitioning, serial score-and-select per chunk —
+  // amortizes best.  Below that, a small mini-batch against a wide item
+  // set would leave all but one worker idle, so instead the workers split
+  // the item range and their partial rows are merged.
   const bool partition_users =
       pool_ == nullptr ||
       q >= static_cast<Index>(pool_->num_threads()) * kMinUsersPerThread;
   if (partition_users) {
     ParallelFor(pool_, q, [&](int64_t begin, int64_t end, int /*chunk*/) {
-      Matrix scores(std::min<Index>(batch, static_cast<Index>(end - begin)),
-                    n);
       for (int64_t b = begin; b < end; b += batch) {
         const Index m = static_cast<Index>(std::min<int64_t>(batch, end - b));
         // Gather this batch's user rows so the GEMM sees a contiguous A.
         const Matrix block = GatherRows(
             users_, user_ids.subspan(static_cast<std::size_t>(b),
                                      static_cast<std::size_t>(m)));
-        GemmNT(block.data(), m, items_.data(), n, f, /*alpha=*/1, /*beta=*/0,
-               scores.data(), scores.cols());
-        TopKFromScoreBlock(scores.data(), m, n, scores.cols(), k,
-                           /*item_offset=*/0, /*item_ids=*/nullptr, out,
-                           static_cast<Index>(b));
+        ScoreTopK(block.data(), m, items_.data(), n, f, k,
+                  /*item_offset=*/0, /*item_ids=*/nullptr, /*pool=*/nullptr,
+                  out, static_cast<Index>(b));
       }
     });
     return Status::OK();
   }
 
-  Matrix scores(std::min<Index>(batch, q), n);
-  for (Index b = 0; b < q; b += batch) {
-    const Index m = std::min<Index>(batch, q - b);
-    const Matrix block = GatherRows(
-        users_, user_ids.subspan(static_cast<std::size_t>(b),
-                                 static_cast<std::size_t>(m)));
-    GemmNT(block.data(), m, items_.data(), n, f, /*alpha=*/1, /*beta=*/0,
-           scores.data(), scores.cols(), pool_);
-    ParallelFor(pool_, m, [&](int64_t begin, int64_t end, int /*chunk*/) {
-      TopKFromScoreBlock(
-          scores.data() + static_cast<std::size_t>(begin) * scores.cols(),
-          static_cast<Index>(end - begin), n, scores.cols(), k,
-          /*item_offset=*/0, /*item_ids=*/nullptr, out,
-          b + static_cast<Index>(begin));
-    });
-  }
+  // Fewer than kMinUsersPerThread users per worker: gather them all once.
+  const Matrix block = GatherRows(users_, user_ids);
+  ScoreTopK(block.data(), q, items_.data(), n, f, k, /*item_offset=*/0,
+            /*item_ids=*/nullptr, pool_, out, /*row_offset=*/0);
   return Status::OK();
 }
 
@@ -109,23 +81,15 @@ namespace {
 const SolverRegistrar kBmmRegistrar(
     SolverSchema("bmm", "blocked-GEMM brute force (Section II-B)")
         .Int("batch_rows", BmmOptions{}.batch_rows,
-             "users per GEMM batch (0 = auto from score_block_bytes)")
-        .Int("score_block_bytes",
-             static_cast<int64_t>(BmmOptions{}.score_block_bytes),
-             "byte budget for one batch's score block when batch_rows = 0"),
+             "users gathered per batch (0 = auto, 128)"),
     [](const ParamMap& params) -> StatusOr<std::unique_ptr<MipsSolver>> {
       BmmOptions options;
       auto batch_rows = params.GetIndexChecked("batch_rows");
       MIPS_RETURN_IF_ERROR(batch_rows.status());
-      const int64_t block_bytes = params.GetInt("score_block_bytes");
       if (*batch_rows < 0) {
         return Status::InvalidArgument("batch_rows must be >= 0");
       }
-      if (block_bytes <= 0) {
-        return Status::InvalidArgument("score_block_bytes must be positive");
-      }
       options.batch_rows = *batch_rows;
-      options.score_block_bytes = static_cast<std::size_t>(block_bytes);
       return std::unique_ptr<MipsSolver>(new BmmSolver(options));
     });
 

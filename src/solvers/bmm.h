@@ -1,16 +1,18 @@
 // Blocked matrix multiply (BMM) brute force — Section II-B.
 //
-// Users are scored in row batches: one blocked GEMM per batch produces a
-// dense (batch x |I|) score block, and each row is reduced to its top K
-// with a bounded min-heap.  All the hardware efficiency lives in the GEMM
-// (src/linalg/gemm.cc); the heap pass is the K-dependent tail the paper
-// notes ("the runtime for blocked matrix multiply varies with K").
+// Users are scored in row batches through ScoreTopK (topk/score_select.h):
+// the blocked GEMM writes each batch's scores in panels of at most
+// kDefaultL2CacheBytes, and each panel is folded into the rows' bounded
+// min-heaps while it is still in L2.  All the hardware efficiency lives in
+// the GEMM (src/linalg/gemm.cc) and the SIMD selection scan; the heap
+// pushes are the K-dependent tail the paper notes ("the runtime for
+// blocked matrix multiply varies with K").
 //
 // With a thread pool, large query batches are statically partitioned
 // across users (the paper's Figure 6 strategy); small batches instead
-// parallelize the GEMM macro-panels themselves so a handful of users
-// against a wide item set still uses every core.  Both paths produce
-// results bit-identical to the single-threaded solver.
+// split the item range across the workers, whose partial rows are merged,
+// so a handful of users against a wide item set still uses every core.
+// Both paths produce results bit-identical to the single-threaded solver.
 
 #ifndef MIPS_SOLVERS_BMM_H_
 #define MIPS_SOLVERS_BMM_H_
@@ -21,14 +23,10 @@ namespace mips {
 
 /// Options for the BMM solver.
 struct BmmOptions {
-  /// Users scored per GEMM batch.  0 = pick automatically from the score
-  /// block memory budget below.
+  /// Users gathered per batch.  0 = kScorePanelRows (128), one panel's
+  /// rows: the scores never form a block larger than one L2-sized panel,
+  /// whatever the batch, so the batch only bounds the gathered user rows.
   Index batch_rows = 0;
-  /// Budget for one batch's score block when batch_rows == 0.  The paper
-  /// sizes batches to available memory; empirically a last-level-cache-
-  /// sized block is faster here because the top-K pass re-reads it, so
-  /// the default targets ~16 MB.
-  std::size_t score_block_bytes = 16ull << 20;
 };
 
 /// Hardware-efficient brute force via blocked GEMM + per-row top-K.

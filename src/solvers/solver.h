@@ -75,10 +75,12 @@ class MipsSolver {
   /// resized to (num_rows, k).  Row r depends only on input row r, so a
   /// vector's row is bit-for-bit the same whether it is served alone or
   /// in any batch.  The default scores densely — a new user has no row in
-  /// any user-side index structure: one blocked GEMM against `items` per
-  /// ~16 MB score-block chunk (the GEMM folds each score over the factor
-  /// axis in an order independent of the batch's row count), then a
-  /// per-row top-k, both on the solver's pool.  MAXIMUS-family solvers
+  /// any user-side index structure — through ScoreTopK
+  /// (topk/score_select.h): blocked GEMM panels of at most
+  /// kDefaultL2CacheBytes, each folded into the rows' heaps while in L2,
+  /// with the item range split across the solver's pool.  The GEMM folds
+  /// each score over the factor axis in an order independent of the
+  /// panel, so no score depends on the batch.  MAXIMUS-family solvers
   /// override it with their per-row dynamic walk (Section III-E).  Safe
   /// for concurrent callers once Prepare() has returned.
   virtual Status TopKNewUsers(const ConstRowBlock& items,

@@ -5,19 +5,11 @@
 #include <string>
 
 #include "common/timer.h"
-#include "linalg/gemm.h"
 #include "solvers/registry.h"
 #include "topk/merge.h"
-#include "topk/topk_block.h"
+#include "topk/score_select.h"
 
 namespace mips {
-namespace {
-
-/// Score-block byte budget for the dense partition's GEMM batches (same
-/// default regime as bmm's auto batch sizing).
-constexpr std::size_t kScoreBlockBytes = std::size_t{16} << 20;
-
-}  // namespace
 
 Status HybridSolver::Prepare(const ConstRowBlock& users,
                              const ConstRowBlock& items) {
@@ -49,11 +41,6 @@ Status HybridSolver::Prepare(const ConstRowBlock& users,
   dense_items_ = GatherRows(items, dense_ids_);
   sparse_csr_ = CsrMatrix::FromDenseRows(items, sparse_ids_);
   sparse_index_ = InvertedIndex::Build(sparse_csr_, order_);
-
-  const std::size_t row_bytes =
-      std::max<std::size_t>(1, dense_ids_.size() * sizeof(Real));
-  batch_rows_ = static_cast<Index>(
-      std::clamp<std::size_t>(kScoreBlockBytes / row_bytes, 128, 8192));
   stage_timer_.Add("construction", timer.Seconds());
   return Status::OK();
 }
@@ -65,43 +52,38 @@ Status HybridSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
   *out = TopKResult(q, k);
   const Index f = users_.cols();
   const Index nd = dense_items_.rows();
-  const Index batch = batch_rows_;
 
+  // With both partitions, a batch's dense rows are partial rows that are
+  // merged with the sparse ones; otherwise they are the result rows.
+  const bool merge = nd > 0 && sparse_csr_.rows() > 0;
   ParallelFor(pool_, q, [&](int64_t begin, int64_t end, int /*chunk*/) {
     TopKHeap heap(k);
     SparseQueryScratch scratch;
-    std::vector<TopKEntry> dense_row(static_cast<std::size_t>(k));
     std::vector<TopKEntry> sparse_row(static_cast<std::size_t>(k));
-    Matrix scores(
-        nd > 0 ? std::min<Index>(batch, static_cast<Index>(end - begin)) : 0,
-        nd);
-    for (int64_t b = begin; b < end; b += batch) {
-      const Index m = static_cast<Index>(std::min<int64_t>(batch, end - b));
+    TopKResult dense_rows(merge ? kScorePanelRows : 0, k);
+    for (int64_t b = begin; b < end; b += kScorePanelRows) {
+      const Index m =
+          static_cast<Index>(std::min<int64_t>(kScorePanelRows, end - b));
       if (nd > 0) {
         const Matrix block = GatherRows(
             users_, user_ids.subspan(static_cast<std::size_t>(b),
                                      static_cast<std::size_t>(m)));
-        GemmNT(block.data(), m, dense_items_.data(), nd, f, /*alpha=*/1,
-               /*beta=*/0, scores.data(), scores.cols());
+        ScoreTopK(block.data(), m, dense_items_.data(), nd, f, k,
+                  /*item_offset=*/0, dense_ids_.data(), /*pool=*/nullptr,
+                  merge ? &dense_rows : out,
+                  merge ? 0 : static_cast<Index>(b));
       }
+      if (sparse_csr_.rows() == 0) continue;
       for (Index r = 0; r < m; ++r) {
         const Index row = static_cast<Index>(b) + r;
         const Real* u = users_.Row(user_ids[static_cast<std::size_t>(row)]);
-        if (nd > 0 && sparse_csr_.rows() > 0) {
-          TopKFromRow(scores.Row(r), nd, k, /*item_offset=*/0,
-                      dense_ids_.data(), dense_row.data());
-          SparseTopKQuery(sparse_csr_, sparse_index_, u, k, sparse_ids_,
-                          &scratch, &heap, sparse_row.data(),
-                          /*stats=*/nullptr);
-          const TopKEntry* rows[] = {dense_row.data(), sparse_row.data()};
+        SparseTopKQuery(sparse_csr_, sparse_index_, u, k, sparse_ids_,
+                        &scratch, &heap,
+                        merge ? sparse_row.data() : out->Row(row),
+                        /*stats=*/nullptr);
+        if (merge) {
+          const TopKEntry* rows[] = {dense_rows.Row(r), sparse_row.data()};
           MergeTopKRows(rows, k, k, out->Row(row));
-        } else if (nd > 0) {
-          TopKFromRow(scores.Row(r), nd, k, /*item_offset=*/0,
-                      dense_ids_.data(), out->Row(row));
-        } else {
-          SparseTopKQuery(sparse_csr_, sparse_index_, u, k, sparse_ids_,
-                          &scratch, &heap, out->Row(row),
-                          /*stats=*/nullptr);
         }
       }
     }

@@ -6,7 +6,8 @@
 // GEMM wastes multiplies on the tail's zeros, the inverted index drowns
 // in the head's full posting lists.  The hybrid solver splits the
 // prepared items at a per-row density threshold: rows at or above it form
-// a gathered dense partition scored with the blocked GEMM, the rest
+// a gathered dense partition scored with ScoreTopK (topk/score_select.h:
+// blocked GEMM panels selected while in L2), the rest
 // become a CSR + inverted-index partition scored with SparseTopKQuery,
 // and each user's two partial top-K rows are merged with the exact k-way
 // merge (topk/merge.h).
@@ -67,7 +68,6 @@ class HybridSolver : public MipsSolver {
   Matrix dense_items_;  // gathered rows dense_ids_ of the catalog
   CsrMatrix sparse_csr_;
   InvertedIndex sparse_index_;
-  Index batch_rows_ = 0;
 };
 
 }  // namespace mips

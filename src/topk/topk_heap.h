@@ -79,8 +79,10 @@ class TopKHeap {
       out[i] = {-1, -std::numeric_limits<Real>::infinity()};
     }
     // Adjacent rows must obey the library-wide tie order: score strictly
-    // descending, item id ascending among exact ties.
-    for (Index j = 1; j < i; ++j) {
+    // descending, item id ascending among exact ties.  The padding is not
+    // ranked: a {-1, -inf} sentinel sorts ahead of a real -inf score under
+    // BetterEntry, so only the real entries are checked.
+    for (Index j = 1; j < size(); ++j) {
       MIPS_DCHECK(!BetterEntry(out[j], out[j - 1]));
     }
     heap_.clear();

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <string>
@@ -53,6 +54,29 @@ RandomWorkload DrawWorkload(uint64_t seed) {
   workload.k = 1 + static_cast<Index>(
                        rng.UniformInt(static_cast<uint64_t>(
                            workload.model.num_items() + 3)));
+  return workload;
+}
+
+// A workload whose item rows are duplicated across the selection
+// kernel's lane boundaries (positions 7/8, 15/16, 31/32) and scaled up so
+// the pairs reach the top-k: every user sees exact score ties that
+// straddle 4- and 8-lane vectors, and k = 4 cuts through some pairs.
+RandomWorkload DuplicatedItemsWorkload() {
+  SyntheticModelConfig config;
+  config.seed = 77;
+  config.num_users = 90;
+  config.num_items = 48;
+  config.num_factors = 6;
+  RandomWorkload workload;
+  auto model = GenerateSyntheticModel(config);
+  EXPECT_TRUE(model.ok());
+  workload.model = std::move(model).value();
+  Matrix& items = workload.model.items;
+  for (const Index at : {8, 16, 32}) {
+    Scale(3.0, items.Row(at - 1), items.cols());
+    std::copy_n(items.Row(at - 1), items.cols(), items.Row(at));
+  }
+  workload.k = 4;
   return workload;
 }
 
@@ -118,10 +142,15 @@ TEST_F(DifferentialKernelTest, TopKBitForBitAcrossForcedKernels) {
   for (const std::string& name : RegisteredSolverNames()) {
     specs.push_back(name == "lemp" ? "lemp:forced_algorithm=2" : name);
   }
+  std::vector<RandomWorkload> workloads;
   for (int seed = 200; seed < 206; ++seed) {
-    const RandomWorkload workload = DrawWorkload(static_cast<uint64_t>(seed));
+    workloads.push_back(DrawWorkload(static_cast<uint64_t>(seed)));
+  }
+  workloads.push_back(DuplicatedItemsWorkload());
+  for (std::size_t w = 0; w < workloads.size(); ++w) {
+    const RandomWorkload& workload = workloads[w];
     const MFModel& model = workload.model;
-    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    SCOPED_TRACE(::testing::Message() << "workload " << w);
     // Reference under the portable kernel, per solver family.
     std::map<std::string, TopKResult> expected;
     ASSERT_TRUE(ForceGemmKernel(GemmKernel::kPortable).ok());

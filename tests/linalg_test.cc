@@ -5,11 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstddef>
-#include <cstdlib>
-#include <new>
 #include <tuple>
 #include <vector>
 
@@ -21,45 +18,8 @@
 #include "linalg/simd_dispatch.h"
 #include "linalg/matrix.h"
 #include "linalg/sym_eigen.h"
+#include "counting_new.h"
 #include "test_util.h"
-
-// Replacement global allocation functions that count the bytes requested
-// while g_count_new_bytes is set (GemmTest.SmallCallWorkspaceIsSizedToShape).
-// Every non-aligned form is replaced, all on malloc/free, because the
-// sanitizer runtimes supply each form separately and would otherwise pair a
-// counted allocation with their own deallocation.
-namespace {
-std::atomic<bool> g_count_new_bytes{false};
-std::atomic<std::size_t> g_new_bytes{0};
-
-void* CountedMalloc(std::size_t size) noexcept {
-  if (g_count_new_bytes.load(std::memory_order_relaxed)) {
-    g_new_bytes.fetch_add(size, std::memory_order_relaxed);
-  }
-  return std::malloc(size == 0 ? 1 : size);
-}
-}  // namespace
-
-void* operator new(std::size_t size) {
-  void* p = CountedMalloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return CountedMalloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return CountedMalloc(size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace mips {
 namespace {
@@ -369,11 +329,9 @@ TEST(GemmTest, SmallCallWorkspaceIsSizedToShape) {
   Matrix c(1, 16);
   // The first call installs the micro-kernel; its probe allocates.
   GemmNT(a.data(), 1, b.data(), 16, 50, 1.0, 0.0, c.data(), 16);
-  g_new_bytes.store(0);
-  g_count_new_bytes.store(true);
+  testing::AllocationCounter counter;
   GemmNT(a.data(), 1, b.data(), 16, 50, 1.0, 0.0, c.data(), 16);
-  g_count_new_bytes.store(false);
-  EXPECT_LT(g_new_bytes.load(), std::size_t{64} << 10);
+  EXPECT_LT(counter.bytes(), std::size_t{64} << 10);
 }
 
 TEST(GemmTest, MatrixOverloadResizesOutput) {

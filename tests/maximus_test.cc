@@ -12,6 +12,7 @@
 #include "core/cbound.h"
 #include "core/maximus.h"
 #include "solvers/bmm.h"
+#include "counting_new.h"
 #include "test_util.h"
 #include "topk/topk_heap.h"
 
@@ -249,6 +250,30 @@ TEST(MaximusTest, ThreadedMatchesSingleThreaded) {
   ASSERT_TRUE(single.TopKAll(5, &a).ok());
   ASSERT_TRUE(threaded.TopKAll(5, &b).ok());
   ExpectSameTopKScores(a, b, 1e-9);
+}
+
+// The segment GEMMs score in L2-sized panels, so no call allocates a
+// score block that grows with a cluster: about 256 users x 2,500 items
+// would be a 5 MB block here.  Counts bytes, not time.
+TEST(MaximusTest, LargestAllocationStaysUnderOneMiB) {
+  const MFModel model = MakeTestModel(2048, 20000, 8);
+  MaximusSolver maximus;
+  ASSERT_TRUE(maximus.Prepare(ConstRowBlock(model.users),
+                              ConstRowBlock(model.items)).ok());
+  TopKResult got;
+  std::size_t largest = 0;
+  {
+    testing::AllocationCounter counter;
+    ASSERT_TRUE(maximus.TopKAll(10, &got).ok());
+    largest = counter.largest();
+  }
+  EXPECT_LT(largest, std::size_t{1} << 20);
+  BmmSolver bmm;
+  ASSERT_TRUE(bmm.Prepare(ConstRowBlock(model.users),
+                          ConstRowBlock(model.items)).ok());
+  TopKResult want;
+  ASSERT_TRUE(bmm.TopKAll(10, &want).ok());
+  ExpectSameTopKScores(got, want, 1e-9);
 }
 
 TEST(MaximusTest, KLargerThanItemsPads) {

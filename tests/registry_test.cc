@@ -166,7 +166,7 @@ TEST(RegistryErrorsTest, RejectsOutOfRangeIntValues) {
 TEST(RegistryErrorsTest, FactoriesRejectSemanticallyInvalidValues) {
   EXPECT_FALSE(CreateSolverFromSpec("maximus:clusters=0").ok());
   EXPECT_FALSE(CreateSolverFromSpec("maximus:clusters=-3").ok());
-  EXPECT_FALSE(CreateSolverFromSpec("bmm:score_block_bytes=0").ok());
+  EXPECT_FALSE(CreateSolverFromSpec("bmm:batch_rows=-1").ok());
   EXPECT_FALSE(CreateSolverFromSpec("lemp:forced_algorithm=9").ok());
   EXPECT_FALSE(CreateSolverFromSpec("fexipro:svd_energy_fraction=1.5").ok());
 }

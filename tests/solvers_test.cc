@@ -9,6 +9,7 @@
 #include "common/thread_pool.h"
 #include "solvers/bmm.h"
 #include "solvers/naive.h"
+#include "counting_new.h"
 #include "test_util.h"
 
 namespace mips {
@@ -157,14 +158,23 @@ TEST(BmmSolverTest, SmallBatchSizesStillExact) {
   ExpectSameTopKScores(got, expected);
 }
 
-TEST(BmmSolverTest, AutoBatchRespectsMemoryBudget) {
-  const MFModel model = MakeTestModel(10, 1000, 4);
-  BmmOptions options;
-  options.score_block_bytes = 64 * 1024;  // 64 KB / (1000*8B) = 8 rows
-  BmmSolver bmm(options);
+// Scores are selected in L2-sized panels, so no call allocates a score
+// block that grows with the catalog: 128 users x 20,000 items would be a
+// 20.5 MB block.  Counts bytes, not time.
+TEST(BmmSolverTest, LargestAllocationStaysUnderOneMiB) {
+  const MFModel model = MakeTestModel(256, 20000, 8);
+  BmmSolver bmm;
   ASSERT_TRUE(bmm.Prepare(ConstRowBlock(model.users),
                           ConstRowBlock(model.items)).ok());
-  EXPECT_EQ(bmm.batch_rows(), 128);  // clamped to the minimum of 128
+  TopKResult got;
+  std::size_t largest = 0;
+  {
+    testing::AllocationCounter counter;
+    ASSERT_TRUE(bmm.TopKAll(10, &got).ok());
+    largest = counter.largest();
+  }
+  EXPECT_LT(largest, std::size_t{1} << 20);
+  ExpectValidTopK(got, AllUsers(model.num_users()), model);
 }
 
 TEST(BmmSolverTest, ThreadedMatchesSingleThreaded) {

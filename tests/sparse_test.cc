@@ -459,10 +459,11 @@ TEST(SparseOptimusTest, SparseWinningWorkloadIsAttributedSparse) {
   if (testing::kSanitizerSkewsWallClock) {
     GTEST_SKIP() << "wall-clock winner assertion; sanitizer skews timings";
   }
-  // ~1 nonzero per 128-dim item row: the inverted-index walk touches two
-  // orders of magnitude fewer coordinates than the dense GEMM, so the
-  // sampling decision lands on sindi with a wide margin.
-  const MFModel model = MakeSparseModel(256, 4096, 128, 0.01);
+  // ~1 nonzero per 1,024-dim item row: the inverted-index walk touches
+  // three orders of magnitude fewer coordinates than the dense GEMM, so
+  // the sampling decision lands on sindi with a wide margin (about 3x in
+  // sampled per-user cost; at 128 dims the panelled BMM outran sindi).
+  const MFModel model = MakeSparseModel(256, 4096, 1024, 0.00125);
   EngineOptions options;
   options.k = 10;
   options.solvers = {"bmm", "sindi"};

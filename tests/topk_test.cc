@@ -1,6 +1,8 @@
 // Unit and property tests for src/topk: the bounded heap and block
 // extraction, validated against a sort-based reference across a
-// parameterized (n, k) sweep.
+// parameterized (n, k) sweep; the SIMD selection kernel under every
+// supported variant against the scalar loops it replaced; and the
+// score-and-select panels against a whole-block GEMM.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +13,12 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "linalg/gemm.h"
 #include "linalg/matrix.h"
+#include "linalg/simd_dispatch.h"
 #include "topk/merge.h"
+#include "topk/score_select.h"
 #include "topk/topk_block.h"
 #include "topk/topk_heap.h"
 
@@ -328,6 +334,270 @@ TEST(TopKResultTest, CopyRowFrom) {
   b.CopyRowFrom(a, 1, 2);
   EXPECT_EQ(b.Row(2)[0].item, 5);
   EXPECT_DOUBLE_EQ(b.Row(2)[1].score, 0.5);
+}
+
+// ------------------------------------------------------ selection kernel
+
+constexpr Real kInf = std::numeric_limits<Real>::infinity();
+
+// The scalar loops SelectIntoHeap replaced, kept as its oracle.  Without
+// bounds: TopKFromRow's WouldAccept/Push loop.  With bounds: MAXIMUS's
+// segment loop, which stops before the first position whose bound is
+// strictly below a full heap's minimum and pushes every position before
+// it.  Returns the positions walked.
+Index ScalarSelect(const Real* scores, Index n, const Real* bounds,
+                   Index item_offset, const Index* item_ids, TopKHeap* heap) {
+  const auto id = [&](Index j) {
+    return item_ids != nullptr ? item_ids[j] : j + item_offset;
+  };
+  for (Index j = 0; j < n; ++j) {
+    if (bounds == nullptr) {
+      if (heap->WouldAccept(scores[j])) heap->Push(id(j), scores[j]);
+      continue;
+    }
+    if (heap->full() && bounds[j] < heap->MinScore()) return j;
+    heap->Push(id(j), scores[j]);
+  }
+  return n;
+}
+
+std::vector<TopKEntry> Drain(TopKHeap* heap) {
+  std::vector<TopKEntry> out(static_cast<std::size_t>(heap->k()));
+  heap->ExtractDescending(out.data());
+  return out;
+}
+
+std::vector<Real> SortedDescending(std::vector<Real> v) {
+  std::sort(v.begin(), v.end(), [](Real a, Real b) { return a > b; });
+  return v;
+}
+
+// Rows that stress the lane arithmetic: exact ties straddling the 4- and
+// 8-lane boundaries (positions 7/8, 15/16, 31/32), rows shorter than one
+// vector, all-equal rows, coarse rows tied everywhere, and +-inf scores.
+std::vector<std::vector<Real>> SelectRows() {
+  std::vector<std::vector<Real>> rows;
+  Rng rng(11);
+  for (const Index n : {1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40, 64,
+                        100, 257, 1000}) {
+    const auto size = static_cast<std::size_t>(n);
+    std::vector<Real> random(size);
+    for (Real& v : random) v = rng.Normal();
+    for (const std::size_t lane : {8u, 16u, 32u}) {
+      if (size > lane) random[lane] = random[lane - 1];
+    }
+    rows.push_back(random);
+    std::vector<Real> coarse(size);
+    for (Real& v : coarse) v = std::floor(rng.Normal() * 2);
+    rows.push_back(coarse);
+    rows.emplace_back(size, 0.5);
+    std::vector<Real> infinite = random;
+    infinite[rng.UniformInt(size)] = kInf;
+    infinite[rng.UniformInt(size)] = -kInf;
+    infinite[size - 1] = -kInf;
+    if (size > 8) infinite[8] = kInf;
+    rows.push_back(infinite);
+    rows.push_back(SortedDescending(random));
+  }
+  return rows;
+}
+
+// Sorted-descending bound lists for one row: the row's own sorted scores
+// (so bounds keep landing exactly on the heap minimum), those bounds
+// against the row sorted the same way (bound == score at every position),
+// looser bounds, and bounds that fall to -inf.
+std::vector<std::vector<Real>> BoundLists(const std::vector<Real>& row) {
+  std::vector<Real> looser = row;
+  for (Real& v : looser) v += 0.25;
+  std::vector<Real> falling = SortedDescending(row);
+  falling.back() = -kInf;
+  return {SortedDescending(row), SortedDescending(looser), falling};
+}
+
+class SelectKernelTest : public ::testing::Test {
+ protected:
+  void TearDown() override { ResetGemmKernelForTest(); }
+
+  static std::vector<GemmKernel> SupportedKernels() {
+    std::vector<GemmKernel> kernels;
+    for (int v = 0; v < kNumGemmKernels; ++v) {
+      if (GemmKernelSupported(static_cast<GemmKernel>(v))) {
+        kernels.push_back(static_cast<GemmKernel>(v));
+      }
+    }
+    return kernels;
+  }
+};
+
+// One selection under the installed kernel against the scalar oracle:
+// same heap contents, bit for bit, and the same walked count.
+void ExpectSelectMatchesScalar(const std::vector<Real>& row,
+                               const std::vector<Real>* bounds, Index k,
+                               const Index* item_ids) {
+  const auto n = static_cast<Index>(row.size());
+  const Real* b = bounds != nullptr ? bounds->data() : nullptr;
+  TopKHeap want_heap(k);
+  const Index want_walked = ScalarSelect(row.data(), n, b, 100, item_ids,
+                                         &want_heap);
+  TopKHeap got_heap(k);
+  const Index got_walked = SelectIntoHeap(row.data(), n, b, 100, item_ids,
+                                          &got_heap);
+  EXPECT_EQ(got_walked, want_walked);
+  const std::vector<TopKEntry> want = Drain(&want_heap);
+  const std::vector<TopKEntry> got = Drain(&got_heap);
+  for (std::size_t e = 0; e < want.size(); ++e) {
+    EXPECT_EQ(got[e].item, want[e].item) << "entry " << e;
+    EXPECT_EQ(got[e].score, want[e].score) << "entry " << e;
+  }
+}
+
+TEST_F(SelectKernelTest, EveryVariantMatchesTheScalarLoops) {
+  const std::vector<std::vector<Real>> rows = SelectRows();
+  for (const GemmKernel kernel : SupportedKernels()) {
+    ASSERT_TRUE(ForceGemmKernel(kernel).ok());
+    for (std::size_t c = 0; c < rows.size(); ++c) {
+      const std::vector<Real>& row = rows[c];
+      const auto n = static_cast<Index>(row.size());
+      std::vector<Index> reversed(row.size());
+      for (Index j = 0; j < n; ++j) {
+        reversed[static_cast<std::size_t>(j)] = n - 1 - j;
+      }
+      const std::vector<std::vector<Real>> bound_lists = BoundLists(row);
+      for (const Index k : {1, 2, 3, 8, 10, n, n + 3}) {
+        if (k <= 0) continue;
+        for (const Index* ids : {static_cast<const Index*>(nullptr),
+                                 static_cast<const Index*>(reversed.data())}) {
+          SCOPED_TRACE(::testing::Message()
+                       << ToString(kernel) << " row " << c << " n=" << n
+                       << " k=" << k << (ids != nullptr ? " id map" : ""));
+          ExpectSelectMatchesScalar(row, nullptr, k, ids);
+          for (const std::vector<Real>& bounds : bound_lists) {
+            ExpectSelectMatchesScalar(row, &bounds, k, ids);
+          }
+          // bound == score at every position of a descending row.
+          const std::vector<Real> sorted = SortedDescending(row);
+          ExpectSelectMatchesScalar(sorted, &sorted, k, ids);
+        }
+      }
+    }
+  }
+}
+
+// Random query and item rows, with item rows duplicated across lane and
+// panel boundaries so their scores tie exactly.
+struct ScoreFixture {
+  Matrix rows;
+  Matrix items;
+};
+
+ScoreFixture MakeScoreFixture(Index m, Index n, Index f, uint64_t seed) {
+  ScoreFixture fx{Matrix(m, f), Matrix(n, f)};
+  Rng rng(seed);
+  for (std::size_t i = 0; i < fx.rows.size(); ++i) {
+    fx.rows.data()[i] = rng.Normal();
+  }
+  for (std::size_t i = 0; i < fx.items.size(); ++i) {
+    fx.items.data()[i] = rng.Normal();
+  }
+  for (const Index at : {8, 16, 32, 256}) {
+    if (at < n) {
+      std::copy_n(fx.items.Row(at - 1), f, fx.items.Row(at));
+    }
+  }
+  return fx;
+}
+
+TEST_F(SelectKernelTest, ScoreTopKMatchesWholeBlockSelection) {
+  // Shapes span one and two row tiles (kScorePanelRows = 128), one and
+  // several item panels, and fewer items than pool workers.
+  const std::vector<std::tuple<Index, Index, Index>> shapes = {
+      {1, 5, 3}, {7, 1000, 6}, {130, 700, 5}, {300, 40, 4}, {3, 2, 2}};
+  ThreadPool pool(3);
+  for (const GemmKernel kernel : SupportedKernels()) {
+    ASSERT_TRUE(ForceGemmKernel(kernel).ok());
+    for (const auto& [m, n, f] : shapes) {
+      const ScoreFixture fx = MakeScoreFixture(m, n, f, 5);
+      std::vector<Index> ids(static_cast<std::size_t>(n));
+      for (Index j = 0; j < n; ++j) ids[static_cast<std::size_t>(j)] = 3 * j;
+      Matrix scores(m, n);
+      GemmNT(fx.rows.data(), m, fx.items.data(), n, f, 1, 0, scores.data(),
+             n);
+      for (const Index k : {1, 4, n + 1}) {
+        for (const Index* item_ids :
+             {static_cast<const Index*>(nullptr),
+              static_cast<const Index*>(ids.data())}) {
+          SCOPED_TRACE(::testing::Message()
+                       << ToString(kernel) << " m=" << m << " n=" << n
+                       << " k=" << k);
+          TopKResult want(m, k);
+          for (Index r = 0; r < m; ++r) {
+            TopKHeap heap(k);
+            ScalarSelect(scores.Row(r), n, nullptr, 7, item_ids, &heap);
+            heap.ExtractDescending(want.Row(r));
+          }
+          for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+            TopKResult got(m + 2, k);
+            ScoreTopK(fx.rows.data(), m, fx.items.data(), n, f, k, 7,
+                      item_ids, p, &got, /*row_offset=*/2);
+            for (Index r = 0; r < m; ++r) {
+              for (Index e = 0; e < k; ++e) {
+                ASSERT_EQ(got.Row(r + 2)[e].item, want.Row(r)[e].item)
+                    << (p != nullptr ? "pooled" : "serial") << " row " << r
+                    << " entry " << e;
+                ASSERT_EQ(got.Row(r + 2)[e].score, want.Row(r)[e].score);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SelectKernelTest, BoundedPanelsWalkLikeTheScalarBreakLoop) {
+  // 130 rows (two row tiles) against 700 items (three panels), with
+  // bounds that fall through the heap minima so rows stop in different
+  // panels.
+  const Index m = 130;
+  const Index n = 700;
+  const Index f = 6;
+  const Index k = 5;
+  const ScoreFixture fx = MakeScoreFixture(m, n, f, 9);
+  Matrix scores(m, n);
+  GemmNT(fx.rows.data(), m, fx.items.data(), n, f, 1, 0, scores.data(), n);
+  std::vector<Real> bounds(static_cast<std::size_t>(n));
+  for (Index j = 0; j < n; ++j) {
+    bounds[static_cast<std::size_t>(j)] = 8.0 - 12.0 * j / n;
+  }
+  bounds[300] = bounds[299];  // a plateau across a panel boundary
+  std::vector<Index> ids(static_cast<std::size_t>(n));
+  for (Index j = 0; j < n; ++j) ids[static_cast<std::size_t>(j)] = n - j;
+  for (const GemmKernel kernel : SupportedKernels()) {
+    ASSERT_TRUE(ForceGemmKernel(kernel).ok());
+    SCOPED_TRACE(ToString(kernel));
+    std::vector<TopKHeap> got_heaps;
+    std::vector<TopKHeap*> ptrs;
+    got_heaps.reserve(static_cast<std::size_t>(m));
+    for (Index r = 0; r < m; ++r) got_heaps.emplace_back(k);
+    for (TopKHeap& heap : got_heaps) ptrs.push_back(&heap);
+    std::vector<Index> walked(static_cast<std::size_t>(m), -1);
+    ScoreIntoHeaps(fx.rows.data(), m, fx.items.data(), n, f, 0, ids.data(),
+                   bounds.data(), ptrs, walked.data());
+    for (Index r = 0; r < m; ++r) {
+      TopKHeap want_heap(k);
+      const Index want_walked = ScalarSelect(scores.Row(r), n, bounds.data(),
+                                             0, ids.data(), &want_heap);
+      ASSERT_EQ(walked[static_cast<std::size_t>(r)], want_walked)
+          << "row " << r;
+      const std::vector<TopKEntry> want = Drain(&want_heap);
+      const std::vector<TopKEntry> got =
+          Drain(&got_heaps[static_cast<std::size_t>(r)]);
+      for (std::size_t e = 0; e < want.size(); ++e) {
+        ASSERT_EQ(got[e].item, want[e].item) << "row " << r;
+        ASSERT_EQ(got[e].score, want[e].score) << "row " << r;
+      }
+    }
+  }
 }
 
 }  // namespace
