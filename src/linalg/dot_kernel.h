@@ -53,13 +53,18 @@ bool DotAvx2KernelCompiled();
 DotKernelFn ActiveDotKernel();
 
 namespace internal {
+namespace {
 
 /// Shared tail + reduction for every dot-kernel variant: finish elements
 /// [n8, n) with one scalar fma into lanes [0, n - n8), then reduce all 8
 /// lanes in the fixed tree order.  n8 must be n rounded down to a
-/// multiple of 8.  Inline so each variant's TU compiles it under its own
-/// ISA flags — fma and adds are single-instruction scalars either way,
-/// and scalar IEEE ops are flag-independent.
+/// multiple of 8.  Scalar IEEE ops give the same result under any ISA
+/// flags, but the instructions differ: the AVX TUs encode them with VEX.
+/// Internal linkage (this unnamed namespace) gives each variant's TU its
+/// own copy, compiled under its own flags.  An external-linkage inline
+/// function would be one weak symbol, and the linker could hand the AVX2
+/// TU's copy to the portable kernel (tests/isa_kernel_symbols.cmake
+/// guards this).
 inline Real ReduceDotLanes(Real lanes[8], const Real* x, const Real* y,
                            Index n8, Index n) {
   for (Index r = 0; n8 + r < n; ++r) {
@@ -69,6 +74,7 @@ inline Real ReduceDotLanes(Real lanes[8], const Real* x, const Real* y,
          ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
 }
 
+}  // namespace
 }  // namespace internal
 
 }  // namespace mips

@@ -13,9 +13,7 @@
 #include "common/status.h"        // IWYU pragma: export
 #include "common/thread_pool.h"   // IWYU pragma: export
 #include "common/types.h"         // IWYU pragma: export
-#include "core/approx_cluster.h"  // IWYU pragma: export
 #include "core/cost_model.h"      // IWYU pragma: export
-#include "core/dynamic_maximus.h"  // IWYU pragma: export
 #include "core/engine.h"          // IWYU pragma: export
 #include "core/maximus.h"         // IWYU pragma: export
 #include "core/optimus.h"         // IWYU pragma: export

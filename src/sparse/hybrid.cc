@@ -110,19 +110,10 @@ const SolverRegistrar kHybridRegistrar(
         return Status::InvalidArgument(
             "hybrid: density_threshold must be >= 0");
       }
-      const std::string& postings = params.GetString("postings");
-      PostingOrder order;
-      if (postings == "abs") {
-        order = PostingOrder::kAbsDescending;
-      } else if (postings == "id") {
-        order = PostingOrder::kItemAscending;
-      } else {
-        return Status::InvalidArgument(
-            "hybrid: postings must be \"abs\" or \"id\", got \"" + postings +
-            "\"");
-      }
+      auto order = ParsePostingOrder("hybrid", params.GetString("postings"));
+      if (!order.ok()) return order.status();
       return std::unique_ptr<MipsSolver>(
-          new HybridSolver(static_cast<Real>(threshold), order));
+          new HybridSolver(static_cast<Real>(threshold), *order));
     });
 
 }  // namespace

@@ -160,6 +160,15 @@ void QueryItemOrdered(const InvertedIndex& index, const Real* q,
 
 }  // namespace
 
+StatusOr<PostingOrder> ParsePostingOrder(const std::string& solver,
+                                         const std::string& postings) {
+  if (postings == "abs") return PostingOrder::kAbsDescending;
+  if (postings == "id") return PostingOrder::kItemAscending;
+  return Status::InvalidArgument(
+      solver + ": postings must be \"abs\" or \"id\", got \"" + postings +
+      "\"");
+}
+
 InvertedIndex InvertedIndex::Build(const CsrMatrix& csr, PostingOrder order) {
   InvertedIndex index;
   index.order_ = order;

@@ -43,10 +43,12 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/dcheck.h"
+#include "common/status.h"
 #include "sparse/csr_matrix.h"
 #include "topk/result.h"
 #include "topk/topk_heap.h"
@@ -65,6 +67,11 @@ enum class PostingOrder {
   kAbsDescending,  // |value| desc, item asc among ties ("abs")
   kItemAscending,  // item id asc ("id")
 };
+
+/// Parses a "postings" spec value, "abs" or "id".  The error names
+/// `solver` and the rejected value.
+StatusOr<PostingOrder> ParsePostingOrder(const std::string& solver,
+                                         const std::string& postings);
 
 /// Immutable per-dimension posting lists over a CsrMatrix.
 class InvertedIndex {

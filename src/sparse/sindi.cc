@@ -49,18 +49,9 @@ Status SindiSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
 namespace {
 
 StatusOr<std::unique_ptr<MipsSolver>> MakeSindi(const ParamMap& params) {
-  const std::string& postings = params.GetString("postings");
-  PostingOrder order;
-  if (postings == "abs") {
-    order = PostingOrder::kAbsDescending;
-  } else if (postings == "id") {
-    order = PostingOrder::kItemAscending;
-  } else {
-    return Status::InvalidArgument(
-        "sindi: postings must be \"abs\" or \"id\", got \"" + postings +
-        "\"");
-  }
-  return std::unique_ptr<MipsSolver>(new SindiSolver(order));
+  auto order = ParsePostingOrder("sindi", params.GetString("postings"));
+  if (!order.ok()) return order.status();
+  return std::unique_ptr<MipsSolver>(new SindiSolver(*order));
 }
 
 const SolverRegistrar kSindiRegistrar(

@@ -1,14 +1,12 @@
 // Cross-module integration tests: all solvers agree on realistic preset
-// workloads; OPTIMUS end-to-end on presets; the approximate cluster
-// baseline's recall behavior; dynamic-user serving (Section III-E); and a
-// train -> save -> load -> serve pipeline.
+// workloads; OPTIMUS end-to-end on presets; dynamic-user serving
+// (Section III-E); and a train -> save -> load -> serve pipeline.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <memory>
 
-#include "core/approx_cluster.h"
 #include "core/maximus.h"
 #include "core/optimus.h"
 #include "data/datasets.h"
@@ -88,41 +86,6 @@ TEST(IntegrationTest, OptimusOnPresets) {
     ASSERT_TRUE(reference.TopKAll(5, &expected).ok());
     ExpectSameTopKScores(out, expected, 1e-6);
   }
-}
-
-TEST(IntegrationTest, ApproxClusterRecall) {
-  const MFModel model = MakeTestModel(400, 200, 10, 71, /*norm_sigma=*/0.5,
-                                      /*dispersion=*/0.2);
-  BmmSolver reference;
-  ASSERT_TRUE(reference.Prepare(ConstRowBlock(model.users),
-                                ConstRowBlock(model.items)).ok());
-  TopKResult exact;
-  ASSERT_TRUE(reference.TopKAll(10, &exact).ok());
-
-  // Many clusters on tightly clustered users -> high recall.
-  ApproxClusterOptions many;
-  many.num_clusters = 64;
-  ApproxClusterTopK approx_many(many);
-  ASSERT_TRUE(approx_many.Prepare(ConstRowBlock(model.users),
-                                  ConstRowBlock(model.items)).ok());
-  TopKResult approx_result;
-  ASSERT_TRUE(approx_many.TopKAll(10, &approx_result).ok());
-  const double recall_many = MeanRecallAtK(approx_result, exact);
-  EXPECT_GT(recall_many, 0.5);
-  EXPECT_LE(recall_many, 1.0);
-
-  // One cluster -> everyone gets the same list -> lower recall.
-  ApproxClusterOptions one;
-  one.num_clusters = 1;
-  ApproxClusterTopK approx_one(one);
-  ASSERT_TRUE(approx_one.Prepare(ConstRowBlock(model.users),
-                                 ConstRowBlock(model.items)).ok());
-  TopKResult approx_one_result;
-  ASSERT_TRUE(approx_one.TopKAll(10, &approx_one_result).ok());
-  const double recall_one = MeanRecallAtK(approx_one_result, exact);
-  EXPECT_LE(recall_one, recall_many + 1e-9);
-  // Exact results have recall exactly 1 against themselves.
-  EXPECT_DOUBLE_EQ(MeanRecallAtK(exact, exact), 1.0);
 }
 
 // Section III-E claim, scaled: clustering only 10% of users and assigning

@@ -410,7 +410,12 @@ TEST(SparseRegistryTest, SpecsRoundTrip) {
   ASSERT_TRUE(id_solver.ok());
   EXPECT_EQ((*id_solver)->name(), "sindi-id");
 
-  EXPECT_FALSE(CreateSolverFromSpec("sindi:postings=bogus").ok());
+  // A bad posting order is refused with the solver and the value named.
+  const auto bogus = CreateSolverFromSpec("sindi:postings=bogus");
+  ASSERT_FALSE(bogus.ok());
+  EXPECT_NE(bogus.status().message().find("sindi: postings"),
+            std::string::npos);
+  EXPECT_NE(bogus.status().message().find("\"bogus\""), std::string::npos);
 
   auto hybrid =
       CreateSolverFromSpec("hybrid:density_threshold=0.5,postings=id");
@@ -420,7 +425,12 @@ TEST(SparseRegistryTest, SpecsRoundTrip) {
   EXPECT_TRUE((*hybrid)->batches_users());
 
   EXPECT_FALSE(CreateSolverFromSpec("hybrid:density_threshold=-1").ok());
-  EXPECT_FALSE(CreateSolverFromSpec("hybrid:postings=sideways").ok());
+  const auto sideways = CreateSolverFromSpec("hybrid:postings=sideways");
+  ASSERT_FALSE(sideways.ok());
+  EXPECT_NE(sideways.status().message().find("hybrid: postings"),
+            std::string::npos);
+  EXPECT_NE(sideways.status().message().find("\"sideways\""),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------
