@@ -84,6 +84,7 @@ StatusOr<std::unique_ptr<MipsEngine>> MipsEngine::Open(
     MIPS_RETURN_IF_ERROR(solver.status());
     engine->names_.push_back((*solver)->name());
     engine->specs_.push_back(spec);
+    engine->candidates_.push_back(solver->get());
     engine->solvers_.push_back(std::move(*solver));
   }
   if (options.shared_pool == nullptr && options.threads > 0) {
@@ -102,15 +103,16 @@ StatusOr<std::unique_ptr<MipsEngine>> MipsEngine::Open(
   const std::size_t num_candidates = engine->solvers_.size();
   std::vector<Status> build_status(num_candidates);
   std::vector<double> build_seconds(num_candidates, 0);
+  auto build = [&engine, &users, &items, &build_status,
+                &build_seconds](std::size_t s) {
+    WallTimer timer;
+    build_status[s] = engine->solvers_[s]->Prepare(users, items);
+    build_seconds[s] = timer.Seconds();
+  };
   WallTimer build_timer;
   if (pool != nullptr && num_candidates > 1) {
     for (std::size_t s = 0; s < num_candidates; ++s) {
-      pool->Submit([&engine, &users, &items, &build_status,
-                    &build_seconds, s]() {
-        WallTimer timer;
-        build_status[s] = engine->solvers_[s]->Prepare(users, items);
-        build_seconds[s] = timer.Seconds();
-      });
+      pool->Submit([&build, s]() { build(s); });
     }
     // With a shared pool, Wait also drains tasks other pool users (e.g.
     // sibling shard engines opening concurrently) submitted; over-waiting
@@ -118,11 +120,7 @@ StatusOr<std::unique_ptr<MipsEngine>> MipsEngine::Open(
     // EngineOptions::shared_pool).
     pool->Wait();
   } else {
-    for (std::size_t s = 0; s < num_candidates; ++s) {
-      WallTimer timer;
-      build_status[s] = engine->solvers_[s]->Prepare(users, items);
-      build_seconds[s] = timer.Seconds();
-    }
+    for (std::size_t s = 0; s < num_candidates; ++s) build(s);
   }
   for (std::size_t s = 0; s < num_candidates; ++s) {
     MIPS_RETURN_IF_ERROR(build_status[s]);
@@ -149,18 +147,10 @@ StatusOr<std::unique_ptr<MipsEngine>> MipsEngine::Open(
   }
 
   // The candidates are already Prepared (above, possibly in parallel), so
-  // the decision only needs the sampling measurement.
-  std::vector<MipsSolver*> raw;
-  for (const auto& solver : engine->solvers_) raw.push_back(solver.get());
-  Optimus optimus(options.optimus);
-  std::size_t winner = 0;
-  MIPS_RETURN_IF_ERROR(optimus.DecidePrepared(users, items, options.k, raw,
-                                              &winner, &engine->report_));
-  // DecidePrepared skipped construction; patch the measured per-candidate
-  // build times into the report so its trace stays complete.
-  for (std::size_t s = 0; s < num_candidates &&
-                          s < engine->report_.estimates.size();
-       ++s) {
+  // the decision only measures; the build times go into its trace here.
+  auto winner = engine->Decide(engine->OpeningKey(), &engine->report_);
+  MIPS_RETURN_IF_ERROR(winner.status());
+  for (std::size_t s = 0; s < num_candidates; ++s) {
     engine->report_.estimates[s].construction_seconds = build_seconds[s];
     // mips-tidy: allow(float-accumulation): wall-clock bookkeeping.
     engine->report_.construction_seconds += build_seconds[s];
@@ -168,7 +158,7 @@ StatusOr<std::unique_ptr<MipsEngine>> MipsEngine::Open(
   engine->report_.total_seconds += build_wall_seconds;
   {
     WriterMutexLock lock(engine->decision_mu_);
-    engine->InsertDecision(engine->OpeningKey(), winner);
+    engine->InsertDecision(engine->OpeningKey(), *winner);
     // Pre-decide the caller's expected batch shapes so the first live
     // request at each shape finds a cached winner instead of paying the
     // sampling decision inline.  Shapes bucket exactly like live queries;
@@ -179,16 +169,21 @@ StatusOr<std::unique_ptr<MipsEngine>> MipsEngine::Open(
       if (engine->winner_by_k_.find(key) != engine->winner_by_k_.end()) {
         continue;
       }
-      OptimusOptions warm_options = options.optimus;
-      warm_options.fixed_sample_users = key.second;
-      Optimus warm_optimus(warm_options);
-      std::size_t warm_winner = 0;
-      MIPS_RETURN_IF_ERROR(warm_optimus.DecidePrepared(
-          users, items, options.k, raw, &warm_winner, nullptr));
-      engine->InsertDecision(key, warm_winner);
+      auto warm_winner = engine->Decide(key, nullptr);
+      MIPS_RETURN_IF_ERROR(warm_winner.status());
+      engine->InsertDecision(key, *warm_winner);
     }
   }
   return engine;
+}
+
+StatusOr<std::size_t> MipsEngine::Decide(DecisionKey key,
+                                         OptimusReport* report) const {
+  std::size_t winner = 0;
+  MIPS_RETURN_IF_ERROR(Optimus(options_.optimus)
+                           .Decide(users_, items_, key.first, candidates_,
+                                   &winner, report, key.second));
+  return winner;
 }
 
 Index MipsEngine::ShapeBucket(Index rows) const {
@@ -287,16 +282,10 @@ StatusOr<std::size_t> MipsEngine::StrategyFor(Index k, Index batch_rows) {
       invalidated = true;
     }
   }
-  std::vector<MipsSolver*> raw;
-  for (const auto& solver : solvers_) raw.push_back(solver.get());
-  OptimusOptions decision_options = options_.optimus;
-  decision_options.fixed_sample_users = key.second;
-  Optimus optimus(decision_options);
-  std::size_t winner = 0;
   OptimusReport report;
-  MIPS_RETURN_IF_ERROR(
-      optimus.DecidePrepared(users_, items_, k, raw, &winner, &report));
-  InsertDecision(key, winner);
+  auto winner = Decide(key, &report);
+  MIPS_RETURN_IF_ERROR(winner.status());
+  InsertDecision(key, *winner);
   if (invalidated) {
     stats_.decision_cache_invalidations.fetch_add(1,
                                                   std::memory_order_relaxed);
@@ -304,7 +293,7 @@ StatusOr<std::size_t> MipsEngine::StrategyFor(Index k, Index batch_rows) {
   stats_.redecisions.fetch_add(1, std::memory_order_relaxed);
   stats_.redecision_seconds.fetch_add(report.total_seconds,
                                       std::memory_order_relaxed);
-  return winner;
+  return *winner;
 }
 
 Status MipsEngine::TopK(Index k, std::span<const Index> user_ids,

@@ -34,7 +34,7 @@
 //     Candidate indexes are read-only at query time; the per-k decision
 //     cache is guarded by a shared mutex so the hot path (k already
 //     decided) takes only a shared lock, and the exclusive lock is held
-//     only while a brand-new k runs Optimus::DecidePrepared.  Concurrent
+//     only while a brand-new k runs its Optimus::Decide.  Concurrent
 //     callers of other, already-cached ks briefly queue behind that
 //     decision; exactness is never affected.
 //   * stats() counters are atomics; the returned snapshot is internally
@@ -103,7 +103,7 @@ struct EngineOptions {
   /// (capped at 128: larger batches share the cap bucket's decision,
   /// since amortization has saturated by then) and each (k, bucket) pair
   /// gets its own sampling decision, measured on a bucket-sized batch
-  /// (OptimusOptions::fixed_sample_users).  This is the paper's central
+  /// (Optimus::Decide's `sample_users`).  This is the paper's central
   /// trade-off surfacing at serve time: a 64-row coalesced batch
   /// amortizes the GEMM's item-panel sweep and may pick BMM where each
   /// singleton picked an index probe.  Off by default — the population-
@@ -269,6 +269,12 @@ class MipsEngine {
   StatusOr<std::size_t> StrategyFor(Index k, Index batch_rows)
       EXCLUDES(decision_mu_);
 
+  /// The one OPTIMUS decision site (opening, warm shapes, cache misses):
+  /// measures the prepared candidates at key.first on a population-sized
+  /// sample (bucket 0) or on exactly key.second users, and returns the
+  /// winner's index into solvers_.  *report (optional) gets the trace.
+  StatusOr<std::size_t> Decide(DecisionKey key, OptimusReport* report) const;
+
   struct CachedDecision;
   /// Whether `entry` was measured under a GEMM kernel that has since been
   /// re-installed (always false with a single candidate) — the one
@@ -289,6 +295,7 @@ class MipsEngine {
   EngineOptions options_;
   std::unique_ptr<ThreadPool> owned_pool_;
   std::vector<std::unique_ptr<MipsSolver>> solvers_;
+  std::vector<MipsSolver*> candidates_;  // solvers_, borrowed for Optimus
   std::vector<std::string> names_;  // solver names, parallel to solvers_
   std::vector<std::string> specs_;  // opening specs, parallel to solvers_
 
@@ -308,8 +315,8 @@ class MipsEngine {
   };
 
   /// Guards winner_by_k_.  Shared: cache lookups.  Exclusive: inserting
-  /// the winner for a new key (held across DecidePrepared so one decision
-  /// runs at a time and latecomers reuse its result) and evicting.
+  /// the winner for a new key (held across Decide so one decision runs at
+  /// a time and latecomers reuse its result) and evicting.
   mutable SharedMutex decision_mu_;
   std::map<DecisionKey, CachedDecision> winner_by_k_
       GUARDED_BY(decision_mu_);

@@ -20,48 +20,45 @@ struct Optimus::SampleMeasurement {
   std::size_t winner = 0;
 };
 
-Status Optimus::DecideInternal(const ConstRowBlock& users,
-                               const ConstRowBlock& items, Index k,
-                               const std::vector<MipsSolver*>& strategies,
-                               bool skip_prepare, OptimusReport* report,
-                               SampleMeasurement* sample_out) {
+namespace {
+
+Status CheckArguments(const ConstRowBlock& users, Index k,
+                      const std::vector<MipsSolver*>& strategies) {
   if (strategies.size() < 2) {
     return Status::InvalidArgument("OPTIMUS needs at least two strategies");
   }
   if (k <= 0) return Status::InvalidArgument("k must be positive");
-  const Index n = users.rows();
-  if (n <= 0) return Status::InvalidArgument("user set is empty");
+  if (users.rows() <= 0) return Status::InvalidArgument("user set is empty");
+  return Status::OK();
+}
 
+}  // namespace
+
+Status Optimus::Measure(const ConstRowBlock& users, Index k,
+                        const std::vector<MipsSolver*>& strategies,
+                        Index sample_users, OptimusReport* report,
+                        SampleMeasurement* sample_out) {
+  const Index n = users.rows();
   OptimusReport& rep = *report;
   rep = OptimusReport();
   // Force the kernel install before the first timed GEMM so the probe's
   // cost never lands inside a strategy measurement.
   rep.gemm_kernel = ToString(ActiveGemmKernel());
   rep.estimates.resize(strategies.size());
-
-  // --- Step 1: build every index in full (cheap relative to serving).
-  // Skipped for re-decisions over already-Prepared strategies. ---
   for (std::size_t s = 0; s < strategies.size(); ++s) {
-    WallTimer timer;
-    if (!skip_prepare) {
-      MIPS_RETURN_IF_ERROR(strategies[s]->Prepare(users, items));
-    }
     rep.estimates[s].name = strategies[s]->name();
     rep.estimates[s].representation = strategies[s]->representation();
-    rep.estimates[s].construction_seconds = timer.Seconds();
-    // mips-tidy: allow(float-accumulation): wall-clock bookkeeping.
-    rep.construction_seconds += rep.estimates[s].construction_seconds;
   }
 
   // --- Step 2: draw the user sample (ratio floor + L2 cache floor,
   // capped to a strict minority of the users on small instances).  A
-  // fixed_sample_users override skips the population sizing entirely:
-  // the caller is asking about a concrete batch shape, so the sample IS
-  // the batch. ---
+  // requested sample_users skips the population sizing entirely: the
+  // caller is asking about a concrete batch shape, so the sample IS the
+  // batch. ---
   Rng rng(options_.seed);
   Index sample_size;
-  if (options_.fixed_sample_users > 0) {
-    sample_size = std::min(options_.fixed_sample_users, n);
+  if (sample_users > 0) {
+    sample_size = std::min(sample_users, n);
   } else {
     sample_size = OptimizerSampleSize(
         n, options_.sample_ratio, users.cols(), options_.l2_cache_bytes);
@@ -83,11 +80,10 @@ Status Optimus::DecideInternal(const ConstRowBlock& users,
   // Fixed-shape decisions over tiny batches (1-8 rows) would otherwise
   // ride on a single sub-millisecond timing; repeat the measurement a few
   // times and keep the best (interference only ever slows a run down).
-  const int reps =
-      options_.fixed_sample_users > 0
-          ? static_cast<int>(std::clamp<Index>(
-                32 / static_cast<Index>(sample.size()), 1, 8))
-          : 1;
+  const int reps = sample_users > 0
+                       ? static_cast<int>(std::clamp<Index>(
+                             32 / static_cast<Index>(sample.size()), 1, 8))
+                       : 1;
   double best_batching_mean = std::numeric_limits<double>::infinity();
   for (std::size_t s = 0; s < strategies.size(); ++s) {
     if (!strategies[s]->batches_users()) continue;
@@ -162,30 +158,18 @@ Status Optimus::DecideInternal(const ConstRowBlock& users,
   return Status::OK();
 }
 
-Status Optimus::Decide(const ConstRowBlock& users, const ConstRowBlock& items,
-                       Index k, const std::vector<MipsSolver*>& strategies,
-                       std::size_t* winner, OptimusReport* report) {
+Status Optimus::Decide(const ConstRowBlock& users,
+                       const ConstRowBlock& /*items*/, Index k,
+                       const std::vector<MipsSolver*>& strategies,
+                       std::size_t* winner, OptimusReport* report,
+                       Index sample_users) {
+  MIPS_RETURN_IF_ERROR(CheckArguments(users, k, strategies));
   WallTimer total_timer;
   OptimusReport local_report;
   OptimusReport& rep = report != nullptr ? *report : local_report;
   SampleMeasurement sample;
-  MIPS_RETURN_IF_ERROR(DecideInternal(users, items, k, strategies,
-                                      /*skip_prepare=*/false, &rep, &sample));
-  *winner = sample.winner;
-  rep.total_seconds = total_timer.Seconds();
-  return Status::OK();
-}
-
-Status Optimus::DecidePrepared(const ConstRowBlock& users,
-                               const ConstRowBlock& items, Index k,
-                               const std::vector<MipsSolver*>& strategies,
-                               std::size_t* winner, OptimusReport* report) {
-  WallTimer total_timer;
-  OptimusReport local_report;
-  OptimusReport& rep = report != nullptr ? *report : local_report;
-  SampleMeasurement sample;
-  MIPS_RETURN_IF_ERROR(DecideInternal(users, items, k, strategies,
-                                      /*skip_prepare=*/true, &rep, &sample));
+  MIPS_RETURN_IF_ERROR(
+      Measure(users, k, strategies, sample_users, &rep, &sample));
   *winner = sample.winner;
   rep.total_seconds = total_timer.Seconds();
   return Status::OK();
@@ -194,12 +178,27 @@ Status Optimus::DecidePrepared(const ConstRowBlock& users,
 Status Optimus::Run(const ConstRowBlock& users, const ConstRowBlock& items,
                     Index k, const std::vector<MipsSolver*>& strategies,
                     TopKResult* out, OptimusReport* report) {
+  MIPS_RETURN_IF_ERROR(CheckArguments(users, k, strategies));
   WallTimer total_timer;
   OptimusReport local_report;
   OptimusReport& rep = report != nullptr ? *report : local_report;
+
+  // --- Step 1: build every index in full (cheap relative to serving),
+  // under the kernel that will be measured. ---
+  ActiveGemmKernel();
+  std::vector<double> construction_seconds(strategies.size());
+  for (std::size_t s = 0; s < strategies.size(); ++s) {
+    WallTimer timer;
+    MIPS_RETURN_IF_ERROR(strategies[s]->Prepare(users, items));
+    construction_seconds[s] = timer.Seconds();
+  }
   SampleMeasurement sample;
-  MIPS_RETURN_IF_ERROR(DecideInternal(users, items, k, strategies,
-                                      /*skip_prepare=*/false, &rep, &sample));
+  MIPS_RETURN_IF_ERROR(Measure(users, k, strategies, 0, &rep, &sample));
+  for (std::size_t s = 0; s < strategies.size(); ++s) {
+    rep.estimates[s].construction_seconds = construction_seconds[s];
+    // mips-tidy: allow(float-accumulation): wall-clock bookkeeping.
+    rep.construction_seconds += construction_seconds[s];
+  }
   const std::size_t winner = sample.winner;
   const Index n = users.rows();
 

@@ -45,15 +45,6 @@ struct OptimusOptions {
   double ttest_alpha = 0.05;
   int ttest_min_observations = 8;
   uint64_t seed = 123;
-  /// When > 0, the sample is exactly this many users (capped at |U|) and
-  /// the ratio/L2-floor sizing above is bypassed.  This is how a serving
-  /// layer asks "which strategy wins for a B-row mini-batch?": batching
-  /// strategies are then timed on a single B-row call — a 1-row "batch"
-  /// GEMM pays the full item-panel sweep for one user, while 64 coalesced
-  /// rows amortize it — so the decision reflects the realized batch
-  /// shape instead of the full-population extrapolation (see
-  /// EngineOptions::batch_shape_decisions).  0 = population sizing.
-  Index fixed_sample_users = 0;
 };
 
 /// Measured/estimated cost of one candidate strategy.
@@ -101,43 +92,47 @@ struct OptimusReport {
 };
 
 /// The optimizer.  Strategies are borrowed (caller owns and outlives the
-/// run); Prepare() is called on each by Run().
+/// call).  Run() prepares them; Decide() measures strategies that are
+/// already prepared.  Both time the candidates with the same measurement.
 class Optimus {
  public:
   explicit Optimus(const OptimusOptions& options = {}) : options_(options) {}
 
   /// Selects and executes the fastest strategy for this (users, items, K)
-  /// input.  Requires >= 2 strategies.  *out receives exact top-K for all
-  /// users; *report (optional) receives the decision trace.
+  /// input: prepares every strategy, decides as Decide() does with
+  /// population sizing, and serves the remaining users with the winner.
+  /// Requires >= 2 strategies.  *out receives exact top-K for all users;
+  /// *report (optional) receives the decision trace.
   Status Run(const ConstRowBlock& users, const ConstRowBlock& items, Index k,
              const std::vector<MipsSolver*>& strategies, TopKResult* out,
              OptimusReport* report = nullptr);
 
-  /// Decision only: builds the indexes, measures the sample, and fills
-  /// *winner with the index into `strategies` of the chosen solver —
-  /// without serving the full user set.  Used by serving sessions that
-  /// answer mini-batches on demand (Section II-A's Clipper-style setting).
-  /// All strategies are left Prepared.
+  /// Decision only, over strategies ALREADY Prepared on (users, items):
+  /// measures the sample and fills *winner with the index into
+  /// `strategies` of the chosen solver, without serving the full user
+  /// set.  The report's construction times are zero (nothing is built).
+  ///
+  /// `sample_users` = 0 sizes the sample from the population (ratio, L2
+  /// floor and cap above).  `sample_users` > 0 samples exactly that many
+  /// users, capped at |U|: this asks "which strategy wins for a B-row
+  /// batch?", so batching strategies are timed on one B-row call — a
+  /// 1-row "batch" GEMM pays the full item-panel sweep for one user, while
+  /// 64 coalesced rows amortize it.  MipsEngine's shape-keyed decisions
+  /// (EngineOptions::batch_shape_decisions) pass their bucket here.
   Status Decide(const ConstRowBlock& users, const ConstRowBlock& items,
                 Index k, const std::vector<MipsSolver*>& strategies,
-                std::size_t* winner, OptimusReport* report = nullptr);
-
-  /// Decide() for strategies that are ALREADY Prepared on (users, items):
-  /// skips index construction and only re-runs the sampling measurement.
-  /// Used by MipsEngine when a query k diverges from the decision k —
-  /// the candidate indexes are k-independent, so rebuilding them would
-  /// add construction latency to a serving call for nothing.
-  Status DecidePrepared(const ConstRowBlock& users, const ConstRowBlock& items,
-                        Index k, const std::vector<MipsSolver*>& strategies,
-                        std::size_t* winner, OptimusReport* report = nullptr);
+                std::size_t* winner, OptimusReport* report = nullptr,
+                Index sample_users = 0);
 
  private:
   struct SampleMeasurement;
-  Status DecideInternal(const ConstRowBlock& users,
-                        const ConstRowBlock& items, Index k,
-                        const std::vector<MipsSolver*>& strategies,
-                        bool skip_prepare, OptimusReport* report,
-                        SampleMeasurement* sample);
+  // The one timing routine behind Run and Decide: draws the sample, times
+  // every (prepared) strategy on it and picks the minimum estimate.
+  // Resets *report; leaves its construction and total times at zero.
+  Status Measure(const ConstRowBlock& users, Index k,
+                 const std::vector<MipsSolver*>& strategies,
+                 Index sample_users, OptimusReport* report,
+                 SampleMeasurement* sample);
 
   OptimusOptions options_;
 };

@@ -26,12 +26,6 @@ Real Dot(const Real* x, const Real* y, Index n);
 /// Reference single-accumulator inner product (intentionally unoptimized).
 Real DotNaive(const Real* x, const Real* y, Index n);
 
-/// Inner product over the first `h` coordinates only (FEXIPRO partial
-/// products).  Precondition: 0 <= h <= n for vectors of length n.
-inline Real DotPrefix(const Real* x, const Real* y, Index h) {
-  return Dot(x, y, h);
-}
-
 /// Euclidean norm ||x||_2.
 Real Nrm2(const Real* x, Index n);
 

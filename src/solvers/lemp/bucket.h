@@ -63,8 +63,6 @@ struct Bucket {
   /// used by the kCoord bucket-level bound.
   std::vector<Real> coord_min;
   std::vector<Real> coord_max;
-  /// Algorithm chosen by the per-bucket calibration (mutable online state).
-  BucketAlgorithm algorithm = BucketAlgorithm::kIncremental;
 };
 
 /// The kCoord bucket-level upper bound on u.i over all items i in the

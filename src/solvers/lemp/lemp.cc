@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "common/timer.h"
@@ -32,6 +33,65 @@ struct UserScratch {
   }
 };
 
+// Scans one bucket for `user` with `algorithm` into `heap`: the kCoord
+// whole-bucket skip, then the norm-ordered scan (length pruning unless
+// kNaive, Cauchy-Schwarz incremental pruning under kIncremental).  The one
+// bucket scan: queries serve through it and calibration times it.
+// Returns the number of item positions scanned.  All pruning is strict
+// (`< MinScore()`, not `<=`): a bound equal to the heap minimum can belong
+// to a score that ties it, and the tied item must reach Push so the lower
+// item id wins deterministically (topk_heap.h).
+Index ScanBucket(const lemp::SortedItems& sorted, const Bucket& bucket,
+                 BucketAlgorithm algorithm, const Real* user, Real user_norm,
+                 const UserScratch& scratch, TopKHeap* heap) {
+  const Index f = sorted.vectors.cols();
+  const Index ncp = static_cast<Index>(sorted.checkpoint_dims.size());
+  // Coordinate-range prune: may skip this bucket entirely (but not the
+  // later ones — the coordinate bound is not monotone across buckets).
+  if (algorithm == BucketAlgorithm::kCoord && heap->full() &&
+      CoordBucketBound(user, bucket, f) < heap->MinScore()) {
+    return 0;
+  }
+  Index scanned = 0;
+  for (Index pos = bucket.begin; pos < bucket.end; ++pos) {
+    const Real norm = sorted.norms[static_cast<std::size_t>(pos)];
+    if (algorithm != BucketAlgorithm::kNaive && heap->full() &&
+        norm * user_norm < heap->MinScore()) {
+      // Items are norm-sorted inside the bucket too: nothing later in
+      // this bucket can qualify.
+      break;
+    }
+    ++scanned;
+    const Real* v = sorted.vectors.Row(pos);
+    const Index id = sorted.ids[static_cast<std::size_t>(pos)];
+
+    if (algorithm == BucketAlgorithm::kIncremental && heap->full()) {
+      // Partial inner products with Cauchy-Schwarz tail bounds.
+      Real partial = 0;
+      Index start = 0;
+      bool pruned = false;
+      for (Index c = 0; c < ncp; ++c) {
+        const Index dim = sorted.checkpoint_dims[static_cast<std::size_t>(c)];
+        partial += Dot(user + start, v + start, dim - start);
+        start = dim;
+        const Real tail =
+            scratch.suffix_norms[static_cast<std::size_t>(c)] *
+            sorted.suffix_norms[static_cast<std::size_t>(pos) * ncp + c];
+        if (partial + tail < heap->MinScore()) {
+          pruned = true;
+          break;
+        }
+      }
+      if (pruned) continue;
+      partial += Dot(user + start, v + start, f - start);
+      heap->Push(id, partial);
+    } else {
+      heap->Push(id, Dot(user, v, f));
+    }
+  }
+  return scanned;
+}
+
 }  // namespace
 
 Status LempSolver::Prepare(const ConstRowBlock& users,
@@ -55,13 +115,6 @@ Status LempSolver::Prepare(const ConstRowBlock& users,
   buckets_ = lemp::MakeBuckets(sorted_, bucket_size);
   {
     MutexLock lock(calibration_mu_);
-    bucket_algorithms_.assign(buckets_.size(),
-                              BucketAlgorithm::kIncremental);
-    if (options_.forced_algorithm >= 0) {
-      const auto forced =
-          static_cast<BucketAlgorithm>(options_.forced_algorithm);
-      bucket_algorithms_.assign(buckets_.size(), forced);
-    }
     algorithms_by_k_.clear();
   }
   stage_timer_.Add("construction", timer.Seconds());
@@ -72,74 +125,25 @@ Index LempSolver::QueryOneUser(
     const Real* user, Real user_norm, Index k,
     const std::vector<BucketAlgorithm>& algorithms,
     TopKEntry* out_row) const {
-  const Index f = items_.cols();
-  const Index ncp = static_cast<Index>(sorted_.checkpoint_dims.size());
   TopKHeap heap(k);
   UserScratch scratch;
-  scratch.Compute(user, f, sorted_.checkpoint_dims);
+  scratch.Compute(user, items_.cols(), sorted_.checkpoint_dims);
 
   Index scanned = 0;
   for (std::size_t bi = 0; bi < buckets_.size(); ++bi) {
     const Bucket& bucket = buckets_[bi];
-    const Real min_h = heap.MinScore();
     // Bucket-level termination: every item here (and in all later buckets)
-    // has norm <= max_norm, so u.i <= ||u|| * max_norm.  All pruning in
-    // this walk is strict (`< min_h`, not `<=`): a bound equal to the
-    // heap minimum can belong to a score that ties it, and the tied item
-    // must reach Push so the lower item id wins deterministically
-    // (topk_heap.h).
-    if (heap.full() && bucket.max_norm * user_norm < min_h) break;
-
-    const BucketAlgorithm algorithm = algorithms[bi];
-    // Coordinate-range prune: may skip this bucket entirely (but not the
-    // later ones — the coordinate bound is not monotone across buckets).
-    if (algorithm == BucketAlgorithm::kCoord && heap.full() &&
-        CoordBucketBound(user, bucket, f) < min_h) {
-      continue;
-    }
-    for (Index pos = bucket.begin; pos < bucket.end; ++pos) {
-      const Real norm = sorted_.norms[static_cast<std::size_t>(pos)];
-      if (algorithm != BucketAlgorithm::kNaive && heap.full() &&
-          norm * user_norm < heap.MinScore()) {
-        // Items are norm-sorted inside the bucket too: nothing later in
-        // this bucket can qualify.
-        break;
-      }
-      ++scanned;
-      const Real* v = sorted_.vectors.Row(pos);
-      const Index id = sorted_.ids[static_cast<std::size_t>(pos)];
-
-      if (algorithm == BucketAlgorithm::kIncremental && heap.full()) {
-        // Partial inner products with Cauchy-Schwarz tail bounds.
-        Real partial = 0;
-        Index start = 0;
-        bool pruned = false;
-        for (Index c = 0; c < ncp; ++c) {
-          const Index dim = sorted_.checkpoint_dims[static_cast<std::size_t>(c)];
-          partial += Dot(user + start, v + start, dim - start);
-          start = dim;
-          const Real tail =
-              scratch.suffix_norms[static_cast<std::size_t>(c)] *
-              sorted_.suffix_norms[static_cast<std::size_t>(pos) * ncp + c];
-          if (partial + tail < heap.MinScore()) {
-            pruned = true;
-            break;
-          }
-        }
-        if (pruned) continue;
-        partial += Dot(user + start, v + start, f - start);
-        heap.Push(id, partial);
-      } else {
-        heap.Push(id, Dot(user, v, f));
-      }
-    }
+    // has norm <= max_norm, so u.i <= ||u|| * max_norm.
+    if (heap.full() && bucket.max_norm * user_norm < heap.MinScore()) break;
+    scanned += ScanBucket(sorted_, bucket, algorithms[bi], user, user_norm,
+                          scratch, &heap);
   }
   heap.ExtractDescending(out_row);
   return scanned;
 }
 
-void LempSolver::Calibrate(Index k, std::span<const Index> user_ids) {
-  calibration_mu_.AssertHeld();
+std::vector<BucketAlgorithm> LempSolver::Calibrate(
+    Index k, std::span<const Index> user_ids) const {
   const std::size_t num_buckets = buckets_.size();
   // Accumulated cost and trial count per (bucket, algorithm).
   std::vector<double> cost(num_buckets * lemp::kNumBucketAlgorithms, 0.0);
@@ -147,9 +151,7 @@ void LempSolver::Calibrate(Index k, std::span<const Index> user_ids) {
 
   const Index sample = std::min<Index>(options_.calibration_users,
                                        static_cast<Index>(user_ids.size()));
-  if (sample <= 0) return;
   const Index f = items_.cols();
-  const Index ncp = static_cast<Index>(sorted_.checkpoint_dims.size());
   std::vector<TopKEntry> row(static_cast<std::size_t>(k));
 
   for (Index s = 0; s < sample; ++s) {
@@ -171,48 +173,8 @@ void LempSolver::Calibrate(Index k, std::span<const Index> user_ids) {
           break;
         }
         WallTimer bucket_timer;
-        if (algorithm == BucketAlgorithm::kCoord && heap.full() &&
-            CoordBucketBound(user, bucket, f) < heap.MinScore()) {
-          const std::size_t skip_slot =
-              bi * lemp::kNumBucketAlgorithms + static_cast<std::size_t>(a);
-          // mips-tidy: allow(float-accumulation): cost-model timing, not a
-          // score.
-          cost[skip_slot] += bucket_timer.Seconds();
-          ++trials[skip_slot];
-          continue;
-        }
-        for (Index pos = bucket.begin; pos < bucket.end; ++pos) {
-          const Real norm = sorted_.norms[static_cast<std::size_t>(pos)];
-          if (algorithm != BucketAlgorithm::kNaive && heap.full() &&
-              norm * user_norm < heap.MinScore()) {
-            break;
-          }
-          const Real* v = sorted_.vectors.Row(pos);
-          const Index id = sorted_.ids[static_cast<std::size_t>(pos)];
-          if (algorithm == BucketAlgorithm::kIncremental && heap.full()) {
-            Real partial = 0;
-            Index start = 0;
-            bool pruned = false;
-            for (Index c = 0; c < ncp; ++c) {
-              const Index dim =
-                  sorted_.checkpoint_dims[static_cast<std::size_t>(c)];
-              partial += Dot(user + start, v + start, dim - start);
-              start = dim;
-              const Real tail =
-                  scratch.suffix_norms[static_cast<std::size_t>(c)] *
-                  sorted_.suffix_norms[static_cast<std::size_t>(pos) * ncp + c];
-              if (partial + tail < heap.MinScore()) {
-                pruned = true;
-                break;
-              }
-            }
-            if (pruned) continue;
-            partial += Dot(user + start, v + start, f - start);
-            heap.Push(id, partial);
-          } else {
-            heap.Push(id, Dot(user, v, f));
-          }
-        }
+        ScanBucket(sorted_, bucket, algorithm, user, user_norm, scratch,
+                   &heap);
         const std::size_t slot = bi * lemp::kNumBucketAlgorithms +
                                  static_cast<std::size_t>(a);
         // mips-tidy: allow(float-accumulation): cost-model timing, not a
@@ -224,8 +186,10 @@ void LempSolver::Calibrate(Index k, std::span<const Index> user_ids) {
     }
   }
 
+  // Buckets no calibration user reached keep the incremental default.
+  std::vector<BucketAlgorithm> algorithms(num_buckets,
+                                          BucketAlgorithm::kIncremental);
   for (std::size_t bi = 0; bi < num_buckets; ++bi) {
-    int best = static_cast<int>(BucketAlgorithm::kIncremental);
     double best_cost = std::numeric_limits<double>::max();
     for (int a = 0; a < lemp::kNumBucketAlgorithms; ++a) {
       const std::size_t slot =
@@ -234,11 +198,11 @@ void LempSolver::Calibrate(Index k, std::span<const Index> user_ids) {
       const double mean = cost[slot] / trials[slot];
       if (mean < best_cost) {
         best_cost = mean;
-        best = a;
+        algorithms[bi] = static_cast<BucketAlgorithm>(a);
       }
     }
-    bucket_algorithms_[bi] = static_cast<BucketAlgorithm>(best);
   }
+  return algorithms;
 }
 
 Status LempSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
@@ -257,17 +221,14 @@ Status LempSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
   // algorithm is exact; calibration only tunes pruning cost.
   std::vector<BucketAlgorithm> algorithms;
   if (options_.forced_algorithm >= 0) {
-    // Fixed at Prepare, never mutated afterwards — but snapshot under the
-    // lock anyway so the analysis (and any future mutation) stays honest.
-    MutexLock lock(calibration_mu_);
-    algorithms = bucket_algorithms_;
+    algorithms.assign(buckets_.size(),
+                      static_cast<BucketAlgorithm>(options_.forced_algorithm));
   } else {
     MutexLock lock(calibration_mu_);
     auto it = algorithms_by_k_.find(k);
     if (it == algorithms_by_k_.end()) {
       WallTimer timer;
-      Calibrate(k, user_ids);
-      it = algorithms_by_k_.emplace(k, bucket_algorithms_).first;
+      it = algorithms_by_k_.emplace(k, Calibrate(k, user_ids)).first;
       stage_timer_.Add("calibration", timer.Seconds());
     }
     algorithms = it->second;

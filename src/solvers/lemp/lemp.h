@@ -9,7 +9,11 @@
 //      max_norm(bucket) * ||u|| <= min(H) (every later bucket is smaller).
 //   3. Inside a bucket, retrieve candidates with one of several algorithms
 //      (naive dots / length pruning / incremental Cauchy-Schwarz pruning);
-//      LEMP picks the algorithm per bucket by measuring a sample of users.
+//      LEMP picks the algorithm per bucket by timing each one on up to
+//      `calibration_users` users of the first query batch at each k.
+//      Under OPTIMUS that first batch is one sampled user (point-query
+//      strategies are timed one user per call), so the table is
+//      calibrated on that single user and serving then reuses it.
 //
 // The sample-driven per-bucket adaptivity is deliberately preserved: it is
 // what makes LEMP's runtime estimates high-variance under OPTIMUS's user
@@ -71,10 +75,11 @@ class LempSolver : public MipsSolver {
                      const std::vector<lemp::BucketAlgorithm>& algorithms,
                      TopKEntry* out_row) const;
 
-  // Measures per-bucket algorithm costs on the calibration users drawn
-  // from `user_ids` and fills bucket_algorithms_.
-  void Calibrate(Index k, std::span<const Index> user_ids)
-      REQUIRES(calibration_mu_);
+  // Times every bucket algorithm through the serving scan on the
+  // calibration users drawn from `user_ids` and returns the fastest one
+  // per bucket.
+  std::vector<lemp::BucketAlgorithm> Calibrate(
+      Index k, std::span<const Index> user_ids) const;
 
   LempOptions options_;
   ConstRowBlock users_;
@@ -88,8 +93,6 @@ class LempSolver : public MipsSolver {
   /// per-k winner cache.  Queries run on a snapshot copy, so the choice
   /// only affects pruning cost, never exactness.
   Mutex calibration_mu_;
-  std::vector<lemp::BucketAlgorithm> bucket_algorithms_
-      GUARDED_BY(calibration_mu_);
   std::map<Index, std::vector<lemp::BucketAlgorithm>> algorithms_by_k_
       GUARDED_BY(calibration_mu_);
   mutable std::atomic<double> last_scan_fraction_{0};

@@ -286,12 +286,6 @@ std::vector<SolverSchema> SolverRegistry::Describe() const {
   return schemas;
 }
 
-const SolverSchema* SolverRegistry::FindSchema(const std::string& name) const {
-  MutexLock lock(mu_);
-  const Entry* entry = FindEntry(name);
-  return entry != nullptr ? &entry->schema : nullptr;
-}
-
 StatusOr<std::unique_ptr<MipsSolver>> CreateSolverFromSpec(
     const std::string& spec_text) {
   return SolverRegistry::Global().Create(spec_text);

@@ -144,10 +144,6 @@ class SolverRegistry {
   std::vector<std::string> Names() const EXCLUDES(mu_);
   /// Visible schemas, sorted by name.
   std::vector<SolverSchema> Describe() const EXCLUDES(mu_);
-  /// Schema for `name` (visible or hidden), or nullptr.  The pointer
-  /// stays valid: entries are only ever appended (at static-init time)
-  /// and never removed or reordered.
-  const SolverSchema* FindSchema(const std::string& name) const EXCLUDES(mu_);
 
  private:
   struct Entry {

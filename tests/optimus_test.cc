@@ -375,6 +375,69 @@ TEST(OptimusTest, ThreeWayOptimization) {
   ExpectSameTopKScores(out, expected, 1e-7);
 }
 
+TEST(OptimusTest, DecideSamplesExactlyTheRequestedUsers) {
+  // The batch-shape sample size (MipsEngine's shape-keyed decisions):
+  // sample_users > 0 measures exactly that many users, capped at |U|, and
+  // 0 keeps Run's population sizing.  No winner is asserted, so this runs
+  // under sanitizers too.
+  const MFModel model = MakeTestModel(300, 200, 8, 21);
+  const ConstRowBlock users(model.users);
+  const ConstRowBlock items(model.items);
+  BmmSolver bmm;
+  MaximusSolver maximus;
+  LempSolver lemp;
+  const std::vector<MipsSolver*> strategies = {&bmm, &maximus, &lemp};
+  for (MipsSolver* solver : strategies) {
+    ASSERT_TRUE(solver->Prepare(users, items).ok()) << solver->name();
+  }
+  OptimusOptions options = SmallSampleOptions();
+  // Uncapped population sizing is the 256-user L2 floor (16 KB / 8 dims),
+  // distinct from every requested size below.
+  options.max_sample_ratio = 1.0;
+  Optimus optimus(options);
+  const auto decide = [&](Index sample_users, OptimusReport* report) {
+    std::size_t winner = strategies.size();
+    ASSERT_TRUE(optimus
+                    .Decide(users, items, 5, strategies, &winner, report,
+                            sample_users)
+                    .ok());
+    EXPECT_LT(winner, strategies.size());
+  };
+
+  for (const Index requested : {1, 8, 64}) {
+    OptimusReport report;
+    decide(requested, &report);
+    EXPECT_EQ(report.sample_size, requested);
+    ASSERT_EQ(report.estimates.size(), strategies.size());
+    for (std::size_t s = 0; s < strategies.size(); ++s) {
+      const StrategyEstimate& est = report.estimates[s];
+      if (strategies[s]->batches_users()) {
+        EXPECT_EQ(est.measured_users, requested) << est.name;
+      } else {
+        // The t-test may stop the point-query strategy early.
+        EXPECT_LE(est.measured_users, requested) << est.name;
+      }
+    }
+  }
+
+  OptimusReport capped;
+  decide(1000, &capped);
+  EXPECT_EQ(capped.sample_size, 300);
+
+  OptimusReport population;
+  decide(0, &population);
+  BmmSolver bmm_run;
+  MaximusSolver maximus_run;
+  LempSolver lemp_run;
+  TopKResult out;
+  OptimusReport run_report;
+  ASSERT_TRUE(Optimus(options)
+                  .Run(users, items, 5, {&bmm_run, &maximus_run, &lemp_run},
+                       &out, &run_report)
+                  .ok());
+  EXPECT_EQ(population.sample_size, run_report.sample_size);
+}
+
 TEST(RegistryTest, CreatesEverySolver) {
   for (const std::string& name : RegisteredSolverNames()) {
     auto solver = CreateSolverFromSpec(name);

@@ -138,6 +138,10 @@ TEST(OptimusDecideTest, AgreesWithRunChoice) {
     // Decide.
     BmmSolver bmm_a;
     MaximusSolver maximus_a;
+    ASSERT_TRUE(bmm_a.Prepare(ConstRowBlock(model.users),
+                              ConstRowBlock(model.items)).ok());
+    ASSERT_TRUE(maximus_a.Prepare(ConstRowBlock(model.users),
+                                  ConstRowBlock(model.items)).ok());
     Optimus optimus_a(options);
     std::size_t winner = 99;
     OptimusReport decide_report;

@@ -445,6 +445,12 @@ TEST(SparseOptimusTest, ReportAttributesRepresentations) {
   const MFModel model = MakeSparseModel(96, 256, 64, 0.1);
   BmmSolver bmm;
   SindiSolver sindi(PostingOrder::kAbsDescending);
+  ASSERT_TRUE(
+      bmm.Prepare(ConstRowBlock(model.users), ConstRowBlock(model.items))
+          .ok());
+  ASSERT_TRUE(
+      sindi.Prepare(ConstRowBlock(model.users), ConstRowBlock(model.items))
+          .ok());
   Optimus optimus;
   std::size_t winner = 0;
   OptimusReport report;
