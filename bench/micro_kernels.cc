@@ -2,13 +2,13 @@
 // in Section II-B: blocked GEMM vs repeated-sdot vs the naive triple loop
 // ("substantial empirical speedups over naive inner products (40x) or
 // even matrix-vector multiply (20x)"), plus the top-K heap pass, the
-// k-means assignment GEMM, the level-1 dot kernels, and the top-k
-// selection scan per kernel variant.
+// k-means assignment GEMM, the level-1 dot kernels, and, per kernel
+// variant, the whole score-and-select call.
 //
 // The binary first prints the runtime SIMD dispatch report — per-variant
 // packed-panel GFLOP/s from KernelProbe and the kernel it installs — and
-// registers one BM_GemmBlocked and one BM_SelectIntoHeap run per
-// *supported* kernel variant, so a machine with pathological AVX-512 (the
+// registers one BM_GemmBlocked and one BM_ScoreTopK run per *supported*
+// kernel variant, so a machine with pathological AVX-512 (the
 // ~4x-slower emulated case that motivated runtime dispatch) is visible
 // directly in the output.
 
@@ -22,6 +22,7 @@
 #include "linalg/blas.h"
 #include "linalg/gemm.h"
 #include "linalg/simd_dispatch.h"
+#include "topk/score_select.h"
 #include "topk/topk_block.h"
 
 namespace mips {
@@ -165,21 +166,24 @@ void BM_GemmBlockedKernel(benchmark::State& state, GemmKernel kernel) {
   ReportGemmRates(state, m, n, k);
 }
 
-// Top-k selection per kernel variant (registered in main like the GEMM
-// above): one 3,554-wide score row, batch-flat's catalog width, folded
-// into a k = 10 heap by SelectIntoHeap.  Reported as time per score.
-void BM_SelectIntoHeapKernel(benchmark::State& state, GemmKernel kernel) {
+// One BMM request per kernel variant (registered in main like the GEMM
+// above): batch-flat's shape, 2,048 users against 3,554 items at f = 50,
+// scored and selected at k = 10 by one serial ScoreTopK call.  Reported
+// as time per user-item cell.
+void BM_ScoreTopKKernel(benchmark::State& state, GemmKernel kernel) {
   ForceGemmKernel(kernel).CheckOK();
-  const Index n = 3554;
-  const Matrix scores = RandomMatrix(1, n, 8);
-  TopKHeap heap(10);
+  const Index m = 2048, n = 3554, f = 50, k = 10;
+  const Matrix users = RandomMatrix(m, f, 9);
+  const Matrix items = RandomMatrix(n, f, 10);
+  TopKResult result(m, k);
   for (auto _ : state) {
-    SelectIntoHeap(scores.Row(0), n, /*bounds=*/nullptr, 0, nullptr, &heap);
-    benchmark::DoNotOptimize(heap.MinScore());
-    heap.Clear();
+    ScoreTopK(users.data(), m, items.data(), n, f, k, /*item_offset=*/0,
+              /*item_ids=*/nullptr, /*pool=*/nullptr, &result,
+              /*row_offset=*/0);
+    benchmark::DoNotOptimize(result.Row(0));
   }
-  state.counters["time/score"] = benchmark::Counter(
-      static_cast<double>(n) * static_cast<double>(state.iterations()),
+  state.counters["time/cell"] = benchmark::Counter(
+      static_cast<double>(m) * n * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 
@@ -228,11 +232,11 @@ void RegisterPerKernelBenchmarks() {
         name.c_str(), [kernel](benchmark::State& state) {
           BM_GemmBlockedKernel(state, kernel);
         });
-    const std::string select_name =
-        std::string("BM_SelectIntoHeap/kernel:") + ToString(kernel);
+    const std::string score_name =
+        std::string("BM_ScoreTopK/kernel:") + ToString(kernel);
     benchmark::RegisterBenchmark(
-        select_name.c_str(), [kernel](benchmark::State& state) {
-          BM_SelectIntoHeapKernel(state, kernel);
+        score_name.c_str(), [kernel](benchmark::State& state) {
+          BM_ScoreTopKKernel(state, kernel);
         });
   }
 }

@@ -54,28 +54,29 @@ Status MaximusSolver::Prepare(const ConstRowBlock& users,
   RowNorms(items.data(), n, f, item_norms.data());
   max_item_norm_ = *std::max_element(item_norms.begin(), item_norms.end());
 
-  // theta_b per cluster: the widest member angle (Algorithm 1).
-  theta_b_.assign(static_cast<std::size_t>(num_clusters), 0);
-  for (Index j = 0; j < num_clusters; ++j) {
-    Real max_angle = 0;
-    for (const Index u : clustering_.members[static_cast<std::size_t>(j)]) {
-      const Real cos = CosineSimilarity(users.Row(u),
-                                        clustering_.centroids.Row(j), f);
-      max_angle = std::max(max_angle, AngleFromCosine(cos));
-    }
-    theta_b_[static_cast<std::size_t>(j)] = max_angle;
-  }
-
-  // One GEMM gives every item-centroid inner product.
-  Matrix centroid_scores;
-  GemmNT(items, ConstRowBlock(clustering_.centroids), &centroid_scores);
   std::vector<Real> centroid_norms(static_cast<std::size_t>(num_clusters));
   for (Index j = 0; j < num_clusters; ++j) {
     centroid_norms[static_cast<std::size_t>(j)] =
         Nrm2(clustering_.centroids.Row(j), f);
   }
 
-  lists_.assign(static_cast<std::size_t>(num_clusters), {});
+  // theta_b per cluster: the widest member angle (Algorithm 1), in one
+  // pass over the users, with each centroid's norm computed once.
+  theta_b_.assign(static_cast<std::size_t>(num_clusters), 0);
+  for (Index u = 0; u < users.rows(); ++u) {
+    const Index j = clustering_.assignment[static_cast<std::size_t>(u)];
+    const Real cos =
+        CosineSimilarity(users.Row(u), clustering_.centroids.Row(j), f,
+                         centroid_norms[static_cast<std::size_t>(j)]);
+    Real& theta_b = theta_b_[static_cast<std::size_t>(j)];
+    theta_b = std::max(theta_b, AngleFromCosine(cos));
+  }
+
+  // One GEMM gives every item-centroid inner product.
+  Matrix centroid_scores;
+  GemmNT(items, ConstRowBlock(clustering_.centroids), &centroid_scores);
+
+  lists_ = std::vector<ClusterList>(static_cast<std::size_t>(num_clusters));
   for (Index j = 0; j < num_clusters; ++j) {
     ClusterList& list = lists_[static_cast<std::size_t>(j)];
     const Real theta_b = theta_b_[static_cast<std::size_t>(j)];
@@ -104,19 +105,15 @@ Status MaximusSolver::Prepare(const ConstRowBlock& users,
           bound[static_cast<std::size_t>(list.item_ids[static_cast<std::size_t>(pos)])];
     }
 
-    // Shared item block for the first B list entries (Section III-D).
+    // Shared item block for the first B list entries (Section III-D),
+    // packed for the GEMM micro-kernel.
     Index block_size = options_.block_size;
     if (block_size < 0) {
       block_size = std::clamp<Index>(n / 8, 64, 4096);  // auto
     }
     const Index b_eff = std::min<Index>(block_size, n);
     if (b_eff > 0) {
-      list.block.Resize(b_eff, f);
-      for (Index pos = 0; pos < b_eff; ++pos) {
-        std::memcpy(list.block.Row(pos),
-                    items.Row(list.item_ids[static_cast<std::size_t>(pos)]),
-                    static_cast<std::size_t>(f) * sizeof(Real));
-      }
+      list.block.Pack(items.data(), list.item_ids.data(), b_eff, f);
     }
   }
   stage_timer_.Add("construction", timer.Seconds());
@@ -153,7 +150,7 @@ Status MaximusSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
 
     int64_t visited_acc = 0;
     Matrix normalized;
-    Matrix segment;
+    PackedItems segment;
     for (Index j = 0; j < num_clusters; ++j) {
       const auto& rows = by_cluster[static_cast<std::size_t>(j)];
       if (rows.empty()) continue;
@@ -198,64 +195,42 @@ Status MaximusSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
       } else {
         // Progressive item blocking (Section III-D, extended): score the
         // list in B-item segments with one shared GEMM per segment over
-        // the users still active, so even deep walks stay on the blocked
-        // kernel instead of degrading to scalar gather-dots.  The first
-        // segment's item block is pre-gathered at construction time.
+        // the users still walking (rows `active` of `normalized`), so
+        // even deep walks stay on the blocked kernel instead of degrading
+        // to scalar gather-dots.  The first segment was packed at
+        // construction; a later one is gathered straight into packed form.
         std::vector<Index> active(static_cast<std::size_t>(m));
         std::iota(active.begin(), active.end(), 0);
-        // The normalized rows of the users still walking: all of them
-        // until one stops, then a compacted copy.
-        const Real* active_users = normalized.data();
-        Matrix compacted;
         std::vector<TopKHeap*> active_heaps;
         std::vector<Index> walked;
 
         for (Index pos0 = 0; pos0 < n && !active.empty(); pos0 += block) {
           const Index len = std::min<Index>(block, n - pos0);
-          const Matrix* items_block;
-          if (pos0 == 0) {
-            items_block = &list.block;
-          } else {
-            segment.Resize(len, f);
-            for (Index p = 0; p < len; ++p) {
-              std::memcpy(
-                  segment.Row(p),
-                  items_.Row(list.item_ids[static_cast<std::size_t>(pos0 + p)]),
-                  static_cast<std::size_t>(f) * sizeof(Real));
-            }
-            items_block = &segment;
+          if (pos0 > 0) {
+            segment.Pack(items_.data(), list.item_ids.data() + pos0, len, f);
           }
           active_heaps.clear();
           for (const Index r : active) {
             active_heaps.push_back(&heaps[static_cast<std::size_t>(r)]);
           }
           walked.resize(active.size());
-          ScoreIntoHeaps(active_users, static_cast<Index>(active.size()),
-                         items_block->data(), len, f, /*item_offset=*/0,
+          ScoreIntoHeaps(normalized.data(), active.data(),
+                         static_cast<Index>(active.size()),
+                         pos0 == 0 ? list.block : segment, /*item_offset=*/0,
                          list.item_ids.data() + pos0,
                          list.bounds.data() + pos0, active_heaps,
                          walked.data());
 
           // A row that walked the whole segment goes on to the next one.
-          std::vector<Index> still_active;
-          still_active.reserve(active.size());
+          std::size_t still_active = 0;
           for (std::size_t a = 0; a < active.size(); ++a) {
             const Index r = active[a];
             visited[static_cast<std::size_t>(r)] += walked[a];
-            if (walked[a] == len && pos0 + len < n) still_active.push_back(r);
-          }
-
-          if (still_active.size() != active.size()) {
-            // Compact the active user rows for the next segment's GEMM.
-            compacted.Resize(static_cast<Index>(still_active.size()), f);
-            for (std::size_t a = 0; a < still_active.size(); ++a) {
-              std::memcpy(compacted.Row(static_cast<Index>(a)),
-                          normalized.Row(still_active[a]),
-                          static_cast<std::size_t>(f) * sizeof(Real));
+            if (walked[a] == len && pos0 + len < n) {
+              active[still_active++] = r;
             }
-            active_users = compacted.data();
           }
-          active = std::move(still_active);
+          active.resize(still_active);
         }
       }
 

@@ -16,9 +16,12 @@
 // Hardware-efficient item blocking (Section III-D): each cluster list is
 // scored in B-item segments for all of the cluster's still-walking
 // queried users with one blocked GEMM per segment, sharing work across
-// users.  ScoreIntoHeaps (topk/score_select.h) runs each segment's GEMM in
-// L2-sized panels and walks every panel row with the SIMD selection scan,
-// which stops at the same list position as the scalar bound check.
+// users.  Each segment is packed for the GEMM micro-kernel once: the
+// first at construction, the later ones gathered straight into packed
+// form when a walk reaches them.  ScoreIntoHeaps (topk/score_select.h)
+// scores a segment one 4x16 register tile at a time and walks each tile
+// row while it is in L1, stopping at the same list position as the scalar
+// bound check; a tile whose four users have all stopped is not scored.
 
 #ifndef MIPS_CORE_MAXIMUS_H_
 #define MIPS_CORE_MAXIMUS_H_
@@ -29,6 +32,7 @@
 
 #include "cluster/kmeans.h"
 #include "solvers/solver.h"
+#include "topk/score_select.h"
 
 namespace mips {
 
@@ -96,7 +100,7 @@ class MaximusSolver : public MipsSolver {
   struct ClusterList {
     std::vector<Index> item_ids;   // items sorted by descending bound
     std::vector<Real> bounds;      // the sorted Equation-3 bounds
-    Matrix block;                  // first min(B, n) item vectors, gathered
+    PackedItems block;             // first min(B, n) item vectors, packed
   };
 
   MaximusOptions options_;

@@ -1,15 +1,71 @@
 #include "data/io.h"
 
+#include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
+#include "linalg/blas.h"
+
 namespace mips {
 namespace {
+
 constexpr char kMagic[8] = {'M', 'I', 'P', 'S', 'M', 'A', 'T', '1'};
+
+std::string Cell(int64_t row, int64_t col) {
+  return "row " + std::to_string(row) + ", column " + std::to_string(col);
+}
+
+/// Parses one CSV cell: a finite number, optionally surrounded by
+/// whitespace, and nothing else.
+Status ParseCell(const std::string& cell, int64_t row, int64_t col,
+                 const std::string& path, Real* value) {
+  const char* begin = cell.c_str();
+  char* end = nullptr;
+  *value = std::strtod(begin, &end);
+  while (end != begin && std::isspace(static_cast<unsigned char>(*end))) {
+    ++end;
+  }
+  if (end == begin || *end != '\0') {
+    return Status::InvalidArgument("bad number '" + cell + "' at " +
+                                   Cell(row, col) + " in " + path);
+  }
+  if (!std::isfinite(*value)) {
+    return Status::InvalidArgument("non-finite value '" + cell + "' at " +
+                                   Cell(row, col) + " in " + path);
+  }
+  return Status::OK();
+}
+
+/// Reads the rows x cols payload of a stream that cannot be sized (a pipe)
+/// in pieces of at most 1 MiB, so what is held grows with what arrives,
+/// not with what the header claims.
+Status ReadPayloadInPieces(std::istream& in, int64_t rows, int64_t cols,
+                           const std::string& path, Matrix* out) {
+  constexpr std::size_t kPiece = (std::size_t{1} << 20) / sizeof(Real);
+  const auto total =
+      static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
+  std::vector<Real> payload;
+  while (payload.size() < total) {
+    const std::size_t have = payload.size();
+    const std::size_t piece = std::min(kPiece, total - have);
+    payload.resize(have + piece);
+    in.read(reinterpret_cast<char*>(payload.data() + have),
+            static_cast<std::streamsize>(piece * sizeof(Real)));
+    if (!in) return Status::IOError("short read: " + path);
+  }
+  out->Resize(static_cast<Index>(rows), static_cast<Index>(cols));
+  std::copy(payload.begin(), payload.end(), out->data());
+  return Status::OK();
+}
+
 }  // namespace
 
 Status SaveMatrixBinary(const Matrix& m, const std::string& path) {
@@ -38,14 +94,44 @@ StatusOr<Matrix> LoadMatrixBinary(const std::string& path) {
   int64_t cols = 0;
   in.read(reinterpret_cast<char*>(&rows), sizeof(rows));
   in.read(reinterpret_cast<char*>(&cols), sizeof(cols));
-  if (!in || rows < 0 || cols < 0 || rows > (int64_t{1} << 31) ||
-      cols > (int64_t{1} << 31)) {
+  constexpr int64_t kMaxExtent = std::numeric_limits<Index>::max();
+  if (!in || rows < 0 || cols < 0 || rows > kMaxExtent || cols > kMaxExtent) {
     return Status::InvalidArgument("bad dimensions in " + path);
   }
-  Matrix m(static_cast<Index>(rows), static_cast<Index>(cols));
-  in.read(reinterpret_cast<char*>(m.data()),
-          static_cast<std::streamsize>(m.size() * sizeof(Real)));
-  if (!in) return Status::IOError("short read: " + path);
+  // The payload must be in the file before rows x cols is allocated: a
+  // file is sized against the header first, and a stream that cannot be
+  // sized is read in pieces.
+  Matrix m;
+  const std::streamoff header_end = in.tellg();
+  if (header_end < 0) {
+    MIPS_RETURN_IF_ERROR(ReadPayloadInPieces(in, rows, cols, path, &m));
+  } else {
+    in.seekg(0, std::ios::end);
+    const std::streamoff file_end = in.tellg();
+    in.seekg(header_end);
+    if (!in || file_end < header_end) {
+      return Status::IOError("cannot size " + path);
+    }
+    const auto doubles_present =
+        static_cast<uint64_t>(file_end - header_end) / sizeof(Real);
+    if (cols > 0 && static_cast<uint64_t>(rows) >
+                        doubles_present / static_cast<uint64_t>(cols)) {
+      return Status::InvalidArgument(
+          "header of " + path + " claims " + std::to_string(rows) + " x " +
+          std::to_string(cols) + " doubles, but the file holds " +
+          std::to_string(doubles_present));
+    }
+    m.Resize(static_cast<Index>(rows), static_cast<Index>(cols));
+    in.read(reinterpret_cast<char*>(m.data()),
+            static_cast<std::streamsize>(m.size() * sizeof(Real)));
+    if (!in) return Status::IOError("short read: " + path);
+  }
+  const int64_t bad = FirstNonFinite(m.data(), m.size());
+  if (bad >= 0) {
+    return Status::InvalidArgument("non-finite value at " +
+                                   Cell(bad / cols, bad % cols) + " in " +
+                                   path);
+  }
   return m;
 }
 
@@ -74,11 +160,11 @@ StatusOr<Matrix> LoadMatrixCsv(const std::string& path) {
     std::stringstream ss(line);
     std::string cell;
     while (std::getline(ss, cell, ',')) {
-      try {
-        row.push_back(std::stod(cell));
-      } catch (const std::exception&) {
-        return Status::InvalidArgument("bad number '" + cell + "' in " + path);
-      }
+      Real value = 0;
+      MIPS_RETURN_IF_ERROR(ParseCell(cell, static_cast<int64_t>(rows.size()),
+                                     static_cast<int64_t>(row.size()), path,
+                                     &value));
+      row.push_back(value);
     }
     if (!rows.empty() && row.size() != rows.front().size()) {
       return Status::InvalidArgument("ragged rows in " + path);

@@ -19,7 +19,12 @@ namespace mips {
 Status SaveMatrixBinary(const Matrix& m, const std::string& path);
 
 /// Reads a MIPSMAT1 file.  IOError on open/short-read; InvalidArgument on
-/// bad magic or nonsensical dimensions.
+/// bad magic, nonsensical dimensions, a header that claims more doubles
+/// than the file holds (checked before anything is allocated), or a NaN
+/// or +-Inf value (the error names its row and column).  A stream that
+/// cannot be sized (a pipe, /dev/stdin) is read in pieces of at most
+/// 1 MiB instead, and one that ends before the header's rows x cols
+/// doubles is a short read.
 StatusOr<Matrix> LoadMatrixBinary(const std::string& path);
 
 /// Writes `m` as comma-separated values, one row per line, %.17g precision
@@ -27,7 +32,11 @@ StatusOr<Matrix> LoadMatrixBinary(const std::string& path);
 Status SaveMatrixCsv(const Matrix& m, const std::string& path);
 
 /// Reads a CSV of numbers into a Matrix.  All rows must have the same
-/// column count.  Empty lines are skipped.
+/// column count.  Empty lines are skipped.  Each cell must be one finite
+/// number, optionally surrounded by whitespace: a cell with trailing
+/// characters ("1.5abc") or a non-finite value ("nan", "inf", "1e999") is
+/// InvalidArgument, naming its row and column (from 0, empty lines not
+/// counted).
 StatusOr<Matrix> LoadMatrixCsv(const std::string& path);
 
 }  // namespace mips

@@ -41,10 +41,13 @@ void RowNorms(const Real* data, Index rows, Index cols, Real* out) {
 }
 
 Real CosineSimilarity(const Real* x, const Real* y, Index n) {
+  return CosineSimilarity(x, y, n, Nrm2(y, n));
+}
+
+Real CosineSimilarity(const Real* x, const Real* y, Index n, Real y_norm) {
   const Real nx = Nrm2(x, n);
-  const Real ny = Nrm2(y, n);
-  if (nx == 0 || ny == 0) return 0;
-  const Real cos = Dot(x, y, n) / (nx * ny);
+  if (nx == 0 || y_norm == 0) return 0;
+  const Real cos = Dot(x, y, n) / (nx * y_norm);
   return std::clamp(cos, Real{-1}, Real{1});
 }
 

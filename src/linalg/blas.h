@@ -45,6 +45,10 @@ void RowNorms(const Real* data, Index rows, Index cols, Real* out);
 /// The result is clamped to [-1, 1] so acos() is always safe.
 Real CosineSimilarity(const Real* x, const Real* y, Index n);
 
+/// The same cosine given y_norm = Nrm2(y, n), for a y whose norm is
+/// shared by many calls.
+Real CosineSimilarity(const Real* x, const Real* y, Index n, Real y_norm);
+
 /// Position of the first NaN or +-Inf among x[0..n), or -1 when every
 /// element is finite.  The guard the public vector boundaries (catalog
 /// mutations, new-user queries) run before a value can reach a score.

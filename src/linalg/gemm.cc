@@ -26,51 +26,10 @@ constexpr Index kNR = kGemmNR;
 // per-panel accumulation fold and must agree on where panels break.
 constexpr Index kKC = kGemmKPanel;
 constexpr Index kMC = 128;
-constexpr Index kNC = 2048;
+constexpr Index kNC = kGemmNC;
 
 constexpr Index RoundUpToTile(Index extent, Index tile) {
   return (extent + tile - 1) / tile * tile;
-}
-
-// Packs rows [i0, i0+mb) x cols [p0, p0+kb) of row-major `a` (lda = k)
-// into MR-tall panels: dst[panel][kk][mr].  Rows beyond mb are zero-padded
-// so the micro-kernel never needs an M edge case.
-void PackA(const Real* a, Index lda, Index i0, Index mb, Index p0, Index kb,
-           Real* dst) {
-  MIPS_DCHECK_GT(mb, 0);
-  MIPS_DCHECK_GT(kb, 0);
-  MIPS_DCHECK_LE(p0 + kb, lda);
-  for (Index ip = 0; ip < mb; ip += kMR) {
-    const Index mr = std::min(kMR, mb - ip);
-    for (Index kk = 0; kk < kb; ++kk) {
-      for (Index r = 0; r < mr; ++r) {
-        dst[kk * kMR + r] =
-            a[static_cast<std::size_t>(i0 + ip + r) * lda + p0 + kk];
-      }
-      for (Index r = mr; r < kMR; ++r) dst[kk * kMR + r] = 0;
-    }
-    dst += static_cast<std::size_t>(kb) * kMR;
-  }
-}
-
-// Packs rows [j0, j0+nb) x cols [p0, p0+kb) of row-major `b` (ldb = k)
-// into NR-wide panels: dst[panel][kk][nr], zero-padding the N edge.
-void PackB(const Real* b, Index ldb, Index j0, Index nb, Index p0, Index kb,
-           Real* dst) {
-  MIPS_DCHECK_GT(nb, 0);
-  MIPS_DCHECK_GT(kb, 0);
-  MIPS_DCHECK_LE(p0 + kb, ldb);
-  for (Index jp = 0; jp < nb; jp += kNR) {
-    const Index nr = std::min(kNR, nb - jp);
-    for (Index kk = 0; kk < kb; ++kk) {
-      for (Index cidx = 0; cidx < nr; ++cidx) {
-        dst[kk * kNR + cidx] =
-            b[static_cast<std::size_t>(j0 + jp + cidx) * ldb + p0 + kk];
-      }
-      for (Index cidx = nr; cidx < kNR; ++cidx) dst[kk * kNR + cidx] = 0;
-    }
-    dst += static_cast<std::size_t>(kb) * kNR;
-  }
 }
 
 // Edge tile (mr < MR or nr < NR): run the SAME full-tile kernel into a
@@ -116,7 +75,38 @@ void MicroKernel(GemmMicroKernelFn full, const Real* __restrict ap,
   }
 }
 
+// PackPanels (gemm_kernel.h) at one panel width.
+template <Index kTile>
+void PackTiles(const Real* src, Index ld, const Index* ids, Index rows,
+               Index p0, Index kb, Real* dst) {
+  for (Index i = 0; i < rows; i += kTile) {
+    const Index t = std::min(kTile, rows - i);
+    const Real* row[kTile];
+    for (Index r = 0; r < t; ++r) {
+      const Index at = ids != nullptr ? ids[i + r] : i + r;
+      row[r] = src + static_cast<std::size_t>(at) * ld + p0;
+    }
+    for (Index kk = 0; kk < kb; ++kk) {
+      for (Index r = 0; r < t; ++r) dst[kk * kTile + r] = row[r][kk];
+      for (Index r = t; r < kTile; ++r) dst[kk * kTile + r] = 0;
+    }
+    dst += static_cast<std::size_t>(kb) * kTile;
+  }
+}
+
 }  // namespace
+
+void PackPanels(const Real* src, Index ld, const Index* ids, Index rows,
+                Index p0, Index kb, Index tile, Real* dst) {
+  MIPS_DCHECK_GE(kb, 0);
+  MIPS_DCHECK_LE(p0 + kb, ld);
+  MIPS_DCHECK(tile == kMR || tile == kNR);
+  if (tile == kMR) {
+    PackTiles<kMR>(src, ld, ids, rows, p0, kb, dst);
+  } else {
+    PackTiles<kNR>(src, ld, ids, rows, p0, kb, dst);
+  }
+}
 
 void GemmNT(const Real* a, Index m, const Real* b, Index n, Index k,
             Real alpha, Real beta, Real* c, Index ldc) {
@@ -140,7 +130,7 @@ void GemmNT(const Real* a, Index m, const Real* b, Index n, Index k,
 
   // Pack workspace sized to this call: the tallest A block and the widest
   // B block it packs, rounded up to whole register tiles, at the deepest K
-  // panel.  Left uninitialised: PackA/PackB write every lane the
+  // panel.  Left uninitialised: PackPanels writes every lane the
   // micro-kernel reads, zero padding included.
   const Index kc = std::min(k, kKC);
   const std::size_t apack_size =
@@ -161,10 +151,12 @@ void GemmNT(const Real* a, Index m, const Real* b, Index n, Index k,
     const Index nb = std::min(kNC, n - j0);
     for (Index p0 = 0; p0 < k; p0 += kKC) {
       const Index kb = std::min(kKC, k - p0);
-      PackB(b, k, j0, nb, p0, kb, bpack.get());
+      PackPanels(b + static_cast<std::size_t>(j0) * k, k, /*ids=*/nullptr,
+                 nb, p0, kb, kNR, bpack.get());
       for (Index i0 = 0; i0 < m; i0 += kMC) {
         const Index mb = std::min(kMC, m - i0);
-        PackA(a, k, i0, mb, p0, kb, apack.get());
+        PackPanels(a + static_cast<std::size_t>(i0) * k, k, /*ids=*/nullptr,
+                   mb, p0, kb, kMR, apack.get());
         // Macro kernel: sweep the packed panels.
         for (Index jp = 0; jp < nb; jp += kNR) {
           const Index nr = std::min(kNR, nb - jp);

@@ -36,8 +36,12 @@ namespace mips {
 inline constexpr Index kGemmMR = 4;
 inline constexpr Index kGemmNR = 16;
 
-/// A full MR x NR register tile over packed panels: ap is kb x MR
-/// (column-of-rows layout from PackA), bp is kb x NR (PackB), and the
+/// Widest B block GemmNT packs at once (its NC): 2,048 items of one K
+/// panel, 4 MiB at kGemmKPanel = 256.
+inline constexpr Index kGemmNC = 2048;
+
+/// A full MR x NR register tile over packed panels: ap is kb x MR and bp
+/// is kb x NR (the column-of-rows layout PackPanels writes), and the
 /// result is accumulated into c (ldc-strided) as c += alpha * ap^T bp.
 using GemmMicroKernelFn = void (*)(const Real* ap, const Real* bp, Index kb,
                                    Real alpha, Real* c, Index ldc);
@@ -57,6 +61,18 @@ void GemmMicroKernelPortable(const Real* ap, const Real* bp, Index kb,
 /// compiled into this binary.
 bool GemmAvx512KernelCompiled();
 bool GemmAvx2KernelCompiled();
+
+/// Packs `rows` rows of a row-major operand, columns [p0, p0 + kb), into
+/// panels `tile` rows wide (kGemmMR or kGemmNR): dst[panel][kk][tile],
+/// with the last panel's missing rows zero-padded so the micro-kernel
+/// never needs an edge case.  Row r is read from src + ids[r] * ld, or
+/// from src + r * ld without ids.  GemmNT packs each A block with tile =
+/// kGemmMR and each B block with tile = kGemmNR, one K panel at a time;
+/// the score-and-select loop (topk/score_select.h) packs whole operands
+/// at once (p0 = 0, kb = the full depth), so the K panel at p0 of a
+/// panel starts at offset p0 * tile.
+void PackPanels(const Real* src, Index ld, const Index* ids, Index rows,
+                Index p0, Index kb, Index tile, Real* dst);
 
 /// The installed micro-kernel (simd_dispatch.cc), running the env
 /// override / startup probe first if nothing is installed yet.  gemm.cc

@@ -1,6 +1,5 @@
 #include "solvers/bmm.h"
 
-#include <algorithm>
 #include <memory>
 
 #include "solvers/registry.h"
@@ -28,7 +27,7 @@ Status BmmSolver::Prepare(const ConstRowBlock& users,
   prepared_users_ = users.rows();
 
   resolved_batch_rows_ =
-      options_.batch_rows > 0 ? options_.batch_rows : kScorePanelRows;
+      options_.batch_rows > 0 ? options_.batch_rows : kScoreTileRows;
   return Status::OK();
 }
 
@@ -53,26 +52,21 @@ Status BmmSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
   const bool partition_users =
       pool_ == nullptr ||
       q >= static_cast<Index>(pool_->num_threads()) * kMinUsersPerThread;
+  // Either way one scorer call takes a whole range of users, so the items
+  // are packed once per block of kScoreRowBlock users, and the users are
+  // packed straight from their rows, `batch` to a row tile.
   if (partition_users) {
     ParallelFor(pool_, q, [&](int64_t begin, int64_t end, int /*chunk*/) {
-      for (int64_t b = begin; b < end; b += batch) {
-        const Index m = static_cast<Index>(std::min<int64_t>(batch, end - b));
-        // Gather this batch's user rows so the GEMM sees a contiguous A.
-        const Matrix block = GatherRows(
-            users_, user_ids.subspan(static_cast<std::size_t>(b),
-                                     static_cast<std::size_t>(m)));
-        ScoreTopK(block.data(), m, items_.data(), n, f, k,
-                  /*item_offset=*/0, /*item_ids=*/nullptr, /*pool=*/nullptr,
-                  out, static_cast<Index>(b));
-      }
+      ScoreTopK(users_.data(), static_cast<Index>(end - begin), items_.data(),
+                n, f, k, /*item_offset=*/0, /*item_ids=*/nullptr,
+                /*pool=*/nullptr, out, static_cast<Index>(begin),
+                user_ids.data() + begin, batch);
     });
     return Status::OK();
   }
-
-  // Fewer than kMinUsersPerThread users per worker: gather them all once.
-  const Matrix block = GatherRows(users_, user_ids);
-  ScoreTopK(block.data(), q, items_.data(), n, f, k, /*item_offset=*/0,
-            /*item_ids=*/nullptr, pool_, out, /*row_offset=*/0);
+  ScoreTopK(users_.data(), q, items_.data(), n, f, k, /*item_offset=*/0,
+            /*item_ids=*/nullptr, pool_, out, /*row_offset=*/0,
+            user_ids.data(), batch);
   return Status::OK();
 }
 

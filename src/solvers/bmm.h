@@ -1,12 +1,17 @@
 // Blocked matrix multiply (BMM) brute force — Section II-B.
 //
-// Users are scored in row batches through ScoreTopK (topk/score_select.h):
-// the blocked GEMM writes each batch's scores in panels of at most
-// kDefaultL2CacheBytes, and each panel is folded into the rows' bounded
-// min-heaps while it is still in L2.  All the hardware efficiency lives in
-// the GEMM (src/linalg/gemm.cc) and the SIMD selection scan; the heap
-// pushes are the K-dependent tail the paper notes ("the runtime for
-// blocked matrix multiply varies with K").
+// Users are scored through ScoreTopK (topk/score_select.h): the GEMM's
+// micro-kernel computes one 4x16 register tile of scores at a time, and
+// each tile is folded into its rows' bounded min-heaps while it is still
+// in L1, so no score block is ever written.  One call takes a whole
+// request (or a pool worker's whole range) and scores it in blocks of
+// about 2,048 users (kScoreRowBlock), holding one block's heaps at a
+// time: the items are packed once per block and the users once per item
+// chunk, batch_rows to a row tile.  All
+// the hardware efficiency lives in the GEMM micro-kernel
+// (src/linalg/gemm_kernel*.cc) and the SIMD tile scan; the heap pushes
+// are the K-dependent tail the paper notes ("the runtime for blocked
+// matrix multiply varies with K").
 //
 // With a thread pool, large query batches are statically partitioned
 // across users (the paper's Figure 6 strategy); small batches instead
@@ -23,9 +28,9 @@ namespace mips {
 
 /// Options for the BMM solver.
 struct BmmOptions {
-  /// Users gathered per batch.  0 = kScorePanelRows (128), one panel's
-  /// rows: the scores never form a block larger than one L2-sized panel,
-  /// whatever the batch, so the batch only bounds the gathered user rows.
+  /// Users scored per row tile: each tile of users is packed once per
+  /// item chunk and passes every item panel of it.  0 = kScoreTileRows
+  /// (128).  No score block is written, whatever the batch.
   Index batch_rows = 0;
 };
 

@@ -10,7 +10,7 @@ namespace mips {
 Status MipsSolver::TopKNewUsers(const ConstRowBlock& items,
                                 const Real* user_vectors, Index num_rows,
                                 Index k, TopKResult* out) const {
-  // BmmSolver's small-batch regime: score-and-select in L2-sized panels,
+  // BmmSolver's small-batch regime: score-and-select in register tiles,
   // the item range split across the pool.
   *out = TopKResult(num_rows, k);
   ScoreTopK(user_vectors, num_rows, items.data(), items.rows(), items.cols(),

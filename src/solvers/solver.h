@@ -76,11 +76,11 @@ class MipsSolver {
   /// vector's row is bit-for-bit the same whether it is served alone or
   /// in any batch.  The default scores densely — a new user has no row in
   /// any user-side index structure — through ScoreTopK
-  /// (topk/score_select.h): blocked GEMM panels of at most
-  /// kDefaultL2CacheBytes, each folded into the rows' heaps while in L2,
-  /// with the item range split across the solver's pool.  The GEMM folds
-  /// each score over the factor axis in an order independent of the
-  /// panel, so no score depends on the batch.  MAXIMUS-family solvers
+  /// (topk/score_select.h): GEMM register tiles, each folded into the
+  /// rows' heaps while in L1, with the item range split across the
+  /// solver's pool.  The GEMM folds each score over the factor axis in an
+  /// order independent of the tile, so no score depends on the batch.
+  /// MAXIMUS-family solvers
   /// override it with their per-row dynamic walk (Section III-E).  Safe
   /// for concurrent callers once Prepare() has returned.
   virtual Status TopKNewUsers(const ConstRowBlock& items,

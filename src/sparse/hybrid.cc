@@ -53,38 +53,33 @@ Status HybridSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
   const Index f = users_.cols();
   const Index nd = dense_items_.rows();
 
-  // With both partitions, a batch's dense rows are partial rows that are
-  // merged with the sparse ones; otherwise they are the result rows.
+  // With both partitions, each result row first holds the dense partition's
+  // top-k and is then merged with the sparse partition's.
   const bool merge = nd > 0 && sparse_csr_.rows() > 0;
   ParallelFor(pool_, q, [&](int64_t begin, int64_t end, int /*chunk*/) {
+    const auto m = static_cast<Index>(end - begin);
+    // One scorer call for the whole range.
+    if (nd > 0) {
+      ScoreTopK(users_.data(), m, dense_items_.data(), nd, f, k,
+                /*item_offset=*/0, dense_ids_.data(), /*pool=*/nullptr, out,
+                static_cast<Index>(begin), user_ids.data() + begin);
+    }
+    if (sparse_csr_.rows() == 0) return;
     TopKHeap heap(k);
     SparseQueryScratch scratch;
+    std::vector<TopKEntry> dense_row(static_cast<std::size_t>(merge ? k : 0));
     std::vector<TopKEntry> sparse_row(static_cast<std::size_t>(k));
-    TopKResult dense_rows(merge ? kScorePanelRows : 0, k);
-    for (int64_t b = begin; b < end; b += kScorePanelRows) {
-      const Index m =
-          static_cast<Index>(std::min<int64_t>(kScorePanelRows, end - b));
-      if (nd > 0) {
-        const Matrix block = GatherRows(
-            users_, user_ids.subspan(static_cast<std::size_t>(b),
-                                     static_cast<std::size_t>(m)));
-        ScoreTopK(block.data(), m, dense_items_.data(), nd, f, k,
-                  /*item_offset=*/0, dense_ids_.data(), /*pool=*/nullptr,
-                  merge ? &dense_rows : out,
-                  merge ? 0 : static_cast<Index>(b));
-      }
-      if (sparse_csr_.rows() == 0) continue;
-      for (Index r = 0; r < m; ++r) {
-        const Index row = static_cast<Index>(b) + r;
-        const Real* u = users_.Row(user_ids[static_cast<std::size_t>(row)]);
-        SparseTopKQuery(sparse_csr_, sparse_index_, u, k, sparse_ids_,
-                        &scratch, &heap,
-                        merge ? sparse_row.data() : out->Row(row),
-                        /*stats=*/nullptr);
-        if (merge) {
-          const TopKEntry* rows[] = {dense_rows.Row(r), sparse_row.data()};
-          MergeTopKRows(rows, k, k, out->Row(row));
-        }
+    for (Index r = 0; r < m; ++r) {
+      const Index row = static_cast<Index>(begin) + r;
+      const Real* u = users_.Row(user_ids[static_cast<std::size_t>(row)]);
+      SparseTopKQuery(sparse_csr_, sparse_index_, u, k, sparse_ids_,
+                      &scratch, &heap,
+                      merge ? sparse_row.data() : out->Row(row),
+                      /*stats=*/nullptr);
+      if (merge) {
+        std::copy_n(out->Row(row), k, dense_row.data());
+        const TopKEntry* rows[] = {dense_row.data(), sparse_row.data()};
+        MergeTopKRows(rows, k, k, out->Row(row));
       }
     }
   });

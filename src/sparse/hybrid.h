@@ -7,7 +7,7 @@
 // in the head's full posting lists.  The hybrid solver splits the
 // prepared items at a per-row density threshold: rows at or above it form
 // a gathered dense partition scored with ScoreTopK (topk/score_select.h:
-// blocked GEMM panels selected while in L2), the rest
+// GEMM register tiles selected while in L1), the rest
 // become a CSR + inverted-index partition scored with SparseTopKQuery,
 // and each user's two partial top-K rows are merged with the exact k-way
 // merge (topk/merge.h).

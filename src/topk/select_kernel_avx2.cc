@@ -1,9 +1,9 @@
-// AVX2 variant of the selection scan: 4 scores (and 4 bounds) per
-// comparison, four vectors per branch.  Compiled with -mavx2 -mfma
-// -mno-avx512f in its own TU so it stays a 256-bit code path whatever the
-// global flags; MIPS_GEMM_NO_AVX2 is defined at configure time when the
-// compiler cannot target AVX2, in which case this TU forwards to the
-// portable scan (same positions by the select_kernel.h contract).
+// AVX2 variant of the tile scan: 4 cells (and 4 bounds) per comparison,
+// four vectors per tile row.  Compiled with -mavx2 -mfma -mno-avx512f in
+// its own TU so it stays a 256-bit code path whatever the global flags;
+// MIPS_GEMM_NO_AVX2 is defined at configure time when the compiler cannot
+// target AVX2, in which case this TU forwards to the portable scan (same
+// mask by the select_kernel.h contract).
 
 #include "topk/select_kernel.h"
 
@@ -11,12 +11,10 @@
 
 #include <immintrin.h>
 
-#include <cstdint>
-
 namespace mips {
 namespace {
 
-/// Bit j set when position p + j matches (select_kernel.h).
+/// Bit j set when cell p + j matches (select_kernel.h).
 template <bool kBounds>
 inline uint32_t Hits4(const Real* scores, const Real* bounds, Index p,
                       __m256d threshold) {
@@ -30,31 +28,27 @@ inline uint32_t Hits4(const Real* scores, const Real* bounds, Index p,
 }
 
 template <bool kBounds>
-Index Scan(const Real* scores, const Real* bounds, Index p, Index n,
-           Real threshold) {
-  const __m256d t = _mm256_set1_pd(threshold);
-  for (; p + 16 <= n; p += 16) {
-    const uint32_t hits = Hits4<kBounds>(scores, bounds, p, t) |
-                          (Hits4<kBounds>(scores, bounds, p + 4, t) << 4) |
-                          (Hits4<kBounds>(scores, bounds, p + 8, t) << 8) |
-                          (Hits4<kBounds>(scores, bounds, p + 12, t) << 12);
-    if (hits != 0) return p + __builtin_ctz(hits);
+uint64_t Tile(const Real* tile, const Real* bounds, const Real* thresholds) {
+  static_assert(kGemmNR == 16, "four vectors per tile row");
+  uint64_t hits = 0;
+  for (Index r = 0; r < kGemmMR; ++r) {
+    const __m256d t = _mm256_set1_pd(thresholds[r]);
+    const Real* row = tile + r * kGemmNR;
+    const uint64_t row_hits = Hits4<kBounds>(row, bounds, 0, t) |
+                              (Hits4<kBounds>(row, bounds, 4, t) << 4) |
+                              (Hits4<kBounds>(row, bounds, 8, t) << 8) |
+                              (Hits4<kBounds>(row, bounds, 12, t) << 12);
+    hits |= row_hits << (r * kGemmNR);
   }
-  for (; p + 4 <= n; p += 4) {
-    const uint32_t hits = Hits4<kBounds>(scores, bounds, p, t);
-    if (hits != 0) return p + __builtin_ctz(hits);
-  }
-  // The last n - p < 4 positions.
-  return SelectScanPortable(scores, bounds, p, n, threshold);
+  return hits;
 }
 
 }  // namespace
 
-Index SelectScanAvx2(const Real* scores, const Real* bounds, Index begin,
-                     Index n, Real threshold) {
-  return bounds == nullptr
-             ? Scan<false>(scores, bounds, begin, n, threshold)
-             : Scan<true>(scores, bounds, begin, n, threshold);
+uint64_t SelectTileAvx2(const Real* tile, const Real* bounds,
+                        const Real* thresholds) {
+  return bounds == nullptr ? Tile<false>(tile, bounds, thresholds)
+                           : Tile<true>(tile, bounds, thresholds);
 }
 
 bool SelectAvx2KernelCompiled() { return true; }
@@ -65,9 +59,9 @@ bool SelectAvx2KernelCompiled() { return true; }
 
 namespace mips {
 
-Index SelectScanAvx2(const Real* scores, const Real* bounds, Index begin,
-                     Index n, Real threshold) {
-  return SelectScanPortable(scores, bounds, begin, n, threshold);
+uint64_t SelectTileAvx2(const Real* tile, const Real* bounds,
+                        const Real* thresholds) {
+  return SelectTilePortable(tile, bounds, thresholds);
 }
 
 bool SelectAvx2KernelCompiled() { return false; }

@@ -1,8 +1,8 @@
-// AVX-512 variant of the selection scan: 8 scores (and 8 bounds) per
-// comparison, four vectors per branch.  Compiled with -mavx512f in its
+// AVX-512 variant of the tile scan: 8 cells (and 8 bounds) per
+// comparison, two vectors per tile row.  Compiled with -mavx512f in its
 // own TU; MIPS_GEMM_NO_AVX512 is defined at configure time when the
 // compiler cannot target AVX-512, in which case this TU forwards to the
-// portable scan (same positions by the select_kernel.h contract).
+// portable scan (same mask by the select_kernel.h contract).
 
 #include "topk/select_kernel.h"
 
@@ -10,12 +10,10 @@
 
 #include <immintrin.h>
 
-#include <cstdint>
-
 namespace mips {
 namespace {
 
-/// Bit j set when position p + j matches (select_kernel.h).
+/// Bit j set when cell p + j matches (select_kernel.h).
 template <bool kBounds>
 inline uint32_t Hits8(const Real* scores, const Real* bounds, Index p,
                       __m512d threshold) {
@@ -29,31 +27,25 @@ inline uint32_t Hits8(const Real* scores, const Real* bounds, Index p,
 }
 
 template <bool kBounds>
-Index Scan(const Real* scores, const Real* bounds, Index p, Index n,
-           Real threshold) {
-  const __m512d t = _mm512_set1_pd(threshold);
-  for (; p + 32 <= n; p += 32) {
-    const uint32_t hits = Hits8<kBounds>(scores, bounds, p, t) |
-                          (Hits8<kBounds>(scores, bounds, p + 8, t) << 8) |
-                          (Hits8<kBounds>(scores, bounds, p + 16, t) << 16) |
-                          (Hits8<kBounds>(scores, bounds, p + 24, t) << 24);
-    if (hits != 0) return p + __builtin_ctz(hits);
+uint64_t Tile(const Real* tile, const Real* bounds, const Real* thresholds) {
+  static_assert(kGemmNR == 16, "two vectors per tile row");
+  uint64_t hits = 0;
+  for (Index r = 0; r < kGemmMR; ++r) {
+    const __m512d t = _mm512_set1_pd(thresholds[r]);
+    const Real* row = tile + r * kGemmNR;
+    const uint64_t row_hits = Hits8<kBounds>(row, bounds, 0, t) |
+                              (Hits8<kBounds>(row, bounds, 8, t) << 8);
+    hits |= row_hits << (r * kGemmNR);
   }
-  for (; p + 8 <= n; p += 8) {
-    const uint32_t hits = Hits8<kBounds>(scores, bounds, p, t);
-    if (hits != 0) return p + __builtin_ctz(hits);
-  }
-  // The last n - p < 8 positions.
-  return SelectScanPortable(scores, bounds, p, n, threshold);
+  return hits;
 }
 
 }  // namespace
 
-Index SelectScanAvx512(const Real* scores, const Real* bounds, Index begin,
-                       Index n, Real threshold) {
-  return bounds == nullptr
-             ? Scan<false>(scores, bounds, begin, n, threshold)
-             : Scan<true>(scores, bounds, begin, n, threshold);
+uint64_t SelectTileAvx512(const Real* tile, const Real* bounds,
+                          const Real* thresholds) {
+  return bounds == nullptr ? Tile<false>(tile, bounds, thresholds)
+                           : Tile<true>(tile, bounds, thresholds);
 }
 
 bool SelectAvx512KernelCompiled() { return true; }
@@ -64,9 +56,9 @@ bool SelectAvx512KernelCompiled() { return true; }
 
 namespace mips {
 
-Index SelectScanAvx512(const Real* scores, const Real* bounds, Index begin,
-                       Index n, Real threshold) {
-  return SelectScanPortable(scores, bounds, begin, n, threshold);
+uint64_t SelectTileAvx512(const Real* tile, const Real* bounds,
+                          const Real* thresholds) {
+  return SelectTilePortable(tile, bounds, thresholds);
 }
 
 bool SelectAvx512KernelCompiled() { return false; }

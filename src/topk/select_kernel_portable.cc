@@ -1,19 +1,21 @@
-// Portable variant of the selection scan: one score (and bound) per
-// comparison.  It defines the positions the SIMD variants must return.
+// Portable variant of the tile scan: one cell (and bound) per comparison.
+// It defines the masks the SIMD variants must return.
 
 #include "topk/select_kernel.h"
 
 namespace mips {
 
-Index SelectScanPortable(const Real* scores, const Real* bounds, Index begin,
-                         Index n, Real threshold) {
-  Index p = begin;
-  if (bounds == nullptr) {
-    while (p < n && !(scores[p] >= threshold)) ++p;
-    return p;
+uint64_t SelectTilePortable(const Real* tile, const Real* bounds,
+                            const Real* thresholds) {
+  uint64_t hits = 0;
+  for (Index r = 0; r < kGemmMR; ++r) {
+    for (Index j = 0; j < kGemmNR; ++j) {
+      const bool hit = tile[r * kGemmNR + j] >= thresholds[r] ||
+                       (bounds != nullptr && bounds[j] < thresholds[r]);
+      hits |= static_cast<uint64_t>(hit) << (r * kGemmNR + j);
+    }
   }
-  while (p < n && !(scores[p] >= threshold) && !(bounds[p] < threshold)) ++p;
-  return p;
+  return hits;
 }
 
 }  // namespace mips

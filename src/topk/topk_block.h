@@ -1,18 +1,13 @@
-// Top-K selection over score rows.
+// Top-K selection over score rows that already exist.
 //
-// Every dense scorer in the library (BMM, MAXIMUS's segment walk, the
-// dense new-user path, the hybrid solver's dense partition) ends in the
-// same step: fold a row of scores into a bounded heap.  SelectIntoHeap is
-// that step.  It keeps the heap minimum in a register, compares 8 or 4
-// scores per instruction (select_kernel.h, the variant matching the
-// installed GEMM kernel) and calls TopKHeap::Push only on a score that can
-// enter.  The heap it leaves is the one the plain scalar loop
+// Each row is folded into a bounded heap by the plain scalar loop
 //
 //     for j in [0, n): if (heap.WouldAccept(s[j])) heap.Push(id(j), s[j]);
 //
-// would leave, on every input and under every kernel.  The rows come from
-// ScoreTopK / ScoreIntoHeaps (topk/score_select.h), which fold each
-// L2-sized score panel while it is still in cache.
+// The dense solvers do not come here: they never write a score row, but
+// fold each GEMM register tile while it is in L1 (ScoreTopK /
+// ScoreIntoHeaps, topk/score_select.h), with the same comparisons and the
+// same pushes.
 
 #ifndef MIPS_TOPK_TOPK_BLOCK_H_
 #define MIPS_TOPK_TOPK_BLOCK_H_
@@ -21,18 +16,6 @@
 #include "topk/topk_heap.h"
 
 namespace mips {
-
-/// Folds scores[0..n) into *heap.  Position j is reported as id
-/// `item_ids ? item_ids[j] : j + item_offset` and pushed only when its
-/// score is >= the heap minimum (so an exact tie still reaches Push for
-/// the id tie-break; a NaN never enters).
-///
-/// With `bounds` — n upper bounds sorted descending, as in a MAXIMUS
-/// cluster list — the walk stops at the first position whose bound is
-/// strictly below a full heap's minimum, before pushing it.  Returns the
-/// positions walked: the stop position, or n.
-Index SelectIntoHeap(const Real* scores, Index n, const Real* bounds,
-                     Index item_offset, const Index* item_ids, TopKHeap* heap);
 
 /// Reduces one score row scores[0..n) to its top K entries (written to
 /// out[0..k), sorted descending).  Item j is reported as id

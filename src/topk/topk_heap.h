@@ -4,7 +4,9 @@
 // baseline uses (Section II-B), and the heap H in MAXIMUS's QueryIndex
 // (Algorithm 1).  The heap keeps the K best (item, score) pairs seen so
 // far; MinScore() is the pruning threshold min(H) the index walks compare
-// bounds against.
+// bounds against.  The dense scorers (topk/score_select.h) push into it
+// straight from each 4x16 GEMM register tile while the tile is in L1, and
+// a full heap takes a better entry with one sift-down from the root.
 
 #ifndef MIPS_TOPK_TOPK_HEAP_H_
 #define MIPS_TOPK_TOPK_HEAP_H_
@@ -52,15 +54,14 @@ class TopKHeap {
   /// item id (so heap contents are deterministic under ties regardless of
   /// visit order).  Returns true if inserted.
   bool Push(Index item, Real score) {
+    const TopKEntry entry{item, score};
     if (!full()) {
-      heap_.push_back({item, score});
+      heap_.push_back(entry);
       std::push_heap(heap_.begin(), heap_.end(), MinOnTop);
       return true;
     }
-    if (!BetterEntry({item, score}, heap_.front())) return false;
-    std::pop_heap(heap_.begin(), heap_.end(), MinOnTop);
-    heap_.back() = {item, score};
-    std::push_heap(heap_.begin(), heap_.end(), MinOnTop);
+    if (!BetterEntry(entry, heap_.front())) return false;
+    ReplaceTop(entry);
     return true;
   }
 
@@ -95,6 +96,23 @@ class TopKHeap {
   // Push must evict first.
   static bool MinOnTop(const TopKEntry& a, const TopKEntry& b) {
     return BetterEntry(a, b);
+  }
+
+  // Evicts the front for a better entry in one sift-down (pop_heap plus
+  // push_heap would sift twice): the hole at the root takes the worse
+  // child while that child is worse than `entry`.
+  void ReplaceTop(const TopKEntry& entry) {
+    const std::size_t n = heap_.size();
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+      if (child + 1 < n && BetterEntry(heap_[child], heap_[child + 1])) {
+        ++child;
+      }
+      if (!BetterEntry(entry, heap_[child])) break;
+      heap_[hole] = heap_[child];
+      hole = child;
+    }
+    heap_[hole] = entry;
   }
 
   Index k_;

@@ -3,11 +3,15 @@
 // and the SGD MF trainer.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cmath>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <thread>
 #include <unordered_set>
 
 #include "catalog/segment.h"
@@ -287,6 +291,149 @@ TEST(IoTest, CsvEmptyFileGivesEmptyMatrix) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded->empty());
   std::remove(path.c_str());
+}
+
+// Writes `bytes` to a temporary file and returns its path.
+std::string WriteFile(const std::string& name, const std::string& bytes) {
+  const std::string path = TempPath(name);
+  FILE* f = fopen(path.c_str(), "wb");
+  fwrite(bytes.data(), 1, bytes.size(), f);
+  fclose(f);
+  return path;
+}
+
+// A MIPSMAT1 header claiming rows x cols.
+std::string BinaryHeader(int64_t rows, int64_t cols) {
+  std::string bytes = "MIPSMAT1";
+  bytes.append(reinterpret_cast<const char*>(&rows), sizeof(rows));
+  bytes.append(reinterpret_cast<const char*>(&cols), sizeof(cols));
+  return bytes;
+}
+
+TEST(IoTest, CsvRejectsTrailingCharacters) {
+  const std::string path = WriteFile("trailing.csv", "1,2\n3,1.5abc\n");
+  const auto loaded = LoadMatrixCsv(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("row 1, column 1"),
+            std::string::npos)
+      << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(IoTest, CsvRejectsNonFiniteValues) {
+  for (const char* cell : {"nan", "inf", "-inf", "NaN", "1e999"}) {
+    const std::string path =
+        WriteFile("nonfinite.csv", std::string("1,2,3\n4,") + cell + ",6\n");
+    const auto loaded = LoadMatrixCsv(path);
+    ASSERT_FALSE(loaded.ok()) << cell;
+    EXPECT_NE(loaded.status().message().find("row 1, column 1"),
+              std::string::npos)
+        << loaded.status().ToString();
+    std::remove(path.c_str());
+  }
+}
+
+TEST(IoTest, CsvAcceptsSurroundingWhitespace) {
+  const std::string path = WriteFile("spaced.csv", " 1, 2.5 \r\n3,4\n");
+  const auto loaded = LoadMatrixCsv(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)(0, 1), 2.5);
+  EXPECT_EQ((*loaded)(1, 0), 3.0);
+  std::remove(path.c_str());
+}
+
+TEST(IoTest, CsvRoundTripsSubnormals) {
+  // SaveMatrixCsv writes the smallest subnormal as 4.9406564584124654e-324;
+  // it is finite, so it loads back even though strtod reports underflow.
+  Matrix m(1, 2);
+  m(0, 0) = std::numeric_limits<Real>::denorm_min();
+  m(0, 1) = -1e-310;
+  const std::string path = TempPath("subnormal.csv");
+  ASSERT_TRUE(SaveMatrixCsv(m, path).ok());
+  const auto loaded = LoadMatrixCsv(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(*loaded == m);
+  std::remove(path.c_str());
+}
+
+TEST(IoTest, BinaryRejectsHeaderLargerThanFile) {
+  // 2^20 x 2^20 doubles would be 8 TiB: refused before any allocation.
+  const std::string path =
+      WriteFile("huge.bin", BinaryHeader(int64_t{1} << 20, int64_t{1} << 20));
+  const auto loaded = LoadMatrixBinary(path);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+TEST(IoTest, BinaryRejectsTruncatedPayload) {
+  std::string bytes = BinaryHeader(2, 3);
+  bytes.append(5 * sizeof(Real), '\0');  // one double short
+  const std::string path = WriteFile("short.bin", bytes);
+  EXPECT_FALSE(LoadMatrixBinary(path).ok());
+  std::remove(path.c_str());
+}
+
+TEST(IoTest, BinaryRejectsNonFiniteValues) {
+  Matrix m = testing::RandomMatrix(3, 4, 77);
+  m(2, 1) = std::numeric_limits<Real>::quiet_NaN();
+  const std::string path = TempPath("nan.bin");
+  ASSERT_TRUE(SaveMatrixBinary(m, path).ok());
+  const auto loaded = LoadMatrixBinary(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("row 2, column 1"),
+            std::string::npos)
+      << loaded.status().ToString();
+  m(2, 1) = std::numeric_limits<Real>::infinity();
+  ASSERT_TRUE(SaveMatrixBinary(m, path).ok());
+  EXPECT_FALSE(LoadMatrixBinary(path).ok());
+  std::remove(path.c_str());
+}
+
+// Loads `bytes` as a MIPSMAT1 file through a named pipe, which cannot be
+// sized or seeked: a writer thread feeds the pipe while LoadMatrixBinary
+// reads it.
+StatusOr<Matrix> LoadBinaryThroughPipe(const std::string& name,
+                                       const std::string& bytes) {
+  const std::string path = TempPath(name);
+  std::remove(path.c_str());
+  if (mkfifo(path.c_str(), 0600) != 0) {
+    return Status::IOError("mkfifo failed: " + path);
+  }
+  // A reader that stops early must not end the process with SIGPIPE.
+  const auto old_handler = std::signal(SIGPIPE, SIG_IGN);
+  std::thread writer([&path, &bytes] {
+    FILE* f = fopen(path.c_str(), "wb");  // waits for the reader to open
+    if (f == nullptr) return;
+    fwrite(bytes.data(), 1, bytes.size(), f);
+    fclose(f);
+  });
+  StatusOr<Matrix> loaded = LoadMatrixBinary(path);
+  writer.join();
+  std::signal(SIGPIPE, old_handler);
+  std::remove(path.c_str());
+  return loaded;
+}
+
+TEST(IoTest, BinaryLoadsFromAPipe) {
+  // 300 x 500 doubles (1.2 MB) arrive in two of the 1 MiB pieces.
+  const Matrix m = testing::RandomMatrix(300, 500, 31);
+  std::string bytes = BinaryHeader(m.rows(), m.cols());
+  bytes.append(reinterpret_cast<const char*>(m.data()),
+               m.size() * sizeof(Real));
+  const auto loaded = LoadBinaryThroughPipe("pipe.bin", bytes);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(*loaded == m);
+}
+
+TEST(IoTest, BinaryPipeShorterThanItsHeaderIsAShortRead) {
+  // The header claims 2^20 x 2^20 doubles (8 TiB); three arrive.
+  std::string bytes = BinaryHeader(int64_t{1} << 20, int64_t{1} << 20);
+  bytes.append(3 * sizeof(Real), '\0');
+  const auto loaded = LoadBinaryThroughPipe("short_pipe.bin", bytes);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
 }
 
 TEST(IoTest, SegmentDurabilityRoundTrip) {

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <tuple>
 
 #include "common/thread_pool.h"
@@ -130,6 +133,33 @@ TEST(MaximusTest, ThetaBCoversAllMembers) {
     const Real theta = AngleFromCosine(CosineSimilarity(
         model.users.Row(u), clustering.centroids.Row(j), 8));
     EXPECT_LE(theta, maximus.theta_b()[static_cast<std::size_t>(j)] + 1e-9);
+  }
+}
+
+// Prepare computes theta_b in one pass over the users; each cluster's
+// value must be bit for bit the widest member angle as CosineSimilarity
+// measures it, a zero-norm member included.
+TEST(MaximusTest, ThetaBEqualsWidestMemberAngle) {
+  MFModel model = MakeTestModel(300, 50, 7, 61);
+  for (Index c = 0; c < 7; ++c) model.users(11, c) = 0;
+  MaximusOptions options;
+  options.num_clusters = 5;
+  MaximusSolver maximus(options);
+  ASSERT_TRUE(maximus.Prepare(ConstRowBlock(model.users),
+                              ConstRowBlock(model.items)).ok());
+  const Clustering& clustering = maximus.clustering();
+  ASSERT_EQ(maximus.theta_b().size(), clustering.members.size());
+  for (std::size_t j = 0; j < clustering.members.size(); ++j) {
+    Real want = 0;
+    for (const Index u : clustering.members[j]) {
+      want = std::max(want, AngleFromCosine(CosineSimilarity(
+                                model.users.Row(u),
+                                clustering.centroids.Row(static_cast<Index>(j)),
+                                7)));
+    }
+    EXPECT_EQ(std::bit_cast<uint64_t>(maximus.theta_b()[j]),
+              std::bit_cast<uint64_t>(want))
+        << "cluster " << j;
   }
 }
 

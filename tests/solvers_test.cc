@@ -177,6 +177,32 @@ TEST(BmmSolverTest, LargestAllocationStaysUnderOneMiB) {
   ExpectValidTopK(got, AllUsers(model.num_users()), model);
 }
 
+// A request of several row blocks (topk/score_select.h kScoreRowBlock)
+// holds one block's heaps at a time, so what it allocates beyond its
+// output does not grow with the users: 10,000 users' heaps at k = 10
+// would be about 1.9 MB at once.  Counts every byte requested during the
+// call, so the bound also covers the peak.
+TEST(BmmSolverTest, BytesBeyondTheOutputStayBoundedPastOneRowBlock) {
+  const Index num_users = 10000;
+  const Index k = 10;
+  const MFModel model = MakeTestModel(num_users, 300, 8);
+  BmmSolver bmm;
+  ASSERT_TRUE(bmm.Prepare(ConstRowBlock(model.users),
+                          ConstRowBlock(model.items)).ok());
+  TopKResult got;
+  std::size_t bytes = 0;
+  {
+    testing::AllocationCounter counter;
+    ASSERT_TRUE(bmm.TopKAll(k, &got).ok());
+    bytes = counter.bytes();
+  }
+  const std::size_t output = static_cast<std::size_t>(num_users) *
+                             static_cast<std::size_t>(k) * sizeof(TopKEntry);
+  ASSERT_GE(bytes, output);
+  EXPECT_LT(bytes - output, std::size_t{1} << 20);
+  ExpectValidTopK(got, AllUsers(num_users), model);
+}
+
 TEST(BmmSolverTest, ThreadedMatchesSingleThreaded) {
   const MFModel model = MakeTestModel(128, 90, 12);
   BmmSolver single;

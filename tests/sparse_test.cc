@@ -26,6 +26,7 @@
 #include "sparse/hybrid.h"
 #include "sparse/inverted_index.h"
 #include "sparse/sindi.h"
+#include "counting_new.h"
 #include "test_util.h"
 
 namespace mips {
@@ -387,6 +388,35 @@ TEST(HybridTest, DegeneratePartitionsStayExact) {
         solver.TopKForUsers(7, AllUsers(dense_model.num_users()), &got).ok());
     ExpectBitIdentical(got, BmmReference(dense_model, 7));
   }
+}
+
+TEST(HybridTest, BytesBeyondTheOutputStayBoundedPastOneRowBlock) {
+  // Each result row takes the dense top-k and is merged with the sparse
+  // row through k-entry rows, and the dense scorer holds one row block's
+  // heaps at a time, so 8,000 users allocate little beyond their output
+  // (a dense-row copy of it alone would be 1.28 MB).  Counts every byte
+  // requested during the call.
+  const Index num_users = 8000;
+  const Index k = 10;
+  const MFModel model = MakeSparseModel(num_users, 200, 16, 0.05, 0.3);
+  HybridSolver solver(0.25, PostingOrder::kAbsDescending);
+  ASSERT_TRUE(solver.Prepare(ConstRowBlock(model.users),
+                             ConstRowBlock(model.items)).ok());
+  ASSERT_GT(solver.dense_items(), 0);
+  ASSERT_GT(solver.sparse_items(), 0);
+  const std::vector<Index> users = AllUsers(num_users);
+  TopKResult got;
+  std::size_t bytes = 0;
+  {
+    testing::AllocationCounter counter;
+    ASSERT_TRUE(solver.TopKForUsers(k, users, &got).ok());
+    bytes = counter.bytes();
+  }
+  const std::size_t output = static_cast<std::size_t>(num_users) *
+                             static_cast<std::size_t>(k) * sizeof(TopKEntry);
+  ASSERT_GE(bytes, output);
+  EXPECT_LT(bytes - output, std::size_t{1} << 20);
+  ExpectBitIdentical(got, BmmReference(model, k));
 }
 
 // ---------------------------------------------------------------------

@@ -1,24 +1,28 @@
 // Unit and property tests for src/topk: the bounded heap and block
 // extraction, validated against a sort-based reference across a
-// parameterized (n, k) sweep; the SIMD selection kernel under every
-// supported variant against the scalar loops it replaced; and the
-// score-and-select panels against a whole-block GEMM.
+// parameterized (n, k) sweep; the SIMD tile scan under every compiled
+// variant against the scalar comparisons; and the score-and-select tiles
+// against GemmNT plus the scalar loops.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "linalg/gemm.h"
+#include "linalg/gemm_kernel.h"
 #include "linalg/matrix.h"
 #include "linalg/simd_dispatch.h"
 #include "topk/merge.h"
 #include "topk/score_select.h"
+#include "topk/select_kernel.h"
 #include "topk/topk_block.h"
 #include "topk/topk_heap.h"
 
@@ -114,6 +118,75 @@ TEST(TopKHeapTest, ClearResets) {
   heap.Clear();
   EXPECT_FALSE(heap.full());
   EXPECT_EQ(heap.size(), 0);
+}
+
+// The pop_heap + push_heap heap that TopKHeap::Push's one sift-down
+// replaced, kept as its reference.
+class ReferenceHeap {
+ public:
+  explicit ReferenceHeap(Index k) : k_(k) {}
+
+  Index size() const { return static_cast<Index>(heap_.size()); }
+  Real MinScore() const {
+    return size() == k_ ? heap_.front().score
+                        : -std::numeric_limits<Real>::infinity();
+  }
+  bool Push(Index item, Real score) {
+    if (size() < k_) {
+      heap_.push_back({item, score});
+      std::push_heap(heap_.begin(), heap_.end(), BetterEntry);
+      return true;
+    }
+    if (!BetterEntry({item, score}, heap_.front())) return false;
+    std::pop_heap(heap_.begin(), heap_.end(), BetterEntry);
+    heap_.back() = {item, score};
+    std::push_heap(heap_.begin(), heap_.end(), BetterEntry);
+    return true;
+  }
+  std::vector<TopKEntry> Sorted() const {
+    std::vector<TopKEntry> out = heap_;
+    std::sort(out.begin(), out.end(), BetterEntry);
+    return out;
+  }
+
+ private:
+  Index k_;
+  std::vector<TopKEntry> heap_;
+};
+
+TEST(TopKHeapTest, ReplaceTopMatchesReferenceHeap) {
+  // Coarse scores tie exactly all the time, on the minimum too, and the
+  // ids come in a shuffled order, so the id tie-break decides many
+  // pushes.
+  const Index n = 3000;
+  for (const Index k : {1, 2, 10, 60}) {
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      Rng rng(seed);
+      std::vector<Index> ids(static_cast<std::size_t>(n));
+      for (Index j = 0; j < n; ++j) ids[static_cast<std::size_t>(j)] = j;
+      for (std::size_t j = ids.size() - 1; j > 0; --j) {
+        std::swap(ids[j], ids[rng.UniformInt(j + 1)]);
+      }
+      TopKHeap heap(k);
+      ReferenceHeap want(k);
+      for (Index j = 0; j < n; ++j) {
+        const Index item = ids[static_cast<std::size_t>(j)];
+        const Real score = std::floor(rng.Normal() * 3);
+        ASSERT_EQ(heap.Push(item, score), want.Push(item, score))
+            << "k=" << k << " seed " << seed << " push " << j;
+        ASSERT_EQ(heap.size(), want.size());
+        ASSERT_EQ(heap.MinScore(), want.MinScore());
+      }
+      std::vector<TopKEntry> got(static_cast<std::size_t>(k));
+      heap.ExtractDescending(got.data());
+      const std::vector<TopKEntry> expected = want.Sorted();
+      ASSERT_EQ(expected.size(), got.size());
+      for (std::size_t e = 0; e < got.size(); ++e) {
+        EXPECT_EQ(got[e].item, expected[e].item) << "k=" << k << " " << e;
+        EXPECT_EQ(got[e].score, expected[e].score);
+      }
+    }
+  }
 }
 
 class TopKPropertyTest
@@ -340,11 +413,11 @@ TEST(TopKResultTest, CopyRowFrom) {
 
 constexpr Real kInf = std::numeric_limits<Real>::infinity();
 
-// The scalar loops SelectIntoHeap replaced, kept as its oracle.  Without
-// bounds: TopKFromRow's WouldAccept/Push loop.  With bounds: MAXIMUS's
-// segment loop, which stops before the first position whose bound is
-// strictly below a full heap's minimum and pushes every position before
-// it.  Returns the positions walked.
+// The scalar loops the tile scorer must reproduce, kept as its oracle.
+// Without bounds: TopKFromRow's WouldAccept/Push loop.  With bounds:
+// MAXIMUS's segment loop, which stops before the first position whose
+// bound is strictly below a full heap's minimum and pushes every position
+// before it.  Returns the positions walked.
 Index ScalarSelect(const Real* scores, Index n, const Real* bounds,
                    Index item_offset, const Index* item_ids, TopKHeap* heap) {
   const auto id = [&](Index j) {
@@ -402,18 +475,6 @@ std::vector<std::vector<Real>> SelectRows() {
   return rows;
 }
 
-// Sorted-descending bound lists for one row: the row's own sorted scores
-// (so bounds keep landing exactly on the heap minimum), those bounds
-// against the row sorted the same way (bound == score at every position),
-// looser bounds, and bounds that fall to -inf.
-std::vector<std::vector<Real>> BoundLists(const std::vector<Real>& row) {
-  std::vector<Real> looser = row;
-  for (Real& v : looser) v += 0.25;
-  std::vector<Real> falling = SortedDescending(row);
-  falling.back() = -kInf;
-  return {SortedDescending(row), SortedDescending(looser), falling};
-}
-
 class SelectKernelTest : public ::testing::Test {
  protected:
   void TearDown() override { ResetGemmKernelForTest(); }
@@ -429,54 +490,56 @@ class SelectKernelTest : public ::testing::Test {
   }
 };
 
-// One selection under the installed kernel against the scalar oracle:
-// same heap contents, bit for bit, and the same walked count.
-void ExpectSelectMatchesScalar(const std::vector<Real>& row,
-                               const std::vector<Real>* bounds, Index k,
-                               const Index* item_ids) {
-  const auto n = static_cast<Index>(row.size());
-  const Real* b = bounds != nullptr ? bounds->data() : nullptr;
-  TopKHeap want_heap(k);
-  const Index want_walked = ScalarSelect(row.data(), n, b, 100, item_ids,
-                                         &want_heap);
-  TopKHeap got_heap(k);
-  const Index got_walked = SelectIntoHeap(row.data(), n, b, 100, item_ids,
-                                          &got_heap);
-  EXPECT_EQ(got_walked, want_walked);
-  const std::vector<TopKEntry> want = Drain(&want_heap);
-  const std::vector<TopKEntry> got = Drain(&got_heap);
-  for (std::size_t e = 0; e < want.size(); ++e) {
-    EXPECT_EQ(got[e].item, want[e].item) << "entry " << e;
-    EXPECT_EQ(got[e].score, want[e].score) << "entry " << e;
+// Every compiled tile scan sets exactly the bits of the scalar
+// comparisons (select_kernel.h).  Tiles are cut from SelectRows' cells,
+// with a NaN every 37 cells; each row's threshold is one of its own cells
+// (so cells tie it), -inf (a heap not yet full), +inf, or a bound (so
+// bounds tie it); bounds are absent or a descending ramp ending in -inf.
+TEST_F(SelectKernelTest, EveryTileScanMatchesTheScalarComparisons) {
+  std::vector<std::pair<std::string, SelectTileFn>> variants = {
+      {"portable", &SelectTilePortable}};
+  if (SelectAvx512KernelCompiled() &&
+      GemmKernelSupported(GemmKernel::kAvx512)) {
+    variants.emplace_back("avx512", &SelectTileAvx512);
   }
-}
-
-TEST_F(SelectKernelTest, EveryVariantMatchesTheScalarLoops) {
-  const std::vector<std::vector<Real>> rows = SelectRows();
-  for (const GemmKernel kernel : SupportedKernels()) {
-    ASSERT_TRUE(ForceGemmKernel(kernel).ok());
-    for (std::size_t c = 0; c < rows.size(); ++c) {
-      const std::vector<Real>& row = rows[c];
-      const auto n = static_cast<Index>(row.size());
-      std::vector<Index> reversed(row.size());
-      for (Index j = 0; j < n; ++j) {
-        reversed[static_cast<std::size_t>(j)] = n - 1 - j;
+  if (SelectAvx2KernelCompiled() && GemmKernelSupported(GemmKernel::kAvx2)) {
+    variants.emplace_back("avx2", &SelectTileAvx2);
+  }
+  std::vector<Real> cells;
+  for (const std::vector<Real>& row : SelectRows()) {
+    cells.insert(cells.end(), row.begin(), row.end());
+  }
+  for (std::size_t i = 5; i < cells.size(); i += 37) {
+    cells[i] = std::numeric_limits<Real>::quiet_NaN();
+  }
+  Real ramp[kGemmNR];
+  for (Index j = 0; j < kGemmNR; ++j) ramp[j] = 2 - 0.25 * j;
+  ramp[kGemmNR - 1] = -kInf;
+  constexpr Index kCells = kGemmMR * kGemmNR;
+  for (std::size_t t0 = 0; t0 + kCells <= cells.size(); t0 += 23) {
+    const Real* tile = cells.data() + t0;
+    for (int choice = 0; choice < 4; ++choice) {
+      Real thresholds[kGemmMR];
+      for (Index r = 0; r < kGemmMR; ++r) {
+        const Real own = tile[r * kGemmNR + (5 * r + choice) % kGemmNR];
+        const Real pick[] = {std::isnan(own) ? Real{0} : own, -kInf,
+                             r % 2 == 0 ? kInf : -kInf, ramp[3 + 4 * r]};
+        thresholds[r] = pick[choice];
       }
-      const std::vector<std::vector<Real>> bound_lists = BoundLists(row);
-      for (const Index k : {1, 2, 3, 8, 10, n, n + 3}) {
-        if (k <= 0) continue;
-        for (const Index* ids : {static_cast<const Index*>(nullptr),
-                                 static_cast<const Index*>(reversed.data())}) {
-          SCOPED_TRACE(::testing::Message()
-                       << ToString(kernel) << " row " << c << " n=" << n
-                       << " k=" << k << (ids != nullptr ? " id map" : ""));
-          ExpectSelectMatchesScalar(row, nullptr, k, ids);
-          for (const std::vector<Real>& bounds : bound_lists) {
-            ExpectSelectMatchesScalar(row, &bounds, k, ids);
+      for (const Real* bounds : {static_cast<const Real*>(nullptr),
+                                 static_cast<const Real*>(ramp)}) {
+        uint64_t want = 0;
+        for (Index r = 0; r < kGemmMR; ++r) {
+          for (Index j = 0; j < kGemmNR; ++j) {
+            const bool hit = tile[r * kGemmNR + j] >= thresholds[r] ||
+                             (bounds != nullptr && bounds[j] < thresholds[r]);
+            want |= static_cast<uint64_t>(hit) << (r * kGemmNR + j);
           }
-          // bound == score at every position of a descending row.
-          const std::vector<Real> sorted = SortedDescending(row);
-          ExpectSelectMatchesScalar(sorted, &sorted, k, ids);
+        }
+        for (const auto& [name, scan] : variants) {
+          ASSERT_EQ(scan(tile, bounds, thresholds), want)
+              << name << " tile at " << t0 << " thresholds " << choice
+              << (bounds != nullptr ? " bounded" : "");
         }
       }
     }
@@ -508,8 +571,8 @@ ScoreFixture MakeScoreFixture(Index m, Index n, Index f, uint64_t seed) {
 }
 
 TEST_F(SelectKernelTest, ScoreTopKMatchesWholeBlockSelection) {
-  // Shapes span one and two row tiles (kScorePanelRows = 128), one and
-  // several item panels, and fewer items than pool workers.
+  // Shapes span one and two row tiles (kScoreTileRows = 128), one and
+  // several 16-item panels, and fewer items than pool workers.
   const std::vector<std::tuple<Index, Index, Index>> shapes = {
       {1, 5, 3}, {7, 1000, 6}, {130, 700, 5}, {300, 40, 4}, {3, 2, 2}};
   ThreadPool pool(3);
@@ -554,8 +617,53 @@ TEST_F(SelectKernelTest, ScoreTopKMatchesWholeBlockSelection) {
   }
 }
 
+TEST_F(SelectKernelTest, RequestsPastOneRowBlockMatchWholeBlockSelection) {
+  // Two whole row blocks (kScoreRowBlock) and part of a third, read
+  // through an id map as BMM reads users, in 128-row tiles and in 7-row
+  // tiles (blocks of 2,044 rows), serial and pooled.
+  const Index m = 2 * kScoreRowBlock + 37;
+  const Index n = 300;
+  const Index f = 5;
+  const Index k = 4;
+  const ScoreFixture fx = MakeScoreFixture(m, n, f, 21);
+  std::vector<Index> row_ids(static_cast<std::size_t>(m));
+  Matrix query(m, f);
+  for (Index r = 0; r < m; ++r) {
+    row_ids[static_cast<std::size_t>(r)] = m - 1 - r;
+    std::copy_n(fx.rows.Row(m - 1 - r), f, query.Row(r));
+  }
+  Matrix scores(m, n);
+  GemmNT(query.data(), m, fx.items.data(), n, f, 1, 0, scores.data(), n);
+  TopKResult want(m, k);
+  for (Index r = 0; r < m; ++r) {
+    TopKHeap heap(k);
+    ScalarSelect(scores.Row(r), n, nullptr, 0, nullptr, &heap);
+    heap.ExtractDescending(want.Row(r));
+  }
+  ThreadPool pool(3);
+  for (const GemmKernel kernel : SupportedKernels()) {
+    ASSERT_TRUE(ForceGemmKernel(kernel).ok());
+    for (const Index tile_rows : {kScoreTileRows, Index{7}}) {
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        SCOPED_TRACE(::testing::Message()
+                     << ToString(kernel) << " tile_rows=" << tile_rows
+                     << (p != nullptr ? " pooled" : " serial"));
+        TopKResult got(m, k);
+        ScoreTopK(fx.rows.data(), m, fx.items.data(), n, f, k, 0, nullptr, p,
+                  &got, /*row_offset=*/0, row_ids.data(), tile_rows);
+        for (Index r = 0; r < m; ++r) {
+          for (Index e = 0; e < k; ++e) {
+            ASSERT_EQ(got.Row(r)[e].item, want.Row(r)[e].item) << "row " << r;
+            ASSERT_EQ(got.Row(r)[e].score, want.Row(r)[e].score);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST_F(SelectKernelTest, BoundedPanelsWalkLikeTheScalarBreakLoop) {
-  // 130 rows (two row tiles) against 700 items (three panels), with
+  // 130 rows (two row tiles) against 700 items (44 panels of 16), with
   // bounds that fall through the heap minima so rows stop in different
   // panels.
   const Index m = 130;
@@ -581,7 +689,8 @@ TEST_F(SelectKernelTest, BoundedPanelsWalkLikeTheScalarBreakLoop) {
     for (Index r = 0; r < m; ++r) got_heaps.emplace_back(k);
     for (TopKHeap& heap : got_heaps) ptrs.push_back(&heap);
     std::vector<Index> walked(static_cast<std::size_t>(m), -1);
-    ScoreIntoHeaps(fx.rows.data(), m, fx.items.data(), n, f, 0, ids.data(),
+    const PackedItems packed(fx.items.data(), nullptr, n, f);
+    ScoreIntoHeaps(fx.rows.data(), nullptr, m, packed, 0, ids.data(),
                    bounds.data(), ptrs, walked.data());
     for (Index r = 0; r < m; ++r) {
       TopKHeap want_heap(k);
@@ -596,6 +705,96 @@ TEST_F(SelectKernelTest, BoundedPanelsWalkLikeTheScalarBreakLoop) {
         ASSERT_EQ(got[e].item, want[e].item) << "row " << r;
         ASSERT_EQ(got[e].score, want[e].score) << "row " << r;
       }
+    }
+  }
+}
+
+TEST_F(SelectKernelTest, DepthsPastOneKPanelMatchGemmNT) {
+  // f = 256 fills exactly one K panel (kGemmKPanel) and f = 300 scores a
+  // second one, which the scorer folds onto the first in the tile as
+  // GemmNT folds it onto C.  Query rows are read through an id map in
+  // 7-row tiles, as BMM reads users, and the bounded walk scores items
+  // gathered through an id map into packed form, as MAXIMUS's segments
+  // are.
+  const Index m = 37;
+  const Index n = 150;
+  const Index k = 6;
+  ThreadPool pool(3);
+  for (const Index f : {256, 300}) {
+    const ScoreFixture fx = MakeScoreFixture(m, n, f, 13);
+    std::vector<Index> row_ids(static_cast<std::size_t>(m));
+    Matrix query(m, f);
+    for (Index r = 0; r < m; ++r) {
+      row_ids[static_cast<std::size_t>(r)] = m - 1 - r;
+      std::copy_n(fx.rows.Row(m - 1 - r), f, query.Row(r));
+    }
+    std::vector<Index> item_ids(static_cast<std::size_t>(n));
+    Matrix gathered(n, f);
+    for (Index j = 0; j < n; ++j) {
+      const Index id = j * 7 % n;  // a permutation: gcd(7, 150) = 1
+      item_ids[static_cast<std::size_t>(j)] = id;
+      std::copy_n(fx.items.Row(id), f, gathered.Row(j));
+    }
+    Matrix scores(m, n);
+    GemmNT(query.data(), m, gathered.data(), n, f, 1, 0, scores.data(), n);
+    // Bounds from +3 to -3 standard deviations of a score, so the rows
+    // stop in different item panels.
+    std::vector<Real> bounds(static_cast<std::size_t>(n));
+    for (Index j = 0; j < n; ++j) {
+      bounds[static_cast<std::size_t>(j)] =
+          3 * std::sqrt(static_cast<Real>(f)) * (1 - 2.0 * j / n);
+    }
+    for (const GemmKernel kernel : SupportedKernels()) {
+      ASSERT_TRUE(ForceGemmKernel(kernel).ok());
+      SCOPED_TRACE(::testing::Message() << ToString(kernel) << " f=" << f);
+      TopKResult want(m, k);
+      for (Index r = 0; r < m; ++r) {
+        TopKHeap heap(k);
+        ScalarSelect(scores.Row(r), n, nullptr, 0, item_ids.data(), &heap);
+        heap.ExtractDescending(want.Row(r));
+      }
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        TopKResult got(m, k);
+        ScoreTopK(fx.rows.data(), m, gathered.data(), n, f, k, 0,
+                  item_ids.data(), p, &got, /*row_offset=*/0, row_ids.data(),
+                  /*tile_rows=*/7);
+        for (Index r = 0; r < m; ++r) {
+          for (Index e = 0; e < k; ++e) {
+            ASSERT_EQ(got.Row(r)[e].item, want.Row(r)[e].item)
+                << (p != nullptr ? "pooled" : "serial") << " row " << r;
+            ASSERT_EQ(got.Row(r)[e].score, want.Row(r)[e].score);
+          }
+        }
+      }
+
+      const PackedItems packed(fx.items.data(), item_ids.data(), n, f);
+      std::vector<TopKHeap> got_heaps(static_cast<std::size_t>(m),
+                                      TopKHeap(k));
+      std::vector<TopKHeap*> ptrs;
+      for (TopKHeap& heap : got_heaps) ptrs.push_back(&heap);
+      std::vector<Index> walked(static_cast<std::size_t>(m), -1);
+      ScoreIntoHeaps(fx.rows.data(), row_ids.data(), m, packed, 0,
+                     item_ids.data(), bounds.data(), ptrs, walked.data());
+      std::vector<Index> stops;
+      for (Index r = 0; r < m; ++r) {
+        TopKHeap want_heap(k);
+        const Index want_walked =
+            ScalarSelect(scores.Row(r), n, bounds.data(), 0, item_ids.data(),
+                         &want_heap);
+        ASSERT_EQ(walked[static_cast<std::size_t>(r)], want_walked)
+            << "row " << r;
+        stops.push_back(want_walked);
+        const std::vector<TopKEntry> want_row = Drain(&want_heap);
+        const std::vector<TopKEntry> got_row =
+            Drain(&got_heaps[static_cast<std::size_t>(r)]);
+        for (std::size_t e = 0; e < want_row.size(); ++e) {
+          ASSERT_EQ(got_row[e].item, want_row[e].item) << "row " << r;
+          ASSERT_EQ(got_row[e].score, want_row[e].score) << "row " << r;
+        }
+      }
+      // The walks end in more than one item panel.
+      std::sort(stops.begin(), stops.end());
+      EXPECT_LT(stops.front() / kGemmNR, stops.back() / kGemmNR);
     }
   }
 }
