@@ -6,15 +6,17 @@
 // variant, the whole score-and-select call.
 //
 // The binary first prints the runtime SIMD dispatch report — per-variant
-// packed-panel GFLOP/s from KernelProbe and the kernel it installs — and
-// registers one BM_GemmBlocked and one BM_ScoreTopK run per *supported*
-// kernel variant, so a machine with pathological AVX-512 (the
-// ~4x-slower emulated case that motivated runtime dispatch) is visible
-// directly in the output.
+// packed-panel GFLOP/s from a fresh KernelProbe sweep, the installed
+// kernel and any MIPS_GEMM_KERNEL override — and registers one
+// BM_GemmBlocked and one BM_ScoreTopK run per *supported* kernel
+// variant, so a machine with pathological AVX-512 (the ~4x-slower
+// emulated case that motivated runtime dispatch) is visible directly in
+// the output.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "cluster/kmeans.h"
 #include "common/rng.h"
@@ -189,14 +191,12 @@ void BM_ScoreTopKKernel(benchmark::State& state, GemmKernel kernel) {
 
 void PrintKernelProbeReport() {
   // Install first (env override, else probe) — exactly as any serving
-  // binary's first GEMM would — then report the measurements that
-  // install was actually based on.  Only when the choice came from an
-  // override (no probe ran) is a fresh timing sweep taken for display.
+  // binary's first GEMM would — then time every variant afresh for
+  // display.  The installed kernel is the env override's when
+  // MIPS_GEMM_KERNEL names a supported one, else the startup probe's
+  // pick, which a fresh sweep on a busy host may not repeat.
   const GemmKernel installed = ActiveGemmKernel();
-  const GemmKernelSource install_source = ActiveGemmKernelSource();
-  const GemmKernelProbe probe = install_source == GemmKernelSource::kProbe
-                                    ? ActiveGemmKernelProbe()
-                                    : ProbeGemmKernels();
+  const GemmKernelProbe probe = ProbeGemmKernels();
   std::printf("GEMM micro-kernel probe (packed 4x16 panel, kb=256):\n");
   for (const auto& variant : probe.variants) {
     if (variant.supported) {
@@ -208,18 +208,10 @@ void PrintKernelProbeReport() {
                   ToString(variant.kernel));
     }
   }
-  const char* source = "probe";
-  switch (install_source) {
-    case GemmKernelSource::kEnv:
-      source = "MIPS_GEMM_KERNEL env override";
-      break;
-    case GemmKernelSource::kForced:
-      source = "ForceGemmKernel";
-      break;
-    case GemmKernelSource::kProbe:
-      break;
-  }
-  std::printf("installed: %s (%s)\n\n", ToString(installed), source);
+  std::printf("installed: %s\n", ToString(installed));
+  const char* env = std::getenv("MIPS_GEMM_KERNEL");
+  if (env != nullptr) std::printf("MIPS_GEMM_KERNEL=%s\n", env);
+  std::printf("\n");
 }
 
 void RegisterPerKernelBenchmarks() {

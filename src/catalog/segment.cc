@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "linalg/blas.h"
@@ -194,13 +195,21 @@ StatusOr<CatalogSegment> CatalogSegment::Open(const std::string& path) {
     return Status::InvalidArgument("header checksum mismatch in segment: " +
                                    path);
   }
-  if (header.rows <= 0 || header.cols <= 0 ||
-      header.rows > (int64_t{1} << 31) || header.cols > (int64_t{1} << 31)) {
+  constexpr int64_t kMaxExtent = std::numeric_limits<Index>::max();
+  if (header.rows <= 0 || header.cols <= 0 || header.rows > kMaxExtent ||
+      header.cols > kMaxExtent) {
     return Status::InvalidArgument("bad dimensions in segment: " + path);
   }
+  // rows x (cols + 1) doubles: items plus norms.  Checked by division
+  // first, so a hostile header cannot overflow the product.
+  constexpr int64_t kMaxReals =
+      std::numeric_limits<int64_t>::max() / static_cast<int64_t>(sizeof(Real));
+  if (header.rows > kMaxReals / (header.cols + 1)) {
+    return Status::InvalidArgument("payload size overflows in segment: " +
+                                   path);
+  }
   const int64_t expected_payload =
-      header.rows * header.cols * static_cast<int64_t>(sizeof(Real)) +
-      header.rows * static_cast<int64_t>(sizeof(Real));
+      header.rows * (header.cols + 1) * static_cast<int64_t>(sizeof(Real));
   if (header.payload_bytes != expected_payload) {
     return Status::InvalidArgument("payload size mismatch in segment: " +
                                    path);

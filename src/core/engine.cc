@@ -194,9 +194,8 @@ Index MipsEngine::ShapeBucket(Index rows) const {
 
 void MipsEngine::InsertDecision(DecisionKey key, std::size_t winner) {
   decision_mu_.AssertHeld();
-  winner_by_k_.erase(key);  // re-insert after an invalidation refreshes it
   winner_by_k_.emplace(std::piecewise_construct, std::forward_as_tuple(key),
-                       std::forward_as_tuple(winner, GemmKernelEpoch()));
+                       std::forward_as_tuple(winner));
   winner_by_k_.at(key).last_used.store(
       decision_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
       std::memory_order_relaxed);
@@ -221,17 +220,6 @@ void MipsEngine::InsertDecision(DecisionKey key, std::size_t winner) {
   }
 }
 
-bool MipsEngine::DecisionExpired(const CachedDecision& entry) const {
-  decision_mu_.AssertReaderHeld();
-  // Staleness only matters when a fresh decision is possible; with one
-  // candidate the opening winner serves forever.  Otherwise a kernel
-  // re-install changes the throughput regime every wall-clock estimate in
-  // this entry was measured under, so the entry is stale at once.  Data
-  // never goes stale under an engine: its model views are fixed at Open,
-  // and a catalog swap opens a fresh engine.
-  return solvers_.size() >= 2 && entry.kernel_epoch != GemmKernelEpoch();
-}
-
 StatusOr<std::size_t> MipsEngine::StrategyFor(Index k, Index batch_rows) {
   const std::size_t forced = forced_.load(std::memory_order_acquire);
   if (forced != kNoForcedStrategy) return forced;
@@ -239,7 +227,7 @@ StatusOr<std::size_t> MipsEngine::StrategyFor(Index k, Index batch_rows) {
   {
     ReaderMutexLock lock(decision_mu_);
     auto it = winner_by_k_.find(key);
-    if (it != winner_by_k_.end() && !DecisionExpired(it->second)) {
+    if (it != winner_by_k_.end()) {
       // Recency bump under the shared lock: a relaxed store into the
       // entry's atomic stamp, so the hot path never takes the exclusive
       // lock.  Racing hits may reorder stamps slightly; LRU stays
@@ -250,46 +238,30 @@ StatusOr<std::size_t> MipsEngine::StrategyFor(Index k, Index batch_rows) {
       stats_.decision_cache_hits.fetch_add(1, std::memory_order_relaxed);
       return it->second.winner;
     }
-    // Unknown key, or a cached winner gone stale: both are misses.
     stats_.decision_cache_misses.fetch_add(1, std::memory_order_relaxed);
     if (solvers_.size() < 2) {
       // One candidate: nothing to decide between, so the opening winner
-      // serves every k/shape.  (Entries never go stale in this mode — see
-      // DecisionExpired — so this is always an unknown key.)
+      // serves every k/shape.
       return winner_by_k_.at(OpeningKey()).winner;
     }
   }
-  // The opening shape and the query's (k, batch shape) diverged, or the
-  // kernel was re-installed since the cached winner was measured: re-run
-  // the sampling decision for this key and cache the winner.  The
-  // candidates were all Prepared at Open (indexes are k-independent), so
-  // only the sampling measurement is repeated.  For a shape bucket > 0
-  // the sample is exactly bucket-many users, so batching strategies are
-  // timed on a batch of the realized size — a 64-row coalesced batch may
-  // flip the winner to BMM where singletons picked an index.  The
-  // exclusive lock serializes concurrent first-queries of the same new
-  // key: one caller measures, the rest (re-checking under the lock)
-  // reuse its cached winner.
+  // The opening shape and the query's (k, batch shape) diverged: run the
+  // sampling decision for this key and cache the winner.  The candidates
+  // were all Prepared at Open (indexes are k-independent), so only the
+  // sampling measurement is repeated.  For a shape bucket > 0 the sample
+  // is exactly bucket-many users, so batching strategies are timed on a
+  // batch of the realized size — a 64-row coalesced batch may flip the
+  // winner to BMM where singletons picked an index.  The exclusive lock
+  // serializes concurrent first-queries of the same new key: one caller
+  // measures, the rest (re-checking under the lock) reuse its cached
+  // winner.
   WriterMutexLock lock(decision_mu_);
-  bool invalidated = false;
-  {
-    auto it = winner_by_k_.find(key);
-    if (it != winner_by_k_.end()) {
-      if (!DecisionExpired(it->second)) return it->second.winner;
-      // The stale entry stays in place until the fresh decision below
-      // succeeds (InsertDecision replaces it), so a decision failure
-      // never leaves the pinned opening decision missing.
-      invalidated = true;
-    }
-  }
+  auto it = winner_by_k_.find(key);
+  if (it != winner_by_k_.end()) return it->second.winner;
   OptimusReport report;
   auto winner = Decide(key, &report);
   MIPS_RETURN_IF_ERROR(winner.status());
   InsertDecision(key, *winner);
-  if (invalidated) {
-    stats_.decision_cache_invalidations.fetch_add(1,
-                                                  std::memory_order_relaxed);
-  }
   stats_.redecisions.fetch_add(1, std::memory_order_relaxed);
   stats_.redecision_seconds.fetch_add(report.total_seconds,
                                       std::memory_order_relaxed);
@@ -398,8 +370,6 @@ MipsEngine::Stats MipsEngine::stats() const {
       stats_.decision_cache_misses.load(std::memory_order_relaxed);
   snapshot.decision_cache_evictions =
       stats_.decision_cache_evictions.load(std::memory_order_relaxed);
-  snapshot.decision_cache_invalidations =
-      stats_.decision_cache_invalidations.load(std::memory_order_relaxed);
   snapshot.gemm_kernel = ToString(ActiveGemmKernel());
   const std::size_t forced = forced_.load(std::memory_order_acquire);
   {

@@ -221,24 +221,19 @@ class MipsEngine {
     double serve_seconds = 0;
     double redecision_seconds = 0;
     /// Decision-cache accounting: a hit is a query whose (k, shape)
-    /// already has a current cached winner; a miss triggers either a
-    /// re-decision or, with a single candidate, the opening-winner
-    /// fallback.  A cached winner is retired in exactly two ways: LRU
-    /// eviction (keys dropped to keep the cache within
-    /// kDecisionCacheCapacity) and invalidation (below).  Size is the
-    /// current entry count.
+    /// already has a cached winner; a miss triggers either a re-decision
+    /// or, with a single candidate, the opening-winner fallback.  A cached
+    /// winner retires only by LRU eviction (keys dropped to keep the cache
+    /// within kDecisionCacheCapacity); a GEMM-kernel re-install changes
+    /// none.  Size is the current entry count.
     int64_t decision_cache_hits = 0;
     int64_t decision_cache_misses = 0;
     int64_t decision_cache_evictions = 0;
-    /// Cached winners re-decided because the GEMM kernel was re-installed
-    /// after they were measured (ForceGemmKernel mid-flight): the
-    /// throughput regime they were decided under no longer exists.  Each
-    /// one also counts as a miss.
-    int64_t decision_cache_invalidations = 0;
     int64_t decision_cache_size = 0;
     /// The GEMM micro-kernel installed at snapshot time ("portable",
     /// "avx2", "avx512") — the throughput regime every wall-clock
-    /// decision in this engine was measured under.
+    /// decision in this engine was measured under, unless a caller
+    /// re-installed one after Open (cached decisions stay as they were).
     std::string gemm_kernel;
     /// Item-catalog representation of the strategy serving the engine's
     /// decision k right now ("dense", "sparse", "hybrid") — the forced
@@ -265,7 +260,7 @@ class MipsEngine {
   /// Index into solvers_ of the strategy serving a k/batch-shape pair
   /// (decides and caches on a miss).  Lock-free-ish hot path: shared
   /// lock on a cache hit, exclusive lock (serializing the decision) on a
-  /// miss or a winner measured under a since-replaced GEMM kernel.
+  /// miss.
   StatusOr<std::size_t> StrategyFor(Index k, Index batch_rows)
       EXCLUDES(decision_mu_);
 
@@ -274,14 +269,6 @@ class MipsEngine {
   /// sample (bucket 0) or on exactly key.second users, and returns the
   /// winner's index into solvers_.  *report (optional) gets the trace.
   StatusOr<std::size_t> Decide(DecisionKey key, OptimusReport* report) const;
-
-  struct CachedDecision;
-  /// Whether `entry` was measured under a GEMM kernel that has since been
-  /// re-installed (always false with a single candidate) — the one
-  /// staleness rule.  `entry` points into winner_by_k_, so the caller
-  /// must hold decision_mu_ at least shared.
-  bool DecisionExpired(const CachedDecision& entry) const
-      REQUIRES_SHARED(decision_mu_);
 
   /// The pool serving this engine: the shared external pool when one was
   /// injected, else the engine-owned pool (null = single-threaded).
@@ -301,16 +288,11 @@ class MipsEngine {
 
   /// One cached per-(k, shape) decision.  `last_used` is a recency stamp
   /// from decision_clock_, bumped with a relaxed store on every
-  /// (shared-locked) hit; eviction drops the smallest stamp.
-  /// `kernel_epoch` is the GEMM-kernel install count the decision was
-  /// measured under, written once at insertion (under the exclusive
-  /// lock, so it is safely published to shared-lock readers).  Stored in
-  /// a node-based map so the atomic member never needs to move.
+  /// (shared-locked) hit; eviction drops the smallest stamp.  Stored in a
+  /// node-based map so the atomic member never needs to move.
   struct CachedDecision {
-    CachedDecision(std::size_t w, uint64_t epoch)
-        : winner(w), kernel_epoch(epoch) {}
+    explicit CachedDecision(std::size_t w) : winner(w) {}
     std::size_t winner;
-    uint64_t kernel_epoch;
     mutable std::atomic<uint64_t> last_used{0};
   };
 
@@ -340,7 +322,6 @@ class MipsEngine {
     std::atomic<int64_t> decision_cache_hits{0};
     std::atomic<int64_t> decision_cache_misses{0};
     std::atomic<int64_t> decision_cache_evictions{0};
-    std::atomic<int64_t> decision_cache_invalidations{0};
   };
   AtomicStats stats_;
 

@@ -222,17 +222,6 @@ void GemmNT(const ConstRowBlock& a, const ConstRowBlock& b, Matrix* c) {
          /*beta=*/0, c->data(), c->cols());
 }
 
-void GemmNN(const Real* a, Index m, const Real* b, Index n, Index k,
-            Real alpha, Real beta, Real* c, Index ldc) {
-  // Transpose B (k x n) into row-major (n x k), then reuse the NT kernel.
-  Matrix bt(n, k);
-  for (Index kk = 0; kk < k; ++kk) {
-    const Real* brow = b + static_cast<std::size_t>(kk) * n;
-    for (Index j = 0; j < n; ++j) bt(j, kk) = brow[j];
-  }
-  GemmNT(a, m, bt.data(), n, k, alpha, beta, c, ldc);
-}
-
 void Gemv(const Real* a, Index m, Index k, const Real* x, Real* y) {
   for (Index i = 0; i < m; ++i) {
     y[i] = Dot(a + static_cast<std::size_t>(i) * k, x, k);

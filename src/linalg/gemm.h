@@ -70,12 +70,6 @@ void GemmNT(const Real* a, Index m, const Real* b, Index n, Index k,
 /// C = A * B^T.
 void GemmNT(const ConstRowBlock& a, const ConstRowBlock& b, Matrix* c);
 
-/// C (m x n) = alpha * A (m x k) * B (k x n) + beta * C.  Implemented by
-/// transposing B once and delegating to GemmNT; intended for the small
-/// f x f basis products (FEXIPRO), not for the hot scoring path.
-void GemmNN(const Real* a, Index m, const Real* b, Index n, Index k,
-            Real alpha, Real beta, Real* c, Index ldc);
-
 /// y (m) = A (m x k) * x (k): blocked matrix-vector product.
 void Gemv(const Real* a, Index m, Index k, const Real* x, Real* y);
 

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "common/log.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "linalg/dot_kernel.h"
@@ -35,12 +35,11 @@ const KernelTableEntry& TableEntry(GemmKernel kernel) {
 
 /// The installed kernel, published as an atomic function pointer (null =
 /// nothing installed yet; the next GEMM runs the env/probe path).  The
-/// id/source atomics are attribution only — a racing reader may observe
-/// them a step behind the pointer, but never an inconsistent result,
-/// because every variant is bit-for-bit identical (gemm_kernel.h).
+/// id atomic is attribution only — a racing reader may observe it a step
+/// behind the pointer, but never an inconsistent result, because every
+/// variant is bit-for-bit identical (gemm_kernel.h).
 std::atomic<GemmMicroKernelFn> g_active_fn{nullptr};
 std::atomic<int> g_active_kernel{static_cast<int>(GemmKernel::kPortable)};
-std::atomic<int> g_active_source{static_cast<int>(GemmKernelSource::kProbe)};
 
 /// The level-1 dot kernel installed alongside the GEMM kernel: one ISA
 /// choice governs both (a machine whose AVX-512 is emulated for GEMM is
@@ -65,12 +64,8 @@ DotKernelFn DotKernelFor(GemmKernel kernel) {
   return &DotKernelPortable;
 }
 
-/// Serializes installs; also guards g_install_probe.
+/// Serializes installs.
 Mutex g_install_mu;
-GemmKernelProbe g_install_probe GUARDED_BY(g_install_mu);
-
-/// Bumped on every install (see GemmKernelEpoch in the header).
-std::atomic<uint64_t> g_install_epoch{0};
 
 bool CpuSupportsIsa(GemmKernel kernel) {
 #if defined(__x86_64__) || defined(__i386__)
@@ -131,28 +126,11 @@ double TimeKernelGflops(GemmMicroKernelFn fn) {
   return flops / best_seconds / 1e9;
 }
 
-/// Support flags without timings, for env/forced installs where the
-/// probe never ran.
-GemmKernelProbe SupportOnlyProbe(GemmKernel chosen) {
-  GemmKernelProbe probe;
-  for (const KernelTableEntry& entry : kKernelTable) {
-    auto& variant = probe.variants[static_cast<std::size_t>(entry.kernel)];
-    variant.kernel = entry.kernel;
-    variant.supported = GemmKernelSupported(entry.kernel);
-  }
-  probe.fastest = chosen;
-  return probe;
-}
-
-void InstallLocked(GemmKernel kernel, GemmKernelSource source,
-                   const GemmKernelProbe& probe) REQUIRES(g_install_mu) {
+void InstallLocked(GemmKernel kernel) REQUIRES(g_install_mu) {
   g_install_mu.AssertHeld();
-  g_install_probe = probe;
-  g_active_source.store(static_cast<int>(source), std::memory_order_relaxed);
   g_active_kernel.store(static_cast<int>(kernel), std::memory_order_relaxed);
   g_active_dot.store(DotKernelFor(kernel), std::memory_order_release);
   g_active_fn.store(TableEntry(kernel).fn, std::memory_order_release);
-  g_install_epoch.fetch_add(1, std::memory_order_release);
 }
 
 GemmMicroKernelFn EnsureInstalled() {
@@ -166,17 +144,17 @@ GemmMicroKernelFn EnsureInstalled() {
   if (env != nullptr && env[0] != '\0' && std::strcmp(env, "auto") != 0) {
     const auto parsed = ParseGemmKernel(env);
     if (parsed.ok() && GemmKernelSupported(*parsed)) {
-      InstallLocked(*parsed, GemmKernelSource::kEnv, SupportOnlyProbe(*parsed));
+      InstallLocked(*parsed);
       return g_active_fn.load(std::memory_order_relaxed);
     }
-    MIPS_LOG(Warning) << "MIPS_GEMM_KERNEL=" << env
-                       << (parsed.ok() ? " is not supported on this machine"
-                                       : " is not a known kernel")
-                       << "; falling back to the startup probe";
+    std::fprintf(stderr,
+                 "MIPS_GEMM_KERNEL=%s%s; falling back to the startup probe\n",
+                 env,
+                 parsed.ok() ? " is not supported on this machine"
+                             : " is not a known kernel");
   }
 
-  const GemmKernelProbe probe = ProbeGemmKernels();
-  InstallLocked(probe.fastest, GemmKernelSource::kProbe, probe);
+  InstallLocked(ProbeGemmKernels().fastest);
   return g_active_fn.load(std::memory_order_relaxed);
 }
 
@@ -240,31 +218,12 @@ Status ForceGemmKernel(GemmKernel kernel) {
                   : "\" was not compiled into this binary"));
   }
   MutexLock lock(g_install_mu);
-  InstallLocked(kernel, GemmKernelSource::kForced, SupportOnlyProbe(kernel));
+  InstallLocked(kernel);
   return Status::OK();
-}
-
-GemmKernelSource ActiveGemmKernelSource() {
-  EnsureInstalled();
-  return static_cast<GemmKernelSource>(
-      g_active_source.load(std::memory_order_relaxed));
-}
-
-GemmKernelProbe ActiveGemmKernelProbe() {
-  EnsureInstalled();
-  MutexLock lock(g_install_mu);
-  return g_install_probe;
-}
-
-uint64_t GemmKernelEpoch() {
-  return g_install_epoch.load(std::memory_order_acquire);
 }
 
 void ResetGemmKernelForTest() {
   MutexLock lock(g_install_mu);
-  g_install_probe = GemmKernelProbe();
-  g_active_source.store(static_cast<int>(GemmKernelSource::kProbe),
-                        std::memory_order_relaxed);
   g_active_kernel.store(static_cast<int>(GemmKernel::kPortable),
                         std::memory_order_relaxed);
   g_active_dot.store(nullptr, std::memory_order_release);

@@ -25,6 +25,8 @@
 // concurrently with running GEMMs; because every variant computes each C
 // element with the identical IEEE operation sequence (gemm_kernel.h),
 // results are bit-for-bit the same whichever variant a call observes.
+// A later install changes no engine's cached OPTIMUS decisions: those
+// retire only by LRU eviction (core/engine.h).
 //
 // MipsEngine::stats().gemm_kernel and OptimusReport::gemm_kernel record
 // the installed kernel so serving decisions stay attributable to the
@@ -58,9 +60,6 @@ StatusOr<GemmKernel> ParseGemmKernel(std::string_view name);
 /// CPU (and OS, for AVX state) support its ISA.
 bool GemmKernelSupported(GemmKernel kernel);
 
-/// How the installed kernel was chosen.
-enum class GemmKernelSource { kProbe, kEnv, kForced };
-
 /// Outcome of timing the micro-kernel variants (KernelProbe).
 struct GemmKernelProbe {
   struct Variant {
@@ -89,25 +88,6 @@ GemmKernel ActiveGemmKernel();
 /// this machine.  Safe to call concurrently with running GEMMs (results
 /// are bit-for-bit identical under every variant).
 Status ForceGemmKernel(GemmKernel kernel);
-
-/// How the currently installed kernel was chosen, installing one first
-/// (env override, then probe) if this is the first use.
-GemmKernelSource ActiveGemmKernelSource();
-
-/// The probe measurements the active kernel was installed from.  When the
-/// choice came from the env override or ForceGemmKernel the probe never
-/// ran and the variants carry gflops = 0 (support flags are still
-/// filled).  Installs a kernel first if none is installed.
-GemmKernelProbe ActiveGemmKernelProbe();
-
-/// Monotonic count of kernel installs (probe, env, or ForceGemmKernel —
-/// including re-installs of the already-active kernel).  0 until the
-/// first install.  Consumers that cache wall-clock measurements (the
-/// engine's per-k decision cache) snapshot this at measurement time and
-/// treat a later mismatch as "measured under a different throughput
-/// regime": a mid-flight ForceGemmKernel then invalidates those
-/// decisions, and the next query re-measures.
-uint64_t GemmKernelEpoch();
 
 /// Testing hook: uninstalls the active kernel so the next use re-runs the
 /// env-override/probe path.  Not for production use — concurrent GEMMs

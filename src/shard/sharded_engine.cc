@@ -218,8 +218,6 @@ ShardedMipsEngine::Stats ShardedMipsEngine::stats() const {
     snapshot.decision_cache_hits += shard.stats.decision_cache_hits;
     snapshot.decision_cache_misses += shard.stats.decision_cache_misses;
     snapshot.decision_cache_evictions += shard.stats.decision_cache_evictions;
-    snapshot.decision_cache_invalidations +=
-        shard.stats.decision_cache_invalidations;
     snapshot.decision_cache_size += shard.stats.decision_cache_size;
     snapshot.gemm_kernel = shard.stats.gemm_kernel;  // process-global
   }

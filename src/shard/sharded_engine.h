@@ -175,7 +175,6 @@ class ShardedMipsEngine {
     int64_t decision_cache_hits = 0;
     int64_t decision_cache_misses = 0;
     int64_t decision_cache_evictions = 0;
-    int64_t decision_cache_invalidations = 0;
     /// Cached decisions across shards right now (LiveCatalog counts a
     /// retiring epoch's as decisions_retired).
     int64_t decision_cache_size = 0;

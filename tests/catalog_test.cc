@@ -22,6 +22,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "catalog/live_catalog.h"
@@ -703,6 +704,46 @@ TEST(CatalogSegmentTest, TornAndCorruptFilesFailCleanly) {
   EXPECT_TRUE(CatalogSegment::Open(path).status().code() == StatusCode::kInvalidArgument);
 
   EXPECT_TRUE(CatalogSegment::Open(path + ".missing").status().code() == StatusCode::kIOError);
+  std::remove(path.c_str());
+}
+
+TEST(CatalogSegmentTest, HostileDimensionsWithValidChecksumFailCleanly) {
+  // A header that passes every field check up to the dimensions (magic,
+  // version, size, a recomputed FNV-1a checksum) but names extents whose
+  // payload size overflows int64, or that do not fit an Index, must be a
+  // clean InvalidArgument: no signed overflow, no narrowing cast.
+  const std::string path = TempPath("segment_hostile");
+  const auto write_header = [&path](int64_t rows, int64_t cols) {
+    char header[64] = {};
+    std::memcpy(header, "MIPSSEG1", 8);
+    const uint32_t version = 1;
+    const uint32_t header_bytes = 64;
+    const int64_t payload_bytes = 0;
+    std::memcpy(header + 8, &version, sizeof(version));
+    std::memcpy(header + 12, &header_bytes, sizeof(header_bytes));
+    std::memcpy(header + 16, &rows, sizeof(rows));
+    std::memcpy(header + 24, &cols, sizeof(cols));
+    std::memcpy(header + 32, &payload_bytes, sizeof(payload_bytes));
+    uint64_t checksum = 0xCBF29CE484222325ull;  // FNV-1a over [0, 40)
+    for (int i = 0; i < 40; ++i) {
+      checksum ^= static_cast<unsigned char>(header[i]);
+      checksum *= 0x100000001B3ull;
+    }
+    std::memcpy(header + 40, &checksum, sizeof(checksum));
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(header, sizeof(header));
+  };
+
+  constexpr int64_t k2To30 = int64_t{1} << 30;
+  constexpr int64_t k2To31 = int64_t{1} << 31;
+  for (const auto& [rows, cols] :
+       std::vector<std::pair<int64_t, int64_t>>{
+           {k2To30, k2To30}, {k2To31, k2To31}, {1, k2To31}}) {
+    write_header(rows, cols);
+    EXPECT_EQ(CatalogSegment::Open(path).status().code(),
+              StatusCode::kInvalidArgument)
+        << "rows " << rows << " cols " << cols;
+  }
   std::remove(path.c_str());
 }
 

@@ -436,12 +436,11 @@ TEST(EngineOpenTest, ValidatesWarmBatchShapes) {
                    .ok());
 }
 
-TEST(EngineTest, KernelReinstallInvalidatesCachedDecisions) {
-  // A mid-flight ForceGemmKernel re-install — even of the kernel that is
-  // already active — means every cached winner was measured under a
-  // throughput regime that no longer provably exists.  The engine must
-  // drop them (counted as invalidations) and re-decide on the next query
-  // instead of serving a possibly-wrong winner.
+TEST(EngineTest, KernelReinstallKeepsCachedDecisions) {
+  // A cached winner retires only by LRU eviction.  A mid-flight
+  // ForceGemmKernel re-install leaves it in place: the next query at the
+  // same (k, shape) is a hit, no re-decision runs, and the answer is bit
+  // for bit the one before (every kernel variant scores identically).
   const MFModel model = MakeTestModel(120, 60, 6, 41);
   EngineOptions options = SmallEngineOptions(5);
   options.solvers = {"bmm", "naive"};
@@ -449,34 +448,31 @@ TEST(EngineTest, KernelReinstallInvalidatesCachedDecisions) {
                                  ConstRowBlock(model.items), options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
-  TopKResult out;
   const std::vector<Index> batch = {0, 1};
-  ASSERT_TRUE((*engine)->TopK(5, batch, &out).ok());
-  MipsEngine::Stats stats = (*engine)->stats();
-  EXPECT_EQ(stats.decision_cache_invalidations, 0);
-  EXPECT_EQ(stats.redecisions, 0);
+  TopKResult before;
+  ASSERT_TRUE((*engine)->TopK(5, batch, &before).ok());
+  const MipsEngine::Stats stats_before = (*engine)->stats();
 
-  ASSERT_TRUE(ForceGemmKernel(ActiveGemmKernel()).ok());
-  ASSERT_TRUE((*engine)->TopK(5, batch, &out).ok());
-  stats = (*engine)->stats();
-  EXPECT_EQ(stats.decision_cache_invalidations, 1);
-  EXPECT_EQ(stats.redecisions, 1);
+  // Another supported kernel when there is one, else the active one again.
+  GemmKernel other = ActiveGemmKernel();
+  for (int v = 0; v < kNumGemmKernels; ++v) {
+    const GemmKernel kernel = static_cast<GemmKernel>(v);
+    if (kernel != other && GemmKernelSupported(kernel)) {
+      other = kernel;
+      break;
+    }
+  }
+  ASSERT_TRUE(ForceGemmKernel(other).ok());
 
-  // The refreshed winner carries the new epoch: an immediate re-query
-  // is a plain hit.
-  const int64_t hits_before = stats.decision_cache_hits;
-  ASSERT_TRUE((*engine)->TopK(5, batch, &out).ok());
-  stats = (*engine)->stats();
-  EXPECT_EQ(stats.decision_cache_invalidations, 1);
-  EXPECT_EQ(stats.decision_cache_hits, hits_before + 1);
-
-  // Results stay exact across the invalidation.
-  BmmSolver reference;
-  ASSERT_TRUE(reference.Prepare(ConstRowBlock(model.users),
-                                ConstRowBlock(model.items)).ok());
-  TopKResult expected;
-  ASSERT_TRUE(reference.TopKForUsers(5, batch, &expected).ok());
-  ExpectSameTopKScores(out, expected, 1e-9);
+  TopKResult after;
+  ASSERT_TRUE((*engine)->TopK(5, batch, &after).ok());
+  const MipsEngine::Stats stats_after = (*engine)->stats();
+  EXPECT_EQ(stats_after.decision_cache_hits,
+            stats_before.decision_cache_hits + 1);
+  EXPECT_EQ(stats_after.decision_cache_misses,
+            stats_before.decision_cache_misses);
+  EXPECT_EQ(stats_after.redecisions, stats_before.redecisions);
+  ExpectBitIdenticalTopK(after, before);
   ResetGemmKernelForTest();
 }
 

@@ -348,19 +348,6 @@ TEST(GemmTest, MatrixOverloadResizesOutput) {
   }
 }
 
-TEST(GemmTest, GemmNNMatchesManual) {
-  const Matrix a = RandomMatrix(5, 4, 111);
-  const Matrix bt = RandomMatrix(6, 4, 112);  // b = bt^T is 4 x 6
-  const Matrix b = bt.Transposed();
-  Matrix c(5, 6);
-  GemmNN(a.data(), 5, b.data(), 6, 4, 1.0, 0.0, c.data(), 6);
-  Matrix ref(5, 6);
-  GemmNaiveNT(a.data(), 5, bt.data(), 6, 4, 1.0, 0.0, ref.data(), 6);
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    EXPECT_NEAR(c.data()[i], ref.data()[i], 1e-9);
-  }
-}
-
 TEST(GemmTest, GemvMatchesDots) {
   const Matrix a = RandomMatrix(7, 9, 121);
   const Matrix x = RandomMatrix(1, 9, 122);
@@ -452,7 +439,6 @@ TEST_F(GemmKernelTest, PortableAlwaysSupportedAndInstallable) {
   EXPECT_TRUE(GemmKernelSupported(GemmKernel::kPortable));
   ASSERT_TRUE(ForceGemmKernel(GemmKernel::kPortable).ok());
   EXPECT_EQ(ActiveGemmKernel(), GemmKernel::kPortable);
-  EXPECT_EQ(ActiveGemmKernelSource(), GemmKernelSource::kForced);
 }
 
 TEST_F(GemmKernelTest, ForcedOverrideInstallsEverySupportedKernel) {
@@ -461,7 +447,6 @@ TEST_F(GemmKernelTest, ForcedOverrideInstallsEverySupportedKernel) {
     if (GemmKernelSupported(kernel)) {
       ASSERT_TRUE(ForceGemmKernel(kernel).ok()) << ToString(kernel);
       EXPECT_EQ(ActiveGemmKernel(), kernel);
-      EXPECT_EQ(ActiveGemmKernelSource(), GemmKernelSource::kForced);
     } else {
       // Unsupported variants must be refused, not silently downgraded.
       const Status status = ForceGemmKernel(kernel);
@@ -491,18 +476,21 @@ TEST_F(GemmKernelTest, ProbeMeasuresEverySupportedVariant) {
 
 TEST_F(GemmKernelTest, EnvOverrideInstallsRequestedKernel) {
   // The env override is read at install time, so resetting the dispatch
-  // makes it testable in-process.  Forced installs must still win over
-  // the env value.
-  ResetGemmKernelForTest();
-  ASSERT_EQ(setenv("MIPS_GEMM_KERNEL", "portable", /*overwrite=*/1), 0);
-  EXPECT_EQ(ActiveGemmKernel(), GemmKernel::kPortable);
-  EXPECT_EQ(ActiveGemmKernelSource(), GemmKernelSource::kEnv);
+  // makes it testable in-process.  Every supported kernel it names is
+  // installed, whatever the probe would pick.  Forced installs must still
+  // win over the env value.
+  for (const GemmKernel kernel : SupportedKernels()) {
+    ResetGemmKernelForTest();
+    ASSERT_EQ(setenv("MIPS_GEMM_KERNEL", ToString(kernel), /*overwrite=*/1),
+              0);
+    EXPECT_EQ(ActiveGemmKernel(), kernel);
+  }
 
   ResetGemmKernelForTest();
   ASSERT_EQ(setenv("MIPS_GEMM_KERNEL", "not-a-kernel", 1), 0);
   const GemmKernel probed = ActiveGemmKernel();  // warns, falls back
   EXPECT_TRUE(GemmKernelSupported(probed));
-  EXPECT_EQ(ActiveGemmKernelSource(), GemmKernelSource::kProbe);
+  EXPECT_EQ(ActiveGemmKernel(), probed);  // installed once, not re-probed
 
   ASSERT_EQ(setenv("MIPS_GEMM_KERNEL", "portable", 1), 0);
   const auto kernels = SupportedKernels();
@@ -514,7 +502,7 @@ TEST_F(GemmKernelTest, EnvOverrideInstallsRequestedKernel) {
 // Every compiled-and-supported variant must produce BIT-FOR-BIT the
 // portable kernel's results — not merely close ones.  All variants run
 // the identical per-element IEEE fma sequence (gemm_kernel.h), so the
-// differential is exact across NT / NN / threaded paths and edge tiles
+// differential is exact across serial and threaded paths and edge tiles
 // (m, n not multiples of MR=4 / NR=16, where the scratch-tile edge path
 // must also ride the installed kernel).
 TEST_F(GemmKernelTest, VariantsMatchPortableBitForBitNT) {
@@ -549,25 +537,18 @@ TEST_F(GemmKernelTest, VariantsMatchPortableBitForBitNNAndThreaded) {
       {5, 6, 4}, {129, 131, 70}, {3, 2000, 64}, {500, 7, 33}};
   for (const auto& [m, n, k] : shapes) {
     const Matrix a = RandomMatrix(m, k, 600 + m);
-    const Matrix bt = RandomMatrix(n, k, 700 + n);  // NT operand
-    const Matrix b = bt.Transposed();               // NN operand (k x n)
+    const Matrix bt = RandomMatrix(n, k, 700 + n);
     ASSERT_TRUE(ForceGemmKernel(GemmKernel::kPortable).ok());
-    Matrix want_nn(m, n);
-    GemmNN(a.data(), m, b.data(), n, k, 1.0, 0.0, want_nn.data(), n);
     Matrix want_threaded(m, n);
     GemmNT(a.data(), m, bt.data(), n, k, 1.0, 0.0, want_threaded.data(), n,
            &pool);
     for (const GemmKernel kernel : SupportedKernels()) {
       if (kernel == GemmKernel::kPortable) continue;
       ASSERT_TRUE(ForceGemmKernel(kernel).ok());
-      Matrix got_nn(m, n);
-      GemmNN(a.data(), m, b.data(), n, k, 1.0, 0.0, got_nn.data(), n);
       Matrix got_threaded(m, n);
       GemmNT(a.data(), m, bt.data(), n, k, 1.0, 0.0, got_threaded.data(), n,
              &pool);
-      for (std::size_t i = 0; i < want_nn.size(); ++i) {
-        ASSERT_EQ(got_nn.data()[i], want_nn.data()[i])
-            << "NN " << ToString(kernel) << " element " << i;
+      for (std::size_t i = 0; i < want_threaded.size(); ++i) {
         ASSERT_EQ(got_threaded.data()[i], want_threaded.data()[i])
             << "threaded " << ToString(kernel) << " element " << i;
       }
