@@ -8,7 +8,7 @@
 // The binary first prints the runtime SIMD dispatch report — per-variant
 // packed-panel GFLOP/s from a fresh KernelProbe sweep, the installed
 // kernel and any MIPS_GEMM_KERNEL override — and registers one
-// BM_GemmBlocked and one BM_ScoreTopK run per *supported* kernel
+// BM_GemmBlocked run and the BM_ScoreTopK shapes per *supported* kernel
 // variant, so a machine with pathological AVX-512 (the ~4x-slower
 // emulated case that motivated runtime dispatch) is visible directly in
 // the output.
@@ -168,13 +168,17 @@ void BM_GemmBlockedKernel(benchmark::State& state, GemmKernel kernel) {
   ReportGemmRates(state, m, n, k);
 }
 
-// One BMM request per kernel variant (registered in main like the GEMM
-// above): batch-flat's shape, 2,048 users against 3,554 items at f = 50,
-// scored and selected at k = 10 by one serial ScoreTopK call.  Reported
-// as time per user-item cell.
+// One serial ScoreTopK call per kernel variant (registered in main like
+// the GEMM above), m query rows against n items at f = 50 and k = 10,
+// reported as time per user-item cell.  The shapes: batch-flat's request
+// (2,048 x 3,554), one new user against batch-flat's items (1 x 3,554,
+// engine.new_user_us), one new user against one live-mutate shard
+// (1 x 200), and one and two register tiles of rows (4 and 8 x 3,554).
 void BM_ScoreTopKKernel(benchmark::State& state, GemmKernel kernel) {
   ForceGemmKernel(kernel).CheckOK();
-  const Index m = 2048, n = 3554, f = 50, k = 10;
+  const auto m = static_cast<Index>(state.range(0));
+  const auto n = static_cast<Index>(state.range(1));
+  const Index f = 50, k = 10;
   const Matrix users = RandomMatrix(m, f, 9);
   const Matrix items = RandomMatrix(n, f, 10);
   TopKResult result(m, k);
@@ -227,9 +231,16 @@ void RegisterPerKernelBenchmarks() {
     const std::string score_name =
         std::string("BM_ScoreTopK/kernel:") + ToString(kernel);
     benchmark::RegisterBenchmark(
-        score_name.c_str(), [kernel](benchmark::State& state) {
+        score_name.c_str(),
+        [kernel](benchmark::State& state) {
           BM_ScoreTopKKernel(state, kernel);
-        });
+        })
+        ->ArgNames({"m", "n"})
+        ->Args({2048, 3554})
+        ->Args({1, 3554})
+        ->Args({1, 200})
+        ->Args({4, 3554})
+        ->Args({8, 3554});
   }
 }
 

@@ -224,11 +224,23 @@ StatusOr<CatalogSegment> CatalogSegment::Open(const std::string& path) {
   segment.rows_ = static_cast<Index>(header.rows);
   segment.cols_ = static_cast<Index>(header.cols);
   const char* base = static_cast<const char*>(map);
+  const int64_t item_reals = header.rows * header.cols;
   segment.items_ = reinterpret_cast<const Real*>(base + kHeaderBytes);
-  segment.norms_ = reinterpret_cast<const Real*>(
-      base + kHeaderBytes +
-      static_cast<std::size_t>(header.rows) *
-          static_cast<std::size_t>(header.cols) * sizeof(Real));
+  segment.norms_ = segment.items_ + item_reals;
+  // A NaN or +-Inf would reach scores and norm bounds that the BetterEntry
+  // order cannot rank.  The norms follow the items, so one pass checks
+  // both.
+  const int64_t bad = FirstNonFinite(
+      segment.items_, static_cast<std::size_t>(item_reals + header.rows));
+  if (bad >= 0) {
+    return Status::InvalidArgument(
+        (bad < item_reals ? "non-finite value at row " +
+                                std::to_string(bad / header.cols) +
+                                ", column " + std::to_string(bad % header.cols)
+                          : "non-finite norm of row " +
+                                std::to_string(bad - item_reals)) +
+        " in segment: " + path);
+  }
   return segment;
 }
 

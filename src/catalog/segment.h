@@ -4,9 +4,9 @@
 // Euclidean norms behind a small versioned header.  Opening a segment
 // memory-maps it read-only and hands back ConstRowBlock / span views, so
 // an engine can Open() directly over the mapped pages: restart cost is
-// one mmap instead of a full read (the kernel pages vectors in on first
-// touch), and a catalog larger than RAM is served through the page
-// cache instead of an up-front allocation.
+// one mmap plus one read-only pass that checks every value is finite,
+// instead of a copy, and a catalog larger than RAM is served through the
+// page cache instead of an up-front allocation.
 //
 // On-disk layout (little-endian, offsets in bytes):
 //
@@ -53,7 +53,8 @@ class CatalogSegment {
 
   /// Maps `path` read-only.  IOError on open/map failures;
   /// InvalidArgument on bad magic, unsupported version, dimension /
-  /// size / checksum mismatches (torn or corrupted files included).
+  /// size / checksum mismatches (torn or corrupted files included), and
+  /// on a NaN or +-Inf item value or norm, naming its row (and column).
   static StatusOr<CatalogSegment> Open(const std::string& path);
 
   CatalogSegment(const CatalogSegment&) = delete;

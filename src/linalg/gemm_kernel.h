@@ -23,6 +23,13 @@
 // tests/linalg_test.cc assert exact equality, and the sharded==unsharded
 // and threaded==serial bit-for-bit guarantees hold under ANY installed
 // kernel — even if a kernel is re-installed between two calls.
+//
+// Each variant has a twin that reads B in place, from its row-major rows,
+// instead of from a packed panel (GemmMicroKernelRows*).  It runs the same
+// sequence on the same values, so a score does not depend on whether its
+// items were packed: the scorer (topk/score_select.h) reads the items of a
+// call of a few query rows in place, where packing them would cost more
+// than the scoring.
 
 #ifndef MIPS_LINALG_GEMM_KERNEL_H_
 #define MIPS_LINALG_GEMM_KERNEL_H_
@@ -57,6 +64,24 @@ void GemmMicroKernelAvx2(const Real* ap, const Real* bp, Index kb, Real alpha,
 void GemmMicroKernelPortable(const Real* ap, const Real* bp, Index kb,
                              Real alpha, Real* c, Index ldc);
 
+/// The twin of GemmMicroKernelFn over B in place: B's panel is the nr
+/// (1..kGemmNR) rows b + j * ldb, each read for kb consecutive values, and
+/// its missing rows count as zero, as PackPanels pads them.  No value
+/// past row nr - 1 is read.
+using GemmMicroKernelRowsFn = void (*)(const Real* ap, const Real* b,
+                                       Index ldb, Index nr, Index kb,
+                                       Real alpha, Real* c, Index ldc);
+
+void GemmMicroKernelRowsAvx512(const Real* ap, const Real* b, Index ldb,
+                               Index nr, Index kb, Real alpha, Real* c,
+                               Index ldc);
+void GemmMicroKernelRowsAvx2(const Real* ap, const Real* b, Index ldb,
+                             Index nr, Index kb, Real alpha, Real* c,
+                             Index ldc);
+void GemmMicroKernelRowsPortable(const Real* ap, const Real* b, Index ldb,
+                                 Index nr, Index kb, Real alpha, Real* c,
+                                 Index ldc);
+
 /// Whether the real intrinsics body (not the portable forward) was
 /// compiled into this binary.
 bool GemmAvx512KernelCompiled();
@@ -78,6 +103,10 @@ void PackPanels(const Real* src, Index ld, const Index* ids, Index rows,
 /// override / startup probe first if nothing is installed yet.  gemm.cc
 /// loads this once per GemmNT call.
 GemmMicroKernelFn ActiveGemmMicroKernel();
+
+/// The installed micro-kernel's in-place twin, installing one first if
+/// none is.
+GemmMicroKernelRowsFn ActiveGemmMicroKernelRows();
 
 }  // namespace mips
 

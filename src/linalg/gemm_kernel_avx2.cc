@@ -42,6 +42,71 @@ void GemmMicroKernelAvx2(const Real* ap, const Real* bp, Index kb, Real alpha,
   }
 }
 
+namespace {
+
+/// Transposes 4 rows of 4 doubles in registers: r[t] becomes element t of
+/// every row, in row order.
+inline void Transpose4x4(__m256d (&r)[4]) {
+  const __m256d t0 = _mm256_unpacklo_pd(r[0], r[1]);
+  const __m256d t1 = _mm256_unpackhi_pd(r[0], r[1]);
+  const __m256d t2 = _mm256_unpacklo_pd(r[2], r[3]);
+  const __m256d t3 = _mm256_unpackhi_pd(r[2], r[3]);
+  r[0] = _mm256_permute2f128_pd(t0, t2, 0x20);
+  r[1] = _mm256_permute2f128_pd(t1, t3, 0x20);
+  r[2] = _mm256_permute2f128_pd(t0, t2, 0x31);
+  r[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
+}
+
+}  // namespace
+
+// The same steps over B in place, one group of 4 panel rows (4 columns of
+// the tile) at a time, so that only its 4 accumulators are live.  Four
+// depth steps at a time, the group is loaded as 4 rows of 4 values and
+// transposed in registers into its 4 columns; rows past nr and depths
+// past kb load as zero and are never read from memory.
+void GemmMicroKernelRowsAvx2(const Real* ap, const Real* b, Index ldb,
+                             Index nr, Index kb, Real alpha, Real* c,
+                             Index ldc) {
+  const auto ld = static_cast<std::size_t>(ldb);
+  const __m256d valpha = _mm256_set1_pd(alpha);
+  for (Index j0 = 0; j0 < kGemmNR; j0 += 4) {
+    __m256d acc[kGemmMR];
+    for (Index i = 0; i < kGemmMR; ++i) acc[i] = _mm256_setzero_pd();
+    for (Index k0 = 0; k0 < kb; k0 += 4) {
+      const Index steps = kb - k0 < 4 ? kb - k0 : 4;
+      __m256d col[4];
+      if (steps == 4 && j0 + 4 <= nr) {
+        for (Index j = 0; j < 4; ++j) {
+          col[j] = _mm256_loadu_pd(b + (j0 + j) * ld + k0);
+        }
+      } else {
+        const __m256i depth = _mm256_cmpgt_epi64(_mm256_set1_epi64x(steps),
+                                                 _mm256_set_epi64x(3, 2, 1, 0));
+        for (Index j = 0; j < 4; ++j) {
+          col[j] = j0 + j < nr
+                       ? _mm256_maskload_pd(b + (j0 + j) * ld + k0, depth)
+                       : _mm256_setzero_pd();
+        }
+      }
+      Transpose4x4(col);
+      const Real* a = ap + static_cast<std::size_t>(k0) * kGemmMR;
+#pragma GCC unroll 4
+      for (Index t = 0; t < 4; ++t) {
+        if (t == steps) break;
+        for (Index i = 0; i < kGemmMR; ++i) {
+          acc[i] = _mm256_fmadd_pd(_mm256_set1_pd(a[t * kGemmMR + i]),
+                                   col[t], acc[i]);
+        }
+      }
+    }
+    for (Index i = 0; i < kGemmMR; ++i) {
+      Real* cell = c + static_cast<std::size_t>(i) * ldc + j0;
+      _mm256_storeu_pd(cell,
+                       _mm256_fmadd_pd(valpha, acc[i], _mm256_loadu_pd(cell)));
+    }
+  }
+}
+
 bool GemmAvx2KernelCompiled() { return true; }
 
 }  // namespace mips
@@ -53,6 +118,12 @@ namespace mips {
 void GemmMicroKernelAvx2(const Real* ap, const Real* bp, Index kb, Real alpha,
                          Real* c, Index ldc) {
   GemmMicroKernelPortable(ap, bp, kb, alpha, c, ldc);
+}
+
+void GemmMicroKernelRowsAvx2(const Real* ap, const Real* b, Index ldb,
+                             Index nr, Index kb, Real alpha, Real* c,
+                             Index ldc) {
+  GemmMicroKernelRowsPortable(ap, b, ldb, nr, kb, alpha, c, ldc);
 }
 
 bool GemmAvx2KernelCompiled() { return false; }

@@ -16,26 +16,53 @@
 #include <cmath>
 
 namespace mips {
+namespace {
 
-void GemmMicroKernelPortable(const Real* ap, const Real* bp, Index kb,
-                             Real alpha, Real* c, Index ldc) {
-  Real acc[kGemmMR][kGemmNR] = {};
-  for (Index kk = 0; kk < kb; ++kk) {
-    const Real* brow = bp + kk * kGemmNR;
-    const Real* arow = ap + kk * kGemmMR;
-    for (Index i = 0; i < kGemmMR; ++i) {
-      const Real aval = arow[i];
-      for (Index j = 0; j < kGemmNR; ++j) {
-        acc[i][j] = std::fma(aval, brow[j], acc[i][j]);
-      }
+using Tile = Real[kGemmMR][kGemmNR];
+
+/// One depth step: acc[i][j] = fma(arow[i], brow[j], acc[i][j]).
+void Step(const Real* arow, const Real* brow, Tile& acc) {
+  for (Index i = 0; i < kGemmMR; ++i) {
+    const Real aval = arow[i];
+    for (Index j = 0; j < kGemmNR; ++j) {
+      acc[i][j] = std::fma(aval, brow[j], acc[i][j]);
     }
   }
+}
+
+/// c[i][j] = fma(alpha, acc[i][j], c[i][j]).
+void Update(const Tile& acc, Real alpha, Real* c, Index ldc) {
   for (Index i = 0; i < kGemmMR; ++i) {
     Real* crow = c + static_cast<std::size_t>(i) * ldc;
     for (Index j = 0; j < kGemmNR; ++j) {
       crow[j] = std::fma(alpha, acc[i][j], crow[j]);
     }
   }
+}
+
+}  // namespace
+
+void GemmMicroKernelPortable(const Real* ap, const Real* bp, Index kb,
+                             Real alpha, Real* c, Index ldc) {
+  Tile acc = {};
+  for (Index kk = 0; kk < kb; ++kk) {
+    Step(ap + kk * kGemmMR, bp + kk * kGemmNR, acc);
+  }
+  Update(acc, alpha, c, ldc);
+}
+
+void GemmMicroKernelRowsPortable(const Real* ap, const Real* b, Index ldb,
+                                 Index nr, Index kb, Real alpha, Real* c,
+                                 Index ldc) {
+  Tile acc = {};
+  Real brow[kGemmNR] = {};
+  for (Index kk = 0; kk < kb; ++kk) {
+    for (Index j = 0; j < nr; ++j) {
+      brow[j] = b[static_cast<std::size_t>(j) * ldb + kk];
+    }
+    Step(ap + kk * kGemmMR, brow, acc);
+  }
+  Update(acc, alpha, c, ldc);
 }
 
 }  // namespace mips

@@ -21,12 +21,16 @@ struct KernelTableEntry {
   GemmKernel kernel;
   const char* name;
   GemmMicroKernelFn fn;
+  GemmMicroKernelRowsFn rows_fn;
 };
 
 constexpr std::array<KernelTableEntry, kNumGemmKernels> kKernelTable = {{
-    {GemmKernel::kPortable, "portable", &GemmMicroKernelPortable},
-    {GemmKernel::kAvx2, "avx2", &GemmMicroKernelAvx2},
-    {GemmKernel::kAvx512, "avx512", &GemmMicroKernelAvx512},
+    {GemmKernel::kPortable, "portable", &GemmMicroKernelPortable,
+     &GemmMicroKernelRowsPortable},
+    {GemmKernel::kAvx2, "avx2", &GemmMicroKernelAvx2,
+     &GemmMicroKernelRowsAvx2},
+    {GemmKernel::kAvx512, "avx512", &GemmMicroKernelAvx512,
+     &GemmMicroKernelRowsAvx512},
 }};
 
 const KernelTableEntry& TableEntry(GemmKernel kernel) {
@@ -231,6 +235,10 @@ void ResetGemmKernelForTest() {
 }
 
 GemmMicroKernelFn ActiveGemmMicroKernel() { return EnsureInstalled(); }
+
+GemmMicroKernelRowsFn ActiveGemmMicroKernelRows() {
+  return TableEntry(ActiveGemmKernel()).rows_fn;
+}
 
 DotKernelFn ActiveDotKernel() {
   DotKernelFn fn = g_active_dot.load(std::memory_order_acquire);

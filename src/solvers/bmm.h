@@ -6,8 +6,9 @@
 // in L1, so no score block is ever written.  One call takes a whole
 // request (or a pool worker's whole range) and scores it in blocks of
 // about 2,048 users (kScoreRowBlock), holding one block's heaps at a
-// time: the items are packed once per block and the users once per item
-// chunk, batch_rows to a row tile.  All
+// time: the items are packed once per block (not at all for a call of at
+// most kScoreInPlaceRows users, which reads them in place) and the users
+// once per item chunk, batch_rows to a row tile.  All
 // the hardware efficiency lives in the GEMM micro-kernel
 // (src/linalg/gemm_kernel*.cc) and the SIMD tile scan; the heap pushes
 // are the K-dependent tail the paper notes ("the runtime for blocked

@@ -78,11 +78,13 @@ class MipsSolver {
   /// any user-side index structure — through ScoreTopK
   /// (topk/score_select.h): GEMM register tiles, each folded into the
   /// rows' heaps while in L1, with the item range split across the
-  /// solver's pool.  The GEMM folds each score over the factor axis in an
-  /// order independent of the tile, so no score depends on the batch.
-  /// MAXIMUS-family solvers
-  /// override it with their per-row dynamic walk (Section III-E).  Safe
-  /// for concurrent callers once Prepare() has returned.
+  /// solver's pool.  A batch of at most kScoreInPlaceRows vectors, a lone
+  /// new user included, reads the items where they are; a larger one packs
+  /// them once per call.  The GEMM folds each score over the factor axis
+  /// in an order independent of the tile and of the packing, so no score
+  /// depends on the batch.  MAXIMUS-family solvers override it with their
+  /// per-row dynamic walk (Section III-E).  Safe for concurrent callers
+  /// once Prepare() has returned.
   virtual Status TopKNewUsers(const ConstRowBlock& items,
                               const Real* user_vectors, Index num_rows,
                               Index k, TopKResult* out) const;

@@ -107,6 +107,15 @@ Index Walk(const Real* scores, const Real* bounds, Index nr, uint32_t hits,
   return nr;
 }
 
+/// The n items of f factors a scorer call reads: packed in kNR-wide
+/// panels over the whole depth (PackedItems), or row-major where they are.
+/// Either way the panel of items [c, c + kNR) starts at data + c * f.
+struct ItemPanels {
+  const Real* data;
+  Index n;
+  bool packed;
+};
+
 /// One scorer call's state: the installed kernels, one packed tile of
 /// query rows, those rows' heap minima, and the score strip of one item
 /// panel.
@@ -114,6 +123,7 @@ class TileScorer {
  public:
   TileScorer(Index tile_rows, Index f)
       : kernel_(ActiveGemmMicroKernel()),
+        rows_kernel_(ActiveGemmMicroKernelRows()),
         scan_(ActiveSelectTile()),
         tile_rows_(tile_rows),
         f_(f),
@@ -129,9 +139,8 @@ class TileScorer {
 
   /// ScoreIntoHeaps over query rows [0, m), one row tile at a time.
   void Run(const Real* rows, const Index* row_ids, Index m,
-           const PackedItems& items, ItemIds id, const Real* bounds,
+           const ItemPanels& items, ItemIds id, const Real* bounds,
            TopKHeap* const* heaps, Index* walked) {
-    MIPS_DCHECK_EQ(items.cols(), f_);
     for (Index r0 = 0; r0 < m; r0 += tile_rows_) {
       const Index mb = std::min(tile_rows_, m - r0);
       if (row_ids != nullptr) {
@@ -160,17 +169,17 @@ class TileScorer {
   /// Bounded, a row walks while walked[r] equals the panel's first
   /// position, and a group none of whose rows walk is not scored.
   template <bool kBounded>
-  void ScoreRowTile(Index mb, const PackedItems& items, ItemIds id,
+  void ScoreRowTile(Index mb, const ItemPanels& items, ItemIds id,
                     const Real* bounds, TopKHeap* const* heaps,
                     Index* walked) {
-    const Index n = items.rows();
+    const Index n = items.n;
     Index walking = mb;
     alignas(64) Real edge_bounds[kNR];
     for (Index c = 0; c < n; c += kNR) {
       if (kBounded && walking == 0) return;
       const Index nr = std::min(kNR, n - c);
       const uint64_t cols = nr == kNR ? kRowBits : (uint64_t{1} << nr) - 1;
-      const Real* bp = items.data() + static_cast<std::size_t>(c) * f_;
+      const Real* bp = items.data + static_cast<std::size_t>(c) * f_;
       const Real* tile_bounds = nullptr;
       if constexpr (kBounded) {
         tile_bounds = bounds + c;
@@ -194,9 +203,14 @@ class TileScorer {
         std::fill_n(tile, kMR * kNR, Real{0});
         const Real* ap = apack_.get() + static_cast<std::size_t>(i) * f_;
         for (Index p0 = 0; p0 < f_; p0 += kGemmKPanel) {
-          kernel_(ap + static_cast<std::size_t>(p0) * kMR,
-                  bp + static_cast<std::size_t>(p0) * kNR,
-                  std::min(kGemmKPanel, f_ - p0), /*alpha=*/1, tile, kNR);
+          const Real* a = ap + static_cast<std::size_t>(p0) * kMR;
+          const Index kb = std::min(kGemmKPanel, f_ - p0);
+          if (items.packed) {
+            kernel_(a, bp + static_cast<std::size_t>(p0) * kNR, kb,
+                    /*alpha=*/1, tile, kNR);
+          } else {
+            rows_kernel_(a, bp + p0, f_, nr, kb, /*alpha=*/1, tile, kNR);
+          }
         }
         hits = scan_(tile, tile_bounds, thresholds_.data() + i) & live;
       }
@@ -220,6 +234,7 @@ class TileScorer {
   }
 
   const GemmMicroKernelFn kernel_;
+  const GemmMicroKernelRowsFn rows_kernel_;
   const SelectTileFn scan_;
   const Index tile_rows_;
   const Index f_;
@@ -244,16 +259,19 @@ struct RowHeaps {
 /// one block of rows at a time: the block's heaps are filled against the
 /// items, packed one chunk at a time, and row r's entries are extracted
 /// to out_row(r).  Only one block's heaps are held, and a lone chunk is
-/// packed once.
+/// packed once.  A call of at most kScoreInPlaceRows rows scores them as
+/// one row tile straight from the items' rows, packing nothing.
 template <typename OutRow>
 void ScoreBlocks(const Real* rows, const Index* row_ids, Index m,
                  Index tile_rows, const Real* items, Index n, Index f,
                  Index k, Index item_offset, const Index* item_ids,
                  OutRow out_row) {
+  const bool in_place = m <= kScoreInPlaceRows;
+  if (in_place) tile_rows = m;
   const Index block = std::min(m, RowBlock(tile_rows));
   RowHeaps row_heaps(block, k);
   TileScorer scorer(std::min(block, tile_rows), f);
-  const Index chunk = std::min(n, ChunkItems(f));
+  const Index chunk = in_place ? n : std::min(n, ChunkItems(f));
   PackedItems packed;
   for (Index b0 = 0; b0 < m; b0 += block) {
     const Index mb = std::min(block, m - b0);
@@ -261,13 +279,16 @@ void ScoreBlocks(const Real* rows, const Index* row_ids, Index m,
         row_ids != nullptr ? rows : rows + static_cast<std::size_t>(b0) * f;
     const Index* block_ids = row_ids != nullptr ? row_ids + b0 : nullptr;
     for (Index c0 = 0; c0 < n; c0 += chunk) {
-      if (b0 == 0 || chunk < n) {
-        packed.Pack(items + static_cast<std::size_t>(c0) * f, nullptr,
-                    std::min(chunk, n - c0), f);
+      const Real* chunk_items = items + static_cast<std::size_t>(c0) * f;
+      const Index nc = std::min(chunk, n - c0);
+      ItemPanels panels{chunk_items, nc, /*packed=*/false};
+      if (!in_place) {
+        if (b0 == 0 || chunk < n) packed.Pack(chunk_items, nullptr, nc, f);
+        panels = {packed.data(), nc, /*packed=*/true};
       }
       const ItemIds id{item_offset + c0,
                        item_ids != nullptr ? item_ids + c0 : nullptr};
-      scorer.Run(block_rows, block_ids, mb, packed, id, /*bounds=*/nullptr,
+      scorer.Run(block_rows, block_ids, mb, panels, id, /*bounds=*/nullptr,
                  row_heaps.ptrs.data(), /*walked=*/nullptr);
     }
     for (Index r = 0; r < mb; ++r) {
@@ -302,8 +323,8 @@ void ScoreIntoHeaps(const Real* rows, const Index* row_ids, Index m,
   if (bounds != nullptr) std::fill_n(walked, m, 0);
   if (items.rows() <= 0) return;
   TileScorer scorer(std::min(m, kScoreTileRows), items.cols());
-  scorer.Run(rows, row_ids, m, items, {item_offset, item_ids}, bounds,
-             heaps.data(), walked);
+  scorer.Run(rows, row_ids, m, {items.data(), items.rows(), /*packed=*/true},
+             {item_offset, item_ids}, bounds, heaps.data(), walked);
 }
 
 void ScoreTopK(const Real* rows, Index m, const Real* items, Index n, Index f,

@@ -15,10 +15,14 @@
 // at a time, so what a call holds beyond its output does not grow with
 // the request.  Each operand is packed for the micro-kernel once per
 // block: the items in chunks of at most kGemmNC (a lone chunk once per
-// call), each tile of query rows once per chunk.  The micro-kernel runs
-// with alpha = 1, one K panel after another, which is GemmNT's beta = 0
-// fold: every score, and hence every selected entry, is bit-for-bit the
-// one GemmNT plus a per-row heap would give.
+// call), each tile of query rows once per chunk.  A call of at most
+// kScoreInPlaceRows rows (a new user, a small batch) packs no items:
+// there each packed item panel would feed one micro-kernel call, so the
+// micro-kernel's in-place twin (linalg/gemm_kernel.h) reads the panel
+// straight from the items' rows instead.  The micro-kernel runs with
+// alpha = 1, one K panel after another, which is GemmNT's beta = 0 fold:
+// every score, and hence every selected entry, is bit-for-bit the one
+// GemmNT plus a per-row heap would give, packed or not.
 //
 // BMM's two regimes, the dense new-user path (MipsSolver::TopKNewUsers),
 // the hybrid solver's dense partition (ScoreTopK) and MAXIMUS's segment
@@ -43,12 +47,22 @@ namespace mips {
 /// L2 while every item panel of the chunk passes them.
 inline constexpr Index kScoreTileRows = 128;
 
+/// Query rows up to which a ScoreTopK call reads its items in place, from
+/// their row-major rows, instead of packing them: such a call is one
+/// micro-kernel row group (linalg kGemmMR), so each packed item panel
+/// would feed exactly one micro-kernel call and the packing would be pure
+/// overhead.  Measured at f = 50 over 3,554 items on an AVX-512 Xeon, the
+/// in-place read at 8 rows (two groups, each reading every panel again)
+/// was within a few percent of packing, and at 16 rows slower.
+inline constexpr Index kScoreInPlaceRows = 4;
+
 /// Query rows per block of a ScoreTopK call (rounded down to whole row
 /// tiles).  A call holds one block's heaps, and with a pool one block's
 /// partial rows, so what it holds beyond its output does not grow with
 /// the request; the items are packed once per block.  At f = 50, packing
-/// 3,554 items takes about 0.15 ms, under 0.5% of scoring 2,048 rows
-/// against them on an AVX-512 Xeon.
+/// 3,554 items takes about 0.15 ms on an AVX-512 Xeon: under 0.5% of
+/// scoring 2,048 rows against them, but more than half of scoring one row,
+/// which is why calls of at most kScoreInPlaceRows rows do not pack.
 inline constexpr Index kScoreRowBlock = 2048;
 
 /// n items of f factors packed for the GEMM micro-kernel once, in
@@ -101,8 +115,9 @@ void ScoreIntoHeaps(const Real* rows, const Index* row_ids, Index m,
 /// must already have k columns and room for them).  Query row r is read
 /// from rows + (row_ids ? row_ids[r] : r) * f, tile_rows rows to a tile;
 /// ids as in ScoreIntoHeaps.  Hand a whole request to one call: its items
-/// are packed once per block of rows, and one block's heaps, k entries a
-/// row, are held at a time.
+/// are packed once per block of rows (and read in place when m is at most
+/// kScoreInPlaceRows, in one tile of m rows), and one block's heaps, k
+/// entries a row, are held at a time.
 ///
 /// With a pool of T > 1 workers, each worker scores every row of a block
 /// against a contiguous 1/T of the items into private heaps, and

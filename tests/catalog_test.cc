@@ -707,6 +707,17 @@ TEST(CatalogSegmentTest, TornAndCorruptFilesFailCleanly) {
   std::remove(path.c_str());
 }
 
+/// Stores the segment header checksum, FNV-1a over header bytes
+/// [0, 40), at byte 40.
+void RecomputeHeaderChecksum(char* header) {
+  uint64_t checksum = 0xCBF29CE484222325ull;
+  for (int i = 0; i < 40; ++i) {
+    checksum ^= static_cast<unsigned char>(header[i]);
+    checksum *= 0x100000001B3ull;
+  }
+  std::memcpy(header + 40, &checksum, sizeof(checksum));
+}
+
 TEST(CatalogSegmentTest, HostileDimensionsWithValidChecksumFailCleanly) {
   // A header that passes every field check up to the dimensions (magic,
   // version, size, a recomputed FNV-1a checksum) but names extents whose
@@ -724,12 +735,7 @@ TEST(CatalogSegmentTest, HostileDimensionsWithValidChecksumFailCleanly) {
     std::memcpy(header + 16, &rows, sizeof(rows));
     std::memcpy(header + 24, &cols, sizeof(cols));
     std::memcpy(header + 32, &payload_bytes, sizeof(payload_bytes));
-    uint64_t checksum = 0xCBF29CE484222325ull;  // FNV-1a over [0, 40)
-    for (int i = 0; i < 40; ++i) {
-      checksum ^= static_cast<unsigned char>(header[i]);
-      checksum *= 0x100000001B3ull;
-    }
-    std::memcpy(header + 40, &checksum, sizeof(checksum));
+    RecomputeHeaderChecksum(header);
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(header, sizeof(header));
   };
@@ -744,6 +750,51 @@ TEST(CatalogSegmentTest, HostileDimensionsWithValidChecksumFailCleanly) {
               StatusCode::kInvalidArgument)
         << "rows " << rows << " cols " << cols;
   }
+  std::remove(path.c_str());
+}
+
+TEST(CatalogSegmentTest, NonFinitePayloadFailsCleanly) {
+  // A segment whose header is intact (the checksum covers the header
+  // only, and is recomputed here all the same) but whose payload holds a
+  // NaN item value or an infinite norm must be a clean InvalidArgument
+  // naming the cell: a non-finite score cannot be ranked, so serving such
+  // a catalog would drop items from answers without an error.
+  const Index rows = 9;
+  const Index cols = 4;
+  const Matrix items = RandomMatrix(rows, cols, 79, 0.8);
+  const std::string path = TempPath("segment_non_finite");
+  ASSERT_TRUE(CatalogSegment::Write(ConstRowBlock(items), path).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)), {});
+  in.close();
+  ASSERT_TRUE(CatalogSegment::Open(path).ok());
+
+  const std::size_t items_at = 64;
+  const std::size_t norms_at =
+      items_at + sizeof(Real) * static_cast<std::size_t>(rows * cols);
+  const auto open_with = [&](std::size_t at, Real value) {
+    std::string bad = bytes;
+    std::memcpy(bad.data() + at, &value, sizeof(value));
+    RecomputeHeaderChecksum(bad.data());
+    EXPECT_EQ(bad.compare(0, 64, bytes, 0, 64), 0);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bad.data(), static_cast<std::streamsize>(bad.size()));
+    out.close();
+    return CatalogSegment::Open(path).status();
+  };
+
+  const Status nan_item = open_with(
+      items_at + sizeof(Real) * static_cast<std::size_t>(5 * cols + 2),
+      std::numeric_limits<Real>::quiet_NaN());
+  EXPECT_EQ(nan_item.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(nan_item.message().find("row 5, column 2"), std::string::npos)
+      << nan_item.ToString();
+
+  const Status inf_norm = open_with(norms_at + sizeof(Real) * 3,
+                                    std::numeric_limits<Real>::infinity());
+  EXPECT_EQ(inf_norm.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(inf_norm.message().find("norm of row 3"), std::string::npos)
+      << inf_norm.ToString();
   std::remove(path.c_str());
 }
 

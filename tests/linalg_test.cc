@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -15,6 +18,7 @@
 #include "linalg/blas.h"
 #include "linalg/dot_kernel.h"
 #include "linalg/gemm.h"
+#include "linalg/gemm_kernel.h"
 #include "linalg/simd_dispatch.h"
 #include "linalg/matrix.h"
 #include "linalg/sym_eigen.h"
@@ -551,6 +555,65 @@ TEST_F(GemmKernelTest, VariantsMatchPortableBitForBitNNAndThreaded) {
       for (std::size_t i = 0; i < want_threaded.size(); ++i) {
         ASSERT_EQ(got_threaded.data()[i], want_threaded.data()[i])
             << "threaded " << ToString(kernel) << " element " << i;
+      }
+    }
+  }
+}
+
+// Each micro-kernel's in-place twin (gemm_kernel.h) must write the tile
+// bit for bit as the kernel does from the same rows packed, padded lanes
+// included: every panel width nr, depths around the twins' 4- and
+// 8-value steps, and row strides longer than the depth.  B's last row
+// ends its buffer, so a read past row nr - 1 reads past the buffer, and
+// the values between depth kb and the stride are NaN, so a step past kb
+// shows in C.
+TEST_F(GemmKernelTest, InPlaceTwinsMatchPackedKernelsBitForBit) {
+  struct Variant {
+    GemmKernel kernel;
+    GemmMicroKernelFn packed;
+    GemmMicroKernelRowsFn in_place;
+  };
+  const Variant variants[] = {
+      {GemmKernel::kPortable, &GemmMicroKernelPortable,
+       &GemmMicroKernelRowsPortable},
+      {GemmKernel::kAvx2, &GemmMicroKernelAvx2, &GemmMicroKernelRowsAvx2},
+      {GemmKernel::kAvx512, &GemmMicroKernelAvx512,
+       &GemmMicroKernelRowsAvx512}};
+  Rng rng(97);
+  const auto random = [&rng](std::size_t size) {
+    std::vector<Real> v(size);
+    for (Real& x : v) x = rng.Normal();
+    return v;
+  };
+  constexpr std::size_t kTile = kGemmMR * kGemmNR;
+  for (const Index kb : {1, 2, 3, 4, 5, 7, 8, 9, 16, 50, 256}) {
+    const std::vector<Real> ap = random(kGemmMR * static_cast<std::size_t>(kb));
+    for (const Index ldb : {kb, kb + 3}) {
+      for (Index nr = 1; nr <= kGemmNR; ++nr) {
+        std::vector<Real> b(static_cast<std::size_t>((nr - 1) * ldb + kb));
+        for (std::size_t i = 0; i < b.size(); ++i) {
+          b[i] = static_cast<Index>(i % static_cast<std::size_t>(ldb)) < kb
+                     ? rng.Normal()
+                     : std::numeric_limits<Real>::quiet_NaN();
+        }
+        std::vector<Real> bp(kGemmNR * static_cast<std::size_t>(kb));
+        PackPanels(b.data(), ldb, /*ids=*/nullptr, nr, 0, kb, kGemmNR,
+                   bp.data());
+        const std::vector<Real> c = random(kTile);
+        for (const Variant& v : variants) {
+          if (!GemmKernelSupported(v.kernel)) continue;
+          std::vector<Real> want = c;
+          std::vector<Real> got = c;
+          v.packed(ap.data(), bp.data(), kb, 1.25, want.data(), kGemmNR);
+          v.in_place(ap.data(), b.data(), ldb, nr, kb, 1.25, got.data(),
+                     kGemmNR);
+          for (std::size_t i = 0; i < kTile; ++i) {
+            ASSERT_EQ(std::bit_cast<uint64_t>(got[i]),
+                      std::bit_cast<uint64_t>(want[i]))
+                << ToString(v.kernel) << " kb=" << kb << " ldb=" << ldb
+                << " nr=" << nr << " cell " << i;
+          }
+        }
       }
     }
   }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "solvers/bmm.h"
@@ -201,6 +202,37 @@ TEST(BmmSolverTest, BytesBeyondTheOutputStayBoundedPastOneRowBlock) {
   ASSERT_GE(bytes, output);
   EXPECT_LT(bytes - output, std::size_t{1} << 20);
   ExpectValidTopK(got, AllUsers(num_users), model);
+}
+
+// A call of a few query rows reads the items where they are
+// (topk/score_select.h kScoreInPlaceRows): a 1-row new-user query over
+// 3,554 x 50 items, batch-flat's catalog, must not request a packed copy
+// of them (0.8 MB for the first chunk of 2,048 items).  Counts every
+// byte requested during the call, beyond the output row.
+TEST(BmmSolverTest, OneRowNewUserQueryPacksNoItems) {
+  const Index k = 10;
+  const MFModel model = MakeTestModel(4, 3554, 50);
+  BmmSolver bmm;
+  ASSERT_TRUE(bmm.Prepare(ConstRowBlock(model.users),
+                          ConstRowBlock(model.items)).ok());
+  TopKResult got;
+  std::size_t bytes = 0;
+  {
+    testing::AllocationCounter counter;
+    ASSERT_TRUE(bmm.TopKNewUsers(ConstRowBlock(model.items),
+                                 model.users.Row(1), 1, k, &got)
+                    .ok());
+    bytes = counter.bytes();
+  }
+  const std::size_t output = static_cast<std::size_t>(k) * sizeof(TopKEntry);
+  ASSERT_GE(bytes, output);
+  EXPECT_LT(bytes - output, std::size_t{64} << 10);
+  TopKResult want;
+  ASSERT_TRUE(bmm.TopKForUsers(k, std::vector<Index>{1}, &want).ok());
+  for (Index e = 0; e < k; ++e) {
+    EXPECT_EQ(got.Row(0)[e].item, want.Row(0)[e].item);
+    EXPECT_EQ(got.Row(0)[e].score, want.Row(0)[e].score);
+  }
 }
 
 TEST(BmmSolverTest, ThreadedMatchesSingleThreaded) {

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <tuple>
@@ -704,6 +706,82 @@ TEST_F(SelectKernelTest, BoundedPanelsWalkLikeTheScalarBreakLoop) {
       for (std::size_t e = 0; e < want.size(); ++e) {
         ASSERT_EQ(got[e].item, want[e].item) << "row " << r;
         ASSERT_EQ(got[e].score, want[e].score) << "row " << r;
+      }
+    }
+  }
+}
+
+// A call of at most kScoreInPlaceRows query rows reads its items in
+// place (linalg GemmMicroKernelRows*); a longer one packs them.  Either
+// way every row must be, bit for bit, serial GemmNT followed by a full
+// BetterEntry sort.  The shapes cross the row rule (m = 5); cover part of
+// an item panel, one, and one plus part of a second (n = 15, 16, 17); and
+// reach depths of one value, one whole K panel and part of a second
+// (f = 1, 256, 257, 300).  k reaches past n.  Items tie exactly
+// (MakeScoreFixture's duplicated rows, at panel boundaries among them),
+// and for odd m the last query row is all zero, so its products are all
+// +-0.  Rows are read through row ids and items reported through item ids,
+// or in order with an item offset.
+TEST_F(SelectKernelTest, FewRowCallsMatchGemmNTAndAFullSort) {
+  static_assert(kScoreInPlaceRows < 5, "m = 5 must take the packed path");
+  ThreadPool pool(3);
+  for (const Index f : {1, 50, 256, 257, 300}) {
+    for (const Index n : {1, 15, 16, 17, 200}) {
+      for (const Index m : {1, 2, 3, 4, 5}) {
+        ScoreFixture fx = MakeScoreFixture(m, n, f, 31 + m + n + f);
+        if (m % 2 == 1) std::fill_n(fx.rows.Row(m - 1), f, Real{0});
+        Matrix scores(m, n);
+        GemmNT(fx.rows.data(), m, fx.items.data(), n, f, 1, 0, scores.data(),
+               n);
+        std::vector<Index> row_ids(static_cast<std::size_t>(m));
+        for (Index r = 0; r < m; ++r) {
+          row_ids[static_cast<std::size_t>(r)] = m - 1 - r;
+        }
+        std::vector<Index> item_ids(static_cast<std::size_t>(n));
+        for (Index j = 0; j < n; ++j) {
+          item_ids[static_cast<std::size_t>(j)] = 2 * (n - 1 - j);
+        }
+        for (const bool mapped : {false, true}) {
+          const Index* rids = mapped ? row_ids.data() : nullptr;
+          const Index* iids = mapped ? item_ids.data() : nullptr;
+          const Index offset = mapped ? 0 : 7;
+          for (const Index k : {Index{1}, Index{10}, n + 3}) {
+            TopKResult want(m, k);
+            for (Index r = 0; r < m; ++r) {
+              const Real* row = scores.Row(rids != nullptr ? rids[r] : r);
+              std::vector<TopKEntry> all;
+              for (Index j = 0; j < n; ++j) {
+                all.push_back(
+                    {iids != nullptr ? iids[j] : j + offset, row[j]});
+              }
+              std::sort(all.begin(), all.end(), BetterEntry);
+              all.resize(static_cast<std::size_t>(k), TopKEntry{-1, -kInf});
+              std::copy(all.begin(), all.end(), want.Row(r));
+            }
+            for (const GemmKernel kernel : SupportedKernels()) {
+              ASSERT_TRUE(ForceGemmKernel(kernel).ok());
+              for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+                SCOPED_TRACE(::testing::Message()
+                             << ToString(kernel) << " m=" << m << " n=" << n
+                             << " f=" << f << " k=" << k
+                             << (mapped ? " ids" : " offset")
+                             << (p != nullptr ? " pooled" : " serial"));
+                TopKResult got(m, k);
+                ScoreTopK(fx.rows.data(), m, fx.items.data(), n, f, k, offset,
+                          iids, p, &got, /*row_offset=*/0, rids);
+                for (Index r = 0; r < m; ++r) {
+                  for (Index e = 0; e < k; ++e) {
+                    ASSERT_EQ(got.Row(r)[e].item, want.Row(r)[e].item)
+                        << "row " << r << " entry " << e;
+                    ASSERT_EQ(std::bit_cast<uint64_t>(got.Row(r)[e].score),
+                              std::bit_cast<uint64_t>(want.Row(r)[e].score))
+                        << "row " << r << " entry " << e;
+                  }
+                }
+              }
+            }
+          }
+        }
       }
     }
   }
