@@ -4,8 +4,8 @@
 // A LiveCatalog serves exact top-K while Insert/Update/Remove land in
 // its write buffer and background rebuilds fold the buffer into fresh
 // epochs (catalog/live_catalog.h).  The question for a deployment is
-// what mutations and epoch swaps cost the *query* path: the side scan
-// over the buffer grows with buffered rows, and a swap retires cached
+// what mutations and epoch swaps cost the *query* path: the brute-force
+// pass over the buffer grows with buffered rows, and a swap retires cached
 // OPTIMUS decisions, so the first queries after an install pay
 // re-decisions.
 //

@@ -8,19 +8,31 @@
 
 #include "catalog/segment.h"
 #include "linalg/blas.h"
-#include "linalg/gemm.h"
 #include "topk/merge.h"
-#include "topk/topk_heap.h"
+#include "topk/score_select.h"
 
 namespace mips {
 namespace {
 
-constexpr TopKEntry kSentinel{-1, -std::numeric_limits<Real>::infinity()};
-
-std::vector<TopKEntry> SentinelRows(Index num_rows, Index k) {
-  return std::vector<TopKEntry>(
-      static_cast<std::size_t>(num_rows) * static_cast<std::size_t>(k),
-      kSentinel);
+/// Drops the ids `mask` names from each over-fetched row of `layer` in
+/// place: the row's first k entries become its best k survivors, as
+/// catalog ids (ids[item] when `ids` remaps local rows; the remap is
+/// strictly increasing, so the tie order survives it), ended by a
+/// sentinel if fewer survive.
+void DropMasked(TopKResult* layer, Index k, const Index* ids,
+                const std::unordered_set<Index>& mask) {
+  for (Index q = 0; q < layer->num_queries(); ++q) {
+    TopKEntry* row = layer->Row(q);
+    Index taken = 0;
+    for (Index e = 0; e < layer->k() && taken < k; ++e) {
+      if (row[e].item < 0) break;  // sentinel tail
+      const Index id = ids != nullptr
+                           ? ids[static_cast<std::size_t>(row[e].item)]
+                           : row[e].item;
+      if (mask.find(id) == mask.end()) row[taken++] = {id, row[e].score};
+    }
+    if (taken < k) row[taken] = {-1, -std::numeric_limits<Real>::infinity()};
+  }
 }
 
 /// InvalidArgument unless `vector` has `f` finite components: the check
@@ -78,6 +90,7 @@ StatusOr<std::unique_ptr<LiveCatalog>> LiveCatalog::Open(
     return Status::InvalidArgument("growth_block must be >= 0, got " +
                                    std::to_string(options.growth_block));
   }
+  MIPS_RETURN_IF_ERROR(ValidateEngineOptions(options.engine));
 
   std::unique_ptr<LiveCatalog> catalog(new LiveCatalog());
   catalog->users_ = users;
@@ -197,11 +210,21 @@ Status LiveCatalog::Remove(Index id) {
     WriterMutexLock lock(state_mu_);
     auto it = active_.row_of_id.find(id);
     if (it != active_.row_of_id.end()) {
-      // Tombstone the buffered row in place; the dead-set entry also
-      // keeps any sealed/base predecessor masked (the active row may
-      // itself have been an update).
-      active_.ids[static_cast<std::size_t>(it->second)] = -1;
+      // The layer's last row fills the vacated slot, so the layer holds
+      // only live rows; the dead-set entry keeps any sealed/base
+      // predecessor masked (the active row may have been an update).
+      const auto row = static_cast<std::size_t>(it->second);
+      const std::size_t last = active_.ids.size() - 1;
+      const auto f = static_cast<std::size_t>(num_factors());
       active_.row_of_id.erase(it);
+      if (row != last) {
+        std::memcpy(&active_.data[row * f], &active_.data[last * f],
+                    sizeof(Real) * f);
+        active_.ids[row] = active_.ids[last];
+        active_.row_of_id[active_.ids[row]] = static_cast<Index>(row);
+      }
+      active_.ids.pop_back();
+      active_.data.resize(last * f);
       active_.dead.insert(id);
     } else if (IsLive(id)) {
       active_.dead.insert(id);
@@ -217,105 +240,71 @@ Status LiveCatalog::Remove(Index id) {
   return Status::OK();
 }
 
-std::vector<TopKEntry> LiveCatalog::ScanBuffer(
-    const WriteBuffer& buffer, const std::unordered_set<Index>* mask,
-    const Real* vectors, Index num_rows, Index f, Index k) {
-  std::vector<TopKEntry> rows = SentinelRows(num_rows, k);
-  const Index n = buffer.num_rows();
-  if (n == 0) return rows;
-  // Scores come from the serial blocked GEMM: its per-element K-panel
-  // fma fold depends only on the two vectors, so a buffered item's score
-  // here is bit-for-bit the score any solver would report for it after a
-  // rebuild folds it into the base (and no pool is involved, so the scan
-  // is safe under the caller's shared lock).
-  Matrix scores(num_rows, n);
-  GemmNT(vectors, num_rows, buffer.data.data(), n, f, /*alpha=*/1,
-         /*beta=*/0, scores.data(), scores.cols());
-  TopKHeap heap(k);
-  for (Index q = 0; q < num_rows; ++q) {
-    const Real* score_row = scores.Row(q);
-    for (Index r = 0; r < n; ++r) {
-      const Index id = buffer.ids[static_cast<std::size_t>(r)];
-      if (id < 0) continue;  // tombstoned in place
-      if (mask != nullptr && mask->find(id) != mask->end()) continue;
-      if (!heap.WouldAccept(score_row[r])) continue;
-      heap.Push(id, score_row[r]);
-    }
-    heap.ExtractDescending(&rows[static_cast<std::size_t>(q) *
-                                 static_cast<std::size_t>(k)]);
-  }
-  return rows;
-}
-
 Status LiveCatalog::Query(Index k, std::span<const Index> user_ids,
                           const Real* vectors, Index num_rows,
                           TopKResult* out) {
   const Index f = num_factors();
+  const Index* row_ids = user_ids.empty() ? nullptr : user_ids.data();
+  // A buffer layer's exact top-`width` rows of catalog ids, scored
+  // serially (safe under the shared lock) with the scores a rebuilt
+  // epoch's BMM reports, bit for bit.
+  const auto score_layer = [&](const WriteBuffer& layer, Index width,
+                               TopKResult* rows) {
+    *rows = TopKResult(num_rows, width);
+    ScoreTopK(vectors, num_rows, layer.data.data(), layer.num_rows(), f,
+              width, /*item_offset=*/0, layer.ids.data(), /*pool=*/nullptr,
+              rows, /*row_offset=*/0, row_ids);
+  };
+  // Layers go newest first, each masked by the dead sets of the newer
+  // ones: scored at width k + |mask|, it keeps its exact live top-k once
+  // DropMasked removes at most |mask| entries.  A layer with no rows
+  // joins the merge as a null row.
   std::shared_ptr<Epoch> epoch;
   std::shared_ptr<const WriteBuffer> sealed;
-  std::vector<TopKEntry> active_rows;
-  std::unordered_set<Index> active_dead;
+  TopKResult active_rows, sealed_rows, base_rows;
+  std::unordered_set<Index> dead;
   {
-    // The only lock a query takes: pin the epoch and scan the mutable
+    // The only lock a query takes: pin the epoch and score the mutable
     // active layer while mutators are held off.  Everything after —
-    // sealed scan, base query, merge — runs on immutable state.
+    // sealed layer, base query, merge — runs on immutable state.
     ReaderMutexLock lock(state_mu_);
     epoch = epoch_;
     sealed = sealed_;
-    active_rows = ScanBuffer(active_, /*mask=*/nullptr, vectors, num_rows,
-                             f, k);
-    active_dead = active_.dead;
+    if (active_.num_rows() > 0) score_layer(active_, k, &active_rows);
+    dead = active_.dead;
   }
 
-  // The sealed layer is immutable; only its masking set (the active
-  // layer's dead ids, frozen above) needed the lock.
-  std::vector<TopKEntry> sealed_rows =
-      sealed != nullptr
-          ? ScanBuffer(*sealed, &active_dead, vectors, num_rows, f, k)
-          : SentinelRows(num_rows, k);
-
-  // Base rows are masked by every newer layer.  Over-fetch by the dead
-  // count: at most |dead_union| base rows can be filtered out, so the
-  // top-(k + D) base row still contains the top-k live base entries.  D
-  // goes in as the engines' `extra`, not into k: the strategy stays the
-  // one decided for the caller's k, so a changing dead count never
-  // creates a decision key (and never runs OPTIMUS inline).
-  std::unordered_set<Index> dead_union = std::move(active_dead);
   if (sealed != nullptr) {
-    dead_union.insert(sealed->dead.begin(), sealed->dead.end());
+    if (sealed->num_rows() > 0) {
+      score_layer(*sealed, k + static_cast<Index>(dead.size()),
+                  &sealed_rows);
+      DropMasked(&sealed_rows, k, /*ids=*/nullptr, dead);
+    }
+    dead.insert(sealed->dead.begin(), sealed->dead.end());
   }
-  std::vector<TopKEntry> base_rows = SentinelRows(num_rows, k);
+
+  // The base's over-fetch goes in as the engines' `extra`, not into k:
+  // the strategy stays the one decided for the caller's k, so a changing
+  // dead count never creates a decision key (and never runs OPTIMUS
+  // inline).
   if (epoch->engine != nullptr) {
-    const Index extra = static_cast<Index>(dead_union.size());
-    const Index k_base = k + extra;
-    TopKResult raw;
+    const auto extra = static_cast<Index>(dead.size());
     MIPS_RETURN_IF_ERROR(
         user_ids.empty()
-            ? epoch->engine->TopKNewUsers(vectors, num_rows, k, &raw, extra)
-            : epoch->engine->TopK(k, user_ids, &raw, extra));
-    for (Index q = 0; q < num_rows; ++q) {
-      const TopKEntry* in = raw.Row(q);
-      TopKEntry* dst = &base_rows[static_cast<std::size_t>(q) *
-                                  static_cast<std::size_t>(k)];
-      Index taken = 0;
-      for (Index e = 0; e < k_base && taken < k; ++e) {
-        if (in[e].item < 0) break;  // sentinel tail
-        // Local row -> catalog id.  The map is strictly increasing, so
-        // BetterEntry's id tie-break survives the remap unchanged.
-        const Index id = epoch->ids[static_cast<std::size_t>(in[e].item)];
-        if (dead_union.find(id) != dead_union.end()) continue;
-        dst[taken++] = {id, in[e].score};
-      }
-    }
+            ? epoch->engine->TopKNewUsers(vectors, num_rows, k, &base_rows,
+                                          extra)
+            : epoch->engine->TopK(k, user_ids, &base_rows, extra));
+    DropMasked(&base_rows, k, epoch->ids.data(), dead);
   }
 
   *out = TopKResult(num_rows, k);
+  const auto row_of = [](const TopKResult& layer, Index q) {
+    return layer.num_queries() > 0 ? layer.Row(q) : nullptr;
+  };
   for (Index q = 0; q < num_rows; ++q) {
-    const std::size_t offset =
-        static_cast<std::size_t>(q) * static_cast<std::size_t>(k);
-    const TopKEntry* layer_rows[3] = {&base_rows[offset],
-                                      &sealed_rows[offset],
-                                      &active_rows[offset]};
+    const TopKEntry* layer_rows[3] = {row_of(base_rows, q),
+                                      row_of(sealed_rows, q),
+                                      row_of(active_rows, q)};
     MergeTopKRows(layer_rows, k, k, out->Row(q));
   }
   return Status::OK();
@@ -330,15 +319,7 @@ Status LiveCatalog::TopK(Index k, std::span<const Index> user_ids,
     *out = TopKResult(0, k);
     return Status::OK();
   }
-  // The side scans need the user vectors contiguously; the base engine
-  // still serves the ids through its known-user path.
-  const Index f = num_factors();
-  Matrix gathered(num_rows, f);
-  for (Index r = 0; r < num_rows; ++r) {
-    std::memcpy(gathered.Row(r), users_.Row(user_ids[static_cast<std::size_t>(r)]),
-                sizeof(Real) * static_cast<std::size_t>(f));
-  }
-  return Query(k, user_ids, gathered.data(), num_rows, out);
+  return Query(k, user_ids, users_.data(), num_rows, out);
 }
 
 Status LiveCatalog::TopKAll(Index k, TopKResult* out) {
@@ -359,7 +340,7 @@ Status LiveCatalog::TopKNewUser(const Real* user_vector, Index k,
 Status LiveCatalog::TopKNewUsers(const Real* user_vectors, Index num_rows,
                                  Index k, TopKResult* out) {
   MIPS_RETURN_IF_ERROR(ValidateTopKWidth(k, 0));
-  // Checked here, before the side scans score anything.
+  // Checked here, before the buffer layers score anything.
   MIPS_RETURN_IF_ERROR(
       ValidateNewUserBatch(user_vectors, num_rows, num_factors()));
   return Query(k, {}, user_vectors, num_rows, out);
@@ -443,7 +424,6 @@ void LiveCatalog::FoldLive(const Epoch& base,
     if (buffer == nullptr) continue;
     for (Index r = 0; r < buffer->num_rows(); ++r) {
       const Index id = buffer->ids[static_cast<std::size_t>(r)];
-      if (id < 0) continue;  // tombstoned in place
       if (masked_after(id, layer + 1)) continue;
       live.emplace_back(id, &buffer->data[static_cast<std::size_t>(r) *
                                           static_cast<std::size_t>(f)]);

@@ -15,23 +15,24 @@
 //     exactly that snapshot.
 //   * Write buffer — Insert/Update/Remove land in a small in-memory
 //     buffer (an "active" layer, plus a "sealed" layer while a rebuild
-//     is in flight).  Queries serve buffered rows exactly via a
-//     brute-force side scan whose scores come from the same blocked-GEMM
-//     accumulation order as every solver (GemmNT's per-element K-panel
-//     fold is independent of the surrounding batch), merged into the
-//     base engine's row through the library-wide BetterEntry k-way
-//     merge.  Buffered versions mask their base predecessors through
-//     per-layer dead-id sets; the base engine is over-fetched by the
-//     dead count (the engines' `extra`) so masking can never starve the
-//     merge, while its strategy stays the one decided for the caller's
-//     k: dead ids never create decision keys.
+//     is in flight) holding only rows live in it: a removed row's slot
+//     takes the layer's last row.  Queries score each buffer layer by
+//     brute force through ScoreTopK (topk/score_select.h), the scorer
+//     every dense solver uses, and join all layers' rows through the
+//     library-wide BetterEntry k-way merge.  Newer versions mask older
+//     ones through per-layer dead-id sets, and every layer follows one
+//     rule: with m ids masked by newer layers, it is scored at width
+//     k + m and the masked ids are dropped, so masking never starves the
+//     merge.  The base engine takes m as the engines' `extra`, so its
+//     strategy stays the one decided for the caller's k: dead ids never
+//     create decision keys.
 //   * Background rebuild — once the buffer passes rebuild_threshold
 //     mutations (or on an explicit Rebuild() call) a dedicated thread
 //     folds the sealed buffer into a replacement snapshot, opens a fresh
 //     engine over it — running the OPTIMUS decision anew on the mutated
 //     statistics — and swaps it in under a brief exclusive lock.
 //     Queries never wait on a rebuild: they briefly hold a shared lock
-//     for the O(buffer) side scan and the epoch-pointer grab, and
+//     for the O(buffer) active-layer scan and the epoch-pointer grab, and
 //     in-flight queries drain on the retiring epoch via shared_ptr
 //     reference counts (the retired engine is destroyed by whichever
 //     query drops the last reference).
@@ -48,8 +49,9 @@
 // last ulp — so an index-served answer matches the cold open to that
 // tolerance, the exact boundary the sharded engine's cross-shard merge
 // has always had between differently-solved shards.  Three properties
-// carry the proof: (1) the side scan scores buffered rows with the same
-// fixed serial-GEMM fma fold a rebuilt epoch's BMM would report,
+// carry the proof: (1) buffered rows are scored by ScoreTopK, whose
+// scores are bit-for-bit the fixed GEMM fma fold a rebuilt epoch's BMM
+// would report (read in place or packed alike),
 // (2) item ids are assigned monotonically and never reused, so the row
 // order of any snapshot equals id order and the BetterEntry tie-break
 // is preserved by the local-row -> global-id remap, and (3) each layer
@@ -59,9 +61,9 @@
 // Thread safety: Insert/Update/Remove/TopK*/Rebuild/SaveSegment/stats()
 // may be called from any number of threads concurrently after Open().
 // Mutations are serialized by a writer lock held for O(f) work; queries
-// share the lock only for the side scan.  Rebuild() blocks the CALLER
-// until the in-flight (or newly started) rebuild installs; it never
-// blocks queries or mutations.
+// share the lock only to score the active layer (serially) and copy its
+// dead set.  Rebuild() blocks the CALLER until the in-flight (or newly
+// started) rebuild installs; it never blocks queries or mutations.
 
 #ifndef MIPS_CATALOG_LIVE_CATALOG_H_
 #define MIPS_CATALOG_LIVE_CATALOG_H_
@@ -210,8 +212,8 @@ class LiveCatalog {
     Index live_items = 0;
     /// Rows in the current base snapshot (lags live_items by the buffer).
     Index base_items = 0;
-    /// Buffered rows a query's side scan currently covers (sealed +
-    /// active, tombstones included).
+    /// Buffered rows a query currently scores (sealed + active); every
+    /// one is live in its layer.
     Index buffered_rows = 0;
     /// Ids currently masked out of older layers (dead-set union size).
     Index dead_masked = 0;
@@ -222,10 +224,11 @@ class LiveCatalog {
   Stats stats() const EXCLUDES(state_mu_, rebuild_mu_);
 
  private:
-  /// One mutation layer.  `data` holds num_rows() row-major vectors;
-  /// ids[row] is the row's catalog id (-1 = tombstoned in place).  `dead`
-  /// masks every OLDER layer's version of an id (update supersedes,
-  /// remove deletes); a layer's own rows are never in its own dead set.
+  /// One mutation layer.  `data` holds num_rows() row-major vectors, each
+  /// live here; ids[row] is the row's catalog id.  `dead` masks every
+  /// OLDER layer's version of an id (update supersedes, remove deletes):
+  /// it may name an id this layer holds (an update appends the new row
+  /// and masks the old one) but never masks the layer's own row.
   struct WriteBuffer {
     std::vector<Real> data;
     std::vector<Index> ids;
@@ -269,19 +272,10 @@ class LiveCatalog {
   /// Appends one f-wide row for `id` to `buffer`.
   static void AppendRow(WriteBuffer* buffer, Index id, const Real* row,
                         Index f);
-  /// Brute-force side scan of one buffer layer: scores every live,
-  /// unmasked row against the query batch with the blocked GEMM (the
-  /// same per-element fma fold every solver reports) and returns
-  /// per-query top-k rows of GLOBAL ids, sentinel-padded, in BetterEntry
-  /// order.
-  static std::vector<TopKEntry> ScanBuffer(
-      const WriteBuffer& buffer, const std::unordered_set<Index>* mask,
-      const Real* vectors, Index num_rows, Index f, Index k);
-
-  /// Shared query spine: side scans + base query + 3-way merge.  For
-  /// known users `user_ids` selects base rows and `vectors` holds the
-  /// same users' vectors gathered contiguously; for new users `user_ids`
-  /// is empty and `vectors` points at the caller's batch.
+  /// Shared query spine: score each layer newest first, drop the ids
+  /// newer layers mask, and merge.  For known users `user_ids` selects
+  /// rows of `vectors` (the user matrix); for new users `user_ids` is
+  /// empty and `vectors` points at the caller's batch.
   Status Query(Index k, std::span<const Index> user_ids,
                const Real* vectors, Index num_rows, TopKResult* out)
       EXCLUDES(state_mu_);
@@ -316,7 +310,7 @@ class LiveCatalog {
   LiveCatalogOptions options_;
 
   /// Guards the serving state.  Shared: queries (epoch/sealed pointer
-  /// grab + active-buffer side scan) and read-only snapshots.  Exclusive:
+  /// grab + active-layer scan) and read-only snapshots.  Exclusive:
   /// mutations, sealing, and the epoch swap — all O(f) or O(1).
   mutable SharedMutex state_mu_;
   std::shared_ptr<Epoch> epoch_ GUARDED_BY(state_mu_);  // never null

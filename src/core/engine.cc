@@ -38,9 +38,7 @@ Status ValidateUserIds(std::span<const Index> ids, Index num_users) {
   return Status::OK();
 }
 
-StatusOr<std::unique_ptr<MipsEngine>> MipsEngine::Open(
-    const ConstRowBlock& users, const ConstRowBlock& items,
-    const EngineOptions& options) {
+Status ValidateEngineOptions(const EngineOptions& options) {
   if (options.k <= 0) {
     return Status::InvalidArgument("k must be positive, got " +
                                    std::to_string(options.k));
@@ -48,12 +46,6 @@ StatusOr<std::unique_ptr<MipsEngine>> MipsEngine::Open(
   if (options.solvers.empty()) {
     return Status::InvalidArgument(
         "engine needs at least one candidate solver spec");
-  }
-  if (users.rows() <= 0 || items.rows() <= 0) {
-    return Status::InvalidArgument("user and item sets must be non-empty");
-  }
-  if (users.cols() != items.cols()) {
-    return Status::InvalidArgument("user/item factor dimensions differ");
   }
   if (options.threads < 0) {
     return Status::InvalidArgument("threads must be >= 0, got " +
@@ -65,6 +57,22 @@ StatusOr<std::unique_ptr<MipsEngine>> MipsEngine::Open(
           "warm_batch_shapes entries must be positive, got " +
           std::to_string(rows));
     }
+  }
+  for (const std::string& spec : options.solvers) {
+    MIPS_RETURN_IF_ERROR(SolverRegistry::Global().Create(spec).status());
+  }
+  return Status::OK();
+}
+
+StatusOr<std::unique_ptr<MipsEngine>> MipsEngine::Open(
+    const ConstRowBlock& users, const ConstRowBlock& items,
+    const EngineOptions& options) {
+  MIPS_RETURN_IF_ERROR(ValidateEngineOptions(options));
+  if (users.rows() <= 0 || items.rows() <= 0) {
+    return Status::InvalidArgument("user and item sets must be non-empty");
+  }
+  if (users.cols() != items.cols()) {
+    return Status::InvalidArgument("user/item factor dimensions differ");
   }
 
   // Resolve the GEMM kernel before anything measures throughput: index

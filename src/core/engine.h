@@ -124,6 +124,12 @@ struct EngineOptions {
   std::vector<Index> warm_batch_shapes;
 };
 
+/// MipsEngine::Open's option checks: k > 0, a candidate spec, threads >=
+/// 0, positive warm_batch_shapes, and every spec resolving in the solver
+/// registry (its error returned verbatim).  LiveCatalog::Open runs them
+/// too, so a catalog opened with no items refuses what a rebuild would.
+Status ValidateEngineOptions(const EngineOptions& options);
+
 /// A long-lived exact-MIPS serving engine over one (users, items) model.
 /// The model views must outlive the engine.  See the file comment for the
 /// thread-safety contract.

@@ -25,9 +25,10 @@
 // GemmNT plus a per-row heap would give, packed or not.
 //
 // BMM's two regimes, the dense new-user path (MipsSolver::TopKNewUsers),
-// the hybrid solver's dense partition (ScoreTopK) and MAXIMUS's segment
-// walk (ScoreIntoHeaps with sorted bounds over segments it packs itself)
-// all score through here.
+// the hybrid solver's dense partition (ScoreTopK), LiveCatalog's write
+// buffer (ScoreTopK with the buffered ids) and MAXIMUS's segment walk
+// (ScoreIntoHeaps with sorted bounds over segments it packs itself) all
+// score through here.
 
 #ifndef MIPS_TOPK_SCORE_SELECT_H_
 #define MIPS_TOPK_SCORE_SELECT_H_

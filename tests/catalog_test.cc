@@ -27,6 +27,7 @@
 
 #include "catalog/live_catalog.h"
 #include "catalog/segment.h"
+#include "core/engine.h"
 #include "linalg/blas.h"
 #include "test_util.h"
 
@@ -50,7 +51,7 @@ LiveCatalogOptions SmallOptions(
 }
 
 /// Two BMM variants: OPTIMUS still decides at Open and per k, but either
-/// winner scores through the GEMM fold the side scan uses, so bit-exact
+/// winner scores through the GEMM fold the buffer layers use, so bit-exact
 /// comparisons with a cold open hold whichever variant the timing picks.
 /// With {"bmm", "maximus"} a loaded host sometimes lets MAXIMUS win, and
 /// its scores then differ from the cold open's in the last ulp.
@@ -136,7 +137,7 @@ class ShadowedCatalog {
   /// equal too (EXPECT_EQ, no tolerance — the GEMM-fold contract,
   /// including which of several exactly tied items each row reports);
   /// without it scores match to accumulation-order tolerance (an index
-  /// solver's internal fold differs from the side scan's canonical GEMM
+  /// solver's internal fold differs from the buffer layers' canonical GEMM
   /// fold in the last ulp — the same boundary the sharded engine's
   /// cross-shard merge has always had).
   void ExpectMatchesColdOpen(std::vector<Index> ks, const Matrix& new_users,
@@ -179,6 +180,27 @@ class ShadowedCatalog {
                            want_row[static_cast<std::size_t>(e)], ids);
       }
     }
+  }
+
+  /// Answers recorded earlier at k — `known` for the known users
+  /// `user_ids`, `fresh` for the batch `new_users` — against a cold Open()
+  /// over the current snapshot, bit for bit.
+  void ExpectRecordedMatchColdOpen(Index k, const std::vector<Index>& user_ids,
+                                   const TopKResult& known,
+                                   const Matrix& new_users,
+                                   const TopKResult& fresh) {
+    std::vector<Index> ids;
+    const Matrix snapshot = SnapshotMatrix(&ids);
+    auto cold = LiveCatalog::Open(ConstRowBlock(users_),
+                                  ConstRowBlock(snapshot), options_);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    TopKResult want;
+    ASSERT_TRUE((*cold)->TopK(k, user_ids, &want).ok());
+    ExpectIdentical(known, want, ids, /*bit_exact=*/true);
+    ASSERT_TRUE(
+        (*cold)->TopKNewUsers(new_users.data(), new_users.rows(), k, &want)
+            .ok());
+    ExpectIdentical(fresh, want, ids, /*bit_exact=*/true);
   }
 
  private:
@@ -246,7 +268,7 @@ void ApplyMutationScript(ShadowedCatalog* catalog, Index f, uint64_t seed,
   catalog->Update(live[1], RowVector(fresh, 2));     // base row -> buffer
   catalog->Update(a, RowVector(fresh, 3));           // buffered row, in place
   catalog->Remove(live[2]);                          // base row
-  catalog->Remove(b);                                // buffered (tombstone)
+  catalog->Remove(b);                                // buffered (slot refilled)
   catalog->Remove(live[0]);                          // vacates heap entries
   catalog->Insert(near_copy(catalog->VectorOf(live[5])));  // second tie
   catalog->Update(dup, RowVector(fresh, 4));         // updated duplicate
@@ -261,7 +283,7 @@ class LiveCatalogExactness
 // Open() at several k (k both below and above the live item count, so
 // sentinel padding is covered too).  "bmm" runs fully bit-exact
 // including exact cross-layer ties (the GEMM fold is the canonical one
-// the side scan uses); "maximus" and "optimus" assert id-exactness with
+// the buffer layers use); "maximus" and "optimus" assert id-exactness with
 // accumulation-tolerance scores, since an index solver's internal score
 // fold legitimately differs from the canonical fold in the last ulp
 // (and OPTIMUS may pick either winner depending on measured timings).
@@ -358,7 +380,7 @@ TEST(LiveCatalogTest, MutationValidation) {
 
   // NaN and +-Inf never enter the catalog: a refused Insert consumes no
   // id, a refused Update buffers nothing, and a non-finite query row is
-  // refused before the side scans or the base engine score it.
+  // refused before the buffer layers or the base engine score it.
   for (const Real bad : {std::numeric_limits<Real>::quiet_NaN(),
                          std::numeric_limits<Real>::infinity(),
                          -std::numeric_limits<Real>::infinity()}) {
@@ -477,6 +499,103 @@ TEST(LiveCatalogTest, StatsCountersTrackLifecycle) {
   // Nothing buffered: Rebuild is a no-op, not a new epoch.
   ASSERT_TRUE(live.Rebuild().ok());
   EXPECT_EQ(live.stats().swaps, 1);
+
+  // A removed buffered row leaves nothing behind: the layer's last row
+  // moves into its slot, and an update then finds the moved row there.
+  catalog.Remove(catalog.Insert(RowVector(model.items, 4)));
+  EXPECT_EQ(live.stats().buffered_rows, 0);
+  const Index first = catalog.Insert(RowVector(model.items, 5));
+  const Index second = catalog.Insert(RowVector(model.items, 6));
+  catalog.Remove(first);
+  catalog.Update(second, RowVector(model.items, 7));
+  EXPECT_EQ(live.stats().buffered_rows, 1);
+  // Either candidate may serve the epochs, so scores match to the index
+  // solvers' accumulation tolerance.
+  catalog.ExpectMatchesColdOpen({4}, RandomMatrix(2, 6, 43, 0.5),
+                                /*bit_exact=*/false);
+}
+
+TEST(LiveCatalogTest, EmptyStartRefusesInvalidEngineOptions) {
+  // A catalog that opens with no items opens no engine, yet it refuses
+  // the engine options its first rebuild would fail on, with the Status
+  // MipsEngine::Open gives for them over a non-empty model.
+  const MFModel model = MakeTestModel(10, 8, 6, 3);
+  const Matrix no_items;
+  std::vector<EngineOptions> cases(6, SmallOptions().engine);
+  cases[0].k = 0;
+  cases[1].solvers.clear();
+  cases[2].solvers = {"bmm", "no-such-solver"};
+  cases[3].solvers = {"bmm", "maximus:warp_speed=9"};
+  cases[4].warm_batch_shapes = {4, 0};
+  cases[5].threads = -1;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    auto want = MipsEngine::Open(ConstRowBlock(model.users),
+                                 ConstRowBlock(model.items), cases[c]);
+    ASSERT_FALSE(want.ok()) << "case " << c;
+    LiveCatalogOptions options = SmallOptions();
+    options.engine = cases[c];
+    auto got = LiveCatalog::Open(ConstRowBlock(model.users),
+                                 ConstRowBlock(no_items), options);
+    ASSERT_FALSE(got.ok()) << "case " << c;
+    EXPECT_EQ(got.status().code(), want.status().code()) << "case " << c;
+    EXPECT_EQ(got.status().message(), want.status().message())
+        << "case " << c;
+  }
+}
+
+// The sealed layer exists only while a rebuild is in flight, so each
+// round queries inside that window: the round's 12th insert seals the
+// buffer and starts the rebuild, newer mutations then mask sealed rows,
+// and the answers recorded before the swap must match a cold open bit
+// for bit.  The loud rows (sigma 10) fill every top-5, so a sealed layer
+// not over-fetched by the active layer's dead set comes up short.  4,000
+// items keep the rebuild (fold, two Prepares, an OPTIMUS decision) busy
+// while the round runs; the queries stay at the opening k, since any
+// other k decides inline and the rebuild would win the race.
+TEST(LiveCatalogTest, SealedLayerIsMaskedByNewerMutations) {
+  const MFModel model = MakeTestModel(4096, 4000, 8, 61);
+  LiveCatalogOptions options = SmallOptions(kBmmVariants);
+  options.rebuild_threshold = 12;
+  ShadowedCatalog catalog(model, options);
+  LiveCatalog& live = catalog.live();
+  const std::vector<Index> users = {0, 7, 4095};
+  const Matrix new_users = RandomMatrix(3, 8, 62, 0.5);
+  int in_flight = 0;
+  for (int round = 0; round < 3; ++round) {
+    const auto seed = static_cast<uint64_t>(round);
+    const Matrix loud = RandomMatrix(12, 8, 100 + seed, 10);
+    const Matrix quiet = RandomMatrix(4, 8, 200 + seed, 0.5);
+    std::vector<Index> ids;
+    ids.reserve(12);
+    for (Index i = 0; i < 12; ++i) {
+      ids.push_back(catalog.Insert(RowVector(loud, i)));
+    }
+    const bool sealed_before = live.stats().rebuild_running;
+    for (std::size_t i = 0; i < 5; ++i) catalog.Remove(ids[i]);
+    for (std::size_t i = 5; i < 8; ++i) {
+      catalog.Update(ids[i], RowVector(quiet, static_cast<Index>(i - 5)));
+    }
+    // A base row updated into the active layer, then removed from it
+    // after the exact copy of a sealed row (a bit-for-bit tie) is
+    // appended behind it, so the copy moves into its slot.
+    const Index base = round;
+    catalog.Update(base, RowVector(quiet, 3));
+    catalog.Insert(catalog.VectorOf(ids[8]));
+    catalog.Remove(base);
+
+    TopKResult known, fresh;
+    ASSERT_TRUE(live.TopK(5, users, &known).ok());
+    ASSERT_TRUE(live.TopKNewUsers(new_users.data(), 3, 5, &fresh).ok());
+    if (sealed_before && live.stats().rebuild_running) ++in_flight;
+
+    // The first Rebuild joins the in-flight one (or folds the round's
+    // mutations if it already swapped); the second folds what is left.
+    ASSERT_TRUE(live.Rebuild().ok());
+    ASSERT_TRUE(live.Rebuild().ok());
+    EXPECT_EQ(live.stats().buffered_rows, 0);
+    catalog.ExpectRecordedMatchColdOpen(5, users, known, new_users, fresh);
+  }
+  EXPECT_GE(in_flight, 1) << "no round queried while a rebuild was running";
 }
 
 TEST(LiveCatalogTest, ThresholdTriggersBackgroundRebuild) {
