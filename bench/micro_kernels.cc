@@ -169,16 +169,20 @@ void BM_GemmBlockedKernel(benchmark::State& state, GemmKernel kernel) {
 }
 
 // One serial ScoreTopK call per kernel variant (registered in main like
-// the GEMM above), m query rows against n items at f = 50 and k = 10,
-// reported as time per user-item cell.  The shapes: batch-flat's request
-// (2,048 x 3,554), one new user against batch-flat's items (1 x 3,554,
-// engine.new_user_us), one new user against one live-mutate shard
-// (1 x 200), and one and two register tiles of rows (4 and 8 x 3,554).
+// the GEMM above), m query rows against n items at f = 50 and width k,
+// reported as time per user-item cell.  The shapes at k = 10:
+// batch-flat's request (2,048 x 3,554), one new user against batch-flat's
+// items (1 x 3,554, engine.new_user_us), one new user against one
+// live-mutate shard (1 x 200), and one and two register tiles of rows (4
+// and 8 x 3,554).  batch-flat's request also runs at k = 16 and k = 17,
+// the widest k kept in row records and the narrowest kept in heaps
+// (topk/select_kernel.h's kRowTopWidth).
 void BM_ScoreTopKKernel(benchmark::State& state, GemmKernel kernel) {
   ForceGemmKernel(kernel).CheckOK();
   const auto m = static_cast<Index>(state.range(0));
   const auto n = static_cast<Index>(state.range(1));
-  const Index f = 50, k = 10;
+  const auto k = static_cast<Index>(state.range(2));
+  const Index f = 50;
   const Matrix users = RandomMatrix(m, f, 9);
   const Matrix items = RandomMatrix(n, f, 10);
   TopKResult result(m, k);
@@ -235,12 +239,14 @@ void RegisterPerKernelBenchmarks() {
         [kernel](benchmark::State& state) {
           BM_ScoreTopKKernel(state, kernel);
         })
-        ->ArgNames({"m", "n"})
-        ->Args({2048, 3554})
-        ->Args({1, 3554})
-        ->Args({1, 200})
-        ->Args({4, 3554})
-        ->Args({8, 3554});
+        ->ArgNames({"m", "n", "k"})
+        ->Args({2048, 3554, 10})
+        ->Args({2048, 3554, 16})
+        ->Args({2048, 3554, 17})
+        ->Args({1, 3554, 10})
+        ->Args({1, 200, 10})
+        ->Args({4, 3554, 10})
+        ->Args({8, 3554, 10});
   }
 }
 

@@ -24,15 +24,36 @@
 // and threaded==serial bit-for-bit guarantees hold under ANY installed
 // kernel — even if a kernel is re-installed between two calls.
 //
-// Each variant has a twin that reads B in place, from its row-major rows,
-// instead of from a packed panel (GemmMicroKernelRows*).  It runs the same
-// sequence on the same values, so a score does not depend on whether its
-// items were packed: the scorer (topk/score_select.h) reads the items of a
-// call of a few query rows in place, where packing them would cost more
-// than the scoring.
+// Each variant has a scorer entry beside it (GemmMicroKernelScore*), and
+// an in-place twin of that entry that reads B from its row-major rows
+// instead of from a packed panel (GemmMicroKernelRows*).  Both run the
+// same sequence on the same values with alpha = 1, so a score does not
+// depend on whether its items were packed: the scorer
+// (topk/score_select.h) reads the items of a call of a few query rows in
+// place, where packing them would cost more than the scoring.  Both end
+// in the scorer's epilogue, which writes the tile to the scorer's strip
+// and tests it against the four rows' thresholds in registers:
+//
+//   - The first K panel stores c[i][j] = fma(1, acc, +0.0), and each later
+//     one stores fma(1, acc, c[i][j]).  That is GemmNT's beta = 0 fold (its
+//     C starts at +0.0), so an accumulator of -0 lands as +0 either way and
+//     every stored score is bit for bit GemmNT's.
+//   - With thresholds (the tile's last K panel) the entry returns the hit
+//     mask: bit kGemmNR * i + j is set exactly where
+//
+//         c[i][j] >= thresholds[i]  ||  (bounds && bounds[j] < thresholds[i])
+//
+//     Both comparisons are ordered and quiet (a NaN never matches), like
+//     the scalar `>=` and `<`, so every variant returns the same mask on
+//     every input.  The `>=` lets an exact tie with a row's k-th score
+//     reach the item-id tie-break (topk/select_kernel.h); the strict `<`
+//     is the MAXIMUS stop rule (a bound equal to the threshold can still
+//     cover a tied score).
 
 #ifndef MIPS_LINALG_GEMM_KERNEL_H_
 #define MIPS_LINALG_GEMM_KERNEL_H_
+
+#include <cstdint>
 
 #include "common/types.h"
 
@@ -64,23 +85,52 @@ void GemmMicroKernelAvx2(const Real* ap, const Real* bp, Index kb, Real alpha,
 void GemmMicroKernelPortable(const Real* ap, const Real* bp, Index kb,
                              Real alpha, Real* c, Index ldc);
 
-/// The twin of GemmMicroKernelFn over B in place: B's panel is the nr
-/// (1..kGemmNR) rows b + j * ldb, each read for kb consecutive values, and
-/// its missing rows count as zero, as PackPanels pads them.  No value
-/// past row nr - 1 is read.
-using GemmMicroKernelRowsFn = void (*)(const Real* ap, const Real* b,
-                                       Index ldb, Index nr, Index kb,
-                                       Real alpha, Real* c, Index ldc);
+/// The scorer's entry: the full MR x NR tile over packed panels, as
+/// GemmMicroKernelFn with alpha = 1, into the score tile c (row-major, ld
+/// = kGemmNR) through the epilogue above: stored over c when
+/// `accumulate`, over +0.0 otherwise.  With thresholds (kGemmMR of them)
+/// it returns the tile's hit mask, testing bounds (kGemmNR of them) when
+/// they are given; without, it returns 0 and reads neither.
+using GemmMicroKernelScoreFn = uint64_t (*)(const Real* ap, const Real* bp,
+                                            Index kb, Real* c,
+                                            bool accumulate,
+                                            const Real* thresholds,
+                                            const Real* bounds);
+static_assert(kGemmMR * kGemmNR == 64, "one mask bit per tile cell");
 
-void GemmMicroKernelRowsAvx512(const Real* ap, const Real* b, Index ldb,
-                               Index nr, Index kb, Real alpha, Real* c,
-                               Index ldc);
-void GemmMicroKernelRowsAvx2(const Real* ap, const Real* b, Index ldb,
-                             Index nr, Index kb, Real alpha, Real* c,
-                             Index ldc);
-void GemmMicroKernelRowsPortable(const Real* ap, const Real* b, Index ldb,
-                                 Index nr, Index kb, Real alpha, Real* c,
-                                 Index ldc);
+uint64_t GemmMicroKernelScoreAvx512(const Real* ap, const Real* bp, Index kb,
+                                    Real* c, bool accumulate,
+                                    const Real* thresholds,
+                                    const Real* bounds);
+uint64_t GemmMicroKernelScoreAvx2(const Real* ap, const Real* bp, Index kb,
+                                  Real* c, bool accumulate,
+                                  const Real* thresholds, const Real* bounds);
+uint64_t GemmMicroKernelScorePortable(const Real* ap, const Real* bp,
+                                      Index kb, Real* c, bool accumulate,
+                                      const Real* thresholds,
+                                      const Real* bounds);
+
+/// The scorer's entry over B in place: B's panel is the nr (1..kGemmNR)
+/// rows b + j * ldb, each read for kb consecutive values, and its missing
+/// rows count as zero, as PackPanels pads them.  No value past row nr - 1
+/// is read.
+using GemmMicroKernelRowsFn = uint64_t (*)(const Real* ap, const Real* b,
+                                           Index ldb, Index nr, Index kb,
+                                           Real* c, bool accumulate,
+                                           const Real* thresholds,
+                                           const Real* bounds);
+
+uint64_t GemmMicroKernelRowsAvx512(const Real* ap, const Real* b, Index ldb,
+                                   Index nr, Index kb, Real* c,
+                                   bool accumulate, const Real* thresholds,
+                                   const Real* bounds);
+uint64_t GemmMicroKernelRowsAvx2(const Real* ap, const Real* b, Index ldb,
+                                 Index nr, Index kb, Real* c, bool accumulate,
+                                 const Real* thresholds, const Real* bounds);
+uint64_t GemmMicroKernelRowsPortable(const Real* ap, const Real* b, Index ldb,
+                                     Index nr, Index kb, Real* c,
+                                     bool accumulate, const Real* thresholds,
+                                     const Real* bounds);
 
 /// Whether the real intrinsics body (not the portable forward) was
 /// compiled into this binary.
@@ -104,8 +154,9 @@ void PackPanels(const Real* src, Index ld, const Index* ids, Index rows,
 /// loads this once per GemmNT call.
 GemmMicroKernelFn ActiveGemmMicroKernel();
 
-/// The installed micro-kernel's in-place twin, installing one first if
-/// none is.
+/// The installed micro-kernel's scorer entry and its in-place twin,
+/// installing a kernel first if none is.
+GemmMicroKernelScoreFn ActiveGemmMicroKernelScore();
 GemmMicroKernelRowsFn ActiveGemmMicroKernelRows();
 
 }  // namespace mips

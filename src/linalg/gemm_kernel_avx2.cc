@@ -12,10 +12,13 @@
 #include <immintrin.h>
 
 namespace mips {
+namespace {
 
-void GemmMicroKernelAvx2(const Real* ap, const Real* bp, Index kb, Real alpha,
-                         Real* c, Index ldc) {
-  __m256d acc[kGemmMR][4];
+using Acc = __m256d[kGemmMR][4];
+
+/// The tile over packed panels: 16 ymm accumulators, four loads, four
+/// broadcasts and sixteen FMAs per depth step.
+inline void PackedSteps(const Real* ap, const Real* bp, Index kb, Acc& acc) {
   for (Index i = 0; i < kGemmMR; ++i) {
     for (int v = 0; v < 4; ++v) acc[i][v] = _mm256_setzero_pd();
   }
@@ -31,18 +34,33 @@ void GemmMicroKernelAvx2(const Real* ap, const Real* bp, Index kb, Real alpha,
       }
     }
   }
-  const __m256d valpha = _mm256_set1_pd(alpha);
-  for (Index i = 0; i < kGemmMR; ++i) {
-    Real* crow = c + static_cast<std::size_t>(i) * ldc;
-    for (int v = 0; v < 4; ++v) {
-      _mm256_storeu_pd(crow + 4 * v,
-                       _mm256_fmadd_pd(valpha, acc[i][v],
-                                       _mm256_loadu_pd(crow + 4 * v)));
-    }
-  }
 }
 
-namespace {
+/// The scorer's epilogue (gemm_kernel.h) for the 4 columns j0 .. j0 + 3
+/// of the tile, whose rows' accumulators are acc[i]: 4 cells (and 4
+/// bounds) per comparison.  Returns the columns' mask bits.
+inline uint64_t ScoreEpilogue4(const __m256d (&acc)[kGemmMR], Index j0,
+                               Real* c, bool accumulate,
+                               const Real* thresholds, const Real* bounds) {
+  const __m256d one = _mm256_set1_pd(1);
+  uint64_t hits = 0;
+  for (Index i = 0; i < kGemmMR; ++i) {
+    Real* cell = c + i * kGemmNR + j0;
+    const __m256d v = _mm256_fmadd_pd(
+        one, acc[i], accumulate ? _mm256_loadu_pd(cell) : _mm256_setzero_pd());
+    _mm256_storeu_pd(cell, v);
+    if (thresholds == nullptr) continue;
+    const __m256d t = _mm256_set1_pd(thresholds[i]);
+    __m256d hit = _mm256_cmp_pd(v, t, _CMP_GE_OQ);
+    if (bounds != nullptr) {
+      hit = _mm256_or_pd(
+          hit, _mm256_cmp_pd(_mm256_loadu_pd(bounds + j0), t, _CMP_LT_OQ));
+    }
+    hits |= uint64_t{static_cast<uint32_t>(_mm256_movemask_pd(hit))}
+            << (i * kGemmNR + j0);
+  }
+  return hits;
+}
 
 /// Transposes 4 rows of 4 doubles in registers: r[t] becomes element t of
 /// every row, in row order.
@@ -59,16 +77,46 @@ inline void Transpose4x4(__m256d (&r)[4]) {
 
 }  // namespace
 
+void GemmMicroKernelAvx2(const Real* ap, const Real* bp, Index kb, Real alpha,
+                         Real* c, Index ldc) {
+  Acc acc;
+  PackedSteps(ap, bp, kb, acc);
+  const __m256d valpha = _mm256_set1_pd(alpha);
+  for (Index i = 0; i < kGemmMR; ++i) {
+    Real* crow = c + static_cast<std::size_t>(i) * ldc;
+    for (int v = 0; v < 4; ++v) {
+      _mm256_storeu_pd(crow + 4 * v,
+                       _mm256_fmadd_pd(valpha, acc[i][v],
+                                       _mm256_loadu_pd(crow + 4 * v)));
+    }
+  }
+}
+
+uint64_t GemmMicroKernelScoreAvx2(const Real* ap, const Real* bp, Index kb,
+                                  Real* c, bool accumulate,
+                                  const Real* thresholds,
+                                  const Real* bounds) {
+  Acc acc;
+  PackedSteps(ap, bp, kb, acc);
+  uint64_t hits = 0;
+  for (int v = 0; v < 4; ++v) {
+    const __m256d column[kGemmMR] = {acc[0][v], acc[1][v], acc[2][v],
+                                     acc[3][v]};
+    hits |= ScoreEpilogue4(column, 4 * v, c, accumulate, thresholds, bounds);
+  }
+  return hits;
+}
+
 // The same steps over B in place, one group of 4 panel rows (4 columns of
 // the tile) at a time, so that only its 4 accumulators are live.  Four
 // depth steps at a time, the group is loaded as 4 rows of 4 values and
 // transposed in registers into its 4 columns; rows past nr and depths
 // past kb load as zero and are never read from memory.
-void GemmMicroKernelRowsAvx2(const Real* ap, const Real* b, Index ldb,
-                             Index nr, Index kb, Real alpha, Real* c,
-                             Index ldc) {
+uint64_t GemmMicroKernelRowsAvx2(const Real* ap, const Real* b, Index ldb,
+                                 Index nr, Index kb, Real* c, bool accumulate,
+                                 const Real* thresholds, const Real* bounds) {
   const auto ld = static_cast<std::size_t>(ldb);
-  const __m256d valpha = _mm256_set1_pd(alpha);
+  uint64_t hits = 0;
   for (Index j0 = 0; j0 < kGemmNR; j0 += 4) {
     __m256d acc[kGemmMR];
     for (Index i = 0; i < kGemmMR; ++i) acc[i] = _mm256_setzero_pd();
@@ -99,12 +147,9 @@ void GemmMicroKernelRowsAvx2(const Real* ap, const Real* b, Index ldb,
         }
       }
     }
-    for (Index i = 0; i < kGemmMR; ++i) {
-      Real* cell = c + static_cast<std::size_t>(i) * ldc + j0;
-      _mm256_storeu_pd(cell,
-                       _mm256_fmadd_pd(valpha, acc[i], _mm256_loadu_pd(cell)));
-    }
+    hits |= ScoreEpilogue4(acc, j0, c, accumulate, thresholds, bounds);
   }
+  return hits;
 }
 
 bool GemmAvx2KernelCompiled() { return true; }
@@ -120,10 +165,19 @@ void GemmMicroKernelAvx2(const Real* ap, const Real* bp, Index kb, Real alpha,
   GemmMicroKernelPortable(ap, bp, kb, alpha, c, ldc);
 }
 
-void GemmMicroKernelRowsAvx2(const Real* ap, const Real* b, Index ldb,
-                             Index nr, Index kb, Real alpha, Real* c,
-                             Index ldc) {
-  GemmMicroKernelRowsPortable(ap, b, ldb, nr, kb, alpha, c, ldc);
+uint64_t GemmMicroKernelScoreAvx2(const Real* ap, const Real* bp, Index kb,
+                                  Real* c, bool accumulate,
+                                  const Real* thresholds,
+                                  const Real* bounds) {
+  return GemmMicroKernelScorePortable(ap, bp, kb, c, accumulate, thresholds,
+                                      bounds);
+}
+
+uint64_t GemmMicroKernelRowsAvx2(const Real* ap, const Real* b, Index ldb,
+                                 Index nr, Index kb, Real* c, bool accumulate,
+                                 const Real* thresholds, const Real* bounds) {
+  return GemmMicroKernelRowsPortable(ap, b, ldb, nr, kb, c, accumulate,
+                                     thresholds, bounds);
 }
 
 bool GemmAvx2KernelCompiled() { return false; }

@@ -11,46 +11,64 @@
 #include <immintrin.h>
 
 namespace mips {
+namespace {
 
-// 8 zmm accumulators, one broadcast + two FMAs per (k, row) step.  This
-// is where BMM's "decades of hardware optimization" constant factor comes
-// from — on hardware whose 512-bit units are real, not emulated.
-void GemmMicroKernelAvx512(const Real* ap, const Real* bp, Index kb,
-                           Real alpha, Real* c, Index ldc) {
-  __m512d acc00 = _mm512_setzero_pd(), acc01 = _mm512_setzero_pd();
-  __m512d acc10 = _mm512_setzero_pd(), acc11 = _mm512_setzero_pd();
-  __m512d acc20 = _mm512_setzero_pd(), acc21 = _mm512_setzero_pd();
-  __m512d acc30 = _mm512_setzero_pd(), acc31 = _mm512_setzero_pd();
-  for (Index kk = 0; kk < kb; ++kk) {
-    const __m512d b0 = _mm512_loadu_pd(bp + kk * kGemmNR);
-    const __m512d b1 = _mm512_loadu_pd(bp + kk * kGemmNR + 8);
-    const __m512d a0 = _mm512_set1_pd(ap[kk * kGemmMR + 0]);
-    acc00 = _mm512_fmadd_pd(a0, b0, acc00);
-    acc01 = _mm512_fmadd_pd(a0, b1, acc01);
-    const __m512d a1 = _mm512_set1_pd(ap[kk * kGemmMR + 1]);
-    acc10 = _mm512_fmadd_pd(a1, b0, acc10);
-    acc11 = _mm512_fmadd_pd(a1, b1, acc11);
-    const __m512d a2 = _mm512_set1_pd(ap[kk * kGemmMR + 2]);
-    acc20 = _mm512_fmadd_pd(a2, b0, acc20);
-    acc21 = _mm512_fmadd_pd(a2, b1, acc21);
-    const __m512d a3 = _mm512_set1_pd(ap[kk * kGemmMR + 3]);
-    acc30 = _mm512_fmadd_pd(a3, b0, acc30);
-    acc31 = _mm512_fmadd_pd(a3, b1, acc31);
+using Acc = __m512d[kGemmMR][2];
+
+/// One depth step of the tile: acc[i][h] = fma(a[i], b_h, acc[i][h]).
+inline void Step(const Real* a, __m512d b0, __m512d b1, Acc& acc) {
+  for (Index i = 0; i < kGemmMR; ++i) {
+    const __m512d ai = _mm512_set1_pd(a[i]);
+    acc[i][0] = _mm512_fmadd_pd(ai, b0, acc[i][0]);
+    acc[i][1] = _mm512_fmadd_pd(ai, b1, acc[i][1]);
   }
-  const __m512d valpha = _mm512_set1_pd(alpha);
-  const auto update = [&](Real* crow, __m512d lo, __m512d hi) {
-    _mm512_storeu_pd(crow,
-                     _mm512_fmadd_pd(valpha, lo, _mm512_loadu_pd(crow)));
-    _mm512_storeu_pd(crow + 8,
-                     _mm512_fmadd_pd(valpha, hi, _mm512_loadu_pd(crow + 8)));
-  };
-  update(c + 0 * static_cast<std::size_t>(ldc), acc00, acc01);
-  update(c + 1 * static_cast<std::size_t>(ldc), acc10, acc11);
-  update(c + 2 * static_cast<std::size_t>(ldc), acc20, acc21);
-  update(c + 3 * static_cast<std::size_t>(ldc), acc30, acc31);
 }
 
-namespace {
+/// The tile over packed panels: 8 zmm accumulators, one broadcast and
+/// two FMAs per (k, row) step.  This is where BMM's "decades of hardware
+/// optimization" constant factor comes from — on hardware whose 512-bit
+/// units are real, not emulated.
+inline void PackedSteps(const Real* ap, const Real* bp, Index kb, Acc& acc) {
+  for (Index i = 0; i < kGemmMR; ++i) {
+    acc[i][0] = _mm512_setzero_pd();
+    acc[i][1] = _mm512_setzero_pd();
+  }
+  for (Index kk = 0; kk < kb; ++kk) {
+    Step(ap + kk * kGemmMR, _mm512_loadu_pd(bp + kk * kGemmNR),
+         _mm512_loadu_pd(bp + kk * kGemmNR + 8), acc);
+  }
+}
+
+/// The scorer's epilogue (gemm_kernel.h): 8 cells (and 8 bounds) per
+/// comparison, two vectors per tile row.
+inline uint64_t ScoreEpilogue(const Acc& acc, Real* c, bool accumulate,
+                              const Real* thresholds, const Real* bounds) {
+  const __m512d one = _mm512_set1_pd(1);
+  uint64_t hits = 0;
+  for (Index i = 0; i < kGemmMR; ++i) {
+    Real* crow = c + i * kGemmNR;
+    const __m512d lo = _mm512_fmadd_pd(
+        one, acc[i][0],
+        accumulate ? _mm512_loadu_pd(crow) : _mm512_setzero_pd());
+    const __m512d hi = _mm512_fmadd_pd(
+        one, acc[i][1],
+        accumulate ? _mm512_loadu_pd(crow + 8) : _mm512_setzero_pd());
+    _mm512_storeu_pd(crow, lo);
+    _mm512_storeu_pd(crow + 8, hi);
+    if (thresholds == nullptr) continue;
+    const __m512d t = _mm512_set1_pd(thresholds[i]);
+    uint32_t row = _mm512_cmp_pd_mask(lo, t, _CMP_GE_OQ) |
+                   (uint32_t{_mm512_cmp_pd_mask(hi, t, _CMP_GE_OQ)} << 8);
+    if (bounds != nullptr) {
+      row |= _mm512_cmp_pd_mask(_mm512_loadu_pd(bounds), t, _CMP_LT_OQ) |
+             (uint32_t{_mm512_cmp_pd_mask(_mm512_loadu_pd(bounds + 8), t,
+                                          _CMP_LT_OQ)}
+              << 8);
+    }
+    hits |= uint64_t{row} << (i * kGemmNR);
+  }
+  return hits;
+}
 
 /// Transposes 8 rows of 8 doubles in registers: r[t] becomes element t of
 /// every row, in row order.
@@ -98,17 +116,30 @@ inline void LoadRows(const Real* p, std::size_t ld, Index j0, Index nr,
   }
 }
 
-/// One depth step of the tile: acc[i][h] = fma(a[i], b_h, acc[i][h]).
-inline void Step(const Real* a, __m512d b0, __m512d b1,
-                 __m512d (&acc)[kGemmMR][2]) {
+}  // namespace
+
+void GemmMicroKernelAvx512(const Real* ap, const Real* bp, Index kb,
+                           Real alpha, Real* c, Index ldc) {
+  Acc acc;
+  PackedSteps(ap, bp, kb, acc);
+  const __m512d valpha = _mm512_set1_pd(alpha);
   for (Index i = 0; i < kGemmMR; ++i) {
-    const __m512d ai = _mm512_set1_pd(a[i]);
-    acc[i][0] = _mm512_fmadd_pd(ai, b0, acc[i][0]);
-    acc[i][1] = _mm512_fmadd_pd(ai, b1, acc[i][1]);
+    Real* crow = c + static_cast<std::size_t>(i) * ldc;
+    _mm512_storeu_pd(
+        crow, _mm512_fmadd_pd(valpha, acc[i][0], _mm512_loadu_pd(crow)));
+    _mm512_storeu_pd(crow + 8, _mm512_fmadd_pd(valpha, acc[i][1],
+                                               _mm512_loadu_pd(crow + 8)));
   }
 }
 
-}  // namespace
+uint64_t GemmMicroKernelScoreAvx512(const Real* ap, const Real* bp, Index kb,
+                                    Real* c, bool accumulate,
+                                    const Real* thresholds,
+                                    const Real* bounds) {
+  Acc acc;
+  PackedSteps(ap, bp, kb, acc);
+  return ScoreEpilogue(acc, c, accumulate, thresholds, bounds);
+}
 
 // The same steps over B in place.  Eight depth steps at a time, each
 // half of the panel is loaded as 8 rows of 8 values and transposed in
@@ -116,11 +147,12 @@ inline void Step(const Real* a, __m512d b0, __m512d b1,
 // zero and are never read from memory.  Whole blocks of a whole panel
 // take plain loads and a fully unrolled step loop: one masked path for
 // every block ran 1.2-2x slower.
-void GemmMicroKernelRowsAvx512(const Real* ap, const Real* b, Index ldb,
-                               Index nr, Index kb, Real alpha, Real* c,
-                               Index ldc) {
+uint64_t GemmMicroKernelRowsAvx512(const Real* ap, const Real* b, Index ldb,
+                                   Index nr, Index kb, Real* c,
+                                   bool accumulate, const Real* thresholds,
+                                   const Real* bounds) {
   const auto ld = static_cast<std::size_t>(ldb);
-  __m512d acc[kGemmMR][2];
+  Acc acc;
   for (Index i = 0; i < kGemmMR; ++i) {
     acc[i][0] = _mm512_setzero_pd();
     acc[i][1] = _mm512_setzero_pd();
@@ -148,14 +180,7 @@ void GemmMicroKernelRowsAvx512(const Real* ap, const Real* b, Index ldb,
       }
     }
   }
-  const __m512d valpha = _mm512_set1_pd(alpha);
-  for (Index i = 0; i < kGemmMR; ++i) {
-    Real* crow = c + static_cast<std::size_t>(i) * ldc;
-    _mm512_storeu_pd(
-        crow, _mm512_fmadd_pd(valpha, acc[i][0], _mm512_loadu_pd(crow)));
-    _mm512_storeu_pd(crow + 8, _mm512_fmadd_pd(valpha, acc[i][1],
-                                               _mm512_loadu_pd(crow + 8)));
-  }
+  return ScoreEpilogue(acc, c, accumulate, thresholds, bounds);
 }
 
 bool GemmAvx512KernelCompiled() { return true; }
@@ -171,10 +196,20 @@ void GemmMicroKernelAvx512(const Real* ap, const Real* bp, Index kb,
   GemmMicroKernelPortable(ap, bp, kb, alpha, c, ldc);
 }
 
-void GemmMicroKernelRowsAvx512(const Real* ap, const Real* b, Index ldb,
-                               Index nr, Index kb, Real alpha, Real* c,
-                               Index ldc) {
-  GemmMicroKernelRowsPortable(ap, b, ldb, nr, kb, alpha, c, ldc);
+uint64_t GemmMicroKernelScoreAvx512(const Real* ap, const Real* bp, Index kb,
+                                    Real* c, bool accumulate,
+                                    const Real* thresholds,
+                                    const Real* bounds) {
+  return GemmMicroKernelScorePortable(ap, bp, kb, c, accumulate, thresholds,
+                                      bounds);
+}
+
+uint64_t GemmMicroKernelRowsAvx512(const Real* ap, const Real* b, Index ldb,
+                                   Index nr, Index kb, Real* c,
+                                   bool accumulate, const Real* thresholds,
+                                   const Real* bounds) {
+  return GemmMicroKernelRowsPortable(ap, b, ldb, nr, kb, c, accumulate,
+                                     thresholds, bounds);
 }
 
 bool GemmAvx512KernelCompiled() { return false; }

@@ -40,20 +40,53 @@ void Update(const Tile& acc, Real alpha, Real* c, Index ldc) {
   }
 }
 
+/// The scorer's epilogue (gemm_kernel.h), one cell (and bound) per
+/// comparison.  It defines the masks the SIMD variants must return.
+uint64_t ScoreEpilogue(const Tile& acc, Real* c, bool accumulate,
+                       const Real* thresholds, const Real* bounds) {
+  uint64_t hits = 0;
+  for (Index i = 0; i < kGemmMR; ++i) {
+    Real* crow = c + i * kGemmNR;
+    for (Index j = 0; j < kGemmNR; ++j) {
+      crow[j] = std::fma(Real{1}, acc[i][j], accumulate ? crow[j] : Real{0});
+      if (thresholds == nullptr) continue;
+      const bool hit = crow[j] >= thresholds[i] ||
+                       (bounds != nullptr && bounds[j] < thresholds[i]);
+      hits |= static_cast<uint64_t>(hit) << (i * kGemmNR + j);
+    }
+  }
+  return hits;
+}
+
+/// acc over the packed panels.
+void PackedSteps(const Real* ap, const Real* bp, Index kb, Tile& acc) {
+  for (Index kk = 0; kk < kb; ++kk) {
+    Step(ap + kk * kGemmMR, bp + kk * kGemmNR, acc);
+  }
+}
+
 }  // namespace
 
 void GemmMicroKernelPortable(const Real* ap, const Real* bp, Index kb,
                              Real alpha, Real* c, Index ldc) {
   Tile acc = {};
-  for (Index kk = 0; kk < kb; ++kk) {
-    Step(ap + kk * kGemmMR, bp + kk * kGemmNR, acc);
-  }
+  PackedSteps(ap, bp, kb, acc);
   Update(acc, alpha, c, ldc);
 }
 
-void GemmMicroKernelRowsPortable(const Real* ap, const Real* b, Index ldb,
-                                 Index nr, Index kb, Real alpha, Real* c,
-                                 Index ldc) {
+uint64_t GemmMicroKernelScorePortable(const Real* ap, const Real* bp,
+                                      Index kb, Real* c, bool accumulate,
+                                      const Real* thresholds,
+                                      const Real* bounds) {
+  Tile acc = {};
+  PackedSteps(ap, bp, kb, acc);
+  return ScoreEpilogue(acc, c, accumulate, thresholds, bounds);
+}
+
+uint64_t GemmMicroKernelRowsPortable(const Real* ap, const Real* b, Index ldb,
+                                     Index nr, Index kb, Real* c,
+                                     bool accumulate, const Real* thresholds,
+                                     const Real* bounds) {
   Tile acc = {};
   Real brow[kGemmNR] = {};
   for (Index kk = 0; kk < kb; ++kk) {
@@ -62,7 +95,7 @@ void GemmMicroKernelRowsPortable(const Real* ap, const Real* b, Index ldb,
     }
     Step(ap + kk * kGemmMR, brow, acc);
   }
-  Update(acc, alpha, c, ldc);
+  return ScoreEpilogue(acc, c, accumulate, thresholds, bounds);
 }
 
 }  // namespace mips

@@ -21,16 +21,17 @@ struct KernelTableEntry {
   GemmKernel kernel;
   const char* name;
   GemmMicroKernelFn fn;
+  GemmMicroKernelScoreFn score_fn;
   GemmMicroKernelRowsFn rows_fn;
 };
 
 constexpr std::array<KernelTableEntry, kNumGemmKernels> kKernelTable = {{
     {GemmKernel::kPortable, "portable", &GemmMicroKernelPortable,
-     &GemmMicroKernelRowsPortable},
+     &GemmMicroKernelScorePortable, &GemmMicroKernelRowsPortable},
     {GemmKernel::kAvx2, "avx2", &GemmMicroKernelAvx2,
-     &GemmMicroKernelRowsAvx2},
+     &GemmMicroKernelScoreAvx2, &GemmMicroKernelRowsAvx2},
     {GemmKernel::kAvx512, "avx512", &GemmMicroKernelAvx512,
-     &GemmMicroKernelRowsAvx512},
+     &GemmMicroKernelScoreAvx512, &GemmMicroKernelRowsAvx512},
 }};
 
 const KernelTableEntry& TableEntry(GemmKernel kernel) {
@@ -235,6 +236,10 @@ void ResetGemmKernelForTest() {
 }
 
 GemmMicroKernelFn ActiveGemmMicroKernel() { return EnsureInstalled(); }
+
+GemmMicroKernelScoreFn ActiveGemmMicroKernelScore() {
+  return TableEntry(ActiveGemmKernel()).score_fn;
+}
 
 GemmMicroKernelRowsFn ActiveGemmMicroKernelRows() {
   return TableEntry(ActiveGemmKernel()).rows_fn;

@@ -1,8 +1,10 @@
 #include "topk/score_select.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/dcheck.h"
@@ -17,28 +19,22 @@ namespace {
 
 constexpr Index kMR = kGemmMR;
 constexpr Index kNR = kGemmNR;
-/// One tile row's bits in a tile mask (select_kernel.h).
+/// One tile row's bits in a tile mask (linalg/gemm_kernel.h).
 constexpr uint64_t kRowBits = (uint64_t{1} << kNR) - 1;
+constexpr Real kInf = std::numeric_limits<Real>::infinity();
 
 constexpr Index RoundUp(Index extent, Index tile) {
   return (extent + tile - 1) / tile * tile;
 }
 
-/// The tile scan matching the installed GEMM kernel, installing one first
-/// if none is.  One ISA choice governs the GEMM, Dot and selection: a
-/// machine whose AVX-512 is slow for one is slow for all.
-SelectTileFn ActiveSelectTile() {
-  switch (ActiveGemmKernel()) {
-    case GemmKernel::kAvx512:
-      if (SelectAvx512KernelCompiled()) return &SelectTileAvx512;
-      break;
-    case GemmKernel::kAvx2:
-      if (SelectAvx2KernelCompiled()) return &SelectTileAvx2;
-      break;
-    case GemmKernel::kPortable:
-      break;
-  }
-  return &SelectTilePortable;
+/// The row insert matching the installed GEMM kernel, installing one
+/// first if none is.  One ISA choice governs the GEMM, Dot and selection:
+/// a machine whose AVX-512 is slow for one is slow for all.
+RowTopInsertFn ActiveRowTopInsert() {
+  return ActiveGemmKernel() == GemmKernel::kAvx512 &&
+                 SelectAvx512KernelCompiled()
+             ? &RowTopInsertAvx512
+             : &RowTopInsertPortable;
 }
 
 /// Query rows per block of a ScoreTopK call: kScoreRowBlock rounded down
@@ -65,27 +61,125 @@ struct ItemIds {
   }
 };
 
-/// Pushes one tile row's flagged cells (columns c + j) in column order.
-/// A flag was raised against the minimum the tile started with, which
-/// only rises, so each is re-checked: the pushes are exactly those of the
-/// scalar `if (WouldAccept(s)) Push` loop.
-void Fold(const Real* scores, uint32_t hits, Index c, ItemIds id,
-          TopKHeap* heap, Real* threshold) {
-  for (; hits != 0; hits &= hits - 1) {
-    const int j = __builtin_ctz(hits);
-    if (scores[j] >= *threshold) {
-      heap->Push(id(c + j), scores[j]);
-      *threshold = heap->MinScore();
-    }
+/// n default-initialised Ts on 64-byte boundaries, from one plain
+/// allocation with room to align them.  An aligned operator new took
+/// about 85 ns against 20 for a plain one (glibc, on an AVX-512 Xeon),
+/// which a one-row call notices.
+template <typename T>
+class CacheAligned {
+ public:
+  explicit CacheAligned(std::size_t n)
+      : storage_(std::make_unique_for_overwrite<std::byte[]>(n * sizeof(T) +
+                                                             kAlign)) {
+    void* at = storage_.get();
+    std::size_t space = n * sizeof(T) + kAlign;
+    data_ = static_cast<T*>(std::align(kAlign, n * sizeof(T), at, space));
+    std::uninitialized_default_construct_n(data_, n);
   }
-}
+
+  T& operator[](std::size_t i) { return data_[i]; }
+  const T& operator[](std::size_t i) const { return data_[i]; }
+
+ private:
+  static constexpr std::size_t kAlign = 64;
+  std::unique_ptr<std::byte[]> storage_;
+  T* data_;
+};
+
+/// The best k <= kRowTopWidth entries of m query rows, one RowTop record
+/// each (topk/select_kernel.h), in one allocation.  A row's count is the
+/// number of cells offered to it.  An offered cell is never NaN, so no pad
+/// is better than it, and it takes a slot while the record holds fewer
+/// than k entries: min(count, k) of the record's lanes are entries.
+class RowTops {
+ public:
+  RowTops(Index m, Index k)
+      : k_(k),
+        insert_(ActiveRowTopInsert()),
+        tops_(static_cast<std::size_t>(m)),
+        counts_(static_cast<std::size_t>(m), 0) {
+    MIPS_DCHECK_GT(k, 0);
+    MIPS_DCHECK_LE(k, kRowTopWidth);
+    for (Index r = 0; r < m; ++r) Clear(r);
+  }
+
+  Real Threshold(Index r) const { return top(r).scores[k_ - 1]; }
+
+  /// Offers a flagged cell to row r, whose threshold is *threshold.
+  void Take(Index r, Index id, Real score, Real* threshold) {
+    insert_(&top(r), k_, score, id);
+    ++counts_[static_cast<std::size_t>(r)];
+    *threshold = Threshold(r);
+  }
+
+  /// Writes row r's k entries to out[0, k), best first, padded with
+  /// {-1, -inf} past its count as TopKHeap::ExtractDescending pads, and
+  /// empties the record.
+  void Write(Index r, TopKEntry* out) {
+    const RowTop& row = top(r);
+    const Index count = std::min(counts_[static_cast<std::size_t>(r)], k_);
+    for (Index e = 0; e < count; ++e) out[e] = {row.ids[e], row.scores[e]};
+    std::fill(out + count, out + k_, TopKEntry{-1, -kInf});
+    for (Index e = 1; e < count; ++e) {
+      MIPS_DCHECK(BetterEntry(out[e - 1], out[e]));
+    }
+    for (Index e = count; e < k_; ++e) {
+      MIPS_DCHECK(row.scores[e] == -kInf && row.ids[e] == kPadId);
+    }
+    Clear(r);
+  }
+
+ private:
+  static constexpr int32_t kPadId = std::numeric_limits<int32_t>::max();
+
+  RowTop& top(Index r) { return tops_[static_cast<std::size_t>(r)]; }
+  const RowTop& top(Index r) const {
+    return tops_[static_cast<std::size_t>(r)];
+  }
+
+  void Clear(Index r) {
+    std::fill_n(top(r).scores, kRowTopWidth, -kInf);
+    std::fill_n(top(r).ids, kRowTopWidth, kPadId);
+    counts_[static_cast<std::size_t>(r)] = 0;
+  }
+
+  const Index k_;
+  const RowTopInsertFn insert_;
+  CacheAligned<RowTop> tops_;
+  std::vector<Index> counts_;
+};
+
+/// Query rows kept in TopKHeaps: a ScoreTopK call with k past
+/// kRowTopWidth, and ScoreIntoHeaps.
+class HeapRows {
+ public:
+  explicit HeapRows(TopKHeap* const* heaps) : heaps_(heaps) {}
+
+  TopKHeap* heap(Index r) const { return heaps_[r]; }
+  Real Threshold(Index r) const { return heap(r)->MinScore(); }
+
+  /// Pushes a flagged cell if it still reaches row r's minimum: the flag
+  /// was raised against the minimum the panel started with, which only
+  /// rises, so the pushes are exactly those of the scalar
+  /// `if (WouldAccept(s)) Push` loop.
+  void Take(Index r, Index id, Real score, Real* threshold) {
+    if (!(score >= *threshold)) return;
+    heap(r)->Push(id, score);
+    *threshold = heap(r)->MinScore();
+  }
+
+  void Write(Index r, TopKEntry* out) { heap(r)->ExtractDescending(out); }
+
+ private:
+  TopKHeap* const* heaps_;
+};
 
 /// Walks one tile row of a bounded walk in column order, as the scalar
 /// break loop would, and returns the column where it stops (nr if none):
 /// the first whose bound is strictly below the heap minimum.  The cells
 /// before it that still reach the minimum are pushed.  A push that raises
 /// the minimum flags the first later column whose bound falls below it,
-/// which the tile scan could not see.
+/// which the epilogue could not see.
 Index Walk(const Real* scores, const Real* bounds, Index nr, uint32_t hits,
            Index c, ItemIds id, TopKHeap* heap, Real* threshold) {
   for (; hits != 0; hits &= hits - 1) {
@@ -116,31 +210,37 @@ struct ItemPanels {
   bool packed;
 };
 
-/// One scorer call's state: the installed kernels, one packed tile of
-/// query rows, those rows' heap minima, and the score strip of one item
-/// panel.
+/// One 4x16 score tile of the strip, on cache lines of its own.
+struct alignas(64) ScoreTile {
+  Real cells[kMR * kNR];
+};
+
+/// One scorer call's state: the installed kernels' scorer entries, one
+/// packed tile of query rows, those rows' thresholds, and the score strip
+/// of one item panel.
 class TileScorer {
  public:
   TileScorer(Index tile_rows, Index f)
-      : kernel_(ActiveGemmMicroKernel()),
-        rows_kernel_(ActiveGemmMicroKernelRows()),
-        scan_(ActiveSelectTile()),
+      : score_(ActiveGemmMicroKernelScore()),
+        rows_(ActiveGemmMicroKernelRows()),
         tile_rows_(tile_rows),
         f_(f),
         apack_(std::make_unique_for_overwrite<Real[]>(
             static_cast<std::size_t>(RoundUp(tile_rows, kMR)) *
             static_cast<std::size_t>(f))),
-        strip_(std::make_unique_for_overwrite<Real[]>(
-            static_cast<std::size_t>(RoundUp(tile_rows, kMR)) * kNR)),
+        strip_(static_cast<std::size_t>(RoundUp(tile_rows, kMR) / kMR)),
         thresholds_(static_cast<std::size_t>(RoundUp(tile_rows, kMR))),
         hits_(static_cast<std::size_t>(RoundUp(tile_rows, kMR) / kMR)) {
     MIPS_DCHECK_GT(tile_rows, 0);
   }
 
-  /// ScoreIntoHeaps over query rows [0, m), one row tile at a time.
+  /// Scores query rows [0, m) into out's rows, one row tile at a time.
+  /// Bounded (HeapRows only), row r walks the items as ScoreIntoHeaps
+  /// says and walked[r] records how far.
+  template <bool kBounded, typename Rows>
   void Run(const Real* rows, const Index* row_ids, Index m,
-           const ItemPanels& items, ItemIds id, const Real* bounds,
-           TopKHeap* const* heaps, Index* walked) {
+           const ItemPanels& items, ItemIds id, const Real* bounds, Rows& out,
+           Index* walked) {
     for (Index r0 = 0; r0 < m; r0 += tile_rows_) {
       const Index mb = std::min(tile_rows_, m - r0);
       if (row_ids != nullptr) {
@@ -149,30 +249,55 @@ class TileScorer {
         PackPanels(rows + static_cast<std::size_t>(r0) * f_, f_, nullptr, mb,
                    0, f_, kMR, apack_.get());
       }
-      for (Index r = 0; r < mb; ++r) thresholds_[r] = heaps[r0 + r]->MinScore();
-      if (bounds == nullptr) {
-        ScoreRowTile<false>(mb, items, id, nullptr, heaps + r0, nullptr);
-      } else {
-        ScoreRowTile<true>(mb, items, id, bounds, heaps + r0, walked + r0);
+      for (Index r = 0; r < mb; ++r) thresholds_[r] = out.Threshold(r0 + r);
+      ScoreRowTile<kBounded>(r0, mb, items, id, bounds, out,
+                             kBounded ? walked + r0 : nullptr);
+      for (Index r = 0; r < mb; ++r) {
+        MIPS_DCHECK_EQ(thresholds_[r], out.Threshold(r0 + r));
       }
     }
   }
 
  private:
+  /// Scores one group of kMR packed rows against one item panel into its
+  /// strip tile, K panel after K panel, and returns the hit mask the last
+  /// K panel's epilogue tested against the rows' thresholds (and the
+  /// panel's bounds, when given).  A depth of 0 still stores the tile.
+  uint64_t ScoreGroup(Index g, const ItemPanels& items, const Real* bp,
+                      Index nr, const Real* bounds) {
+    Real* tile = strip_[static_cast<std::size_t>(g)].cells;
+    const Real* ap = apack_.get() + static_cast<std::size_t>(g) * kMR * f_;
+    const Real* thresholds = thresholds_.data() + g * kMR;
+    uint64_t hits = 0;
+    Index p0 = 0;
+    do {
+      const Index kb = std::min(kGemmKPanel, f_ - p0);
+      const Real* a = ap + static_cast<std::size_t>(p0) * kMR;
+      const Real* test = p0 + kb == f_ ? thresholds : nullptr;
+      hits = items.packed
+                 ? score_(a, bp + static_cast<std::size_t>(p0) * kNR, kb,
+                          tile, p0 > 0, test, bounds)
+                 : rows_(a, bp + p0, f_, nr, kb, tile, p0 > 0, test, bounds);
+      p0 += kb;
+    } while (p0 < f_);
+    return hits;
+  }
+
   /// Scores the mb packed rows against every item panel, one 4x16 tile at
   /// a time, and folds each panel's tiles while they are in L1.  The item
   /// panel (f x 16) stays in L1 while all of the row tile's 4-row groups
   /// pass it.  Each panel runs in two passes: every group's tile is scored
-  /// into the strip and scanned against the minima the panel started
-  /// with, and then the flagged cells are folded.  No branch in the first
-  /// pass waits on a score, so the micro-kernel calls run back to back.
-  /// Bounded, a row walks while walked[r] equals the panel's first
-  /// position, and a group none of whose rows walk is not scored.
-  template <bool kBounded>
-  void ScoreRowTile(Index mb, const ItemPanels& items, ItemIds id,
-                    const Real* bounds, TopKHeap* const* heaps,
-                    Index* walked) {
+  /// into the strip and tested in the epilogue against the thresholds the
+  /// panel started with, and then the flagged cells are folded.  No branch
+  /// in the first pass waits on a score, so the micro-kernel calls run
+  /// back to back.  Bounded, a row walks while walked[r] equals the
+  /// panel's first position, and a group none of whose rows walk is not
+  /// scored.
+  template <bool kBounded, typename Rows>
+  void ScoreRowTile(Index r0, Index mb, const ItemPanels& items, ItemIds id,
+                    const Real* bounds, Rows& out, Index* walked) {
     const Index n = items.n;
+    const Index groups = RoundUp(mb, kMR) / kMR;
     Index walking = mb;
     alignas(64) Real edge_bounds[kNR];
     for (Index c = 0; c < n; c += kNR) {
@@ -186,60 +311,56 @@ class TileScorer {
         if (nr < kNR) {
           // Past the last item no bound can end a walk.
           std::fill(std::copy_n(tile_bounds, nr, edge_bounds),
-                    edge_bounds + kNR, std::numeric_limits<Real>::infinity());
+                    edge_bounds + kNR, kInf);
           tile_bounds = edge_bounds;
         }
       }
-      for (Index i = 0; i < mb; i += kMR) {
+      for (Index g = 0; g < groups; ++g) {
+        const Index i = g * kMR;
         const Index mr = std::min(kMR, mb - i);
         uint64_t live = 0;
         for (Index r = 0; r < mr; ++r) {
           if (!kBounded || walked[i + r] == c) live |= cols << (r * kNR);
         }
-        uint64_t& hits = hits_[static_cast<std::size_t>(i / kMR)];
-        hits = 0;
-        if (live == 0) continue;
-        Real* tile = strip_.get() + static_cast<std::size_t>(i) * kNR;
-        std::fill_n(tile, kMR * kNR, Real{0});
-        const Real* ap = apack_.get() + static_cast<std::size_t>(i) * f_;
-        for (Index p0 = 0; p0 < f_; p0 += kGemmKPanel) {
-          const Real* a = ap + static_cast<std::size_t>(p0) * kMR;
-          const Index kb = std::min(kGemmKPanel, f_ - p0);
-          if (items.packed) {
-            kernel_(a, bp + static_cast<std::size_t>(p0) * kNR, kb,
-                    /*alpha=*/1, tile, kNR);
-          } else {
-            rows_kernel_(a, bp + p0, f_, nr, kb, /*alpha=*/1, tile, kNR);
-          }
-        }
-        hits = scan_(tile, tile_bounds, thresholds_.data() + i) & live;
+        hits_[static_cast<std::size_t>(g)] =
+            live == 0 ? 0 : ScoreGroup(g, items, bp, nr, tile_bounds) & live;
       }
-      for (Index r = 0; r < mb; ++r) {
-        const auto row_hits = static_cast<uint32_t>(
-            (hits_[static_cast<std::size_t>(r / kMR)] >> (r % kMR * kNR)) &
-            kRowBits);
-        const Real* scores = strip_.get() + static_cast<std::size_t>(r) * kNR;
-        Real* threshold = &thresholds_[static_cast<std::size_t>(r)];
-        if constexpr (kBounded) {
+      if constexpr (kBounded) {
+        for (Index r = 0; r < mb; ++r) {
           if (walked[r] != c) continue;
+          const auto row_hits = static_cast<uint32_t>(
+              (hits_[static_cast<std::size_t>(r / kMR)] >> (r % kMR * kNR)) &
+              kRowBits);
+          const Real* scores =
+              strip_[static_cast<std::size_t>(r / kMR)].cells +
+              r % kMR * kNR;
           const Index stop = Walk(scores, tile_bounds, nr, row_hits, c, id,
-                                  heaps[r], threshold);
+                                  out.heap(r0 + r), &thresholds_[r]);
           walked[r] = c + stop;
           if (stop < nr) --walking;
-        } else if (row_hits != 0) {
-          Fold(scores, row_hits, c, id, heaps[r], threshold);
+        }
+      } else {
+        // Bit b of group g's mask is cell b of its tile: row g * kMR +
+        // b / kNR, column c + b % kNR.
+        for (Index g = 0; g < groups; ++g) {
+          const Real* tile = strip_[static_cast<std::size_t>(g)].cells;
+          for (uint64_t bits = hits_[static_cast<std::size_t>(g)]; bits != 0;
+               bits &= bits - 1) {
+            const int b = __builtin_ctzll(bits);
+            const Index r = g * kMR + b / kNR;
+            out.Take(r0 + r, id(c + b % kNR), tile[b], &thresholds_[r]);
+          }
         }
       }
     }
   }
 
-  const GemmMicroKernelFn kernel_;
-  const GemmMicroKernelRowsFn rows_kernel_;
-  const SelectTileFn scan_;
+  const GemmMicroKernelScoreFn score_;
+  const GemmMicroKernelRowsFn rows_;
   const Index tile_rows_;
   const Index f_;
   const std::unique_ptr<Real[]> apack_;
-  const std::unique_ptr<Real[]> strip_;
+  CacheAligned<ScoreTile> strip_;
   std::vector<Real> thresholds_;
   std::vector<uint64_t> hits_;
 };
@@ -256,20 +377,17 @@ struct RowHeaps {
 };
 
 /// Serial exact top-k of query rows [0, m) against the n row-major items,
-/// one block of rows at a time: the block's heaps are filled against the
-/// items, packed one chunk at a time, and row r's entries are extracted
-/// to out_row(r).  Only one block's heaps are held, and a lone chunk is
-/// packed once.  A call of at most kScoreInPlaceRows rows scores them as
-/// one row tile straight from the items' rows, packing nothing.
-template <typename OutRow>
-void ScoreBlocks(const Real* rows, const Index* row_ids, Index m,
-                 Index tile_rows, const Real* items, Index n, Index f,
-                 Index k, Index item_offset, const Index* item_ids,
-                 OutRow out_row) {
+/// one block of rows at a time: the block's rows in `out` (block rows of
+/// RowTops or HeapRows) are filled against the items, packed one chunk at
+/// a time, and row r is written to out_row(r).  A lone chunk is packed
+/// once.  A call of at most kScoreInPlaceRows rows scores them as one row
+/// tile straight from the items' rows, packing nothing.
+template <typename Rows, typename OutRow>
+void ScoreBlocksInto(const Real* rows, const Index* row_ids, Index m,
+                     Index tile_rows, Index block, const Real* items, Index n,
+                     Index f, Index item_offset, const Index* item_ids,
+                     Rows& out, OutRow out_row) {
   const bool in_place = m <= kScoreInPlaceRows;
-  if (in_place) tile_rows = m;
-  const Index block = std::min(m, RowBlock(tile_rows));
-  RowHeaps row_heaps(block, k);
   TileScorer scorer(std::min(block, tile_rows), f);
   const Index chunk = in_place ? n : std::min(n, ChunkItems(f));
   PackedItems packed;
@@ -288,13 +406,31 @@ void ScoreBlocks(const Real* rows, const Index* row_ids, Index m,
       }
       const ItemIds id{item_offset + c0,
                        item_ids != nullptr ? item_ids + c0 : nullptr};
-      scorer.Run(block_rows, block_ids, mb, panels, id, /*bounds=*/nullptr,
-                 row_heaps.ptrs.data(), /*walked=*/nullptr);
+      scorer.Run<false>(block_rows, block_ids, mb, panels, id,
+                        /*bounds=*/nullptr, out, /*walked=*/nullptr);
     }
-    for (Index r = 0; r < mb; ++r) {
-      row_heaps.heaps[static_cast<std::size_t>(r)].ExtractDescending(
-          out_row(b0 + r));
-    }
+    for (Index r = 0; r < mb; ++r) out.Write(r, out_row(b0 + r));
+  }
+}
+
+/// ScoreBlocksInto over records when k fits one (k <= kRowTopWidth), and
+/// over heaps past that.  Only one block's rows are held.
+template <typename OutRow>
+void ScoreBlocks(const Real* rows, const Index* row_ids, Index m,
+                 Index tile_rows, const Real* items, Index n, Index f,
+                 Index k, Index item_offset, const Index* item_ids,
+                 OutRow out_row) {
+  if (m <= kScoreInPlaceRows) tile_rows = m;
+  const Index block = std::min(m, RowBlock(tile_rows));
+  if (k <= kRowTopWidth) {
+    RowTops tops(block, k);
+    ScoreBlocksInto(rows, row_ids, m, tile_rows, block, items, n, f,
+                    item_offset, item_ids, tops, out_row);
+  } else {
+    RowHeaps row_heaps(block, k);
+    HeapRows heaps(row_heaps.ptrs.data());
+    ScoreBlocksInto(rows, row_ids, m, tile_rows, block, items, n, f,
+                    item_offset, item_ids, heaps, out_row);
   }
 }
 
@@ -323,8 +459,15 @@ void ScoreIntoHeaps(const Real* rows, const Index* row_ids, Index m,
   if (bounds != nullptr) std::fill_n(walked, m, 0);
   if (items.rows() <= 0) return;
   TileScorer scorer(std::min(m, kScoreTileRows), items.cols());
-  scorer.Run(rows, row_ids, m, {items.data(), items.rows(), /*packed=*/true},
-             {item_offset, item_ids}, bounds, heaps.data(), walked);
+  const ItemPanels panels{items.data(), items.rows(), /*packed=*/true};
+  HeapRows out(heaps.data());
+  if (bounds == nullptr) {
+    scorer.Run<false>(rows, row_ids, m, panels, {item_offset, item_ids},
+                      nullptr, out, nullptr);
+  } else {
+    scorer.Run<true>(rows, row_ids, m, panels, {item_offset, item_ids},
+                     bounds, out, walked);
+  }
 }
 
 void ScoreTopK(const Real* rows, Index m, const Real* items, Index n, Index f,

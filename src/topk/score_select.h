@@ -4,25 +4,31 @@
 // followed by a min-heap pass that reads them back.  Written as two passes
 // over a block sized to memory, every score leaves the cache between the
 // two.  Here no score block exists: the GEMM's micro-kernel computes one
-// 4x16 register tile (kGemmMR query rows x kGemmNR items) at a time into
-// a zeroed L1 scratch tile, a tile scan (topk/select_kernel.h) compares
-// it against the four rows' heap minima, and only the cells that can
-// enter are pushed, while the tile is still in L1.  (The tiles of one
-// item panel, at most kScoreTileRows x 16 scores, sit side by side in an
-// L1 strip and are folded after the panel's last tile, so that no branch
-// on a score stalls the next micro-kernel call.)  ScoreTopK takes the
-// query rows in blocks of about kScoreRowBlock and holds one block's heaps
-// at a time, so what a call holds beyond its output does not grow with
-// the request.  Each operand is packed for the micro-kernel once per
-// block: the items in chunks of at most kGemmNC (a lone chunk once per
-// call), each tile of query rows once per chunk.  A call of at most
-// kScoreInPlaceRows rows (a new user, a small batch) packs no items:
-// there each packed item panel would feed one micro-kernel call, so the
-// micro-kernel's in-place twin (linalg/gemm_kernel.h) reads the panel
-// straight from the items' rows instead.  The micro-kernel runs with
-// alpha = 1, one K panel after another, which is GemmNT's beta = 0 fold:
-// every score, and hence every selected entry, is bit-for-bit the one
-// GemmNT plus a per-row heap would give, packed or not.
+// 4x16 register tile (kGemmMR query rows x kGemmNR items) at a time, and
+// its epilogue (linalg/gemm_kernel.h) stores the tile into a 64-byte-
+// aligned L1 strip and tests it against the four rows' thresholds in
+// registers, so only the cells that can enter a row's top k are folded,
+// while the tile is still in L1.  (The tiles of one item panel, at most
+// kScoreTileRows x 16 scores, sit side by side in the strip and are folded
+// after the panel's last tile, so that no branch on a score stalls the
+// next micro-kernel call.)  A ScoreTopK call with k at most kRowTopWidth
+// (16, topk/select_kernel.h) keeps each row's best k sorted in one record
+// of 16 scores and 16 ids, and inserts a flagged cell without a branch
+// (AVX-512) or with a short sorted insert (AVX2, portable); its rows are
+// written straight from the records.  A wider k, and MAXIMUS's bounded
+// walk, push into TopKHeaps.  ScoreTopK takes the query rows in blocks of
+// about kScoreRowBlock and holds one block's records or heaps at a time,
+// so what a call holds beyond its output does not grow with the request.
+// Each operand is packed for the micro-kernel once per block: the items in
+// chunks of at most kGemmNC (a lone chunk once per call), each tile of
+// query rows once per chunk.  A call of at most kScoreInPlaceRows rows (a
+// new user, a small batch) packs no items: there each packed item panel
+// would feed one micro-kernel call, so the micro-kernel's in-place twin
+// (linalg/gemm_kernel.h) reads the panel straight from the items' rows
+// instead.  The micro-kernel runs with alpha = 1, one K panel after
+// another, which is GemmNT's beta = 0 fold: every score, and hence every
+// selected entry, is bit-for-bit the one GemmNT plus a per-row heap would
+// give, packed or not, under every ISA.
 //
 // BMM's two regimes, the dense new-user path (MipsSolver::TopKNewUsers),
 // the hybrid solver's dense partition (ScoreTopK), LiveCatalog's write
@@ -58,8 +64,8 @@ inline constexpr Index kScoreTileRows = 128;
 inline constexpr Index kScoreInPlaceRows = 4;
 
 /// Query rows per block of a ScoreTopK call (rounded down to whole row
-/// tiles).  A call holds one block's heaps, and with a pool one block's
-/// partial rows, so what it holds beyond its output does not grow with
+/// tiles).  A call holds one block's records or heaps, and with a pool one
+/// block's partial rows, so what it holds beyond its output does not grow with
 /// the request; the items are packed once per block.  At f = 50, packing
 /// 3,554 items takes about 0.15 ms on an AVX-512 Xeon: under 0.5% of
 /// scoring 2,048 rows against them, but more than half of scoring one row,
@@ -117,11 +123,12 @@ void ScoreIntoHeaps(const Real* rows, const Index* row_ids, Index m,
 /// from rows + (row_ids ? row_ids[r] : r) * f, tile_rows rows to a tile;
 /// ids as in ScoreIntoHeaps.  Hand a whole request to one call: its items
 /// are packed once per block of rows (and read in place when m is at most
-/// kScoreInPlaceRows, in one tile of m rows), and one block's heaps, k
-/// entries a row, are held at a time.
+/// kScoreInPlaceRows, in one tile of m rows), and one block's rows are
+/// held at a time: a 192-byte record each when k <= kRowTopWidth, a
+/// TopKHeap of k entries each past it.
 ///
 /// With a pool of T > 1 workers, each worker scores every row of a block
-/// against a contiguous 1/T of the items into private heaps, and
+/// against a contiguous 1/T of the items into private rows, and
 /// MergeTopKRows joins the T partial rows: one pool round trip per block.
 /// Because each item lives in one range and the merge applies
 /// BetterEntry, the rows are bit-for-bit those of the serial call.  Must

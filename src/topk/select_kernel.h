@@ -1,28 +1,34 @@
-// Internal contract between the tile scan kernels
-// (select_kernel_{avx512,avx2,portable}.cc) and score_select.cc, which
-// picks the variant matching the installed GEMM kernel and folds each
-// GEMM register tile into its rows' heaps.  Not part of the public API:
-// call ScoreTopK or ScoreIntoHeaps (topk/score_select.h).
+// Internal contract between the row-insert kernels
+// (select_kernel_{avx512,portable}.cc) and score_select.cc, which picks
+// the variant matching the installed GEMM kernel and inserts each flagged
+// cell of a GEMM register tile into its row's record.  Not part of the
+// public API: call ScoreTopK or ScoreIntoHeaps (topk/score_select.h).
 //
-// Top-k selection over a score tile is a search for the few cells that
-// can change a heap.  With k = 10 over a few thousand items, all but
-// about k * ln(n / k) scores of a row lose to its heap minimum, so the
-// scan compares a whole kGemmMR x kGemmNR tile against the four rows'
-// minima, 8 (AVX-512) or 4 (AVX2) cells per instruction, and returns the
-// matches as a bit mask; the caller pushes only those.
+// Top-k selection over a row of scores is a search for the few cells that
+// can change the row's best k.  With k = 10 over a few thousand items,
+// all but about k * ln(n / k) scores of a row lose to its k-th score, so
+// the micro-kernel's epilogue (linalg/gemm_kernel.h) flags the cells that
+// reach it, and only those come here.  A ScoreTopK call with k at most
+// kRowTopWidth keeps each row's best k in one RowTop record, sorted under
+// BetterEntry, instead of in a TopKHeap:
 //
-// Exactness contract: bit kGemmNR * r + j is set exactly where
+//   - Lanes [0, k) hold the row's entries, best first, and then pads
+//     {-inf, INT32_MAX}, which no entry is worse than.  Lanes past k
+//     decide nothing and are never written out.  The row's threshold is
+//     its k-th score, scores[k - 1]: -inf until k entries exist, as
+//     TopKHeap::MinScore is.
+//   - An insert finds the candidate's slot, the number of lanes in [0, k)
+//     better than it under BetterEntry, moves the lanes from the slot on
+//     down by one and writes the candidate into the slot.  A slot of k
+//     changes no lane below k, so a candidate that a higher threshold
+//     would now reject needs no test.
 //
-//     tile[r][j] >= thresholds[r]  ||  (bounds != nullptr && bounds[j] < thresholds[r])
-//
-// Both comparisons are ordered and quiet (a NaN never matches), exactly
-// like the scalar `>=` and `<` of the loops they replace, so every variant
-// returns the same mask on every input.  The `>=` lets an exact tie with
-// the minimum reach TopKHeap::Push for the item-id tie-break; the strict
-// `<` is the MAXIMUS stop rule (a bound equal to the minimum can still
-// cover a tied score).  The kernels only read memory: they call no inline
-// library code, so compiling each TU with its own ISA flags cannot leak
-// wide instructions into shared code.
+// BetterEntry is a total order on distinct ids, and each item reaches a
+// row at most once, so the record holds exactly the top k of the cells
+// offered to it, whatever their order: the same entries, bit for bit, as
+// a TopKHeap fed the same cells.  The kernels only read and write the
+// record: they call no inline library code, so compiling each TU with its
+// own ISA flags cannot leak wide instructions into shared code.
 
 #ifndef MIPS_TOPK_SELECT_KERNEL_H_
 #define MIPS_TOPK_SELECT_KERNEL_H_
@@ -30,31 +36,36 @@
 #include <cstdint>
 
 #include "common/types.h"
-#include "linalg/gemm_kernel.h"
 
 namespace mips {
 
-/// For the kGemmMR x kGemmNR tile (row-major, ld = kGemmNR), bit
-/// kGemmNR * r + j is set where tile[r][j] >= thresholds[r] or, with
-/// bounds (kGemmNR of them), bounds[j] < thresholds[r].
-using SelectTileFn = uint64_t (*)(const Real* tile, const Real* bounds,
-                                  const Real* thresholds);
-static_assert(kGemmMR * kGemmNR == 64, "one tile bit per cell");
+/// The widest k a ScoreTopK call keeps in RowTop records; a wider one
+/// keeps TopKHeaps.
+inline constexpr Index kRowTopWidth = 16;
 
-/// The three variants.  Every symbol exists in every binary; variants
-/// whose ISA the compiler cannot target forward to the portable scan
-/// (which returns the same mask) and report compiled-in = false.
-uint64_t SelectTileAvx512(const Real* tile, const Real* bounds,
-                          const Real* thresholds);
-uint64_t SelectTileAvx2(const Real* tile, const Real* bounds,
-                        const Real* thresholds);
-uint64_t SelectTilePortable(const Real* tile, const Real* bounds,
-                            const Real* thresholds);
+/// One row's best k <= kRowTopWidth entries, best first: two zmm of
+/// scores and one of ids, on three cache lines of their own.
+struct alignas(64) RowTop {
+  Real scores[kRowTopWidth];
+  int32_t ids[kRowTopWidth];
+};
+static_assert(sizeof(RowTop) == 192, "three cache lines a record");
+
+/// Inserts (id, score) into *top, whose lanes [0, k) are sorted under
+/// BetterEntry, if it beats the k-th of them.  score is not NaN.
+using RowTopInsertFn = void (*)(RowTop* top, Index k, Real score, Index id);
+
+/// The variants.  Every symbol exists in every binary; the AVX-512 one
+/// forwards to the portable insert (same record) when the compiler
+/// cannot target AVX-512, and then reports compiled-in = false.  The
+/// portable insert walks up from lane k - 1; the AVX-512 one compares the
+/// candidate with the whole record at once and has no branch.
+void RowTopInsertAvx512(RowTop* top, Index k, Real score, Index id);
+void RowTopInsertPortable(RowTop* top, Index k, Real score, Index id);
 
 /// Whether the real intrinsics body (not the portable forward) was
 /// compiled into this binary.
 bool SelectAvx512KernelCompiled();
-bool SelectAvx2KernelCompiled();
 
 }  // namespace mips
 

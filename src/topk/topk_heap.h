@@ -5,8 +5,11 @@
 // (Algorithm 1).  The heap keeps the K best (item, score) pairs seen so
 // far; MinScore() is the pruning threshold min(H) the index walks compare
 // bounds against.  The dense scorers (topk/score_select.h) push into it
-// straight from each 4x16 GEMM register tile while the tile is in L1, and
-// a full heap takes a better entry with one sift-down from the root.
+// straight from each 4x16 GEMM register tile while the tile is in L1, but
+// only for k past kRowTopWidth (16) and for MAXIMUS's bounded walk: a
+// narrower ScoreTopK keeps each row in a sorted record instead
+// (topk/select_kernel.h), whose AVX-512 insert has no branch at all.  A
+// full heap takes a better entry with one sift-down from the root.
 
 #ifndef MIPS_TOPK_TOPK_HEAP_H_
 #define MIPS_TOPK_TOPK_HEAP_H_

@@ -560,25 +560,28 @@ TEST_F(GemmKernelTest, VariantsMatchPortableBitForBitNNAndThreaded) {
   }
 }
 
-// Each micro-kernel's in-place twin (gemm_kernel.h) must write the tile
-// bit for bit as the kernel does from the same rows packed, padded lanes
-// included: every panel width nr, depths around the twins' 4- and
-// 8-value steps, and row strides longer than the depth.  B's last row
-// ends its buffer, so a read past row nr - 1 reads past the buffer, and
-// the values between depth kb and the stride are NaN, so a step past kb
-// shows in C.
+// Each micro-kernel's scorer entry and its in-place twin (gemm_kernel.h)
+// must write the tile bit for bit as the kernel does with alpha = 1 from
+// the same rows packed, over c or over +0.0, padded lanes included, and
+// return the same hit mask: every panel width nr, depths around the
+// twins' 4- and 8-value steps, and row strides longer than the depth.
+// B's last row ends its buffer, so a read past row nr - 1 reads past the
+// buffer, and the values between depth kb and the stride are NaN, so a
+// step past kb shows in C.
 TEST_F(GemmKernelTest, InPlaceTwinsMatchPackedKernelsBitForBit) {
   struct Variant {
     GemmKernel kernel;
     GemmMicroKernelFn packed;
+    GemmMicroKernelScoreFn score;
     GemmMicroKernelRowsFn in_place;
   };
   const Variant variants[] = {
       {GemmKernel::kPortable, &GemmMicroKernelPortable,
-       &GemmMicroKernelRowsPortable},
-      {GemmKernel::kAvx2, &GemmMicroKernelAvx2, &GemmMicroKernelRowsAvx2},
+       &GemmMicroKernelScorePortable, &GemmMicroKernelRowsPortable},
+      {GemmKernel::kAvx2, &GemmMicroKernelAvx2, &GemmMicroKernelScoreAvx2,
+       &GemmMicroKernelRowsAvx2},
       {GemmKernel::kAvx512, &GemmMicroKernelAvx512,
-       &GemmMicroKernelRowsAvx512}};
+       &GemmMicroKernelScoreAvx512, &GemmMicroKernelRowsAvx512}};
   Rng rng(97);
   const auto random = [&rng](std::size_t size) {
     std::vector<Real> v(size);
@@ -586,6 +589,7 @@ TEST_F(GemmKernelTest, InPlaceTwinsMatchPackedKernelsBitForBit) {
     return v;
   };
   constexpr std::size_t kTile = kGemmMR * kGemmNR;
+  const std::vector<Real> bounds = random(kGemmNR);
   for (const Index kb : {1, 2, 3, 4, 5, 7, 8, 9, 16, 50, 256}) {
     const std::vector<Real> ap = random(kGemmMR * static_cast<std::size_t>(kb));
     for (const Index ldb : {kb, kb + 3}) {
@@ -600,18 +604,35 @@ TEST_F(GemmKernelTest, InPlaceTwinsMatchPackedKernelsBitForBit) {
         PackPanels(b.data(), ldb, /*ids=*/nullptr, nr, 0, kb, kGemmNR,
                    bp.data());
         const std::vector<Real> c = random(kTile);
-        for (const Variant& v : variants) {
-          if (!GemmKernelSupported(v.kernel)) continue;
-          std::vector<Real> want = c;
-          std::vector<Real> got = c;
-          v.packed(ap.data(), bp.data(), kb, 1.25, want.data(), kGemmNR);
-          v.in_place(ap.data(), b.data(), ldb, nr, kb, 1.25, got.data(),
-                     kGemmNR);
-          for (std::size_t i = 0; i < kTile; ++i) {
-            ASSERT_EQ(std::bit_cast<uint64_t>(got[i]),
-                      std::bit_cast<uint64_t>(want[i]))
+        const std::vector<Real> thresholds = random(kGemmMR);
+        for (const bool accumulate : {false, true}) {
+          for (const Variant& v : variants) {
+            if (!GemmKernelSupported(v.kernel)) continue;
+            std::vector<Real> want =
+                accumulate ? c : std::vector<Real>(kTile, 0.0);
+            std::vector<Real> scored = c;
+            std::vector<Real> got = c;
+            v.packed(ap.data(), bp.data(), kb, 1, want.data(), kGemmNR);
+            const Real* test_bounds = accumulate ? bounds.data() : nullptr;
+            const uint64_t want_hits =
+                v.score(ap.data(), bp.data(), kb, scored.data(), accumulate,
+                        thresholds.data(), test_bounds);
+            const uint64_t got_hits =
+                v.in_place(ap.data(), b.data(), ldb, nr, kb, got.data(),
+                           accumulate, thresholds.data(), test_bounds);
+            ASSERT_EQ(got_hits, want_hits)
                 << ToString(v.kernel) << " kb=" << kb << " ldb=" << ldb
-                << " nr=" << nr << " cell " << i;
+                << " nr=" << nr << " accumulate=" << accumulate;
+            for (std::size_t i = 0; i < kTile; ++i) {
+              ASSERT_EQ(std::bit_cast<uint64_t>(scored[i]),
+                        std::bit_cast<uint64_t>(want[i]))
+                  << ToString(v.kernel) << " kb=" << kb << " cell " << i;
+              ASSERT_EQ(std::bit_cast<uint64_t>(got[i]),
+                        std::bit_cast<uint64_t>(want[i]))
+                  << ToString(v.kernel) << " kb=" << kb << " ldb=" << ldb
+                  << " nr=" << nr << " accumulate=" << accumulate
+                  << " cell " << i;
+            }
           }
         }
       }

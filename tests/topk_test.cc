@@ -1,8 +1,9 @@
 // Unit and property tests for src/topk: the bounded heap and block
 // extraction, validated against a sort-based reference across a
-// parameterized (n, k) sweep; the SIMD tile scan under every compiled
-// variant against the scalar comparisons; and the score-and-select tiles
-// against GemmNT plus the scalar loops.
+// parameterized (n, k) sweep; the micro-kernels' scorer epilogue under
+// every compiled variant against GemmNT and the scalar comparisons; and
+// the score-and-select tiles, over row records and heaps, against GemmNT
+// plus the scalar loops.
 
 #include <gtest/gtest.h>
 
@@ -442,41 +443,6 @@ std::vector<TopKEntry> Drain(TopKHeap* heap) {
   return out;
 }
 
-std::vector<Real> SortedDescending(std::vector<Real> v) {
-  std::sort(v.begin(), v.end(), [](Real a, Real b) { return a > b; });
-  return v;
-}
-
-// Rows that stress the lane arithmetic: exact ties straddling the 4- and
-// 8-lane boundaries (positions 7/8, 15/16, 31/32), rows shorter than one
-// vector, all-equal rows, coarse rows tied everywhere, and +-inf scores.
-std::vector<std::vector<Real>> SelectRows() {
-  std::vector<std::vector<Real>> rows;
-  Rng rng(11);
-  for (const Index n : {1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40, 64,
-                        100, 257, 1000}) {
-    const auto size = static_cast<std::size_t>(n);
-    std::vector<Real> random(size);
-    for (Real& v : random) v = rng.Normal();
-    for (const std::size_t lane : {8u, 16u, 32u}) {
-      if (size > lane) random[lane] = random[lane - 1];
-    }
-    rows.push_back(random);
-    std::vector<Real> coarse(size);
-    for (Real& v : coarse) v = std::floor(rng.Normal() * 2);
-    rows.push_back(coarse);
-    rows.emplace_back(size, 0.5);
-    std::vector<Real> infinite = random;
-    infinite[rng.UniformInt(size)] = kInf;
-    infinite[rng.UniformInt(size)] = -kInf;
-    infinite[size - 1] = -kInf;
-    if (size > 8) infinite[8] = kInf;
-    rows.push_back(infinite);
-    rows.push_back(SortedDescending(random));
-  }
-  return rows;
-}
-
 class SelectKernelTest : public ::testing::Test {
  protected:
   void TearDown() override { ResetGemmKernelForTest(); }
@@ -492,60 +458,112 @@ class SelectKernelTest : public ::testing::Test {
   }
 };
 
-// Every compiled tile scan sets exactly the bits of the scalar
-// comparisons (select_kernel.h).  Tiles are cut from SelectRows' cells,
-// with a NaN every 37 cells; each row's threshold is one of its own cells
-// (so cells tie it), -inf (a heap not yet full), +inf, or a bound (so
-// bounds tie it); bounds are absent or a descending ramp ending in -inf.
-TEST_F(SelectKernelTest, EveryTileScanMatchesTheScalarComparisons) {
-  std::vector<std::pair<std::string, SelectTileFn>> variants = {
-      {"portable", &SelectTilePortable}};
-  if (SelectAvx512KernelCompiled() &&
-      GemmKernelSupported(GemmKernel::kAvx512)) {
-    variants.emplace_back("avx512", &SelectTileAvx512);
-  }
-  if (SelectAvx2KernelCompiled() && GemmKernelSupported(GemmKernel::kAvx2)) {
-    variants.emplace_back("avx2", &SelectTileAvx2);
-  }
-  std::vector<Real> cells;
-  for (const std::vector<Real>& row : SelectRows()) {
-    cells.insert(cells.end(), row.begin(), row.end());
-  }
-  for (std::size_t i = 5; i < cells.size(); i += 37) {
-    cells[i] = std::numeric_limits<Real>::quiet_NaN();
-  }
+// Every compiled scorer entry and its in-place twin (linalg/gemm_kernel.h)
+// store their tile bit for bit as GemmNT writes it, under the same
+// kernel, and return exactly the bits of the scalar comparisons over the
+// stored tile.  Each tile is a 4 x 16 product at depth 1, 5, 50 or 300
+// (two K panels) of random or coarse factors (small integers, so cells
+// tie), with item row 8 a copy of row 7 (a tie across the 8-lane
+// boundary).  In every third tile one item factor is +-inf, so its
+// column is +-inf in three rows and NaN (inf x 0) in the row whose
+// factor there is 0.  Each row's threshold is one of its own cells (so
+// cells tie it), -inf (a row not yet full), +inf, or a bound (so bounds
+// tie it); bounds are absent or a descending ramp ending in -inf.
+TEST_F(SelectKernelTest, EveryTileEpilogueMatchesGemmNTAndTheScalarTests) {
+  struct Variant {
+    GemmKernel kernel;
+    GemmMicroKernelScoreFn packed;
+    GemmMicroKernelRowsFn in_place;
+  };
+  const Variant variants[] = {
+      {GemmKernel::kPortable, &GemmMicroKernelScorePortable,
+       &GemmMicroKernelRowsPortable},
+      {GemmKernel::kAvx2, &GemmMicroKernelScoreAvx2, &GemmMicroKernelRowsAvx2},
+      {GemmKernel::kAvx512, &GemmMicroKernelScoreAvx512,
+       &GemmMicroKernelRowsAvx512}};
   Real ramp[kGemmNR];
   for (Index j = 0; j < kGemmNR; ++j) ramp[j] = 2 - 0.25 * j;
   ramp[kGemmNR - 1] = -kInf;
   constexpr Index kCells = kGemmMR * kGemmNR;
-  for (std::size_t t0 = 0; t0 + kCells <= cells.size(); t0 += 23) {
-    const Real* tile = cells.data() + t0;
-    for (int choice = 0; choice < 4; ++choice) {
-      Real thresholds[kGemmMR];
-      for (Index r = 0; r < kGemmMR; ++r) {
-        const Real own = tile[r * kGemmNR + (5 * r + choice) % kGemmNR];
-        const Real pick[] = {std::isnan(own) ? Real{0} : own, -kInf,
-                             r % 2 == 0 ? kInf : -kInf, ramp[3 + 4 * r]};
-        thresholds[r] = pick[choice];
-      }
-      for (const Real* bounds : {static_cast<const Real*>(nullptr),
-                                 static_cast<const Real*>(ramp)}) {
-        uint64_t want = 0;
-        for (Index r = 0; r < kGemmMR; ++r) {
-          for (Index j = 0; j < kGemmNR; ++j) {
-            const bool hit = tile[r * kGemmNR + j] >= thresholds[r] ||
-                             (bounds != nullptr && bounds[j] < thresholds[r]);
-            want |= static_cast<uint64_t>(hit) << (r * kGemmNR + j);
-          }
+  Rng rng(11);
+  int nan_cells = 0;
+  for (const Index f : {1, 5, 50, 300}) {
+    for (int round = 0; round < 24; ++round) {
+      const bool coarse = round % 2 == 1;
+      Matrix a(kGemmMR, f);
+      Matrix b(kGemmNR, f);
+      for (Matrix* m : {&a, &b}) {
+        for (std::size_t i = 0; i < m->size(); ++i) {
+          m->data()[i] = coarse ? std::floor(rng.Normal() * 2) : rng.Normal();
         }
-        for (const auto& [name, scan] : variants) {
-          ASSERT_EQ(scan(tile, bounds, thresholds), want)
-              << name << " tile at " << t0 << " thresholds " << choice
-              << (bounds != nullptr ? " bounded" : "");
+      }
+      std::copy_n(b.Row(7), f, b.Row(8));
+      if (round % 3 == 0) {
+        b(round % kGemmNR, f - 1) = round % 6 == 0 ? kInf : -kInf;
+        for (Index i = 0; i < kGemmMR; ++i) a(i, f - 1) = i == 2 ? 0 : 1;
+      }
+      std::vector<Real> ap(static_cast<std::size_t>(kGemmMR * f));
+      std::vector<Real> bp(static_cast<std::size_t>(kGemmNR * f));
+      PackPanels(a.data(), f, nullptr, kGemmMR, 0, f, kGemmMR, ap.data());
+      PackPanels(b.data(), f, nullptr, kGemmNR, 0, f, kGemmNR, bp.data());
+      for (const Variant& v : variants) {
+        if (!GemmKernelSupported(v.kernel)) continue;
+        ASSERT_TRUE(ForceGemmKernel(v.kernel).ok());
+        Real want[kCells];
+        GemmNT(a.data(), kGemmMR, b.data(), kGemmNR, f, 1, 0, want, kGemmNR);
+        for (const Real cell : want) nan_cells += std::isnan(cell) ? 1 : 0;
+        for (int choice = 0; choice < 4; ++choice) {
+          Real thresholds[kGemmMR];
+          for (Index r = 0; r < kGemmMR; ++r) {
+            const Real own =
+                want[r * kGemmNR + (5 * r + choice + round) % kGemmNR];
+            const Real pick[] = {std::isnan(own) ? Real{0} : own, -kInf,
+                                 r % 2 == 0 ? kInf : -kInf, ramp[3 + 4 * r]};
+            thresholds[r] = pick[choice];
+          }
+          for (const Real* bounds : {static_cast<const Real*>(nullptr),
+                                     static_cast<const Real*>(ramp)}) {
+            for (const bool in_place : {false, true}) {
+              SCOPED_TRACE(::testing::Message()
+                           << ToString(v.kernel) << " f=" << f << " round "
+                           << round << " thresholds " << choice
+                           << (bounds != nullptr ? " bounded" : "")
+                           << (in_place ? " in place" : " packed"));
+              Real got[kCells];
+              std::fill_n(got, kCells, std::numeric_limits<Real>::quiet_NaN());
+              uint64_t hits = 0;
+              for (Index p0 = 0; p0 < f; p0 += kGemmKPanel) {
+                const Index kb = std::min(kGemmKPanel, f - p0);
+                const Real* test = p0 + kb == f ? thresholds : nullptr;
+                const Real* a0 = ap.data() + p0 * kGemmMR;
+                hits = in_place
+                           ? v.in_place(a0, b.data() + p0, f, kGemmNR, kb, got,
+                                        p0 > 0, test, bounds)
+                           : v.packed(a0, bp.data() + p0 * kGemmNR, kb, got,
+                                      p0 > 0, test, bounds);
+              }
+              uint64_t want_hits = 0;
+              for (Index r = 0; r < kGemmMR; ++r) {
+                for (Index j = 0; j < kGemmNR; ++j) {
+                  const bool hit =
+                      got[r * kGemmNR + j] >= thresholds[r] ||
+                      (bounds != nullptr && bounds[j] < thresholds[r]);
+                  want_hits |= static_cast<uint64_t>(hit) << (r * kGemmNR + j);
+                }
+              }
+              ASSERT_EQ(hits, want_hits);
+              for (Index i = 0; i < kCells; ++i) {
+                ASSERT_EQ(std::bit_cast<uint64_t>(got[i]),
+                          std::bit_cast<uint64_t>(want[i]))
+                    << "cell " << i;
+              }
+            }
+          }
         }
       }
     }
   }
+  EXPECT_GT(nan_cells, 0);
 }
 
 // Random query and item rows, with item rows duplicated across lane and
@@ -574,7 +592,8 @@ ScoreFixture MakeScoreFixture(Index m, Index n, Index f, uint64_t seed) {
 
 TEST_F(SelectKernelTest, ScoreTopKMatchesWholeBlockSelection) {
   // Shapes span one and two row tiles (kScoreTileRows = 128), one and
-  // several 16-item panels, and fewer items than pool workers.
+  // several 16-item panels, and fewer items than pool workers; k
+  // straddles the widest row record (kRowTopWidth = 16).
   const std::vector<std::tuple<Index, Index, Index>> shapes = {
       {1, 5, 3}, {7, 1000, 6}, {130, 700, 5}, {300, 40, 4}, {3, 2, 2}};
   ThreadPool pool(3);
@@ -587,7 +606,7 @@ TEST_F(SelectKernelTest, ScoreTopKMatchesWholeBlockSelection) {
       Matrix scores(m, n);
       GemmNT(fx.rows.data(), m, fx.items.data(), n, f, 1, 0, scores.data(),
              n);
-      for (const Index k : {1, 4, n + 1}) {
+      for (const Index k : {1, 4, 15, 16, 17, n + 1}) {
         for (const Index* item_ids :
              {static_cast<const Index*>(nullptr),
               static_cast<const Index*>(ids.data())}) {
@@ -714,68 +733,85 @@ TEST_F(SelectKernelTest, BoundedPanelsWalkLikeTheScalarBreakLoop) {
 // A call of at most kScoreInPlaceRows query rows reads its items in
 // place (linalg GemmMicroKernelRows*); a longer one packs them.  Either
 // way every row must be, bit for bit, serial GemmNT followed by a full
-// BetterEntry sort.  The shapes cross the row rule (m = 5); cover part of
-// an item panel, one, and one plus part of a second (n = 15, 16, 17); and
-// reach depths of one value, one whole K panel and part of a second
-// (f = 1, 256, 257, 300).  k reaches past n.  Items tie exactly
+// BetterEntry sort.  The shapes cross the row rule (m = 5) and reach a
+// packed call of three row groups (m = 9); cover part of an item panel,
+// one, and one plus part of a second (n = 15, 16, 17); and reach depths
+// of one value, one whole K panel and part of a second (f = 1, 256, 257,
+// 300).  k straddles the widest row record (kRowTopWidth = 16: k = 15,
+// 16 on records, 17 on heaps) and reaches past n.  Items tie exactly
 // (MakeScoreFixture's duplicated rows, at panel boundaries among them),
 // and for odd m the last query row is all zero, so its products are all
-// +-0.  Rows are read through row ids and items reported through item ids,
-// or in order with an item offset.
+// +-0.  In a second pass every item row is the same, so every row must
+// be the k lowest ids in ascending order.  Rows are read through row ids
+// and items reported through item ids, or in order with an item offset.
 TEST_F(SelectKernelTest, FewRowCallsMatchGemmNTAndAFullSort) {
   static_assert(kScoreInPlaceRows < 5, "m = 5 must take the packed path");
+  static_assert(kRowTopWidth == 16, "k = 15, 16 and 17 straddle the width");
   ThreadPool pool(3);
-  for (const Index f : {1, 50, 256, 257, 300}) {
-    for (const Index n : {1, 15, 16, 17, 200}) {
-      for (const Index m : {1, 2, 3, 4, 5}) {
-        ScoreFixture fx = MakeScoreFixture(m, n, f, 31 + m + n + f);
-        if (m % 2 == 1) std::fill_n(fx.rows.Row(m - 1), f, Real{0});
-        Matrix scores(m, n);
-        GemmNT(fx.rows.data(), m, fx.items.data(), n, f, 1, 0, scores.data(),
-               n);
-        std::vector<Index> row_ids(static_cast<std::size_t>(m));
-        for (Index r = 0; r < m; ++r) {
-          row_ids[static_cast<std::size_t>(r)] = m - 1 - r;
-        }
-        std::vector<Index> item_ids(static_cast<std::size_t>(n));
-        for (Index j = 0; j < n; ++j) {
-          item_ids[static_cast<std::size_t>(j)] = 2 * (n - 1 - j);
-        }
-        for (const bool mapped : {false, true}) {
-          const Index* rids = mapped ? row_ids.data() : nullptr;
-          const Index* iids = mapped ? item_ids.data() : nullptr;
-          const Index offset = mapped ? 0 : 7;
-          for (const Index k : {Index{1}, Index{10}, n + 3}) {
-            TopKResult want(m, k);
-            for (Index r = 0; r < m; ++r) {
-              const Real* row = scores.Row(rids != nullptr ? rids[r] : r);
-              std::vector<TopKEntry> all;
-              for (Index j = 0; j < n; ++j) {
-                all.push_back(
-                    {iids != nullptr ? iids[j] : j + offset, row[j]});
+  for (const bool tied : {false, true}) {
+    for (const Index f : {1, 50, 256, 257, 300}) {
+      for (const Index n : {1, 15, 16, 17, 200}) {
+        for (const Index m : {1, 2, 3, 4, 5, 9}) {
+          ScoreFixture fx = MakeScoreFixture(m, n, f, 31 + m + n + f);
+          if (m % 2 == 1) std::fill_n(fx.rows.Row(m - 1), f, Real{0});
+          for (Index j = 1; tied && j < n; ++j) {
+            std::copy_n(fx.items.Row(0), f, fx.items.Row(j));
+          }
+          Matrix scores(m, n);
+          GemmNT(fx.rows.data(), m, fx.items.data(), n, f, 1, 0, scores.data(),
+                 n);
+          std::vector<Index> row_ids(static_cast<std::size_t>(m));
+          for (Index r = 0; r < m; ++r) {
+            row_ids[static_cast<std::size_t>(r)] = m - 1 - r;
+          }
+          std::vector<Index> item_ids(static_cast<std::size_t>(n));
+          for (Index j = 0; j < n; ++j) {
+            item_ids[static_cast<std::size_t>(j)] = 2 * (n - 1 - j);
+          }
+          for (const bool mapped : {false, true}) {
+            const Index* rids = mapped ? row_ids.data() : nullptr;
+            const Index* iids = mapped ? item_ids.data() : nullptr;
+            const Index offset = mapped ? 0 : 7;
+            for (const Index k : {Index{1}, Index{10}, Index{15}, Index{16},
+                                  Index{17}, n + 3}) {
+              TopKResult want(m, k);
+              for (Index r = 0; r < m; ++r) {
+                const Real* row = scores.Row(rids != nullptr ? rids[r] : r);
+                std::vector<TopKEntry> all;
+                for (Index j = 0; j < n; ++j) {
+                  all.push_back(
+                      {iids != nullptr ? iids[j] : j + offset, row[j]});
+                }
+                std::sort(all.begin(), all.end(), BetterEntry);
+                all.resize(static_cast<std::size_t>(k), TopKEntry{-1, -kInf});
+                std::copy(all.begin(), all.end(), want.Row(r));
+                for (Index e = 0; tied && e < std::min(k, n); ++e) {
+                  // The k lowest ids: 0, 2, 4, ... mapped, 7, 8, 9, ... not.
+                  ASSERT_EQ(want.Row(r)[e].item,
+                            iids != nullptr ? 2 * e : offset + e);
+                }
               }
-              std::sort(all.begin(), all.end(), BetterEntry);
-              all.resize(static_cast<std::size_t>(k), TopKEntry{-1, -kInf});
-              std::copy(all.begin(), all.end(), want.Row(r));
-            }
-            for (const GemmKernel kernel : SupportedKernels()) {
-              ASSERT_TRUE(ForceGemmKernel(kernel).ok());
-              for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-                SCOPED_TRACE(::testing::Message()
-                             << ToString(kernel) << " m=" << m << " n=" << n
-                             << " f=" << f << " k=" << k
-                             << (mapped ? " ids" : " offset")
-                             << (p != nullptr ? " pooled" : " serial"));
-                TopKResult got(m, k);
-                ScoreTopK(fx.rows.data(), m, fx.items.data(), n, f, k, offset,
-                          iids, p, &got, /*row_offset=*/0, rids);
-                for (Index r = 0; r < m; ++r) {
-                  for (Index e = 0; e < k; ++e) {
-                    ASSERT_EQ(got.Row(r)[e].item, want.Row(r)[e].item)
-                        << "row " << r << " entry " << e;
-                    ASSERT_EQ(std::bit_cast<uint64_t>(got.Row(r)[e].score),
-                              std::bit_cast<uint64_t>(want.Row(r)[e].score))
-                        << "row " << r << " entry " << e;
+              for (const GemmKernel kernel : SupportedKernels()) {
+                ASSERT_TRUE(ForceGemmKernel(kernel).ok());
+                for (ThreadPool* p :
+                     {static_cast<ThreadPool*>(nullptr), &pool}) {
+                  SCOPED_TRACE(::testing::Message()
+                               << ToString(kernel) << " m=" << m << " n=" << n
+                               << " f=" << f << " k=" << k
+                               << (mapped ? " ids" : " offset")
+                               << (tied ? " tied" : "")
+                               << (p != nullptr ? " pooled" : " serial"));
+                  TopKResult got(m, k);
+                  ScoreTopK(fx.rows.data(), m, fx.items.data(), n, f, k, offset,
+                            iids, p, &got, /*row_offset=*/0, rids);
+                  for (Index r = 0; r < m; ++r) {
+                    for (Index e = 0; e < k; ++e) {
+                      ASSERT_EQ(got.Row(r)[e].item, want.Row(r)[e].item)
+                          << "row " << r << " entry " << e;
+                      ASSERT_EQ(std::bit_cast<uint64_t>(got.Row(r)[e].score),
+                                std::bit_cast<uint64_t>(want.Row(r)[e].score))
+                          << "row " << r << " entry " << e;
+                    }
                   }
                 }
               }
