@@ -3,7 +3,8 @@
 // ("substantial empirical speedups over naive inner products (40x) or
 // even matrix-vector multiply (20x)"), plus the top-K heap pass, the
 // k-means assignment GEMM, the level-1 dot kernels, and, per kernel
-// variant, the whole score-and-select call.
+// variant, the whole score-and-select call; and MAXIMUS's bounded walk
+// per walked list position.
 //
 // The binary first prints the runtime SIMD dispatch report — per-variant
 // packed-panel GFLOP/s from a fresh KernelProbe sweep, the installed
@@ -17,9 +18,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
+#include <vector>
 
 #include "cluster/kmeans.h"
 #include "common/rng.h"
+#include "core/maximus.h"
+#include "data/datasets.h"
 #include "data/synthetic.h"
 #include "linalg/blas.h"
 #include "linalg/gemm.h"
@@ -150,6 +155,54 @@ void BM_KMeans(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KMeans);
+
+// MAXIMUS's bounded walk under the installed kernel: TopKForUsers over
+// 2,048-user requests that step through the users of batch-skewed's
+// norm-skewed model (r2-nomad-50 x6: 164,086 users x 12,306 items, f = 50,
+// prepared once with the default options), at width k: k = 10 keeps each
+// user's best k in a row record, k = 17 in a heap.  Reported as time per
+// walked list position (the solver's mean_items_visited per user), the
+// walk's counterpart of BM_ScoreTopK's time per cell.
+void BM_MaximusTopK(benchmark::State& state) {
+  struct Prepared {
+    MFModel model;
+    MaximusSolver solver;
+  };
+  static Prepared* const prepared = [] {
+    auto* p = new Prepared;
+    auto preset = FindModelPreset("r2-nomad-50");
+    preset.status().CheckOK();
+    auto model = MakeModel(*preset, 6);
+    model.status().CheckOK();
+    p->model = std::move(model).value();
+    p->solver.Prepare(ConstRowBlock(p->model.users),
+                      ConstRowBlock(p->model.items)).CheckOK();
+    return p;
+  }();
+  const auto k = static_cast<Index>(state.range(0));
+  const Index request = 2048;
+  const Index users = prepared->model.num_users();
+  std::vector<Index> ids(static_cast<std::size_t>(request));
+  TopKResult result;
+  Index cursor = 0;
+  double positions = 0;
+  for (auto _ : state) {
+    for (Index r = 0; r < request; ++r) {
+      ids[static_cast<std::size_t>(r)] = (cursor + r) % users;
+    }
+    prepared->solver.TopKForUsers(k, ids, &result).CheckOK();
+    benchmark::DoNotOptimize(result.Row(0));
+    positions += prepared->solver.mean_items_visited() * request;
+    cursor = (cursor + request) % users;
+  }
+  state.counters["time/position"] = benchmark::Counter(
+      positions, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_MaximusTopK)
+    ->ArgName("k")
+    ->Arg(10)
+    ->Arg(17)
+    ->Unit(benchmark::kMillisecond);
 
 // One blocked-GEMM benchmark per installed kernel variant (registered in
 // main for the variants this machine supports).  Forcing the kernel

@@ -5,8 +5,10 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <utility>
 
 #include "cluster/spherical.h"
+#include "common/dcheck.h"
 #include "common/timer.h"
 #include "core/cbound.h"
 #include "linalg/blas.h"
@@ -170,14 +172,16 @@ Status MaximusSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
         if (norm > 0) Scale(Real{1} / norm, normalized.Row(r), f);
       }
 
-      std::vector<TopKHeap> heaps(static_cast<std::size_t>(m), TopKHeap(k));
       std::vector<int64_t> visited(static_cast<std::size_t>(m), 0);
+      const auto out_row = [&](Index r) {
+        return out->Row(static_cast<Index>(rows[static_cast<std::size_t>(r)]));
+      };
 
       if (block <= 0) {
         // Lesion path (item blocking disabled): scalar walk per user.
         for (Index r = 0; r < m; ++r) {
           const Real* nu = normalized.Row(r);
-          TopKHeap& heap = heaps[static_cast<std::size_t>(r)];
+          TopKHeap heap(k);
           for (Index pos = 0; pos < n; ++pos) {
             // Strict prune (`<`, not `<=`): a bound equal to the heap
             // minimum can cover a tied score, and the tied item must
@@ -191,6 +195,7 @@ Status MaximusSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
             heap.Push(id, Dot(nu, items_.Row(id), f));
             ++visited[static_cast<std::size_t>(r)];
           }
+          heap.ExtractDescending(out_row(r));
         }
       } else {
         // Progressive item blocking (Section III-D, extended): score the
@@ -198,33 +203,48 @@ Status MaximusSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
         // the users still walking (rows `active` of `normalized`), so
         // even deep walks stay on the blocked kernel instead of degrading
         // to scalar gather-dots.  The first segment was packed at
-        // construction; a later one is gathered straight into packed form.
+        // construction.  Before a later one, the walkers are regrouped in
+        // order of their thresholds, so that the four users of a register
+        // tile stop near each other, and the segment is gathered into
+        // packed form only through the first position whose bound is
+        // below the lowest threshold: every walker stops there at the
+        // latest, since thresholds only rise and the bounds descend.
+        BoundedWalk walk(m, k, f);
         std::vector<Index> active(static_cast<std::size_t>(m));
         std::iota(active.begin(), active.end(), 0);
-        std::vector<TopKHeap*> active_heaps;
+        std::vector<std::pair<Real, Index>> by_threshold;
         std::vector<Index> walked;
 
         for (Index pos0 = 0; pos0 < n && !active.empty(); pos0 += block) {
           const Index len = std::min<Index>(block, n - pos0);
+          const Real* bounds = list.bounds.data() + pos0;
+          Index reach = len;
           if (pos0 > 0) {
-            segment.Pack(items_.data(), list.item_ids.data() + pos0, len, f);
-          }
-          active_heaps.clear();
-          for (const Index r : active) {
-            active_heaps.push_back(&heaps[static_cast<std::size_t>(r)]);
+            by_threshold.clear();
+            for (const Index r : active) {
+              by_threshold.emplace_back(walk.Threshold(r), r);
+            }
+            std::sort(by_threshold.begin(), by_threshold.end());
+            for (std::size_t a = 0; a < active.size(); ++a) {
+              active[a] = by_threshold[a].second;
+            }
+            const Real lowest = by_threshold.front().first;
+            const auto walks_on = [lowest](Real b) { return !(b < lowest); };
+            const Real* below =
+                std::partition_point(bounds, bounds + len, walks_on);
+            reach = std::min(len, static_cast<Index>(below - bounds) + 1);
+            segment.Pack(items_.data(), list.item_ids.data() + pos0, reach, f);
           }
           walked.resize(active.size());
-          ScoreIntoHeaps(normalized.data(), active.data(),
-                         static_cast<Index>(active.size()),
-                         pos0 == 0 ? list.block : segment, /*item_offset=*/0,
-                         list.item_ids.data() + pos0,
-                         list.bounds.data() + pos0, active_heaps,
-                         walked.data());
+          walk.Score(normalized.data(), active,
+                     pos0 == 0 ? list.block : segment,
+                     list.item_ids.data() + pos0, bounds, walked.data());
 
           // A row that walked the whole segment goes on to the next one.
           std::size_t still_active = 0;
           for (std::size_t a = 0; a < active.size(); ++a) {
             const Index r = active[a];
+            MIPS_DCHECK(reach == len || walked[a] < reach);
             visited[static_cast<std::size_t>(r)] += walked[a];
             if (walked[a] == len && pos0 + len < n) {
               active[still_active++] = r;
@@ -232,14 +252,13 @@ Status MaximusSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
           }
           active.resize(still_active);
         }
+        for (Index r = 0; r < m; ++r) walk.Write(r, out_row(r));
       }
 
       for (Index r = 0; r < m; ++r) {
         visited_acc += visited[static_cast<std::size_t>(r)];
-        const int64_t out_row = rows[static_cast<std::size_t>(r)];
-        TopKEntry* entries = out->Row(static_cast<Index>(out_row));
-        heaps[static_cast<std::size_t>(r)].ExtractDescending(entries);
         // Rescale normalized scores to true inner products.
+        TopKEntry* entries = out_row(r);
         const Real norm = user_norms[static_cast<std::size_t>(r)];
         for (Index e = 0; e < k; ++e) {
           if (entries[e].item >= 0) entries[e].score *= norm;

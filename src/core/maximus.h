@@ -16,12 +16,23 @@
 // Hardware-efficient item blocking (Section III-D): each cluster list is
 // scored in B-item segments for all of the cluster's still-walking
 // queried users with one blocked GEMM per segment, sharing work across
-// users.  Each segment is packed for the GEMM micro-kernel once: the
-// first at construction, the later ones gathered straight into packed
-// form when a walk reaches them.  ScoreIntoHeaps (topk/score_select.h)
-// scores a segment one 4x16 register tile at a time and walks each tile
-// row while it is in L1, stopping at the same list position as the scalar
-// bound check; a tile whose four users have all stopped is not scored.
+// users.  A BoundedWalk (topk/score_select.h) scores a segment one 4x16
+// register tile at a time and walks each tile row while it is in L1,
+// stopping at the same list position as the scalar bound check; a tile
+// whose four users have all stopped is not scored.  Each user keeps its
+// best k across all of its segments: in one sorted row record when k <=
+// 16, in a heap past it.  The first segment is packed for the GEMM
+// micro-kernel at construction.  Before each later one:
+//   - the users still walking are regrouped in order of their threshold
+//     (k-th score), so the four users of a register tile stop near each
+//     other instead of one tile walking until its slowest user stops;
+//   - the segment is gathered into packed form only through the first
+//     position whose bound is below the lowest of those thresholds.
+//     Thresholds only rise and the bounds descend, so every walker stops
+//     there at the latest.
+// Neither moves a stop: each user's answer and visit count are those of
+// the scalar walk, in any request order.  The block_size = 0 lesion and
+// the dynamic-user walk (QueryDynamicUser) stay scalar, on heaps.
 
 #ifndef MIPS_CORE_MAXIMUS_H_
 #define MIPS_CORE_MAXIMUS_H_

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <variant>
 #include <vector>
 
 #include "common/dcheck.h"
@@ -13,6 +14,7 @@
 #include "linalg/simd_dispatch.h"
 #include "topk/merge.h"
 #include "topk/select_kernel.h"
+#include "topk/topk_heap.h"
 
 namespace mips {
 namespace {
@@ -149,14 +151,16 @@ class RowTops {
   std::vector<Index> counts_;
 };
 
-/// Query rows kept in TopKHeaps: a ScoreTopK call with k past
-/// kRowTopWidth, and ScoreIntoHeaps.
+/// The best k entries of m query rows, one TopKHeap each: a ScoreTopK
+/// call or a BoundedWalk with k past kRowTopWidth.
 class HeapRows {
  public:
-  explicit HeapRows(TopKHeap* const* heaps) : heaps_(heaps) {}
+  HeapRows(Index m, Index k) {
+    heaps_.reserve(static_cast<std::size_t>(m));
+    for (Index r = 0; r < m; ++r) heaps_.emplace_back(k);
+  }
 
-  TopKHeap* heap(Index r) const { return heaps_[r]; }
-  Real Threshold(Index r) const { return heap(r)->MinScore(); }
+  Real Threshold(Index r) const { return heap(r).MinScore(); }
 
   /// Pushes a flagged cell if it still reaches row r's minimum: the flag
   /// was raised against the minimum the panel started with, which only
@@ -164,31 +168,36 @@ class HeapRows {
   /// `if (WouldAccept(s)) Push` loop.
   void Take(Index r, Index id, Real score, Real* threshold) {
     if (!(score >= *threshold)) return;
-    heap(r)->Push(id, score);
-    *threshold = heap(r)->MinScore();
+    heap(r).Push(id, score);
+    *threshold = heap(r).MinScore();
   }
 
-  void Write(Index r, TopKEntry* out) { heap(r)->ExtractDescending(out); }
+  void Write(Index r, TopKEntry* out) { heap(r).ExtractDescending(out); }
 
  private:
-  TopKHeap* const* heaps_;
+  TopKHeap& heap(Index r) { return heaps_[static_cast<std::size_t>(r)]; }
+  const TopKHeap& heap(Index r) const {
+    return heaps_[static_cast<std::size_t>(r)];
+  }
+
+  std::vector<TopKHeap> heaps_;
 };
 
 /// Walks one tile row of a bounded walk in column order, as the scalar
 /// break loop would, and returns the column where it stops (nr if none):
-/// the first whose bound is strictly below the heap minimum.  The cells
-/// before it that still reach the minimum are pushed.  A push that raises
-/// the minimum flags the first later column whose bound falls below it,
-/// which the epilogue could not see.
-Index Walk(const Real* scores, const Real* bounds, Index nr, uint32_t hits,
-           Index c, ItemIds id, TopKHeap* heap, Real* threshold) {
+/// the first whose bound is strictly below the row's threshold.  The cells
+/// before it that still reach the threshold are offered to row r of out.
+/// An offer that raises the threshold flags the first later column whose
+/// bound falls below it, which the epilogue could not see.
+template <typename Rows>
+Index WalkRow(const Real* scores, const Real* bounds, Index nr, uint32_t hits,
+              Index c, ItemIds id, Rows& out, Index r, Real* threshold) {
   for (; hits != 0; hits &= hits - 1) {
     const int j = __builtin_ctz(hits);
     const Real t = *threshold;
     if (bounds[j] < t) return j;
     if (!(scores[j] >= t)) continue;
-    heap->Push(id(c + j), scores[j]);
-    *threshold = heap->MinScore();
+    out.Take(r, id(c + j), scores[j], threshold);
     if (*threshold > t) {
       for (Index q = j + 1; q < nr; ++q) {
         if (bounds[q] < *threshold) {
@@ -199,6 +208,19 @@ Index Walk(const Real* scores, const Real* bounds, Index nr, uint32_t hits,
     }
   }
   return nr;
+}
+
+/// The bits of a tile mask that belong to its first mr rows.
+constexpr uint64_t TileRows(Index mr) {
+  return mr == kMR ? ~uint64_t{0} : (uint64_t{1} << (mr * kNR)) - 1;
+}
+
+/// The bits of a tile mask that belong to its first nr columns, in every
+/// row.
+constexpr uint64_t TileColumns(Index nr) {
+  static_assert(kMR == 4 && kNR == 16, "four 16-bit rows a mask");
+  const uint64_t row = nr == kNR ? kRowBits : (uint64_t{1} << nr) - 1;
+  return row * 0x0001000100010001;
 }
 
 /// The n items of f factors a scorer call reads: packed in kNR-wide
@@ -217,7 +239,9 @@ struct alignas(64) ScoreTile {
 
 /// One scorer call's state: the installed kernels' scorer entries, one
 /// packed tile of query rows, those rows' thresholds, and the score strip
-/// of one item panel.
+/// of one item panel with its hit masks.  A bounded walk also keeps the
+/// groups of the row tile that still walk, with a mask of their walking
+/// rows each.
 class TileScorer {
  public:
   TileScorer(Index tile_rows, Index f)
@@ -230,35 +254,61 @@ class TileScorer {
             static_cast<std::size_t>(f))),
         strip_(static_cast<std::size_t>(RoundUp(tile_rows, kMR) / kMR)),
         thresholds_(static_cast<std::size_t>(RoundUp(tile_rows, kMR))),
-        hits_(static_cast<std::size_t>(RoundUp(tile_rows, kMR) / kMR)) {
+        hits_(static_cast<std::size_t>(RoundUp(tile_rows, kMR) / kMR)),
+        walking_(hits_.size()),
+        live_(hits_.size()) {
     MIPS_DCHECK_GT(tile_rows, 0);
   }
 
-  /// Scores query rows [0, m) into out's rows, one row tile at a time.
-  /// Bounded (HeapRows only), row r walks the items as ScoreIntoHeaps
-  /// says and walked[r] records how far.
-  template <bool kBounded, typename Rows>
+  /// Scores query rows [0, m) into out's rows [0, m), one row tile at a
+  /// time.
+  template <typename Rows>
   void Run(const Real* rows, const Index* row_ids, Index m,
-           const ItemPanels& items, ItemIds id, const Real* bounds, Rows& out,
-           Index* walked) {
+           const ItemPanels& items, ItemIds id, Rows& out) {
     for (Index r0 = 0; r0 < m; r0 += tile_rows_) {
       const Index mb = std::min(tile_rows_, m - r0);
-      if (row_ids != nullptr) {
-        PackPanels(rows, f_, row_ids + r0, mb, 0, f_, kMR, apack_.get());
-      } else {
-        PackPanels(rows + static_cast<std::size_t>(r0) * f_, f_, nullptr, mb,
-                   0, f_, kMR, apack_.get());
-      }
+      PackRowTile(rows, row_ids, r0, mb);
       for (Index r = 0; r < mb; ++r) thresholds_[r] = out.Threshold(r0 + r);
-      ScoreRowTile<kBounded>(r0, mb, items, id, bounds, out,
-                             kBounded ? walked + r0 : nullptr);
+      ScoreRowTile(r0, mb, items, id, out);
       for (Index r = 0; r < mb; ++r) {
         MIPS_DCHECK_EQ(thresholds_[r], out.Threshold(r0 + r));
       }
     }
   }
 
+  /// Walks rows walkers[0, m) of out over the items as BoundedWalk::Score
+  /// says, one row tile at a time; row r's query is rows + r * f.
+  template <typename Rows>
+  void Walk(const Real* rows, const Index* walkers, Index m,
+            const ItemPanels& items, ItemIds id, const Real* bounds,
+            Rows& out, Index* walked) {
+    for (Index r0 = 0; r0 < m; r0 += tile_rows_) {
+      const Index mb = std::min(tile_rows_, m - r0);
+      PackRowTile(rows, walkers, r0, mb);
+      for (Index r = 0; r < mb; ++r) {
+        thresholds_[r] = out.Threshold(walkers[r0 + r]);
+      }
+      WalkRowTile(walkers + r0, mb, items, id, bounds, out, walked + r0);
+      // Every walker leaves the segment with its row's threshold.
+      for (Index r = 0; r < mb; ++r) {
+        MIPS_DCHECK_EQ(thresholds_[r], out.Threshold(walkers[r0 + r]));
+      }
+    }
+  }
+
  private:
+  /// Packs query rows [r0, r0 + mb) of the call, row r read from rows +
+  /// (row_ids ? row_ids[r] : r) * f.
+  void PackRowTile(const Real* rows, const Index* row_ids, Index r0,
+                   Index mb) {
+    if (row_ids != nullptr) {
+      PackPanels(rows, f_, row_ids + r0, mb, 0, f_, kMR, apack_.get());
+    } else {
+      PackPanels(rows + static_cast<std::size_t>(r0) * f_, f_, nullptr, mb, 0,
+                 f_, kMR, apack_.get());
+    }
+  }
+
   /// Scores one group of kMR packed rows against one item panel into its
   /// strip tile, K panel after K panel, and returns the hit mask the last
   /// K panel's epilogue tested against the rows' thresholds (and the
@@ -290,68 +340,94 @@ class TileScorer {
   /// into the strip and tested in the epilogue against the thresholds the
   /// panel started with, and then the flagged cells are folded.  No branch
   /// in the first pass waits on a score, so the micro-kernel calls run
-  /// back to back.  Bounded, a row walks while walked[r] equals the
-  /// panel's first position, and a group none of whose rows walk is not
-  /// scored.
-  template <bool kBounded, typename Rows>
+  /// back to back.
+  template <typename Rows>
   void ScoreRowTile(Index r0, Index mb, const ItemPanels& items, ItemIds id,
-                    const Real* bounds, Rows& out, Index* walked) {
+                    Rows& out) {
     const Index n = items.n;
     const Index groups = RoundUp(mb, kMR) / kMR;
-    Index walking = mb;
-    alignas(64) Real edge_bounds[kNR];
     for (Index c = 0; c < n; c += kNR) {
-      if (kBounded && walking == 0) return;
       const Index nr = std::min(kNR, n - c);
-      const uint64_t cols = nr == kNR ? kRowBits : (uint64_t{1} << nr) - 1;
+      const uint64_t cols = TileColumns(nr);
       const Real* bp = items.data + static_cast<std::size_t>(c) * f_;
-      const Real* tile_bounds = nullptr;
-      if constexpr (kBounded) {
-        tile_bounds = bounds + c;
-        if (nr < kNR) {
-          // Past the last item no bound can end a walk.
-          std::fill(std::copy_n(tile_bounds, nr, edge_bounds),
-                    edge_bounds + kNR, kInf);
-          tile_bounds = edge_bounds;
-        }
-      }
       for (Index g = 0; g < groups; ++g) {
-        const Index i = g * kMR;
-        const Index mr = std::min(kMR, mb - i);
-        uint64_t live = 0;
-        for (Index r = 0; r < mr; ++r) {
-          if (!kBounded || walked[i + r] == c) live |= cols << (r * kNR);
-        }
+        const Index mr = std::min(kMR, mb - g * kMR);
         hits_[static_cast<std::size_t>(g)] =
-            live == 0 ? 0 : ScoreGroup(g, items, bp, nr, tile_bounds) & live;
+            ScoreGroup(g, items, bp, nr, nullptr) & cols & TileRows(mr);
       }
-      if constexpr (kBounded) {
-        for (Index r = 0; r < mb; ++r) {
-          if (walked[r] != c) continue;
-          const auto row_hits = static_cast<uint32_t>(
-              (hits_[static_cast<std::size_t>(r / kMR)] >> (r % kMR * kNR)) &
-              kRowBits);
-          const Real* scores =
-              strip_[static_cast<std::size_t>(r / kMR)].cells +
-              r % kMR * kNR;
-          const Index stop = Walk(scores, tile_bounds, nr, row_hits, c, id,
-                                  out.heap(r0 + r), &thresholds_[r]);
-          walked[r] = c + stop;
-          if (stop < nr) --walking;
+      // Bit b of group g's mask is cell b of its tile: row g * kMR +
+      // b / kNR, column c + b % kNR.
+      for (Index g = 0; g < groups; ++g) {
+        const Real* tile = strip_[static_cast<std::size_t>(g)].cells;
+        for (uint64_t bits = hits_[static_cast<std::size_t>(g)]; bits != 0;
+             bits &= bits - 1) {
+          const int b = __builtin_ctzll(bits);
+          const Index r = g * kMR + b / kNR;
+          out.Take(r0 + r, id(c + b % kNR), tile[b], &thresholds_[r]);
         }
-      } else {
-        // Bit b of group g's mask is cell b of its tile: row g * kMR +
-        // b / kNR, column c + b % kNR.
-        for (Index g = 0; g < groups; ++g) {
-          const Real* tile = strip_[static_cast<std::size_t>(g)].cells;
-          for (uint64_t bits = hits_[static_cast<std::size_t>(g)]; bits != 0;
-               bits &= bits - 1) {
-            const int b = __builtin_ctzll(bits);
-            const Index r = g * kMR + b / kNR;
-            out.Take(r0 + r, id(c + b % kNR), tile[b], &thresholds_[r]);
+      }
+    }
+  }
+
+  /// The bounded twin of ScoreRowTile: the mb packed rows, rows walkers[r]
+  /// of out, walk the items with their sorted bounds, and walked[r] is set
+  /// to where row r stops (n if it does not).  The epilogue flags a cell
+  /// that reaches its row's threshold or whose bound is below it, so the
+  /// fold visits only the rows of a group that hold a flagged cell, in
+  /// column order, and a row that stops leaves its group's walking mask.
+  /// A group whose rows have all stopped leaves the walking list and is
+  /// not scored again; once the list is empty the tile is done.
+  template <typename Rows>
+  void WalkRowTile(const Index* walkers, Index mb, const ItemPanels& items,
+                   ItemIds id, const Real* bounds, Rows& out, Index* walked) {
+    const Index n = items.n;
+    std::size_t active = 0;
+    for (Index i = 0; i < mb; i += kMR, ++active) {
+      walking_[active] = i / kMR;
+      live_[active] = TileRows(std::min(kMR, mb - i));
+    }
+    std::fill_n(walked, mb, n);
+    alignas(64) Real edge_bounds[kNR];
+    for (Index c = 0; c < n && active > 0; c += kNR) {
+      const Index nr = std::min(kNR, n - c);
+      const uint64_t cols = TileColumns(nr);
+      const Real* bp = items.data + static_cast<std::size_t>(c) * f_;
+      const Real* tile_bounds = bounds + c;
+      if (nr < kNR) {
+        // Past the last item no bound can end a walk.
+        std::fill(std::copy_n(tile_bounds, nr, edge_bounds),
+                  edge_bounds + kNR, kInf);
+        tile_bounds = edge_bounds;
+      }
+      for (std::size_t a = 0; a < active; ++a) {
+        hits_[a] = ScoreGroup(walking_[a], items, bp, nr, tile_bounds) &
+                   live_[a] & cols;
+      }
+      std::size_t still = 0;
+      for (std::size_t a = 0; a < active; ++a) {
+        const Index g = walking_[a];
+        uint64_t live = live_[a];
+        for (uint64_t bits = hits_[a]; bits != 0;) {
+          const int shift = __builtin_ctzll(bits) / kNR * kNR;
+          const uint64_t row = kRowBits << shift;
+          const Index r = g * kMR + shift / kNR;
+          const auto row_hits = static_cast<uint32_t>((bits & row) >> shift);
+          const Index stop =
+              WalkRow(strip_[static_cast<std::size_t>(g)].cells + shift,
+                      tile_bounds, nr, row_hits, c, id, out, walkers[r],
+                      &thresholds_[r]);
+          if (stop < nr) {
+            walked[r] = c + stop;
+            live &= ~row;
           }
+          bits &= ~row;
+        }
+        if (live != 0) {
+          walking_[still] = g;
+          live_[still++] = live;
         }
       }
+      active = still;
     }
   }
 
@@ -362,18 +438,12 @@ class TileScorer {
   const std::unique_ptr<Real[]> apack_;
   CacheAligned<ScoreTile> strip_;
   std::vector<Real> thresholds_;
+  /// The hit masks of one panel: per group, or per walking group in a
+  /// bounded walk.
   std::vector<uint64_t> hits_;
-};
-
-/// m empty heaps of capacity k, and a pointer to each.
-struct RowHeaps {
-  RowHeaps(Index m, Index k) {
-    heaps.reserve(static_cast<std::size_t>(m));
-    for (Index r = 0; r < m; ++r) heaps.emplace_back(k);
-    for (TopKHeap& heap : heaps) ptrs.push_back(&heap);
-  }
-  std::vector<TopKHeap> heaps;
-  std::vector<TopKHeap*> ptrs;
+  /// A bounded walk's walking groups, and each one's walking rows.
+  std::vector<Index> walking_;
+  std::vector<uint64_t> live_;
 };
 
 /// Serial exact top-k of query rows [0, m) against the n row-major items,
@@ -406,8 +476,7 @@ void ScoreBlocksInto(const Real* rows, const Index* row_ids, Index m,
       }
       const ItemIds id{item_offset + c0,
                        item_ids != nullptr ? item_ids + c0 : nullptr};
-      scorer.Run<false>(block_rows, block_ids, mb, panels, id,
-                        /*bounds=*/nullptr, out, /*walked=*/nullptr);
+      scorer.Run(block_rows, block_ids, mb, panels, id, out);
     }
     for (Index r = 0; r < mb; ++r) out.Write(r, out_row(b0 + r));
   }
@@ -427,8 +496,7 @@ void ScoreBlocks(const Real* rows, const Index* row_ids, Index m,
     ScoreBlocksInto(rows, row_ids, m, tile_rows, block, items, n, f,
                     item_offset, item_ids, tops, out_row);
   } else {
-    RowHeaps row_heaps(block, k);
-    HeapRows heaps(row_heaps.ptrs.data());
+    HeapRows heaps(block, k);
     ScoreBlocksInto(rows, row_ids, m, tile_rows, block, items, n, f,
                     item_offset, item_ids, heaps, out_row);
   }
@@ -449,25 +517,46 @@ void PackedItems::Pack(const Real* items, const Index* ids, Index n,
   PackPanels(items, f, ids, n, 0, f, kNR, data_.get());
 }
 
-void ScoreIntoHeaps(const Real* rows, const Index* row_ids, Index m,
-                    const PackedItems& items, Index item_offset,
-                    const Index* item_ids, const Real* bounds,
-                    std::span<TopKHeap* const> heaps, Index* walked) {
-  MIPS_DCHECK_EQ(heaps.size(), static_cast<std::size_t>(std::max(m, 0)));
-  MIPS_DCHECK(bounds == nullptr || walked != nullptr);
-  if (m <= 0) return;
-  if (bounds != nullptr) std::fill_n(walked, m, 0);
-  if (items.rows() <= 0) return;
-  TileScorer scorer(std::min(m, kScoreTileRows), items.cols());
-  const ItemPanels panels{items.data(), items.rows(), /*packed=*/true};
-  HeapRows out(heaps.data());
-  if (bounds == nullptr) {
-    scorer.Run<false>(rows, row_ids, m, panels, {item_offset, item_ids},
-                      nullptr, out, nullptr);
-  } else {
-    scorer.Run<true>(rows, row_ids, m, panels, {item_offset, item_ids},
-                     bounds, out, walked);
+/// A walk's rows (RowTops or HeapRows, by k) and the scorer that folds
+/// into them, held across the walk's segments.
+struct BoundedWalk::Impl {
+  using Rows = std::variant<RowTops, HeapRows>;
+
+  static Rows MakeRows(Index m, Index k) {
+    if (k <= kRowTopWidth) return Rows(std::in_place_type<RowTops>, m, k);
+    return Rows(std::in_place_type<HeapRows>, m, k);
   }
+
+  Rows rows;
+  TileScorer scorer;
+};
+
+BoundedWalk::BoundedWalk(Index m, Index k, Index f)
+    : impl_(new Impl{Impl::MakeRows(m, k),
+                     TileScorer(std::clamp<Index>(m, 1, kScoreTileRows), f)}) {}
+
+BoundedWalk::~BoundedWalk() = default;
+
+Real BoundedWalk::Threshold(Index r) const {
+  return std::visit([r](const auto& rows) { return rows.Threshold(r); },
+                    impl_->rows);
+}
+
+void BoundedWalk::Score(const Real* rows, std::span<const Index> walkers,
+                        const PackedItems& items, const Index* item_ids,
+                        const Real* bounds, Index* walked) {
+  const ItemPanels panels{items.data(), items.rows(), /*packed=*/true};
+  std::visit(
+      [&](auto& out) {
+        impl_->scorer.Walk(rows, walkers.data(),
+                           static_cast<Index>(walkers.size()), panels,
+                           {0, item_ids}, bounds, out, walked);
+      },
+      impl_->rows);
+}
+
+void BoundedWalk::Write(Index r, TopKEntry* out) {
+  std::visit([r, out](auto& rows) { rows.Write(r, out); }, impl_->rows);
 }
 
 void ScoreTopK(const Real* rows, Index m, const Real* items, Index n, Index f,

@@ -11,19 +11,19 @@
 // while the tile is still in L1.  (The tiles of one item panel, at most
 // kScoreTileRows x 16 scores, sit side by side in the strip and are folded
 // after the panel's last tile, so that no branch on a score stalls the
-// next micro-kernel call.)  A ScoreTopK call with k at most kRowTopWidth
-// (16, topk/select_kernel.h) keeps each row's best k sorted in one record
-// of 16 scores and 16 ids, and inserts a flagged cell without a branch
-// (AVX-512) or with a short sorted insert (AVX2, portable); its rows are
-// written straight from the records.  A wider k, and MAXIMUS's bounded
-// walk, push into TopKHeaps.  ScoreTopK takes the query rows in blocks of
-// about kScoreRowBlock and holds one block's records or heaps at a time,
-// so what a call holds beyond its output does not grow with the request.
-// Each operand is packed for the micro-kernel once per block: the items in
-// chunks of at most kGemmNC (a lone chunk once per call), each tile of
-// query rows once per chunk.  A call of at most kScoreInPlaceRows rows (a
-// new user, a small batch) packs no items: there each packed item panel
-// would feed one micro-kernel call, so the micro-kernel's in-place twin
+// next micro-kernel call.)  With k at most kRowTopWidth (16,
+// topk/select_kernel.h) each row keeps its best k sorted in one record of
+// 16 scores and 16 ids, and a flagged cell is inserted without a branch
+// (AVX-512) or with a short sorted insert (AVX2, portable); rows are
+// written straight from the records.  A wider k pushes into TopKHeaps.
+// ScoreTopK takes the query rows in blocks of about kScoreRowBlock and
+// holds one block's records or heaps at a time, so what a call holds
+// beyond its output does not grow with the request.  Each operand is
+// packed for the micro-kernel once per block: the items in chunks of at
+// most kGemmNC (a lone chunk once per call), each tile of query rows once
+// per chunk.  A call of at most kScoreInPlaceRows rows (a new user, a
+// small batch) packs no items: there each packed item panel would feed
+// one micro-kernel call, so the micro-kernel's in-place twin
 // (linalg/gemm_kernel.h) reads the panel straight from the items' rows
 // instead.  The micro-kernel runs with alpha = 1, one K panel after
 // another, which is GemmNT's beta = 0 fold: every score, and hence every
@@ -33,8 +33,13 @@
 // BMM's two regimes, the dense new-user path (MipsSolver::TopKNewUsers),
 // the hybrid solver's dense partition (ScoreTopK), LiveCatalog's write
 // buffer (ScoreTopK with the buffered ids) and MAXIMUS's segment walk
-// (ScoreIntoHeaps with sorted bounds over segments it packs itself) all
-// score through here.
+// (BoundedWalk, with sorted bounds over segments it packs itself) all
+// score through here.  A BoundedWalk keeps each row's record or heap
+// across the segments of its walk.  Its epilogue also flags the cells
+// whose bound is below the row's threshold, so the fold after each item
+// panel visits only the rows of a 4-row group that hold a flagged cell: a
+// score to fold or the row's stop.  Each group's walking rows are a mask
+// that a stop clears, and a group whose mask is empty leaves the walk.
 
 #ifndef MIPS_TOPK_SCORE_SELECT_H_
 #define MIPS_TOPK_SCORE_SELECT_H_
@@ -45,7 +50,6 @@
 
 #include "common/thread_pool.h"
 #include "topk/result.h"
-#include "topk/topk_heap.h"
 
 namespace mips {
 
@@ -98,34 +102,65 @@ class PackedItems {
   Index f_ = 0;
 };
 
-/// Scores m query rows against the packed items and folds row r's scores
-/// into *heaps[r], tile by tile.  Query row r is read from rows +
-/// (row_ids ? row_ids[r] : r) * f.  Item j is reported as id
-/// `item_ids ? item_ids[j] : j + item_offset`.
+/// The best k entries of m query rows as they walk n items sorted by
+/// descending upper bound (a MAXIMUS cluster list, Section III-D), one
+/// segment of the list at a time.  Each row keeps its best k across all of
+/// the segments it walks: in one RowTop record when k <= kRowTopWidth, in a
+/// TopKHeap past it.  A row stops at the first position whose bound is
+/// strictly below its threshold, its k-th best score so far (-inf until it
+/// holds k entries): exactly where the scalar loop
 ///
-/// With `bounds` (n upper bounds sorted descending, a MAXIMUS cluster
-/// list) each row walks the items in order and stops at the first
-/// position whose bound is strictly below its full heap's minimum;
-/// walked[r] is set to the positions row r visited (its stop position,
-/// or n).  `walked` is required with `bounds` and ignored without.  A
-/// tile whose four rows have all stopped is not scored.
+///     if (heap.full() && bound[pos] < heap.MinScore()) break;
+///     heap.Push(id[pos], score[pos]);
 ///
-/// Serial; allocates one packed row tile (kScoreTileRows x f) and one
-/// score strip (kScoreTileRows x 16).
-void ScoreIntoHeaps(const Real* rows, const Index* row_ids, Index m,
-                    const PackedItems& items, Index item_offset,
-                    const Index* item_ids, const Real* bounds,
-                    std::span<TopKHeap* const> heaps, Index* walked);
+/// stops, with the same entries, under every GEMM kernel.
+class BoundedWalk {
+ public:
+  /// m rows of f factors, each keeping its best k (k > 0).
+  BoundedWalk(Index m, Index k, Index f);
+  ~BoundedWalk();
+  BoundedWalk(const BoundedWalk&) = delete;
+  BoundedWalk& operator=(const BoundedWalk&) = delete;
+
+  /// Row r's threshold: its k-th best score so far, -inf until it holds k
+  /// entries.  It only rises.
+  Real Threshold(Index r) const;
+
+  /// Walks each row in `walkers` (each at most once, in any order) over
+  /// the next segment of the list: the packed items, item j reported as
+  /// item_ids[j] (j itself without ids), with bounds[j] its bound.  Row r
+  /// reads its query vector from rows + r * f.  walked[a] is set to the
+  /// positions walkers[a] visited: its stop, or items.rows() if it walked
+  /// them all.  The walkers are scored four to a register tile in the
+  /// order given, and a tile is scored until its last walker stops, so
+  /// hand in rows that stop near each other side by side.  A segment may
+  /// be packed only through the first position whose bound is below the
+  /// lowest walker's threshold: every walker stops there at the latest.
+  ///
+  /// Serial; allocates nothing (the row tile and score strip are held).
+  void Score(const Real* rows, std::span<const Index> walkers,
+             const PackedItems& items, const Index* item_ids,
+             const Real* bounds, Index* walked);
+
+  /// Writes row r's k entries to out[0, k), best first, padded with
+  /// {-1, -inf} past the items it was offered, and empties the row.
+  void Write(Index r, TopKEntry* out);
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
 
 /// Exact top-k of the m query rows against the n items in `items` (n x f,
 /// row-major), written to rows [row_offset, row_offset + m) of *out (which
 /// must already have k columns and room for them).  Query row r is read
-/// from rows + (row_ids ? row_ids[r] : r) * f, tile_rows rows to a tile;
-/// ids as in ScoreIntoHeaps.  Hand a whole request to one call: its items
-/// are packed once per block of rows (and read in place when m is at most
-/// kScoreInPlaceRows, in one tile of m rows), and one block's rows are
-/// held at a time: a 192-byte record each when k <= kRowTopWidth, a
-/// TopKHeap of k entries each past it.
+/// from rows + (row_ids ? row_ids[r] : r) * f, tile_rows rows to a tile,
+/// and item j is reported as `item_ids ? item_ids[j] : j + item_offset`.
+/// Hand a whole request to one call: its items are packed once per block
+/// of rows (and read in place when m is at most kScoreInPlaceRows, in one
+/// tile of m rows), and one block's rows are held at a time: a 192-byte
+/// record each when k <= kRowTopWidth, a TopKHeap of k entries each past
+/// it.
 ///
 /// With a pool of T > 1 workers, each worker scores every row of a block
 /// against a contiguous 1/T of the items into private rows, and

@@ -2,15 +2,16 @@
 // (select_kernel_{avx512,portable}.cc) and score_select.cc, which picks
 // the variant matching the installed GEMM kernel and inserts each flagged
 // cell of a GEMM register tile into its row's record.  Not part of the
-// public API: call ScoreTopK or ScoreIntoHeaps (topk/score_select.h).
+// public API: call ScoreTopK or BoundedWalk (topk/score_select.h).
 //
 // Top-k selection over a row of scores is a search for the few cells that
 // can change the row's best k.  With k = 10 over a few thousand items,
 // all but about k * ln(n / k) scores of a row lose to its k-th score, so
 // the micro-kernel's epilogue (linalg/gemm_kernel.h) flags the cells that
-// reach it, and only those come here.  A ScoreTopK call with k at most
-// kRowTopWidth keeps each row's best k in one RowTop record, sorted under
-// BetterEntry, instead of in a TopKHeap:
+// reach it, and only those come here.  A ScoreTopK call, or a MAXIMUS
+// BoundedWalk across all of its segments, with k at most kRowTopWidth
+// keeps each row's best k in one RowTop record, sorted under BetterEntry,
+// instead of in a TopKHeap:
 //
 //   - Lanes [0, k) hold the row's entries, best first, and then pads
 //     {-inf, INT32_MAX}, which no entry is worse than.  Lanes past k
@@ -39,8 +40,8 @@
 
 namespace mips {
 
-/// The widest k a ScoreTopK call keeps in RowTop records; a wider one
-/// keeps TopKHeaps.
+/// The widest k a ScoreTopK call or a BoundedWalk keeps in RowTop records;
+/// a wider one keeps TopKHeaps.
 inline constexpr Index kRowTopWidth = 16;
 
 /// One row's best k <= kRowTopWidth entries, best first: two zmm of

@@ -6,8 +6,8 @@
 //
 // The dense solvers do not come here: they never write a score row, but
 // fold each GEMM register tile while it is in L1 (ScoreTopK /
-// ScoreIntoHeaps, topk/score_select.h), with the same comparisons, into
-// the same entries.
+// BoundedWalk, topk/score_select.h), with the same comparisons, into the
+// same entries.
 
 #ifndef MIPS_TOPK_TOPK_BLOCK_H_
 #define MIPS_TOPK_TOPK_BLOCK_H_

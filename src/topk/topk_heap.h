@@ -6,10 +6,13 @@
 // far; MinScore() is the pruning threshold min(H) the index walks compare
 // bounds against.  The dense scorers (topk/score_select.h) push into it
 // straight from each 4x16 GEMM register tile while the tile is in L1, but
-// only for k past kRowTopWidth (16) and for MAXIMUS's bounded walk: a
-// narrower ScoreTopK keeps each row in a sorted record instead
-// (topk/select_kernel.h), whose AVX-512 insert has no branch at all.  A
-// full heap takes a better entry with one sift-down from the root.
+// only for k past kRowTopWidth (16): at a narrower k, ScoreTopK and
+// MAXIMUS's segment walk (BoundedWalk) keep each row in a sorted record
+// instead (topk/select_kernel.h), whose threshold is its k-th score and
+// whose AVX-512 insert has no branch at all.  MAXIMUS's walk without item
+// blocking (the block_size = 0 lesion) and its dynamic-user walk
+// (QueryDynamicUser) push into a heap at every k.  A full heap takes a
+// better entry with one sift-down from the root.
 
 #ifndef MIPS_TOPK_TOPK_HEAP_H_
 #define MIPS_TOPK_TOPK_HEAP_H_

@@ -1,7 +1,7 @@
 // Tests for MAXIMUS: the Koenigstein bound as a property test, index
 // construction invariants, exactness against brute force across a
 // parameter sweep (clusters, blocking, K, clustering flavor), the item
-// blocking lesion, dynamic users, and threading.
+// blocking lesion, request order, dynamic users, and threading.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,9 @@
 #include <cmath>
 #include <cstdint>
 #include <tuple>
+#include <vector>
 
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/cbound.h"
 #include "core/maximus.h"
@@ -247,6 +249,71 @@ TEST(MaximusTest, LesionItemBlockingSameResults) {
   ASSERT_TRUE(a.TopKAll(5, &ra).ok());
   ASSERT_TRUE(b.TopKAll(5, &rb).ok());
   ExpectSameTopKScores(ra, rb, 1e-7);
+}
+
+// Before each segment past the first, a cluster's walkers are regrouped
+// in order of their thresholds and the segment is packed only as far as
+// the lowest threshold can walk.  With 64-item segments on a norm-skewed
+// model the walks stop in several segments.  The same users asked for in
+// a shuffled order fall into other row tiles and other 4-user groups, yet
+// every row must come back bit for bit, with the same visit count, at
+// k = 1, 10 and 16 (row records) and 17 (heaps), and with BMM's ids.
+TEST(MaximusTest, ShuffledRequestMatchesRowForRow) {
+  const Index users = 600;
+  const MFModel model = MakeTestModel(users, 1000, 12, /*seed=*/71,
+                                      /*norm_sigma=*/0.9, /*dispersion=*/0.3);
+  MaximusOptions options;
+  options.block_size = 64;
+  MaximusSolver maximus(options);
+  BmmSolver bmm;
+  ASSERT_TRUE(maximus.Prepare(ConstRowBlock(model.users),
+                              ConstRowBlock(model.items)).ok());
+  ASSERT_TRUE(bmm.Prepare(ConstRowBlock(model.users),
+                          ConstRowBlock(model.items)).ok());
+  const std::vector<Index> ids = AllUsers(users);
+  std::vector<Index> shuffled = ids;
+  Rng rng(72);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  for (const Index k : {1, 10, 16, 17}) {
+    SCOPED_TRACE(::testing::Message() << "k=" << k);
+    TopKResult in_order;
+    ASSERT_TRUE(maximus.TopKForUsers(k, ids, &in_order).ok());
+    const double visited = maximus.mean_items_visited();
+    TopKResult permuted;
+    ASSERT_TRUE(maximus.TopKForUsers(k, shuffled, &permuted).ok());
+    EXPECT_EQ(maximus.mean_items_visited(), visited);
+    for (Index a = 0; a < users; ++a) {
+      const Index u = shuffled[static_cast<std::size_t>(a)];
+      for (Index e = 0; e < k; ++e) {
+        ASSERT_EQ(permuted.Row(a)[e].item, in_order.Row(u)[e].item)
+            << "user " << u << " entry " << e;
+        ASSERT_EQ(std::bit_cast<uint64_t>(permuted.Row(a)[e].score),
+                  std::bit_cast<uint64_t>(in_order.Row(u)[e].score))
+            << "user " << u << " entry " << e;
+      }
+    }
+    TopKResult want;
+    ASSERT_TRUE(bmm.TopKForUsers(k, ids, &want).ok());
+    for (Index u = 0; u < users; ++u) {
+      for (Index e = 0; e < k; ++e) {
+        ASSERT_EQ(in_order.Row(u)[e].item, want.Row(u)[e].item)
+            << "user " << u << " entry " << e;
+      }
+    }
+    // A one-user request reports that user's walk: the walks end in
+    // several segments, and the visits add up to the request's.
+    std::vector<bool> stopped_in(1000 / 64 + 1, false);
+    double total = 0;
+    for (const Index u : ids) {
+      TopKResult one;
+      ASSERT_TRUE(maximus.TopKForUsers(k, {&u, 1}, &one).ok());
+      const auto walked = static_cast<Index>(maximus.mean_items_visited());
+      total += walked;
+      stopped_in[static_cast<std::size_t>(walked / 64)] = true;
+    }
+    EXPECT_EQ(total / users, visited);
+    EXPECT_GE(std::count(stopped_in.begin(), stopped_in.end(), true), 3);
+  }
 }
 
 TEST(MaximusTest, SubsetQueriesExact) {

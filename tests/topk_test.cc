@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -443,6 +444,61 @@ std::vector<TopKEntry> Drain(TopKHeap* heap) {
   return out;
 }
 
+// A BoundedWalk over n items in list order (item j read from items +
+// (gather ? gather[j] : j) * f, reported as ids[j], with bound bounds[j])
+// in two segments, as MaximusSolver walks a cluster list: [0, split) with
+// the rows handed in `order`, then [split, n) with the rows that walked
+// all of the first in the reverse of that order, the second segment
+// packed only through the first position whose bound is below the lowest
+// of their thresholds.
+struct TwoSegmentWalk {
+  TopKResult rows;             // row r's entries, best first
+  std::vector<Index> walked;   // the positions row r visited in all
+  Index second_walkers = 0;    // rows that reached the second segment
+  Index second_packed = 0;     // items packed for the second segment
+};
+
+TwoSegmentWalk WalkTwoSegments(const Matrix& rows, const Real* items,
+                               const Index* gather, Index n, const Index* ids,
+                               const Real* bounds, Index split, Index k,
+                               const std::vector<Index>& order) {
+  const Index m = rows.rows();
+  const Index f = rows.cols();
+  TwoSegmentWalk got{TopKResult(m, k),
+                     std::vector<Index>(static_cast<std::size_t>(m), -1)};
+  BoundedWalk walk(m, k, f);
+  std::vector<Index> walked(order.size());
+  walk.Score(rows.data(), order, PackedItems(items, gather, split, f), ids,
+             bounds, walked.data());
+  std::vector<Index> next;
+  for (std::size_t a = 0; a < order.size(); ++a) {
+    got.walked[static_cast<std::size_t>(order[a])] = walked[a];
+    if (walked[a] == split) next.push_back(order[a]);
+  }
+  std::reverse(next.begin(), next.end());
+  got.second_walkers = static_cast<Index>(next.size());
+  if (!next.empty()) {
+    Real lowest = kInf;
+    for (const Index r : next) lowest = std::min(lowest, walk.Threshold(r));
+    Index reach = split;
+    while (reach < n && !(bounds[reach] < lowest)) ++reach;
+    got.second_packed = std::min(n, reach + 1) - split;
+    const PackedItems second =
+        gather != nullptr
+            ? PackedItems(items, gather + split, got.second_packed, f)
+            : PackedItems(items + static_cast<std::size_t>(split) * f,
+                          nullptr, got.second_packed, f);
+    walked.resize(next.size());
+    walk.Score(rows.data(), next, second, ids + split, bounds + split,
+               walked.data());
+    for (std::size_t a = 0; a < next.size(); ++a) {
+      got.walked[static_cast<std::size_t>(next[a])] += walked[a];
+    }
+  }
+  for (Index r = 0; r < m; ++r) walk.Write(r, got.rows.Row(r));
+  return got;
+}
+
 class SelectKernelTest : public ::testing::Test {
  protected:
   void TearDown() override { ResetGemmKernelForTest(); }
@@ -684,13 +740,14 @@ TEST_F(SelectKernelTest, RequestsPastOneRowBlockMatchWholeBlockSelection) {
 }
 
 TEST_F(SelectKernelTest, BoundedPanelsWalkLikeTheScalarBreakLoop) {
-  // 130 rows (two row tiles) against 700 items (44 panels of 16), with
-  // bounds that fall through the heap minima so rows stop in different
-  // panels.
+  // 130 rows (two row tiles, handed in a permuted order) against 700 items
+  // (44 panels of 16) in two segments split inside a panel, with bounds
+  // that fall through the rows' thresholds so rows stop in different
+  // panels of both segments, at k = 1, 16 (records) and 17 (heaps).
   const Index m = 130;
   const Index n = 700;
   const Index f = 6;
-  const Index k = 5;
+  const Index split = 200;
   const ScoreFixture fx = MakeScoreFixture(m, n, f, 9);
   Matrix scores(m, n);
   GemmNT(fx.rows.data(), m, fx.items.data(), n, f, 1, 0, scores.data(), n);
@@ -698,33 +755,84 @@ TEST_F(SelectKernelTest, BoundedPanelsWalkLikeTheScalarBreakLoop) {
   for (Index j = 0; j < n; ++j) {
     bounds[static_cast<std::size_t>(j)] = 8.0 - 12.0 * j / n;
   }
-  bounds[300] = bounds[299];  // a plateau across a panel boundary
+  bounds[300] = bounds[299];  // a plateau
   std::vector<Index> ids(static_cast<std::size_t>(n));
   for (Index j = 0; j < n; ++j) ids[static_cast<std::size_t>(j)] = n - j;
+  std::vector<Index> order;
+  for (Index r = 0; r < m; ++r) order.push_back(r * 7 % m);  // gcd(7, 130) = 1
   for (const GemmKernel kernel : SupportedKernels()) {
     ASSERT_TRUE(ForceGemmKernel(kernel).ok());
-    SCOPED_TRACE(ToString(kernel));
-    std::vector<TopKHeap> got_heaps;
-    std::vector<TopKHeap*> ptrs;
-    got_heaps.reserve(static_cast<std::size_t>(m));
-    for (Index r = 0; r < m; ++r) got_heaps.emplace_back(k);
-    for (TopKHeap& heap : got_heaps) ptrs.push_back(&heap);
-    std::vector<Index> walked(static_cast<std::size_t>(m), -1);
-    const PackedItems packed(fx.items.data(), nullptr, n, f);
-    ScoreIntoHeaps(fx.rows.data(), nullptr, m, packed, 0, ids.data(),
-                   bounds.data(), ptrs, walked.data());
-    for (Index r = 0; r < m; ++r) {
+    for (const Index k : {1, 5, 16, 17}) {
+      SCOPED_TRACE(::testing::Message() << ToString(kernel) << " k=" << k);
+      const TwoSegmentWalk got =
+          WalkTwoSegments(fx.rows, fx.items.data(), nullptr, n, ids.data(),
+                          bounds.data(), split, k, order);
+      Index stopped_first = 0;
+      for (Index r = 0; r < m; ++r) {
+        TopKHeap want_heap(k);
+        const Index want_walked = ScalarSelect(scores.Row(r), n, bounds.data(),
+                                               0, ids.data(), &want_heap);
+        ASSERT_EQ(got.walked[static_cast<std::size_t>(r)], want_walked)
+            << "row " << r;
+        if (want_walked < split) ++stopped_first;
+        const std::vector<TopKEntry> want = Drain(&want_heap);
+        for (std::size_t e = 0; e < want.size(); ++e) {
+          ASSERT_EQ(got.rows.Row(r)[e].item, want[e].item) << "row " << r;
+          ASSERT_EQ(got.rows.Row(r)[e].score, want[e].score) << "row " << r;
+        }
+      }
+      // Rows stop in both segments, and the second is packed short.
+      EXPECT_GT(stopped_first, 0);
+      EXPECT_GT(got.second_walkers, 0);
+      EXPECT_LT(got.second_packed, n - split);
+    }
+  }
+}
+
+TEST_F(SelectKernelTest, BoundedWalkGoesOnPastABoundThatTiesItsThreshold) {
+  // Tight bounds, as MAXIMUS's are for a user on its centroid: every
+  // query row is 1, so each score is its item's value exactly, and each
+  // bound is that score.  The values come in runs of three equal ones,
+  // so once a row holds k entries its threshold ties the next bounds.  A
+  // tie is no stop (`bound < threshold` only), and the tied cells reach
+  // the id tie-break: the ids fall along the list, so each tied cell
+  // beats the row's k-th entry.
+  const Index m = 6;
+  const Index n = 40;
+  Matrix rows(m, 1);
+  std::fill_n(rows.data(), m, Real{1});
+  Matrix items(n, 1);
+  std::vector<Real> bounds(static_cast<std::size_t>(n));
+  std::vector<Index> ids(static_cast<std::size_t>(n));
+  for (Index j = 0; j < n; ++j) {
+    items(j, 0) = static_cast<Real>(20 - j / 3);
+    bounds[static_cast<std::size_t>(j)] = items(j, 0);
+    ids[static_cast<std::size_t>(j)] = n - j;
+  }
+  std::vector<Index> order(static_cast<std::size_t>(m));
+  std::iota(order.rbegin(), order.rend(), 0);
+  for (const GemmKernel kernel : SupportedKernels()) {
+    ASSERT_TRUE(ForceGemmKernel(kernel).ok());
+    for (const Index k : {1, 2, 16, 17}) {
+      SCOPED_TRACE(::testing::Message() << ToString(kernel) << " k=" << k);
       TopKHeap want_heap(k);
-      const Index want_walked = ScalarSelect(scores.Row(r), n, bounds.data(),
+      const Index want_walked = ScalarSelect(items.data(), n, bounds.data(),
                                              0, ids.data(), &want_heap);
-      ASSERT_EQ(walked[static_cast<std::size_t>(r)], want_walked)
-          << "row " << r;
+      // The walk ends at the first value below the k-th: past the ties.
+      ASSERT_EQ(want_walked, (k - 1) / 3 * 3 + 3);
       const std::vector<TopKEntry> want = Drain(&want_heap);
-      const std::vector<TopKEntry> got =
-          Drain(&got_heaps[static_cast<std::size_t>(r)]);
-      for (std::size_t e = 0; e < want.size(); ++e) {
-        ASSERT_EQ(got[e].item, want[e].item) << "row " << r;
-        ASSERT_EQ(got[e].score, want[e].score) << "row " << r;
+      BoundedWalk walk(m, k, 1);
+      std::vector<Index> walked(static_cast<std::size_t>(m));
+      walk.Score(rows.data(), order, PackedItems(items.data(), nullptr, n, 1),
+                 ids.data(), bounds.data(), walked.data());
+      for (Index r = 0; r < m; ++r) {
+        ASSERT_EQ(walked[static_cast<std::size_t>(r)], want_walked);
+        std::vector<TopKEntry> got(static_cast<std::size_t>(k));
+        walk.Write(r, got.data());
+        for (std::size_t e = 0; e < want.size(); ++e) {
+          ASSERT_EQ(got[e].item, want[e].item) << "row " << r;
+          ASSERT_EQ(got[e].score, want[e].score) << "row " << r;
+        }
       }
     }
   }
@@ -881,34 +989,39 @@ TEST_F(SelectKernelTest, DepthsPastOneKPanelMatchGemmNT) {
         }
       }
 
-      const PackedItems packed(fx.items.data(), item_ids.data(), n, f);
-      std::vector<TopKHeap> got_heaps(static_cast<std::size_t>(m),
-                                      TopKHeap(k));
-      std::vector<TopKHeap*> ptrs;
-      for (TopKHeap& heap : got_heaps) ptrs.push_back(&heap);
-      std::vector<Index> walked(static_cast<std::size_t>(m), -1);
-      ScoreIntoHeaps(fx.rows.data(), row_ids.data(), m, packed, 0,
-                     item_ids.data(), bounds.data(), ptrs, walked.data());
-      std::vector<Index> stops;
-      for (Index r = 0; r < m; ++r) {
-        TopKHeap want_heap(k);
-        const Index want_walked =
-            ScalarSelect(scores.Row(r), n, bounds.data(), 0, item_ids.data(),
-                         &want_heap);
-        ASSERT_EQ(walked[static_cast<std::size_t>(r)], want_walked)
-            << "row " << r;
-        stops.push_back(want_walked);
-        const std::vector<TopKEntry> want_row = Drain(&want_heap);
-        const std::vector<TopKEntry> got_row =
-            Drain(&got_heaps[static_cast<std::size_t>(r)]);
-        for (std::size_t e = 0; e < want_row.size(); ++e) {
-          ASSERT_EQ(got_row[e].item, want_row[e].item) << "row " << r;
-          ASSERT_EQ(got_row[e].score, want_row[e].score) << "row " << r;
+      // The bounded half walks fx.rows in two segments, the rows handed
+      // in the reverse order row_ids gives, so row r's scores are those of
+      // query row m - 1 - r.
+      for (const Index k_walk : {Index{1}, k, Index{16}, Index{17}}) {
+        SCOPED_TRACE(::testing::Message() << "walk k=" << k_walk);
+        const TwoSegmentWalk got =
+            WalkTwoSegments(fx.rows, fx.items.data(), item_ids.data(), n,
+                            item_ids.data(), bounds.data(), /*split=*/40,
+                            k_walk, row_ids);
+        std::vector<Index> stops;
+        for (Index r = 0; r < m; ++r) {
+          TopKHeap want_heap(k_walk);
+          const Index want_walked =
+              ScalarSelect(scores.Row(m - 1 - r), n, bounds.data(), 0,
+                           item_ids.data(), &want_heap);
+          ASSERT_EQ(got.walked[static_cast<std::size_t>(r)], want_walked)
+              << "row " << r;
+          stops.push_back(want_walked);
+          const std::vector<TopKEntry> want_row = Drain(&want_heap);
+          for (std::size_t e = 0; e < want_row.size(); ++e) {
+            ASSERT_EQ(got.rows.Row(r)[e].item, want_row[e].item)
+                << "row " << r;
+            ASSERT_EQ(got.rows.Row(r)[e].score, want_row[e].score)
+                << "row " << r;
+          }
         }
+        // The walks end in more than one item panel, and the second
+        // segment is packed short.
+        std::sort(stops.begin(), stops.end());
+        EXPECT_LT(stops.front() / kGemmNR, stops.back() / kGemmNR);
+        EXPECT_GT(got.second_walkers, 0);
+        EXPECT_LT(got.second_packed, n - 40);
       }
-      // The walks end in more than one item panel.
-      std::sort(stops.begin(), stops.end());
-      EXPECT_LT(stops.front() / kGemmNR, stops.back() / kGemmNR);
     }
   }
 }
