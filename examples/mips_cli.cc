@@ -107,12 +107,13 @@ void PrintBatchingStats(const BatchingEngine& batcher) {
                    : 0;
   std::printf(
       "batching: %lld served in %lld batches (%.1f rows/batch mean); "
-      "flushes: %lld size, %lld timeout, %lld forced; "
+      "flushes: %lld size, %lld timeout, %lld idle, %lld forced; "
       "mean queue wait %.0f us; backend time %.3f s\n",
       static_cast<long long>(s.served),
       static_cast<long long>(s.batches_dispatched), mean_rows,
       static_cast<long long>(s.size_flushes),
       static_cast<long long>(s.timeout_flushes),
+      static_cast<long long>(s.idle_flushes),
       static_cast<long long>(s.forced_flushes), mean_wait_us,
       s.backend_seconds);
 }

@@ -198,8 +198,14 @@ std::future<Status> BatchingEngine::SubmitNewUser(const Real* user_vector,
       std::max(stats_.max_queue_rows_observed, outstanding_rows_);
   ++pending_rows_by_k_[k];
   pending_.push_back(std::move(req));
+  if (static_cast<std::size_t>(idle_executors_) > ready_.size()) {
+    // An executor waits with no batch meant for it: hand it the pending
+    // rows now instead of waking the dispatcher to wait out the clock.
+    DispatchLocked(AssembleNextLocked(&stats_.idle_flushes));
+  } else {
+    cv_work_.NotifyOne();
+  }
   MIPS_DCHECK_EQ(outstanding_rows_, TrackedRowsLocked());
-  cv_work_.NotifyOne();
   return future;
 }
 
@@ -239,18 +245,34 @@ Index BatchingEngine::PurgeExpiredLocked(Clock::time_point now) {
   return purged;
 }
 
-void BatchingEngine::AssembleLocked(Index k, int64_t* flush_counter) {
+Index BatchingEngine::FullGroupLocked() const {
   mu_.AssertHeld();
-  Batch batch;
-  batch.k = k;
-  batch.requests.reserve(
-      static_cast<std::size_t>(std::min(options_.max_batch_rows,
-                                        pending_rows_by_k_.at(k))));
+  for (const auto& [k, count] : pending_rows_by_k_) {
+    if (count >= options_.max_batch_rows) return k;
+  }
+  return -1;
+}
+
+BatchingEngine::Batch BatchingEngine::AssembleNextLocked(
+    int64_t* partial_flushes) {
+  mu_.AssertHeld();
   const Clock::time_point now = Clock::now();
+  PurgeExpiredLocked(now);
+  Batch batch;
+  if (pending_.empty()) return batch;
+  // A full group first: it never waits behind a partial one.
+  int64_t* flush_counter = &stats_.size_flushes;
+  batch.k = FullGroupLocked();
+  if (batch.k < 0) {
+    batch.k = pending_.front().k;
+    flush_counter = partial_flushes;
+  }
+  batch.requests.reserve(static_cast<std::size_t>(
+      std::min(options_.max_batch_rows, pending_rows_by_k_.at(batch.k))));
   for (auto it = pending_.begin();
        it != pending_.end() &&
        static_cast<Index>(batch.requests.size()) < options_.max_batch_rows;) {
-    if (it->k != k) {
+    if (it->k != batch.k) {
       ++it;
       continue;
     }
@@ -261,7 +283,7 @@ void BatchingEngine::AssembleLocked(Index k, int64_t* flush_counter) {
     it = pending_.erase(it);
   }
   const Index rows = static_cast<Index>(batch.requests.size());
-  auto group = pending_rows_by_k_.find(k);
+  auto group = pending_rows_by_k_.find(batch.k);
   MIPS_DCHECK(group != pending_rows_by_k_.end());
   MIPS_DCHECK_GE(group->second, rows);
   group->second -= rows;
@@ -269,6 +291,12 @@ void BatchingEngine::AssembleLocked(Index k, int64_t* flush_counter) {
   ++stats_.batches_dispatched;
   ++*flush_counter;
   ++stats_.batch_size_histogram[rows];
+  return batch;
+}
+
+void BatchingEngine::DispatchLocked(Batch batch) {
+  mu_.AssertHeld();
+  if (batch.requests.empty()) return;
   ready_.push_back(std::move(batch));
   MIPS_DCHECK_EQ(outstanding_rows_, TrackedRowsLocked());
   cv_ready_.NotifyOne();
@@ -281,23 +309,23 @@ void BatchingEngine::DispatcherLoop() {
     const Clock::time_point now = Clock::now();
     PurgeExpiredLocked(now);
 
-    // Size flushes first: a full group never waits on the clock.
-    Index full_k = -1;
-    for (const auto& [k, count] : pending_rows_by_k_) {
-      if (count >= options_.max_batch_rows) {
-        full_k = k;
-        break;
-      }
+    // Size flushes go first: a full group never waits on the clock.
+    // Then forced flushes (Flush() and the shutdown drain) dispatch
+    // whatever is pending, oldest group first, in max_batch_rows chunks.
+    // Last, the timeout flush, which only fires while every executor is
+    // busy (an idle one takes pending rows at once): it bounds how long
+    // full groups of other ks can overtake the oldest request.
+    const bool timed = options_.max_wait_ms > 0 && !pending_.empty();
+    const Clock::duration max_wait = FromMs(options_.max_wait_ms);
+    int64_t* partial_flushes = nullptr;
+    if (flush_requested_ || stopping_) {
+      partial_flushes = &stats_.forced_flushes;
+    } else if (timed && now >= pending_.front().arrival + max_wait) {
+      partial_flushes = &stats_.timeout_flushes;
     }
-    if (full_k >= 0) {
-      AssembleLocked(full_k, &stats_.size_flushes);
-      continue;
-    }
-
-    // Forced flushes (Flush() and the shutdown drain) dispatch whatever
-    // is pending, oldest group first, in max_batch_rows chunks.
-    if ((flush_requested_ || stopping_) && !pending_.empty()) {
-      AssembleLocked(pending_.front().k, &stats_.forced_flushes);
+    if (!pending_.empty() &&
+        (partial_flushes != nullptr || FullGroupLocked() >= 0)) {
+      DispatchLocked(AssembleNextLocked(partial_flushes));
       continue;
     }
     if (flush_requested_) {
@@ -306,17 +334,10 @@ void BatchingEngine::DispatcherLoop() {
     }
     if (stopping_) break;
 
-    // Timeout flush: the oldest request has waited its bounded delay.
-    const bool timed = options_.max_wait_ms > 0 && !pending_.empty();
-    const Clock::duration max_wait = FromMs(options_.max_wait_ms);
-    if (timed && now >= pending_.front().arrival + max_wait) {
-      AssembleLocked(pending_.front().k, &stats_.timeout_flushes);
-      continue;
-    }
-
     // Sleep until the next actionable instant: the oldest request's
     // flush point or the earliest pending deadline (to purge promptly),
-    // whichever is sooner.  Submissions/Flush/shutdown notify cv_work_.
+    // whichever is sooner.  Submissions that leave rows pending, Flush
+    // and shutdown notify cv_work_.
     Clock::time_point wake = Clock::time_point::max();
     if (timed) wake = pending_.front().arrival + max_wait;
     for (const Request& req : pending_) {
@@ -336,15 +357,28 @@ void BatchingEngine::DispatcherLoop() {
 void BatchingEngine::ExecutorLoop() {
   MutexLock lock(mu_);
   for (;;) {
-    while (!executors_done_ && ready_.empty()) cv_ready_.Wait(lock);
-    if (ready_.empty()) {
-      // executors_done_ must hold: the wait above only exits on a ready
-      // batch or the dispatcher's final signal.
-      return;
+    Batch batch;
+    if (!ready_.empty()) {
+      batch = std::move(ready_.front());
+      ready_.pop_front();
+    } else if (!pending_.empty()) {
+      // Rows pend while this executor is free: it takes them now rather
+      // than wait for the dispatcher's clock.
+      batch = AssembleNextLocked(&stats_.idle_flushes);
     }
-    Batch batch = std::move(ready_.front());
-    ready_.pop_front();
+    if (batch.requests.empty()) {
+      // Nothing is ready or pending.  Once the dispatcher has drained and
+      // raised executors_done_, nothing will be.
+      if (executors_done_) return;
+      ++idle_executors_;
+      MIPS_DCHECK_LE(idle_executors_, options_.executor_threads);
+      cv_ready_.Wait(lock);
+      --idle_executors_;
+      MIPS_DCHECK_GE(idle_executors_, 0);
+      continue;
+    }
     executing_rows_ += static_cast<Index>(batch.requests.size());
+    MIPS_DCHECK_EQ(outstanding_rows_, TrackedRowsLocked());
     lock.Unlock();
     ExecuteBatch(std::move(batch));
     lock.Lock();

@@ -10,12 +10,26 @@
 // several times faster as mini-batch GEMMs.  BatchingEngine restores
 // the batch: concurrent single-user TopKNewUser calls are admitted into
 // a bounded queue and coalesced (per k — rows of one GEMM must share k)
-// into mini-batches under a bounded-delay policy:
+// into mini-batches under a work-conserving policy:
 //
-//   - a batch dispatches as soon as `max_batch_rows` rows of one k are
-//     pending ("size flush"), or
-//   - when the oldest pending request has waited `max_wait` ("timeout
-//     flush"), whichever comes first.
+//   - an idle executor takes pending rows at once ("idle flush"): the
+//     thread that finds an executor waiting with no batch ready for it —
+//     a submitter admitting a row, or an executor that has finished its
+//     batch — assembles the next batch itself, so a request on an idle
+//     engine reaches the backend after one thread wake and never waits
+//     on the clock;
+//   - while every executor is busy, arrivals coalesce.  A batch
+//     dispatches as soon as `max_batch_rows` rows of one k are pending
+//     ("size flush"), when an executor frees up, or when the oldest
+//     pending request has waited `max_wait` ("timeout flush"), whichever
+//     comes first.  The timeout bounds how long full groups of other ks
+//     can overtake the oldest request.
+//
+// Every assembly follows one rule: purge expired requests, then take a
+// full group if there is one, else the oldest request's group, up to
+// max_batch_rows rows in arrival order.  So the batch size follows the
+// load: about one row on an idle engine, more as arrivals outpace the
+// executors.
 //
 // Each batch runs through the backend, typically a one-line lambda
 // around an engine's batched new-user path (MipsEngine::TopKNewUsers /
@@ -41,14 +55,17 @@
 //                  passed (they resolve DeadlineExceeded) to make room;
 //                  shed only if still full.
 //
-// Requests may carry a deadline; the dispatcher purges expired requests
-// before assembling each batch (resolving them DeadlineExceeded without
-// wasting backend work).  A request already assembled into a batch is
-// committed: it is served even if its deadline passes mid-execution.
+// Requests may carry a deadline.  Every assembly purges expired requests
+// first, and the dispatcher purges each one as its deadline passes
+// (resolving it DeadlineExceeded without wasting backend work).  A
+// request already assembled into a batch is committed: it is served even
+// if its deadline passes mid-execution.
 //
-// Threading: one dispatcher thread assembles batches; `executor_threads`
-// workers execute them (>= 1; with 1, assembly of batch N+1 still
-// overlaps execution of batch N).  The user vector is copied at
+// Threading: one dispatcher thread keeps the clock: size, timeout and
+// forced flushes (Flush and the shutdown drain) and prompt deadline
+// purges.  `executor_threads` workers (>= 1) execute batches; each takes
+// an assembled batch if one is ready, else assembles its next one from
+// the pending rows, else waits.  The user vector is copied at
 // admission, so the caller's pointer only needs to outlive Submit; the
 // caller's `out_row` must stay alive until the returned future resolves.
 // Submit/TopKNewUser/Flush/stats are safe from any number of threads.
@@ -85,11 +102,14 @@ StatusOr<OverloadPolicy> ParseOverloadPolicy(std::string_view name);
 /// Configuration for BatchingEngine.
 struct BatchingOptions {
   /// Dispatch a batch as soon as this many rows of one k are pending.
-  /// Also the assembly cap during timeout flushes and drains.
+  /// Also the cap of every other assembly.
   Index max_batch_rows = 64;
-  /// Dispatch the oldest pending request's group after it has waited
-  /// this long, even if the batch is not full.  <= 0 means "size-only":
-  /// partial batches dispatch only via Flush or shutdown drain.
+  /// While every executor is busy, dispatch the oldest pending request's
+  /// group once it has waited this long, even if the batch is not full.
+  /// An idle executor never waits on it: it takes pending rows at once.
+  /// <= 0 means no timeout flush: a partial batch goes to the next
+  /// executor that frees up (or to Flush / the shutdown drain), however
+  /// long full groups of other ks keep overtaking it.
   double max_wait_ms = 2.0;
   /// Admission bound on outstanding rows (pending + assembled +
   /// executing).  Must be >= max_batch_rows.
@@ -162,6 +182,9 @@ class BatchingEngine {
     int64_t batches_dispatched = 0;
     int64_t size_flushes = 0;
     int64_t timeout_flushes = 0;
+    /// Partial batches assembled for an idle executor, by the submitter
+    /// that found it waiting or by the executor itself.
+    int64_t idle_flushes = 0;
     /// Flush() / shutdown-drain dispatches.
     int64_t forced_flushes = 0;
     /// batch rows -> number of batches dispatched with exactly that
@@ -205,9 +228,17 @@ class BatchingEngine {
   /// the number purged.
   Index PurgeExpiredLocked(std::chrono::steady_clock::time_point now)
       REQUIRES(mu_);
-  /// Moves up to max_batch_rows pending requests with key `k` (arrival
-  /// order) into a Batch on ready_.
-  void AssembleLocked(Index k, int64_t* flush_counter) REQUIRES(mu_);
+  /// The key of a group with max_batch_rows or more pending rows, or -1.
+  Index FullGroupLocked() const REQUIRES(mu_);
+  /// The one assembly rule, shared by every site: purges expired pending
+  /// requests, then moves a full group if there is one (a size flush),
+  /// else the oldest request's group (counted in `*partial_flushes`), up
+  /// to max_batch_rows requests in arrival order, into the returned
+  /// Batch.  The batch is empty when nothing is left pending.  Its rows
+  /// leave the ledger's view until the caller queues or executes it.
+  Batch AssembleNextLocked(int64_t* partial_flushes) REQUIRES(mu_);
+  /// Queues a non-empty `batch` on ready_ and wakes an executor.
+  void DispatchLocked(Batch batch) REQUIRES(mu_);
   void ExecuteBatch(Batch batch) EXCLUDES(mu_);
   /// Rows currently tracked by the queue structures: pending + assembled
   /// (ready_) + executing.  The admission ledger invariant — this sum
@@ -233,6 +264,10 @@ class BatchingEngine {
   /// Rows inside batches executors have taken off ready_ and not yet
   /// completed (the "executing" term of the ledger).
   Index executing_rows_ GUARDED_BY(mu_) = 0;
+  /// Executors waiting on cv_ready_, within [0, executor_threads].  While
+  /// it exceeds ready_.size(), an executor waits with no batch meant for
+  /// it, and the next admitted row is assembled at once.
+  int idle_executors_ GUARDED_BY(mu_) = 0;
   bool flush_requested_ GUARDED_BY(mu_) = false;
   /// No new admissions; dispatcher drains.
   bool stopping_ GUARDED_BY(mu_) = false;

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <limits>
 #include <thread>
@@ -195,6 +196,29 @@ TEST(BatchShapeDecisionsTest, OffByDefaultSharesOneDecision) {
 // BatchingEngine coalescing mechanics, against a counting fake backend.
 // ---------------------------------------------------------------------
 
+constexpr Index kF = 4;
+constexpr double kNeverFlushMs = 3600 * 1000.0;
+/// How long a test waits for an event before it fails instead of
+/// hanging.
+constexpr std::chrono::seconds kAwait{10};
+
+struct Client {
+  std::vector<Real> vector;
+  std::vector<TopKEntry> row;
+  std::future<Status> future;
+};
+
+std::vector<Client> MakeClients(Index count, Index k) {
+  std::vector<Client> clients(static_cast<std::size_t>(count));
+  for (Index i = 0; i < count; ++i) {
+    Client& c = clients[static_cast<std::size_t>(i)];
+    c.vector.assign(static_cast<std::size_t>(kF), 0);
+    c.vector[0] = static_cast<Real>(i);
+    c.row.resize(static_cast<std::size_t>(k));
+  }
+  return clients;
+}
+
 /// A deterministic backend that records every batch shape and can be
 /// paused (requests block inside the backend until Release).
 class FakeBackend {
@@ -207,7 +231,10 @@ class FakeBackend {
         MutexLock lock(mu_);
         ++calls_;
         batch_rows_.push_back(rows);
+        ++held_;
+        cv_.NotifyAll();
         while (paused_) cv_.Wait(lock);
+        --held_;
       }
       *out = TopKResult(rows, k);
       for (Index r = 0; r < rows; ++r) {
@@ -237,6 +264,44 @@ class FakeBackend {
     }
     cv_.NotifyAll();
   }
+  /// Waits until `count` calls are inside the backend at once.  After
+  /// kAwait it gives up, releases the backend (so that the engine can
+  /// drain) and returns false.
+  bool AwaitHeld(int count) EXCLUDES(mu_) {
+    const auto give_up = std::chrono::steady_clock::now() + kAwait;
+    {
+      MutexLock lock(mu_);
+      while (held_ < count) {
+        if (cv_.WaitUntil(lock, give_up) == std::cv_status::timeout &&
+            held_ < count) {
+          break;
+        }
+      }
+      if (held_ >= count) return true;
+    }
+    Release();
+    return false;
+  }
+  /// Pauses the backend and parks one k-row request per executor of
+  /// `engine` inside it, so that rows submitted next queue behind busy
+  /// executors.  Each request is submitted once the previous one is
+  /// held, so each is a batch of its own.  Returns the parked requests;
+  /// they resolve after Release.
+  std::vector<Client> ParkExecutors(BatchingEngine* engine, Index k)
+      EXCLUDES(mu_) {
+    Pause();
+    const int executors = engine->options().executor_threads;
+    std::vector<Client> parked = MakeClients(executors, k);
+    for (int e = 0; e < executors; ++e) {
+      Client& c = parked[static_cast<std::size_t>(e)];
+      c.future = engine->SubmitNewUser(c.vector.data(), k, c.row.data());
+      if (!AwaitHeld(e + 1)) {
+        ADD_FAILURE() << "executor " << e << " never entered the backend";
+        break;
+      }
+    }
+    return parked;
+  }
   std::vector<Index> batch_rows() const EXCLUDES(mu_) {
     MutexLock lock(mu_);
     return batch_rows_;
@@ -249,36 +314,34 @@ class FakeBackend {
  private:
   Index num_factors_;
   mutable Mutex mu_;
-  CondVar cv_;
+  CondVar cv_;  // paused_ cleared, or held_ raised
   bool paused_ GUARDED_BY(mu_) = false;
   int calls_ GUARDED_BY(mu_) = 0;
+  /// Calls inside the backend right now.
+  int held_ GUARDED_BY(mu_) = 0;
   std::vector<Index> batch_rows_ GUARDED_BY(mu_);
 };
 
-constexpr Index kF = 4;
-constexpr double kNeverFlushMs = 3600 * 1000.0;
-
-struct Client {
-  std::vector<Real> vector;
-  std::vector<TopKEntry> row;
-  std::future<Status> future;
-};
-
-std::vector<Client> MakeClients(Index count, Index k) {
-  std::vector<Client> clients(static_cast<std::size_t>(count));
-  for (Index i = 0; i < count; ++i) {
-    Client& c = clients[static_cast<std::size_t>(i)];
-    c.vector.assign(static_cast<std::size_t>(kF), 0);
-    c.vector[0] = static_cast<Real>(i);
-    c.row.resize(static_cast<std::size_t>(k));
+/// Polls `engine`'s stats until `done` holds; false if kAwait passes
+/// first.
+template <typename Predicate>
+bool AwaitStats(const BatchingEngine& engine, Predicate done) {
+  const auto give_up = std::chrono::steady_clock::now() + kAwait;
+  while (!done(engine.stats())) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::yield();
   }
-  return clients;
+  return true;
+}
+
+void ExpectAllOk(std::vector<Client>* clients) {
+  for (Client& c : *clients) EXPECT_TRUE(c.future.get().ok());
 }
 
 TEST(BatchingEngineTest, FlushBoundaries) {
-  // 63, 64, and 65 concurrent submissions against max_batch_rows = 64
-  // with an effectively infinite wait: only full batches dispatch on
-  // their own; stragglers need Flush.
+  // 63, 64, and 65 submissions against max_batch_rows = 64 with an
+  // effectively infinite wait, queued behind the parked executor: only
+  // full batches dispatch on their own; stragglers need Flush.
   for (const Index submitted : {Index{63}, Index{64}, Index{65}}) {
     FakeBackend backend(kF);
     BatchingOptions options;
@@ -289,11 +352,14 @@ TEST(BatchingEngineTest, FlushBoundaries) {
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
     const Index k = 3;
+    std::vector<Client> parked = backend.ParkExecutors(engine->get(), k);
     std::vector<Client> clients = MakeClients(submitted, k);
     for (Client& c : clients) {
       c.future = (*engine)->SubmitNewUser(c.vector.data(), k, c.row.data());
     }
     (*engine)->Flush();
+    backend.Release();
+    ExpectAllOk(&parked);
     for (Index i = 0; i < submitted; ++i) {
       Client& c = clients[static_cast<std::size_t>(i)];
       ASSERT_TRUE(c.future.get().ok()) << "request " << i;
@@ -307,26 +373,27 @@ TEST(BatchingEngineTest, FlushBoundaries) {
       EXPECT_LE(rows, 64);
       total += rows;
     }
-    EXPECT_EQ(total, submitted);
+    // The parked row rides in the first, 1-row batch.
+    EXPECT_EQ(total, submitted + 1);
     const BatchingEngine::Stats stats = (*engine)->stats();
-    EXPECT_EQ(stats.submitted, submitted);
-    EXPECT_EQ(stats.served, submitted);
+    EXPECT_EQ(stats.submitted, submitted + 1);
+    EXPECT_EQ(stats.served, submitted + 1);
     EXPECT_EQ(stats.shed, 0);
     EXPECT_EQ(stats.expired, 0);
     if (submitted == 63) {
       // Nothing was full: exactly one forced batch of 63.
-      EXPECT_EQ(batches, std::vector<Index>{63});
+      EXPECT_EQ(batches, (std::vector<Index>{1, 63}));
       EXPECT_EQ(stats.size_flushes, 0);
       EXPECT_EQ(stats.batch_size_histogram.at(63), 1);
     } else if (submitted == 64) {
-      EXPECT_EQ(batches, std::vector<Index>{64});
+      EXPECT_EQ(batches, (std::vector<Index>{1, 64}));
       EXPECT_EQ(stats.size_flushes, 1);
       EXPECT_EQ(stats.batch_size_histogram.at(64), 1);
     } else {
-      EXPECT_EQ(batches, (std::vector<Index>{64, 1}));
+      EXPECT_EQ(batches, (std::vector<Index>{1, 64, 1}));
       EXPECT_EQ(stats.size_flushes, 1);
       EXPECT_EQ(stats.batch_size_histogram.at(64), 1);
-      EXPECT_EQ(stats.batch_size_histogram.at(1), 1);
+      EXPECT_EQ(stats.batch_size_histogram.at(1), 2);  // parked + straggler
     }
   }
 }
@@ -340,14 +407,22 @@ TEST(BatchingEngineTest, TimeoutFlushesPartialBatch) {
   ASSERT_TRUE(engine.ok());
 
   const Index k = 2;
+  std::vector<Client> parked = backend.ParkExecutors(engine->get(), k);
+  const int64_t timeouts_before = (*engine)->stats().timeout_flushes;
   std::vector<Client> clients = MakeClients(3, k);
   for (Client& c : clients) {
     c.future = (*engine)->SubmitNewUser(c.vector.data(), k, c.row.data());
   }
-  // No Flush: the bounded delay alone must dispatch them.
+  // No Flush, and the executor stays busy: the bounded delay alone must
+  // dispatch them.
+  EXPECT_TRUE(AwaitStats(**engine, [&](const BatchingEngine::Stats& s) {
+    return s.timeout_flushes > timeouts_before;
+  }));
+  backend.Release();
+  ExpectAllOk(&parked);
   for (Client& c : clients) ASSERT_TRUE(c.future.get().ok());
   const BatchingEngine::Stats stats = (*engine)->stats();
-  EXPECT_EQ(stats.served, 3);
+  EXPECT_EQ(stats.served, 3 + 1);  // the three rows and the parked one
   EXPECT_GE(stats.timeout_flushes, 1);
   EXPECT_EQ(stats.shed, 0);
 }
@@ -362,6 +437,7 @@ TEST(BatchingEngineTest, CoalescesPerK) {
   auto engine = BatchingEngine::Create(backend.AsBackend(), kF, options);
   ASSERT_TRUE(engine.ok());
 
+  std::vector<Client> parked = backend.ParkExecutors(engine->get(), 2);
   std::vector<Client> small = MakeClients(5, 2);
   std::vector<Client> large = MakeClients(5, 5);
   for (Index i = 0; i < 5; ++i) {
@@ -371,32 +447,145 @@ TEST(BatchingEngineTest, CoalescesPerK) {
     l.future = (*engine)->SubmitNewUser(l.vector.data(), 5, l.row.data());
   }
   (*engine)->Flush();
+  backend.Release();
+  ExpectAllOk(&parked);
   for (Client& c : small) ASSERT_TRUE(c.future.get().ok());
   for (Client& c : large) ASSERT_TRUE(c.future.get().ok());
-  // Two homogeneous batches of 5, not one mixed batch of 10.
-  EXPECT_EQ(backend.batch_rows(), (std::vector<Index>{5, 5}));
+  // Behind the parked row, two homogeneous batches of 5, not one mixed
+  // batch of 10.
+  EXPECT_EQ(backend.batch_rows(), (std::vector<Index>{1, 5, 5}));
 }
 
 TEST(BatchingEngineTest, DeadlineExpiresQueuedRequest) {
   FakeBackend backend(kF);
   BatchingOptions options;
   options.max_batch_rows = 64;
-  options.max_wait_ms = kNeverFlushMs;  // nothing dispatches on its own
+  options.max_wait_ms = kNeverFlushMs;  // nothing dispatches on the clock
   auto engine = BatchingEngine::Create(backend.AsBackend(), kF, options);
   ASSERT_TRUE(engine.ok());
 
   const Index k = 2;
+  std::vector<Client> parked = backend.ParkExecutors(engine->get(), k);
   std::vector<Client> clients = MakeClients(1, k);
   clients[0].future = (*engine)->SubmitNewUser(clients[0].vector.data(), k,
                                                clients[0].row.data(),
                                                /*deadline_ms=*/20);
+  // The executor stays parked: the dispatcher's prompt purge resolves it.
   const Status status = clients[0].future.get();
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded)
       << status.ToString();
   const BatchingEngine::Stats stats = (*engine)->stats();
   EXPECT_EQ(stats.expired, 1);
   EXPECT_EQ(stats.served, 0);
-  EXPECT_EQ(backend.calls(), 0);
+  EXPECT_EQ(backend.calls(), 1);  // the parked row only
+  backend.Release();
+  ExpectAllOk(&parked);
+}
+
+TEST(BatchingEngineTest, IdleExecutorDispatchesAtOnce) {
+  // No clock, no Flush: a lone row on an idle engine goes straight to the
+  // executor.
+  FakeBackend backend(kF);
+  BatchingOptions options;
+  options.max_batch_rows = 64;
+  options.max_wait_ms = kNeverFlushMs;
+  auto engine = BatchingEngine::Create(backend.AsBackend(), kF, options);
+  ASSERT_TRUE(engine.ok());
+
+  const Index k = 2;
+  std::vector<Client> clients = MakeClients(1, k);
+  clients[0].future = (*engine)->SubmitNewUser(clients[0].vector.data(), k,
+                                               clients[0].row.data());
+  ASSERT_EQ(clients[0].future.wait_for(kAwait), std::future_status::ready);
+  EXPECT_TRUE(clients[0].future.get().ok());
+  const BatchingEngine::Stats stats = (*engine)->stats();
+  EXPECT_EQ(stats.idle_flushes, 1);
+  EXPECT_EQ(stats.timeout_flushes, 0);
+  EXPECT_EQ(stats.batches_dispatched, 1);
+}
+
+TEST(BatchingEngineTest, BusyExecutorsCoalesceArrivals) {
+  // Rows that arrive while the executor runs wait for it and leave as
+  // one batch when it frees up.
+  FakeBackend backend(kF);
+  BatchingOptions options;
+  options.max_batch_rows = 64;
+  options.max_wait_ms = kNeverFlushMs;
+  auto engine = BatchingEngine::Create(backend.AsBackend(), kF, options);
+  ASSERT_TRUE(engine.ok());
+
+  const Index k = 2;
+  std::vector<Client> parked = backend.ParkExecutors(engine->get(), k);
+  std::vector<Client> clients = MakeClients(10, k);
+  for (Client& c : clients) {
+    c.future = (*engine)->SubmitNewUser(c.vector.data(), k, c.row.data());
+  }
+  backend.Release();
+  ExpectAllOk(&parked);
+  for (Index i = 0; i < 10; ++i) {
+    Client& c = clients[static_cast<std::size_t>(i)];
+    ASSERT_TRUE(c.future.get().ok()) << "request " << i;
+    EXPECT_EQ(c.row[0].score, static_cast<Real>(i));
+  }
+  EXPECT_EQ(backend.batch_rows(), (std::vector<Index>{1, 10}));
+  const BatchingEngine::Stats stats = (*engine)->stats();
+  EXPECT_EQ(stats.idle_flushes, 2);
+  EXPECT_EQ(stats.size_flushes + stats.timeout_flushes + stats.forced_flushes,
+            0);
+}
+
+TEST(BatchingEngineTest, SecondIdleExecutorTakesWork) {
+  // With one executor held inside the backend, the other, idle one takes
+  // the next row at once.
+  FakeBackend backend(kF);
+  backend.Pause();
+  BatchingOptions options;
+  options.max_batch_rows = 64;
+  options.max_wait_ms = kNeverFlushMs;
+  options.executor_threads = 2;
+  auto engine = BatchingEngine::Create(backend.AsBackend(), kF, options);
+  ASSERT_TRUE(engine.ok());
+
+  const Index k = 2;
+  std::vector<Client> clients = MakeClients(2, k);
+  clients[0].future = (*engine)->SubmitNewUser(clients[0].vector.data(), k,
+                                               clients[0].row.data());
+  ASSERT_TRUE(backend.AwaitHeld(1));
+  clients[1].future = (*engine)->SubmitNewUser(clients[1].vector.data(), k,
+                                               clients[1].row.data());
+  EXPECT_TRUE(backend.AwaitHeld(2));  // while the first is still held
+  backend.Release();
+  ExpectAllOk(&clients);
+  EXPECT_EQ(backend.batch_rows(), (std::vector<Index>{1, 1}));
+}
+
+TEST(BatchingEngineTest, ExpiredRowIsNeverAssembled) {
+  // The row's deadline passes while the executor is parked; when it frees
+  // up, the row resolves DeadlineExceeded instead of reaching the backend.
+  FakeBackend backend(kF);
+  BatchingOptions options;
+  options.max_batch_rows = 64;
+  options.max_wait_ms = kNeverFlushMs;
+  auto engine = BatchingEngine::Create(backend.AsBackend(), kF, options);
+  ASSERT_TRUE(engine.ok());
+
+  const Index k = 2;
+  std::vector<Client> parked = backend.ParkExecutors(engine->get(), k);
+  std::vector<Client> clients = MakeClients(1, k);
+  clients[0].future = (*engine)->SubmitNewUser(clients[0].vector.data(), k,
+                                               clients[0].row.data(),
+                                               /*deadline_ms=*/1);
+  // The row arrived before this point, so its deadline has passed once
+  // this sleep ends.
+  std::this_thread::sleep_until(std::chrono::steady_clock::now() +
+                                std::chrono::milliseconds(1));
+  backend.Release();
+  ExpectAllOk(&parked);
+  EXPECT_EQ(clients[0].future.get().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(backend.calls(), 1);
+  const BatchingEngine::Stats stats = (*engine)->stats();
+  EXPECT_EQ(stats.expired, 1);
+  EXPECT_EQ(stats.served, 1);
 }
 
 TEST(BatchingEngineTest, ShedPolicyFailsFastAtTheBound) {
