@@ -198,14 +198,11 @@ std::future<Status> BatchingEngine::SubmitNewUser(const Real* user_vector,
       std::max(stats_.max_queue_rows_observed, outstanding_rows_);
   ++pending_rows_by_k_[k];
   pending_.push_back(std::move(req));
-  if (static_cast<std::size_t>(idle_executors_) > ready_.size()) {
-    // An executor waits with no batch meant for it: hand it the pending
-    // rows now instead of waking the dispatcher to wait out the clock.
-    DispatchLocked(AssembleNextLocked(&stats_.idle_flushes));
-  } else {
-    cv_work_.NotifyOne();
-  }
   MIPS_DCHECK_EQ(outstanding_rows_, TrackedRowsLocked());
+  // An idle executor takes the row at once; the dispatcher re-arms its
+  // clock for the row's deadline and flush point.
+  cv_ready_.NotifyOne();
+  cv_work_.NotifyOne();
   return future;
 }
 
@@ -254,9 +251,8 @@ Index BatchingEngine::FullGroupLocked() const {
 }
 
 BatchingEngine::Batch BatchingEngine::AssembleNextLocked(
-    int64_t* partial_flushes) {
+    Clock::time_point now, int64_t* partial_flushes) {
   mu_.AssertHeld();
-  const Clock::time_point now = Clock::now();
   PurgeExpiredLocked(now);
   Batch batch;
   if (pending_.empty()) return batch;
@@ -264,6 +260,7 @@ BatchingEngine::Batch BatchingEngine::AssembleNextLocked(
   int64_t* flush_counter = &stats_.size_flushes;
   batch.k = FullGroupLocked();
   if (batch.k < 0) {
+    if (partial_flushes == nullptr) return batch;
     batch.k = pending_.front().k;
     flush_counter = partial_flushes;
   }
@@ -323,9 +320,11 @@ void BatchingEngine::DispatcherLoop() {
     } else if (timed && now >= pending_.front().arrival + max_wait) {
       partial_flushes = &stats_.timeout_flushes;
     }
-    if (!pending_.empty() &&
-        (partial_flushes != nullptr || FullGroupLocked() >= 0)) {
-      DispatchLocked(AssembleNextLocked(partial_flushes));
+    // The same `now`: a row that outlived the purge above cannot expire
+    // inside the assembly.
+    Batch batch = AssembleNextLocked(now, partial_flushes);
+    if (!batch.requests.empty()) {
+      DispatchLocked(std::move(batch));
       continue;
     }
     if (flush_requested_) {
@@ -364,17 +363,13 @@ void BatchingEngine::ExecutorLoop() {
     } else if (!pending_.empty()) {
       // Rows pend while this executor is free: it takes them now rather
       // than wait for the dispatcher's clock.
-      batch = AssembleNextLocked(&stats_.idle_flushes);
+      batch = AssembleNextLocked(Clock::now(), &stats_.idle_flushes);
     }
     if (batch.requests.empty()) {
       // Nothing is ready or pending.  Once the dispatcher has drained and
       // raised executors_done_, nothing will be.
       if (executors_done_) return;
-      ++idle_executors_;
-      MIPS_DCHECK_LE(idle_executors_, options_.executor_threads);
       cv_ready_.Wait(lock);
-      --idle_executors_;
-      MIPS_DCHECK_GE(idle_executors_, 0);
       continue;
     }
     executing_rows_ += static_cast<Index>(batch.requests.size());

@@ -12,12 +12,11 @@
 // a bounded queue and coalesced (per k — rows of one GEMM must share k)
 // into mini-batches under a work-conserving policy:
 //
-//   - an idle executor takes pending rows at once ("idle flush"): the
-//     thread that finds an executor waiting with no batch ready for it —
-//     a submitter admitting a row, or an executor that has finished its
+//   - an idle executor takes pending rows at once ("idle flush"): each
+//     submission wakes a waiting executor, and an executor that finds
+//     no batch ready but rows pending — just woken, or just done with a
 //     batch — assembles the next batch itself, so a request on an idle
-//     engine reaches the backend after one thread wake and never waits
-//     on the clock;
+//     engine never waits on the clock;
 //   - while every executor is busy, arrivals coalesce.  A batch
 //     dispatches as soon as `max_batch_rows` rows of one k are pending
 //     ("size flush"), when an executor frees up, or when the oldest
@@ -182,8 +181,8 @@ class BatchingEngine {
     int64_t batches_dispatched = 0;
     int64_t size_flushes = 0;
     int64_t timeout_flushes = 0;
-    /// Partial batches assembled for an idle executor, by the submitter
-    /// that found it waiting or by the executor itself.
+    /// Partial batches an executor assembled itself, finding no batch
+    /// ready but rows pending.
     int64_t idle_flushes = 0;
     /// Flush() / shutdown-drain dispatches.
     int64_t forced_flushes = 0;
@@ -230,13 +229,15 @@ class BatchingEngine {
       REQUIRES(mu_);
   /// The key of a group with max_batch_rows or more pending rows, or -1.
   Index FullGroupLocked() const REQUIRES(mu_);
-  /// The one assembly rule, shared by every site: purges expired pending
-  /// requests, then moves a full group if there is one (a size flush),
-  /// else the oldest request's group (counted in `*partial_flushes`), up
-  /// to max_batch_rows requests in arrival order, into the returned
-  /// Batch.  The batch is empty when nothing is left pending.  Its rows
-  /// leave the ledger's view until the caller queues or executes it.
-  Batch AssembleNextLocked(int64_t* partial_flushes) REQUIRES(mu_);
+  /// The one assembly rule, shared by every site: purges the requests
+  /// expired at `now`, then moves a full group if there is one (a size
+  /// flush), else the oldest request's group (counted in
+  /// `*partial_flushes`), up to max_batch_rows requests in arrival order,
+  /// into the returned Batch.  A null `partial_flushes` takes a full
+  /// group only.  The batch is empty when there is nothing to take.  Its
+  /// rows leave the ledger's view until the caller queues or executes it.
+  Batch AssembleNextLocked(std::chrono::steady_clock::time_point now,
+                           int64_t* partial_flushes) REQUIRES(mu_);
   /// Queues a non-empty `batch` on ready_ and wakes an executor.
   void DispatchLocked(Batch batch) REQUIRES(mu_);
   void ExecuteBatch(Batch batch) EXCLUDES(mu_);
@@ -252,7 +253,7 @@ class BatchingEngine {
 
   mutable Mutex mu_;
   CondVar cv_work_;   // dispatcher: pending changed
-  CondVar cv_ready_;  // executors: ready batch available
+  CondVar cv_ready_;  // executors: a batch is ready or a row pends
   CondVar cv_space_;  // blocked admitters: rows completed
   CondVar cv_flush_;  // Flush(): pending drained
   std::deque<Request> pending_ GUARDED_BY(mu_);
@@ -264,10 +265,6 @@ class BatchingEngine {
   /// Rows inside batches executors have taken off ready_ and not yet
   /// completed (the "executing" term of the ledger).
   Index executing_rows_ GUARDED_BY(mu_) = 0;
-  /// Executors waiting on cv_ready_, within [0, executor_threads].  While
-  /// it exceeds ready_.size(), an executor waits with no batch meant for
-  /// it, and the next admitted row is assembled at once.
-  int idle_executors_ GUARDED_BY(mu_) = 0;
   bool flush_requested_ GUARDED_BY(mu_) = false;
   /// No new admissions; dispatcher drains.
   bool stopping_ GUARDED_BY(mu_) = false;

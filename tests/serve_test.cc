@@ -559,35 +559,6 @@ TEST(BatchingEngineTest, SecondIdleExecutorTakesWork) {
   EXPECT_EQ(backend.batch_rows(), (std::vector<Index>{1, 1}));
 }
 
-TEST(BatchingEngineTest, ExpiredRowIsNeverAssembled) {
-  // The row's deadline passes while the executor is parked; when it frees
-  // up, the row resolves DeadlineExceeded instead of reaching the backend.
-  FakeBackend backend(kF);
-  BatchingOptions options;
-  options.max_batch_rows = 64;
-  options.max_wait_ms = kNeverFlushMs;
-  auto engine = BatchingEngine::Create(backend.AsBackend(), kF, options);
-  ASSERT_TRUE(engine.ok());
-
-  const Index k = 2;
-  std::vector<Client> parked = backend.ParkExecutors(engine->get(), k);
-  std::vector<Client> clients = MakeClients(1, k);
-  clients[0].future = (*engine)->SubmitNewUser(clients[0].vector.data(), k,
-                                               clients[0].row.data(),
-                                               /*deadline_ms=*/1);
-  // The row arrived before this point, so its deadline has passed once
-  // this sleep ends.
-  std::this_thread::sleep_until(std::chrono::steady_clock::now() +
-                                std::chrono::milliseconds(1));
-  backend.Release();
-  ExpectAllOk(&parked);
-  EXPECT_EQ(clients[0].future.get().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(backend.calls(), 1);
-  const BatchingEngine::Stats stats = (*engine)->stats();
-  EXPECT_EQ(stats.expired, 1);
-  EXPECT_EQ(stats.served, 1);
-}
-
 TEST(BatchingEngineTest, ShedPolicyFailsFastAtTheBound) {
   FakeBackend backend(kF);
   backend.Pause();  // hold admitted rows outstanding inside the backend
@@ -689,25 +660,47 @@ TEST(BatchingEngineTest, DropExpiredPolicyShedsWhenNothingExpired) {
 }
 
 TEST(BatchingEngineTest, ShutdownDrainsPendingRequests) {
+  // Seven rows are still pending when destruction starts: the parked
+  // executor cannot take them and the clock never flushes them.  A
+  // submitter blocked at the admission bound returns only once the
+  // shutdown has begun, and only then is the backend released.
   FakeBackend backend(kF);
   BatchingOptions options;
-  options.max_batch_rows = 64;
+  options.max_batch_rows = 8;
+  options.max_queue_rows = 8;  // the parked row and seven pending ones
   options.max_wait_ms = kNeverFlushMs;
+  options.overload_policy = OverloadPolicy::kBlock;
+  auto engine = BatchingEngine::Create(backend.AsBackend(), kF, options);
+  ASSERT_TRUE(engine.ok());
+
   const Index k = 2;
+  std::vector<Client> parked = backend.ParkExecutors(engine->get(), k);
   std::vector<Client> clients = MakeClients(7, k);
-  {
-    auto engine = BatchingEngine::Create(backend.AsBackend(), kF, options);
-    ASSERT_TRUE(engine.ok());
-    for (Client& c : clients) {
-      c.future = (*engine)->SubmitNewUser(c.vector.data(), k, c.row.data());
-    }
-    // Destruction must serve everything already admitted.
+  for (Client& c : clients) {
+    c.future = (*engine)->SubmitNewUser(c.vector.data(), k, c.row.data());
   }
+  std::vector<Client> late = MakeClients(1, k);
+  std::thread blocked([&] {
+    late[0].future = (*engine)->SubmitNewUser(late[0].vector.data(), k,
+                                              late[0].row.data());
+  });
+  // It is inside the admission wait before destruction starts.
+  EXPECT_TRUE(AwaitStats(**engine, [](const BatchingEngine::Stats& s) {
+    return s.blocked == 1;
+  }));
+  std::thread destroy([&engine] { engine->reset(); });
+  blocked.join();
+  EXPECT_EQ(late[0].future.get().code(), StatusCode::kFailedPrecondition);
+  backend.Release();
+  destroy.join();
+  // Destruction served everything admitted.
+  ExpectAllOk(&parked);
   for (Index i = 0; i < 7; ++i) {
     Client& c = clients[static_cast<std::size_t>(i)];
     ASSERT_TRUE(c.future.get().ok()) << "request " << i;
     EXPECT_EQ(c.row[0].score, static_cast<Real>(i));
   }
+  EXPECT_EQ(backend.batch_rows(), (std::vector<Index>{1, 7}));
 }
 
 TEST(BatchingEngineTest, RejectsInvalidArgumentsAndOptions) {
