@@ -4,7 +4,7 @@
 // even matrix-vector multiply (20x)"), plus the top-K heap pass, the
 // k-means assignment GEMM, the level-1 dot kernels, and, per kernel
 // variant, the whole score-and-select call; and MAXIMUS's bounded walk
-// per walked list position.
+// per walked list position, and per user for new users against known ones.
 //
 // The binary first prints the runtime SIMD dispatch report — per-variant
 // packed-panel GFLOP/s from a fresh KernelProbe sweep, the installed
@@ -16,6 +16,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -156,20 +157,17 @@ void BM_KMeans(benchmark::State& state) {
 }
 BENCHMARK(BM_KMeans);
 
-// MAXIMUS's bounded walk under the installed kernel: TopKForUsers over
-// 2,048-user requests that step through the users of batch-skewed's
-// norm-skewed model (r2-nomad-50 x6: 164,086 users x 12,306 items, f = 50,
-// prepared once with the default options), at width k: k = 10 keeps each
-// user's best k in a row record, k = 17 in a heap.  Reported as time per
-// walked list position (the solver's mean_items_visited per user), the
-// walk's counterpart of BM_ScoreTopK's time per cell.
-void BM_MaximusTopK(benchmark::State& state) {
-  struct Prepared {
-    MFModel model;
-    MaximusSolver solver;
-  };
-  static Prepared* const prepared = [] {
-    auto* p = new Prepared;
+// batch-skewed's norm-skewed model (r2-nomad-50 x6: 164,086 users x
+// 12,306 items, f = 50) with MAXIMUS prepared on it once, with the
+// default options.
+struct SkewedMaximus {
+  MFModel model;
+  MaximusSolver solver;
+};
+
+SkewedMaximus& PreparedSkewedMaximus() {
+  static SkewedMaximus* const prepared = [] {
+    auto* p = new SkewedMaximus;
     auto preset = FindModelPreset("r2-nomad-50");
     preset.status().CheckOK();
     auto model = MakeModel(*preset, 6);
@@ -179,9 +177,20 @@ void BM_MaximusTopK(benchmark::State& state) {
                       ConstRowBlock(p->model.items)).CheckOK();
     return p;
   }();
+  return *prepared;
+}
+
+// MAXIMUS's bounded walk under the installed kernel: TopKForUsers over
+// 2,048-user requests that step through the users of batch-skewed's model
+// (PreparedSkewedMaximus), at width k: k = 10 keeps each user's best k in
+// a row record, k = 17 in a heap.  Reported as time per walked list
+// position (the solver's mean_items_visited per user), the walk's
+// counterpart of BM_ScoreTopK's time per cell.
+void BM_MaximusTopK(benchmark::State& state) {
+  SkewedMaximus& prepared = PreparedSkewedMaximus();
   const auto k = static_cast<Index>(state.range(0));
   const Index request = 2048;
-  const Index users = prepared->model.num_users();
+  const Index users = prepared.model.num_users();
   std::vector<Index> ids(static_cast<std::size_t>(request));
   TopKResult result;
   Index cursor = 0;
@@ -190,9 +199,9 @@ void BM_MaximusTopK(benchmark::State& state) {
     for (Index r = 0; r < request; ++r) {
       ids[static_cast<std::size_t>(r)] = (cursor + r) % users;
     }
-    prepared->solver.TopKForUsers(k, ids, &result).CheckOK();
+    prepared.solver.TopKForUsers(k, ids, &result).CheckOK();
     benchmark::DoNotOptimize(result.Row(0));
-    positions += prepared->solver.mean_items_visited() * request;
+    positions += prepared.solver.mean_items_visited() * request;
     cursor = (cursor + request) % users;
   }
   state.counters["time/position"] = benchmark::Counter(
@@ -203,6 +212,63 @@ BENCHMARK(BM_MaximusTopK)
     ->Arg(10)
     ->Arg(17)
     ->Unit(benchmark::kMillisecond);
+
+// MAXIMUS's new-user path and its known-user twin at k = 10 on
+// batch-skewed's model (PreparedSkewedMaximus): requests of `rows`
+// prepared users (1, 4, 16 and 64, the batch sizes the serving tier
+// coalesces), served as vectors through TopKNewUsers (`new`) or as ids
+// through TopKForUsers (`known`, what OPTIMUS times).  Both step through
+// the same 4,096 users, drawn once at random, so each request of one is a
+// request of the other.  Reported as time per user.
+void BM_MaximusNewUsers(benchmark::State& state, bool as_vectors) {
+  SkewedMaximus& prepared = PreparedSkewedMaximus();
+  const Index rows = static_cast<Index>(state.range(0));
+  const Index k = 10;
+  const Index f = prepared.model.num_factors();
+  const Index cycle = 4096;
+  std::vector<Index> ids(static_cast<std::size_t>(cycle));
+  Matrix vectors(cycle, f);
+  Rng rng(17);
+  for (Index r = 0; r < cycle; ++r) {
+    const auto u = static_cast<Index>(
+        rng.UniformInt(static_cast<uint64_t>(prepared.model.num_users())));
+    ids[static_cast<std::size_t>(r)] = u;
+    std::copy_n(prepared.model.users.Row(u), f, vectors.Row(r));
+  }
+  const ConstRowBlock items(prepared.model.items);
+  TopKResult result;
+  Index cursor = 0;
+  for (auto _ : state) {
+    if (as_vectors) {
+      prepared.solver
+          .TopKNewUsers(items, vectors.Row(cursor), rows, k, &result)
+          .CheckOK();
+    } else {
+      const std::span<const Index> request(ids.data() + cursor,
+                                           static_cast<std::size_t>(rows));
+      prepared.solver.TopKForUsers(k, request, &result).CheckOK();
+    }
+    benchmark::DoNotOptimize(result.Row(0));
+    cursor = (cursor + rows) % cycle;
+  }
+  state.counters["time/user"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(rows),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_MaximusNewUsers, new, true)
+    ->ArgName("rows")
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(64)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_MaximusNewUsers, known, false)
+    ->ArgName("rows")
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(64)
+    ->Unit(benchmark::kMicrosecond);
 
 // One blocked-GEMM benchmark per installed kernel variant (registered in
 // main for the variants this machine supports).  Forcing the kernel

@@ -74,7 +74,8 @@ int main() {
 
   // --- 4. A new user arrives after the decision (Section III-E). ---
   // The engine serves them exactly whatever strategy won: MAXIMUS's
-  // dynamic-user walk when an index is bound, a dense scoring row
+  // walk from the nearest centroid, with the cluster's bounds widened
+  // for the user's own angle, when an index is bound, a dense scoring row
   // otherwise.  No re-clustering, no concrete types.
   Rng rng(99);
   std::vector<Real> new_user(16);

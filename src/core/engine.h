@@ -17,8 +17,8 @@
 //   * TopKAll(k)          — every prepared user.
 //   * TopKNewUser(...)    — a vector outside the prepared user matrix
 //     (Section III-E), served by the chosen solver's TopKNewUsers:
-//     MAXIMUS's dynamic walk for the MAXIMUS family, a dense scoring row
-//     otherwise.
+//     MAXIMUS's known-user walk from the vector's nearest centroid, a
+//     dense scoring row otherwise.
 //
 // ForceStrategy() overrides the optimizer by candidate name (benches,
 // lesion studies, operator escape hatch); stats() snapshots cumulative
@@ -177,10 +177,10 @@ class MipsEngine {
   /// Exact top-K for a mini-batch of `num_rows` new-user vectors, stored
   /// contiguously row-major (num_rows x num_factors) at `user_vectors`.
   /// This is the serve-side coalescing path (serve/batching_engine.h),
-  /// served by the decided solver's MipsSolver::TopKNewUsers: a
-  /// MAXIMUS-family strategy runs the exact dynamic-user walk per row;
-  /// every other strategy scores the whole batch with one blocked GEMM
-  /// against the item matrix — the batching win the paper's
+  /// served by the decided solver's MipsSolver::TopKNewUsers: MAXIMUS
+  /// walks the batch as it walks known users, grouped by nearest
+  /// centroid; every other strategy scores the whole batch with one
+  /// blocked GEMM against the item matrix — the batching win the paper's
   /// Clipper-style setting exists to exploit.  Row r of *out depends only
   /// on row r of the input, so results are bit-for-bit identical whether
   /// a vector is served alone or coalesced into any batch.  Safe for

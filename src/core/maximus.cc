@@ -124,30 +124,52 @@ Status MaximusSolver::Prepare(const ConstRowBlock& users,
 
 Status MaximusSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
                                    TopKResult* out) {
+  WallTimer traversal_timer;
+  MIPS_RETURN_IF_ERROR(Walk(users_.data(), user_ids.data(),
+                            static_cast<Index>(user_ids.size()), k, out));
+  stage_timer_.Add("traversal", traversal_timer.Seconds());
+  return Status::OK();
+}
+
+Index MaximusSolver::AssignNewUser(const Real* user) const {
+  return AssignToNearest(user, clustering_.centroids);
+}
+
+Status MaximusSolver::TopKNewUsers(const ConstRowBlock& /*items*/,
+                                   const Real* user_vectors, Index num_rows,
+                                   Index k, TopKResult* out) const {
+  return Walk(user_vectors, /*ids=*/nullptr, num_rows, k, out);
+}
+
+Status MaximusSolver::Walk(const Real* vectors, const Index* ids, Index q,
+                           Index k, TopKResult* out) const {
   if (k <= 0) return Status::InvalidArgument("k must be positive");
   if (lists_.empty()) {
     return Status::FailedPrecondition("Prepare was not called");
   }
-  WallTimer traversal_timer;
-  const Index q = static_cast<Index>(user_ids.size());
   *out = TopKResult(q, k);
   if (q == 0) return Status::OK();
 
   const Index n = items_.rows();
   const Index f = items_.cols();
   const Index num_clusters = static_cast<Index>(lists_.size());
+  const auto input_row = [&](int64_t r) {
+    return vectors + static_cast<std::size_t>(ids != nullptr ? ids[r] : r) * f;
+  };
   std::atomic<int64_t> total_visited{0};
 
   ParallelFor(pool_, q, [&](int64_t begin, int64_t end, int /*chunk*/) {
-    // Group this chunk's queries by cluster so the shared block GEMM can
-    // amortize across cluster members.
+    // Group this chunk's rows by cluster so the shared block GEMM can
+    // amortize across cluster members.  A prepared user walks its k-means
+    // cluster; a new vector walks its nearest centroid's (Section III-E).
     std::vector<std::vector<int64_t>> by_cluster(
         static_cast<std::size_t>(num_clusters));
     for (int64_t r = begin; r < end; ++r) {
-      const Index u = user_ids[static_cast<std::size_t>(r)];
-      by_cluster[static_cast<std::size_t>(
-                     clustering_.assignment[static_cast<std::size_t>(u)])]
-          .push_back(r);
+      const Index j =
+          ids != nullptr
+              ? clustering_.assignment[static_cast<std::size_t>(ids[r])]
+              : AssignNewUser(input_row(r));
+      by_cluster[static_cast<std::size_t>(j)].push_back(r);
     }
 
     int64_t visited_acc = 0;
@@ -160,16 +182,28 @@ Status MaximusSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
       const Index m = static_cast<Index>(rows.size());
       const Index block = list.block.rows();
 
-      // Gather + normalize this cluster's queried users.
+      // Gather + normalize this cluster's rows.  A new vector may sit
+      // outside the cluster's theta_b cone.  CBound is Lipschitz in the
+      // angle with constant ||i||, so widening the cone by delta inflates
+      // every bound by at most max_item_norm * delta; that slack on the
+      // row's bounds keeps its stop exact.  A prepared user's is 0.
+      const Real theta_b = theta_b_[static_cast<std::size_t>(j)];
       normalized.Resize(m, f);
       std::vector<Real> user_norms(static_cast<std::size_t>(m));
+      std::vector<Real> slack(static_cast<std::size_t>(m), 0);
       for (Index r = 0; r < m; ++r) {
-        const Index u = user_ids[static_cast<std::size_t>(rows[static_cast<std::size_t>(r)])];
-        std::memcpy(normalized.Row(r), users_.Row(u),
+        std::memcpy(normalized.Row(r),
+                    input_row(rows[static_cast<std::size_t>(r)]),
                     static_cast<std::size_t>(f) * sizeof(Real));
         const Real norm = Nrm2(normalized.Row(r), f);
         user_norms[static_cast<std::size_t>(r)] = norm;
         if (norm > 0) Scale(Real{1} / norm, normalized.Row(r), f);
+        if (ids == nullptr) {
+          const Real theta_uc = AngleFromCosine(CosineSimilarity(
+              normalized.Row(r), clustering_.centroids.Row(j), f));
+          slack[static_cast<std::size_t>(r)] =
+              max_item_norm_ * std::max(Real{0}, theta_uc - theta_b);
+        }
       }
 
       std::vector<int64_t> visited(static_cast<std::size_t>(m), 0);
@@ -181,13 +215,14 @@ Status MaximusSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
         // Lesion path (item blocking disabled): scalar walk per user.
         for (Index r = 0; r < m; ++r) {
           const Real* nu = normalized.Row(r);
+          const Real s = slack[static_cast<std::size_t>(r)];
           TopKHeap heap(k);
           for (Index pos = 0; pos < n; ++pos) {
             // Strict prune (`<`, not `<=`): a bound equal to the heap
             // minimum can cover a tied score, and the tied item must
             // reach Push for the id tie-break (topk_heap.h).
             if (heap.full() &&
-                list.bounds[static_cast<std::size_t>(pos)] <
+                list.bounds[static_cast<std::size_t>(pos)] + s <
                     heap.MinScore()) {
               break;
             }
@@ -206,10 +241,11 @@ Status MaximusSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
         // construction.  Before a later one, the walkers are regrouped in
         // order of their thresholds, so that the four users of a register
         // tile stop near each other, and the segment is gathered into
-        // packed form only through the first position whose bound is
-        // below the lowest threshold: every walker stops there at the
-        // latest, since thresholds only rise and the bounds descend.
-        BoundedWalk walk(m, k, f);
+        // packed form only through the first position whose bound plus
+        // the largest walker slack is below the lowest threshold: every
+        // walker stops there at the latest, since thresholds only rise
+        // and the bounds descend.
+        BoundedWalk walk(m, k, f, slack.data());
         std::vector<Index> active(static_cast<std::size_t>(m));
         std::iota(active.begin(), active.end(), 0);
         std::vector<std::pair<Real, Index>> by_threshold;
@@ -221,15 +257,19 @@ Status MaximusSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
           Index reach = len;
           if (pos0 > 0) {
             by_threshold.clear();
+            Real widest = 0;
             for (const Index r : active) {
               by_threshold.emplace_back(walk.Threshold(r), r);
+              widest = std::max(widest, slack[static_cast<std::size_t>(r)]);
             }
             std::sort(by_threshold.begin(), by_threshold.end());
             for (std::size_t a = 0; a < active.size(); ++a) {
               active[a] = by_threshold[a].second;
             }
             const Real lowest = by_threshold.front().first;
-            const auto walks_on = [lowest](Real b) { return !(b < lowest); };
+            const auto walks_on = [lowest, widest](Real b) {
+              return !(b + widest < lowest);
+            };
             const Real* below =
                 std::partition_point(bounds, bounds + len, walks_on);
             reach = std::min(len, static_cast<Index>(below - bounds) + 1);
@@ -271,71 +311,6 @@ Status MaximusSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
   mean_items_visited_.store(
       static_cast<double>(total_visited.load()) / static_cast<double>(q),
       std::memory_order_relaxed);
-  stage_timer_.Add("traversal", traversal_timer.Seconds());
-  return Status::OK();
-}
-
-Index MaximusSolver::AssignNewUser(const Real* user) const {
-  return AssignToNearest(user, clustering_.centroids);
-}
-
-Status MaximusSolver::TopKNewUsers(const ConstRowBlock& items,
-                                   const Real* user_vectors, Index num_rows,
-                                   Index k, TopKResult* out) const {
-  *out = TopKResult(num_rows, k);
-  for (Index r = 0; r < num_rows; ++r) {
-    MIPS_RETURN_IF_ERROR(QueryDynamicUser(
-        user_vectors + static_cast<std::size_t>(r) * items.cols(), k,
-        out->Row(r)));
-  }
-  return Status::OK();
-}
-
-Status MaximusSolver::QueryDynamicUser(const Real* user, Index k,
-                                       TopKEntry* out_row) const {
-  if (k <= 0) return Status::InvalidArgument("k must be positive");
-  if (lists_.empty()) {
-    return Status::FailedPrecondition("Prepare was not called");
-  }
-  const Index n = items_.rows();
-  const Index f = items_.cols();
-  const Index j = AssignNewUser(user);
-  const ClusterList& list = lists_[static_cast<std::size_t>(j)];
-
-  // A dynamic user may sit outside the cluster's theta_b cone.  CBound is
-  // Lipschitz in the angle with constant ||i||, so widening the cone by
-  // delta inflates every bound by at most max_item_norm * delta; adding
-  // that slack to the sorted bounds keeps termination exact.
-  const Real cos_uc = CosineSimilarity(user, clustering_.centroids.Row(j), f);
-  const Real theta_uc = AngleFromCosine(cos_uc);
-  const Real delta =
-      std::max(Real{0}, theta_uc - theta_b_[static_cast<std::size_t>(j)]);
-  const Real slack = max_item_norm_ * delta;
-
-  const Real user_norm = Nrm2(user, f);
-  std::vector<Real> nu(static_cast<std::size_t>(f), 0);
-  if (user_norm > 0) {
-    for (Index d = 0; d < f; ++d) nu[static_cast<std::size_t>(d)] = user[d] / user_norm;
-  }
-
-  TopKHeap heap(k);
-  const Index seed = std::min<Index>(k, n);
-  for (Index pos = 0; pos < seed; ++pos) {
-    const Index id = list.item_ids[static_cast<std::size_t>(pos)];
-    heap.Push(id, Dot(nu.data(), items_.Row(id), f));
-  }
-  for (Index pos = seed; pos < n; ++pos) {
-    if (list.bounds[static_cast<std::size_t>(pos)] + slack <
-        heap.MinScore()) {
-      break;
-    }
-    const Index id = list.item_ids[static_cast<std::size_t>(pos)];
-    heap.Push(id, Dot(nu.data(), items_.Row(id), f));
-  }
-  heap.ExtractDescending(out_row);
-  for (Index e = 0; e < k; ++e) {
-    if (out_row[e].item >= 0) out_row[e].score *= user_norm;
-  }
   return Status::OK();
 }
 

@@ -11,7 +11,9 @@
 // K-heap of true (normalized) scores; stop at the first position whose
 // bound cannot beat min(H).  Scores are computed on the *normalized* user
 // so they are directly comparable to the scale-free bound; final results
-// are rescaled by ||u|| (ordering is scale-invariant).
+// are rescaled by ||u|| (ordering is scale-invariant).  A new vector
+// (Section III-E) walks its nearest centroid's list through the same walk,
+// its bounds widened by how far it lies outside that cluster's cone.
 //
 // Hardware-efficient item blocking (Section III-D): each cluster list is
 // scored in B-item segments for all of the cluster's still-walking
@@ -27,12 +29,12 @@
 //     (k-th score), so the four users of a register tile stop near each
 //     other instead of one tile walking until its slowest user stops;
 //   - the segment is gathered into packed form only through the first
-//     position whose bound is below the lowest of those thresholds.
-//     Thresholds only rise and the bounds descend, so every walker stops
-//     there at the latest.
+//     position whose bound plus their largest slack is below the lowest
+//     of their thresholds.  Thresholds only rise and the bounds descend,
+//     so every walker stops there at the latest.
 // Neither moves a stop: each user's answer and visit count are those of
-// the scalar walk, in any request order.  The block_size = 0 lesion and
-// the dynamic-user walk (QueryDynamicUser) stay scalar, on heaps.
+// the scalar walk, in any request order.  The block_size = 0 lesion stays
+// scalar, on heaps.
 
 #ifndef MIPS_CORE_MAXIMUS_H_
 #define MIPS_CORE_MAXIMUS_H_
@@ -90,19 +92,11 @@ class MaximusSolver : public MipsSolver {
   const Clustering& clustering() const { return clustering_; }
 
   /// Assigns an unseen user vector to its nearest centroid and returns the
-  /// cluster id — the Section III-E dynamic-user path.  The bound remains
-  /// valid for the new user only if its angle to the centroid is <=
-  /// theta_b; QueryDynamicUser handles the general case by widening the
-  /// effective bound with the user's own angle.
+  /// cluster id — where TopKNewUsers starts its walk (Section III-E).
   Index AssignNewUser(const Real* user) const;
 
-  /// Exact top-K for a user vector that was not part of Prepare's user
-  /// set.  Walks the assigned cluster's list with the user-specific
-  /// Equation-2 bound (theta_uc in place of theta_b when larger).
-  Status QueryDynamicUser(const Real* user, Index k, TopKEntry* out_row) const;
-
-  /// One QueryDynamicUser walk per row: the serving decision said index
-  /// probes beat a GEMM at this batch shape.
+  /// TopKForUsers' walk from each vector's nearest centroid, with the
+  /// bound for its own angle theta_uc in place of theta_b when larger.
   Status TopKNewUsers(const ConstRowBlock& items, const Real* user_vectors,
                       Index num_rows, Index k,
                       TopKResult* out) const override;
@@ -114,6 +108,12 @@ class MaximusSolver : public MipsSolver {
     PackedItems block;             // first min(B, n) item vectors, packed
   };
 
+  /// The one query body: row r's vector is at vectors + (ids != nullptr ?
+  /// ids[r] : r) * f.  Prepared users (ids) walk their k-means cluster with
+  /// slack 0, new vectors their nearest centroid's with their own slack.
+  Status Walk(const Real* vectors, const Index* ids, Index q, Index k,
+              TopKResult* out) const;
+
   MaximusOptions options_;
   ConstRowBlock users_;
   ConstRowBlock items_;
@@ -121,8 +121,8 @@ class MaximusSolver : public MipsSolver {
   Clustering clustering_;
   std::vector<Real> theta_b_;
   std::vector<ClusterList> lists_;
-  /// The largest item norm: the slack rate of a dynamic user's widened
-  /// cone (QueryDynamicUser).
+  /// The largest item norm: a new user's slack per radian outside its
+  /// cluster's cone.
   Real max_item_norm_ = 0;
 
   mutable std::atomic<double> mean_items_visited_{0};

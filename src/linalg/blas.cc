@@ -24,7 +24,19 @@ Real DotNaive(const Real* x, const Real* y, Index n) {
 
 Real Nrm2Squared(const Real* x, Index n) { return Dot(x, x, n); }
 
-Real Nrm2(const Real* x, Index n) { return std::sqrt(Nrm2Squared(x, n)); }
+Real Nrm2(const Real* x, Index n) {
+  const Real squared = Nrm2Squared(x, n);
+  if (std::isnormal(squared) || std::isnan(squared)) return std::sqrt(squared);
+  // Overflowed or underflowed (or x is 0): sum again with x scaled, exactly,
+  // by the power of two that brings its largest component into [1, 2).
+  Real largest = 0;
+  for (Index i = 0; i < n; ++i) largest = std::max(largest, std::abs(x[i]));
+  if (largest == 0 || std::isinf(largest)) return largest;
+  const int e = std::ilogb(largest);
+  Real sum = 0;
+  for (Index i = 0; i < n; ++i) sum += std::pow(std::scalbn(x[i], -e), 2);
+  return std::scalbn(std::sqrt(sum), e);
+}
 
 void Axpy(Real alpha, const Real* x, Real* y, Index n) {
   for (Index i = 0; i < n; ++i) y[i] += alpha * x[i];

@@ -26,7 +26,7 @@ Real Dot(const Real* x, const Real* y, Index n);
 /// Reference single-accumulator inner product (intentionally unoptimized).
 Real DotNaive(const Real* x, const Real* y, Index n);
 
-/// Euclidean norm ||x||_2.
+/// Euclidean norm ||x||_2, also where its square overflows or underflows.
 Real Nrm2(const Real* x, Index n);
 
 /// Squared Euclidean norm ||x||_2^2.

@@ -82,9 +82,9 @@ class MipsSolver {
   /// new user included, reads the items where they are; a larger one packs
   /// them once per call.  The GEMM folds each score over the factor axis
   /// in an order independent of the tile and of the packing, so no score
-  /// depends on the batch.  MAXIMUS-family solvers override it with their
-  /// per-row dynamic walk (Section III-E).  Safe for concurrent callers
-  /// once Prepare() has returned.
+  /// depends on the batch.  MAXIMUS overrides it with the walk that serves
+  /// its prepared users, from each vector's nearest centroid (Section
+  /// III-E).  Safe for concurrent callers once Prepare() has returned.
   virtual Status TopKNewUsers(const ConstRowBlock& items,
                               const Real* user_vectors, Index num_rows,
                               Index k, TopKResult* out) const;

@@ -185,22 +185,24 @@ class HeapRows {
 
 /// Walks one tile row of a bounded walk in column order, as the scalar
 /// break loop would, and returns the column where it stops (nr if none):
-/// the first whose bound is strictly below the row's threshold.  The cells
-/// before it that still reach the threshold are offered to row r of out.
-/// An offer that raises the threshold flags the first later column whose
-/// bound falls below it, which the epilogue could not see.
+/// the first whose bound plus the row's slack is strictly below its
+/// threshold.  The cells before it that still reach the threshold are
+/// offered to row r of out.  An offer that raises the threshold flags the
+/// first later column whose widened bound falls below it, which the
+/// epilogue could not see.
 template <typename Rows>
-Index WalkRow(const Real* scores, const Real* bounds, Index nr, uint32_t hits,
-              Index c, ItemIds id, Rows& out, Index r, Real* threshold) {
+Index WalkRow(const Real* scores, const Real* bounds, Real slack, Index nr,
+              uint32_t hits, Index c, ItemIds id, Rows& out, Index r,
+              Real* threshold) {
   for (; hits != 0; hits &= hits - 1) {
     const int j = __builtin_ctz(hits);
     const Real t = *threshold;
-    if (bounds[j] < t) return j;
+    if (bounds[j] + slack < t) return j;
     if (!(scores[j] >= t)) continue;
     out.Take(r, id(c + j), scores[j], threshold);
     if (*threshold > t) {
       for (Index q = j + 1; q < nr; ++q) {
-        if (bounds[q] < *threshold) {
+        if (bounds[q] + slack < *threshold) {
           hits |= uint32_t{1} << q;
           break;
         }
@@ -281,14 +283,15 @@ class TileScorer {
   template <typename Rows>
   void Walk(const Real* rows, const Index* walkers, Index m,
             const ItemPanels& items, ItemIds id, const Real* bounds,
-            Rows& out, Index* walked) {
+            const Real* slack, Rows& out, Index* walked) {
     for (Index r0 = 0; r0 < m; r0 += tile_rows_) {
       const Index mb = std::min(tile_rows_, m - r0);
       PackRowTile(rows, walkers, r0, mb);
       for (Index r = 0; r < mb; ++r) {
         thresholds_[r] = out.Threshold(walkers[r0 + r]);
       }
-      WalkRowTile(walkers + r0, mb, items, id, bounds, out, walked + r0);
+      WalkRowTile(walkers + r0, mb, items, id, bounds, slack, out,
+                  walked + r0);
       // Every walker leaves the segment with its row's threshold.
       for (Index r = 0; r < mb; ++r) {
         MIPS_DCHECK_EQ(thresholds_[r], out.Threshold(walkers[r0 + r]));
@@ -375,11 +378,13 @@ class TileScorer {
   /// that reaches its row's threshold or whose bound is below it, so the
   /// fold visits only the rows of a group that hold a flagged cell, in
   /// column order, and a row that stops leaves its group's walking mask.
-  /// A group whose rows have all stopped leaves the walking list and is
-  /// not scored again; once the list is empty the tile is done.
+  /// (A slack is never negative, so that flag comes at or before the
+  /// widened stop.)  A group whose rows have all stopped leaves the walking
+  /// list and is not scored again; once the list is empty the tile is done.
   template <typename Rows>
   void WalkRowTile(const Index* walkers, Index mb, const ItemPanels& items,
-                   ItemIds id, const Real* bounds, Rows& out, Index* walked) {
+                   ItemIds id, const Real* bounds, const Real* slack,
+                   Rows& out, Index* walked) {
     const Index n = items.n;
     std::size_t active = 0;
     for (Index i = 0; i < mb; i += kMR, ++active) {
@@ -412,10 +417,10 @@ class TileScorer {
           const uint64_t row = kRowBits << shift;
           const Index r = g * kMR + shift / kNR;
           const auto row_hits = static_cast<uint32_t>((bits & row) >> shift);
-          const Index stop =
-              WalkRow(strip_[static_cast<std::size_t>(g)].cells + shift,
-                      tile_bounds, nr, row_hits, c, id, out, walkers[r],
-                      &thresholds_[r]);
+          const Index stop = WalkRow(
+              strip_[static_cast<std::size_t>(g)].cells + shift, tile_bounds,
+              slack != nullptr ? slack[walkers[r]] : Real{0}, nr, row_hits, c,
+              id, out, walkers[r], &thresholds_[r]);
           if (stop < nr) {
             walked[r] = c + stop;
             live &= ~row;
@@ -529,11 +534,13 @@ struct BoundedWalk::Impl {
 
   Rows rows;
   TileScorer scorer;
+  const Real* slack;
 };
 
-BoundedWalk::BoundedWalk(Index m, Index k, Index f)
+BoundedWalk::BoundedWalk(Index m, Index k, Index f, const Real* slack)
     : impl_(new Impl{Impl::MakeRows(m, k),
-                     TileScorer(std::clamp<Index>(m, 1, kScoreTileRows), f)}) {}
+                     TileScorer(std::clamp<Index>(m, 1, kScoreTileRows), f),
+                     slack}) {}
 
 BoundedWalk::~BoundedWalk() = default;
 
@@ -550,7 +557,7 @@ void BoundedWalk::Score(const Real* rows, std::span<const Index> walkers,
       [&](auto& out) {
         impl_->scorer.Walk(rows, walkers.data(),
                            static_cast<Index>(walkers.size()), panels,
-                           {0, item_ids}, bounds, out, walked);
+                           {0, item_ids}, bounds, impl_->slack, out, walked);
       },
       impl_->rows);
 }

@@ -106,18 +106,20 @@ class PackedItems {
 /// descending upper bound (a MAXIMUS cluster list, Section III-D), one
 /// segment of the list at a time.  Each row keeps its best k across all of
 /// the segments it walks: in one RowTop record when k <= kRowTopWidth, in a
-/// TopKHeap past it.  A row stops at the first position whose bound is
-/// strictly below its threshold, its k-th best score so far (-inf until it
-/// holds k entries): exactly where the scalar loop
+/// TopKHeap past it.  Row r stops at the first position whose bound plus
+/// its slack s_r >= 0 (Section III-E) is strictly below its threshold, its
+/// k-th best score so far (-inf until it holds k entries): exactly where
+/// the scalar loop
 ///
-///     if (heap.full() && bound[pos] < heap.MinScore()) break;
+///     if (heap.full() && bound[pos] + s_r < heap.MinScore()) break;
 ///     heap.Push(id[pos], score[pos]);
 ///
 /// stops, with the same entries, under every GEMM kernel.
 class BoundedWalk {
  public:
-  /// m rows of f factors, each keeping its best k (k > 0).
-  BoundedWalk(Index m, Index k, Index f);
+  /// m rows of f factors, each keeping its best k (k > 0).  Row r's slack
+  /// is slack[r], read while the walk lasts, or 0 when slack is null.
+  BoundedWalk(Index m, Index k, Index f, const Real* slack = nullptr);
   ~BoundedWalk();
   BoundedWalk(const BoundedWalk&) = delete;
   BoundedWalk& operator=(const BoundedWalk&) = delete;
@@ -134,8 +136,9 @@ class BoundedWalk {
   /// them all.  The walkers are scored four to a register tile in the
   /// order given, and a tile is scored until its last walker stops, so
   /// hand in rows that stop near each other side by side.  A segment may
-  /// be packed only through the first position whose bound is below the
-  /// lowest walker's threshold: every walker stops there at the latest.
+  /// be packed only through the first position whose bound plus the
+  /// largest walker's slack is below the lowest walker's threshold: every
+  /// walker stops there at the latest.
   ///
   /// Serial; allocates nothing (the row tile and score strip are held).
   void Score(const Real* rows, std::span<const Index> walkers,

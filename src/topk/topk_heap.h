@@ -10,9 +10,8 @@
 // MAXIMUS's segment walk (BoundedWalk) keep each row in a sorted record
 // instead (topk/select_kernel.h), whose threshold is its k-th score and
 // whose AVX-512 insert has no branch at all.  MAXIMUS's walk without item
-// blocking (the block_size = 0 lesion) and its dynamic-user walk
-// (QueryDynamicUser) push into a heap at every k.  A full heap takes a
-// better entry with one sift-down from the root.
+// blocking (the block_size = 0 lesion) pushes into a heap at every k.  A
+// full heap takes a better entry with one sift-down from the root.
 
 #ifndef MIPS_TOPK_TOPK_HEAP_H_
 #define MIPS_TOPK_TOPK_HEAP_H_

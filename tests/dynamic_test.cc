@@ -2,8 +2,9 @@
 // cascade stays exact, and the bounds cut exact scoring.
 //
 // New users (the paper's Section III-E) are served exactly by
-// MipsSolver::TopKNewUsers; MAXIMUS's nearest-centroid walk is checked in
-// maximus_test and integration_test.
+// MipsSolver::TopKNewUsers; MAXIMUS's, the walk that serves its prepared
+// users started from the nearest centroid, is checked in maximus_test and
+// integration_test.
 
 #include <gtest/gtest.h>
 

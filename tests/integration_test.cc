@@ -102,13 +102,14 @@ TEST(IntegrationTest, DynamicUsersStayExact) {
                                 ConstRowBlock(model.items)).ok());
   TopKResult expected;
   ASSERT_TRUE(reference.TopKAll(5, &expected).ok());
-  std::vector<TopKEntry> row(5);
   for (Index u = 50; u < 500; ++u) {
-    ASSERT_TRUE(
-        maximus.QueryDynamicUser(model.users.Row(u), 5, row.data()).ok());
+    TopKResult one;
+    ASSERT_TRUE(maximus.TopKNewUsers(ConstRowBlock(model.items),
+                                     model.users.Row(u), 1, 5, &one)
+                    .ok());
+    const TopKEntry* row = one.Row(0);
     for (Index e = 0; e < 5; ++e) {
-      EXPECT_NEAR(row[static_cast<std::size_t>(e)].score,
-                  expected.Row(u)[e].score, 1e-7)
+      EXPECT_NEAR(row[e].score, expected.Row(u)[e].score, 1e-7)
           << "user " << u << " entry " << e;
     }
   }

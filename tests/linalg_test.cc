@@ -149,6 +149,54 @@ TEST(BlasTest, NormsAndScale) {
   EXPECT_DOUBLE_EQ(Nrm2(x.data(), 2), 10.0);
 }
 
+// A squared sum that overflows says nothing of the norm: Nrm2 sums the
+// squares again with x scaled by a power of two.
+TEST(BlasTest, Nrm2OfComponentsWhoseSquaresOverflow) {
+  std::vector<Real> x = {3e200, 4e200, 0, 0, 0, 0, 0, 0};
+  ASSERT_TRUE(std::isinf(Nrm2Squared(x.data(), 8)));
+  EXPECT_DOUBLE_EQ(Nrm2(x.data(), 8), 5e200);
+  std::vector<Real> one = {0.5, -1, 1e200, 2, 0, 0.25, -3, 1};
+  EXPECT_DOUBLE_EQ(Nrm2(one.data(), 8), 1e200);
+  std::vector<Real> near_max = {1e308, 1e308};
+  EXPECT_DOUBLE_EQ(Nrm2(near_max.data(), 2), std::sqrt(2.0) * 1e308);
+  const Real inf = std::numeric_limits<Real>::infinity();
+  std::vector<Real> past_max = {1.5e308, 1e308, -inf, 1};
+  EXPECT_EQ(Nrm2(past_max.data(), 2), inf);
+  EXPECT_EQ(Nrm2(past_max.data(), 4), inf);
+}
+
+// And one that underflows to zero or to a subnormal double, likewise.
+TEST(BlasTest, Nrm2OfComponentsWhoseSquaresUnderflow) {
+  std::vector<Real> x = {3e-170, -4e-170, 0, 0, 0, 0, 0, 0};
+  ASSERT_EQ(Nrm2Squared(x.data(), 8), 0.0);
+  EXPECT_DOUBLE_EQ(Nrm2(x.data(), 8), 5e-170);
+  std::vector<Real> subnormal_sum = {3e-160, 4e-160};
+  ASSERT_FALSE(std::isnormal(Nrm2Squared(subnormal_sum.data(), 2)));
+  EXPECT_DOUBLE_EQ(Nrm2(subnormal_sum.data(), 2), 5e-160);
+  const Real least = std::numeric_limits<Real>::denorm_min();
+  std::vector<Real> subnormal = {3 * least, 4 * least};
+  EXPECT_EQ(Nrm2(subnormal.data(), 2), 5 * least);
+  std::vector<Real> zero(8, 0.0);
+  EXPECT_EQ(Nrm2(zero.data(), 8), 0.0);
+}
+
+// Wherever the squared sum is a normal double, the norm is still its root,
+// bit for bit.
+TEST(BlasTest, Nrm2IsTheRootOfANormalSquaredSum) {
+  Rng rng(11);
+  for (const Real scale : {1e-150, 1e-20, 1.0, 1e20, 1e150}) {
+    for (const Index n : {1, 7, 8, 50}) {
+      std::vector<Real> x(static_cast<std::size_t>(n));
+      for (Real& v : x) v = scale * rng.Normal();
+      const Real squared = Nrm2Squared(x.data(), n);
+      ASSERT_TRUE(std::isnormal(squared));
+      EXPECT_EQ(std::bit_cast<uint64_t>(Nrm2(x.data(), n)),
+                std::bit_cast<uint64_t>(std::sqrt(squared)))
+          << "scale " << scale << " n " << n;
+    }
+  }
+}
+
 TEST(BlasTest, Axpy) {
   std::vector<Real> x = {1, 2, 3};
   std::vector<Real> y = {10, 20, 30};

@@ -9,7 +9,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -25,9 +27,11 @@ namespace mips {
 namespace {
 
 using ::mips::testing::AllUsers;
+using ::mips::testing::ExpectBitIdenticalTopK;
 using ::mips::testing::ExpectSameTopKScores;
 using ::mips::testing::ExpectValidTopK;
 using ::mips::testing::MakeTestModel;
+using ::mips::testing::RandomMatrix;
 
 // ----------------------------------------------------------- The bound
 
@@ -58,10 +62,10 @@ TEST(CBoundTest, MonotoneInTheta) {
 }
 
 // Property: CBound is Lipschitz in theta_b with constant ||i||.  This is
-// what makes the dynamic-user walk exact: a user outside the cluster cone
-// by delta can inflate every bound by at most max_norm * delta, so adding
+// what makes the new-user walk exact: a user outside the cluster cone by
+// delta can inflate every bound by at most max_norm * delta, so adding
 // that slack to the sorted list keeps termination conservative
-// (MaximusSolver::QueryDynamicUser).
+// (MaximusSolver::TopKNewUsers).
 TEST(CBoundTest, LipschitzInTheta) {
   Rng rng(4);
   for (int trial = 0; trial < 5000; ++trial) {
@@ -410,9 +414,12 @@ TEST(MaximusTest, DynamicUserQueryIsExact) {
   ASSERT_TRUE(maximus.Prepare(ConstRowBlock(model.users),
                               ConstRowBlock(model.items)).ok());
   const Index k = 5;
-  std::vector<TopKEntry> row(static_cast<std::size_t>(k));
   for (Index u = 0; u < 50; ++u) {
-    ASSERT_TRUE(maximus.QueryDynamicUser(extra.users.Row(u), k, row.data()).ok());
+    TopKResult one;
+    ASSERT_TRUE(maximus.TopKNewUsers(ConstRowBlock(model.items),
+                                     extra.users.Row(u), 1, k, &one)
+                    .ok());
+    const TopKEntry* row = one.Row(0);
     // Reference: direct scan.
     TopKHeap heap(k);
     for (Index i = 0; i < 300; ++i) {
@@ -421,9 +428,139 @@ TEST(MaximusTest, DynamicUserQueryIsExact) {
     std::vector<TopKEntry> expected(static_cast<std::size_t>(k));
     heap.ExtractDescending(expected.data());
     for (Index e = 0; e < k; ++e) {
-      EXPECT_NEAR(row[static_cast<std::size_t>(e)].score,
-                  expected[static_cast<std::size_t>(e)].score, 1e-7)
+      EXPECT_NEAR(row[e].score, expected[static_cast<std::size_t>(e)].score,
+                  1e-7)
           << "user " << u << " entry " << e;
+    }
+  }
+}
+
+// Known and new users share one walk.  Every prepared user's vector,
+// served through TopKNewUsers, walks its nearest centroid's list with its
+// own slack, yet returns its TopKForUsers row bit for bit: both normalize
+// the same copy, score it with the same micro-kernel, and stop only past
+// the exact top k.  Vectors from a wider spread, most of them outside
+// their cluster's cone (slack > 0), served by solver A, which was prepared
+// without them, match solver B, prepared with them as users (slack 0):
+// the normalized scores do not depend on the clustering.  Each holds at
+// k = 1, 10 and 16 (row records) and 17 (heaps), with automatic and
+// 64-item segments and with blocking off, as one request and row by row.
+TEST(MaximusTest, NewUserRowsMatchKnownRowsBitForBit) {
+  const Index users = 300;
+  const Index extras = 40;
+  const Index f = 12;
+  const MFModel model = MakeTestModel(users, 1000, f, /*seed=*/83,
+                                      /*norm_sigma=*/0.9, /*dispersion=*/0.3);
+  const MFModel wide = MakeTestModel(extras, 1, f, /*seed=*/84,
+                                     /*norm_sigma=*/0.9, /*dispersion=*/1.5);
+  Matrix with_extras(users + extras, f);
+  std::copy_n(model.users.data(), users * f, with_extras.data());
+  std::copy_n(wide.users.data(), extras * f, with_extras.Row(users));
+  std::vector<Index> extra_ids(static_cast<std::size_t>(extras));
+  std::iota(extra_ids.begin(), extra_ids.end(), users);
+  const ConstRowBlock items(model.items);
+
+  for (const Index block_size : {-1, 64, 0}) {
+    SCOPED_TRACE(::testing::Message() << "block_size=" << block_size);
+    MaximusOptions options;
+    options.block_size = block_size;
+    MaximusSolver a(options);
+    MaximusSolver b(options);
+    ASSERT_TRUE(a.Prepare(ConstRowBlock(model.users), items).ok());
+    ASSERT_TRUE(b.Prepare(ConstRowBlock(with_extras), items).ok());
+
+    Index outside = 0;
+    for (Index u = 0; u < extras; ++u) {
+      const Real* v = wide.users.Row(u);
+      const Index j = a.AssignNewUser(v);
+      const Real theta_uc = AngleFromCosine(
+          CosineSimilarity(v, a.clustering().centroids.Row(j), f));
+      if (theta_uc > a.theta_b()[static_cast<std::size_t>(j)]) ++outside;
+    }
+    EXPECT_GT(outside, extras / 2);
+
+    for (const Index k : {1, 10, 16, 17}) {
+      SCOPED_TRACE(::testing::Message() << "k=" << k);
+      TopKResult known;
+      ASSERT_TRUE(a.TopKForUsers(k, AllUsers(users), &known).ok());
+      TopKResult prepared_extras;
+      ASSERT_TRUE(b.TopKForUsers(k, extra_ids, &prepared_extras).ok());
+      for (const auto& [vectors, want] :
+           {std::pair{&model.users, &known},
+            std::pair{&wide.users, &prepared_extras}}) {
+        const Index rows = vectors->rows();
+        TopKResult batch;
+        ASSERT_TRUE(
+            a.TopKNewUsers(items, vectors->data(), rows, k, &batch).ok());
+        ExpectBitIdenticalTopK(batch, *want);
+        TopKResult one;
+        for (Index u = 0; u < rows; ++u) {
+          ASSERT_TRUE(a.TopKNewUsers(items, vectors->Row(u), 1, k, &one).ok());
+          batch.CopyRowFrom(one, 0, u);
+        }
+        ExpectBitIdenticalTopK(batch, *want);
+      }
+    }
+  }
+}
+
+// A finite vector whose squared norm overflows (a component at 1e200) or
+// underflows (components near 1e-170) still gets its exact rows, as a new
+// user and as a prepared one, blocked and with blocking off: the ids BMM
+// returns.  Normalizing by a norm of inf or 0 would zero the vector.
+TEST(MaximusTest, HugeAndTinyNormUsersGetBmmIds) {
+  const Index f = 8;
+  const Index k = 5;
+  for (const uint64_t seed : {1, 2, 3, 4, 5, 6}) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    MFModel model = MakeTestModel(300, 500, f, seed);
+    const Matrix fresh = RandomMatrix(2, f, seed + 100);
+    Matrix extreme(4, f);
+    for (Index c = 0; c < f; ++c) {
+      extreme(0, c) = fresh(0, c);
+      extreme(1, c) = fresh(1, c) * 1e-170;
+      extreme(2, c) = model.users(0, c);
+      extreme(3, c) = model.users(1, c) * 1e-170;
+    }
+    extreme(0, static_cast<Index>(seed % f)) = 1e200;
+    extreme(2, static_cast<Index>((seed + 3) % f)) = -1e200;
+    for (Index c = 0; c < f; ++c) {
+      model.users(0, c) = extreme(2, c);
+      model.users(1, c) = extreme(3, c);
+    }
+    BmmSolver bmm;
+    ASSERT_TRUE(bmm.Prepare(ConstRowBlock(model.users),
+                            ConstRowBlock(model.items)).ok());
+    const std::vector<Index> known_ids = {0, 1};
+    TopKResult want_known;
+    ASSERT_TRUE(bmm.TopKForUsers(k, known_ids, &want_known).ok());
+    TopKResult want_new;
+    ASSERT_TRUE(bmm.TopKNewUsers(ConstRowBlock(model.items), extreme.data(),
+                                 4, k, &want_new).ok());
+    for (const Index block_size : {-1, 0}) {
+      SCOPED_TRACE(::testing::Message() << "block_size=" << block_size);
+      MaximusOptions options;
+      options.block_size = block_size;
+      MaximusSolver maximus(options);
+      ASSERT_TRUE(maximus.Prepare(ConstRowBlock(model.users),
+                                  ConstRowBlock(model.items)).ok());
+      TopKResult got_known;
+      ASSERT_TRUE(maximus.TopKForUsers(k, known_ids, &got_known).ok());
+      TopKResult got_new;
+      ASSERT_TRUE(maximus.TopKNewUsers(ConstRowBlock(model.items),
+                                       extreme.data(), 4, k, &got_new).ok());
+      for (Index e = 0; e < k; ++e) {
+        for (Index r = 0; r < 2; ++r) {
+          EXPECT_EQ(got_known.Row(r)[e].item, want_known.Row(r)[e].item)
+              << "prepared user " << r << " entry " << e;
+          EXPECT_TRUE(std::isfinite(got_known.Row(r)[e].score));
+        }
+        for (Index r = 0; r < 4; ++r) {
+          EXPECT_EQ(got_new.Row(r)[e].item, want_new.Row(r)[e].item)
+              << "new user " << r << " entry " << e;
+          EXPECT_TRUE(std::isfinite(got_new.Row(r)[e].score));
+        }
+      }
     }
   }
 }

@@ -67,8 +67,8 @@ TEST(BatchedNewUsersTest, BatchedMatchesSingletonBitForBit) {
                                  options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
-  // Cover both serving families: the dense-GEMM path (bmm/lemp) and the
-  // MAXIMUS per-row dynamic walk.
+  // Cover both serving families: the dense-GEMM path (bmm/lemp) and
+  // MAXIMUS's bounded walk from each vector's nearest centroid.
   for (const char* forced : {"bmm", "lemp", "maximus"}) {
     ASSERT_TRUE((*engine)->ForceStrategy(forced).ok());
     for (const Index k : {1, 8, 11}) {

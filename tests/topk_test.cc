@@ -420,10 +420,11 @@ constexpr Real kInf = std::numeric_limits<Real>::infinity();
 // The scalar loops the tile scorer must reproduce, kept as its oracle.
 // Without bounds: TopKFromRow's WouldAccept/Push loop.  With bounds:
 // MAXIMUS's segment loop, which stops before the first position whose
-// bound is strictly below a full heap's minimum and pushes every position
-// before it.  Returns the positions walked.
+// bound plus the row's slack is strictly below a full heap's minimum and
+// pushes every position before it.  Returns the positions walked.
 Index ScalarSelect(const Real* scores, Index n, const Real* bounds,
-                   Index item_offset, const Index* item_ids, TopKHeap* heap) {
+                   Index item_offset, const Index* item_ids, TopKHeap* heap,
+                   Real slack = 0) {
   const auto id = [&](Index j) {
     return item_ids != nullptr ? item_ids[j] : j + item_offset;
   };
@@ -432,7 +433,7 @@ Index ScalarSelect(const Real* scores, Index n, const Real* bounds,
       if (heap->WouldAccept(scores[j])) heap->Push(id(j), scores[j]);
       continue;
     }
-    if (heap->full() && bounds[j] < heap->MinScore()) return j;
+    if (heap->full() && bounds[j] + slack < heap->MinScore()) return j;
     heap->Push(id(j), scores[j]);
   }
   return n;
@@ -449,7 +450,8 @@ std::vector<TopKEntry> Drain(TopKHeap* heap) {
 // in two segments, as MaximusSolver walks a cluster list: [0, split) with
 // the rows handed in `order`, then [split, n) with the rows that walked
 // all of the first in the reverse of that order, the second segment
-// packed only through the first position whose bound is below the lowest
+// packed only through the first position whose bound plus the largest of
+// their slacks (row r's is slack[r], 0 without slack) is below the lowest
 // of their thresholds.
 struct TwoSegmentWalk {
   TopKResult rows;             // row r's entries, best first
@@ -461,12 +463,13 @@ struct TwoSegmentWalk {
 TwoSegmentWalk WalkTwoSegments(const Matrix& rows, const Real* items,
                                const Index* gather, Index n, const Index* ids,
                                const Real* bounds, Index split, Index k,
-                               const std::vector<Index>& order) {
+                               const std::vector<Index>& order,
+                               const Real* slack = nullptr) {
   const Index m = rows.rows();
   const Index f = rows.cols();
   TwoSegmentWalk got{TopKResult(m, k),
                      std::vector<Index>(static_cast<std::size_t>(m), -1)};
-  BoundedWalk walk(m, k, f);
+  BoundedWalk walk(m, k, f, slack);
   std::vector<Index> walked(order.size());
   walk.Score(rows.data(), order, PackedItems(items, gather, split, f), ids,
              bounds, walked.data());
@@ -479,9 +482,13 @@ TwoSegmentWalk WalkTwoSegments(const Matrix& rows, const Real* items,
   got.second_walkers = static_cast<Index>(next.size());
   if (!next.empty()) {
     Real lowest = kInf;
-    for (const Index r : next) lowest = std::min(lowest, walk.Threshold(r));
+    Real widest = 0;
+    for (const Index r : next) {
+      lowest = std::min(lowest, walk.Threshold(r));
+      if (slack != nullptr) widest = std::max(widest, slack[r]);
+    }
     Index reach = split;
-    while (reach < n && !(bounds[reach] < lowest)) ++reach;
+    while (reach < n && !(bounds[reach] + widest < lowest)) ++reach;
     got.second_packed = std::min(n, reach + 1) - split;
     const PackedItems second =
         gather != nullptr
@@ -783,6 +790,67 @@ TEST_F(SelectKernelTest, BoundedPanelsWalkLikeTheScalarBreakLoop) {
       }
       // Rows stop in both segments, and the second is packed short.
       EXPECT_GT(stopped_first, 0);
+      EXPECT_GT(got.second_walkers, 0);
+      EXPECT_LT(got.second_packed, n - split);
+    }
+  }
+}
+
+// The same walk with each row's bounds widened by its own slack, as a new
+// MAXIMUS user outside its cluster's cone walks: every fifth row has none,
+// the rest up to 2.4.  Each row must stop where the scalar loop with its
+// slack stops, after the same entries: the epilogue flags a cell by the
+// bare bound, at or before the widened stop, and a raised threshold's stop
+// is found by the widened rule.
+TEST_F(SelectKernelTest, BoundedPanelsWithSlackWalkLikeTheScalarBreakLoop) {
+  const Index m = 130;
+  const Index n = 700;
+  const Index f = 6;
+  const Index split = 200;
+  const ScoreFixture fx = MakeScoreFixture(m, n, f, 9);
+  Matrix scores(m, n);
+  GemmNT(fx.rows.data(), m, fx.items.data(), n, f, 1, 0, scores.data(), n);
+  std::vector<Real> bounds(static_cast<std::size_t>(n));
+  for (Index j = 0; j < n; ++j) {
+    bounds[static_cast<std::size_t>(j)] = 8.0 - 12.0 * j / n;
+  }
+  std::vector<Index> ids(static_cast<std::size_t>(n));
+  for (Index j = 0; j < n; ++j) ids[static_cast<std::size_t>(j)] = n - j;
+  std::vector<Real> slack(static_cast<std::size_t>(m));
+  for (Index r = 0; r < m; ++r) {
+    slack[static_cast<std::size_t>(r)] = 0.6 * static_cast<Real>(r % 5);
+  }
+  std::vector<Index> order;
+  for (Index r = 0; r < m; ++r) order.push_back(r * 7 % m);
+  for (const GemmKernel kernel : SupportedKernels()) {
+    ASSERT_TRUE(ForceGemmKernel(kernel).ok());
+    for (const Index k : {1, 5, 16, 17}) {
+      SCOPED_TRACE(::testing::Message() << ToString(kernel) << " k=" << k);
+      const TwoSegmentWalk got =
+          WalkTwoSegments(fx.rows, fx.items.data(), nullptr, n, ids.data(),
+                          bounds.data(), split, k, order, slack.data());
+      Index widened = 0;
+      for (Index r = 0; r < m; ++r) {
+        TopKHeap want_heap(k);
+        const Real s = slack[static_cast<std::size_t>(r)];
+        const Index want_walked = ScalarSelect(
+            scores.Row(r), n, bounds.data(), 0, ids.data(), &want_heap, s);
+        ASSERT_EQ(got.walked[static_cast<std::size_t>(r)], want_walked)
+            << "row " << r;
+        TopKHeap bare(k);
+        if (ScalarSelect(scores.Row(r), n, bounds.data(), 0, ids.data(),
+                         &bare) < want_walked) {
+          ++widened;
+        }
+        const std::vector<TopKEntry> want = Drain(&want_heap);
+        for (std::size_t e = 0; e < want.size(); ++e) {
+          ASSERT_EQ(got.rows.Row(r)[e].item, want[e].item) << "row " << r;
+          ASSERT_EQ(got.rows.Row(r)[e].score, want[e].score) << "row " << r;
+        }
+      }
+      // The slack moves most stops, and the second segment is still
+      // packed short.
+      EXPECT_GT(widened, m / 2);
       EXPECT_GT(got.second_walkers, 0);
       EXPECT_LT(got.second_packed, n - split);
     }
