@@ -235,13 +235,11 @@ void BM_MaximusNewUsers(benchmark::State& state, bool as_vectors) {
     ids[static_cast<std::size_t>(r)] = u;
     std::copy_n(prepared.model.users.Row(u), f, vectors.Row(r));
   }
-  const ConstRowBlock items(prepared.model.items);
   TopKResult result;
   Index cursor = 0;
   for (auto _ : state) {
     if (as_vectors) {
-      prepared.solver
-          .TopKNewUsers(items, vectors.Row(cursor), rows, k, &result)
+      prepared.solver.TopKNewUsers(vectors.Row(cursor), rows, k, &result)
           .CheckOK();
     } else {
       const std::span<const Index> request(ids.data() + cursor,

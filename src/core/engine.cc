@@ -280,17 +280,10 @@ Status MipsEngine::TopK(Index k, std::span<const Index> user_ids,
                         TopKResult* out, Index extra) {
   MIPS_RETURN_IF_ERROR(ValidateTopKWidth(k, extra));
   MIPS_RETURN_IF_ERROR(ValidateUserIds(user_ids, users_.rows()));
-  // The decision is keyed on the caller's k; only the fetch widens.
-  auto strategy = StrategyFor(k, static_cast<Index>(user_ids.size()));
-  MIPS_RETURN_IF_ERROR(strategy.status());
-  WallTimer timer;
-  MIPS_RETURN_IF_ERROR(
-      solvers_[*strategy]->TopKForUsers(k + extra, user_ids, out));
-  stats_.serve_seconds.fetch_add(timer.Seconds(), std::memory_order_relaxed);
-  stats_.batches_served.fetch_add(1, std::memory_order_relaxed);
-  stats_.users_served.fetch_add(static_cast<int64_t>(user_ids.size()),
-                                std::memory_order_relaxed);
-  return Status::OK();
+  return Serve(k, extra,
+               {users_.data(), user_ids.data(),
+                static_cast<Index>(user_ids.size())},
+               out);
 }
 
 Status MipsEngine::TopKAll(Index k, TopKResult* out) {
@@ -317,13 +310,23 @@ Status MipsEngine::TopKNewUsers(const Real* user_vectors, Index num_rows,
   MIPS_RETURN_IF_ERROR(ValidateTopKWidth(k, extra));
   MIPS_RETURN_IF_ERROR(
       ValidateNewUserBatch(user_vectors, num_rows, items_.cols()));
-  auto strategy = StrategyFor(k, num_rows);
+  return Serve(k, extra, {user_vectors, nullptr, num_rows}, out);
+}
+
+Status MipsEngine::Serve(Index k, Index extra, const QueryRows& rows,
+                         TopKResult* out) {
+  // The decision is keyed on the caller's k; only the fetch widens.
+  auto strategy = StrategyFor(k, rows.size);
   MIPS_RETURN_IF_ERROR(strategy.status());
   WallTimer timer;
-  MIPS_RETURN_IF_ERROR(solvers_[*strategy]->TopKNewUsers(
-      items_, user_vectors, num_rows, k + extra, out));
+  MIPS_RETURN_IF_ERROR(solvers_[*strategy]->TopK(k + extra, rows, out));
   stats_.serve_seconds.fetch_add(timer.Seconds(), std::memory_order_relaxed);
-  stats_.new_users_served.fetch_add(num_rows, std::memory_order_relaxed);
+  if (rows.ids != nullptr) {
+    stats_.batches_served.fetch_add(1, std::memory_order_relaxed);
+    stats_.users_served.fetch_add(rows.size, std::memory_order_relaxed);
+  } else {
+    stats_.new_users_served.fetch_add(rows.size, std::memory_order_relaxed);
+  }
   return Status::OK();
 }
 

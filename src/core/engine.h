@@ -16,9 +16,9 @@
 //     touching the decision, which stays keyed on k (see TopK).
 //   * TopKAll(k)          — every prepared user.
 //   * TopKNewUser(...)    — a vector outside the prepared user matrix
-//     (Section III-E), served by the chosen solver's TopKNewUsers:
-//     MAXIMUS's known-user walk from the vector's nearest centroid, a
-//     dense scoring row otherwise.
+//     (Section III-E), served like a known user: through the strategy
+//     decided for its (k, shape) and that solver's one query body
+//     (MipsSolver::TopK), so it takes the path OPTIMUS timed.
 //
 // ForceStrategy() overrides the optimizer by candidate name (benches,
 // lesion studies, operator escape hatch); stats() snapshots cumulative
@@ -171,20 +171,21 @@ class MipsEngine {
   /// matrix.  `out_row` must hold k entries.  Serves through the same
   /// code path as a 1-row TopKNewUsers call, so a singleton answer is
   /// bit-for-bit the row a coalesced batch would produce for the same
-  /// vector.
+  /// vector under the same strategy.
   Status TopKNewUser(const Real* user_vector, Index k, TopKEntry* out_row);
 
   /// Exact top-K for a mini-batch of `num_rows` new-user vectors, stored
   /// contiguously row-major (num_rows x num_factors) at `user_vectors`.
-  /// This is the serve-side coalescing path (serve/batching_engine.h),
-  /// served by the decided solver's MipsSolver::TopKNewUsers: MAXIMUS
-  /// walks the batch as it walks known users, grouped by nearest
-  /// centroid; every other strategy scores the whole batch with one
-  /// blocked GEMM against the item matrix — the batching win the paper's
+  /// This is the serve-side coalescing path (serve/batching_engine.h).
+  /// It shares TopK's serve body: the strategy decided for (k, batch
+  /// shape) runs its one query body over the vectors, the path OPTIMUS
+  /// timed on known users — MAXIMUS walks them grouped by nearest
+  /// centroid, LEMP and FEXIPRO probe their item-side indexes, and BMM
+  /// scores the whole batch in one call, the batching win the paper's
   /// Clipper-style setting exists to exploit.  Row r of *out depends only
-  /// on row r of the input, so results are bit-for-bit identical whether
-  /// a vector is served alone or coalesced into any batch.  Safe for
-  /// concurrent callers.
+  /// on row r of the input and on the serving strategy, so a vector gets
+  /// the same bits alone or coalesced into any batch the same strategy
+  /// serves.  Safe for concurrent callers.
   /// `extra` widens each row to k + extra entries with the decision kept
   /// on k, as in TopK.  Rows holding a NaN or +-Inf component are
   /// rejected (InvalidArgument) before any scoring.
@@ -269,6 +270,11 @@ class MipsEngine {
   /// miss.
   StatusOr<std::size_t> StrategyFor(Index k, Index batch_rows)
       EXCLUDES(decision_mu_);
+
+  /// The serve body TopK and TopKNewUsers share once each has validated
+  /// its input: looks up the strategy for (k, rows.size), runs its
+  /// MipsSolver::TopK at k + extra, and counts the call.
+  Status Serve(Index k, Index extra, const QueryRows& rows, TopKResult* out);
 
   /// The one OPTIMUS decision site (opening, warm shapes, cache misses):
   /// measures the prepared candidates at key.first on a population-sized

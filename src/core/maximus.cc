@@ -19,17 +19,10 @@
 
 namespace mips {
 
-Status MaximusSolver::Prepare(const ConstRowBlock& users,
-                              const ConstRowBlock& items) {
-  if (users.cols() != items.cols()) {
-    return Status::InvalidArgument("user/item factor dimensions differ");
-  }
-  if (users.rows() <= 0 || items.rows() <= 0) {
+Status MaximusSolver::Build() {
+  if (users_.rows() <= 0 || items_.rows() <= 0) {
     return Status::InvalidArgument("user and item sets must be non-empty");
   }
-  users_ = users;
-  items_ = items;
-  prepared_users_ = users.rows();
 
   // --- Stage 1: cluster users (Section III-A). ---
   {
@@ -40,20 +33,20 @@ Status MaximusSolver::Prepare(const ConstRowBlock& users,
     kopts.seed = options_.seed;
     const Status st =
         options_.spherical_clustering
-            ? SphericalKMeans(users, kopts, &clustering_)
-            : KMeans(users, kopts, &clustering_);
+            ? SphericalKMeans(users_, kopts, &clustering_)
+            : KMeans(users_, kopts, &clustering_);
     MIPS_RETURN_IF_ERROR(st);
     stage_timer_.Add("clustering", timer.Seconds());
   }
 
   // --- Stage 2: construct the per-cluster sorted lists (Section III-B). ---
   WallTimer timer;
-  const Index n = items.rows();
-  const Index f = items.cols();
+  const Index n = items_.rows();
+  const Index f = items_.cols();
   const Index num_clusters = clustering_.centroids.rows();
 
   std::vector<Real> item_norms(static_cast<std::size_t>(n));
-  RowNorms(items.data(), n, f, item_norms.data());
+  RowNorms(items_.data(), n, f, item_norms.data());
   max_item_norm_ = *std::max_element(item_norms.begin(), item_norms.end());
 
   std::vector<Real> centroid_norms(static_cast<std::size_t>(num_clusters));
@@ -65,10 +58,10 @@ Status MaximusSolver::Prepare(const ConstRowBlock& users,
   // theta_b per cluster: the widest member angle (Algorithm 1), in one
   // pass over the users, with each centroid's norm computed once.
   theta_b_.assign(static_cast<std::size_t>(num_clusters), 0);
-  for (Index u = 0; u < users.rows(); ++u) {
+  for (Index u = 0; u < users_.rows(); ++u) {
     const Index j = clustering_.assignment[static_cast<std::size_t>(u)];
     const Real cos =
-        CosineSimilarity(users.Row(u), clustering_.centroids.Row(j), f,
+        CosineSimilarity(users_.Row(u), clustering_.centroids.Row(j), f,
                          centroid_norms[static_cast<std::size_t>(j)]);
     Real& theta_b = theta_b_[static_cast<std::size_t>(j)];
     theta_b = std::max(theta_b, AngleFromCosine(cos));
@@ -76,7 +69,7 @@ Status MaximusSolver::Prepare(const ConstRowBlock& users,
 
   // One GEMM gives every item-centroid inner product.
   Matrix centroid_scores;
-  GemmNT(items, ConstRowBlock(clustering_.centroids), &centroid_scores);
+  GemmNT(items_, ConstRowBlock(clustering_.centroids), &centroid_scores);
 
   lists_ = std::vector<ClusterList>(static_cast<std::size_t>(num_clusters));
   for (Index j = 0; j < num_clusters; ++j) {
@@ -115,19 +108,10 @@ Status MaximusSolver::Prepare(const ConstRowBlock& users,
     }
     const Index b_eff = std::min<Index>(block_size, n);
     if (b_eff > 0) {
-      list.block.Pack(items.data(), list.item_ids.data(), b_eff, f);
+      list.block.Pack(items_.data(), list.item_ids.data(), b_eff, f);
     }
   }
   stage_timer_.Add("construction", timer.Seconds());
-  return Status::OK();
-}
-
-Status MaximusSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
-                                   TopKResult* out) {
-  WallTimer traversal_timer;
-  MIPS_RETURN_IF_ERROR(Walk(users_.data(), user_ids.data(),
-                            static_cast<Index>(user_ids.size()), k, out));
-  stage_timer_.Add("traversal", traversal_timer.Seconds());
   return Status::OK();
 }
 
@@ -135,27 +119,13 @@ Index MaximusSolver::AssignNewUser(const Real* user) const {
   return AssignToNearest(user, clustering_.centroids);
 }
 
-Status MaximusSolver::TopKNewUsers(const ConstRowBlock& /*items*/,
-                                   const Real* user_vectors, Index num_rows,
-                                   Index k, TopKResult* out) const {
-  return Walk(user_vectors, /*ids=*/nullptr, num_rows, k, out);
-}
-
-Status MaximusSolver::Walk(const Real* vectors, const Index* ids, Index q,
-                           Index k, TopKResult* out) const {
-  if (k <= 0) return Status::InvalidArgument("k must be positive");
-  if (lists_.empty()) {
-    return Status::FailedPrecondition("Prepare was not called");
-  }
-  *out = TopKResult(q, k);
-  if (q == 0) return Status::OK();
-
+Status MaximusSolver::Query(Index k, const QueryRows& rows,
+                            TopKResult* out) {
+  WallTimer traversal_timer;
+  const Index q = rows.size;
   const Index n = items_.rows();
   const Index f = items_.cols();
   const Index num_clusters = static_cast<Index>(lists_.size());
-  const auto input_row = [&](int64_t r) {
-    return vectors + static_cast<std::size_t>(ids != nullptr ? ids[r] : r) * f;
-  };
   std::atomic<int64_t> total_visited{0};
 
   ParallelFor(pool_, q, [&](int64_t begin, int64_t end, int /*chunk*/) {
@@ -166,9 +136,9 @@ Status MaximusSolver::Walk(const Real* vectors, const Index* ids, Index q,
         static_cast<std::size_t>(num_clusters));
     for (int64_t r = begin; r < end; ++r) {
       const Index j =
-          ids != nullptr
-              ? clustering_.assignment[static_cast<std::size_t>(ids[r])]
-              : AssignNewUser(input_row(r));
+          rows.ids != nullptr
+              ? clustering_.assignment[static_cast<std::size_t>(rows.ids[r])]
+              : AssignNewUser(rows.Row(static_cast<Index>(r), f));
       by_cluster[static_cast<std::size_t>(j)].push_back(r);
     }
 
@@ -176,10 +146,10 @@ Status MaximusSolver::Walk(const Real* vectors, const Index* ids, Index q,
     Matrix normalized;
     PackedItems segment;
     for (Index j = 0; j < num_clusters; ++j) {
-      const auto& rows = by_cluster[static_cast<std::size_t>(j)];
-      if (rows.empty()) continue;
+      const auto& members = by_cluster[static_cast<std::size_t>(j)];
+      if (members.empty()) continue;
       const ClusterList& list = lists_[static_cast<std::size_t>(j)];
-      const Index m = static_cast<Index>(rows.size());
+      const Index m = static_cast<Index>(members.size());
       const Index block = list.block.rows();
 
       // Gather + normalize this cluster's rows.  A new vector may sit
@@ -193,12 +163,14 @@ Status MaximusSolver::Walk(const Real* vectors, const Index* ids, Index q,
       std::vector<Real> slack(static_cast<std::size_t>(m), 0);
       for (Index r = 0; r < m; ++r) {
         std::memcpy(normalized.Row(r),
-                    input_row(rows[static_cast<std::size_t>(r)]),
+                    rows.Row(static_cast<Index>(
+                                 members[static_cast<std::size_t>(r)]),
+                             f),
                     static_cast<std::size_t>(f) * sizeof(Real));
         const Real norm = Nrm2(normalized.Row(r), f);
         user_norms[static_cast<std::size_t>(r)] = norm;
         if (norm > 0) Scale(Real{1} / norm, normalized.Row(r), f);
-        if (ids == nullptr) {
+        if (rows.ids == nullptr) {
           const Real theta_uc = AngleFromCosine(CosineSimilarity(
               normalized.Row(r), clustering_.centroids.Row(j), f));
           slack[static_cast<std::size_t>(r)] =
@@ -208,7 +180,8 @@ Status MaximusSolver::Walk(const Real* vectors, const Index* ids, Index q,
 
       std::vector<int64_t> visited(static_cast<std::size_t>(m), 0);
       const auto out_row = [&](Index r) {
-        return out->Row(static_cast<Index>(rows[static_cast<std::size_t>(r)]));
+        return out->Row(
+            static_cast<Index>(members[static_cast<std::size_t>(r)]));
       };
 
       if (block <= 0) {
@@ -311,6 +284,7 @@ Status MaximusSolver::Walk(const Real* vectors, const Index* ids, Index q,
   mean_items_visited_.store(
       static_cast<double>(total_visited.load()) / static_cast<double>(q),
       std::memory_order_relaxed);
+  stage_timer_.Add("traversal", traversal_timer.Seconds());
   return Status::OK();
 }
 

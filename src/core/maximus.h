@@ -73,11 +73,6 @@ class MaximusSolver : public MipsSolver {
   std::string name() const override { return "maximus"; }
   bool batches_users() const override { return true; }
 
-  Status Prepare(const ConstRowBlock& users,
-                 const ConstRowBlock& items) override;
-  Status TopKForUsers(Index k, std::span<const Index> user_ids,
-                      TopKResult* out) override;
-
   /// Average number of item-list positions visited per user in the last
   /// query batch (the w-bar of the Section III-D runtime analysis).
   /// Under concurrent queries this reflects whichever batch finished last.
@@ -92,14 +87,14 @@ class MaximusSolver : public MipsSolver {
   const Clustering& clustering() const { return clustering_; }
 
   /// Assigns an unseen user vector to its nearest centroid and returns the
-  /// cluster id — where TopKNewUsers starts its walk (Section III-E).
+  /// cluster id — where a new vector starts its walk (Section III-E).
   Index AssignNewUser(const Real* user) const;
 
-  /// TopKForUsers' walk from each vector's nearest centroid, with the
-  /// bound for its own angle theta_uc in place of theta_b when larger.
-  Status TopKNewUsers(const ConstRowBlock& items, const Real* user_vectors,
-                      Index num_rows, Index k,
-                      TopKResult* out) const override;
+ protected:
+  Status Build() override;
+  /// Prepared users walk their k-means cluster with slack 0, new vectors
+  /// their nearest centroid's with their own slack.
+  Status Query(Index k, const QueryRows& rows, TopKResult* out) override;
 
  private:
   struct ClusterList {
@@ -108,15 +103,7 @@ class MaximusSolver : public MipsSolver {
     PackedItems block;             // first min(B, n) item vectors, packed
   };
 
-  /// The one query body: row r's vector is at vectors + (ids != nullptr ?
-  /// ids[r] : r) * f.  Prepared users (ids) walk their k-means cluster with
-  /// slack 0, new vectors their nearest centroid's with their own slack.
-  Status Walk(const Real* vectors, const Index* ids, Index q, Index k,
-              TopKResult* out) const;
-
   MaximusOptions options_;
-  ConstRowBlock users_;
-  ConstRowBlock items_;
 
   Clustering clustering_;
   std::vector<Real> theta_b_;
@@ -125,7 +112,7 @@ class MaximusSolver : public MipsSolver {
   /// cluster's cone.
   Real max_item_norm_ = 0;
 
-  mutable std::atomic<double> mean_items_visited_{0};
+  std::atomic<double> mean_items_visited_{0};
 };
 
 }  // namespace mips

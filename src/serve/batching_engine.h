@@ -36,10 +36,14 @@
 // decision cache re-runs OPTIMUS for the realized batch size
 // (EngineOptions::batch_shape_decisions) — so a 64-row coalesced batch
 // can pick BMM while singleton stragglers keep their index winner.
-// Every answer is bit-for-bit identical to the singleton TopKNewUser
-// answer for the same vector: the GEMM computes each (row, item) score
-// with a fixed per-element operation sequence that does not depend on
-// how many other rows share the batch.
+// Under one serving strategy every answer is bit-for-bit the singleton
+// TopKNewUser answer for the same vector: each solver computes a row from
+// that row alone (BMM's GEMM with a fixed per-element operation sequence,
+// MAXIMUS's walk from the vector's centroid, LEMP's and FEXIPRO's scans),
+// whatever else shares the batch.  Across strategies the ids agree but
+// the scores may differ in the last bits, since each strategy sums a dot
+// in its own order: a coalesced batch and a singleton whose shape
+// buckets decided for different strategies can differ so.
 //
 // Overload behavior is explicit, not emergent.  Admission counts
 // *outstanding* rows (pending + assembled + executing); when it would

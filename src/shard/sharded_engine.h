@@ -116,14 +116,15 @@ class ShardedMipsEngine {
 
   /// Exact global top-K for a mini-batch of new-user vectors
   /// (`num_rows` x num_factors(), row-major): scatter the whole batch to
-  /// every shard's batched new-user path, remap, k-way merge.  Each row of
-  /// *out is bit-for-bit what TopKNewUser returns for that vector alone —
-  /// the per-shard GEMM computes each (row, item) score independently of
-  /// the other batch rows — which is what lets a serving layer coalesce
-  /// singleton traffic without changing any answer.  `extra` widens each
-  /// row to k + extra entries with every shard's decision kept on k, as
-  /// in TopK; rows with a NaN or +-Inf component are rejected
-  /// (InvalidArgument) before any shard scores.
+  /// every shard's batched new-user path, remap, k-way merge.  Each shard
+  /// serves the batch through its decided solver's query body, which
+  /// computes each row from that row alone, so when every shard serves
+  /// both shapes with the same strategy a row of *out is bit-for-bit what
+  /// TopKNewUser returns for that vector alone.  That is what lets a
+  /// serving layer coalesce singleton traffic without changing any
+  /// answer.  `extra` widens each row to k + extra entries with every
+  /// shard's decision kept on k, as in TopK; rows with a NaN or +-Inf
+  /// component are rejected (InvalidArgument) before any shard scores.
   Status TopKNewUsers(const Real* user_vectors, Index num_rows, Index k,
                       TopKResult* out, Index extra = 0) EXCLUDES(stats_mu_);
 

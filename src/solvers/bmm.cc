@@ -14,31 +14,17 @@ constexpr Index kMinUsersPerThread = 128;
 
 }  // namespace
 
-Status BmmSolver::Prepare(const ConstRowBlock& users,
-                          const ConstRowBlock& items) {
-  if (users.cols() != items.cols()) {
-    return Status::InvalidArgument("user/item factor dimensions differ");
-  }
-  if (items.rows() <= 0) {
+Status BmmSolver::Build() {
+  if (items_.rows() <= 0) {
     return Status::InvalidArgument("item set is empty");
   }
-  users_ = users;
-  items_ = items;
-  prepared_users_ = users.rows();
-
   resolved_batch_rows_ =
       options_.batch_rows > 0 ? options_.batch_rows : kScoreTileRows;
   return Status::OK();
 }
 
-Status BmmSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
-                               TopKResult* out) {
-  if (k <= 0) return Status::InvalidArgument("k must be positive");
-  if (items_.rows() <= 0) {
-    return Status::FailedPrecondition("Prepare was not called");
-  }
-  const Index q = static_cast<Index>(user_ids.size());
-  *out = TopKResult(q, k);
+Status BmmSolver::Query(Index k, const QueryRows& rows, TopKResult* out) {
+  const Index q = rows.size;
   const Index n = items_.rows();
   const Index f = items_.cols();
   const Index batch = resolved_batch_rows_;
@@ -49,24 +35,23 @@ Status BmmSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
   // amortizes best.  Below that, a small mini-batch against a wide item
   // set would leave all but one worker idle, so instead the workers split
   // the item range and their partial rows are merged.
-  const bool partition_users =
-      pool_ == nullptr ||
-      q >= static_cast<Index>(pool_->num_threads()) * kMinUsersPerThread;
   // Either way one scorer call takes a whole range of users, so the items
   // are packed once per block of kScoreRowBlock users, and the users are
   // packed straight from their rows, `batch` to a row tile.
-  if (partition_users) {
+  if (pool_ != nullptr &&
+      q >= static_cast<Index>(pool_->num_threads()) * kMinUsersPerThread) {
     ParallelFor(pool_, q, [&](int64_t begin, int64_t end, int /*chunk*/) {
-      ScoreTopK(users_.data(), static_cast<Index>(end - begin), items_.data(),
-                n, f, k, /*item_offset=*/0, /*item_ids=*/nullptr,
-                /*pool=*/nullptr, out, static_cast<Index>(begin),
-                user_ids.data() + begin, batch);
+      const QueryRows part = rows.Slice(static_cast<Index>(begin),
+                                        static_cast<Index>(end), f);
+      ScoreTopK(part.data, part.size, items_.data(), n, f, k,
+                /*item_offset=*/0, /*item_ids=*/nullptr, /*pool=*/nullptr,
+                out, static_cast<Index>(begin), part.ids, batch);
     });
     return Status::OK();
   }
-  ScoreTopK(users_.data(), q, items_.data(), n, f, k, /*item_offset=*/0,
-            /*item_ids=*/nullptr, pool_, out, /*row_offset=*/0,
-            user_ids.data(), batch);
+  ScoreTopK(rows.data, q, items_.data(), n, f, k, /*item_offset=*/0,
+            /*item_ids=*/nullptr, pool_, out, /*row_offset=*/0, rows.ids,
+            batch);
   return Status::OK();
 }
 

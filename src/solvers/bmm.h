@@ -43,18 +43,15 @@ class BmmSolver : public MipsSolver {
   std::string name() const override { return "bmm"; }
   bool batches_users() const override { return true; }
 
-  Status Prepare(const ConstRowBlock& users,
-                 const ConstRowBlock& items) override;
-  Status TopKForUsers(Index k, std::span<const Index> user_ids,
-                      TopKResult* out) override;
-
   /// Resolved batch size (after Prepare).
   Index batch_rows() const { return resolved_batch_rows_; }
 
+ protected:
+  Status Build() override;
+  Status Query(Index k, const QueryRows& rows, TopKResult* out) override;
+
  private:
   BmmOptions options_;
-  ConstRowBlock users_;
-  ConstRowBlock items_;
   Index resolved_batch_rows_ = 0;
 };
 

@@ -27,27 +27,21 @@ struct FexiproSolver::QueryScratch {
   int64_t user_l1 = 0;
 };
 
-Status FexiproSolver::Prepare(const ConstRowBlock& users,
-                              const ConstRowBlock& items) {
-  if (users.cols() != items.cols()) {
-    return Status::InvalidArgument("user/item factor dimensions differ");
-  }
-  if (items.rows() <= 0) {
+Status FexiproSolver::Build() {
+  if (items_.rows() <= 0) {
     return Status::InvalidArgument("item set is empty");
   }
-  users_ = users;
-  items_ = items;
-  prepared_users_ = users.rows();
 
   WallTimer timer;
-  const Index n = items.rows();
-  const Index f = items.cols();
+  const Index n = items_.rows();
+  const Index f = items_.cols();
 
   // --- S: SVD basis and transformed items. ---
-  auto svd = fexipro::ComputeSvdTransform(items, options_.svd_energy_fraction);
+  auto svd =
+      fexipro::ComputeSvdTransform(items_, options_.svd_energy_fraction);
   MIPS_RETURN_IF_ERROR(svd.status());
   svd_ = std::move(svd.value());
-  Matrix transformed = fexipro::ApplySvdToRows(svd_, items);
+  Matrix transformed = fexipro::ApplySvdToRows(svd_, items_);
 
   // --- Sort by descending norm (orthogonal transform preserves norms). ---
   std::vector<Real> raw_norms(static_cast<std::size_t>(n));
@@ -206,22 +200,16 @@ Index FexiproSolver::QueryOneUser(const Real* user, Index k,
   return exact;
 }
 
-Status FexiproSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
-                                   TopKResult* out) {
-  if (k <= 0) return Status::InvalidArgument("k must be positive");
-  if (sorted_items_.empty()) {
-    return Status::FailedPrecondition("Prepare was not called");
-  }
-  const Index q = static_cast<Index>(user_ids.size());
-  *out = TopKResult(q, k);
-  if (q == 0) return Status::OK();
-
+Status FexiproSolver::Query(Index k, const QueryRows& rows,
+                            TopKResult* out) {
+  const Index q = rows.size;
+  const Index f = items_.cols();
   std::atomic<int64_t> total_exact{0};
   ParallelFor(pool_, q, [&](int64_t begin, int64_t end, int /*chunk*/) {
     QueryScratch scratch;
     int64_t exact = 0;
     for (int64_t r = begin; r < end; ++r) {
-      const Real* user = users_.Row(user_ids[static_cast<std::size_t>(r)]);
+      const Real* user = rows.Row(static_cast<Index>(r), f);
       exact += QueryOneUser(user, k, &scratch,
                             out->Row(static_cast<Index>(r)));
     }

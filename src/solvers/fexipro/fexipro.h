@@ -65,11 +65,6 @@ class FexiproSolver : public MipsSolver {
   }
   bool batches_users() const override { return false; }
 
-  Status Prepare(const ConstRowBlock& users,
-                 const ConstRowBlock& items) override;
-  Status TopKForUsers(Index k, std::span<const Index> user_ids,
-                      TopKResult* out) override;
-
   /// SVD head width chosen during Prepare (for tests/benches).
   Index head_dims() const { return svd_.head_dims; }
   /// Fraction of items fully scored in the last query batch.  Under
@@ -78,14 +73,16 @@ class FexiproSolver : public MipsSolver {
     return last_exact_fraction_.load(std::memory_order_relaxed);
   }
 
+ protected:
+  Status Build() override;
+  Status Query(Index k, const QueryRows& rows, TopKResult* out) override;
+
  private:
   struct QueryScratch;
   Index QueryOneUser(const Real* user, Index k, QueryScratch* scratch,
                      TopKEntry* out_row) const;
 
   FexiproOptions options_;
-  ConstRowBlock users_;
-  ConstRowBlock items_;
 
   fexipro::SvdTransform svd_;
   fexipro::ReductionTransform reduction_;  // SIR only
@@ -102,7 +99,7 @@ class FexiproSolver : public MipsSolver {
   std::vector<int16_t> quantized_items_;  // n x int_dims_
   std::vector<int64_t> item_l1_;
 
-  mutable std::atomic<double> last_exact_fraction_{0};
+  std::atomic<double> last_exact_fraction_{0};
 };
 
 }  // namespace mips

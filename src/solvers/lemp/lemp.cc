@@ -94,23 +94,16 @@ Index ScanBucket(const lemp::SortedItems& sorted, const Bucket& bucket,
 
 }  // namespace
 
-Status LempSolver::Prepare(const ConstRowBlock& users,
-                           const ConstRowBlock& items) {
-  if (users.cols() != items.cols()) {
-    return Status::InvalidArgument("user/item factor dimensions differ");
-  }
-  if (items.rows() <= 0) {
+Status LempSolver::Build() {
+  if (items_.rows() <= 0) {
     return Status::InvalidArgument("item set is empty");
   }
-  users_ = users;
-  items_ = items;
-  prepared_users_ = users.rows();
 
   WallTimer timer;
-  sorted_ = lemp::SortItemsByNorm(items, options_.num_checkpoints);
+  sorted_ = lemp::SortItemsByNorm(items_, options_.num_checkpoints);
   Index bucket_size = options_.bucket_size;
   if (bucket_size <= 0) {
-    bucket_size = std::clamp<Index>(items.rows() / 64, 64, 1024);
+    bucket_size = std::clamp<Index>(items_.rows() / 64, 64, 1024);
   }
   buckets_ = lemp::MakeBuckets(sorted_, bucket_size);
   {
@@ -143,23 +136,21 @@ Index LempSolver::QueryOneUser(
 }
 
 std::vector<BucketAlgorithm> LempSolver::Calibrate(
-    Index k, std::span<const Index> user_ids) const {
+    Index k, const QueryRows& rows) const {
   const std::size_t num_buckets = buckets_.size();
   // Accumulated cost and trial count per (bucket, algorithm).
   std::vector<double> cost(num_buckets * lemp::kNumBucketAlgorithms, 0.0);
   std::vector<int> trials(num_buckets * lemp::kNumBucketAlgorithms, 0);
 
-  const Index sample = std::min<Index>(options_.calibration_users,
-                                       static_cast<Index>(user_ids.size()));
+  const Index sample = std::min<Index>(options_.calibration_users, rows.size);
   const Index f = items_.cols();
   std::vector<TopKEntry> row(static_cast<std::size_t>(k));
 
   for (Index s = 0; s < sample; ++s) {
-    // Spread calibration users across the query batch.
-    const std::size_t idx =
-        static_cast<std::size_t>(s) * user_ids.size() /
-        static_cast<std::size_t>(sample);
-    const Real* user = users_.Row(user_ids[idx]);
+    // Spread calibration rows across the query batch.
+    const Index idx = static_cast<Index>(static_cast<int64_t>(s) *
+                                         rows.size / sample);
+    const Real* user = rows.Row(idx, f);
     const Real user_norm = Nrm2(user, f);
     UserScratch scratch;
     scratch.Compute(user, f, sorted_.checkpoint_dims);
@@ -205,15 +196,8 @@ std::vector<BucketAlgorithm> LempSolver::Calibrate(
   return algorithms;
 }
 
-Status LempSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
-                                TopKResult* out) {
-  if (k <= 0) return Status::InvalidArgument("k must be positive");
-  if (buckets_.empty()) {
-    return Status::FailedPrecondition("Prepare was not called");
-  }
-  const Index q = static_cast<Index>(user_ids.size());
-  *out = TopKResult(q, k);
-  if (q == 0) return Status::OK();
+Status LempSolver::Query(Index k, const QueryRows& rows, TopKResult* out) {
+  const Index q = rows.size;
 
   // Calibrate each distinct k once (under the lock, cached like the
   // engine's per-k winner), then query on a snapshot so a concurrent
@@ -228,7 +212,7 @@ Status LempSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
     auto it = algorithms_by_k_.find(k);
     if (it == algorithms_by_k_.end()) {
       WallTimer timer;
-      it = algorithms_by_k_.emplace(k, Calibrate(k, user_ids)).first;
+      it = algorithms_by_k_.emplace(k, Calibrate(k, rows)).first;
       stage_timer_.Add("calibration", timer.Seconds());
     }
     algorithms = it->second;
@@ -239,7 +223,7 @@ Status LempSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
   ParallelFor(pool_, q, [&](int64_t begin, int64_t end, int /*chunk*/) {
     int64_t scanned = 0;
     for (int64_t r = begin; r < end; ++r) {
-      const Real* user = users_.Row(user_ids[static_cast<std::size_t>(r)]);
+      const Real* user = rows.Row(static_cast<Index>(r), f);
       const Real user_norm = Nrm2(user, f);
       scanned += QueryOneUser(user, user_norm, k, algorithms,
                               out->Row(static_cast<Index>(r)));

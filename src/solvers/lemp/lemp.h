@@ -10,10 +10,14 @@
 //   3. Inside a bucket, retrieve candidates with one of several algorithms
 //      (naive dots / length pruning / incremental Cauchy-Schwarz pruning);
 //      LEMP picks the algorithm per bucket by timing each one on up to
-//      `calibration_users` users of the first query batch at each k.
-//      Under OPTIMUS that first batch is one sampled user (point-query
-//      strategies are timed one user per call), so the table is
-//      calibrated on that single user and serving then reuses it.
+//      `calibration_users` rows of the first query at each k, prepared
+//      users or new vectors alike.  Under OPTIMUS that first query is one
+//      sampled user (point-query strategies are timed one user per call),
+//      so the table is calibrated on that single user and serving then
+//      reuses it.
+//
+// A new vector (Section III-E) walks the same buckets as a prepared user:
+// the index is item-side, so nothing in it depends on the user set.
 //
 // The sample-driven per-bucket adaptivity is deliberately preserved: it is
 // what makes LEMP's runtime estimates high-variance under OPTIMUS's user
@@ -55,11 +59,6 @@ class LempSolver : public MipsSolver {
   std::string name() const override { return "lemp"; }
   bool batches_users() const override { return false; }
 
-  Status Prepare(const ConstRowBlock& users,
-                 const ConstRowBlock& items) override;
-  Status TopKForUsers(Index k, std::span<const Index> user_ids,
-                      TopKResult* out) override;
-
   /// Buckets after Prepare (exposed for tests and the lesion bench).
   const std::vector<lemp::Bucket>& buckets() const { return buckets_; }
   /// Average fraction of items actually scanned over the last query batch
@@ -69,6 +68,10 @@ class LempSolver : public MipsSolver {
     return last_scan_fraction_.load(std::memory_order_relaxed);
   }
 
+ protected:
+  Status Build() override;
+  Status Query(Index k, const QueryRows& rows, TopKResult* out) override;
+
  private:
   // Runs one user's query; returns the number of item positions scanned.
   Index QueryOneUser(const Real* user, Real user_norm, Index k,
@@ -76,14 +79,12 @@ class LempSolver : public MipsSolver {
                      TopKEntry* out_row) const;
 
   // Times every bucket algorithm through the serving scan on the
-  // calibration users drawn from `user_ids` and returns the fastest one
-  // per bucket.
-  std::vector<lemp::BucketAlgorithm> Calibrate(
-      Index k, std::span<const Index> user_ids) const;
+  // calibration rows drawn from `rows` and returns the fastest one per
+  // bucket.
+  std::vector<lemp::BucketAlgorithm> Calibrate(Index k,
+                                               const QueryRows& rows) const;
 
   LempOptions options_;
-  ConstRowBlock users_;
-  ConstRowBlock items_;
   lemp::SortedItems sorted_;
   std::vector<lemp::Bucket> buckets_;
   /// Lazy per-k calibration state, guarded by calibration_mu_: concurrent
@@ -95,7 +96,7 @@ class LempSolver : public MipsSolver {
   Mutex calibration_mu_;
   std::map<Index, std::vector<lemp::BucketAlgorithm>> algorithms_by_k_
       GUARDED_BY(calibration_mu_);
-  mutable std::atomic<double> last_scan_fraction_{0};
+  std::atomic<double> last_scan_fraction_{0};
 };
 
 }  // namespace mips

@@ -8,29 +8,14 @@
 
 namespace mips {
 
-Status NaiveSolver::Prepare(const ConstRowBlock& users,
-                            const ConstRowBlock& items) {
-  if (users.cols() != items.cols()) {
-    return Status::InvalidArgument("user/item factor dimensions differ");
-  }
-  users_ = users;
-  items_ = items;
-  prepared_users_ = users.rows();
-  return Status::OK();
-}
-
-Status NaiveSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
-                                 TopKResult* out) {
-  if (k <= 0) return Status::InvalidArgument("k must be positive");
-  const Index q = static_cast<Index>(user_ids.size());
-  *out = TopKResult(q, k);
+Status NaiveSolver::Query(Index k, const QueryRows& rows, TopKResult* out) {
   const Index n = items_.rows();
   const Index f = items_.cols();
 
-  ParallelFor(pool_, q, [&](int64_t begin, int64_t end, int /*chunk*/) {
+  ParallelFor(pool_, rows.size, [&](int64_t begin, int64_t end, int /*chunk*/) {
     TopKHeap heap(k);
     for (int64_t r = begin; r < end; ++r) {
-      const Real* u = users_.Row(user_ids[static_cast<std::size_t>(r)]);
+      const Real* u = rows.Row(static_cast<Index>(r), f);
       heap.Clear();
       for (Index j = 0; j < n; ++j) {
         heap.Push(j, Dot(u, items_.Row(j), f));

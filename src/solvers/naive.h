@@ -18,14 +18,8 @@ class NaiveSolver : public MipsSolver {
   std::string name() const override { return "naive"; }
   bool batches_users() const override { return false; }
 
-  Status Prepare(const ConstRowBlock& users,
-                 const ConstRowBlock& items) override;
-  Status TopKForUsers(Index k, std::span<const Index> user_ids,
-                      TopKResult* out) override;
-
- private:
-  ConstRowBlock users_;
-  ConstRowBlock items_;
+ protected:
+  Status Query(Index k, const QueryRows& rows, TopKResult* out) override;
 };
 
 }  // namespace mips

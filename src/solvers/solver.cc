@@ -3,24 +3,35 @@
 #include <cstring>
 #include <numeric>
 
-#include "topk/score_select.h"
-
 namespace mips {
 
-Status MipsSolver::TopKNewUsers(const ConstRowBlock& items,
-                                const Real* user_vectors, Index num_rows,
-                                Index k, TopKResult* out) const {
-  // BmmSolver's small-batch regime: score-and-select in register tiles,
-  // the item range split across the pool.
-  *out = TopKResult(num_rows, k);
-  ScoreTopK(user_vectors, num_rows, items.data(), items.rows(), items.cols(),
-            k, /*item_offset=*/0, /*item_ids=*/nullptr, pool_, out,
-            /*row_offset=*/0);
+Status MipsSolver::Prepare(const ConstRowBlock& users,
+                           const ConstRowBlock& items) {
+  if (users.cols() != items.cols()) {
+    return Status::InvalidArgument("user/item factor dimensions differ");
+  }
+  prepared_ = false;
+  users_ = users;
+  items_ = items;
+  MIPS_RETURN_IF_ERROR(Build());
+  prepared_ = true;
   return Status::OK();
 }
 
+Status MipsSolver::TopK(Index k, const QueryRows& rows, TopKResult* out) {
+  if (k <= 0) return Status::InvalidArgument("k must be positive");
+  if (!prepared_) return Status::FailedPrecondition("Prepare was not called");
+  if (rows.ids != nullptr && rows.data != users_.data()) {
+    return Status::InvalidArgument(
+        "id rows must index the prepared user matrix");
+  }
+  *out = TopKResult(rows.size, k);
+  if (rows.size == 0) return Status::OK();
+  return Query(k, rows, out);
+}
+
 Status MipsSolver::TopKAll(Index k, TopKResult* out) {
-  std::vector<Index> ids(static_cast<std::size_t>(prepared_users_));
+  std::vector<Index> ids(static_cast<std::size_t>(users_.rows()));
   std::iota(ids.begin(), ids.end(), 0);
   return TopKForUsers(k, ids, out);
 }

@@ -1,20 +1,23 @@
 // The common interface every MIPS serving strategy implements.
 //
 // A solver is prepared once against a (users, items) model — this is where
-// indexes are constructed — and then answers batch top-K queries for any
-// subset of the prepared users.  OPTIMUS drives solvers purely through this
-// interface: Prepare() to build the index, TopKForUsers() on a sample to
-// estimate cost, TopKForUsers() on the remainder with the winner.
+// indexes are constructed — and then answers batch top-K queries.  A
+// query's rows are either prepared users (ids into the user matrix) or new
+// vectors outside it (Section III-E), and both kinds take the one query
+// body each solver implements, Query().  OPTIMUS drives solvers purely
+// through this interface: Prepare() to build the index, TopKForUsers() on
+// a sample to estimate cost, then the winner serves — known users and new
+// vectors through the same path it was timed on.
 //
 // batches_users() distinguishes solvers whose per-user cost is only
 // realized when many users are scored together (BMM, MAXIMUS — hardware
 // blocking) from point-query solvers (naive, LEMP, FEXIPRO).  OPTIMUS may
 // apply its t-test early stopping only to the latter (Section IV-A).
 //
-// Thread-safety contract: once Prepare() has returned, TopKForUsers() may
-// be called from any number of threads concurrently — index structures
-// are read-only at query time, and any per-batch diagnostics (stage
-// timers, visit counters, LEMP's lazy calibration) synchronize
+// Thread-safety contract: once Prepare() has returned, the query entries
+// may be called from any number of threads concurrently — index
+// structures are read-only at query time, and any per-batch diagnostics
+// (stage timers, visit counters, LEMP's lazy calibration) synchronize
 // internally.  Prepare() itself must not run concurrently with queries or
 // with another Prepare() on the same solver.  Prepare() implementations
 // must also never Submit()/Wait() on the injected thread pool — engine
@@ -25,6 +28,7 @@
 #ifndef MIPS_SOLVERS_SOLVER_H_
 #define MIPS_SOLVERS_SOLVER_H_
 
+#include <cstddef>
 #include <memory>
 #include <span>
 #include <string>
@@ -37,6 +41,26 @@
 #include "topk/result.h"
 
 namespace mips {
+
+/// The rows of one query, each a vector of the prepared factor width f:
+/// row r is data + (ids ? ids[r] : r) * f.  With ids, the rows are prepared
+/// users and data is the prepared user matrix; without, they are `size`
+/// new vectors stored contiguously row-major.  ScoreTopK
+/// (topk/score_select.h) reads its rows the same way.
+struct QueryRows {
+  const Real* data = nullptr;
+  const Index* ids = nullptr;
+  Index size = 0;
+
+  const Real* Row(Index r, Index f) const {
+    return data + static_cast<std::size_t>(ids != nullptr ? ids[r] : r) * f;
+  }
+  /// Rows [begin, end) as a query of their own.
+  QueryRows Slice(Index begin, Index end, Index f) const {
+    if (ids != nullptr) return {data, ids + begin, end - begin};
+    return {data + static_cast<std::size_t>(begin) * f, nullptr, end - begin};
+  }
+};
 
 /// Abstract batch exact-MIPS solver.
 class MipsSolver {
@@ -57,37 +81,42 @@ class MipsSolver {
   /// between dense and sparse plans is attributable.
   virtual std::string representation() const { return "dense"; }
 
-  /// Builds index structures over the model.  The views must stay valid for
-  /// the lifetime of the solver.  Calling Prepare again re-indexes.
-  virtual Status Prepare(const ConstRowBlock& users,
-                         const ConstRowBlock& items) = 0;
+  /// Builds index structures over the model: InvalidArgument if users and
+  /// items differ in factor width, else keeps the views (which must stay
+  /// valid for the lifetime of the solver) and runs the solver's Build().
+  /// Calling Prepare again re-indexes.
+  Status Prepare(const ConstRowBlock& users, const ConstRowBlock& items);
 
-  /// Computes exact top-K for each user id in `user_ids` (indices into the
-  /// prepared user matrix).  Writes result row r for user_ids[r]; *out is
-  /// resized to (user_ids.size(), k).  If k exceeds the item count, rows
-  /// are padded with {-1, -inf} sentinel entries.
-  virtual Status TopKForUsers(Index k, std::span<const Index> user_ids,
-                              TopKResult* out) = 0;
+  /// Exact top-k for each row of `rows`, through the solver's Query():
+  /// *out is resized to (rows.size, k) and row r written for input row r.
+  /// If k exceeds the item count, rows are padded with {-1, -inf} sentinel
+  /// entries.  InvalidArgument for k <= 0 or for id rows whose data is not
+  /// the prepared user matrix; FailedPrecondition before Prepare.  Each
+  /// row is computed from its input row alone, so a vector gets the same
+  /// row alone or in any batch, and a prepared user's vector passed as a
+  /// new row gets the user's row bit for bit.  The call forms below are
+  /// one-liners over it.
+  Status TopK(Index k, const QueryRows& rows, TopKResult* out);
+
+  /// Exact top-K for each user id in `user_ids` (indices into the prepared
+  /// user matrix).
+  Status TopKForUsers(Index k, std::span<const Index> user_ids,
+                      TopKResult* out) {
+    return TopK(k,
+                {users_.data(), user_ids.data(),
+                 static_cast<Index>(user_ids.size())},
+                out);
+  }
 
   /// Exact top-K for `num_rows` vectors outside the prepared user matrix,
-  /// stored contiguously row-major (num_rows x items.cols()), where
-  /// `items` is the item matrix the solver was prepared with.  *out is
-  /// resized to (num_rows, k).  Row r depends only on input row r, so a
-  /// vector's row is bit-for-bit the same whether it is served alone or
-  /// in any batch.  The default scores densely — a new user has no row in
-  /// any user-side index structure — through ScoreTopK
-  /// (topk/score_select.h): GEMM register tiles, each folded into the
-  /// rows' heaps while in L1, with the item range split across the
-  /// solver's pool.  A batch of at most kScoreInPlaceRows vectors, a lone
-  /// new user included, reads the items where they are; a larger one packs
-  /// them once per call.  The GEMM folds each score over the factor axis
-  /// in an order independent of the tile and of the packing, so no score
-  /// depends on the batch.  MAXIMUS overrides it with the walk that serves
-  /// its prepared users, from each vector's nearest centroid (Section
-  /// III-E).  Safe for concurrent callers once Prepare() has returned.
-  virtual Status TopKNewUsers(const ConstRowBlock& items,
-                              const Real* user_vectors, Index num_rows,
-                              Index k, TopKResult* out) const;
+  /// stored contiguously row-major (num_rows x the prepared factor width).
+  /// Served by the same index or scan as prepared users: MAXIMUS walks
+  /// each vector from its nearest centroid (Section III-E), LEMP and
+  /// FEXIPRO probe their item-side indexes, BMM scores densely.
+  Status TopKNewUsers(const Real* user_vectors, Index num_rows, Index k,
+                      TopKResult* out) {
+    return TopK(k, {user_vectors, nullptr, num_rows}, out);
+  }
 
   /// Convenience: top-K for every prepared user.
   Status TopKAll(Index k, TopKResult* out);
@@ -105,11 +134,24 @@ class MipsSolver {
   StageTimer* mutable_stage_timer() { return &stage_timer_; }
 
  protected:
-  /// Number of users the solver was prepared with (set by subclasses).
-  Index prepared_users_ = 0;
+  /// The solver's index build over users_ and items_, run by Prepare once
+  /// the views are stored.  The default builds nothing.
+  virtual Status Build() { return Status::OK(); }
+
+  /// The one query body: writes row r of *out, already sized (rows.size,
+  /// k), for each row of `rows`.  Called only with k > 0, at least one
+  /// row, and a successful Prepare behind it.
+  virtual Status Query(Index k, const QueryRows& rows, TopKResult* out) = 0;
+
+  /// The prepared model (valid after Prepare).
+  ConstRowBlock users_;
+  ConstRowBlock items_;
 
   ThreadPool* pool_ = nullptr;
   StageTimer stage_timer_;
+
+ private:
+  bool prepared_ = false;
 };
 
 /// Gathers the given user rows of `users` into a dense matrix (one row per

@@ -11,20 +11,13 @@
 
 namespace mips {
 
-Status HybridSolver::Prepare(const ConstRowBlock& users,
-                             const ConstRowBlock& items) {
-  if (users.cols() != items.cols()) {
-    return Status::InvalidArgument("user/item factor dimensions differ");
-  }
+Status HybridSolver::Build() {
   WallTimer timer;
-  users_ = users;
-  prepared_users_ = users.rows();
-
-  const Index f = items.cols();
+  const Index f = items_.cols();
   dense_ids_.clear();
   sparse_ids_.clear();
-  for (Index r = 0; r < items.rows(); ++r) {
-    const Real* row = items.Row(r);
+  for (Index r = 0; r < items_.rows(); ++r) {
+    const Real* row = items_.Row(r);
     Index nnz = 0;
     for (Index c = 0; c < f; ++c) {
       if (row[c] != Real{0}) ++nnz;
@@ -38,31 +31,30 @@ Status HybridSolver::Prepare(const ConstRowBlock& users,
     }
   }
 
-  dense_items_ = GatherRows(items, dense_ids_);
-  sparse_csr_ = CsrMatrix::FromDenseRows(items, sparse_ids_);
+  dense_items_ = GatherRows(items_, dense_ids_);
+  sparse_csr_ = CsrMatrix::FromDenseRows(items_, sparse_ids_);
   sparse_index_ = InvertedIndex::Build(sparse_csr_, order_);
   stage_timer_.Add("construction", timer.Seconds());
   return Status::OK();
 }
 
-Status HybridSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
-                                  TopKResult* out) {
-  if (k <= 0) return Status::InvalidArgument("k must be positive");
-  const Index q = static_cast<Index>(user_ids.size());
-  *out = TopKResult(q, k);
-  const Index f = users_.cols();
+Status HybridSolver::Query(Index k, const QueryRows& rows, TopKResult* out) {
+  const Index f = items_.cols();
   const Index nd = dense_items_.rows();
 
   // With both partitions, each result row first holds the dense partition's
   // top-k and is then merged with the sparse partition's.
   const bool merge = nd > 0 && sparse_csr_.rows() > 0;
-  ParallelFor(pool_, q, [&](int64_t begin, int64_t end, int /*chunk*/) {
-    const auto m = static_cast<Index>(end - begin);
+  ParallelFor(pool_, rows.size, [&](int64_t begin, int64_t end,
+                                    int /*chunk*/) {
+    const QueryRows part = rows.Slice(static_cast<Index>(begin),
+                                      static_cast<Index>(end), f);
+    const Index m = part.size;
     // One scorer call for the whole range.
     if (nd > 0) {
-      ScoreTopK(users_.data(), m, dense_items_.data(), nd, f, k,
+      ScoreTopK(part.data, m, dense_items_.data(), nd, f, k,
                 /*item_offset=*/0, dense_ids_.data(), /*pool=*/nullptr, out,
-                static_cast<Index>(begin), user_ids.data() + begin);
+                static_cast<Index>(begin), part.ids);
     }
     if (sparse_csr_.rows() == 0) return;
     TopKHeap heap(k);
@@ -71,15 +63,15 @@ Status HybridSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
     std::vector<TopKEntry> sparse_row(static_cast<std::size_t>(k));
     for (Index r = 0; r < m; ++r) {
       const Index row = static_cast<Index>(begin) + r;
-      const Real* u = users_.Row(user_ids[static_cast<std::size_t>(row)]);
+      const Real* u = part.Row(r, f);
       SparseTopKQuery(sparse_csr_, sparse_index_, u, k, sparse_ids_,
                       &scratch, &heap,
                       merge ? sparse_row.data() : out->Row(row),
                       /*stats=*/nullptr);
       if (merge) {
         std::copy_n(out->Row(row), k, dense_row.data());
-        const TopKEntry* rows[] = {dense_row.data(), sparse_row.data()};
-        MergeTopKRows(rows, k, k, out->Row(row));
+        const TopKEntry* partials[] = {dense_row.data(), sparse_row.data()};
+        MergeTopKRows(partials, k, k, out->Row(row));
       }
     }
   });

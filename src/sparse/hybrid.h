@@ -45,21 +45,19 @@ class HybridSolver : public MipsSolver {
   bool batches_users() const override { return true; }
   std::string representation() const override { return "hybrid"; }
 
-  Status Prepare(const ConstRowBlock& users,
-                 const ConstRowBlock& items) override;
-  Status TopKForUsers(Index k, std::span<const Index> user_ids,
-                      TopKResult* out) override;
-
   /// Partition sizes after Prepare().
   Index dense_items() const { return static_cast<Index>(dense_ids_.size()); }
   Index sparse_items() const {
     return static_cast<Index>(sparse_ids_.size());
   }
 
+ protected:
+  Status Build() override;
+  Status Query(Index k, const QueryRows& rows, TopKResult* out) override;
+
  private:
   Real density_threshold_;
   PostingOrder order_;
-  ConstRowBlock users_;
 
   // Both id lists are ascending, so partition-local row order preserves
   // the global item order and remapped ties resolve identically.

@@ -7,33 +7,24 @@
 
 namespace mips {
 
-Status SindiSolver::Prepare(const ConstRowBlock& users,
-                            const ConstRowBlock& items) {
-  if (users.cols() != items.cols()) {
-    return Status::InvalidArgument("user/item factor dimensions differ");
-  }
+Status SindiSolver::Build() {
   WallTimer timer;
-  users_ = users;
-  csr_ = CsrMatrix::FromDense(items);
+  csr_ = CsrMatrix::FromDense(items_);
   catalog_stats_ = csr_.ComputeStats();
   index_ = InvertedIndex::Build(csr_, order_);
-  prepared_users_ = users.rows();
   stage_timer_.Add("construction", timer.Seconds());
   return Status::OK();
 }
 
-Status SindiSolver::TopKForUsers(Index k, std::span<const Index> user_ids,
-                                 TopKResult* out) {
-  if (k <= 0) return Status::InvalidArgument("k must be positive");
-  const Index q = static_cast<Index>(user_ids.size());
-  *out = TopKResult(q, k);
-
-  ParallelFor(pool_, q, [&](int64_t begin, int64_t end, int /*chunk*/) {
+Status SindiSolver::Query(Index k, const QueryRows& rows, TopKResult* out) {
+  const Index f = items_.cols();
+  ParallelFor(pool_, rows.size, [&](int64_t begin, int64_t end,
+                                    int /*chunk*/) {
     TopKHeap heap(k);
     SparseQueryScratch scratch;
     SparseQueryStats local;
     for (int64_t r = begin; r < end; ++r) {
-      const Real* u = users_.Row(user_ids[static_cast<std::size_t>(r)]);
+      const Real* u = rows.Row(static_cast<Index>(r), f);
       SparseTopKQuery(csr_, index_, u, k, /*item_ids=*/{}, &scratch, &heap,
                       out->Row(static_cast<Index>(r)), &local);
     }

@@ -35,23 +35,22 @@ class SindiSolver : public MipsSolver {
   bool batches_users() const override { return false; }
   std::string representation() const override { return "sparse"; }
 
-  Status Prepare(const ConstRowBlock& users,
-                 const ConstRowBlock& items) override;
-  Status TopKForUsers(Index k, std::span<const Index> user_ids,
-                      TopKResult* out) override;
-
   /// Catalog shape the solver indexed (valid after Prepare()).
   const CsrMatrix::Stats& catalog_stats() const { return catalog_stats_; }
-  /// Query-walk counters accumulated across every TopKForUsers call.
+  /// Query-walk counters accumulated across every query, prepared users
+  /// and new vectors alike.
   SparseQueryStats query_stats() const {
     return {postings_visited_.load(std::memory_order_relaxed),
             items_rescored_.load(std::memory_order_relaxed),
             lists_pruned_.load(std::memory_order_relaxed)};
   }
 
+ protected:
+  Status Build() override;
+  Status Query(Index k, const QueryRows& rows, TopKResult* out) override;
+
  private:
   PostingOrder order_;
-  ConstRowBlock users_;
   CsrMatrix csr_;
   InvertedIndex index_;
   CsrMatrix::Stats catalog_stats_;

@@ -30,8 +30,8 @@
 // selected entry, is bit-for-bit the one GemmNT plus a per-row heap would
 // give, packed or not, under every ISA.
 //
-// BMM's two regimes, the dense new-user path (MipsSolver::TopKNewUsers),
-// the hybrid solver's dense partition (ScoreTopK), LiveCatalog's write
+// BMM's two regimes (for prepared users and new vectors alike), the
+// hybrid solver's dense partition (ScoreTopK), LiveCatalog's write
 // buffer (ScoreTopK with the buffered ids) and MAXIMUS's segment walk
 // (BoundedWalk, with sorted bounds over segments it packs itself) all
 // score through here.  A BoundedWalk keeps each row's record or heap

@@ -104,9 +104,7 @@ TEST(IntegrationTest, DynamicUsersStayExact) {
   ASSERT_TRUE(reference.TopKAll(5, &expected).ok());
   for (Index u = 50; u < 500; ++u) {
     TopKResult one;
-    ASSERT_TRUE(maximus.TopKNewUsers(ConstRowBlock(model.items),
-                                     model.users.Row(u), 1, 5, &one)
-                    .ok());
+    ASSERT_TRUE(maximus.TopKNewUsers(model.users.Row(u), 1, 5, &one).ok());
     const TopKEntry* row = one.Row(0);
     for (Index e = 0; e < 5; ++e) {
       EXPECT_NEAR(row[e].score, expected.Row(u)[e].score, 1e-7)

@@ -416,9 +416,7 @@ TEST(MaximusTest, DynamicUserQueryIsExact) {
   const Index k = 5;
   for (Index u = 0; u < 50; ++u) {
     TopKResult one;
-    ASSERT_TRUE(maximus.TopKNewUsers(ConstRowBlock(model.items),
-                                     extra.users.Row(u), 1, k, &one)
-                    .ok());
+    ASSERT_TRUE(maximus.TopKNewUsers(extra.users.Row(u), 1, k, &one).ok());
     const TopKEntry* row = one.Row(0);
     // Reference: direct scan.
     TopKHeap heap(k);
@@ -491,11 +489,11 @@ TEST(MaximusTest, NewUserRowsMatchKnownRowsBitForBit) {
         const Index rows = vectors->rows();
         TopKResult batch;
         ASSERT_TRUE(
-            a.TopKNewUsers(items, vectors->data(), rows, k, &batch).ok());
+            a.TopKNewUsers(vectors->data(), rows, k, &batch).ok());
         ExpectBitIdenticalTopK(batch, *want);
         TopKResult one;
         for (Index u = 0; u < rows; ++u) {
-          ASSERT_TRUE(a.TopKNewUsers(items, vectors->Row(u), 1, k, &one).ok());
+          ASSERT_TRUE(a.TopKNewUsers(vectors->Row(u), 1, k, &one).ok());
           batch.CopyRowFrom(one, 0, u);
         }
         ExpectBitIdenticalTopK(batch, *want);
@@ -535,8 +533,7 @@ TEST(MaximusTest, HugeAndTinyNormUsersGetBmmIds) {
     TopKResult want_known;
     ASSERT_TRUE(bmm.TopKForUsers(k, known_ids, &want_known).ok());
     TopKResult want_new;
-    ASSERT_TRUE(bmm.TopKNewUsers(ConstRowBlock(model.items), extreme.data(),
-                                 4, k, &want_new).ok());
+    ASSERT_TRUE(bmm.TopKNewUsers(extreme.data(), 4, k, &want_new).ok());
     for (const Index block_size : {-1, 0}) {
       SCOPED_TRACE(::testing::Message() << "block_size=" << block_size);
       MaximusOptions options;
@@ -547,8 +544,7 @@ TEST(MaximusTest, HugeAndTinyNormUsersGetBmmIds) {
       TopKResult got_known;
       ASSERT_TRUE(maximus.TopKForUsers(k, known_ids, &got_known).ok());
       TopKResult got_new;
-      ASSERT_TRUE(maximus.TopKNewUsers(ConstRowBlock(model.items),
-                                       extreme.data(), 4, k, &got_new).ok());
+      ASSERT_TRUE(maximus.TopKNewUsers(extreme.data(), 4, k, &got_new).ok());
       for (Index e = 0; e < k; ++e) {
         for (Index r = 0; r < 2; ++r) {
           EXPECT_EQ(got_known.Row(r)[e].item, want_known.Row(r)[e].item)

@@ -3,11 +3,13 @@
 // rides on (MipsEngine::TopKNewUsers, ShardedMipsEngine::TopKNewUsers).
 //
 // The load-bearing property throughout: coalescing must be invisible in
-// the answers.  A vector served inside any batch must produce the
-// bit-for-bit identical row to the same vector served alone — same
-// items, same scores to the last ulp — because the GEMM computes each
-// (row, item) score with a fixed per-element operation sequence that
-// does not depend on the batch's row count.
+// the answers.  Under one serving strategy, a vector served inside any
+// batch must produce the bit-for-bit identical row to the same vector
+// served alone — same items, same scores to the last ulp — because each
+// solver's query body computes a row from that row alone (BMM's GEMM
+// with a fixed per-element operation sequence whatever the batch's row
+// count).  Strategies sum a dot in different orders, so tests that let
+// shape buckets decide pin the strategy before comparing scores.
 
 #include <gtest/gtest.h>
 
@@ -67,8 +69,8 @@ TEST(BatchedNewUsersTest, BatchedMatchesSingletonBitForBit) {
                                  options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
-  // Cover both serving families: the dense-GEMM path (bmm/lemp) and
-  // MAXIMUS's bounded walk from each vector's nearest centroid.
+  // Cover each strategy's query body: BMM's dense scorer, LEMP's bucket
+  // scan and MAXIMUS's bounded walk from each vector's nearest centroid.
   for (const char* forced : {"bmm", "lemp", "maximus"}) {
     ASSERT_TRUE((*engine)->ForceStrategy(forced).ok());
     for (const Index k : {1, 8, 11}) {
@@ -94,38 +96,52 @@ TEST(BatchedNewUsersTest, ShardedBatchedMatchesUnshardedBitForBit) {
   const Index k = 7;
   const Matrix queries = RandomMatrix(kBatch, model.num_factors(), 31);
 
+  // Each strategy scores in its own accumulation order, so the engines
+  // are pinned to one strategy at a time.  LEMP is pinned to length
+  // pruning, which scores every candidate with one Dot: adaptive, each
+  // engine would calibrate its own table, and incremental pruning's
+  // partial sums start only once a heap is full, which happens at a
+  // different item in a shard than in the whole catalog.
   EngineOptions engine_options;
   engine_options.k = k;
-  engine_options.solvers = {"bmm", "lemp"};
+  engine_options.solvers = {"bmm", "lemp:forced_algorithm=1"};
   auto unsharded = MipsEngine::Open(ConstRowBlock(model.users), ConstRowBlock(model.items),
                                     engine_options);
   ASSERT_TRUE(unsharded.ok()) << unsharded.status().ToString();
-  TopKResult reference;
-  ASSERT_TRUE(
-      (*unsharded)->TopKNewUsers(queries.data(), kBatch, k, &reference).ok());
-
+  std::vector<std::unique_ptr<ShardedMipsEngine>> sharded;
   for (const int shards : {1, 3}) {
     ShardedEngineOptions options;
     options.num_shards = shards;
     options.engine = engine_options;
-    auto sharded = ShardedMipsEngine::Open(ConstRowBlock(model.users),
-                                           ConstRowBlock(model.items), options);
-    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    auto opened = ShardedMipsEngine::Open(ConstRowBlock(model.users),
+                                          ConstRowBlock(model.items), options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    sharded.push_back(std::move(*opened));
+  }
 
-    TopKResult batched;
+  for (const char* forced : {"bmm", "lemp"}) {
+    ASSERT_TRUE((*unsharded)->ForceStrategy(forced).ok());
+    TopKResult reference;
     ASSERT_TRUE(
-        (*sharded)->TopKNewUsers(queries.data(), kBatch, k, &batched).ok());
-    for (Index r = 0; r < kBatch; ++r) {
-      ExpectBitIdenticalRow(batched.Row(r), reference.Row(r), k,
-                            std::to_string(shards) + " shards row " +
-                                std::to_string(r));
-      // And the sharded singleton path agrees with its own batched path.
-      std::vector<TopKEntry> alone(static_cast<std::size_t>(k));
+        (*unsharded)->TopKNewUsers(queries.data(), kBatch, k, &reference).ok());
+    for (const auto& engine : sharded) {
+      ASSERT_TRUE(engine->ForceStrategy(forced).ok());
+      const std::string context = std::string(forced) + " " +
+                                  std::to_string(engine->num_shards()) +
+                                  " shards";
+      TopKResult batched;
       ASSERT_TRUE(
-          (*sharded)->TopKNewUser(queries.Row(r), k, alone.data()).ok());
-      ExpectBitIdenticalRow(alone.data(), batched.Row(r), k,
-                            std::to_string(shards) + " shards singleton " +
-                                std::to_string(r));
+          engine->TopKNewUsers(queries.data(), kBatch, k, &batched).ok());
+      for (Index r = 0; r < kBatch; ++r) {
+        ExpectBitIdenticalRow(batched.Row(r), reference.Row(r), k,
+                              context + " row " + std::to_string(r));
+        // And the sharded singleton path agrees with its own batched path.
+        std::vector<TopKEntry> alone(static_cast<std::size_t>(k));
+        ASSERT_TRUE(
+            engine->TopKNewUser(queries.Row(r), k, alone.data()).ok());
+        ExpectBitIdenticalRow(alone.data(), batched.Row(r), k,
+                              context + " singleton " + std::to_string(r));
+      }
     }
   }
 }
@@ -761,109 +777,127 @@ TEST(BatchingEngineTest, ConcurrentCallersGetSingletonAnswers) {
   const Index k = 6;
   const Matrix queries =
       RandomMatrix(kThreads * kPerThread, model.num_factors(), 3);
-  // Reference rows served alone, before any coalescing.
-  TopKResult reference;
-  ASSERT_TRUE((*engine)
-                  ->TopKNewUsers(queries.data(), kThreads * kPerThread, k,
-                                 &reference)
-                  .ok());
+  // Batches of different sizes fall into different shape buckets, which
+  // may decide for different strategies, and each strategy scores in its
+  // own accumulation order: pin one strategy at a time.
+  for (const char* forced : {"bmm", "lemp"}) {
+    SCOPED_TRACE(forced);
+    ASSERT_TRUE((*engine)->ForceStrategy(forced).ok());
+    // Reference rows served in one batch, before any coalescing.
+    TopKResult reference;
+    ASSERT_TRUE((*engine)
+                    ->TopKNewUsers(queries.data(), kThreads * kPerThread, k,
+                                   &reference)
+                    .ok());
 
-  BatchingOptions options;
-  options.max_batch_rows = 16;
-  options.max_wait_ms = 1;
-  options.executor_threads = 2;
-  auto batching = BatchingOver(engine->get(), options);
-  ASSERT_TRUE(batching.ok()) << batching.status().ToString();
+    BatchingOptions options;
+    options.max_batch_rows = 16;
+    options.max_wait_ms = 1;
+    options.executor_threads = 2;
+    auto batching = BatchingOver(engine->get(), options);
+    ASSERT_TRUE(batching.ok()) << batching.status().ToString();
 
-  std::vector<std::thread> threads;
-  std::atomic<int> failures{0};
-  for (Index t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      std::vector<TopKEntry> row(static_cast<std::size_t>(k));
-      for (Index i = 0; i < kPerThread; ++i) {
-        const Index q = t * kPerThread + i;
-        const Status status =
-            (*batching)->TopKNewUser(queries.Row(q), k, row.data());
-        if (!status.ok()) {
-          ++failures;
-          continue;
-        }
-        const TopKEntry* want = reference.Row(q);
-        for (Index e = 0; e < k; ++e) {
-          if (row[static_cast<std::size_t>(e)].item != want[e].item ||
-              row[static_cast<std::size_t>(e)].score != want[e].score) {
+    std::vector<std::thread> threads;
+    std::atomic<int> failures{0};
+    for (Index t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        std::vector<TopKEntry> row(static_cast<std::size_t>(k));
+        for (Index i = 0; i < kPerThread; ++i) {
+          const Index q = t * kPerThread + i;
+          const Status status =
+              (*batching)->TopKNewUser(queries.Row(q), k, row.data());
+          if (!status.ok()) {
             ++failures;
-            break;
+            continue;
+          }
+          const TopKEntry* want = reference.Row(q);
+          for (Index e = 0; e < k; ++e) {
+            if (row[static_cast<std::size_t>(e)].item != want[e].item ||
+                row[static_cast<std::size_t>(e)].score != want[e].score) {
+              ++failures;
+              break;
+            }
           }
         }
-      }
-    });
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(failures.load(), 0);
+    const BatchingEngine::Stats stats = (*batching)->stats();
+    EXPECT_EQ(stats.served, kThreads * kPerThread);
+    EXPECT_EQ(stats.shed + stats.expired, 0);
+    // Sync callers park on their futures while batches form, so at least
+    // some coalescing must have happened across 8 concurrent threads.
+    EXPECT_LT(stats.batches_dispatched, stats.served);
   }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  const BatchingEngine::Stats stats = (*batching)->stats();
-  EXPECT_EQ(stats.served, kThreads * kPerThread);
-  EXPECT_EQ(stats.shed + stats.expired, 0);
-  // Sync callers park on their futures while batches form, so at least
-  // some coalescing must have happened across 8 concurrent threads.
-  EXPECT_LT(stats.batches_dispatched, stats.served);
 }
 
 TEST(BatchingFrontTest, MatchesPlainEngine) {
   const auto model = MakeTestModel(250, 400, 12);
-  EngineOptions plain;
-  plain.k = 5;
-  plain.solvers = {"bmm", "lemp"};
-  auto reference = MipsEngine::Open(ConstRowBlock(model.users),
-                                    ConstRowBlock(model.items), plain);
-  ASSERT_TRUE(reference.ok());
-
-  EngineOptions shaped = plain;
-  shaped.batch_shape_decisions = true;
-  auto engine = MipsEngine::Open(ConstRowBlock(model.users),
-                                 ConstRowBlock(model.items), shaped);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  BatchingOptions options;
-  options.max_batch_rows = 8;
-  options.max_wait_ms = 1;
-  auto batching = BatchingOver(engine->get(), options);
-  ASSERT_TRUE(batching.ok()) << batching.status().ToString();
-
   const Index kQueries = 40;
   const Matrix queries = RandomMatrix(kQueries, model.num_factors(), 77);
-  std::vector<std::thread> threads;
-  std::atomic<int> failures{0};
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      std::vector<TopKEntry> row(5);
-      std::vector<TopKEntry> want(5);
-      for (Index q = t; q < kQueries; q += 4) {
-        if (!(*batching)->TopKNewUser(queries.Row(q), 5, row.data()).ok() ||
-            !(*reference)->TopKNewUser(queries.Row(q), 5, want.data()).ok()) {
-          ++failures;
-          continue;
-        }
-        for (Index e = 0; e < 5; ++e) {
-          if (row[static_cast<std::size_t>(e)].item !=
-                  want[static_cast<std::size_t>(e)].item ||
-              row[static_cast<std::size_t>(e)].score !=
-                  want[static_cast<std::size_t>(e)].score) {
+  // Both engines are pinned to one strategy at a time: each strategy
+  // scores in its own accumulation order, and a shape bucket of the
+  // batching engine may decide otherwise than the plain engine.  LEMP is
+  // pinned to one bucket algorithm, so the two engines share its table.
+  for (const char* forced : {"bmm", "lemp"}) {
+    SCOPED_TRACE(forced);
+    EngineOptions plain;
+    plain.k = 5;
+    plain.solvers = {"bmm", "lemp:forced_algorithm=2"};
+    auto reference = MipsEngine::Open(ConstRowBlock(model.users),
+                                      ConstRowBlock(model.items), plain);
+    ASSERT_TRUE(reference.ok());
+    ASSERT_TRUE((*reference)->ForceStrategy(forced).ok());
+
+    EngineOptions shaped = plain;
+    shaped.batch_shape_decisions = true;
+    auto engine = MipsEngine::Open(ConstRowBlock(model.users),
+                                   ConstRowBlock(model.items), shaped);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ASSERT_TRUE((*engine)->ForceStrategy(forced).ok());
+    BatchingOptions options;
+    options.max_batch_rows = 8;
+    options.max_wait_ms = 1;
+    auto batching = BatchingOver(engine->get(), options);
+    ASSERT_TRUE(batching.ok()) << batching.status().ToString();
+
+    std::vector<std::thread> threads;
+    std::atomic<int> failures{0};
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        std::vector<TopKEntry> row(5);
+        std::vector<TopKEntry> want(5);
+        for (Index q = t; q < kQueries; q += 4) {
+          if (!(*batching)->TopKNewUser(queries.Row(q), 5, row.data()).ok() ||
+              !(*reference)
+                   ->TopKNewUser(queries.Row(q), 5, want.data())
+                   .ok()) {
             ++failures;
-            break;
+            continue;
+          }
+          for (Index e = 0; e < 5; ++e) {
+            if (row[static_cast<std::size_t>(e)].item !=
+                    want[static_cast<std::size_t>(e)].item ||
+                row[static_cast<std::size_t>(e)].score !=
+                    want[static_cast<std::size_t>(e)].score) {
+              ++failures;
+              break;
+            }
           }
         }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ((*engine)->stats().new_users_served, kQueries);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ((*engine)->stats().new_users_served, kQueries);
 
-  // Async admission with a deadline resolves too.
-  std::vector<TopKEntry> row(5);
-  auto future = (*batching)->SubmitNewUser(queries.Row(0), 5, row.data(),
-                                           /*deadline_ms=*/1000);
-  EXPECT_TRUE(future.get().ok());
+    // Async admission with a deadline resolves too.
+    std::vector<TopKEntry> row(5);
+    auto future = (*batching)->SubmitNewUser(queries.Row(0), 5, row.data(),
+                                             /*deadline_ms=*/1000);
+    EXPECT_TRUE(future.get().ok());
+  }
 }
 
 TEST(BatchingFrontTest, ShardedEngineBackendServes) {
@@ -886,11 +920,18 @@ TEST(BatchingFrontTest, ShardedEngineBackendServes) {
   const Matrix queries = RandomMatrix(10, model.num_factors(), 13);
   std::vector<TopKEntry> row(4);
   std::vector<TopKEntry> want(4);
-  for (Index q = 0; q < 10; ++q) {
-    ASSERT_TRUE((*batching)->TopKNewUser(queries.Row(q), 4, row.data()).ok());
-    ASSERT_TRUE((*engine)->TopKNewUser(queries.Row(q), 4, want.data()).ok());
-    ExpectBitIdenticalRow(row.data(), want.data(), 4,
-                          "sharded row " + std::to_string(q));
+  // A coalesced batch and a singleton fall into different shape buckets,
+  // which may decide for different strategies: pin one at a time.
+  for (const char* forced : {"bmm", "lemp"}) {
+    ASSERT_TRUE((*engine)->ForceStrategy(forced).ok());
+    for (Index q = 0; q < 10; ++q) {
+      ASSERT_TRUE(
+          (*batching)->TopKNewUser(queries.Row(q), 4, row.data()).ok());
+      ASSERT_TRUE((*engine)->TopKNewUser(queries.Row(q), 4, want.data()).ok());
+      ExpectBitIdenticalRow(row.data(), want.data(), 4,
+                            std::string(forced) + " sharded row " +
+                                std::to_string(q));
+    }
   }
 }
 

@@ -1,15 +1,23 @@
 // Tests for the solver interface and the two brute-force solvers: naive
 // (reference semantics) and BMM (must agree exactly with naive), including
 // a parameterized parity sweep, subset queries, threading, and padding.
+// The SolverContractTest cases hold every registered solver to the
+// interface's own checks and to its one query body: a prepared user's
+// vector served as a new user gets the user's row bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "solvers/bmm.h"
+#include "solvers/fexipro/fexipro.h"
+#include "solvers/lemp/lemp.h"
 #include "solvers/naive.h"
+#include "solvers/registry.h"
+#include "sparse/sindi.h"
 #include "counting_new.h"
 #include "test_util.h"
 
@@ -17,6 +25,7 @@ namespace mips {
 namespace {
 
 using ::mips::testing::AllUsers;
+using ::mips::testing::ExpectBitIdenticalTopK;
 using ::mips::testing::ExpectSameTopKScores;
 using ::mips::testing::ExpectValidTopK;
 using ::mips::testing::MakeTestModel;
@@ -219,9 +228,7 @@ TEST(BmmSolverTest, OneRowNewUserQueryPacksNoItems) {
   std::size_t bytes = 0;
   {
     testing::AllocationCounter counter;
-    ASSERT_TRUE(bmm.TopKNewUsers(ConstRowBlock(model.items),
-                                 model.users.Row(1), 1, k, &got)
-                    .ok());
+    ASSERT_TRUE(bmm.TopKNewUsers(model.users.Row(1), 1, k, &got).ok());
     bytes = counter.bytes();
   }
   const std::size_t output = static_cast<std::size_t>(k) * sizeof(TopKEntry);
@@ -273,6 +280,117 @@ TEST(BmmSolverTest, EmptyQuerySet) {
   TopKResult out;
   ASSERT_TRUE(bmm.TopKForUsers(3, {}, &out).ok());
   EXPECT_EQ(out.num_queries(), 0);
+}
+
+// The argument and state checks live in MipsSolver's entries, so every
+// solver gives the same codes: a query before Prepare fails, k = 0 is
+// refused, users and items of different factor widths do not prepare,
+// and id rows must come with the prepared user matrix.
+TEST(SolverContractTest, EverySolverChecksPrepareKAndWidths) {
+  const MFModel model = MakeTestModel(20, 30, 6);
+  const Matrix wide_items(30, 7);
+  const std::vector<Index> ids = {0, 1};
+  for (const std::string& name : RegisteredSolverNames()) {
+    SCOPED_TRACE(name);
+    auto created = CreateSolverFromSpec(name);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    MipsSolver& solver = **created;
+    TopKResult out;
+    EXPECT_EQ(solver.TopKForUsers(5, ids, &out).code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(solver.TopKNewUsers(model.users.Row(0), 1, 5, &out).code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(solver.TopKAll(5, &out).code(),
+              StatusCode::kFailedPrecondition);
+
+    EXPECT_EQ(solver.Prepare(ConstRowBlock(model.users),
+                             ConstRowBlock(wide_items)).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(solver.TopKForUsers(5, ids, &out).code(),
+              StatusCode::kFailedPrecondition);
+
+    ASSERT_TRUE(solver.Prepare(ConstRowBlock(model.users),
+                               ConstRowBlock(model.items)).ok());
+    EXPECT_EQ(solver.TopKForUsers(0, ids, &out).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(solver.TopKNewUsers(model.users.Row(0), 1, 0, &out).code(),
+              StatusCode::kInvalidArgument);
+    // Ids index the prepared user matrix only.
+    const Matrix copy = model.users;
+    EXPECT_EQ(solver.TopK(5, {copy.data(), ids.data(), 2}, &out).code(),
+              StatusCode::kInvalidArgument);
+    ASSERT_TRUE(solver.TopKForUsers(5, ids, &out).ok());
+    EXPECT_EQ(out.num_queries(), 2);
+  }
+}
+
+// Every solver serves new vectors through the body that serves its
+// prepared users, so a prepared user's vector gets the user's row back
+// bit for bit, scores in the solver's own accumulation order.  LEMP runs
+// adaptive (its per-k calibration is shared by both calls; at k = 10 and
+// 17 the new-user call comes first and calibrates on the vectors) and
+// pinned to incremental pruning, whose partial sums differ from one Dot.
+TEST(SolverContractTest, PreparedUserVectorsServeAsTheUsersBitForBit) {
+  const MFModel model = MakeTestModel(300, 700, 24, 7, /*norm_sigma=*/0.8);
+  std::vector<Index> ids;
+  for (Index u = 0; u < 64; ++u) ids.push_back(u * 300 / 64);
+  const Matrix vectors = GatherRows(ConstRowBlock(model.users), ids);
+
+  std::vector<std::string> specs = RegisteredSolverNames();
+  specs.push_back("lemp:forced_algorithm=2");
+  for (const std::string& spec : specs) {
+    auto created = CreateSolverFromSpec(spec);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    MipsSolver& solver = **created;
+    ASSERT_TRUE(solver.Prepare(ConstRowBlock(model.users),
+                               ConstRowBlock(model.items)).ok());
+    for (const Index k : {1, 10, 16, 17}) {
+      SCOPED_TRACE(::testing::Message() << spec << " k=" << k);
+      TopKResult known;
+      TopKResult fresh;
+      if (k == 10 || k == 17) {
+        ASSERT_TRUE(solver.TopKNewUsers(vectors.data(), 64, k, &fresh).ok());
+        ASSERT_TRUE(solver.TopKForUsers(k, ids, &known).ok());
+      } else {
+        ASSERT_TRUE(solver.TopKForUsers(k, ids, &known).ok());
+        ASSERT_TRUE(solver.TopKNewUsers(vectors.data(), 64, k, &fresh).ok());
+      }
+      ExpectBitIdenticalTopK(fresh, known);
+    }
+  }
+}
+
+// A new-user call walks the item-side indexes: on a norm-skewed model
+// LEMP's buckets and FEXIPRO's bound cascade prune part of the catalog,
+// and sindi walks its posting lists.
+TEST(SolverContractTest, NewUserCallsWalkTheIndexes) {
+  const MFModel model = MakeTestModel(300, 700, 24, 7, /*norm_sigma=*/0.8);
+  const Matrix vectors = testing::RandomMatrix(64, 24, 5);
+  TopKResult out;
+
+  LempSolver lemp;
+  ASSERT_TRUE(lemp.Prepare(ConstRowBlock(model.users),
+                           ConstRowBlock(model.items)).ok());
+  ASSERT_TRUE(lemp.TopKNewUsers(vectors.data(), 64, 10, &out).ok());
+  EXPECT_GT(lemp.last_scan_fraction(), 0.0);
+  EXPECT_LT(lemp.last_scan_fraction(), 1.0);
+
+  for (const bool reduction : {false, true}) {
+    FexiproOptions options;
+    options.use_reduction = reduction;
+    FexiproSolver fexipro(options);
+    ASSERT_TRUE(fexipro.Prepare(ConstRowBlock(model.users),
+                                ConstRowBlock(model.items)).ok());
+    ASSERT_TRUE(fexipro.TopKNewUsers(vectors.data(), 64, 10, &out).ok());
+    EXPECT_GT(fexipro.last_exact_fraction(), 0.0) << fexipro.name();
+    EXPECT_LT(fexipro.last_exact_fraction(), 1.0) << fexipro.name();
+  }
+
+  SindiSolver sindi(PostingOrder::kAbsDescending);
+  ASSERT_TRUE(sindi.Prepare(ConstRowBlock(model.users),
+                            ConstRowBlock(model.items)).ok());
+  ASSERT_TRUE(sindi.TopKNewUsers(vectors.data(), 64, 10, &out).ok());
+  EXPECT_GT(sindi.query_stats().postings_visited, 0);
 }
 
 TEST(SolverInterfaceTest, NamesAndBatchingFlags) {
