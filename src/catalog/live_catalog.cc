@@ -240,24 +240,23 @@ Status LiveCatalog::Remove(Index id) {
   return Status::OK();
 }
 
-Status LiveCatalog::Query(Index k, std::span<const Index> user_ids,
-                          const Real* vectors, Index num_rows,
+Status LiveCatalog::Serve(Index k, Index extra, const QueryRows& rows,
                           TopKResult* out) {
   const Index f = num_factors();
-  const Index* row_ids = user_ids.empty() ? nullptr : user_ids.data();
-  // A buffer layer's exact top-`width` rows of catalog ids, scored
+  const Index width = k + extra;
+  // A buffer layer's exact top-`layer_width` rows of catalog ids, scored
   // serially (safe under the shared lock) with the scores a rebuilt
   // epoch's BMM reports, bit for bit.
-  const auto score_layer = [&](const WriteBuffer& layer, Index width,
-                               TopKResult* rows) {
-    *rows = TopKResult(num_rows, width);
-    ScoreTopK(vectors, num_rows, layer.data.data(), layer.num_rows(), f,
-              width, /*item_offset=*/0, layer.ids.data(), /*pool=*/nullptr,
-              rows, /*row_offset=*/0, row_ids);
+  const auto score_layer = [&](const WriteBuffer& layer, Index layer_width,
+                               TopKResult* scored) {
+    *scored = TopKResult(rows.size, layer_width);
+    ScoreTopK(rows.data, rows.size, layer.data.data(), layer.num_rows(), f,
+              layer_width, /*item_offset=*/0, layer.ids.data(),
+              /*pool=*/nullptr, scored, /*row_offset=*/0, rows.ids);
   };
   // Layers go newest first, each masked by the dead sets of the newer
-  // ones: scored at width k + |mask|, it keeps its exact live top-k once
-  // DropMasked removes at most |mask| entries.  A layer with no rows
+  // ones: scored at width + |mask|, it keeps its exact live top-`width`
+  // once DropMasked removes at most |mask| entries.  A layer with no rows
   // joins the merge as a null row.
   std::shared_ptr<Epoch> epoch;
   std::shared_ptr<const WriteBuffer> sealed;
@@ -270,80 +269,40 @@ Status LiveCatalog::Query(Index k, std::span<const Index> user_ids,
     ReaderMutexLock lock(state_mu_);
     epoch = epoch_;
     sealed = sealed_;
-    if (active_.num_rows() > 0) score_layer(active_, k, &active_rows);
+    if (active_.num_rows() > 0) score_layer(active_, width, &active_rows);
     dead = active_.dead;
   }
 
   if (sealed != nullptr) {
     if (sealed->num_rows() > 0) {
-      score_layer(*sealed, k + static_cast<Index>(dead.size()),
+      score_layer(*sealed, width + static_cast<Index>(dead.size()),
                   &sealed_rows);
-      DropMasked(&sealed_rows, k, /*ids=*/nullptr, dead);
+      DropMasked(&sealed_rows, width, /*ids=*/nullptr, dead);
     }
     dead.insert(sealed->dead.begin(), sealed->dead.end());
   }
 
-  // The base's over-fetch goes in as the engines' `extra`, not into k:
+  // The base's over-fetch goes in as the engine's `extra`, not into k:
   // the strategy stays the one decided for the caller's k, so a changing
   // dead count never creates a decision key (and never runs OPTIMUS
   // inline).
   if (epoch->engine != nullptr) {
-    const auto extra = static_cast<Index>(dead.size());
-    MIPS_RETURN_IF_ERROR(
-        user_ids.empty()
-            ? epoch->engine->TopKNewUsers(vectors, num_rows, k, &base_rows,
-                                          extra)
-            : epoch->engine->TopK(k, user_ids, &base_rows, extra));
-    DropMasked(&base_rows, k, epoch->ids.data(), dead);
+    MIPS_RETURN_IF_ERROR(epoch->engine->Serve(
+        k, extra + static_cast<Index>(dead.size()), rows, &base_rows));
+    DropMasked(&base_rows, width, epoch->ids.data(), dead);
   }
 
-  *out = TopKResult(num_rows, k);
+  *out = TopKResult(rows.size, width);
   const auto row_of = [](const TopKResult& layer, Index q) {
     return layer.num_queries() > 0 ? layer.Row(q) : nullptr;
   };
-  for (Index q = 0; q < num_rows; ++q) {
+  for (Index q = 0; q < rows.size; ++q) {
     const TopKEntry* layer_rows[3] = {row_of(base_rows, q),
                                       row_of(sealed_rows, q),
                                       row_of(active_rows, q)};
-    MergeTopKRows(layer_rows, k, k, out->Row(q));
+    MergeTopKRows(layer_rows, width, width, out->Row(q));
   }
   return Status::OK();
-}
-
-Status LiveCatalog::TopK(Index k, std::span<const Index> user_ids,
-                         TopKResult* out) {
-  MIPS_RETURN_IF_ERROR(ValidateTopKWidth(k, 0));
-  MIPS_RETURN_IF_ERROR(ValidateUserIds(user_ids, users_.rows()));
-  const Index num_rows = static_cast<Index>(user_ids.size());
-  if (num_rows == 0) {
-    *out = TopKResult(0, k);
-    return Status::OK();
-  }
-  return Query(k, user_ids, users_.data(), num_rows, out);
-}
-
-Status LiveCatalog::TopKAll(Index k, TopKResult* out) {
-  std::vector<Index> ids(static_cast<std::size_t>(users_.rows()));
-  std::iota(ids.begin(), ids.end(), Index{0});
-  return TopK(k, ids, out);
-}
-
-Status LiveCatalog::TopKNewUser(const Real* user_vector, Index k,
-                                TopKEntry* out_row) {
-  TopKResult one;
-  MIPS_RETURN_IF_ERROR(TopKNewUsers(user_vector, 1, k, &one));
-  const TopKEntry* row = one.Row(0);
-  for (Index e = 0; e < k; ++e) out_row[e] = row[e];
-  return Status::OK();
-}
-
-Status LiveCatalog::TopKNewUsers(const Real* user_vectors, Index num_rows,
-                                 Index k, TopKResult* out) {
-  MIPS_RETURN_IF_ERROR(ValidateTopKWidth(k, 0));
-  // Checked here, before the buffer layers score anything.
-  MIPS_RETURN_IF_ERROR(
-      ValidateNewUserBatch(user_vectors, num_rows, num_factors()));
-  return Query(k, {}, user_vectors, num_rows, out);
 }
 
 void LiveCatalog::MaybeStartRebuild(bool should_rebuild) {

@@ -23,9 +23,9 @@
 //     ones through per-layer dead-id sets, and every layer follows one
 //     rule: with m ids masked by newer layers, it is scored at width
 //     k + m and the masked ids are dropped, so masking never starves the
-//     merge.  The base engine takes m as the engines' `extra`, so its
-//     strategy stays the one decided for the caller's k: dead ids never
-//     create decision keys.
+//     merge.  The base engine's serve body takes m as its over-fetch
+//     (ServingFacade::Serve's `extra`), so its strategy stays the one
+//     decided for the caller's k: dead ids never create decision keys.
 //   * Background rebuild — once the buffer passes rebuild_threshold
 //     mutations (or on an explicit Rebuild() call) a dedicated thread
 //     folds the sealed buffer into a replacement snapshot, opens a fresh
@@ -117,7 +117,11 @@ struct LiveCatalogOptions {
 };
 
 /// Exact MIPS over an online-mutable catalog; see the file comment.
-class LiveCatalog {
+/// ServingFacade's call forms serve the LIVE catalog: entry ids are
+/// catalog item ids, and a new-user row depends only on its input row,
+/// so a serving layer may coalesce batches across epoch swaps without
+/// changing any answer.
+class LiveCatalog final : public ServingFacade {
  public:
   /// Opens over an initial item catalog (rows become items 0..n-1; the
   /// views must outlive the catalog).  `items` may be an empty view —
@@ -147,25 +151,6 @@ class LiveCatalog {
   /// Removes a live item.  NotFound for dead/unknown ids.
   Status Remove(Index id) EXCLUDES(state_mu_, rebuild_mu_);
 
-  /// Exact top-K over the LIVE catalog for a mini-batch of known users;
-  /// entry ids are catalog item ids.  Safe for concurrent callers; never
-  /// blocks on a rebuild.
-  Status TopK(Index k, std::span<const Index> user_ids, TopKResult* out)
-      EXCLUDES(state_mu_);
-  /// Exact top-K for every prepared user.
-  Status TopKAll(Index k, TopKResult* out) EXCLUDES(state_mu_);
-  /// Exact top-K for one vector outside the user matrix (`out_row` must
-  /// hold k entries); bit-for-bit the 1-row case of TopKNewUsers.
-  Status TopKNewUser(const Real* user_vector, Index k, TopKEntry* out_row)
-      EXCLUDES(state_mu_);
-  /// Exact top-K for `num_rows` new-user vectors (row-major).  Row r
-  /// depends only on input row r, so a serving layer may coalesce
-  /// batches across epoch swaps without changing any answer.  Rows with
-  /// a NaN or +-Inf component are rejected (InvalidArgument) before any
-  /// scoring.
-  Status TopKNewUsers(const Real* user_vectors, Index num_rows, Index k,
-                      TopKResult* out) EXCLUDES(state_mu_);
-
   /// Folds the write buffer into a fresh epoch NOW and waits for the
   /// swap (joining an already-running rebuild if one is in flight).
   /// No-op when nothing is buffered.  Queries keep flowing while this
@@ -177,8 +162,6 @@ class LiveCatalog {
   /// compacts ids to 0..n-1 in the same order.
   Status SaveSegment(const std::string& path) const EXCLUDES(state_mu_);
 
-  Index num_users() const { return users_.rows(); }
-  Index num_factors() const { return users_.cols(); }
   /// Live item count (base + buffered - removed).
   Index num_items() const EXCLUDES(state_mu_);
   /// Monotone epoch counter, bumped at every swap install.  Lock-free —
@@ -272,13 +255,10 @@ class LiveCatalog {
   /// Appends one f-wide row for `id` to `buffer`.
   static void AppendRow(WriteBuffer* buffer, Index id, const Real* row,
                         Index f);
-  /// Shared query spine: score each layer newest first, drop the ids
-  /// newer layers mask, and merge.  For known users `user_ids` selects
-  /// rows of `vectors` (the user matrix); for new users `user_ids` is
-  /// empty and `vectors` points at the caller's batch.
-  Status Query(Index k, std::span<const Index> user_ids,
-               const Real* vectors, Index num_rows, TopKResult* out)
-      EXCLUDES(state_mu_);
+  /// The query spine: scores each layer newest first at k + extra, drops
+  /// the ids newer layers mask, and merges.
+  Status Serve(Index k, Index extra, const QueryRows& rows,
+               TopKResult* out) override EXCLUDES(state_mu_);
 
   /// Starts the background rebuild if one is not running and there is
   /// anything to fold; returns whether a rebuild is now in flight.
@@ -306,7 +286,6 @@ class LiveCatalog {
   void MaybeStartRebuild(bool should_rebuild)
       EXCLUDES(rebuild_mu_, state_mu_);
 
-  ConstRowBlock users_;
   LiveCatalogOptions options_;
 
   /// Guards the serving state.  Shared: queries (epoch/sealed pointer

@@ -8,7 +8,7 @@
 // selection is data-dependent and contributes >= 9.5% of runtime on large
 // models.  That gap is why OPTIMUS uses online sampling instead; we
 // reproduce both the model and its documented limitation
-// (bench/cost_model_validation, tests/cost_model in integration_test).
+// (bench/cost_model_validation, CostModelTest in tests/serving_test.cc).
 //
 // Calibration measures the sustained rate once with a probe GEMM sized
 // well past the L2 cache (analogous to "FLOPs per cycle of the CPU" in

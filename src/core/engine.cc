@@ -13,36 +13,67 @@
 
 namespace mips {
 
-Status ValidateTopKWidth(Index k, Index extra) {
+namespace {
+
+/// The k check every query and Open share.
+Status ValidateK(Index k) {
   if (k <= 0) {
     return Status::InvalidArgument("k must be positive, got " +
                                    std::to_string(k));
   }
-  const Index max_extra = std::numeric_limits<Index>::max() - k;
-  if (extra < 0 || extra > max_extra) {
-    return Status::InvalidArgument("extra must be in [0, " +
-                                   std::to_string(max_extra) + "], got " +
-                                   std::to_string(extra));
-  }
   return Status::OK();
 }
 
-Status ValidateUserIds(std::span<const Index> ids, Index num_users) {
-  for (const Index id : ids) {
-    if (id < 0 || id >= num_users) {
+}  // namespace
+
+Status ServingFacade::TopK(Index k, std::span<const Index> user_ids,
+                           TopKResult* out) {
+  MIPS_RETURN_IF_ERROR(ValidateK(k));
+  for (const Index id : user_ids) {
+    if (id < 0 || id >= num_users()) {
       return Status::OutOfRange("user id out of range: " +
                                 std::to_string(id) + " (have " +
-                                std::to_string(num_users) + " users)");
+                                std::to_string(num_users()) + " users)");
     }
   }
+  if (user_ids.empty()) {
+    *out = TopKResult(0, k);
+    return Status::OK();
+  }
+  return Serve(k, 0,
+               {users_.data(), user_ids.data(),
+                static_cast<Index>(user_ids.size())},
+               out);
+}
+
+Status ServingFacade::TopKAll(Index k, TopKResult* out) {
+  std::vector<Index> ids(static_cast<std::size_t>(num_users()));
+  std::iota(ids.begin(), ids.end(), Index{0});
+  return TopK(k, ids, out);
+}
+
+Status ServingFacade::TopKNewUser(const Real* user_vector, Index k,
+                                  TopKEntry* out_row) {
+  // One code path for singleton and coalesced serving: a 1-row batch.
+  // Every batched row is computed exactly as this call computes it, so
+  // the serve-side coalescing layer (serve/batching_engine.h) returns
+  // bit-for-bit the answer the caller would have gotten alone.
+  TopKResult one;
+  MIPS_RETURN_IF_ERROR(TopKNewUsers(user_vector, 1, k, &one));
+  std::copy_n(one.Row(0), k, out_row);
   return Status::OK();
+}
+
+Status ServingFacade::TopKNewUsers(const Real* user_vectors, Index num_rows,
+                                   Index k, TopKResult* out) {
+  MIPS_RETURN_IF_ERROR(ValidateK(k));
+  MIPS_RETURN_IF_ERROR(
+      ValidateNewUserBatch(user_vectors, num_rows, num_factors()));
+  return Serve(k, 0, {user_vectors, nullptr, num_rows}, out);
 }
 
 Status ValidateEngineOptions(const EngineOptions& options) {
-  if (options.k <= 0) {
-    return Status::InvalidArgument("k must be positive, got " +
-                                   std::to_string(options.k));
-  }
+  MIPS_RETURN_IF_ERROR(ValidateK(options.k));
   if (options.solvers.empty()) {
     return Status::InvalidArgument(
         "engine needs at least one candidate solver spec");
@@ -274,43 +305,6 @@ StatusOr<std::size_t> MipsEngine::StrategyFor(Index k, Index batch_rows) {
   stats_.redecision_seconds.fetch_add(report.total_seconds,
                                       std::memory_order_relaxed);
   return *winner;
-}
-
-Status MipsEngine::TopK(Index k, std::span<const Index> user_ids,
-                        TopKResult* out, Index extra) {
-  MIPS_RETURN_IF_ERROR(ValidateTopKWidth(k, extra));
-  MIPS_RETURN_IF_ERROR(ValidateUserIds(user_ids, users_.rows()));
-  return Serve(k, extra,
-               {users_.data(), user_ids.data(),
-                static_cast<Index>(user_ids.size())},
-               out);
-}
-
-Status MipsEngine::TopKAll(Index k, TopKResult* out) {
-  std::vector<Index> ids(static_cast<std::size_t>(users_.rows()));
-  std::iota(ids.begin(), ids.end(), 0);
-  return TopK(k, ids, out);
-}
-
-Status MipsEngine::TopKNewUser(const Real* user_vector, Index k,
-                               TopKEntry* out_row) {
-  // One code path for singleton and coalesced serving: a 1-row batch.
-  // Every batched row is computed exactly as this call computes it, so
-  // the serve-side coalescing layer (serve/batching_engine.h) returns
-  // bit-for-bit the answer the caller would have gotten alone.
-  TopKResult one;
-  MIPS_RETURN_IF_ERROR(TopKNewUsers(user_vector, 1, k, &one));
-  const TopKEntry* row = one.Row(0);
-  for (Index e = 0; e < k; ++e) out_row[e] = row[e];
-  return Status::OK();
-}
-
-Status MipsEngine::TopKNewUsers(const Real* user_vectors, Index num_rows,
-                                Index k, TopKResult* out, Index extra) {
-  MIPS_RETURN_IF_ERROR(ValidateTopKWidth(k, extra));
-  MIPS_RETURN_IF_ERROR(
-      ValidateNewUserBatch(user_vectors, num_rows, items_.cols()));
-  return Serve(k, extra, {user_vectors, nullptr, num_rows}, out);
 }
 
 Status MipsEngine::Serve(Index k, Index extra, const QueryRows& rows,

@@ -5,31 +5,31 @@
 // ("bmm", "maximus:clusters=64", ...).  The engine builds every
 // candidate via the solver registry (concurrently, on the engine's pool,
 // when threads > 0), runs the OPTIMUS decision once at the configured k,
-// owns the solvers and the optional thread pool, and then serves:
+// owns the solvers and the optional thread pool, and then serves through
+// ServingFacade's four call forms:
 //
 //   * TopK(k, user_ids)   — mini-batches of known users at any k.  When
 //     a call's k diverges from the k the decision was made at, the
 //     engine re-runs the (cheap, sampling-based) decision for the new k
 //     and caches the winner — or, with a single candidate, serves it.
 //     Either way every answer stays exact.
-//     A trailing `extra` widens each row to k + extra entries without
-//     touching the decision, which stays keyed on k (see TopK).
 //   * TopKAll(k)          — every prepared user.
-//   * TopKNewUser(...)    — a vector outside the prepared user matrix
-//     (Section III-E), served like a known user: through the strategy
-//     decided for its (k, shape) and that solver's one query body
-//     (MipsSolver::TopK), so it takes the path OPTIMUS timed.
+//   * TopKNewUser(s)(...) — vectors outside the prepared user matrix
+//     (Section III-E), served like known users: through the strategy
+//     decided for their (k, shape) and that solver's one query body
+//     (MipsSolver::TopK), so they take the path OPTIMUS timed.
 //
 // ForceStrategy() overrides the optimizer by candidate name (benches,
 // lesion studies, operator escape hatch); stats() snapshots cumulative
 // serving counters.  ShardedMipsEngine (shard/sharded_engine.h) holds
-// one MipsEngine per item shard, and the serving composites above it
-// (LiveCatalog) hold a ShardedMipsEngine — num_shards = 1 when unsharded
-// — so none of them branches on "sharded or not".
+// one MipsEngine per item shard, and LiveCatalog holds a
+// ShardedMipsEngine per epoch (num_shards = 1 when unsharded).  All three
+// are ServingFacades: each query is checked once where it enters, and
+// the layers below call each other's serve body with no second check.
 //
 // Thread safety (the contract the multi-client server relies on):
 //
-//   * After Open() returns, TopK / TopKAll / TopKNewUser / stats() /
+//   * After Open() returns, TopK / TopKAll / TopKNewUser(s) / stats() /
 //     strategy() may be called from any number of threads concurrently.
 //     Candidate indexes are read-only at query time; the per-k decision
 //     cache is guarded by a shared mutex so the hot path (k already
@@ -66,15 +66,73 @@
 
 namespace mips {
 
-/// Argument checks shared by the serving facades (MipsEngine,
-/// ShardedMipsEngine, LiveCatalog), so each rejects the same inputs with
-/// the same message before any scoring runs.  The new-user vector check,
-/// ValidateNewUserBatch, is in linalg/blas.h.
+/// The query surface of the three serving facades (MipsEngine,
+/// ShardedMipsEngine, LiveCatalog): the four call forms, written once
+/// here over each facade's one serve body, Serve().  A query is checked
+/// once, where it enters: k > 0 (InvalidArgument naming k), known-user
+/// ids in [0, num_users()) (OutOfRange naming the id), and new-user
+/// vectors by ValidateNewUserBatch (linalg/blas.h; InvalidArgument naming
+/// the row and factor).  A refused query reaches no serve body.  The
+/// layers below a facade call each other's Serve as friends, so a
+/// checked query is not checked again; the solvers keep their own entry
+/// checks (MipsSolver::TopK).
 ///
-/// A result width: k > 0, and 0 <= extra with k + extra representable.
-Status ValidateTopKWidth(Index k, Index extra);
-/// Known-user ids: each in [0, num_users) (OutOfRange naming the id).
-Status ValidateUserIds(std::span<const Index> ids, Index num_users);
+/// Every call form is safe for concurrent callers once the facade is
+/// open.
+class ServingFacade {
+ public:
+  virtual ~ServingFacade() = default;
+  ServingFacade(const ServingFacade&) = delete;
+  ServingFacade& operator=(const ServingFacade&) = delete;
+
+  /// Exact top-K for a mini-batch of known users (ids into the user
+  /// matrix, in any order, repeats allowed).  An empty batch returns 0
+  /// rows of width k without looking up any strategy.
+  Status TopK(Index k, std::span<const Index> user_ids, TopKResult* out);
+
+  /// Exact top-K for every prepared user.
+  Status TopKAll(Index k, TopKResult* out);
+
+  /// Exact top-K for a user vector that is NOT in the prepared user
+  /// matrix.  `out_row` must hold k entries.  Serves through the same
+  /// code path as a 1-row TopKNewUsers call, so a singleton answer is
+  /// bit-for-bit the row a coalesced batch would produce for the same
+  /// vector under the same strategy.
+  Status TopKNewUser(const Real* user_vector, Index k, TopKEntry* out_row);
+
+  /// Exact top-K for a mini-batch of `num_rows` new-user vectors, stored
+  /// contiguously row-major (num_rows x num_factors()) at
+  /// `user_vectors`.  This is the serve-side coalescing path
+  /// (serve/batching_engine.h): the strategy decided for (k, batch shape)
+  /// runs its one query body over the vectors, the path OPTIMUS timed on
+  /// known users — MAXIMUS walks them grouped by nearest centroid, LEMP
+  /// and FEXIPRO probe their item-side indexes, and BMM scores the whole
+  /// batch in one call, the batching win the paper's Clipper-style
+  /// setting exists to exploit.  Row r of *out depends only on row r of
+  /// the input and on the serving strategy, so a vector gets the same
+  /// bits alone or coalesced into any batch the same strategy serves.
+  Status TopKNewUsers(const Real* user_vectors, Index num_rows, Index k,
+                      TopKResult* out);
+
+  Index num_users() const { return users_.rows(); }
+  Index num_factors() const { return users_.cols(); }
+
+ protected:
+  ServingFacade() = default;
+
+  /// The facade's serve body, called only with checked rows (k > 0, at
+  /// least one row, ids in range, finite vectors): row r of *out gets the
+  /// exact top-(k + extra) entries of input row r, while every strategy
+  /// decision stays keyed on k.  The call forms pass extra = 0; a layer
+  /// that filters rows afterwards (LiveCatalog drops up to `extra` dead
+  /// ids per row) over-fetches through it without creating a decision
+  /// key per filter width.
+  virtual Status Serve(Index k, Index extra, const QueryRows& rows,
+                       TopKResult* out) = 0;
+
+  /// The user matrix known-user ids index; set by the facade's Open.
+  ConstRowBlock users_;
+};
 
 /// Configuration for MipsEngine::Open.
 struct EngineOptions {
@@ -133,7 +191,7 @@ Status ValidateEngineOptions(const EngineOptions& options);
 /// A long-lived exact-MIPS serving engine over one (users, items) model.
 /// The model views must outlive the engine.  See the file comment for the
 /// thread-safety contract.
-class MipsEngine {
+class MipsEngine final : public ServingFacade {
  public:
   /// Upper bound on cached per-(k, shape) decisions, the pinned opening
   /// decision included (it is never evicted).  When a new key's decision
@@ -149,48 +207,6 @@ class MipsEngine {
   static StatusOr<std::unique_ptr<MipsEngine>> Open(
       const ConstRowBlock& users, const ConstRowBlock& items,
       const EngineOptions& options = {});
-
-  /// Exact top-K for a mini-batch of known users (ids into the engine's
-  /// user matrix), served by the strategy decided for this k.  Safe for
-  /// concurrent callers.
-  ///
-  /// `extra` over-fetches without moving the decision: the strategy is
-  /// looked up for (k, batch shape) exactly as with extra = 0 — decided
-  /// inline only on a real miss — and each row of *out then holds the
-  /// exact top-(k + extra) entries.  A caller that filters rows
-  /// afterwards (LiveCatalog masks up to `extra` dead ids per row) thus
-  /// never creates a decision key per filter width.  InvalidArgument for
-  /// a negative `extra` or one that overflows k + extra.
-  Status TopK(Index k, std::span<const Index> user_ids, TopKResult* out,
-              Index extra = 0);
-
-  /// Exact top-K for every prepared user.
-  Status TopKAll(Index k, TopKResult* out);
-
-  /// Exact top-K for a user vector that is NOT in the prepared user
-  /// matrix.  `out_row` must hold k entries.  Serves through the same
-  /// code path as a 1-row TopKNewUsers call, so a singleton answer is
-  /// bit-for-bit the row a coalesced batch would produce for the same
-  /// vector under the same strategy.
-  Status TopKNewUser(const Real* user_vector, Index k, TopKEntry* out_row);
-
-  /// Exact top-K for a mini-batch of `num_rows` new-user vectors, stored
-  /// contiguously row-major (num_rows x num_factors) at `user_vectors`.
-  /// This is the serve-side coalescing path (serve/batching_engine.h).
-  /// It shares TopK's serve body: the strategy decided for (k, batch
-  /// shape) runs its one query body over the vectors, the path OPTIMUS
-  /// timed on known users — MAXIMUS walks them grouped by nearest
-  /// centroid, LEMP and FEXIPRO probe their item-side indexes, and BMM
-  /// scores the whole batch in one call, the batching win the paper's
-  /// Clipper-style setting exists to exploit.  Row r of *out depends only
-  /// on row r of the input and on the serving strategy, so a vector gets
-  /// the same bits alone or coalesced into any batch the same strategy
-  /// serves.  Safe for concurrent callers.
-  /// `extra` widens each row to k + extra entries with the decision kept
-  /// on k, as in TopK.  Rows holding a NaN or +-Inf component are
-  /// rejected (InvalidArgument) before any scoring.
-  Status TopKNewUsers(const Real* user_vectors, Index num_rows, Index k,
-                      TopKResult* out, Index extra = 0);
 
   /// Overrides the optimizer: every subsequent query uses the candidate
   /// whose solver name — or, for tuned variants of the same solver,
@@ -212,9 +228,7 @@ class MipsEngine {
   /// The opening specs, verbatim, in order.
   const std::vector<std::string>& candidate_specs() const { return specs_; }
 
-  Index num_users() const { return users_.rows(); }
   Index num_items() const { return items_.rows(); }
-  Index num_factors() const { return items_.cols(); }
 
   /// Snapshot of the cumulative serving statistics.  Each field is
   /// individually consistent; fields may be mutually skewed by in-flight
@@ -250,6 +264,9 @@ class MipsEngine {
   Stats stats() const EXCLUDES(decision_mu_);
 
  private:
+  /// Each shard engine serves its sharded engine's checked queries.
+  friend class ShardedMipsEngine;
+
   MipsEngine() = default;
 
   /// Decision-cache key: the query k plus the realized-batch-shape
@@ -271,10 +288,10 @@ class MipsEngine {
   StatusOr<std::size_t> StrategyFor(Index k, Index batch_rows)
       EXCLUDES(decision_mu_);
 
-  /// The serve body TopK and TopKNewUsers share once each has validated
-  /// its input: looks up the strategy for (k, rows.size), runs its
-  /// MipsSolver::TopK at k + extra, and counts the call.
-  Status Serve(Index k, Index extra, const QueryRows& rows, TopKResult* out);
+  /// Looks up the strategy for (k, rows.size), runs its MipsSolver::TopK
+  /// at k + extra, and counts the call.
+  Status Serve(Index k, Index extra, const QueryRows& rows,
+               TopKResult* out) override;
 
   /// The one OPTIMUS decision site (opening, warm shapes, cache misses):
   /// measures the prepared candidates at key.first on a population-sized
@@ -289,7 +306,6 @@ class MipsEngine {
                                            : owned_pool_.get();
   }
 
-  ConstRowBlock users_;
   ConstRowBlock items_;
   EngineOptions options_;
   std::unique_ptr<ThreadPool> owned_pool_;

@@ -58,8 +58,8 @@ int64_t FirstNonFinite(const Real* x, std::size_t n);
 /// row-major components must be non-null, have num_rows > 0, and hold
 /// only finite components (a NaN or +-Inf component makes the row's
 /// scores NaN or infinite, which the BetterEntry order cannot rank).
-/// Every serving facade runs it before scoring, and BatchingEngine runs
-/// it at admission.
+/// The serving facades' one entry (ServingFacade, core/engine.h) runs it
+/// before any scoring, and BatchingEngine runs it at admission.
 Status ValidateNewUserBatch(const Real* user_vectors, Index num_rows,
                             Index num_factors);
 

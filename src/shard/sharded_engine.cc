@@ -1,10 +1,8 @@
 #include "shard/sharded_engine.h"
 
-#include <numeric>
 #include <thread>
 
 #include "common/timer.h"
-#include "linalg/blas.h"
 #include "topk/merge.h"
 
 namespace mips {
@@ -70,19 +68,20 @@ StatusOr<std::unique_ptr<ShardedMipsEngine>> ShardedMipsEngine::Open(
   return engine;
 }
 
-template <typename ShardQuery>
-Status ShardedMipsEngine::ScatterGather(Index width, const ShardQuery& query,
-                                        TopKResult* out) {
+Status ShardedMipsEngine::Serve(Index k, Index extra, const QueryRows& rows,
+                                TopKResult* out) {
+  WallTimer timer;
+  const Index width = k + extra;
   // Scatter: each shard answers exact top-`width` over its own items with
-  // local ids...
+  // local ids, its strategy decided for k and this batch's shape...
   std::vector<TopKResult> partials(active_shards_.size());
   for (std::size_t i = 0; i < active_shards_.size(); ++i) {
     const int s = active_shards_[i];
-    MIPS_RETURN_IF_ERROR(
-        query(*engines_[static_cast<std::size_t>(s)], &partials[i]));
+    TopKResult& partial = partials[i];
+    MIPS_RETURN_IF_ERROR(engines_[static_cast<std::size_t>(s)]->Serve(
+        k, extra, rows, &partial));
     // ...gather: remap to global ids through the partition...
     const ItemShard& shard = partition_.shard(s);
-    TopKResult& partial = partials[i];
     for (Index q = 0; q < partial.num_queries(); ++q) {
       TopKEntry* row = partial.Row(q);
       for (Index e = 0; e < width; ++e) {
@@ -96,65 +95,13 @@ Status ShardedMipsEngine::ScatterGather(Index width, const ShardQuery& query,
   results.reserve(partials.size());
   for (const TopKResult& partial : partials) results.push_back(&partial);
   MergeTopKResults(results, width, out);
-  return Status::OK();
-}
-
-Status ShardedMipsEngine::TopK(Index k, std::span<const Index> user_ids,
-                               TopKResult* out, Index extra) {
-  MIPS_RETURN_IF_ERROR(ValidateTopKWidth(k, extra));
-  MIPS_RETURN_IF_ERROR(ValidateUserIds(user_ids, users_.rows()));
-  WallTimer timer;
-  // Every shard decides at the caller's k; only the fetch widens.
-  MIPS_RETURN_IF_ERROR(ScatterGather(
-      k + extra,
-      [&](MipsEngine& engine, TopKResult* partial) {
-        return engine.TopK(k, user_ids, partial, extra);
-      },
-      out));
-  {
-    MutexLock lock(stats_mu_);
-    counters_.serve_seconds += timer.Seconds();
+  MutexLock lock(stats_mu_);
+  counters_.serve_seconds += timer.Seconds();
+  if (rows.ids != nullptr) {
     counters_.batches_served += 1;
-    counters_.users_served += static_cast<int64_t>(user_ids.size());
-  }
-  return Status::OK();
-}
-
-Status ShardedMipsEngine::TopKAll(Index k, TopKResult* out) {
-  std::vector<Index> ids(static_cast<std::size_t>(users_.rows()));
-  std::iota(ids.begin(), ids.end(), 0);
-  return TopK(k, ids, out);
-}
-
-Status ShardedMipsEngine::TopKNewUser(const Real* user_vector, Index k,
-                                      TopKEntry* out_row) {
-  TopKResult one;
-  MIPS_RETURN_IF_ERROR(TopKNewUsers(user_vector, 1, k, &one));
-  const TopKEntry* row = one.Row(0);
-  for (Index e = 0; e < k; ++e) out_row[e] = row[e];
-  return Status::OK();
-}
-
-Status ShardedMipsEngine::TopKNewUsers(const Real* user_vectors,
-                                       Index num_rows, Index k,
-                                       TopKResult* out, Index extra) {
-  MIPS_RETURN_IF_ERROR(ValidateTopKWidth(k, extra));
-  MIPS_RETURN_IF_ERROR(
-      ValidateNewUserBatch(user_vectors, num_rows, num_factors()));
-  WallTimer timer;
-  // Scatter the whole batch: each shard answers all rows at once (its own
-  // strategy decision is keyed on this batch shape), then remap and merge
-  // exactly as the known-user path does.
-  MIPS_RETURN_IF_ERROR(ScatterGather(
-      k + extra,
-      [&](MipsEngine& engine, TopKResult* partial) {
-        return engine.TopKNewUsers(user_vectors, num_rows, k, partial, extra);
-      },
-      out));
-  {
-    MutexLock lock(stats_mu_);
-    counters_.serve_seconds += timer.Seconds();
-    counters_.new_users_served += num_rows;
+    counters_.users_served += rows.size;
+  } else {
+    counters_.new_users_served += rows.size;
   }
   return Status::OK();
 }

@@ -11,20 +11,22 @@
 // shard's winner, serve counters, and re-decisions so that heterogeneity
 // is observable, not hidden.
 //
-// Serving is scatter/gather: a TopK/TopKNewUser call fans across the
-// shards, each answers exact top-k over its items (local ids), ids are
-// remapped to global through the partition, and the per-shard rows are
-// k-way merged (topk/merge.h) into the exact global top-k.  Every item
-// lives in exactly one shard and every layer — heap eviction, strict
-// pruning bounds, row extraction, merge — uses the library-wide
-// BetterEntry tie order, so the merged result is bit-for-bit the
-// unsharded engine's answer, including which of several exactly tied
-// items is reported.  This holds for every solver family, FEXIPRO
-// included: solvers whose pruning runs in an item-set-dependent
-// transform space (FEXIPRO's SVD rotation) rescore survivors against
-// the original vectors before they enter the heap, so a shard's
-// rotation can never shift a reported score by an ulp and flip an exact
-// cross-shard tie.
+// Serving is scatter/gather: every call form (ServingFacade's, checked
+// once at this entry) fans its rows, known users or new vectors alike,
+// across the shards' serve bodies; each shard answers exact top-k over
+// its items (local ids), ids are remapped to global through the
+// partition, and the per-shard rows are k-way merged (topk/merge.h) into
+// the exact global top-k.  Every item lives in exactly one shard and
+// every layer — heap eviction, strict pruning bounds, row extraction,
+// merge — uses the library-wide BetterEntry tie order, so the merged
+// result is bit-for-bit the unsharded engine's answer, including which
+// of several exactly tied items is reported.  This holds for every
+// solver family: solvers that prune on partial sums (LEMP's incremental
+// pruning) or in an item-set-dependent transform space (FEXIPRO's SVD
+// rotation) rescore each survivor with one Dot against the original
+// vectors before it enters the heap, so where a shard's heap fills, or
+// how its rotation turns, can never shift a reported score by an ulp
+// and flip an exact cross-shard tie.
 //
 // Threading: the sharded engine owns one pool shared by every shard
 // engine (EngineOptions::shared_pool) — shard candidate indexes build
@@ -42,7 +44,7 @@
 // and additionally allow a parallel scatter.
 //
 // Thread safety mirrors MipsEngine: after Open, TopK / TopKAll /
-// TopKNewUser / stats() / ForceStrategy* may be called from any number
+// TopKNewUser(s) / stats() / ForceStrategy* may be called from any number
 // of threads concurrently.
 //
 // This is the one engine type the serving composites hold (LiveCatalog's
@@ -86,7 +88,7 @@ struct ShardedEngineOptions {
 };
 
 /// Exact MIPS over an item-sharded catalog; see the file comment.
-class ShardedMipsEngine {
+class ShardedMipsEngine final : public ServingFacade {
  public:
   /// Partitions the items, opens one MipsEngine per non-empty shard
   /// (concurrently), and runs each shard's OPTIMUS decision.  The model
@@ -94,39 +96,6 @@ class ShardedMipsEngine {
   static StatusOr<std::unique_ptr<ShardedMipsEngine>> Open(
       const ConstRowBlock& users, const ConstRowBlock& items,
       const ShardedEngineOptions& options = {});
-
-  /// Exact global top-K for a mini-batch of known users: scatter to every
-  /// shard, gather + merge.  Identical to the unsharded MipsEngine result
-  /// (ids remapped to global; BetterEntry order).  Safe for concurrent
-  /// callers.  `extra` is MipsEngine::TopK's: every shard keeps its
-  /// decision keyed on k while the scatter, remap and merge run at
-  /// k + extra entries per row, so the answer is the exact global
-  /// top-(k + extra) and no shard re-decides for the wider fetch.
-  Status TopK(Index k, std::span<const Index> user_ids, TopKResult* out,
-              Index extra = 0) EXCLUDES(stats_mu_);
-
-  /// Exact global top-K for every prepared user.
-  Status TopKAll(Index k, TopKResult* out);
-
-  /// Exact global top-K for a user vector outside the prepared user
-  /// matrix.  `out_row` must hold k entries.  Routed through the one-row
-  /// batched path, so the answer is bit-for-bit the num_rows = 1 case of
-  /// TopKNewUsers below.
-  Status TopKNewUser(const Real* user_vector, Index k, TopKEntry* out_row);
-
-  /// Exact global top-K for a mini-batch of new-user vectors
-  /// (`num_rows` x num_factors(), row-major): scatter the whole batch to
-  /// every shard's batched new-user path, remap, k-way merge.  Each shard
-  /// serves the batch through its decided solver's query body, which
-  /// computes each row from that row alone, so when every shard serves
-  /// both shapes with the same strategy a row of *out is bit-for-bit what
-  /// TopKNewUser returns for that vector alone.  That is what lets a
-  /// serving layer coalesce singleton traffic without changing any
-  /// answer.  `extra` widens each row to k + extra entries with every
-  /// shard's decision kept on k, as in TopK; rows with a NaN or +-Inf
-  /// component are rejected (InvalidArgument) before any shard scores.
-  Status TopKNewUsers(const Real* user_vectors, Index num_rows, Index k,
-                      TopKResult* out, Index extra = 0) EXCLUDES(stats_mu_);
 
   /// Forces every shard onto the candidate named by solver name or exact
   /// opening spec.  All shards share the same candidate list, so this
@@ -151,9 +120,7 @@ class ShardedMipsEngine {
   /// Precondition: 0 <= s < num_shards() (asserted).
   std::string shard_strategy(int s) const;
 
-  Index num_users() const { return users_.rows(); }
   Index num_items() const { return partition_.num_items(); }
-  Index num_factors() const { return users_.cols(); }
 
   /// Aggregate + per-shard serving statistics.
   struct ShardSnapshot {
@@ -187,16 +154,17 @@ class ShardedMipsEngine {
   Stats stats() const EXCLUDES(stats_mu_);
 
  private:
+  /// Each catalog epoch serves the catalog's checked queries.
+  friend class LiveCatalog;
+
   ShardedMipsEngine() = default;
 
-  /// Scatter `query(shard engine, &partial)` to every non-empty shard,
-  /// remap each partial's `width`-entry rows to global ids, and merge
-  /// them into *out (`width` entries per row).
-  template <typename ShardQuery>
-  Status ScatterGather(Index width, const ShardQuery& query,
-                       TopKResult* out);
+  /// Scatters the rows to every non-empty shard's MipsEngine::Serve (each
+  /// decision keyed on k), remaps each shard's (k + extra)-entry rows to
+  /// global ids, and merges them into *out.
+  Status Serve(Index k, Index extra, const QueryRows& rows,
+               TopKResult* out) override EXCLUDES(stats_mu_);
 
-  ConstRowBlock users_;
   ShardedEngineOptions options_;
   ItemPartition partition_;
   std::unique_ptr<ThreadPool> pool_;

@@ -66,7 +66,9 @@ Index ScanBucket(const lemp::SortedItems& sorted, const Bucket& bucket,
     const Index id = sorted.ids[static_cast<std::size_t>(pos)];
 
     if (algorithm == BucketAlgorithm::kIncremental && heap->full()) {
-      // Partial inner products with Cauchy-Schwarz tail bounds.
+      // Partial inner products with Cauchy-Schwarz tail bounds, for
+      // pruning only: a survivor is scored below with one Dot, like an
+      // item reached before the heap filled (see lemp.h).
       Real partial = 0;
       Index start = 0;
       bool pruned = false;
@@ -83,11 +85,8 @@ Index ScanBucket(const lemp::SortedItems& sorted, const Bucket& bucket,
         }
       }
       if (pruned) continue;
-      partial += Dot(user + start, v + start, f - start);
-      heap->Push(id, partial);
-    } else {
-      heap->Push(id, Dot(user, v, f));
     }
+    heap->Push(id, Dot(user, v, f));
   }
   return scanned;
 }

@@ -19,6 +19,12 @@
 // A new vector (Section III-E) walks the same buckets as a prepared user:
 // the index is item-side, so nothing in it depends on the user set.
 //
+// Whatever algorithm retrieves a candidate, its reported score is one
+// Dot over all f factors (incremental pruning's partial sums only
+// prune), so a (user, item) score does not depend on the bucket layout
+// or on where the heap filled: sharded and unsharded answers agree bit
+// for bit.
+//
 // The sample-driven per-bucket adaptivity is deliberately preserved: it is
 // what makes LEMP's runtime estimates high-variance under OPTIMUS's user
 // sampling (paper Figure 7).

@@ -97,14 +97,13 @@ TEST(BatchedNewUsersTest, ShardedBatchedMatchesUnshardedBitForBit) {
   const Matrix queries = RandomMatrix(kBatch, model.num_factors(), 31);
 
   // Each strategy scores in its own accumulation order, so the engines
-  // are pinned to one strategy at a time.  LEMP is pinned to length
-  // pruning, which scores every candidate with one Dot: adaptive, each
-  // engine would calibrate its own table, and incremental pruning's
-  // partial sums start only once a heap is full, which happens at a
-  // different item in a shard than in the whole catalog.
+  // are pinned to one strategy at a time.  LEMP is pinned to incremental
+  // pruning, which prunes on partial sums but rescores every survivor
+  // with one Dot, so a score does not depend on where a shard's heap
+  // fills; adaptive, each engine would calibrate its own table.
   EngineOptions engine_options;
   engine_options.k = k;
-  engine_options.solvers = {"bmm", "lemp:forced_algorithm=1"};
+  engine_options.solvers = {"bmm", "lemp:forced_algorithm=2"};
   auto unsharded = MipsEngine::Open(ConstRowBlock(model.users), ConstRowBlock(model.items),
                                     engine_options);
   ASSERT_TRUE(unsharded.ok()) << unsharded.status().ToString();

@@ -1,12 +1,19 @@
 // Tests for the serving path: mini-batches and new users served through
 // MipsEngine's OPTIMUS decision (overlapping, out-of-order batches with
-// repeated ids; new users under a non-MAXIMUS index), Decide agreeing
+// repeated ids; new users under a non-MAXIMUS index), the one checked
+// entry every serving facade shares (ServingFacade), Decide agreeing
 // with Run, and the Section IV-A analytical BMM cost model.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "catalog/live_catalog.h"
 #include "common/timer.h"
 #include "core/cost_model.h"
 #include "core/engine.h"
@@ -14,6 +21,7 @@
 #include "core/optimus.h"
 #include "linalg/blas.h"
 #include "linalg/gemm.h"
+#include "shard/sharded_engine.h"
 #include "solvers/bmm.h"
 #include "test_util.h"
 #include "topk/topk_heap.h"
@@ -103,6 +111,137 @@ TEST(ServingTest, DecisionReportPopulated) {
   // Opening decides on a sample; it must not have served the whole
   // user set.
   EXPECT_EQ(report.serve_seconds, 0.0);
+}
+
+// ------------------------------------------------ the one query entry
+
+/// Counters a facade's stats() exposes for served queries; the catalog
+/// has none, so its probe reads zeros.
+struct ServedCounters {
+  int64_t served = 0;       // batches + known rows + new rows
+  int64_t lookups = 0;      // decision-cache hits + misses
+  int64_t redecisions = 0;
+};
+
+template <typename Stats>
+ServedCounters CountersOf(const Stats& stats) {
+  return {stats.batches_served + stats.users_served + stats.new_users_served,
+          stats.decision_cache_hits + stats.decision_cache_misses,
+          stats.redecisions};
+}
+
+/// The call-form contract every facade keeps, written against the base
+/// class: each refusal carries the message the facade has always
+/// returned, no refused call reaches a serve body, and an empty
+/// known-user batch is served without a strategy lookup (a k no decision
+/// was made at would otherwise run a full OPTIMUS decision for nothing).
+void ExpectCheckedOnceAtEntry(ServingFacade& facade,
+                              const std::function<ServedCounters()>& counters,
+                              const std::string& name) {
+  SCOPED_TRACE(name);
+  ASSERT_EQ(facade.num_users(), 50);
+  ASSERT_EQ(facade.num_factors(), 4);
+  const ServedCounters before = counters();
+  const auto expect_refused = [](const Status& status, StatusCode code,
+                                 const std::vector<std::string>& named) {
+    EXPECT_EQ(status.code(), code) << status.ToString();
+    for (const std::string& part : named) {
+      EXPECT_NE(status.message().find(part), std::string::npos)
+          << status.ToString() << " does not name " << part;
+    }
+  };
+
+  const Matrix vectors = ::mips::testing::RandomMatrix(3, 4, 71, 0.5);
+  const std::vector<Index> ids = {0, 49};
+  TopKResult out;
+  std::vector<TopKEntry> row(5);
+  for (const Index k : {0, -7}) {
+    const std::string named = "k must be positive, got " + std::to_string(k);
+    expect_refused(facade.TopK(k, ids, &out), StatusCode::kInvalidArgument,
+                   {named});
+    expect_refused(facade.TopKAll(k, &out), StatusCode::kInvalidArgument,
+                   {named});
+    expect_refused(facade.TopKNewUser(vectors.Row(0), k, row.data()),
+                   StatusCode::kInvalidArgument, {named});
+    expect_refused(facade.TopKNewUsers(vectors.data(), 3, k, &out),
+                   StatusCode::kInvalidArgument, {named});
+  }
+
+  for (const Index bad : {50, -3}) {
+    const std::vector<Index> batch = {1, bad, 2};
+    expect_refused(facade.TopK(5, batch, &out), StatusCode::kOutOfRange,
+                   {"user id out of range: " + std::to_string(bad)});
+  }
+
+  expect_refused(facade.TopKNewUser(nullptr, 5, row.data()),
+                 StatusCode::kInvalidArgument, {"null"});
+  expect_refused(facade.TopKNewUsers(nullptr, 3, 5, &out),
+                 StatusCode::kInvalidArgument, {"null"});
+  expect_refused(facade.TopKNewUsers(vectors.data(), 0, 5, &out),
+                 StatusCode::kInvalidArgument, {"num_rows"});
+  for (const Real bad : {std::numeric_limits<Real>::quiet_NaN(),
+                         std::numeric_limits<Real>::infinity(),
+                         -std::numeric_limits<Real>::infinity()}) {
+    Matrix batch = vectors;
+    batch.Row(1)[2] = bad;
+    expect_refused(facade.TopKNewUsers(batch.data(), 3, 5, &out),
+                   StatusCode::kInvalidArgument, {"row 1", "factor 2"});
+    // Alone, the same vector is row 0 of a 1-row batch.
+    expect_refused(facade.TopKNewUser(batch.Row(1), 5, row.data()),
+                   StatusCode::kInvalidArgument, {"row 0", "factor 2"});
+  }
+
+  // k = 7 has no cached decision anywhere.
+  ASSERT_TRUE(facade.TopK(7, {}, &out).ok());
+  EXPECT_EQ(out.num_queries(), 0);
+  EXPECT_EQ(out.k(), 7);
+
+  const ServedCounters after = counters();
+  EXPECT_EQ(after.served, before.served);
+  EXPECT_EQ(after.lookups, before.lookups);
+  EXPECT_EQ(after.redecisions, before.redecisions);
+  EXPECT_EQ(after.redecisions, 0);
+
+  // The entry still serves what it accepts.
+  ASSERT_TRUE(facade.TopK(5, ids, &out).ok());
+  EXPECT_EQ(out.num_queries(), 2);
+  EXPECT_EQ(out.k(), 5);
+  ASSERT_TRUE(facade.TopKNewUser(vectors.Row(2), 5, row.data()).ok());
+  EXPECT_GE(row[0].item, 0);
+}
+
+TEST(ServingFacadeTest, EveryFacadeChecksEachQueryOnceAtItsEntry) {
+  const MFModel model = MakeTestModel(50, 60, 4, 73, /*norm_sigma=*/0.6);
+  const ConstRowBlock users(model.users);
+  const ConstRowBlock items(model.items);
+  EngineOptions engine_options = SmallServingOptions(10);
+  engine_options.solvers = {"bmm", "maximus"};
+
+  auto engine = MipsEngine::Open(users, items, engine_options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ExpectCheckedOnceAtEntry(
+      **engine, [&] { return CountersOf((*engine)->stats()); }, "engine");
+
+  ShardedEngineOptions sharded_options;
+  sharded_options.num_shards = 3;
+  sharded_options.engine = engine_options;
+  auto sharded = ShardedMipsEngine::Open(users, items, sharded_options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ExpectCheckedOnceAtEntry(
+      **sharded, [&] { return CountersOf((*sharded)->stats()); },
+      "3-shard engine");
+
+  LiveCatalogOptions catalog_options;
+  catalog_options.num_shards = 2;
+  catalog_options.engine = engine_options;
+  auto catalog = LiveCatalog::Open(users, items, catalog_options);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  const std::vector<Real> inserted(model.items.Row(5), model.items.Row(5) + 4);
+  ASSERT_TRUE((*catalog)->Insert(inserted).ok());
+  ASSERT_TRUE((*catalog)->Remove(3).ok());
+  ASSERT_EQ((*catalog)->stats().buffered_rows, 1);
+  ExpectCheckedOnceAtEntry(
+      **catalog, [] { return ServedCounters{}; }, "2-shard catalog");
 }
 
 TEST(OptimusDecideTest, AgreesWithRunChoice) {
