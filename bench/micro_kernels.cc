@@ -293,20 +293,26 @@ void BM_GemmBlockedKernel(benchmark::State& state, GemmKernel kernel) {
 // live-mutate shard (1 x 200), and one and two register tiles of rows (4
 // and 8 x 3,554).  batch-flat's request also runs at k = 16 and k = 17,
 // the widest k kept in row records and the narrowest kept in heaps
-// (topk/select_kernel.h's kRowTopWidth).
+// (topk/select_kernel.h's kRowTopWidth).  `masked` items, spread evenly,
+// are masked (topk/item_mask.h): the live-mutate shard at k = 10 with 12
+// masked items, against the k = 22 call that over-fetched past them.
 void BM_ScoreTopKKernel(benchmark::State& state, GemmKernel kernel) {
   ForceGemmKernel(kernel).CheckOK();
   const auto m = static_cast<Index>(state.range(0));
   const auto n = static_cast<Index>(state.range(1));
   const auto k = static_cast<Index>(state.range(2));
+  const auto masked = static_cast<Index>(state.range(3));
   const Index f = 50;
   const Matrix users = RandomMatrix(m, f, 9);
   const Matrix items = RandomMatrix(n, f, 10);
+  std::vector<Index> rows;
+  for (Index i = 0; i < masked; ++i) rows.push_back(i * n / masked);
   TopKResult result(m, k);
   for (auto _ : state) {
     ScoreTopK(users.data(), m, items.data(), n, f, k, /*item_offset=*/0,
               /*item_ids=*/nullptr, /*pool=*/nullptr, &result,
-              /*row_offset=*/0);
+              /*row_offset=*/0, /*row_ids=*/nullptr, kScoreTileRows,
+              {rows.data(), masked, 0});
     benchmark::DoNotOptimize(result.Row(0));
   }
   state.counters["time/cell"] = benchmark::Counter(
@@ -356,14 +362,16 @@ void RegisterPerKernelBenchmarks() {
         [kernel](benchmark::State& state) {
           BM_ScoreTopKKernel(state, kernel);
         })
-        ->ArgNames({"m", "n", "k"})
-        ->Args({2048, 3554, 10})
-        ->Args({2048, 3554, 16})
-        ->Args({2048, 3554, 17})
-        ->Args({1, 3554, 10})
-        ->Args({1, 200, 10})
-        ->Args({4, 3554, 10})
-        ->Args({8, 3554, 10});
+        ->ArgNames({"m", "n", "k", "masked"})
+        ->Args({2048, 3554, 10, 0})
+        ->Args({2048, 3554, 16, 0})
+        ->Args({2048, 3554, 17, 0})
+        ->Args({1, 3554, 10, 0})
+        ->Args({1, 200, 10, 0})
+        ->Args({1, 200, 10, 12})
+        ->Args({1, 200, 22, 0})
+        ->Args({4, 3554, 10, 0})
+        ->Args({8, 3554, 10, 0});
   }
 }
 

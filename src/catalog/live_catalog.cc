@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <numeric>
 #include <utility>
 
 #include "catalog/segment.h"
+#include "common/dcheck.h"
 #include "linalg/blas.h"
 #include "topk/merge.h"
 #include "topk/score_select.h"
@@ -14,25 +14,11 @@
 namespace mips {
 namespace {
 
-/// Drops the ids `mask` names from each over-fetched row of `layer` in
-/// place: the row's first k entries become its best k survivors, as
-/// catalog ids (ids[item] when `ids` remaps local rows; the remap is
-/// strictly increasing, so the tie order survives it), ended by a
-/// sentinel if fewer survive.
-void DropMasked(TopKResult* layer, Index k, const Index* ids,
-                const std::unordered_set<Index>& mask) {
-  for (Index q = 0; q < layer->num_queries(); ++q) {
-    TopKEntry* row = layer->Row(q);
-    Index taken = 0;
-    for (Index e = 0; e < layer->k() && taken < k; ++e) {
-      if (row[e].item < 0) break;  // sentinel tail
-      const Index id = ids != nullptr
-                           ? ids[static_cast<std::size_t>(row[e].item)]
-                           : row[e].item;
-      if (mask.find(id) == mask.end()) row[taken++] = {id, row[e].score};
-    }
-    if (taken < k) row[taken] = {-1, -std::numeric_limits<Real>::infinity()};
-  }
+/// Sorts `rows` and drops repeats: the mask they list.
+ItemMask SortedMask(std::vector<Index>* rows) {
+  std::sort(rows->begin(), rows->end());
+  rows->erase(std::unique(rows->begin(), rows->end()), rows->end());
+  return {rows->data(), static_cast<Index>(rows->size()), 0};
 }
 
 /// InvalidArgument unless `vector` has `f` finite components: the check
@@ -240,59 +226,80 @@ Status LiveCatalog::Remove(Index id) {
   return Status::OK();
 }
 
-Status LiveCatalog::Serve(Index k, Index extra, const QueryRows& rows,
+Status LiveCatalog::Serve(Index k, const QueryRows& rows, const ItemMask& mask,
                           TopKResult* out) {
+  MIPS_DCHECK(mask.empty());
   const Index f = num_factors();
-  const Index width = k + extra;
-  // A buffer layer's exact top-`layer_width` rows of catalog ids, scored
-  // serially (safe under the shared lock) with the scores a rebuilt
-  // epoch's BMM reports, bit for bit.
-  const auto score_layer = [&](const WriteBuffer& layer, Index layer_width,
+  // A buffer layer's exact top-k rows of catalog ids among the rows its
+  // mask does not name, scored serially (safe under the shared lock) with
+  // the scores a rebuilt epoch's BMM reports, bit for bit.
+  const auto score_layer = [&](const WriteBuffer& layer,
+                               const ItemMask& layer_mask,
                                TopKResult* scored) {
-    *scored = TopKResult(rows.size, layer_width);
-    ScoreTopK(rows.data, rows.size, layer.data.data(), layer.num_rows(), f,
-              layer_width, /*item_offset=*/0, layer.ids.data(),
-              /*pool=*/nullptr, scored, /*row_offset=*/0, rows.ids);
+    *scored = TopKResult(rows.size, k);
+    ScoreTopK(rows.data, rows.size, layer.data.data(), layer.num_rows(), f, k,
+              /*item_offset=*/0, layer.ids.data(), /*pool=*/nullptr, scored,
+              /*row_offset=*/0, rows.ids, kScoreTileRows, layer_mask);
   };
-  // Layers go newest first, each masked by the dead sets of the newer
-  // ones: scored at width + |mask|, it keeps its exact live top-`width`
-  // once DropMasked removes at most |mask| entries.  A layer with no rows
-  // joins the merge as a null row.
+  // Each layer is masked by the dead sets of the newer ones: the sealed
+  // layer by the active layer's, the base by both.  A masked row is never
+  // offered, so every layer's k entries are live and the merge of the
+  // three is the live catalog's top k.  A layer with no rows joins the
+  // merge as a null row.
   std::shared_ptr<Epoch> epoch;
   std::shared_ptr<const WriteBuffer> sealed;
   TopKResult active_rows, sealed_rows, base_rows;
-  std::unordered_set<Index> dead;
+  std::vector<Index> sealed_masked;  // sealed rows the active layer masks
+  std::vector<Index> base_masked;    // epoch rows either layer masks
   {
-    // The only lock a query takes: pin the epoch and score the mutable
-    // active layer while mutators are held off.  Everything after —
-    // sealed layer, base query, merge — runs on immutable state.
+    // The only lock a query takes: pin the epoch, score the mutable active
+    // layer and build both masks from the dead sets while mutators are
+    // held off.  Everything after — sealed layer, base query, merge — runs
+    // on immutable state.
     ReaderMutexLock lock(state_mu_);
     epoch = epoch_;
     sealed = sealed_;
-    if (active_.num_rows() > 0) score_layer(active_, width, &active_rows);
-    dead = active_.dead;
-  }
-
-  if (sealed != nullptr) {
-    if (sealed->num_rows() > 0) {
-      score_layer(*sealed, width + static_cast<Index>(dead.size()),
-                  &sealed_rows);
-      DropMasked(&sealed_rows, width, /*ids=*/nullptr, dead);
+    if (active_.num_rows() > 0) score_layer(active_, {}, &active_rows);
+    // A dead id's epoch row, if any: a binary search of the epoch's
+    // ascending ids.
+    const auto mask_base_row = [&](Index id) {
+      const auto it =
+          std::lower_bound(epoch->ids.begin(), epoch->ids.end(), id);
+      if (it != epoch->ids.end() && *it == id) {
+        base_masked.push_back(static_cast<Index>(it - epoch->ids.begin()));
+      }
+    };
+    for (const Index id : active_.dead) {
+      mask_base_row(id);
+      if (sealed == nullptr) continue;
+      const auto it = sealed->row_of_id.find(id);
+      if (it != sealed->row_of_id.end()) sealed_masked.push_back(it->second);
     }
-    dead.insert(sealed->dead.begin(), sealed->dead.end());
+    if (sealed != nullptr) {
+      for (const Index id : sealed->dead) mask_base_row(id);
+    }
   }
 
-  // The base's over-fetch goes in as the engine's `extra`, not into k:
-  // the strategy stays the one decided for the caller's k, so a changing
-  // dead count never creates a decision key (and never runs OPTIMUS
-  // inline).
+  if (sealed != nullptr && sealed->num_rows() > 0) {
+    score_layer(*sealed, SortedMask(&sealed_masked), &sealed_rows);
+  }
+
+  // Its strategy stays the one decided for the caller's k, so dead ids
+  // never create a decision key.
   if (epoch->engine != nullptr) {
-    MIPS_RETURN_IF_ERROR(epoch->engine->Serve(
-        k, extra + static_cast<Index>(dead.size()), rows, &base_rows));
-    DropMasked(&base_rows, width, epoch->ids.data(), dead);
+    MIPS_RETURN_IF_ERROR(
+        epoch->engine->Serve(k, rows, SortedMask(&base_masked), &base_rows));
+    // Epoch rows to catalog ids: the map is strictly increasing, so the
+    // tie order survives it.
+    for (Index q = 0; q < rows.size; ++q) {
+      TopKEntry* row = base_rows.Row(q);
+      for (Index e = 0; e < k && row[e].item >= 0; ++e) {
+        row[e].item = epoch->ids[static_cast<std::size_t>(row[e].item)];
+      }
+    }
   }
 
-  *out = TopKResult(rows.size, width);
+  *out = TopKResult(rows.size, k);
   const auto row_of = [](const TopKResult& layer, Index q) {
     return layer.num_queries() > 0 ? layer.Row(q) : nullptr;
   };
@@ -300,7 +307,7 @@ Status LiveCatalog::Serve(Index k, Index extra, const QueryRows& rows,
     const TopKEntry* layer_rows[3] = {row_of(base_rows, q),
                                       row_of(sealed_rows, q),
                                       row_of(active_rows, q)};
-    MergeTopKRows(layer_rows, width, width, out->Row(q));
+    MergeTopKRows(layer_rows, k, k, out->Row(q));
   }
   return Status::OK();
 }

@@ -21,10 +21,14 @@
 //     every dense solver uses, and join all layers' rows through the
 //     library-wide BetterEntry k-way merge.  Newer versions mask older
 //     ones through per-layer dead-id sets, and every layer follows one
-//     rule: with m ids masked by newer layers, it is scored at width
-//     k + m and the masked ids are dropped, so masking never starves the
-//     merge.  The base engine's serve body takes m as its over-fetch
-//     (ServingFacade::Serve's `extra`), so its strategy stays the one
+//     rule: the rows newer layers mask are an ItemMask
+//     (topk/item_mask.h) its scorer never offers, so each layer is
+//     masked, not widened, and selects exactly k.  A query builds the
+//     sealed layer's mask (its rows the active dead set names) and the
+//     base's (the epoch rows either dead set names, by binary search of
+//     the epoch's ids) under the reader lock it already takes.  The base
+//     engine's serve body splits its mask across the shards and their
+//     solvers (ServingFacade::Serve), so its strategy stays the one
 //     decided for the caller's k: dead ids never create decision keys.
 //   * Background rebuild — once the buffer passes rebuild_threshold
 //     mutations (or on an explicit Rebuild() call) a dedicated thread
@@ -61,9 +65,10 @@
 // Thread safety: Insert/Update/Remove/TopK*/Rebuild/SaveSegment/stats()
 // may be called from any number of threads concurrently after Open().
 // Mutations are serialized by a writer lock held for O(f) work; queries
-// share the lock only to score the active layer (serially) and copy its
-// dead set.  Rebuild() blocks the CALLER until the in-flight (or newly
-// started) rebuild installs; it never blocks queries or mutations.
+// share the lock only to score the active layer (serially) and build the
+// older layers' masks from the dead sets.  Rebuild() blocks the CALLER
+// until the in-flight (or newly started) rebuild installs; it never
+// blocks queries or mutations.
 
 #ifndef MIPS_CATALOG_LIVE_CATALOG_H_
 #define MIPS_CATALOG_LIVE_CATALOG_H_
@@ -255,9 +260,10 @@ class LiveCatalog final : public ServingFacade {
   /// Appends one f-wide row for `id` to `buffer`.
   static void AppendRow(WriteBuffer* buffer, Index id, const Real* row,
                         Index f);
-  /// The query spine: scores each layer newest first at k + extra, drops
-  /// the ids newer layers mask, and merges.
-  Status Serve(Index k, Index extra, const QueryRows& rows,
+  /// The query spine: scores each layer at k under the mask of the ids
+  /// newer layers supersede, and merges.  The catalog is the outermost
+  /// facade, so `mask` is always empty.
+  Status Serve(Index k, const QueryRows& rows, const ItemMask& mask,
                TopKResult* out) override EXCLUDES(state_mu_);
 
   /// Starts the background rebuild if one is not running and there is

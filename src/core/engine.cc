@@ -40,10 +40,10 @@ Status ServingFacade::TopK(Index k, std::span<const Index> user_ids,
     *out = TopKResult(0, k);
     return Status::OK();
   }
-  return Serve(k, 0,
+  return Serve(k,
                {users_.data(), user_ids.data(),
                 static_cast<Index>(user_ids.size())},
-               out);
+               {}, out);
 }
 
 Status ServingFacade::TopKAll(Index k, TopKResult* out) {
@@ -69,7 +69,7 @@ Status ServingFacade::TopKNewUsers(const Real* user_vectors, Index num_rows,
   MIPS_RETURN_IF_ERROR(ValidateK(k));
   MIPS_RETURN_IF_ERROR(
       ValidateNewUserBatch(user_vectors, num_rows, num_factors()));
-  return Serve(k, 0, {user_vectors, nullptr, num_rows}, out);
+  return Serve(k, {user_vectors, nullptr, num_rows}, {}, out);
 }
 
 Status ValidateEngineOptions(const EngineOptions& options) {
@@ -307,13 +307,12 @@ StatusOr<std::size_t> MipsEngine::StrategyFor(Index k, Index batch_rows) {
   return *winner;
 }
 
-Status MipsEngine::Serve(Index k, Index extra, const QueryRows& rows,
+Status MipsEngine::Serve(Index k, const QueryRows& rows, const ItemMask& mask,
                          TopKResult* out) {
-  // The decision is keyed on the caller's k; only the fetch widens.
   auto strategy = StrategyFor(k, rows.size);
   MIPS_RETURN_IF_ERROR(strategy.status());
   WallTimer timer;
-  MIPS_RETURN_IF_ERROR(solvers_[*strategy]->TopK(k + extra, rows, out));
+  MIPS_RETURN_IF_ERROR(solvers_[*strategy]->TopK(k, rows, mask, out));
   stats_.serve_seconds.fetch_add(timer.Seconds(), std::memory_order_relaxed);
   if (rows.ids != nullptr) {
     stats_.batches_served.fetch_add(1, std::memory_order_relaxed);

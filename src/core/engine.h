@@ -122,12 +122,14 @@ class ServingFacade {
 
   /// The facade's serve body, called only with checked rows (k > 0, at
   /// least one row, ids in range, finite vectors): row r of *out gets the
-  /// exact top-(k + extra) entries of input row r, while every strategy
-  /// decision stays keyed on k.  The call forms pass extra = 0; a layer
-  /// that filters rows afterwards (LiveCatalog drops up to `extra` dead
-  /// ids per row) over-fetches through it without creating a decision
-  /// key per filter width.
-  virtual Status Serve(Index k, Index extra, const QueryRows& rows,
+  /// exact top-k entries of input row r among the facade's items that
+  /// `mask` does not name (rows of the facade's item set), with every
+  /// strategy decision keyed on k alone.  The call forms pass an empty
+  /// mask; LiveCatalog masks each layer below it by the rows newer layers
+  /// supersede, so a masked layer still selects k and its dead rows never
+  /// create a decision key.  LiveCatalog, the outermost facade, takes
+  /// only an empty mask.
+  virtual Status Serve(Index k, const QueryRows& rows, const ItemMask& mask,
                        TopKResult* out) = 0;
 
   /// The user matrix known-user ids index; set by the facade's Open.
@@ -289,8 +291,8 @@ class MipsEngine final : public ServingFacade {
       EXCLUDES(decision_mu_);
 
   /// Looks up the strategy for (k, rows.size), runs its MipsSolver::TopK
-  /// at k + extra, and counts the call.
-  Status Serve(Index k, Index extra, const QueryRows& rows,
+  /// under the mask, and counts the call.
+  Status Serve(Index k, const QueryRows& rows, const ItemMask& mask,
                TopKResult* out) override;
 
   /// The one OPTIMUS decision site (opening, warm shapes, cache misses):

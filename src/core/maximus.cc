@@ -120,7 +120,7 @@ Index MaximusSolver::AssignNewUser(const Real* user) const {
 }
 
 Status MaximusSolver::Query(Index k, const QueryRows& rows,
-                            TopKResult* out) {
+                            const ItemMask& mask, TopKResult* out) {
   WallTimer traversal_timer;
   const Index q = rows.size;
   const Index n = items_.rows();
@@ -200,8 +200,8 @@ Status MaximusSolver::Query(Index k, const QueryRows& rows,
               break;
             }
             const Index id = list.item_ids[static_cast<std::size_t>(pos)];
-            heap.Push(id, Dot(nu, items_.Row(id), f));
             ++visited[static_cast<std::size_t>(r)];
+            if (!mask.Contains(id)) heap.Push(id, Dot(nu, items_.Row(id), f));
           }
           heap.ExtractDescending(out_row(r));
         }
@@ -218,7 +218,7 @@ Status MaximusSolver::Query(Index k, const QueryRows& rows,
         // the largest walker slack is below the lowest threshold: every
         // walker stops there at the latest, since thresholds only rise
         // and the bounds descend.
-        BoundedWalk walk(m, k, f, slack.data());
+        BoundedWalk walk(m, k, f, slack.data(), mask);
         std::vector<Index> active(static_cast<std::size_t>(m));
         std::iota(active.begin(), active.end(), 0);
         std::vector<std::pair<Real, Index>> by_threshold;

@@ -93,8 +93,10 @@ class MaximusSolver : public MipsSolver {
  protected:
   Status Build() override;
   /// Prepared users walk their k-means cluster with slack 0, new vectors
-  /// their nearest centroid's with their own slack.
-  Status Query(Index k, const QueryRows& rows, TopKResult* out) override;
+  /// their nearest centroid's with their own slack.  A masked item is
+  /// walked past, never offered: its bound still counts for the stop.
+  Status Query(Index k, const QueryRows& rows, const ItemMask& mask,
+               TopKResult* out) override;
 
  private:
   struct ClusterList {

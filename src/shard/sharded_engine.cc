@@ -68,23 +68,28 @@ StatusOr<std::unique_ptr<ShardedMipsEngine>> ShardedMipsEngine::Open(
   return engine;
 }
 
-Status ShardedMipsEngine::Serve(Index k, Index extra, const QueryRows& rows,
-                                TopKResult* out) {
+Status ShardedMipsEngine::Serve(Index k, const QueryRows& rows,
+                                const ItemMask& mask, TopKResult* out) {
   WallTimer timer;
-  const Index width = k + extra;
-  // Scatter: each shard answers exact top-`width` over its own items with
-  // local ids, its strategy decided for k and this batch's shape...
+  // Scatter: each shard answers exact top-k over its own unmasked items
+  // with local ids, its strategy decided for k and this batch's shape...
   std::vector<TopKResult> partials(active_shards_.size());
+  std::vector<Index> gathered;  // a hash shard's part of the mask
   for (std::size_t i = 0; i < active_shards_.size(); ++i) {
     const int s = active_shards_[i];
+    const ItemShard& shard = partition_.shard(s);
+    const ItemMask shard_mask =
+        shard.global_ids.empty()
+            ? mask.Slice(shard.global_offset,
+                         shard.global_offset + shard.num_items())
+            : mask.Gather(shard.global_ids, &gathered);
     TopKResult& partial = partials[i];
     MIPS_RETURN_IF_ERROR(engines_[static_cast<std::size_t>(s)]->Serve(
-        k, extra, rows, &partial));
+        k, rows, shard_mask, &partial));
     // ...gather: remap to global ids through the partition...
-    const ItemShard& shard = partition_.shard(s);
     for (Index q = 0; q < partial.num_queries(); ++q) {
       TopKEntry* row = partial.Row(q);
-      for (Index e = 0; e < width; ++e) {
+      for (Index e = 0; e < k; ++e) {
         if (row[e].item >= 0) row[e].item = shard.ToGlobal(row[e].item);
       }
     }
@@ -94,7 +99,7 @@ Status ShardedMipsEngine::Serve(Index k, Index extra, const QueryRows& rows,
   std::vector<const TopKResult*> results;
   results.reserve(partials.size());
   for (const TopKResult& partial : partials) results.push_back(&partial);
-  MergeTopKResults(results, width, out);
+  MergeTopKResults(results, k, out);
   MutexLock lock(stats_mu_);
   counters_.serve_seconds += timer.Seconds();
   if (rows.ids != nullptr) {

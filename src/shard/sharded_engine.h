@@ -160,9 +160,12 @@ class ShardedMipsEngine final : public ServingFacade {
   ShardedMipsEngine() = default;
 
   /// Scatters the rows to every non-empty shard's MipsEngine::Serve (each
-  /// decision keyed on k), remaps each shard's (k + extra)-entry rows to
-  /// global ids, and merges them into *out.
-  Status Serve(Index k, Index extra, const QueryRows& rows,
+  /// decision keyed on k), each under its part of the mask (global item
+  /// ids): a contiguous or growth shard's is a slice rebased by its
+  /// offset, a hash shard's is gathered through its ascending global ids.
+  /// Remaps each shard's k-entry rows to global ids and merges them into
+  /// *out.
+  Status Serve(Index k, const QueryRows& rows, const ItemMask& mask,
                TopKResult* out) override EXCLUDES(stats_mu_);
 
   ShardedEngineOptions options_;

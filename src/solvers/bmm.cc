@@ -23,7 +23,8 @@ Status BmmSolver::Build() {
   return Status::OK();
 }
 
-Status BmmSolver::Query(Index k, const QueryRows& rows, TopKResult* out) {
+Status BmmSolver::Query(Index k, const QueryRows& rows, const ItemMask& mask,
+                        TopKResult* out) {
   const Index q = rows.size;
   const Index n = items_.rows();
   const Index f = items_.cols();
@@ -37,7 +38,8 @@ Status BmmSolver::Query(Index k, const QueryRows& rows, TopKResult* out) {
   // the item range and their partial rows are merged.
   // Either way one scorer call takes a whole range of users, so the items
   // are packed once per block of kScoreRowBlock users, and the users are
-  // packed straight from their rows, `batch` to a row tile.
+  // packed straight from their rows, `batch` to a row tile.  The scorer
+  // skips the masked items.
   if (pool_ != nullptr &&
       q >= static_cast<Index>(pool_->num_threads()) * kMinUsersPerThread) {
     ParallelFor(pool_, q, [&](int64_t begin, int64_t end, int /*chunk*/) {
@@ -45,13 +47,13 @@ Status BmmSolver::Query(Index k, const QueryRows& rows, TopKResult* out) {
                                         static_cast<Index>(end), f);
       ScoreTopK(part.data, part.size, items_.data(), n, f, k,
                 /*item_offset=*/0, /*item_ids=*/nullptr, /*pool=*/nullptr,
-                out, static_cast<Index>(begin), part.ids, batch);
+                out, static_cast<Index>(begin), part.ids, batch, mask);
     });
     return Status::OK();
   }
   ScoreTopK(rows.data, q, items_.data(), n, f, k, /*item_offset=*/0,
             /*item_ids=*/nullptr, pool_, out, /*row_offset=*/0, rows.ids,
-            batch);
+            batch, mask);
   return Status::OK();
 }
 

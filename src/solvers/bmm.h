@@ -48,7 +48,8 @@ class BmmSolver : public MipsSolver {
 
  protected:
   Status Build() override;
-  Status Query(Index k, const QueryRows& rows, TopKResult* out) override;
+  Status Query(Index k, const QueryRows& rows, const ItemMask& mask,
+               TopKResult* out) override;
 
  private:
   BmmOptions options_;

@@ -105,7 +105,8 @@ Status FexiproSolver::Build() {
 }
 
 Index FexiproSolver::QueryOneUser(const Real* user, Index k,
-                                  QueryScratch* s, TopKEntry* out_row) const {
+                                  const ItemMask& mask, QueryScratch* s,
+                                  TopKEntry* out_row) const {
   const Index n = sorted_items_.rows();
   const Index f = sorted_items_.cols();
   const Index h = svd_.head_dims;
@@ -161,7 +162,9 @@ Index FexiproSolver::QueryOneUser(const Real* user, Index k,
             min_h) {
       break;
     }
-    const Real* item = sorted_items_.Row(pos);
+    // A masked item is never offered, so its bounds need no computing.
+    const Index id = ids_[static_cast<std::size_t>(pos)];
+    if (mask.Contains(id)) continue;
     if (heap.full()) {
       // (2) Integer bound.
       if (options_.use_int_bound) {
@@ -176,32 +179,27 @@ Index FexiproSolver::QueryOneUser(const Real* user, Index k,
       }
       // (3) SVD partial product + Cauchy-Schwarz tail.
       if (options_.use_svd_bound) {
-        const Real head = Dot(su, item, h);
+        const Real head = Dot(su, sorted_items_.Row(pos), h);
         const Real svd_bound =
             head + s->tail_norm * tail_norms_[static_cast<std::size_t>(pos)];
         if (svd_bound + slack < min_h) continue;
       }
-      // (4) Exact score — over the ORIGINAL vectors, not the SVD images:
-      // the rotation is item-set-dependent and only ulp-preserves dots,
-      // so scoring in SVD space would let exact cross-shard ties diverge
-      // between sharded and unsharded runs (see the file comment in
-      // fexipro.h).  The original row is items_.Row(id): the sorted copy
-      // holds transformed vectors only.
-      const Index id = ids_[static_cast<std::size_t>(pos)];
-      ++exact;
-      heap.Push(id, Dot(user, items_.Row(id), f));
-    } else {
-      const Index id = ids_[static_cast<std::size_t>(pos)];
-      ++exact;
-      heap.Push(id, Dot(user, items_.Row(id), f));
     }
+    // (4) Exact score — over the ORIGINAL vectors, not the SVD images:
+    // the rotation is item-set-dependent and only ulp-preserves dots, so
+    // scoring in SVD space would let exact cross-shard ties diverge
+    // between sharded and unsharded runs (see the file comment in
+    // fexipro.h).  The original row is items_.Row(id): the sorted copy
+    // holds transformed vectors only.
+    ++exact;
+    heap.Push(id, Dot(user, items_.Row(id), f));
   }
   heap.ExtractDescending(out_row);
   return exact;
 }
 
 Status FexiproSolver::Query(Index k, const QueryRows& rows,
-                            TopKResult* out) {
+                            const ItemMask& mask, TopKResult* out) {
   const Index q = rows.size;
   const Index f = items_.cols();
   std::atomic<int64_t> total_exact{0};
@@ -210,7 +208,7 @@ Status FexiproSolver::Query(Index k, const QueryRows& rows,
     int64_t exact = 0;
     for (int64_t r = begin; r < end; ++r) {
       const Real* user = rows.Row(static_cast<Index>(r), f);
-      exact += QueryOneUser(user, k, &scratch,
+      exact += QueryOneUser(user, k, mask, &scratch,
                             out->Row(static_cast<Index>(r)));
     }
     total_exact.fetch_add(exact, std::memory_order_relaxed);

@@ -75,12 +75,14 @@ class FexiproSolver : public MipsSolver {
 
  protected:
   Status Build() override;
-  Status Query(Index k, const QueryRows& rows, TopKResult* out) override;
+  Status Query(Index k, const QueryRows& rows, const ItemMask& mask,
+               TopKResult* out) override;
 
  private:
   struct QueryScratch;
-  Index QueryOneUser(const Real* user, Index k, QueryScratch* scratch,
-                     TopKEntry* out_row) const;
+  /// One row's scan, passing over the masked items before their bounds.
+  Index QueryOneUser(const Real* user, Index k, const ItemMask& mask,
+                     QueryScratch* scratch, TopKEntry* out_row) const;
 
   FexiproOptions options_;
 

@@ -36,14 +36,16 @@ struct UserScratch {
 // Scans one bucket for `user` with `algorithm` into `heap`: the kCoord
 // whole-bucket skip, then the norm-ordered scan (length pruning unless
 // kNaive, Cauchy-Schwarz incremental pruning under kIncremental).  The one
-// bucket scan: queries serve through it and calibration times it.
+// bucket scan: queries serve through it and calibration times it.  An
+// item the mask names is passed over before it is scored.
 // Returns the number of item positions scanned.  All pruning is strict
 // (`< MinScore()`, not `<=`): a bound equal to the heap minimum can belong
 // to a score that ties it, and the tied item must reach Push so the lower
 // item id wins deterministically (topk_heap.h).
 Index ScanBucket(const lemp::SortedItems& sorted, const Bucket& bucket,
                  BucketAlgorithm algorithm, const Real* user, Real user_norm,
-                 const UserScratch& scratch, TopKHeap* heap) {
+                 const UserScratch& scratch, const ItemMask& mask,
+                 TopKHeap* heap) {
   const Index f = sorted.vectors.cols();
   const Index ncp = static_cast<Index>(sorted.checkpoint_dims.size());
   // Coordinate-range prune: may skip this bucket entirely (but not the
@@ -64,6 +66,7 @@ Index ScanBucket(const lemp::SortedItems& sorted, const Bucket& bucket,
     ++scanned;
     const Real* v = sorted.vectors.Row(pos);
     const Index id = sorted.ids[static_cast<std::size_t>(pos)];
+    if (mask.Contains(id)) continue;
 
     if (algorithm == BucketAlgorithm::kIncremental && heap->full()) {
       // Partial inner products with Cauchy-Schwarz tail bounds, for
@@ -115,7 +118,7 @@ Status LempSolver::Build() {
 
 Index LempSolver::QueryOneUser(
     const Real* user, Real user_norm, Index k,
-    const std::vector<BucketAlgorithm>& algorithms,
+    const std::vector<BucketAlgorithm>& algorithms, const ItemMask& mask,
     TopKEntry* out_row) const {
   TopKHeap heap(k);
   UserScratch scratch;
@@ -128,7 +131,7 @@ Index LempSolver::QueryOneUser(
     // has norm <= max_norm, so u.i <= ||u|| * max_norm.
     if (heap.full() && bucket.max_norm * user_norm < heap.MinScore()) break;
     scanned += ScanBucket(sorted_, bucket, algorithms[bi], user, user_norm,
-                          scratch, &heap);
+                          scratch, mask, &heap);
   }
   heap.ExtractDescending(out_row);
   return scanned;
@@ -164,7 +167,7 @@ std::vector<BucketAlgorithm> LempSolver::Calibrate(
         }
         WallTimer bucket_timer;
         ScanBucket(sorted_, bucket, algorithm, user, user_norm, scratch,
-                   &heap);
+                   /*mask=*/{}, &heap);
         const std::size_t slot = bi * lemp::kNumBucketAlgorithms +
                                  static_cast<std::size_t>(a);
         // mips-tidy: allow(float-accumulation): cost-model timing, not a
@@ -195,7 +198,8 @@ std::vector<BucketAlgorithm> LempSolver::Calibrate(
   return algorithms;
 }
 
-Status LempSolver::Query(Index k, const QueryRows& rows, TopKResult* out) {
+Status LempSolver::Query(Index k, const QueryRows& rows, const ItemMask& mask,
+                         TopKResult* out) {
   const Index q = rows.size;
 
   // Calibrate each distinct k once (under the lock, cached like the
@@ -224,7 +228,7 @@ Status LempSolver::Query(Index k, const QueryRows& rows, TopKResult* out) {
     for (int64_t r = begin; r < end; ++r) {
       const Real* user = rows.Row(static_cast<Index>(r), f);
       const Real user_norm = Nrm2(user, f);
-      scanned += QueryOneUser(user, user_norm, k, algorithms,
+      scanned += QueryOneUser(user, user_norm, k, algorithms, mask,
                               out->Row(static_cast<Index>(r)));
     }
     total_scanned.fetch_add(scanned, std::memory_order_relaxed);

@@ -17,7 +17,9 @@
 //      reuses it.
 //
 // A new vector (Section III-E) walks the same buckets as a prepared user:
-// the index is item-side, so nothing in it depends on the user set.
+// the index is item-side, so nothing in it depends on the user set.  A
+// masked item is skipped before it is scored; the bucket bounds still
+// cover it, so they stay sound.
 //
 // Whatever algorithm retrieves a candidate, its reported score is one
 // Dot over all f factors (incremental pruning's partial sums only
@@ -76,13 +78,15 @@ class LempSolver : public MipsSolver {
 
  protected:
   Status Build() override;
-  Status Query(Index k, const QueryRows& rows, TopKResult* out) override;
+  Status Query(Index k, const QueryRows& rows, const ItemMask& mask,
+               TopKResult* out) override;
 
  private:
-  // Runs one user's query; returns the number of item positions scanned.
+  // Runs one user's query, offering no masked item; returns the number of
+  // item positions scanned.
   Index QueryOneUser(const Real* user, Real user_norm, Index k,
                      const std::vector<lemp::BucketAlgorithm>& algorithms,
-                     TopKEntry* out_row) const;
+                     const ItemMask& mask, TopKEntry* out_row) const;
 
   // Times every bucket algorithm through the serving scan on the
   // calibration rows drawn from `rows` and returns the fastest one per

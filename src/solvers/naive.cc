@@ -8,7 +8,8 @@
 
 namespace mips {
 
-Status NaiveSolver::Query(Index k, const QueryRows& rows, TopKResult* out) {
+Status NaiveSolver::Query(Index k, const QueryRows& rows, const ItemMask& mask,
+                          TopKResult* out) {
   const Index n = items_.rows();
   const Index f = items_.cols();
 
@@ -18,7 +19,7 @@ Status NaiveSolver::Query(Index k, const QueryRows& rows, TopKResult* out) {
       const Real* u = rows.Row(static_cast<Index>(r), f);
       heap.Clear();
       for (Index j = 0; j < n; ++j) {
-        heap.Push(j, Dot(u, items_.Row(j), f));
+        if (!mask.Contains(j)) heap.Push(j, Dot(u, items_.Row(j), f));
       }
       heap.ExtractDescending(out->Row(static_cast<Index>(r)));
     }

@@ -19,7 +19,8 @@ class NaiveSolver : public MipsSolver {
   bool batches_users() const override { return false; }
 
  protected:
-  Status Query(Index k, const QueryRows& rows, TopKResult* out) override;
+  Status Query(Index k, const QueryRows& rows, const ItemMask& mask,
+               TopKResult* out) override;
 };
 
 }  // namespace mips

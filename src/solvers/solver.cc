@@ -18,16 +18,21 @@ Status MipsSolver::Prepare(const ConstRowBlock& users,
   return Status::OK();
 }
 
-Status MipsSolver::TopK(Index k, const QueryRows& rows, TopKResult* out) {
+Status MipsSolver::TopK(Index k, const QueryRows& rows, const ItemMask& mask,
+                        TopKResult* out) {
   if (k <= 0) return Status::InvalidArgument("k must be positive");
   if (!prepared_) return Status::FailedPrecondition("Prepare was not called");
   if (rows.ids != nullptr && rows.data != users_.data()) {
     return Status::InvalidArgument(
         "id rows must index the prepared user matrix");
   }
+  if (!mask.ValidFor(items_.rows())) {
+    return Status::InvalidArgument(
+        "item mask must list ascending rows of the prepared items");
+  }
   *out = TopKResult(rows.size, k);
   if (rows.size == 0) return Status::OK();
-  return Query(k, rows, out);
+  return Query(k, rows, mask, out);
 }
 
 Status MipsSolver::TopKAll(Index k, TopKResult* out) {

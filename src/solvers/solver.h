@@ -38,6 +38,7 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "linalg/matrix.h"
+#include "topk/item_mask.h"
 #include "topk/result.h"
 
 namespace mips {
@@ -89,14 +90,20 @@ class MipsSolver {
 
   /// Exact top-k for each row of `rows`, through the solver's Query():
   /// *out is resized to (rows.size, k) and row r written for input row r.
-  /// If k exceeds the item count, rows are padded with {-1, -inf} sentinel
-  /// entries.  InvalidArgument for k <= 0 or for id rows whose data is not
-  /// the prepared user matrix; FailedPrecondition before Prepare.  Each
-  /// row is computed from its input row alone, so a vector gets the same
-  /// row alone or in any batch, and a prepared user's vector passed as a
-  /// new row gets the user's row bit for bit.  The call forms below are
-  /// one-liners over it.
-  Status TopK(Index k, const QueryRows& rows, TopKResult* out);
+  /// No item row that `mask` names is ever offered, so each row is the
+  /// exact top k of the other items (what the solver prepared over only
+  /// those items reports, ids mapped back); a serving layer masks the
+  /// rows a newer write supersedes.  If fewer than k items remain, rows
+  /// are padded with {-1, -inf} sentinel entries.  InvalidArgument for k
+  /// <= 0, for id rows whose data is not the prepared user matrix, or for
+  /// a mask that is not ascending rows of the prepared items;
+  /// FailedPrecondition before Prepare.  Each row is computed from its
+  /// input row alone, so a vector gets the same row alone or in any
+  /// batch, and a prepared user's vector passed as a new row gets the
+  /// user's row bit for bit.  The call forms below are one-liners over it
+  /// and pass an empty mask.
+  Status TopK(Index k, const QueryRows& rows, const ItemMask& mask,
+              TopKResult* out);
 
   /// Exact top-K for each user id in `user_ids` (indices into the prepared
   /// user matrix).
@@ -105,7 +112,7 @@ class MipsSolver {
     return TopK(k,
                 {users_.data(), user_ids.data(),
                  static_cast<Index>(user_ids.size())},
-                out);
+                {}, out);
   }
 
   /// Exact top-K for `num_rows` vectors outside the prepared user matrix,
@@ -115,7 +122,7 @@ class MipsSolver {
   /// FEXIPRO probe their item-side indexes, BMM scores densely.
   Status TopKNewUsers(const Real* user_vectors, Index num_rows, Index k,
                       TopKResult* out) {
-    return TopK(k, {user_vectors, nullptr, num_rows}, out);
+    return TopK(k, {user_vectors, nullptr, num_rows}, {}, out);
   }
 
   /// Convenience: top-K for every prepared user.
@@ -139,9 +146,11 @@ class MipsSolver {
   virtual Status Build() { return Status::OK(); }
 
   /// The one query body: writes row r of *out, already sized (rows.size,
-  /// k), for each row of `rows`.  Called only with k > 0, at least one
-  /// row, and a successful Prepare behind it.
-  virtual Status Query(Index k, const QueryRows& rows, TopKResult* out) = 0;
+  /// k), for each row of `rows`, offering no item row that `mask` names.
+  /// Called only with k > 0, at least one row, a valid mask and a
+  /// successful Prepare behind it.
+  virtual Status Query(Index k, const QueryRows& rows, const ItemMask& mask,
+                       TopKResult* out) = 0;
 
   /// The prepared model (valid after Prepare).
   ConstRowBlock users_;

@@ -38,9 +38,13 @@ Status HybridSolver::Build() {
   return Status::OK();
 }
 
-Status HybridSolver::Query(Index k, const QueryRows& rows, TopKResult* out) {
+Status HybridSolver::Query(Index k, const QueryRows& rows, const ItemMask& mask,
+                          TopKResult* out) {
   const Index f = items_.cols();
   const Index nd = dense_items_.rows();
+  std::vector<Index> dense_masked, sparse_masked;
+  const ItemMask dense_mask = mask.Gather(dense_ids_, &dense_masked);
+  const ItemMask sparse_mask = mask.Gather(sparse_ids_, &sparse_masked);
 
   // With both partitions, each result row first holds the dense partition's
   // top-k and is then merged with the sparse partition's.
@@ -54,7 +58,8 @@ Status HybridSolver::Query(Index k, const QueryRows& rows, TopKResult* out) {
     if (nd > 0) {
       ScoreTopK(part.data, m, dense_items_.data(), nd, f, k,
                 /*item_offset=*/0, dense_ids_.data(), /*pool=*/nullptr, out,
-                static_cast<Index>(begin), part.ids);
+                static_cast<Index>(begin), part.ids, kScoreTileRows,
+                dense_mask);
     }
     if (sparse_csr_.rows() == 0) return;
     TopKHeap heap(k);
@@ -65,7 +70,7 @@ Status HybridSolver::Query(Index k, const QueryRows& rows, TopKResult* out) {
       const Index row = static_cast<Index>(begin) + r;
       const Real* u = part.Row(r, f);
       SparseTopKQuery(sparse_csr_, sparse_index_, u, k, sparse_ids_,
-                      &scratch, &heap,
+                      sparse_mask, &scratch, &heap,
                       merge ? sparse_row.data() : out->Row(row),
                       /*stats=*/nullptr);
       if (merge) {

@@ -53,7 +53,10 @@ class HybridSolver : public MipsSolver {
 
  protected:
   Status Build() override;
-  Status Query(Index k, const QueryRows& rows, TopKResult* out) override;
+  /// Each partition gets the part of the mask that names its items, as
+  /// the sharded engine hands each shard its part.
+  Status Query(Index k, const QueryRows& rows, const ItemMask& mask,
+               TopKResult* out) override;
 
  private:
   Real density_threshold_;

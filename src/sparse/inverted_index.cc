@@ -24,17 +24,19 @@ inline Index GlobalId(std::span<const Index> item_ids, Index local) {
   return item_ids.empty() ? local : item_ids[static_cast<std::size_t>(local)];
 }
 
-/// Pushes (global id, +0.0) for every item not stamped this query.  Only
-/// called when no item was ever pruned (see the callers' conditions), in
-/// which case every unstamped item has zero overlap with the query's
-/// nonzero dimensions and its dense GEMM score is exactly +0.0: the dense
-/// accumulator starts at +0.0 and only ever adds zero products, which
-/// cannot move it off +0.0 under round-to-nearest-even.
+/// Pushes (global id, +0.0) for every unmasked item not stamped this
+/// query.  Only called when no item was ever pruned (see the callers'
+/// conditions), in which case every unstamped item has zero overlap with
+/// the query's nonzero dimensions and its dense GEMM score is exactly
+/// +0.0: the dense accumulator starts at +0.0 and only ever adds zero
+/// products, which cannot move it off +0.0 under round-to-nearest-even.
 void SweepZeroOverlapItems(const InvertedIndex& index,
                            std::span<const Index> item_ids,
+                           const ItemMask& mask,
                            const SparseQueryScratch& scratch, TopKHeap* heap) {
   for (Index i = 0; i < index.items(); ++i) {
-    if (scratch.stamp[static_cast<std::size_t>(i)] != scratch.epoch) {
+    if (scratch.stamp[static_cast<std::size_t>(i)] != scratch.epoch &&
+        !mask.Contains(i)) {
       heap->Push(GlobalId(item_ids, i), Real{0});
     }
   }
@@ -43,8 +45,8 @@ void SweepZeroOverlapItems(const InvertedIndex& index,
 /// Value-ordered traversal with admission bounds (postings=abs).
 void QueryAbsOrdered(const CsrMatrix& csr, const InvertedIndex& index,
                      const Real* q, std::span<const Index> item_ids,
-                     SparseQueryScratch* scratch, TopKHeap* heap,
-                     SparseQueryStats* stats) {
+                     const ItemMask& mask, SparseQueryScratch* scratch,
+                     TopKHeap* heap, SparseQueryStats* stats) {
   // Contribution caps c_d = |q_d| * max_i |v_{i,d}| for the dimensions
   // that can contribute at all, largest first (dimension id breaks ties
   // so the traversal is deterministic).
@@ -101,7 +103,9 @@ void QueryAbsOrdered(const CsrMatrix& csr, const InvertedIndex& index,
         if (stats != nullptr) ++stats->lists_pruned;
         break;
       }
+      // A masked item is stamped too, so no later list tests it again.
       scratch->stamp[static_cast<std::size_t>(p.item)] = scratch->epoch;
+      if (mask.Contains(p.item)) continue;
       const Real score = csr.GemmEquivalentDot(p.item, q);
       if (stats != nullptr) ++stats->items_rescored;
       heap->Push(GlobalId(item_ids, p.item), score);
@@ -113,7 +117,7 @@ void QueryAbsOrdered(const CsrMatrix& csr, const InvertedIndex& index,
 /// (postings=id).  No pruning: every touched item's score is built by
 /// the identical per-K-panel fma chain the blocked GEMM runs.
 void QueryItemOrdered(const InvertedIndex& index, const Real* q,
-                      std::span<const Index> item_ids,
+                      std::span<const Index> item_ids, const ItemMask& mask,
                       SparseQueryScratch* scratch, TopKHeap* heap,
                       SparseQueryStats* stats) {
   auto& touched = scratch->touched;
@@ -152,6 +156,7 @@ void QueryItemOrdered(const InvertedIndex& index, const Real* q,
     }
   }
   for (const Index i : touched) {
+    if (mask.Contains(i)) continue;
     const auto s = static_cast<std::size_t>(i);
     heap->Push(GlobalId(item_ids, i), scratch->score_acc[s] +
                                           scratch->panel_acc[s]);
@@ -249,7 +254,7 @@ void InvertedIndex::DcheckInvariants() const {
 
 void SparseTopKQuery(const CsrMatrix& csr, const InvertedIndex& index,
                      const Real* q, Index k,
-                     std::span<const Index> item_ids,
+                     std::span<const Index> item_ids, const ItemMask& mask,
                      SparseQueryScratch* scratch, TopKHeap* heap,
                      TopKEntry* out_row, SparseQueryStats* stats) {
   MIPS_DCHECK_EQ(heap->k(), k);
@@ -260,9 +265,9 @@ void SparseTopKQuery(const CsrMatrix& csr, const InvertedIndex& index,
   heap->Clear();
 
   if (index.order() == PostingOrder::kAbsDescending) {
-    QueryAbsOrdered(csr, index, q, item_ids, scratch, heap, stats);
+    QueryAbsOrdered(csr, index, q, item_ids, mask, scratch, heap, stats);
   } else {
-    QueryItemOrdered(index, q, item_ids, scratch, heap, stats);
+    QueryItemOrdered(index, q, item_ids, mask, scratch, heap, stats);
   }
 
   // Items never touched by the walk score exactly +0.0 (zero overlap).
@@ -273,7 +278,7 @@ void SparseTopKQuery(const CsrMatrix& csr, const InvertedIndex& index,
   // really does mean zero overlap and the sweep is exact.  When the
   // minimum is positive the sweep is provably irrelevant and skipped.
   if (!heap->full() || heap->MinScore() <= Real{0}) {
-    SweepZeroOverlapItems(index, item_ids, *scratch, heap);
+    SweepZeroOverlapItems(index, item_ids, mask, *scratch, heap);
   }
   heap->ExtractDescending(out_row);
 }

@@ -50,6 +50,7 @@
 #include "common/dcheck.h"
 #include "common/status.h"
 #include "sparse/csr_matrix.h"
+#include "topk/item_mask.h"
 #include "topk/result.h"
 #include "topk/topk_heap.h"
 
@@ -148,10 +149,11 @@ struct SparseQueryStats {
 /// {-1, -inf} sentinels when fewer than k items exist.  When `item_ids`
 /// is non-empty it maps local catalog rows to global item ids
 /// (item_ids[local]); ids must be ascending so the global tie order is
-/// preserved.  `stats` may be null.
+/// preserved.  No local row that `mask` names is pushed.  `stats` may be
+/// null.
 void SparseTopKQuery(const CsrMatrix& csr, const InvertedIndex& index,
                      const Real* q, Index k,
-                     std::span<const Index> item_ids,
+                     std::span<const Index> item_ids, const ItemMask& mask,
                      SparseQueryScratch* scratch, TopKHeap* heap,
                      TopKEntry* out_row, SparseQueryStats* stats);
 

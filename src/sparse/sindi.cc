@@ -16,7 +16,8 @@ Status SindiSolver::Build() {
   return Status::OK();
 }
 
-Status SindiSolver::Query(Index k, const QueryRows& rows, TopKResult* out) {
+Status SindiSolver::Query(Index k, const QueryRows& rows, const ItemMask& mask,
+                          TopKResult* out) {
   const Index f = items_.cols();
   ParallelFor(pool_, rows.size, [&](int64_t begin, int64_t end,
                                     int /*chunk*/) {
@@ -25,8 +26,8 @@ Status SindiSolver::Query(Index k, const QueryRows& rows, TopKResult* out) {
     SparseQueryStats local;
     for (int64_t r = begin; r < end; ++r) {
       const Real* u = rows.Row(static_cast<Index>(r), f);
-      SparseTopKQuery(csr_, index_, u, k, /*item_ids=*/{}, &scratch, &heap,
-                      out->Row(static_cast<Index>(r)), &local);
+      SparseTopKQuery(csr_, index_, u, k, /*item_ids=*/{}, mask, &scratch,
+                      &heap, out->Row(static_cast<Index>(r)), &local);
     }
     postings_visited_.fetch_add(local.postings_visited,
                                 std::memory_order_relaxed);

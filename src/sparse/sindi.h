@@ -47,7 +47,8 @@ class SindiSolver : public MipsSolver {
 
  protected:
   Status Build() override;
-  Status Query(Index k, const QueryRows& rows, TopKResult* out) override;
+  Status Query(Index k, const QueryRows& rows, const ItemMask& mask,
+               TopKResult* out) override;
 
  private:
   PostingOrder order_;

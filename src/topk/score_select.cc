@@ -187,18 +187,18 @@ class HeapRows {
 /// break loop would, and returns the column where it stops (nr if none):
 /// the first whose bound plus the row's slack is strictly below its
 /// threshold.  The cells before it that still reach the threshold are
-/// offered to row r of out.  An offer that raises the threshold flags the
-/// first later column whose widened bound falls below it, which the
-/// epilogue could not see.
+/// offered to row r of out, unless the mask names their id.  An offer
+/// that raises the threshold flags the first later column whose widened
+/// bound falls below it, which the epilogue could not see.
 template <typename Rows>
 Index WalkRow(const Real* scores, const Real* bounds, Real slack, Index nr,
-              uint32_t hits, Index c, ItemIds id, Rows& out, Index r,
-              Real* threshold) {
+              uint32_t hits, Index c, ItemIds id, const ItemMask& mask,
+              Rows& out, Index r, Real* threshold) {
   for (; hits != 0; hits &= hits - 1) {
     const int j = __builtin_ctz(hits);
     const Real t = *threshold;
     if (bounds[j] + slack < t) return j;
-    if (!(scores[j] >= t)) continue;
+    if (!(scores[j] >= t) || mask.Contains(id(c + j))) continue;
     out.Take(r, id(c + j), scores[j], threshold);
     if (*threshold > t) {
       for (Index q = j + 1; q < nr; ++q) {
@@ -263,15 +263,16 @@ class TileScorer {
   }
 
   /// Scores query rows [0, m) into out's rows [0, m), one row tile at a
-  /// time.
+  /// time, offering no item whose position the mask names.
   template <typename Rows>
   void Run(const Real* rows, const Index* row_ids, Index m,
-           const ItemPanels& items, ItemIds id, Rows& out) {
+           const ItemPanels& items, ItemIds id, const ItemMask& mask,
+           Rows& out) {
     for (Index r0 = 0; r0 < m; r0 += tile_rows_) {
       const Index mb = std::min(tile_rows_, m - r0);
       PackRowTile(rows, row_ids, r0, mb);
       for (Index r = 0; r < mb; ++r) thresholds_[r] = out.Threshold(r0 + r);
-      ScoreRowTile(r0, mb, items, id, out);
+      ScoreRowTile(r0, mb, items, id, mask, out);
       for (Index r = 0; r < mb; ++r) {
         MIPS_DCHECK_EQ(thresholds_[r], out.Threshold(r0 + r));
       }
@@ -282,15 +283,15 @@ class TileScorer {
   /// says, one row tile at a time; row r's query is rows + r * f.
   template <typename Rows>
   void Walk(const Real* rows, const Index* walkers, Index m,
-            const ItemPanels& items, ItemIds id, const Real* bounds,
-            const Real* slack, Rows& out, Index* walked) {
+            const ItemPanels& items, ItemIds id, const ItemMask& mask,
+            const Real* bounds, const Real* slack, Rows& out, Index* walked) {
     for (Index r0 = 0; r0 < m; r0 += tile_rows_) {
       const Index mb = std::min(tile_rows_, m - r0);
       PackRowTile(rows, walkers, r0, mb);
       for (Index r = 0; r < mb; ++r) {
         thresholds_[r] = out.Threshold(walkers[r0 + r]);
       }
-      WalkRowTile(walkers + r0, mb, items, id, bounds, slack, out,
+      WalkRowTile(walkers + r0, mb, items, id, mask, bounds, slack, out,
                   walked + r0);
       // Every walker leaves the segment with its row's threshold.
       for (Index r = 0; r < mb; ++r) {
@@ -343,15 +344,21 @@ class TileScorer {
   /// into the strip and tested in the epilogue against the thresholds the
   /// panel started with, and then the flagged cells are folded.  No branch
   /// in the first pass waits on a score, so the micro-kernel calls run
-  /// back to back.
+  /// back to back.  A cursor over the masked positions moves with the
+  /// panels, and a masked column's bits leave the panel's hit masks
+  /// before the fold.
   template <typename Rows>
   void ScoreRowTile(Index r0, Index mb, const ItemPanels& items, ItemIds id,
-                    Rows& out) {
+                    const ItemMask& mask, Rows& out) {
     const Index n = items.n;
     const Index groups = RoundUp(mb, kMR) / kMR;
+    Index masked = 0;  // the first mask entry at or past panel c
     for (Index c = 0; c < n; c += kNR) {
       const Index nr = std::min(kNR, n - c);
-      const uint64_t cols = TileColumns(nr);
+      uint64_t cols = TileColumns(nr);
+      for (; masked < mask.size && mask[masked] < c + nr; ++masked) {
+        cols &= ~(TileColumns(1) << (mask[masked] - c));
+      }
       const Real* bp = items.data + static_cast<std::size_t>(c) * f_;
       for (Index g = 0; g < groups; ++g) {
         const Index mr = std::min(kMR, mb - g * kMR);
@@ -383,8 +390,8 @@ class TileScorer {
   /// list and is not scored again; once the list is empty the tile is done.
   template <typename Rows>
   void WalkRowTile(const Index* walkers, Index mb, const ItemPanels& items,
-                   ItemIds id, const Real* bounds, const Real* slack,
-                   Rows& out, Index* walked) {
+                   ItemIds id, const ItemMask& mask, const Real* bounds,
+                   const Real* slack, Rows& out, Index* walked) {
     const Index n = items.n;
     std::size_t active = 0;
     for (Index i = 0; i < mb; i += kMR, ++active) {
@@ -420,7 +427,7 @@ class TileScorer {
           const Index stop = WalkRow(
               strip_[static_cast<std::size_t>(g)].cells + shift, tile_bounds,
               slack != nullptr ? slack[walkers[r]] : Real{0}, nr, row_hits, c,
-              id, out, walkers[r], &thresholds_[r]);
+              id, mask, out, walkers[r], &thresholds_[r]);
           if (stop < nr) {
             walked[r] = c + stop;
             live &= ~row;
@@ -456,12 +463,13 @@ class TileScorer {
 /// RowTops or HeapRows) are filled against the items, packed one chunk at
 /// a time, and row r is written to out_row(r).  A lone chunk is packed
 /// once.  A call of at most kScoreInPlaceRows rows scores them as one row
-/// tile straight from the items' rows, packing nothing.
+/// tile straight from the items' rows, packing nothing.  No item the mask
+/// names is offered.
 template <typename Rows, typename OutRow>
 void ScoreBlocksInto(const Real* rows, const Index* row_ids, Index m,
                      Index tile_rows, Index block, const Real* items, Index n,
                      Index f, Index item_offset, const Index* item_ids,
-                     Rows& out, OutRow out_row) {
+                     const ItemMask& mask, Rows& out, OutRow out_row) {
   const bool in_place = m <= kScoreInPlaceRows;
   TileScorer scorer(std::min(block, tile_rows), f);
   const Index chunk = in_place ? n : std::min(n, ChunkItems(f));
@@ -481,7 +489,8 @@ void ScoreBlocksInto(const Real* rows, const Index* row_ids, Index m,
       }
       const ItemIds id{item_offset + c0,
                        item_ids != nullptr ? item_ids + c0 : nullptr};
-      scorer.Run(block_rows, block_ids, mb, panels, id, out);
+      scorer.Run(block_rows, block_ids, mb, panels, id,
+                 mask.Slice(c0, c0 + nc), out);
     }
     for (Index r = 0; r < mb; ++r) out.Write(r, out_row(b0 + r));
   }
@@ -493,17 +502,17 @@ template <typename OutRow>
 void ScoreBlocks(const Real* rows, const Index* row_ids, Index m,
                  Index tile_rows, const Real* items, Index n, Index f,
                  Index k, Index item_offset, const Index* item_ids,
-                 OutRow out_row) {
+                 const ItemMask& mask, OutRow out_row) {
   if (m <= kScoreInPlaceRows) tile_rows = m;
   const Index block = std::min(m, RowBlock(tile_rows));
   if (k <= kRowTopWidth) {
     RowTops tops(block, k);
     ScoreBlocksInto(rows, row_ids, m, tile_rows, block, items, n, f,
-                    item_offset, item_ids, tops, out_row);
+                    item_offset, item_ids, mask, tops, out_row);
   } else {
     HeapRows heaps(block, k);
     ScoreBlocksInto(rows, row_ids, m, tile_rows, block, items, n, f,
-                    item_offset, item_ids, heaps, out_row);
+                    item_offset, item_ids, mask, heaps, out_row);
   }
 }
 
@@ -535,12 +544,14 @@ struct BoundedWalk::Impl {
   Rows rows;
   TileScorer scorer;
   const Real* slack;
+  ItemMask mask;
 };
 
-BoundedWalk::BoundedWalk(Index m, Index k, Index f, const Real* slack)
+BoundedWalk::BoundedWalk(Index m, Index k, Index f, const Real* slack,
+                         ItemMask mask)
     : impl_(new Impl{Impl::MakeRows(m, k),
                      TileScorer(std::clamp<Index>(m, 1, kScoreTileRows), f),
-                     slack}) {}
+                     slack, mask}) {}
 
 BoundedWalk::~BoundedWalk() = default;
 
@@ -557,7 +568,8 @@ void BoundedWalk::Score(const Real* rows, std::span<const Index> walkers,
       [&](auto& out) {
         impl_->scorer.Walk(rows, walkers.data(),
                            static_cast<Index>(walkers.size()), panels,
-                           {0, item_ids}, bounds, impl_->slack, out, walked);
+                           {0, item_ids}, impl_->mask, bounds, impl_->slack,
+                           out, walked);
       },
       impl_->rows);
 }
@@ -569,22 +581,23 @@ void BoundedWalk::Write(Index r, TopKEntry* out) {
 void ScoreTopK(const Real* rows, Index m, const Real* items, Index n, Index f,
                Index k, Index item_offset, const Index* item_ids,
                ThreadPool* pool, TopKResult* out, Index row_offset,
-               const Index* row_ids, Index tile_rows) {
+               const Index* row_ids, Index tile_rows, ItemMask mask) {
   MIPS_DCHECK_EQ(out->k(), k);
   MIPS_DCHECK_GT(tile_rows, 0);
   if (m <= 0) return;
   const int threads = (pool == nullptr) ? 1 : pool->num_threads();
   if (threads <= 1) {
     ScoreBlocks(rows, row_ids, m, tile_rows, items, n, f, k, item_offset,
-                item_ids, [&](Index r) { return out->Row(row_offset + r); });
+                item_ids, mask,
+                [&](Index r) { return out->Row(row_offset + r); });
     return;
   }
   // One block of rows at a time, each a pool round trip: worker t scores
-  // the block against its item range and leaves partial row r at
-  // partial[(t * block + r) * k].  The item ranges are the same in every
-  // block, so a worker whose range is empty never writes; its rows keep
-  // the value-initialised item -1, which MergeTopKRows skips as a
-  // sentinel.
+  // the block against its item range, under the mask's part in it, and
+  // leaves partial row r at partial[(t * block + r) * k].  The item
+  // ranges are the same in every block, so a worker whose range is empty
+  // never writes; its rows keep the value-initialised item -1, which
+  // MergeTopKRows skips as a sentinel.
   const Index block = std::min(m, RowBlock(tile_rows));
   const auto row_at = [block, k](int t, Index r) {
     return (static_cast<std::size_t>(t) * static_cast<std::size_t>(block) +
@@ -600,10 +613,12 @@ void ScoreTopK(const Real* rows, Index m, const Real* items, Index n, Index f,
     const Index* block_ids = row_ids != nullptr ? row_ids + b0 : nullptr;
     ParallelFor(pool, n, [&](int64_t begin, int64_t end, int t) {
       const auto c0 = static_cast<Index>(begin);
+      const auto c1 = static_cast<Index>(end);
       ScoreBlocks(block_rows, block_ids, mb, tile_rows,
-                  items + static_cast<std::size_t>(c0) * f,
-                  static_cast<Index>(end - begin), f, k, item_offset + c0,
+                  items + static_cast<std::size_t>(c0) * f, c1 - c0, f, k,
+                  item_offset + c0,
                   item_ids != nullptr ? item_ids + c0 : nullptr,
+                  mask.Slice(c0, c1),
                   [&](Index r) { return partial.data() + row_at(t, r); });
     });
     for (Index r = 0; r < mb; ++r) {

@@ -40,6 +40,14 @@
 // panel visits only the rows of a 4-row group that hold a flagged cell: a
 // score to fold or the row's stop.  Each group's walking rows are a mask
 // that a stop clears, and a group whose mask is empty leaves the walk.
+//
+// Both take an ItemMask (topk/item_mask.h) of items never to offer, so a
+// live catalog's layers select k, not k plus the rows newer layers mask.
+// ScoreTopK walks a cursor over the masked positions with its panel loop
+// and clears their columns from each panel's hit masks before the fold,
+// a cost per panel, not per cell.  A BoundedWalk tests the mask where a
+// cell would be offered, since a flagged cell may be its row's stop; the
+// bounds still cover every item, so its stops stay sound.
 
 #ifndef MIPS_TOPK_SCORE_SELECT_H_
 #define MIPS_TOPK_SCORE_SELECT_H_
@@ -49,6 +57,7 @@
 #include <span>
 
 #include "common/thread_pool.h"
+#include "topk/item_mask.h"
 #include "topk/result.h"
 
 namespace mips {
@@ -114,12 +123,16 @@ class PackedItems {
 ///     if (heap.full() && bound[pos] + s_r < heap.MinScore()) break;
 ///     heap.Push(id[pos], score[pos]);
 ///
-/// stops, with the same entries, under every GEMM kernel.
+/// stops, with the same entries, under every GEMM kernel.  An item whose
+/// reported id `mask` names is never offered (the scalar loop skips its
+/// Push), but its bound still counts for the stop.
 class BoundedWalk {
  public:
   /// m rows of f factors, each keeping its best k (k > 0).  Row r's slack
   /// is slack[r], read while the walk lasts, or 0 when slack is null.
-  BoundedWalk(Index m, Index k, Index f, const Real* slack = nullptr);
+  /// The mask is read while the walk lasts.
+  BoundedWalk(Index m, Index k, Index f, const Real* slack = nullptr,
+              ItemMask mask = {});
   ~BoundedWalk();
   BoundedWalk(const BoundedWalk&) = delete;
   BoundedWalk& operator=(const BoundedWalk&) = delete;
@@ -171,11 +184,16 @@ class BoundedWalk {
 /// Because each item lives in one range and the merge applies
 /// BetterEntry, the rows are bit-for-bit those of the serial call.  Must
 /// not be called from a task running on `pool`.
+///
+/// Item j is never offered if `mask` (positions in [0, n)) names j: each
+/// row is then the exact top k of the other items, bit for bit what a
+/// call over only those items reports, padded with sentinels when fewer
+/// than k remain.
 void ScoreTopK(const Real* rows, Index m, const Real* items, Index n, Index f,
                Index k, Index item_offset, const Index* item_ids,
                ThreadPool* pool, TopKResult* out, Index row_offset,
                const Index* row_ids = nullptr,
-               Index tile_rows = kScoreTileRows);
+               Index tile_rows = kScoreTileRows, ItemMask mask = {});
 
 }  // namespace mips
 

@@ -12,7 +12,9 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -275,8 +277,49 @@ void ApplyMutationScript(ShadowedCatalog* catalog, Index f, uint64_t seed,
   catalog->Remove(live[1]);                          // remove an UPDATED row
 }
 
+/// Folds every live row into the base, then removes every entry of one
+/// base shard's top k for user 0 (the shard holding the user's best item;
+/// rows that tie the shard's k-th score go too), so that shard's mask
+/// holds its whole top k.  Scores are one Dot: a tie the solvers break
+/// differently in the last bit is removed either way.
+void RemoveOneShardsTopK(ShadowedCatalog* catalog, const MFModel& model,
+                         const LiveCatalogOptions& options, Index k) {
+  ASSERT_TRUE(catalog->live().Rebuild().ok());
+  std::vector<Index> ids;
+  const Matrix snapshot = catalog->SnapshotMatrix(&ids);
+  auto partition =
+      ItemPartition::Create(ConstRowBlock(snapshot), options.num_shards,
+                            options.sharding, options.growth_block);
+  ASSERT_TRUE(partition.ok()) << partition.status().ToString();
+  const Index f = model.num_factors();
+  std::vector<Real> scores(static_cast<std::size_t>(snapshot.rows()));
+  for (Index r = 0; r < snapshot.rows(); ++r) {
+    scores[static_cast<std::size_t>(r)] =
+        Dot(model.users.Row(0), snapshot.Row(r), f);
+  }
+  const auto best = std::max_element(scores.begin(), scores.end());
+  const int shard = partition->ShardOfItem(
+      static_cast<Index>(best - scores.begin()));
+  std::vector<Real> shard_scores;
+  for (Index r = 0; r < snapshot.rows(); ++r) {
+    if (partition->ShardOfItem(r) == shard) {
+      shard_scores.push_back(scores[static_cast<std::size_t>(r)]);
+    }
+  }
+  std::sort(shard_scores.rbegin(), shard_scores.rend());
+  const Real kth = shard_scores[std::min<std::size_t>(
+      static_cast<std::size_t>(k), shard_scores.size()) - 1];
+  for (Index r = 0; r < snapshot.rows(); ++r) {
+    if (partition->ShardOfItem(r) == shard &&
+        scores[static_cast<std::size_t>(r)] >= kth) {
+      catalog->Remove(ids[static_cast<std::size_t>(r)]);
+    }
+  }
+}
+
 class LiveCatalogExactness
-    : public ::testing::TestWithParam<std::tuple<std::string, int, int>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<std::string, int, int, ShardingStrategy>> {};
 
 // The core contract: after each phase of a mutation sequence — buffered
 // only, post-rebuild, buffered-on-rebuilt — every answer matches a cold
@@ -287,14 +330,21 @@ class LiveCatalogExactness
 // accumulation-tolerance scores, since an index solver's internal score
 // fold legitimately differs from the canonical fold in the last ulp
 // (and OPTIMUS may pick either winner depending on measured timings).
+// sindi and hybrid score through the GEMM fold too, so they run bit-exact
+// like "bmm"; LEMP, FEXIPRO and naive rescore with one Dot.  Phase 4
+// removes a whole base shard's top k, so that shard is served under a
+// mask of at least k rows.
 TEST_P(LiveCatalogExactness, MutateThenQueryMatchesColdOpen) {
-  const auto& [solver, num_shards, threads] = GetParam();
+  const auto& [solver, num_shards, threads, sharding] = GetParam();
   const MFModel model = MakeTestModel(24, 40, 8, 11);
   std::vector<std::string> solvers =
       solver == "optimus" ? std::vector<std::string>{"bmm", "maximus"}
                           : std::vector<std::string>{solver};
-  const bool bit_exact = solver == "bmm";
-  ShadowedCatalog catalog(model, SmallOptions(solvers, num_shards, threads));
+  const bool bit_exact =
+      solver == "bmm" || solver == "sindi" || solver == "hybrid";
+  LiveCatalogOptions options = SmallOptions(solvers, num_shards, threads);
+  if (num_shards > 1) options.sharding = sharding;
+  ShadowedCatalog catalog(model, options);
   const Matrix new_users = RandomMatrix(3, model.num_factors(), 42, 0.7);
 
   // Phase 1: mutations buffered, base epoch untouched.
@@ -309,17 +359,44 @@ TEST_P(LiveCatalogExactness, MutateThenQueryMatchesColdOpen) {
   ApplyMutationScript(&catalog, model.num_factors(), 78, bit_exact);
   catalog.ExpectMatchesColdOpen({3, catalog.live_items() + 5}, new_users,
                                 bit_exact);
+
+  // Phase 4: every entry of one base shard's top 4 for user 0 removed.
+  RemoveOneShardsTopK(&catalog, model, options, 4);
+  catalog.ExpectMatchesColdOpen({4, 10}, new_users, bit_exact);
+}
+
+std::string ExactnessName(
+    const ::testing::TestParamInfo<LiveCatalogExactness::ParamType>& info) {
+  std::string name = std::get<0>(info.param);
+  std::replace_if(
+      name.begin(), name.end(),
+      [](char c) { return !std::isalnum(static_cast<unsigned char>(c)); },
+      '_');
+  name += "_shards" + std::to_string(std::get<1>(info.param)) + "_threads" +
+          std::to_string(std::get<2>(info.param));
+  if (std::get<3>(info.param) == ShardingStrategy::kHash) name += "_hash";
+  return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Solvers, LiveCatalogExactness,
-    ::testing::Combine(::testing::Values("bmm", "maximus", "optimus"),
-                       ::testing::Values(1, 3), ::testing::Values(0, 2)),
-    [](const auto& info) {
-      return std::get<0>(info.param) + "_shards" +
-             std::to_string(std::get<1>(info.param)) + "_threads" +
-             std::to_string(std::get<2>(info.param));
-    });
+    ::testing::Combine(::testing::Values("bmm", "maximus", "optimus",
+                                         "lemp:forced_algorithm=2",
+                                         "fexipro-si", "naive", "sindi",
+                                         "hybrid"),
+                       ::testing::Values(1, 3), ::testing::Values(0, 2),
+                       ::testing::Values(ShardingStrategy::kGrowth)),
+    ExactnessName);
+
+INSTANTIATE_TEST_SUITE_P(
+    HashShards, LiveCatalogExactness,
+    ::testing::Combine(::testing::Values("bmm", "maximus", "optimus",
+                                         "lemp:forced_algorithm=2",
+                                         "fexipro-si", "naive", "sindi",
+                                         "hybrid"),
+                       ::testing::Values(3), ::testing::Values(0, 2),
+                       ::testing::Values(ShardingStrategy::kHash)),
+    ExactnessName);
 
 TEST(LiveCatalogTest, EmptyStartServesFromBufferThenRebuilds) {
   const MFModel model = MakeTestModel(10, 8, 6, 3);
@@ -424,8 +501,8 @@ TEST(LiveCatalogTest, MutationValidation) {
 }
 
 TEST(LiveCatalogTest, DeadIdsNeverCreateDecisionKeys) {
-  // The base engine is over-fetched by the dead count, but its strategy
-  // stays keyed on the caller's k: queries at the opening k leave exactly
+  // The base engine is masked by the dead ids, and its strategy stays
+  // keyed on the caller's k: queries at the opening k leave exactly
   // the opening decision cached however the dead count moves, so the
   // swap retires one decision per serving engine.  A query at another k
   // still decides (and caches) its own key.
@@ -548,7 +625,7 @@ TEST(LiveCatalogTest, EmptyStartRefusesInvalidEngineOptions) {
 // buffer and starts the rebuild, newer mutations then mask sealed rows,
 // and the answers recorded before the swap must match a cold open bit
 // for bit.  The loud rows (sigma 10) fill every top-5, so a sealed layer
-// not over-fetched by the active layer's dead set comes up short.  4,000
+// not masked by the active layer's dead set reports dead rows.  4,000
 // items keep the rebuild (fold, two Prepares, an OPTIMUS decision) busy
 // while the round runs; the queries stay at the opening k, since any
 // other k decides inline and the rebuild would win the race.
@@ -623,9 +700,11 @@ TEST(LiveCatalogTest, ThresholdTriggersBackgroundRebuild) {
 // stats() poller reads their strategies.  The saver folds whatever
 // layers are in play (a sealed one while a rebuild is in flight), and
 // every file it writes must reopen.
-void HammerLiveCatalog(int num_shards) {
+void HammerLiveCatalog(int num_shards,
+                       ShardingStrategy sharding = ShardingStrategy::kGrowth) {
   const MFModel model = MakeTestModel(12, 30, 6, 41);
   LiveCatalogOptions options = SmallOptions(kBmmVariants, num_shards);
+  if (num_shards > 1) options.sharding = sharding;
   options.rebuild_threshold = 8;
   auto opened = LiveCatalog::Open(ConstRowBlock(model.users),
                                   ConstRowBlock(model.items), options);
@@ -720,7 +799,8 @@ void HammerLiveCatalog(int num_shards) {
     }
   });
   const std::string path =
-      TempPath("segment_hammer" + std::to_string(num_shards));
+      TempPath("segment_hammer" + std::to_string(num_shards) +
+               ToString(options.sharding));
   threads.emplace_back([&live, &queriers_left, &path] {
     do {
       ASSERT_TRUE(live.SaveSegment(path).ok());
@@ -744,6 +824,12 @@ void HammerLiveCatalog(int num_shards) {
 TEST(LiveCatalogConcurrencyTest, ConcurrentMutatorsAndQueriers) {
   HammerLiveCatalog(/*num_shards=*/1);
   HammerLiveCatalog(/*num_shards=*/2);
+}
+
+// Hash shards take their part of each query's mask by a gather through
+// their global ids, while the dead sets it is built from change.
+TEST(LiveCatalogConcurrencyTest, ConcurrentMutatorsAndQueriersOnHashShards) {
+  HammerLiveCatalog(/*num_shards=*/2, ShardingStrategy::kHash);
 }
 
 // ------------------------------------------------------- CatalogSegment

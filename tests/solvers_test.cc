@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <numeric>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -317,7 +320,7 @@ TEST(SolverContractTest, EverySolverChecksPrepareKAndWidths) {
               StatusCode::kInvalidArgument);
     // Ids index the prepared user matrix only.
     const Matrix copy = model.users;
-    EXPECT_EQ(solver.TopK(5, {copy.data(), ids.data(), 2}, &out).code(),
+    EXPECT_EQ(solver.TopK(5, {copy.data(), ids.data(), 2}, {}, &out).code(),
               StatusCode::kInvalidArgument);
     ASSERT_TRUE(solver.TopKForUsers(5, ids, &out).ok());
     EXPECT_EQ(out.num_queries(), 2);
@@ -357,6 +360,113 @@ TEST(SolverContractTest, PreparedUserVectorsServeAsTheUsersBitForBit) {
       }
       ExpectBitIdenticalTopK(fresh, known);
     }
+  }
+}
+
+// Every solver's one query body honours an item mask: a masked row is
+// never offered, so each row is the exact top k of the other items, bit
+// for bit what the same solver prepared over only those items reports
+// with its ids mapped back.  The mask is the union of several users'
+// unmasked top k, so their rows must come wholly from outside it.  Every
+// third item keeps a fifth of its factors, so hybrid splits the catalog
+// into both partitions and sindi's posting lists differ in length.  No
+// solver's score for an item depends on the other items (LEMP and
+// FEXIPRO rescore with one Dot, MAXIMUS keeps its clustering of the
+// same users, hybrid places each item by its own density), so every
+// comparison is exact.  An empty mask gives the unmasked bits, and a
+// mask of every item gives sentinel rows.
+TEST(SolverContractTest, MaskedRowsAreNeverOffered) {
+  const Index n = 700;
+  const Index f = 24;
+  MFModel model = MakeTestModel(300, n, f, 7, /*norm_sigma=*/0.8);
+  for (Index i = 0; i < n; i += 3) {
+    for (Index c = 0; c < f; ++c) {
+      if (c % 5 != i % 5) model.items(i, c) = 0;
+    }
+  }
+  std::vector<Index> users;
+  for (Index u = 0; u < 40; ++u) users.push_back(u * 300 / 40);
+  const std::vector<Index> sources = {0, 75, 150, 225};
+  const Matrix vectors = testing::RandomMatrix(6, f, 3);
+  const QueryRows fresh{vectors.data(), nullptr, vectors.rows()};
+  std::vector<Index> every(static_cast<std::size_t>(n));
+  std::iota(every.begin(), every.end(), 0);
+
+  std::vector<std::string> specs = RegisteredSolverNames();
+  specs.push_back("lemp:forced_algorithm=2");
+  for (const std::string& spec : specs) {
+    auto created = CreateSolverFromSpec(spec);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    MipsSolver& solver = **created;
+    ASSERT_TRUE(solver.Prepare(ConstRowBlock(model.users),
+                               ConstRowBlock(model.items)).ok());
+    for (const Index k : {1, 10, 16, 17}) {
+      SCOPED_TRACE(::testing::Message() << spec << " k=" << k);
+      TopKResult unmasked;
+      ASSERT_TRUE(solver.TopKForUsers(k, sources, &unmasked).ok());
+      std::vector<Index> masked;
+      for (Index q = 0; q < unmasked.num_queries(); ++q) {
+        for (Index e = 0; e < k; ++e) masked.push_back(unmasked.Row(q)[e].item);
+      }
+      std::sort(masked.begin(), masked.end());
+      masked.erase(std::unique(masked.begin(), masked.end()), masked.end());
+      const ItemMask mask{masked.data(), static_cast<Index>(masked.size()), 0};
+      std::vector<Index> kept;
+      for (Index i = 0; i < n; ++i) {
+        if (!std::binary_search(masked.begin(), masked.end(), i)) {
+          kept.push_back(i);
+        }
+      }
+      const Matrix kept_items = GatherRows(ConstRowBlock(model.items), kept);
+      auto reduced = CreateSolverFromSpec(spec);
+      ASSERT_TRUE(reduced.ok());
+      ASSERT_TRUE((*reduced)->Prepare(ConstRowBlock(model.users),
+                                      ConstRowBlock(kept_items)).ok());
+      const QueryRows known{model.users.data(), users.data(),
+                            static_cast<Index>(users.size())};
+      for (const QueryRows& rows : {known, fresh}) {
+        TopKResult got, want;
+        ASSERT_TRUE(solver.TopK(k, rows, mask, &got).ok());
+        ASSERT_TRUE((*reduced)->TopK(k, rows, {}, &want).ok());
+        for (Index q = 0; q < want.num_queries(); ++q) {
+          for (Index e = 0; e < k; ++e) {
+            TopKEntry& entry = want.Row(q)[e];
+            if (entry.item >= 0) {
+              entry.item = kept[static_cast<std::size_t>(entry.item)];
+            }
+            EXPECT_FALSE(mask.Contains(got.Row(q)[e].item));
+          }
+        }
+        ExpectBitIdenticalTopK(got, want);
+      }
+
+      TopKResult got;
+      const ItemMask none{masked.data(), 0, 0};
+      ASSERT_TRUE(solver.TopK(k, known, none, &got).ok());
+      TopKResult want;
+      ASSERT_TRUE(solver.TopKForUsers(k, users, &want).ok());
+      ExpectBitIdenticalTopK(got, want);
+
+      const ItemMask all{every.data(), n, 0};
+      for (const QueryRows& rows : {known, fresh}) {
+        ASSERT_TRUE(solver.TopK(k, rows, all, &got).ok());
+        for (Index q = 0; q < got.num_queries(); ++q) {
+          for (Index e = 0; e < k; ++e) {
+            EXPECT_EQ(got.Row(q)[e].item, -1);
+            EXPECT_EQ(got.Row(q)[e].score,
+                      -std::numeric_limits<Real>::infinity());
+          }
+        }
+      }
+    }
+    // A mask that is not ascending rows of the prepared items is refused.
+    const std::vector<Index> bad = {3, 3};
+    const std::vector<Index> out_of_range = {n};
+    TopKResult out;
+    EXPECT_EQ(solver.TopK(1, fresh, {bad.data(), 2, 0}, &out).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(solver.TopK(1, fresh, {out_of_range.data(), 1, 0}, &out).code(),
+              StatusCode::kInvalidArgument);
   }
 }
 

@@ -999,6 +999,89 @@ TEST_F(SelectKernelTest, FewRowCallsMatchGemmNTAndAFullSort) {
   }
 }
 
+// A masked item is never offered: every row must be, bit for bit, serial
+// GemmNT followed by a full BetterEntry sort over the unmasked items.
+// 2,100 items at f = 8 make two packed chunks (kGemmNC = 2,048 items) and,
+// pooled over three workers, three item ranges of 700.  The mask holds
+// both sides of panel edges (15 | 16, 31 | 32), a whole panel (112-127),
+// both sides of the chunk edge (2,047 | 2,048) and the worker edges
+// (699 | 700, 1,399 | 1,400), the first and last items, and exact ties
+// of unmasked items (MakeScoreFixture duplicates rows 7 | 8 and 255 |
+// 256).  Calls of 1 and 4 rows read the items in place, 5 and 130 pack
+// them; k straddles the widest row record.  A mask of every item leaves
+// only sentinels.
+TEST_F(SelectKernelTest, MaskedItemsAreNeverOffered) {
+  const Index n = 2100;
+  const Index f = 8;
+  std::vector<Index> masked = {0,    8,    15,   16,   31,   32,   255,
+                               699,  700,  1399, 1400, 2047, 2048, 2099};
+  for (Index j = 112; j < 128; ++j) masked.push_back(j);
+  for (Index j = 300; j < 2000; j += 37) masked.push_back(j);
+  std::sort(masked.begin(), masked.end());
+  masked.erase(std::unique(masked.begin(), masked.end()), masked.end());
+  std::vector<Index> every(static_cast<std::size_t>(n));
+  std::iota(every.begin(), every.end(), 0);
+  std::vector<Index> item_ids(static_cast<std::size_t>(n));
+  for (Index j = 0; j < n; ++j) {
+    item_ids[static_cast<std::size_t>(j)] = 3 * (n - 1 - j);
+  }
+  ThreadPool pool(3);
+  for (const Index m : {1, 4, 5, 130}) {
+    const ScoreFixture fx = MakeScoreFixture(m, n, f, 40 + m);
+    Matrix scores(m, n);
+    GemmNT(fx.rows.data(), m, fx.items.data(), n, f, 1, 0, scores.data(), n);
+    for (const bool mapped : {false, true}) {
+      const Index* iids = mapped ? item_ids.data() : nullptr;
+      const Index offset = mapped ? 0 : 5;
+      for (const Index k : {1, 10, 16, 17}) {
+        TopKResult want(m, k);
+        for (Index r = 0; r < m; ++r) {
+          std::vector<TopKEntry> all;
+          for (Index j = 0; j < n; ++j) {
+            if (std::binary_search(masked.begin(), masked.end(), j)) continue;
+            all.push_back({iids != nullptr ? iids[j] : j + offset,
+                           scores(r, j)});
+          }
+          std::sort(all.begin(), all.end(), BetterEntry);
+          std::copy_n(all.begin(), k, want.Row(r));
+        }
+        for (const GemmKernel kernel : SupportedKernels()) {
+          ASSERT_TRUE(ForceGemmKernel(kernel).ok());
+          for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+            SCOPED_TRACE(::testing::Message()
+                         << ToString(kernel) << " m=" << m << " k=" << k
+                         << (mapped ? " ids" : " offset")
+                         << (p != nullptr ? " pooled" : " serial"));
+            TopKResult got(m, k);
+            ScoreTopK(fx.rows.data(), m, fx.items.data(), n, f, k, offset,
+                      iids, p, &got, /*row_offset=*/0, /*row_ids=*/nullptr,
+                      kScoreTileRows,
+                      {masked.data(), static_cast<Index>(masked.size()), 0});
+            for (Index r = 0; r < m; ++r) {
+              for (Index e = 0; e < k; ++e) {
+                ASSERT_EQ(got.Row(r)[e].item, want.Row(r)[e].item)
+                    << "row " << r << " entry " << e;
+                ASSERT_EQ(std::bit_cast<uint64_t>(got.Row(r)[e].score),
+                          std::bit_cast<uint64_t>(want.Row(r)[e].score))
+                    << "row " << r << " entry " << e;
+              }
+            }
+            ScoreTopK(fx.rows.data(), m, fx.items.data(), n, f, k, offset,
+                      iids, p, &got, /*row_offset=*/0, /*row_ids=*/nullptr,
+                      kScoreTileRows, {every.data(), n, 0});
+            for (Index r = 0; r < m; ++r) {
+              for (Index e = 0; e < k; ++e) {
+                ASSERT_EQ(got.Row(r)[e].item, -1);
+                ASSERT_EQ(got.Row(r)[e].score, -kInf);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST_F(SelectKernelTest, DepthsPastOneKPanelMatchGemmNT) {
   // f = 256 fills exactly one K panel (kGemmKPanel) and f = 300 scores a
   // second one, which the scorer folds onto the first in the tile as
