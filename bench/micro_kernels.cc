@@ -6,9 +6,10 @@
 // variant, the whole score-and-select call; and MAXIMUS's bounded walk
 // per walked list position, and per user for new users against known ones.
 //
-// The binary first prints the runtime SIMD dispatch report — per-variant
-// packed-panel GFLOP/s from a fresh KernelProbe sweep, the installed
-// kernel and any MIPS_GEMM_KERNEL override — and registers one
+// The binary first prints the runtime SIMD dispatch report to stderr,
+// so stdout under --benchmark_format=json stays one JSON document —
+// per-variant packed-panel GFLOP/s from a fresh KernelProbe sweep, the
+// installed kernel and any MIPS_GEMM_KERNEL override — and registers one
 // BM_GemmBlocked run and the BM_ScoreTopK shapes per *supported* kernel
 // variant, so a machine with pathological AVX-512 (the ~4x-slower
 // emulated case that motivated runtime dispatch) is visible directly in
@@ -325,24 +326,27 @@ void PrintKernelProbeReport() {
   // binary's first GEMM would — then time every variant afresh for
   // display.  The installed kernel is the env override's when
   // MIPS_GEMM_KERNEL names a supported one, else the startup probe's
-  // pick, which a fresh sweep on a busy host may not repeat.
+  // pick, which a fresh sweep on a busy host may not repeat.  Written to
+  // stderr: stdout carries Google Benchmark's report, which must parse
+  // on its own under --benchmark_format=json.
   const GemmKernel installed = ActiveGemmKernel();
   const GemmKernelProbe probe = ProbeGemmKernels();
-  std::printf("GEMM micro-kernel probe (packed 4x16 panel, kb=256):\n");
+  std::fprintf(stderr,
+               "GEMM micro-kernel probe (packed 4x16 panel, kb=256):\n");
   for (const auto& variant : probe.variants) {
     if (variant.supported) {
-      std::printf("  %-8s %8.2f GFLOP/s%s\n", ToString(variant.kernel),
-                  variant.gflops,
-                  variant.kernel == probe.fastest ? "   <-- probe pick" : "");
+      std::fprintf(stderr, "  %-8s %8.2f GFLOP/s%s\n",
+                   ToString(variant.kernel), variant.gflops,
+                   variant.kernel == probe.fastest ? "   <-- probe pick" : "");
     } else {
-      std::printf("  %-8s unsupported on this machine\n",
-                  ToString(variant.kernel));
+      std::fprintf(stderr, "  %-8s unsupported on this machine\n",
+                   ToString(variant.kernel));
     }
   }
-  std::printf("installed: %s\n", ToString(installed));
+  std::fprintf(stderr, "installed: %s\n", ToString(installed));
   const char* env = std::getenv("MIPS_GEMM_KERNEL");
-  if (env != nullptr) std::printf("MIPS_GEMM_KERNEL=%s\n", env);
-  std::printf("\n");
+  if (env != nullptr) std::fprintf(stderr, "MIPS_GEMM_KERNEL=%s\n", env);
+  std::fprintf(stderr, "\n");
 }
 
 void RegisterPerKernelBenchmarks() {

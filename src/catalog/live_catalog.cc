@@ -59,24 +59,12 @@ StatusOr<std::unique_ptr<LiveCatalog>> LiveCatalog::Open(
   if (items.rows() > 0 && items.cols() != users.cols()) {
     return Status::InvalidArgument("user/item factor dimensions differ");
   }
-  if (options.num_shards < 1) {
-    return Status::InvalidArgument("num_shards must be >= 1, got " +
-                                   std::to_string(options.num_shards));
-  }
-  if (options.threads < 0) {
-    return Status::InvalidArgument("threads must be >= 0, got " +
-                                   std::to_string(options.threads));
-  }
+  MIPS_RETURN_IF_ERROR(ValidateShardedOptions(options));
   if (options.rebuild_threshold < 0) {
     return Status::InvalidArgument(
         "rebuild_threshold must be >= 0, got " +
         std::to_string(options.rebuild_threshold));
   }
-  if (options.growth_block < 0) {
-    return Status::InvalidArgument("growth_block must be >= 0, got " +
-                                   std::to_string(options.growth_block));
-  }
-  MIPS_RETURN_IF_ERROR(ValidateEngineOptions(options.engine));
 
   std::unique_ptr<LiveCatalog> catalog(new LiveCatalog());
   catalog->users_ = users;
@@ -108,14 +96,7 @@ LiveCatalog::~LiveCatalog() {
 }
 
 Status LiveCatalog::OpenEpochEngine(Epoch* epoch) {
-  ShardedEngineOptions sharded_options;
-  sharded_options.num_shards = options_.num_shards;
-  sharded_options.sharding = options_.sharding;
-  sharded_options.growth_block = options_.growth_block;
-  sharded_options.engine = options_.engine;
-  sharded_options.threads = options_.threads;
-  auto engine = ShardedMipsEngine::Open(users_, epoch->items,
-                                        sharded_options);
+  auto engine = ShardedMipsEngine::Open(users_, epoch->items, options_);
   MIPS_RETURN_IF_ERROR(engine.status());
   epoch->engine = std::move(*engine);
   return Status::OK();
@@ -435,7 +416,6 @@ void LiveCatalog::InstallEpoch(std::shared_ptr<Epoch> next) {
     sealed_.reset();
   }
   catalog_epoch_.fetch_add(1, std::memory_order_relaxed);
-  swaps_.fetch_add(1, std::memory_order_relaxed);
   if (old != nullptr && old->engine != nullptr) {
     // The retiring engine's cached decisions die with it.  A query still
     // draining on the old epoch keeps using them: they were measured on
@@ -477,13 +457,14 @@ Index LiveCatalog::num_items() const {
 
 LiveCatalog::Stats LiveCatalog::stats() const {
   Stats snapshot;
+  static_cast<ServedStats&>(snapshot) = served();
   snapshot.catalog_epoch = catalog_epoch_.load(std::memory_order_relaxed);
   snapshot.inserts = inserts_.load(std::memory_order_relaxed);
   snapshot.updates = updates_.load(std::memory_order_relaxed);
   snapshot.removes = removes_.load(std::memory_order_relaxed);
   snapshot.rebuilds_started =
       rebuilds_started_.load(std::memory_order_relaxed);
-  snapshot.swaps = swaps_.load(std::memory_order_relaxed);
+  snapshot.swaps = snapshot.catalog_epoch;
   snapshot.epochs_drained = epochs_drained_->load(std::memory_order_relaxed);
   snapshot.decisions_retired =
       decisions_retired_.load(std::memory_order_relaxed);
@@ -496,11 +477,13 @@ LiveCatalog::Stats LiveCatalog::stats() const {
     snapshot.buffered_rows =
         active_.num_rows() +
         (sealed_ != nullptr ? sealed_->num_rows() : Index{0});
-    std::unordered_set<Index> dead_union = active_.dead;
+    // The union's size: the active dead ids plus the sealed ones it lacks.
+    snapshot.dead_masked = static_cast<Index>(active_.dead.size());
     if (sealed_ != nullptr) {
-      dead_union.insert(sealed_->dead.begin(), sealed_->dead.end());
+      for (const Index id : sealed_->dead) {
+        if (!active_.dead.contains(id)) ++snapshot.dead_masked;
+      }
     }
-    snapshot.dead_masked = static_cast<Index>(dead_union.size());
   }
   // Outside the state lock: strategy() takes each engine's decision lock,
   // which an inline re-decision holds exclusively for its whole sampling

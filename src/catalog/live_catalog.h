@@ -69,6 +69,10 @@
 // older layers' masks from the dead sets.  Rebuild() blocks the CALLER
 // until the in-flight (or newly started) rebuild installs; it never
 // blocks queries or mutations.
+//
+// Reporting: stats() carries the catalog's served counters, counted once
+// as each query enters the catalog (ServedStats; the epoch engines below
+// count none), beside its mutation, rebuild and drain counters.
 
 #ifndef MIPS_CATALOG_LIVE_CATALOG_H_
 #define MIPS_CATALOG_LIVE_CATALOG_H_
@@ -88,34 +92,21 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "core/engine.h"
-#include "shard/partition.h"
 #include "shard/sharded_engine.h"
 #include "topk/result.h"
 
 namespace mips {
 
-/// Configuration for LiveCatalog::Open.
-struct LiveCatalogOptions {
-  /// Per-epoch engine configuration (decision k, candidate solver specs,
-  /// optimus knobs, shape-keyed decisions).  Every rebuilt epoch reruns
-  /// the OPTIMUS decision under these options over the folded catalog,
-  /// into a fresh decision cache.
-  EngineOptions engine;
-  /// Item shards per epoch engine, each with its own decision (1 = one
-  /// engine over every item).
-  int num_shards = 1;
-  /// Placement policy for sharded epochs.  kGrowth places items in id
-  /// order in fixed-size blocks, so appends land in the newest shard and,
-  /// with a pinned growth_block, prefix shards hold the same rows across
-  /// append-only rebuilds (shard/partition.h).  Each rebuild still copies
-  /// every row and re-prepares and re-decides every shard.
-  ShardingStrategy sharding = ShardingStrategy::kContiguous;
-  /// Pinned kGrowth block size (0 = derive from the epoch's item count).
-  Index growth_block = 0;
-  /// Worker threads in each epoch engine's own pool (0 =
-  /// single-threaded); a rebuilt epoch's engine opens a fresh pool and
-  /// the retired one's pool dies with it.
-  int threads = 0;
+/// Configuration for LiveCatalog::Open: the options every epoch's engine
+/// opens with, plus the rebuild trigger.  Each rebuilt epoch reruns the
+/// OPTIMUS decision under them over the folded catalog, into a fresh
+/// decision cache, and opens a fresh pool of `threads` workers (the
+/// retired epoch's pool dies with it).  kGrowth sharding places items in
+/// id order in fixed-size blocks, so appends land in the newest shard
+/// and, with a pinned growth_block, prefix shards hold the same rows
+/// across append-only rebuilds (shard/partition.h); each rebuild still
+/// copies every row and re-prepares and re-decides every shard.
+struct LiveCatalogOptions : ShardedEngineOptions {
   /// Buffered mutations that trigger a background rebuild (0 = rebuild
   /// only on explicit Rebuild() calls).
   int64_t rebuild_threshold = 0;
@@ -176,10 +167,10 @@ class LiveCatalog final : public ServingFacade {
     return catalog_epoch_.load(std::memory_order_relaxed);
   }
 
-  /// Cumulative mutation / rebuild / drain counters.  Each field is
-  /// individually consistent; fields may be mutually skewed by in-flight
-  /// requests.
-  struct Stats {
+  /// served() plus the cumulative mutation / rebuild / drain counters.
+  /// Each field is individually consistent; fields may be mutually skewed
+  /// by in-flight requests.
+  struct Stats : ServedStats {
     /// Swap generation: bumped once per installed epoch.  Each epoch's
     /// engine holds its own decision cache, which dies with the epoch.
     int64_t catalog_epoch = 0;
@@ -187,7 +178,7 @@ class LiveCatalog final : public ServingFacade {
     int64_t updates = 0;
     int64_t removes = 0;
     int64_t rebuilds_started = 0;
-    /// Epochs installed (successful rebuilds).
+    /// Epochs installed (successful rebuilds); equal to catalog_epoch.
     int64_t swaps = 0;
     /// Retired epochs fully drained (last in-flight reference dropped).
     int64_t epochs_drained = 0;
@@ -319,7 +310,6 @@ class LiveCatalog final : public ServingFacade {
   std::atomic<int64_t> updates_{0};
   std::atomic<int64_t> removes_{0};
   std::atomic<int64_t> rebuilds_started_{0};
-  std::atomic<int64_t> swaps_{0};
   std::atomic<int64_t> decisions_retired_{0};
   /// Shared with every Epoch; see Epoch::drain_counter.
   std::shared_ptr<std::atomic<int64_t>> epochs_drained_ =

@@ -40,10 +40,10 @@ Status ServingFacade::TopK(Index k, std::span<const Index> user_ids,
     *out = TopKResult(0, k);
     return Status::OK();
   }
-  return Serve(k,
-               {users_.data(), user_ids.data(),
-                static_cast<Index>(user_ids.size())},
-               {}, out);
+  return ServeAndCount(k,
+                       {users_.data(), user_ids.data(),
+                        static_cast<Index>(user_ids.size())},
+                       out);
 }
 
 Status ServingFacade::TopKAll(Index k, TopKResult* out) {
@@ -69,7 +69,31 @@ Status ServingFacade::TopKNewUsers(const Real* user_vectors, Index num_rows,
   MIPS_RETURN_IF_ERROR(ValidateK(k));
   MIPS_RETURN_IF_ERROR(
       ValidateNewUserBatch(user_vectors, num_rows, num_factors()));
-  return Serve(k, {user_vectors, nullptr, num_rows}, {}, out);
+  return ServeAndCount(k, {user_vectors, nullptr, num_rows}, out);
+}
+
+Status ServingFacade::ServeAndCount(Index k, const QueryRows& rows,
+                                    TopKResult* out) {
+  WallTimer timer;
+  MIPS_RETURN_IF_ERROR(Serve(k, rows, {}, out));
+  serve_seconds_.fetch_add(timer.Seconds(), std::memory_order_relaxed);
+  if (rows.ids != nullptr) {
+    batches_served_.fetch_add(1, std::memory_order_relaxed);
+    users_served_.fetch_add(rows.size, std::memory_order_relaxed);
+  } else {
+    new_users_served_.fetch_add(rows.size, std::memory_order_relaxed);
+  }
+  return Status::OK();
+}
+
+ServedStats ServingFacade::served() const {
+  ServedStats snapshot;
+  snapshot.batches_served = batches_served_.load(std::memory_order_relaxed);
+  snapshot.users_served = users_served_.load(std::memory_order_relaxed);
+  snapshot.new_users_served =
+      new_users_served_.load(std::memory_order_relaxed);
+  snapshot.serve_seconds = serve_seconds_.load(std::memory_order_relaxed);
+  return snapshot;
 }
 
 Status ValidateEngineOptions(const EngineOptions& options) {
@@ -311,16 +335,7 @@ Status MipsEngine::Serve(Index k, const QueryRows& rows, const ItemMask& mask,
                          TopKResult* out) {
   auto strategy = StrategyFor(k, rows.size);
   MIPS_RETURN_IF_ERROR(strategy.status());
-  WallTimer timer;
-  MIPS_RETURN_IF_ERROR(solvers_[*strategy]->TopK(k, rows, mask, out));
-  stats_.serve_seconds.fetch_add(timer.Seconds(), std::memory_order_relaxed);
-  if (rows.ids != nullptr) {
-    stats_.batches_served.fetch_add(1, std::memory_order_relaxed);
-    stats_.users_served.fetch_add(rows.size, std::memory_order_relaxed);
-  } else {
-    stats_.new_users_served.fetch_add(rows.size, std::memory_order_relaxed);
-  }
-  return Status::OK();
+  return solvers_[*strategy]->TopK(k, rows, mask, out);
 }
 
 Status MipsEngine::ForceStrategy(const std::string& name_or_spec) {
@@ -360,12 +375,8 @@ const std::string& MipsEngine::strategy() const {
 
 MipsEngine::Stats MipsEngine::stats() const {
   Stats snapshot;
-  snapshot.batches_served = stats_.batches_served.load(std::memory_order_relaxed);
-  snapshot.users_served = stats_.users_served.load(std::memory_order_relaxed);
-  snapshot.new_users_served =
-      stats_.new_users_served.load(std::memory_order_relaxed);
+  static_cast<ServedStats&>(snapshot) = served();
   snapshot.redecisions = stats_.redecisions.load(std::memory_order_relaxed);
-  snapshot.serve_seconds = stats_.serve_seconds.load(std::memory_order_relaxed);
   snapshot.redecision_seconds =
       stats_.redecision_seconds.load(std::memory_order_relaxed);
   snapshot.decision_cache_hits =

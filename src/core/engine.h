@@ -20,12 +20,13 @@
 //     (MipsSolver::TopK), so they take the path OPTIMUS timed.
 //
 // ForceStrategy() overrides the optimizer by candidate name (benches,
-// lesion studies, operator escape hatch); stats() snapshots cumulative
-// serving counters.  ShardedMipsEngine (shard/sharded_engine.h) holds
-// one MipsEngine per item shard, and LiveCatalog holds a
-// ShardedMipsEngine per epoch (num_shards = 1 when unsharded).  All three
-// are ServingFacades: each query is checked once where it enters, and
-// the layers below call each other's serve body with no second check.
+// lesion studies, operator escape hatch); stats() snapshots the served
+// counters (ServedStats) and the engine's decision counters.
+// ShardedMipsEngine (shard/sharded_engine.h) holds one MipsEngine per
+// item shard, and LiveCatalog holds a ShardedMipsEngine per epoch
+// (num_shards = 1 when unsharded).  All three are ServingFacades: each
+// query is checked and counted once where it enters, and the layers
+// below call each other's serve body with no second check or count.
 //
 // Thread safety (the contract the multi-client server relies on):
 //
@@ -37,8 +38,8 @@
 //     only while a brand-new k runs its Optimus::Decide.  Concurrent
 //     callers of other, already-cached ks briefly queue behind that
 //     decision; exactness is never affected.
-//   * stats() counters are atomics; the returned snapshot is internally
-//     consistent per field (not across fields).
+//   * stats() and served() counters are atomics; the returned snapshot
+//     is internally consistent per field (not across fields).
 //   * ForceStrategy / ClearForcedStrategy are safe to call concurrently
 //     with queries; in-flight batches may finish on the previous
 //     strategy.
@@ -65,6 +66,20 @@
 #include "solvers/solver.h"
 
 namespace mips {
+
+/// What a facade served, counted once where each query entered: an
+/// accepted TopK (TopKAll included) adds one batch and its rows, an
+/// accepted TopKNewUser(s) adds its new rows, and either adds the wall
+/// time of its serve body to serve_seconds, strategy lookup and any
+/// inline re-decision included.  Refused queries and empty batches count
+/// nothing, and neither do the layers a query passes below its entry: the
+/// shards of a sharded engine read 0.
+struct ServedStats {
+  int64_t batches_served = 0;
+  int64_t users_served = 0;
+  int64_t new_users_served = 0;
+  double serve_seconds = 0;
+};
 
 /// The query surface of the three serving facades (MipsEngine,
 /// ShardedMipsEngine, LiveCatalog): the four call forms, written once
@@ -117,6 +132,9 @@ class ServingFacade {
   Index num_users() const { return users_.rows(); }
   Index num_factors() const { return users_.cols(); }
 
+  /// Snapshot of what this facade served (see ServedStats).
+  ServedStats served() const;
+
  protected:
   ServingFacade() = default;
 
@@ -134,6 +152,16 @@ class ServingFacade {
 
   /// The user matrix known-user ids index; set by the facade's Open.
   ConstRowBlock users_;
+
+ private:
+  /// Serves checked rows under an empty mask, timed, and counts them
+  /// when the serve body succeeds.
+  Status ServeAndCount(Index k, const QueryRows& rows, TopKResult* out);
+
+  std::atomic<int64_t> batches_served_{0};
+  std::atomic<int64_t> users_served_{0};
+  std::atomic<int64_t> new_users_served_{0};
+  std::atomic<double> serve_seconds_{0};
 };
 
 /// Configuration for MipsEngine::Open.
@@ -186,8 +214,8 @@ struct EngineOptions {
 
 /// MipsEngine::Open's option checks: k > 0, a candidate spec, threads >=
 /// 0, positive warm_batch_shapes, and every spec resolving in the solver
-/// registry (its error returned verbatim).  LiveCatalog::Open runs them
-/// too, so a catalog opened with no items refuses what a rebuild would.
+/// registry (its error returned verbatim).  ValidateShardedOptions
+/// (shard/sharded_engine.h) runs them too.
 Status ValidateEngineOptions(const EngineOptions& options);
 
 /// A long-lived exact-MIPS serving engine over one (users, items) model.
@@ -232,16 +260,13 @@ class MipsEngine final : public ServingFacade {
 
   Index num_items() const { return items_.rows(); }
 
-  /// Snapshot of the cumulative serving statistics.  Each field is
-  /// individually consistent; fields may be mutually skewed by in-flight
-  /// requests.
-  struct Stats {
-    int64_t batches_served = 0;
-    int64_t users_served = 0;
-    int64_t new_users_served = 0;
-    /// Per-k OPTIMUS re-decisions triggered by diverging query ks.
+  /// Snapshot of the cumulative serving statistics: served() plus the
+  /// engine's decisions.  Each field is individually consistent; fields
+  /// may be mutually skewed by in-flight requests.
+  struct Stats : ServedStats {
+    /// Per-k OPTIMUS re-decisions triggered by diverging query ks, and
+    /// their wall time (inside the entered facade's serve_seconds too).
     int64_t redecisions = 0;
-    double serve_seconds = 0;
     double redecision_seconds = 0;
     /// Decision-cache accounting: a hit is a query whose (k, shape)
     /// already has a cached winner; a miss triggers either a re-decision
@@ -290,8 +315,8 @@ class MipsEngine final : public ServingFacade {
   StatusOr<std::size_t> StrategyFor(Index k, Index batch_rows)
       EXCLUDES(decision_mu_);
 
-  /// Looks up the strategy for (k, rows.size), runs its MipsSolver::TopK
-  /// under the mask, and counts the call.
+  /// Looks up the strategy for (k, rows.size) and runs its
+  /// MipsSolver::TopK under the mask.
   Status Serve(Index k, const QueryRows& rows, const ItemMask& mask,
                TopKResult* out) override;
 
@@ -343,11 +368,7 @@ class MipsEngine final : public ServingFacade {
   OptimusReport report_;
 
   struct AtomicStats {
-    std::atomic<int64_t> batches_served{0};
-    std::atomic<int64_t> users_served{0};
-    std::atomic<int64_t> new_users_served{0};
     std::atomic<int64_t> redecisions{0};
-    std::atomic<double> serve_seconds{0};
     std::atomic<double> redecision_seconds{0};
     std::atomic<int64_t> decision_cache_hits{0};
     std::atomic<int64_t> decision_cache_misses{0};

@@ -2,14 +2,11 @@
 
 #include <thread>
 
-#include "common/timer.h"
 #include "topk/merge.h"
 
 namespace mips {
 
-StatusOr<std::unique_ptr<ShardedMipsEngine>> ShardedMipsEngine::Open(
-    const ConstRowBlock& users, const ConstRowBlock& items,
-    const ShardedEngineOptions& options) {
+Status ValidateShardedOptions(const ShardedEngineOptions& options) {
   if (options.num_shards < 1) {
     return Status::InvalidArgument("num_shards must be >= 1, got " +
                                    std::to_string(options.num_shards));
@@ -18,10 +15,20 @@ StatusOr<std::unique_ptr<ShardedMipsEngine>> ShardedMipsEngine::Open(
     return Status::InvalidArgument("threads must be >= 0, got " +
                                    std::to_string(options.threads));
   }
+  if (options.growth_block < 0) {
+    return Status::InvalidArgument("growth_block must be >= 0, got " +
+                                   std::to_string(options.growth_block));
+  }
+  return ValidateEngineOptions(options.engine);
+}
+
+StatusOr<std::unique_ptr<ShardedMipsEngine>> ShardedMipsEngine::Open(
+    const ConstRowBlock& users, const ConstRowBlock& items,
+    const ShardedEngineOptions& options) {
+  MIPS_RETURN_IF_ERROR(ValidateShardedOptions(options));
 
   std::unique_ptr<ShardedMipsEngine> engine(new ShardedMipsEngine());
   engine->users_ = users;
-  engine->options_ = options;
   auto partition = ItemPartition::Create(
       items, options.num_shards, options.sharding, options.growth_block);
   MIPS_RETURN_IF_ERROR(partition.status());
@@ -70,7 +77,6 @@ StatusOr<std::unique_ptr<ShardedMipsEngine>> ShardedMipsEngine::Open(
 
 Status ShardedMipsEngine::Serve(Index k, const QueryRows& rows,
                                 const ItemMask& mask, TopKResult* out) {
-  WallTimer timer;
   // Scatter: each shard answers exact top-k over its own unmasked items
   // with local ids, its strategy decided for k and this batch's shape...
   std::vector<TopKResult> partials(active_shards_.size());
@@ -100,14 +106,6 @@ Status ShardedMipsEngine::Serve(Index k, const QueryRows& rows,
   results.reserve(partials.size());
   for (const TopKResult& partial : partials) results.push_back(&partial);
   MergeTopKResults(results, k, out);
-  MutexLock lock(stats_mu_);
-  counters_.serve_seconds += timer.Seconds();
-  if (rows.ids != nullptr) {
-    counters_.batches_served += 1;
-    counters_.users_served += rows.size;
-  } else {
-    counters_.new_users_served += rows.size;
-  }
   return Status::OK();
 }
 
@@ -150,13 +148,7 @@ std::string ShardedMipsEngine::shard_strategy(int s) const {
 
 ShardedMipsEngine::Stats ShardedMipsEngine::stats() const {
   Stats snapshot;
-  {
-    MutexLock lock(stats_mu_);
-    snapshot.batches_served = counters_.batches_served;
-    snapshot.users_served = counters_.users_served;
-    snapshot.new_users_served = counters_.new_users_served;
-    snapshot.serve_seconds = counters_.serve_seconds;
-  }
+  static_cast<ServedStats&>(snapshot) = served();
   snapshot.shards.resize(static_cast<std::size_t>(num_shards()));
   for (int s = 0; s < num_shards(); ++s) {
     ShardSnapshot& shard = snapshot.shards[static_cast<std::size_t>(s)];

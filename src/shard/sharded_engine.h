@@ -8,8 +8,10 @@
 // candidate indexes, runs its own OPTIMUS decision, and may pick a
 // different solver than its neighbors (a norm-skewed shard prunes with
 // LEMP while a flat shard falls back to BMM).  stats() surfaces every
-// shard's winner, serve counters, and re-decisions so that heterogeneity
-// is observable, not hidden.
+// shard's winner, re-decisions and decision-cache counters so that
+// heterogeneity is observable, not hidden; the served counters are the
+// sharded engine's own, counted once at its entry (ServedStats), so a
+// shard's read 0.
 //
 // Serving is scatter/gather: every call form (ServingFacade's, checked
 // once at this entry) fans its rows, known users or new vectors alike,
@@ -61,8 +63,6 @@
 #include <string>
 #include <vector>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "core/engine.h"
 #include "shard/partition.h"
 
@@ -70,9 +70,9 @@ namespace mips {
 
 /// Configuration for ShardedMipsEngine::Open.
 struct ShardedEngineOptions {
-  /// Number of item shards (>= 1; 1 is the unsharded engine behind the
-  /// sharded interface, the form unsharded composites hold).
-  int num_shards = 2;
+  /// Number of item shards (>= 1; 1, the default, is the unsharded engine
+  /// behind the sharded interface, the form unsharded composites hold).
+  int num_shards = 1;
   /// Item placement policy (see shard/partition.h).
   ShardingStrategy sharding = ShardingStrategy::kContiguous;
   /// Pinned block size for kGrowth placement (0 = derive from the item
@@ -86,6 +86,13 @@ struct ShardedEngineOptions {
   /// (0 = single-threaded).
   int threads = 0;
 };
+
+/// ShardedMipsEngine::Open's option checks: num_shards >= 1, threads >= 0,
+/// growth_block >= 0, then ValidateEngineOptions on `engine` (a negative
+/// engine.threads is refused too, though the shards override it).
+/// LiveCatalog::Open runs them as well, so a catalog opened with no items
+/// refuses what a rebuild would.
+Status ValidateShardedOptions(const ShardedEngineOptions& options);
 
 /// Exact MIPS over an item-sharded catalog; see the file comment.
 class ShardedMipsEngine final : public ServingFacade {
@@ -129,15 +136,12 @@ class ShardedMipsEngine final : public ServingFacade {
     std::string strategy;
     /// The shard's opening OPTIMUS winner ("" if empty).
     std::string opening_choice;
+    /// The shard's decision counters (its served fields read 0).
     MipsEngine::Stats stats;
   };
-  struct Stats {
-    /// Sharded-engine-level counters (one batch = one scatter/gather).
-    int64_t batches_served = 0;
-    int64_t users_served = 0;
-    int64_t new_users_served = 0;
-    /// End-to-end scatter + gather + merge time.
-    double serve_seconds = 0;
+  /// served() (one batch = one scatter/gather; serve_seconds covers
+  /// scatter, gather and merge) plus the shards' decisions.
+  struct Stats : ServedStats {
     /// Sums over shards (each shard's own counters are in `shards`).
     int64_t redecisions = 0;
     int64_t decision_cache_hits = 0;
@@ -151,7 +155,7 @@ class ShardedMipsEngine final : public ServingFacade {
     std::string gemm_kernel;
     std::vector<ShardSnapshot> shards;
   };
-  Stats stats() const EXCLUDES(stats_mu_);
+  Stats stats() const;
 
  private:
   /// Each catalog epoch serves the catalog's checked queries.
@@ -166,28 +170,14 @@ class ShardedMipsEngine final : public ServingFacade {
   /// Remaps each shard's k-entry rows to global ids and merges them into
   /// *out.
   Status Serve(Index k, const QueryRows& rows, const ItemMask& mask,
-               TopKResult* out) override EXCLUDES(stats_mu_);
+               TopKResult* out) override;
 
-  ShardedEngineOptions options_;
   ItemPartition partition_;
   std::unique_ptr<ThreadPool> pool_;
   /// One engine per shard; null for empty shards.
   std::vector<std::unique_ptr<MipsEngine>> engines_;
   /// Indices of non-empty shards (scatter order).
   std::vector<int> active_shards_;
-
-  /// Engine-level serve counters.  A mutex (not per-field atomics) so
-  /// each scatter/gather's updates publish together and stats() reads a
-  /// cross-field-consistent snapshot of them; the lock is taken once per
-  /// batch, far off any per-item path.
-  struct Counters {
-    int64_t batches_served = 0;
-    int64_t users_served = 0;
-    int64_t new_users_served = 0;
-    double serve_seconds = 0;
-  };
-  mutable Mutex stats_mu_;
-  Counters counters_ GUARDED_BY(stats_mu_);
 };
 
 }  // namespace mips

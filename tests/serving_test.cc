@@ -116,25 +116,30 @@ TEST(ServingTest, DecisionReportPopulated) {
 // ------------------------------------------------ the one query entry
 
 /// Counters a facade's stats() exposes for served queries; the catalog
-/// has none, so its probe reads zeros.
+/// reports no decisions, so its probe reads zero lookups.
 struct ServedCounters {
   int64_t served = 0;       // batches + known rows + new rows
   int64_t lookups = 0;      // decision-cache hits + misses
   int64_t redecisions = 0;
 };
 
+int64_t ServedTotal(const ServedStats& stats) {
+  return stats.batches_served + stats.users_served + stats.new_users_served;
+}
+
 template <typename Stats>
 ServedCounters CountersOf(const Stats& stats) {
-  return {stats.batches_served + stats.users_served + stats.new_users_served,
+  return {ServedTotal(stats),
           stats.decision_cache_hits + stats.decision_cache_misses,
           stats.redecisions};
 }
 
 /// The call-form contract every facade keeps, written against the base
 /// class: each refusal carries the message the facade has always
-/// returned, no refused call reaches a serve body, and an empty
-/// known-user batch is served without a strategy lookup (a k no decision
-/// was made at would otherwise run a full OPTIMUS decision for nothing).
+/// returned, no refused call reaches a serve body, an empty known-user
+/// batch is served without a strategy lookup (a k no decision was made
+/// at would otherwise run a full OPTIMUS decision for nothing), and an
+/// accepted query is counted once, by the facade it entered.
 void ExpectCheckedOnceAtEntry(ServingFacade& facade,
                               const std::function<ServedCounters()>& counters,
                               const std::string& name) {
@@ -202,12 +207,24 @@ void ExpectCheckedOnceAtEntry(ServingFacade& facade,
   EXPECT_EQ(after.redecisions, before.redecisions);
   EXPECT_EQ(after.redecisions, 0);
 
-  // The entry still serves what it accepts.
+  // The entry still serves what it accepts, and counts it once.
+  const ServedStats start = facade.served();
   ASSERT_TRUE(facade.TopK(5, ids, &out).ok());
   EXPECT_EQ(out.num_queries(), 2);
   EXPECT_EQ(out.k(), 5);
+  const ServedStats known = facade.served();
+  EXPECT_EQ(known.batches_served, start.batches_served + 1);
+  EXPECT_EQ(known.users_served, start.users_served + 2);
+  EXPECT_EQ(known.new_users_served, start.new_users_served);
   ASSERT_TRUE(facade.TopKNewUser(vectors.Row(2), 5, row.data()).ok());
   EXPECT_GE(row[0].item, 0);
+  const ServedStats fresh = facade.served();
+  EXPECT_EQ(fresh.batches_served, known.batches_served);
+  EXPECT_EQ(fresh.users_served, known.users_served);
+  EXPECT_EQ(fresh.new_users_served, known.new_users_served + 1);
+  EXPECT_GT(fresh.serve_seconds, start.serve_seconds);
+  // stats() reports the same counts: 1 batch, 2 rows and 1 new row.
+  EXPECT_EQ(counters().served, before.served + 4);
 }
 
 TEST(ServingFacadeTest, EveryFacadeChecksEachQueryOnceAtItsEntry) {
@@ -230,6 +247,11 @@ TEST(ServingFacadeTest, EveryFacadeChecksEachQueryOnceAtItsEntry) {
   ExpectCheckedOnceAtEntry(
       **sharded, [&] { return CountersOf((*sharded)->stats()); },
       "3-shard engine");
+  // The shards serve only through the sharded engine's serve body, so
+  // they count nothing.
+  for (const auto& shard : (*sharded)->stats().shards) {
+    EXPECT_EQ(ServedTotal(shard.stats), 0);
+  }
 
   LiveCatalogOptions catalog_options;
   catalog_options.num_shards = 2;
@@ -241,7 +263,9 @@ TEST(ServingFacadeTest, EveryFacadeChecksEachQueryOnceAtItsEntry) {
   ASSERT_TRUE((*catalog)->Remove(3).ok());
   ASSERT_EQ((*catalog)->stats().buffered_rows, 1);
   ExpectCheckedOnceAtEntry(
-      **catalog, [] { return ServedCounters{}; }, "2-shard catalog");
+      **catalog,
+      [&] { return ServedCounters{ServedTotal((*catalog)->stats()), 0, 0}; },
+      "2-shard catalog");
 }
 
 TEST(OptimusDecideTest, AgreesWithRunChoice) {
